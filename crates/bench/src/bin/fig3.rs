@@ -10,14 +10,16 @@
 //! * `--segments <n>` — slice each device's endurance timeline into `n`
 //!   resumable checkpoint segments pipelined across cores (default 8;
 //!   results are byte-identical at any value).
-//! * `--verify-segmented` — run each device both unsliced and pipelined
-//!   and exit nonzero unless the rendered figures are byte-identical (the
-//!   checkpoint determinism contract; used by CI).
-//! * `--checkpoint-dir <dir>` — persist every segment boundary into
-//!   `<dir>` as self-describing record files, pruning superseded ones. A
-//!   killed run restarted with `--resume` continues from the newest valid
-//!   checkpoint and renders figures byte-identical to an uninterrupted
-//!   run (the crash-resume CI gate pins this).
+//! * `--verify-segmented` — also run each device through the
+//!   freeze/thaw round trip at the same segment count and exit nonzero
+//!   unless the rendered figures are byte-identical (the checkpoint
+//!   seam's end-to-end check; used by CI).
+//! * `--checkpoint-dir <dir>` — persist the primed state and every
+//!   segment boundary into `<dir>` as `fig3-<device>.seg<k>.ckpt` record
+//!   files, keeping one file per device. A killed run restarted with
+//!   `--resume` continues from the newest valid checkpoint and renders
+//!   figures byte-identical to an uninterrupted run (the crash-resume CI
+//!   gate pins this).
 //! * `--resume` — with `--checkpoint-dir`, continue from on-disk state.
 //! * `--kill-after <n>` — crash-testing hook: terminate the process
 //!   (exit 42) after the n-th checkpoint save, simulating a crash at a
@@ -25,49 +27,20 @@
 //! * `--bench-json <path>` — write a machine-readable benchmark record
 //!   (wall clock, simulated bytes/sec, devices) for CI artifacts.
 
-use uc_bench::{roster_from_args, BenchJson};
+use uc_bench::{parse_count, parse_value, roster_from_args, BenchJson, DurableArgs};
 use uc_core::devices::DeviceKind;
-use uc_core::experiments::fig3::{self, CheckpointDir, Fig3Config};
+use uc_core::experiments::durable;
+use uc_core::experiments::fig3::{self, Fig3Chain, Fig3Config};
 use uc_core::experiments::Executor;
 use uc_core::report::render_fig3;
-
-/// Reads the value of `--flag <n>` as a positive integer, if present.
-fn parse_count(args: &[String], flag: &str) -> Option<usize> {
-    args.iter().position(|a| a == flag).map(|i| {
-        let v = args
-            .get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} expects a value"));
-        let n = v
-            .parse::<usize>()
-            .unwrap_or_else(|_| panic!("{flag} expects a positive integer, got {v:?}"));
-        assert!(n > 0, "{flag} expects a positive integer, got 0");
-        n
-    })
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let verify = args.iter().any(|a| a == "--verify-segmented");
-    let resume = args.iter().any(|a| a == "--resume");
     let segments = parse_count(&args, "--segments").unwrap_or(8);
-    let kill_after = parse_count(&args, "--kill-after");
-    let checkpoint_dir = args.iter().position(|a| a == "--checkpoint-dir").map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("--checkpoint-dir expects a path"))
-            .clone()
-    });
-    if resume && checkpoint_dir.is_none() {
-        panic!("--resume requires --checkpoint-dir");
-    }
-    if kill_after.is_some() && checkpoint_dir.is_none() {
-        panic!("--kill-after requires --checkpoint-dir");
-    }
-    let bench_json = args.iter().position(|a| a == "--bench-json").map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("--bench-json expects a path"))
-            .clone()
-    });
+    let durable_args = DurableArgs::from_args(&args);
+    let bench_json = parse_value(&args, "--bench-json");
     let roster = roster_from_args(&args);
     let cfg = if quick {
         Fig3Config::quick()
@@ -82,32 +55,8 @@ fn main() {
         DeviceKind::ALL.len(),
         exec.threads()
     );
-    let results = match &checkpoint_dir {
-        Some(dir) => {
-            let mut store = CheckpointDir::create(dir).expect("create checkpoint dir");
-            if let Some(n) = kill_after {
-                store = store.with_kill_after(n as u64);
-            }
-            eprintln!(
-                "persisting segment checkpoints to {} ({})",
-                store.path().display(),
-                if resume { "resuming" } else { "fresh run" }
-            );
-            fig3::run_pipelined_durable(
-                &roster,
-                &DeviceKind::ALL,
-                &cfg,
-                segments,
-                &exec,
-                &store,
-                resume,
-            )
-            .expect("fig3 durable run")
-        }
-        None => {
-            fig3::run_pipelined(&roster, &DeviceKind::ALL, &cfg, segments, &exec).expect("fig3 run")
-        }
-    };
+    let chains = fig3::chains(&roster, &DeviceKind::ALL, &cfg, segments);
+    let results = durable::run(&chains, &exec, durable_args.store().as_ref()).expect("fig3 run");
     let wall = started.elapsed().as_secs_f64();
 
     if let Some(path) = &bench_json {
@@ -138,10 +87,11 @@ fn main() {
         print!("{}", render_fig3(&results[i]));
         println!();
         if verify {
-            eprintln!("verifying {kind} against the unsliced run…");
-            let unsliced = fig3::run(&roster, kind, &cfg).expect("fig3 unsliced run");
-            if render_fig3(&unsliced) != render_fig3(&results[i]) {
-                eprintln!("::error::{kind}: segmented fig3 diverged from the unsliced run");
+            eprintln!("verifying {kind} against the freeze/thaw round trip…");
+            let reference = durable::round_trip(&Fig3Chain::new(&roster, kind, &cfg, segments))
+                .expect("fig3 round-trip run");
+            if render_fig3(&reference) != render_fig3(&results[i]) {
+                eprintln!("::error::{kind}: pipelined fig3 diverged from the round-trip run");
                 mismatches += 1;
             }
         }
@@ -151,7 +101,7 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!(
-            "segmented-vs-unsliced equivalence holds for all {} devices",
+            "pipelined-vs-round-trip equivalence holds for all {} devices",
             DeviceKind::ALL.len()
         );
     }

@@ -34,12 +34,15 @@
 //! * `--report <path>` — write the rendered fleet report there instead
 //!   of stdout (the serve smoke diffs it against a `serve --fleet`
 //!   run's report byte for byte).
-//! * `--checkpoint-dir <dir>` — persist every epoch boundary; a killed
-//!   run restarted with `--resume` continues from disk and prints a
-//!   report byte-identical to an uninterrupted run (the fleet CI smoke
-//!   pins this).
+//! * `--checkpoint-dir <dir>` — persist the primed fleet and every epoch
+//!   boundary as `fleet.seg<k>.ckpt`, one file at a time; a killed run
+//!   restarted with `--resume` continues from disk and prints a report
+//!   byte-identical to an uninterrupted run (the fleet CI smoke pins
+//!   this).
+//! * `--resume` — with `--checkpoint-dir`, continue from on-disk state.
 //! * `--kill-after <n>` — crash-testing hook: exit 42 after the n-th
-//!   checkpoint save.
+//!   checkpoint save, first dumping the fleet's telemetry to
+//!   `<dir>/crash.obs`.
 //! * `--remote tcp:ADDR|uds:PATH` — client mode: instead of running the
 //!   fleet in-process, attach this client's share of the tenants as
 //!   `uc.wire.v2` lanes on a `serve --fleet` frontend, push each
@@ -54,64 +57,19 @@
 //! conservation, ledger conservation, queue-head monotonicity) — flagged
 //! interference findings are measurements, not failures.
 
-use uc_bench::{scale_from_args, BenchJson};
+use uc_bench::{fleet_config_from_args, parse_count, parse_value, BenchJson, DurableArgs};
 use uc_blockdev::IoRequest;
-use uc_core::experiments::fleet::{self as fleet_exp, FleetRunConfig, FleetStore};
+use uc_core::experiments::durable;
+use uc_core::experiments::fleet::{FleetChain, FleetRunConfig};
+use uc_core::experiments::Executor;
 use uc_core::report::render_fleet_report;
-use uc_fleet::{RebalancePolicy, ShapeMix, TenantSpec};
+use uc_fleet::TenantSpec;
 use uc_serve::{Body, LaneTarget, WireClient};
-use uc_sim::SimDuration;
-
-/// Reads the value of `--flag <n>` as a positive integer, if present.
-fn parse_count(args: &[String], flag: &str) -> Option<usize> {
-    args.iter().position(|a| a == flag).map(|i| {
-        let v = args
-            .get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} expects a value"));
-        let n = v
-            .parse::<usize>()
-            .unwrap_or_else(|_| panic!("{flag} expects a positive integer, got {v:?}"));
-        assert!(n > 0, "{flag} expects a positive integer, got 0");
-        n
-    })
-}
-
-/// Reads the value of `--flag <s>` as a string, if present.
-fn parse_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} expects a value"))
-            .clone()
-    })
-}
-
-/// Parses `s:d:b` into a [`ShapeMix`].
-fn parse_mix(v: &str) -> ShapeMix {
-    let parts: Vec<u32> = v
-        .split(':')
-        .map(|p| {
-            p.parse::<u32>()
-                .unwrap_or_else(|_| panic!("--shape-mix expects s:d:b integers, got {v:?}"))
-        })
-        .collect();
-    assert!(
-        parts.len() == 3 && parts.iter().any(|&p| p > 0),
-        "--shape-mix expects three ratios with at least one nonzero, got {v:?}"
-    );
-    ShapeMix {
-        steady: parts[0],
-        diurnal: parts[1],
-        bursty: parts[2],
-    }
-}
 
 /// Reads the value of `--flag <n>` as a non-negative integer (zero
 /// allowed — client indices start at 0).
 fn parse_index(args: &[String], flag: &str) -> Option<usize> {
-    args.iter().position(|a| a == flag).map(|i| {
-        let v = args
-            .get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} expects a value"));
+    parse_value(args, flag).map(|v| {
         v.parse::<usize>()
             .unwrap_or_else(|_| panic!("{flag} expects a non-negative integer, got {v:?}"))
     })
@@ -213,69 +171,37 @@ fn run_remote(args: &[String], endpoint: &str, config: &FleetRunConfig) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let tenants = parse_count(&args, "--tenants").unwrap_or(256);
-    let devices = parse_count(&args, "--devices").unwrap_or(8);
-    let epochs = parse_count(&args, "--epochs").unwrap_or(4);
-    let duration_ms = parse_count(&args, "--duration-ms").unwrap_or(200);
-    let rebalance = args.iter().any(|a| a == "--rebalance");
-    let resume = args.iter().any(|a| a == "--resume");
-    let kill_after = parse_count(&args, "--kill-after");
-    let checkpoint_dir = parse_value(&args, "--checkpoint-dir");
-    let bench_json = parse_value(&args, "--bench-json");
-    let seed = parse_value(&args, "--seed")
-        .map(|v| {
-            v.parse::<u64>()
-                .unwrap_or_else(|_| panic!("--seed expects an integer, got {v:?}"))
-        })
-        .unwrap_or(0xF1EE7);
-    let mix = parse_value(&args, "--shape-mix")
-        .map(|v| parse_mix(&v))
-        .unwrap_or_else(ShapeMix::default_mix);
-    if resume && checkpoint_dir.is_none() {
-        panic!("--resume requires --checkpoint-dir");
-    }
-    if kill_after.is_some() && checkpoint_dir.is_none() {
-        panic!("--kill-after requires --checkpoint-dir");
-    }
-
-    let mut config = FleetRunConfig::new(tenants, devices).with_scale(scale_from_args(&args));
-    config.fleet = config
-        .fleet
-        .with_mix(mix)
-        .with_epochs(epochs)
-        .with_duration(SimDuration::from_millis(duration_ms as u64))
-        .with_seed(seed);
-    if rebalance {
-        config.fleet = config.fleet.with_rebalance(RebalancePolicy::default());
-    }
+    let durable_args = DurableArgs::from_args(&args);
+    let config = fleet_config_from_args(&args);
 
     if let Some(endpoint) = parse_value(&args, "--remote") {
         run_remote(&args, &endpoint, &config);
         return;
     }
 
+    let fleet = &config.fleet;
     eprintln!(
-        "fleet: {tenants} tenant(s) on {devices} shared device(s) \
-         ({} MiB each), {epochs} epoch(s), {duration_ms} ms horizon, \
-         rebalance {}…",
+        "fleet: {} tenant(s) on {} shared device(s) ({} MiB each), {} epoch(s), \
+         {:.0} ms horizon, rebalance {}…",
+        fleet.tenants,
+        fleet.devices,
         config.capacity >> 20,
-        if rebalance { "on" } else { "off" }
+        fleet.epochs,
+        fleet.duration.as_secs_f64() * 1e3,
+        if fleet.rebalance.is_some() {
+            "on"
+        } else {
+            "off"
+        }
     );
     let started = std::time::Instant::now();
-    let verdict = match &checkpoint_dir {
-        Some(dir) => {
-            let mut store = FleetStore::create(dir).expect("create checkpoint dir");
-            if let Some(n) = kill_after {
-                store = store.with_kill_after(n as u64);
-            }
-            eprintln!(
-                "persisting epoch checkpoints to {dir} ({})",
-                if resume { "resuming" } else { "fresh run" }
-            );
-            fleet_exp::run_durable(&config, &mut store, resume).expect("fleet durable run")
-        }
-        None => fleet_exp::run(&config).expect("fleet run"),
-    };
+    let verdict = durable::run(
+        &[FleetChain::new(&config)],
+        &Executor::sequential(),
+        durable_args.store().as_ref(),
+    )
+    .expect("fleet run")
+    .remove(0);
     let wall = started.elapsed().as_secs_f64();
 
     let rendered = render_fleet_report(&verdict);
@@ -321,11 +247,11 @@ fn main() {
         }
     }
 
-    if let Some(path) = bench_json {
+    if let Some(path) = parse_value(&args, "--bench-json") {
         let latency = verdict.obs.snapshot.histogram("fleet.tenant_latency_ns");
         BenchJson::new("fleet")
-            .u64("tenants", tenants as u64)
-            .u64("devices", devices as u64)
+            .u64("tenants", config.fleet.tenants as u64)
+            .u64("devices", config.fleet.devices as u64)
             .u64("epochs", verdict.report.epochs as u64)
             .u64("total_ios", verdict.report.total_ios)
             .u64("total_bytes", verdict.report.total_bytes)

@@ -65,88 +65,18 @@
 //! exits 0 even when `shed_overload` is positive.
 
 use std::sync::Arc;
-use uc_bench::{generated_trace, roster_from_args, scale_from_args, BenchJson, DeviceKind};
-use uc_core::experiments::fleet::{self as fleet_exp, FleetRunConfig};
+use uc_bench::{
+    fleet_config_from_args, generated_trace, parse_count, parse_value, roster_from_args, BenchJson,
+    DeviceKind,
+};
+use uc_core::experiments::fleet as fleet_exp;
 use uc_core::report::{render_fleet_report, render_serve_report};
-use uc_fleet::{FleetSim, RebalancePolicy, ShapeMix};
+use uc_fleet::FleetSim;
 use uc_serve::{
     serve_events, Endpoint, EventLoopStats, Listener, PoolConfig, RemoteDevice, ServePool,
 };
-use uc_sim::{SimDuration, SimTime};
+use uc_sim::SimTime;
 use uc_trace::{replay_with, ReplayConfig};
-
-/// Reads the value of `--flag <n>` as a positive integer, if present.
-fn parse_count(args: &[String], flag: &str) -> Option<usize> {
-    args.iter().position(|a| a == flag).map(|i| {
-        let v = args
-            .get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} expects a value"));
-        let n = v
-            .parse::<usize>()
-            .unwrap_or_else(|_| panic!("{flag} expects a positive integer, got {v:?}"));
-        assert!(n > 0, "{flag} expects a positive integer, got 0");
-        n
-    })
-}
-
-/// Reads the value of `--flag <s>` as a string, if present.
-fn parse_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} expects a value"))
-            .clone()
-    })
-}
-
-/// Parses `s:d:b` into a [`ShapeMix`].
-fn parse_mix(v: &str) -> ShapeMix {
-    let parts: Vec<u32> = v
-        .split(':')
-        .map(|p| {
-            p.parse::<u32>()
-                .unwrap_or_else(|_| panic!("--shape-mix expects s:d:b integers, got {v:?}"))
-        })
-        .collect();
-    assert!(
-        parts.len() == 3 && parts.iter().any(|&p| p > 0),
-        "--shape-mix expects three ratios with at least one nonzero, got {v:?}"
-    );
-    ShapeMix {
-        steady: parts[0],
-        diurnal: parts[1],
-        bursty: parts[2],
-    }
-}
-
-/// Builds the fleet definition `--fleet` serves — field for field the
-/// same construction the `fleet` binary runs in-process, so the two
-/// reports can be diffed byte for byte.
-fn fleet_run_config(args: &[String]) -> FleetRunConfig {
-    let tenants = parse_count(args, "--tenants").unwrap_or(256);
-    let devices = parse_count(args, "--devices").unwrap_or(8);
-    let epochs = parse_count(args, "--epochs").unwrap_or(4);
-    let duration_ms = parse_count(args, "--duration-ms").unwrap_or(200);
-    let seed = parse_value(args, "--seed")
-        .map(|v| {
-            v.parse::<u64>()
-                .unwrap_or_else(|_| panic!("--seed expects an integer, got {v:?}"))
-        })
-        .unwrap_or(0xF1EE7);
-    let mix = parse_value(args, "--shape-mix")
-        .map(|v| parse_mix(&v))
-        .unwrap_or_else(ShapeMix::default_mix);
-    let mut config = FleetRunConfig::new(tenants, devices).with_scale(scale_from_args(args));
-    config.fleet = config
-        .fleet
-        .with_mix(mix)
-        .with_epochs(epochs)
-        .with_duration(SimDuration::from_millis(duration_ms as u64))
-        .with_seed(seed);
-    if args.iter().any(|a| a == "--rebalance") {
-        config.fleet = config.fleet.with_rebalance(RebalancePolicy::default());
-    }
-    config
-}
 
 /// The connection-concurrency bench: `count` sessions held open at once
 /// against one serving thread, each submitting a small batch while every
@@ -216,7 +146,7 @@ fn main() {
         "--fleet serves tenant lanes over the network; combine it with --listen only"
     );
 
-    let fleet_config = fleet.then(|| fleet_run_config(&args));
+    let fleet_config = fleet.then(|| fleet_config_from_args(&args));
     let pool = match &fleet_config {
         Some(run) => {
             // The wire lanes are tenants of a *fed* fleet: geometry and

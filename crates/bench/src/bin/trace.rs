@@ -20,10 +20,12 @@
 //!   `uc.trace.v1` records, falling back to the text format.
 //! * `--save-trace <path>` — write the trace being replayed as a binary
 //!   `uc.trace.v1` record file before running.
-//! * `--checkpoint-dir <dir>` — persist every phase boundary; a killed
-//!   run restarted with `--resume` continues from disk and prints a
-//!   report byte-identical to an uninterrupted run (the trace CI smoke
-//!   pins this).
+//! * `--checkpoint-dir <dir>` — persist the primed state and every
+//!   phase boundary as `trace-<device>.seg<k>.ckpt`, one file per device;
+//!   a killed run restarted with `--resume` continues from disk and
+//!   prints a report byte-identical to an uninterrupted run (the trace
+//!   CI smoke pins this).
+//! * `--resume` — with `--checkpoint-dir`, continue from on-disk state.
 //! * `--kill-after <n>` — crash-testing hook: exit 42 after the n-th
 //!   checkpoint save.
 //! * `--remote tcp:ADDR|uds:PATH` — client mode: instead of building
@@ -42,36 +44,14 @@
 //! mode), so the report doubles as a gate; remote mode exits 0 unless
 //! the transport fails.
 
-use uc_bench::{generated_trace, roster_from_args};
+use uc_bench::{generated_trace, parse_count, parse_value, roster_from_args, DurableArgs};
 use uc_core::devices::DeviceKind;
-use uc_core::experiments::trace::{self as trace_exp, TraceRunConfig, TraceStore};
+use uc_core::experiments::durable;
+use uc_core::experiments::trace::{self as trace_exp, TraceRunConfig};
 use uc_core::experiments::Executor;
 use uc_core::report::render_trace_report;
 use uc_sim::SimDuration;
 use uc_trace::{load_trace, replay_with, save_trace, ReplayConfig, Trace};
-
-/// Reads the value of `--flag <n>` as a positive integer, if present.
-fn parse_count(args: &[String], flag: &str) -> Option<usize> {
-    args.iter().position(|a| a == flag).map(|i| {
-        let v = args
-            .get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} expects a value"));
-        let n = v
-            .parse::<usize>()
-            .unwrap_or_else(|_| panic!("{flag} expects a positive integer, got {v:?}"));
-        assert!(n > 0, "{flag} expects a positive integer, got 0");
-        n
-    })
-}
-
-/// Reads the value of `--flag <s>` as a string, if present.
-fn parse_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} expects a value"))
-            .clone()
-    })
-}
 
 /// Client mode: replay a generated trace against one lane of a `serve`
 /// frontend, then print the device-side session ledger.
@@ -137,15 +117,13 @@ fn run_remote(args: &[String], endpoint: &str, shape: &str, quick: bool) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let resume = args.iter().any(|a| a == "--resume");
     let shape = parse_value(&args, "--shape").unwrap_or_else(|| "bursty".to_string());
     if let Some(endpoint) = parse_value(&args, "--remote") {
         run_remote(&args, &endpoint, &shape, quick);
         return;
     }
     let phases = parse_count(&args, "--phases").unwrap_or(8);
-    let kill_after = parse_count(&args, "--kill-after");
-    let checkpoint_dir = parse_value(&args, "--checkpoint-dir");
+    let durable_args = DurableArgs::from_args(&args);
     let speed = parse_value(&args, "--speed")
         .map(|v| {
             v.parse::<f64>()
@@ -153,12 +131,6 @@ fn main() {
         })
         .unwrap_or(1.0);
     let mode = parse_value(&args, "--mode").unwrap_or_else(|| "open".to_string());
-    if resume && checkpoint_dir.is_none() {
-        panic!("--resume requires --checkpoint-dir");
-    }
-    if kill_after.is_some() && checkpoint_dir.is_none() {
-        panic!("--kill-after requires --checkpoint-dir");
-    }
     let roster = roster_from_args(&args);
 
     let trace = match parse_value(&args, "--trace") {
@@ -221,31 +193,8 @@ fn main() {
         DeviceKind::ALL.len(),
         exec.threads()
     );
-    let results = match &checkpoint_dir {
-        Some(dir) => {
-            let mut store = TraceStore::create(dir).expect("create checkpoint dir");
-            if let Some(n) = kill_after {
-                store = store.with_kill_after(n as u64);
-            }
-            eprintln!(
-                "persisting phase checkpoints to {} ({})",
-                store.path().display(),
-                if resume { "resuming" } else { "fresh run" }
-            );
-            trace_exp::run_pipelined_durable(
-                &roster,
-                &DeviceKind::ALL,
-                &trace,
-                &cfg,
-                &exec,
-                &store,
-                resume,
-            )
-            .expect("trace durable run")
-        }
-        None => trace_exp::run_pipelined(&roster, &DeviceKind::ALL, &trace, &cfg, &exec)
-            .expect("trace run"),
-    };
+    let chains = trace_exp::chains(&roster, &DeviceKind::ALL, &trace, &cfg);
+    let results = durable::run(&chains, &exec, durable_args.store().as_ref()).expect("trace run");
 
     let report = trace_exp::evaluate(results);
     print!("{}", render_trace_report(&report));

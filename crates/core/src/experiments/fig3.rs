@@ -5,24 +5,23 @@
 //! be fanned out as independent cells: each device's run is a single
 //! continuous history (FTL wear, buffer occupancy, token-bucket levels all
 //! carry forward). This module therefore slices the run into **resumable
-//! segments** at capacity-fraction milestones, using the checkpoint seam
-//! ([`CheckpointDevice`]) plus the resumable closed-loop driver
-//! ([`ClosedLoopJob`]): after each milestone the device and driver state
-//! are frozen into a [`Fig3Checkpoint`] that the next worker thaws and
-//! continues. [`run_pipelined`] feeds the per-device segment chains
-//! through [`Executor::run_chains`], so segment `k` of one device runs
-//! concurrently with segment `k-1` of another.
+//! segments** at capacity-fraction milestones ([`SegmentedRun`]), using
+//! the checkpoint seam ([`CheckpointDevice`]) plus the resumable
+//! closed-loop driver ([`ClosedLoopJob`]): at each milestone the device
+//! and driver state can be frozen into a [`Fig3Checkpoint`] and thawed
+//! on any worker or in a later process. [`Fig3Chain`] hands the segment
+//! chains to the shared durable-run engine ([`durable`]), so segment `k`
+//! of one device runs concurrently with segment `k-1` of another.
 //!
-//! Determinism is the contract: [`run`], [`run_segmented`] at any segment
-//! count, and [`run_pipelined`] at any thread count all produce
+//! Determinism is the contract: [`run`], [`run_pipelined`] at any
+//! segment and thread count, [`durable::round_trip`] (freeze/thaw at
+//! every boundary) and a killed-and-resumed durable run all produce
 //! byte-identical [`Fig3Result`]s (pinned by this module's tests and the
 //! facade-level property tests).
 
 use crate::devices::{payload_codecs, DeviceKind, DeviceRoster};
+use crate::experiments::durable::{self, Chain, DurableRecord, RunError};
 use crate::experiments::Executor;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use uc_blockdev::{CheckpointDevice, CheckpointError, DeviceCheckpoint, IoError, PersistError};
 use uc_metrics::Series;
 use uc_persist::{DecodeError, Decoder, Encoder, Persist};
@@ -218,8 +217,8 @@ fn finish(kind: DeviceKind, capacity: u64, window: SimDuration, report: &JobRepo
 /// paused closed-loop driver.
 ///
 /// Produced by [`SegmentedRun::checkpoint`], thawed by
-/// [`SegmentedRun::resume`]. This is the unit of work [`run_pipelined`]
-/// feeds forward along each device's segment chain.
+/// [`SegmentedRun::resume`], persisted as `fig3-<slug>.seg<k>.ckpt` by a
+/// [`durable::Store`].
 #[derive(Debug, Clone)]
 pub struct Fig3Checkpoint {
     /// Which device is being measured.
@@ -238,19 +237,10 @@ pub struct Fig3Checkpoint {
     pub driver: DriverCheckpoint,
 }
 
-impl Fig3Checkpoint {
-    /// The on-disk record kind tag of a serialized fig3 segment
-    /// checkpoint. Bump the suffix when the layout changes.
-    pub const RECORD_KIND: &'static str = "uc.fig3-checkpoint.v1";
+impl DurableRecord for Fig3Checkpoint {
+    const RECORD_KIND: &'static str = "uc.fig3-checkpoint.v1";
 
-    /// Appends this checkpoint's wire form to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::NotPersistent`] if the embedded device
-    /// checkpoint carries no persistence codec (roster-built devices
-    /// always do).
-    pub fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
+    fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
         self.kind.encode(w);
         w.put_u64(self.capacity);
         self.window.encode(w);
@@ -261,14 +251,9 @@ impl Fig3Checkpoint {
         Ok(())
     }
 
-    /// Parses a checkpoint back out of its wire form, thawing the device
-    /// payload through the roster's codec registry
+    /// Thaws the device payload through the roster's codec registry
     /// ([`payload_codecs`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`DecodeError`] on any malformed input.
-    pub fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+    fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let kind = DeviceKind::decode(r)?;
         let capacity = r.get_u64()?;
         let window = SimDuration::decode(r)?;
@@ -292,37 +277,12 @@ impl Fig3Checkpoint {
         })
     }
 
-    /// Writes this checkpoint to `path` as a self-describing record file
-    /// (atomically: temp file + rename).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] on codec-less payloads or filesystem
-    /// failures.
-    pub fn save_to(&self, path: &Path) -> Result<(), PersistError> {
-        let mut w = Encoder::new();
-        self.encode_into(&mut w)?;
-        uc_persist::write_record_file(path, Self::RECORD_KIND, w.as_bytes())?;
-        Ok(())
+    fn key(&self) -> String {
+        chain_key(self.kind)
     }
 
-    /// Reads a checkpoint back from a record file written by
-    /// [`Fig3Checkpoint::save_to`].
-    ///
-    /// # Errors
-    ///
-    /// Every failure — unreadable file, foreign bytes, truncation,
-    /// flipped bits, future format version, unknown payload kind — is a
-    /// typed [`DecodeError`], never a panic.
-    pub fn load_from(path: &Path) -> Result<Self, DecodeError> {
-        let (kind, payload) = uc_persist::read_record_file(path)?;
-        if kind != Self::RECORD_KIND {
-            return Err(DecodeError::UnknownKind { found: kind });
-        }
-        let mut r = Decoder::new(&payload);
-        let checkpoint = Self::decode_from(&mut r)?;
-        r.finish()?;
-        Ok(checkpoint)
+    fn step(&self) -> usize {
+        self.completed
     }
 }
 
@@ -450,6 +410,92 @@ impl SegmentedRun {
     }
 }
 
+/// The checkpoint file-stem key of `kind`'s endurance run.
+fn chain_key(kind: DeviceKind) -> String {
+    format!("fig3-{}", kind.slug())
+}
+
+/// One device's endurance run as a resumable [`Chain`] of segments, for
+/// [`durable::run`] and [`durable::round_trip`].
+pub struct Fig3Chain<'a> {
+    roster: &'a DeviceRoster,
+    kind: DeviceKind,
+    cfg: &'a Fig3Config,
+    plan: Plan,
+}
+
+impl<'a> Fig3Chain<'a> {
+    /// `kind`'s endurance run sliced into `segments` equal byte
+    /// milestones (clamped to at least 1).
+    pub fn new(
+        roster: &'a DeviceRoster,
+        kind: DeviceKind,
+        cfg: &'a Fig3Config,
+        segments: usize,
+    ) -> Self {
+        Fig3Chain {
+            roster,
+            kind,
+            cfg,
+            plan: Plan::of(roster, kind, cfg, segments),
+        }
+    }
+}
+
+/// One [`Fig3Chain`] per device in `kinds`.
+pub fn chains<'a>(
+    roster: &'a DeviceRoster,
+    kinds: &[DeviceKind],
+    cfg: &'a Fig3Config,
+    segments: usize,
+) -> Vec<Fig3Chain<'a>> {
+    kinds
+        .iter()
+        .map(|&kind| Fig3Chain::new(roster, kind, cfg, segments))
+        .collect()
+}
+
+impl Chain for Fig3Chain<'_> {
+    type State = SegmentedRun;
+    type Record = Fig3Checkpoint;
+    type Error = IoError;
+    type Output = Fig3Result;
+
+    fn key(&self) -> String {
+        chain_key(self.kind)
+    }
+
+    fn steps(&self) -> usize {
+        self.plan.milestones.len()
+    }
+
+    fn start(&self) -> Result<SegmentedRun, IoError> {
+        SegmentedRun::start(self.roster, self.kind, self.cfg, self.steps())
+    }
+
+    fn advance(&self, state: &mut SegmentedRun) -> Result<(), IoError> {
+        state.advance()
+    }
+
+    fn checkpoint(&self, state: &SegmentedRun) -> Fig3Checkpoint {
+        state.checkpoint()
+    }
+
+    fn resume(&self, record: Fig3Checkpoint) -> Result<SegmentedRun, CheckpointError> {
+        SegmentedRun::resume(self.roster, record)
+    }
+
+    /// Only a checkpoint taken under the exact plan a fresh run executes
+    /// (same `--scale`, config and `--segments`) may continue it.
+    fn matches(&self, record: &Fig3Checkpoint) -> bool {
+        self.plan.matches(record)
+    }
+
+    fn finish(&self, state: SegmentedRun) -> Fig3Result {
+        state.into_result()
+    }
+}
+
 /// Runs the Figure 3 endurance experiment on `kind` as one continuous
 /// (single-segment) run.
 ///
@@ -461,57 +507,22 @@ pub fn run(
     kind: DeviceKind,
     cfg: &Fig3Config,
 ) -> Result<Fig3Result, IoError> {
-    run_segmented(roster, kind, cfg, 1)
+    run_pipelined(roster, &[kind], cfg, 1, &Executor::sequential()).map(|mut r| r.remove(0))
 }
 
-/// Runs the endurance experiment sliced into `segments` resumable
-/// segments on the calling thread, round-tripping through a
-/// [`Fig3Checkpoint`] at every boundary (exercising the same freeze/thaw
-/// path the pipelined runner uses). The result is byte-identical to
-/// [`run`]'s.
-///
-/// # Errors
-///
-/// Propagates the first I/O error from the device.
-///
-/// # Panics
-///
-/// Panics if a checkpoint taken by this run fails to restore (a
-/// checkpoint-seam bug, not an I/O condition).
-pub fn run_segmented(
-    roster: &DeviceRoster,
-    kind: DeviceKind,
-    cfg: &Fig3Config,
-    segments: usize,
-) -> Result<Fig3Result, IoError> {
-    let mut state = SegmentedRun::start(roster, kind, cfg, segments)?;
-    loop {
-        state.advance()?;
-        if state.is_finished() {
-            return Ok(state.into_result());
-        }
-        let frozen = state.checkpoint();
-        state = SegmentedRun::resume(roster, frozen).expect("own checkpoint restores");
-    }
-}
-
-/// Runs the endurance experiment for several devices with their segment
-/// chains pipelined across `exec`'s workers: segment `k` of one device
-/// runs concurrently with segment `k-1` of another, each boundary feeding
-/// a [`Fig3Checkpoint`] forward to whichever worker picks the chain up
-/// next.
+/// Runs the endurance experiment for several devices, each sliced into
+/// `segments` segments, with the segment chains pipelined across
+/// `exec`'s workers: segment `k` of one device runs concurrently with
+/// segment `k-1` of another.
 ///
 /// Results are returned in `kinds` order and are byte-identical to
-/// [`run`]'s for every device, at any thread count.
+/// [`run`]'s for every device, at any segment and thread count. For
+/// on-disk checkpoints, pass [`chains`] and a [`durable::Store`] to
+/// [`durable::run`] instead.
 ///
 /// # Errors
 ///
 /// Propagates the first I/O error any device reports.
-///
-/// # Panics
-///
-/// Panics if a checkpoint taken by this run fails to restore (a
-/// checkpoint-seam bug, not an I/O condition).
 pub fn run_pipelined(
     roster: &DeviceRoster,
     kinds: &[DeviceKind],
@@ -519,338 +530,21 @@ pub fn run_pipelined(
     segments: usize,
     exec: &Executor,
 ) -> Result<Vec<Fig3Result>, IoError> {
-    type Stage =
-        Box<dyn FnOnce(Result<Fig3Checkpoint, IoError>) -> Result<Fig3Checkpoint, IoError> + Send>;
-    let segments = segments.max(1);
-    let mut chains: Vec<(Result<Fig3Checkpoint, IoError>, Vec<Stage>)> =
-        Vec::with_capacity(kinds.len());
-    for &kind in kinds {
-        // Prime on the coordinating thread (cheap: one doorbell), then
-        // hand the frozen run to the chain.
-        let initial = SegmentedRun::start(roster, kind, cfg, segments).map(|r| r.checkpoint());
-        let stages: Vec<Stage> = (0..segments)
-            .map(|_| {
-                let roster = roster.clone();
-                Box::new(move |frozen: Result<Fig3Checkpoint, IoError>| {
-                    let mut state =
-                        SegmentedRun::resume(&roster, frozen?).expect("own checkpoint restores");
-                    state.advance()?;
-                    Ok(state.checkpoint())
-                }) as Stage
-            })
-            .collect();
-        chains.push((initial, stages));
-    }
-    exec.run_chains(chains)
-        .into_iter()
-        .map(|frozen| {
-            let state = SegmentedRun::resume(roster, frozen?).expect("own checkpoint restores");
-            Ok(state.into_result())
-        })
-        .collect()
-}
-
-/// Errors of the durable (on-disk) fig3 runner.
-#[derive(Debug)]
-pub enum DurableError {
-    /// A device reported an I/O error while a segment was running.
-    Io(IoError),
-    /// Writing a segment checkpoint to disk failed.
-    Save(PersistError),
-    /// A checkpoint loaded from disk does not restore onto the devices
-    /// this roster builds (e.g. a checkpoint taken at another `--scale`).
-    Restore(CheckpointError),
-}
-
-impl std::fmt::Display for DurableError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DurableError::Io(e) => write!(f, "device i/o error: {e}"),
-            DurableError::Save(e) => write!(f, "persisting segment checkpoint: {e}"),
-            DurableError::Restore(e) => write!(f, "restoring segment checkpoint: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DurableError {}
-
-impl From<IoError> for DurableError {
-    fn from(e: IoError) -> Self {
-        DurableError::Io(e)
-    }
-}
-
-/// A directory of durable fig3 segment checkpoints.
-///
-/// One file per device per reached segment boundary, named
-/// `fig3-<slug>.seg<completed>.ckpt`. After every successful save the
-/// superseded older boundaries of that device are pruned, so the
-/// directory holds at most one checkpoint per device over an entire
-/// endurance run ([`CheckpointDir::prune_older`]). Resume scans newest →
-/// oldest and takes the first file that decodes cleanly
-/// ([`CheckpointDir::latest`]), so a truncated or half-written file
-/// degrades into resuming from the previous boundary rather than an
-/// error.
-///
-/// The store is cheaply cloneable and `Send + Sync`: the pipelined
-/// runner's worker threads share it.
-#[derive(Debug, Clone)]
-pub struct CheckpointDir {
-    dir: PathBuf,
-    kill_after: Option<u64>,
-    saves: Arc<AtomicU64>,
-}
-
-impl CheckpointDir {
-    /// Opens (creating if needed) a checkpoint directory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the filesystem error if the directory cannot be
-    /// created.
-    pub fn create(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(CheckpointDir {
-            dir,
-            kill_after: None,
-            saves: Arc::new(AtomicU64::new(0)),
-        })
-    }
-
-    /// The directory holding the checkpoint files.
-    pub fn path(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Crash-testing hook: terminate the *process* (exit code 42)
-    /// immediately after the `n`-th successful checkpoint save.
-    ///
-    /// This is how the CI kill-and-resume gate crashes a run
-    /// deterministically at a segment boundary — the strongest possible
-    /// crash short of `kill -9`, since no destructors run and no further
-    /// state is written. Never set in normal operation.
-    pub fn with_kill_after(mut self, saves: u64) -> Self {
-        self.kill_after = Some(saves);
-        self
-    }
-
-    /// Checkpoints saved through this store (and its clones) so far.
-    pub fn saves(&self) -> u64 {
-        self.saves.load(Ordering::Relaxed)
-    }
-
-    fn file_name(kind: DeviceKind, completed: usize) -> String {
-        format!("fig3-{}.seg{completed:04}.ckpt", kind.slug())
-    }
-
-    /// The file path of `kind`'s checkpoint at segment boundary
-    /// `completed`.
-    pub fn segment_path(&self, kind: DeviceKind, completed: usize) -> PathBuf {
-        self.dir.join(Self::file_name(kind, completed))
-    }
-
-    /// Persists one segment-boundary checkpoint, returning its path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PersistError`] from the underlying save.
-    pub fn save(&self, checkpoint: &Fig3Checkpoint) -> Result<PathBuf, PersistError> {
-        let path = self.segment_path(checkpoint.kind, checkpoint.completed);
-        checkpoint.save_to(&path)?;
-        let saved = self.saves.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(limit) = self.kill_after {
-            if saved >= limit {
-                eprintln!(
-                    "fig3: simulated crash after {saved} checkpoint save(s) \
-                     (--kill-after {limit})"
-                );
-                std::process::exit(42);
-            }
-        }
-        Ok(path)
-    }
-
-    /// Segment boundaries of `kind` present on disk, ascending.
-    fn boundaries(&self, kind: DeviceKind) -> Vec<usize> {
-        let prefix = format!("fig3-{}.seg", kind.slug());
-        let mut found: Vec<usize> = std::fs::read_dir(&self.dir)
-            .into_iter()
-            .flatten()
-            .flatten()
-            .filter_map(|entry| {
-                let name = entry.file_name().into_string().ok()?;
-                let rest = name.strip_prefix(&prefix)?.strip_suffix(".ckpt")?;
-                rest.parse::<usize>().ok()
-            })
-            .collect();
-        found.sort_unstable();
-        found
-    }
-
-    /// Loads `kind`'s newest checkpoint that decodes cleanly, if any.
-    ///
-    /// Corrupt or unreadable files are skipped (newest first) with a
-    /// note on stderr — a crash can leave at most torn temp files, but a
-    /// degraded disk must not make resume fail outright while an older
-    /// valid boundary still exists.
-    pub fn latest(&self, kind: DeviceKind) -> Option<Fig3Checkpoint> {
-        self.latest_matching(kind, |_| true)
-    }
-
-    /// Loads `kind`'s newest checkpoint that decodes cleanly **and**
-    /// satisfies `accept`, scanning newest → oldest.
-    ///
-    /// This is the resume entry point: a stale higher-numbered boundary
-    /// (e.g. left over from a run with a different `--segments`) is
-    /// reported and scanned *past*, so it can never shadow an older file
-    /// that does match the current plan.
-    pub fn latest_matching<F>(&self, kind: DeviceKind, accept: F) -> Option<Fig3Checkpoint>
-    where
-        F: Fn(&Fig3Checkpoint) -> bool,
-    {
-        for completed in self.boundaries(kind).into_iter().rev() {
-            let path = self.segment_path(kind, completed);
-            match Fig3Checkpoint::load_from(&path) {
-                Ok(checkpoint) if checkpoint.kind != kind => eprintln!(
-                    "fig3: ignoring {} (names device {}, expected {kind})",
-                    path.display(),
-                    checkpoint.kind
-                ),
-                Ok(checkpoint) if accept(&checkpoint) => return Some(checkpoint),
-                Ok(_) => eprintln!(
-                    "fig3: ignoring {} (taken under a different plan — \
-                     scale/config/segments); trying older boundaries",
-                    path.display()
-                ),
-                Err(e) => eprintln!("fig3: ignoring {}: {e}", path.display()),
-            }
-        }
-        None
-    }
-
-    /// Deletes `kind`'s checkpoints at boundaries older than
-    /// `completed`, so the directory does not grow unboundedly over a
-    /// full endurance run. Best-effort: deletion errors are ignored (the
-    /// next prune retries).
-    pub fn prune_older(&self, kind: DeviceKind, completed: usize) {
-        for old in self.boundaries(kind) {
-            if old < completed {
-                let _ = std::fs::remove_file(self.segment_path(kind, old));
-            }
-        }
-    }
-}
-
-/// Runs the endurance experiment like [`run_pipelined`], additionally
-/// persisting every segment-boundary checkpoint into `store` — and, with
-/// `resume`, continuing each device from its newest valid on-disk
-/// checkpoint instead of from scratch.
-///
-/// Durability does not perturb the simulation: the persisted bytes are
-/// the same frozen state the in-memory pipeline hands between workers,
-/// so a run killed at any boundary and resumed from disk renders figures
-/// **byte-identical** to an uninterrupted run (the crash-resume CI gate
-/// pins this).
-///
-/// A resumed checkpoint must match the current plan (same capacity,
-/// window and byte milestones — i.e. same `--scale`, config and
-/// `--segments`); a stale one is reported on stderr and that device
-/// starts fresh.
-///
-/// # Errors
-///
-/// Returns the first device I/O error, checkpoint-save failure, or
-/// restore mismatch any chain hits.
-pub fn run_pipelined_durable(
-    roster: &DeviceRoster,
-    kinds: &[DeviceKind],
-    cfg: &Fig3Config,
-    segments: usize,
-    exec: &Executor,
-    store: &CheckpointDir,
-    resume: bool,
-) -> Result<Vec<Fig3Result>, DurableError> {
-    type Stage = Box<
-        dyn FnOnce(Result<Fig3Checkpoint, DurableError>) -> Result<Fig3Checkpoint, DurableError>
-            + Send,
-    >;
-    let segments = segments.max(1);
-    let mut chains: Vec<(Result<Fig3Checkpoint, DurableError>, Vec<Stage>)> =
-        Vec::with_capacity(kinds.len());
-    for &kind in kinds {
-        // The exact plan a fresh run would execute (`Plan::of` is shared
-        // with `SegmentedRun::start`); only a checkpoint taken under this
-        // plan may continue it.
-        let plan = Plan::of(roster, kind, cfg, segments);
-        let from_disk = if resume {
-            store.latest_matching(kind, |checkpoint| plan.matches(checkpoint))
-        } else {
-            None
-        };
-
-        let initial: Result<Fig3Checkpoint, DurableError> = match from_disk {
-            Some(checkpoint) => {
-                eprintln!(
-                    "fig3: resuming {kind} from segment boundary {}/{}",
-                    checkpoint.completed,
-                    checkpoint.milestones.len()
-                );
-                Ok(checkpoint)
-            }
-            None => SegmentedRun::start(roster, kind, cfg, segments)
-                .map_err(DurableError::Io)
-                .and_then(|run| {
-                    let checkpoint = run.checkpoint();
-                    // Persist the primed (segment-0) state too: a crash
-                    // before the first boundary then resumes instead of
-                    // re-priming.
-                    store.save(&checkpoint).map_err(DurableError::Save)?;
-                    Ok(checkpoint)
-                }),
-        };
-
-        let remaining = match &initial {
-            Ok(checkpoint) => segments - checkpoint.completed,
-            Err(_) => 0,
-        };
-        let stages: Vec<Stage> = (0..remaining)
-            .map(|_| {
-                let roster = roster.clone();
-                let store = store.clone();
-                Box::new(move |frozen: Result<Fig3Checkpoint, DurableError>| {
-                    let mut state =
-                        SegmentedRun::resume(&roster, frozen?).map_err(DurableError::Restore)?;
-                    state.advance()?;
-                    let checkpoint = state.checkpoint();
-                    store.save(&checkpoint).map_err(DurableError::Save)?;
-                    store.prune_older(checkpoint.kind, checkpoint.completed);
-                    Ok(checkpoint)
-                }) as Stage
-            })
-            .collect();
-        chains.push((initial, stages));
-    }
-    exec.run_chains(chains)
-        .into_iter()
-        .map(|frozen| {
-            let state = SegmentedRun::resume(roster, frozen?).map_err(DurableError::Restore)?;
-            Ok(state.into_result())
-        })
-        .collect()
+    durable::run(&chains(roster, kinds, cfg, segments), exec, None).map_err(RunError::into_step)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::report::render_fig3;
+    use durable::Store;
 
     #[test]
     fn segmented_and_pipelined_match_unsliced_for_every_kind() {
         // The determinism contract of the checkpoint redesign: slicing the
-        // endurance run into segments — in-place, with freeze/thaw round
-        // trips, or pipelined across workers — must leave the rendered
-        // figure byte-identical for every device class.
+        // endurance run into segments — with freeze/thaw round trips, or
+        // pipelined live across workers — must leave the rendered figure
+        // byte-identical for every device class.
         let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
         let cfg = Fig3Config::quick();
         let pipelined = run_pipelined(
@@ -863,7 +557,7 @@ mod tests {
         .unwrap();
         for (i, &kind) in DeviceKind::ALL.iter().enumerate() {
             let unsliced = run(&roster, kind, &cfg).unwrap();
-            let segmented = run_segmented(&roster, kind, &cfg, 5).unwrap();
+            let segmented = durable::round_trip(&Fig3Chain::new(&roster, kind, &cfg, 4)).unwrap();
             for (label, sliced) in [("segmented", &segmented), ("pipelined", &pipelined[i])] {
                 assert_eq!(sliced.capacity, unsliced.capacity, "{kind}/{label}");
                 assert_eq!(
@@ -918,13 +612,23 @@ mod tests {
         assert!(SegmentedRun::resume(&other, frozen).is_err());
     }
 
-    fn temp_store(name: &str) -> CheckpointDir {
+    fn temp_store(name: &str) -> Store<Fig3Checkpoint> {
         let dir = std::env::temp_dir()
             .join("uc-fig3-durable-tests")
             .join(format!("{name}-{}", std::process::id()));
         // Stale files from a previous failed run would perturb resume.
         let _ = std::fs::remove_dir_all(&dir);
-        CheckpointDir::create(dir).expect("create checkpoint dir")
+        Store::create(dir).expect("create checkpoint dir")
+    }
+
+    /// The checkpoint files in `store`'s directory, sorted.
+    fn files(store: &Store<Fig3Checkpoint>) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(store.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
@@ -932,14 +636,21 @@ mod tests {
         let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
         let cfg = Fig3Config::quick();
         let store = temp_store("durable-matches");
-        let durable = run_pipelined_durable(
-            &roster,
-            &DeviceKind::ALL,
-            &cfg,
-            4,
-            &Executor::with_threads(3),
-            &store,
-            false,
+        let exec = Executor::with_threads(3);
+        // An earlier, completed 8-segment run leaves its final boundaries
+        // behind; a fresh 4-segment run into the same directory must not
+        // keep them for a later `--resume` to continue.
+        durable::run(
+            &chains(&roster, &DeviceKind::ALL, &cfg, 8),
+            &exec,
+            Some(&store),
+        )
+        .unwrap();
+        let store = Store::create(store.path()).unwrap();
+        let durable = durable::run(
+            &chains(&roster, &DeviceKind::ALL, &cfg, 4),
+            &exec,
+            Some(&store),
         )
         .unwrap();
         for (i, &kind) in DeviceKind::ALL.iter().enumerate() {
@@ -949,11 +660,17 @@ mod tests {
                 render_fig3(&plain),
                 "{kind}: durable run must render byte-identically"
             );
-            // Superseded boundaries were pruned: exactly the final
-            // checkpoint file remains per device.
-            let files: Vec<usize> = store.boundaries(kind);
-            assert_eq!(files, vec![4], "{kind}: stale checkpoints must be pruned");
         }
+        // Superseded and leftover boundaries were pruned: exactly the
+        // final checkpoint file remains per device.
+        assert_eq!(
+            files(&store),
+            [
+                "fig3-essd-1.seg0004.ckpt",
+                "fig3-essd-2.seg0004.ckpt",
+                "fig3-ssd.seg0004.ckpt"
+            ]
+        );
         assert_eq!(store.saves(), 3 * 5, "3 devices x (seg0 + 4 boundaries)");
         let _ = std::fs::remove_dir_all(store.path());
     }
@@ -967,7 +684,7 @@ mod tests {
         let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
         let cfg = Fig3Config::quick();
         let segments = 4;
-        let store = temp_store("kill-resume");
+        let store = temp_store("kill-resume").with_resume(true);
         for &kind in &DeviceKind::ALL {
             let mut partial = SegmentedRun::start(&roster, kind, &cfg, segments).unwrap();
             partial.advance().unwrap();
@@ -978,14 +695,10 @@ mod tests {
             // The interrupted process's state is dropped here: only the
             // on-disk checkpoint survives the "crash".
         }
-        let resumed = run_pipelined_durable(
-            &roster,
-            &DeviceKind::ALL,
-            &cfg,
-            segments,
+        let resumed = durable::run(
+            &chains(&roster, &DeviceKind::ALL, &cfg, segments),
             &Executor::with_threads(2),
-            &store,
-            true,
+            Some(&store),
         )
         .unwrap();
         for (i, &kind) in DeviceKind::ALL.iter().enumerate() {
@@ -1003,81 +716,23 @@ mod tests {
     fn stale_plan_checkpoints_are_ignored_on_resume() {
         let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
         let cfg = Fig3Config::quick();
-        let store = temp_store("stale-plan");
+        let store = temp_store("stale-plan").with_resume(true);
         // A checkpoint taken under a 3-segment plan...
         let mut other = SegmentedRun::start(&roster, DeviceKind::LocalSsd, &cfg, 3).unwrap();
         other.advance().unwrap();
         store.save(&other.checkpoint()).unwrap();
         // ...must not hijack a 5-segment resume: the device starts fresh
         // and still produces the canonical figure.
-        let resumed = run_pipelined_durable(
-            &roster,
-            &[DeviceKind::LocalSsd],
-            &cfg,
-            5,
+        let chain = Fig3Chain::new(&roster, DeviceKind::LocalSsd, &cfg, 5);
+        let resumed = durable::run(
+            std::slice::from_ref(&chain),
             &Executor::sequential(),
-            &store,
-            true,
+            Some(&store),
         )
         .unwrap();
         let plain = run(&roster, DeviceKind::LocalSsd, &cfg).unwrap();
         assert_eq!(render_fig3(&resumed[0]), render_fig3(&plain));
-        let _ = std::fs::remove_dir_all(store.path());
-    }
-
-    #[test]
-    fn stale_higher_boundary_does_not_shadow_matching_checkpoint() {
-        // A leftover seg0003 from an 8-segment plan must be scanned
-        // *past*, not merely rejected, so the seg0001 of the current
-        // 4-segment plan still resumes.
-        let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
-        let cfg = Fig3Config::quick();
-        let store = temp_store("stale-shadow");
-        let kind = DeviceKind::LocalSsd;
-        let mut stale = SegmentedRun::start(&roster, kind, &cfg, 8).unwrap();
-        for _ in 0..3 {
-            stale.advance().unwrap();
-        }
-        store.save(&stale.checkpoint()).unwrap();
-        let mut current = SegmentedRun::start(&roster, kind, &cfg, 4).unwrap();
-        current.advance().unwrap();
-        store.save(&current.checkpoint()).unwrap();
-
-        let found = store
-            .latest_matching(kind, |cp| cp.milestones.len() == 4)
-            .expect("the matching older boundary must be found");
-        assert_eq!(found.completed, 1);
-        let resumed = run_pipelined_durable(
-            &roster,
-            &[kind],
-            &cfg,
-            4,
-            &Executor::sequential(),
-            &store,
-            true,
-        )
-        .unwrap();
-        let plain = run(&roster, kind, &cfg).unwrap();
-        assert_eq!(render_fig3(&resumed[0]), render_fig3(&plain));
-        let _ = std::fs::remove_dir_all(store.path());
-    }
-
-    #[test]
-    fn corrupt_newest_checkpoint_falls_back_to_older_boundary() {
-        let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
-        let cfg = Fig3Config::quick();
-        let store = temp_store("corrupt-fallback");
-        let kind = DeviceKind::LocalSsd;
-        let mut run_state = SegmentedRun::start(&roster, kind, &cfg, 4).unwrap();
-        run_state.advance().unwrap();
-        store.save(&run_state.checkpoint()).unwrap();
-        run_state.advance().unwrap();
-        let newest = store.save(&run_state.checkpoint()).unwrap();
-        // Torn write: the newest boundary is half a file.
-        let bytes = std::fs::read(&newest).unwrap();
-        std::fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
-        let latest = store.latest(kind).expect("older boundary survives");
-        assert_eq!(latest.completed, 1, "falls back past the torn file");
+        assert_eq!(files(&store), ["fig3-ssd.seg0005.ckpt"]);
         let _ = std::fs::remove_dir_all(store.path());
     }
 
@@ -1090,6 +745,7 @@ mod tests {
         let checkpoint = state.checkpoint();
         let store = temp_store("file-roundtrip");
         let path = store.save(&checkpoint).unwrap();
+        assert!(path.ends_with("fig3-essd-1.seg0001.ckpt"));
 
         let loaded = Fig3Checkpoint::load_from(&path).unwrap();
         assert_eq!(loaded.kind, checkpoint.kind);

@@ -16,15 +16,17 @@
 //!   collapsed for its residents (placement skew the rebalancer should
 //!   be draining).
 //!
-//! Like fig3 and the trace experiment, the run is **durable**: at every
-//! epoch boundary the whole fleet — placement, cursors, budgets,
-//! metrics, and each device's complete hidden state — freezes into one
-//! on-disk [`FleetCheckpoint`], and a killed run resumes byte-identical
-//! to an uninterrupted one (the fleet CI smoke pins this end to end).
+//! Like fig3 and the trace experiment, the run is **durable** through the
+//! shared engine ([`durable`], via [`FleetChain`]): at every epoch
+//! boundary the whole fleet — placement, cursors, budgets, metrics, and
+//! each device's complete hidden state — freezes into one on-disk
+//! [`FleetCheckpoint`], and a killed run resumes byte-identical to an
+//! uninterrupted one (the fleet CI smoke pins this end to end).
 
 use crate::contract::thresholds::{FLEET_MIN_FAIRNESS, FLEET_TENANT_LATENCY_BLOWUP};
 use crate::devices::payload_codecs;
-use std::path::{Path, PathBuf};
+use crate::experiments::durable::{self, Chain, DurableRecord, RunError, Store};
+use crate::experiments::Executor;
 use uc_blockdev::{CheckpointError, DeviceCheckpoint, IoError, PersistError};
 use uc_essd::{Essd, EssdConfig};
 use uc_fleet::{FleetConfig, FleetDevice, FleetReport, FleetSim, FleetSnapshot};
@@ -185,19 +187,17 @@ pub fn evaluate(report: FleetReport) -> FleetContractReport {
 }
 
 /// Runs the fleet experiment in one piece (no durability) and evaluates
-/// the contract.
+/// the contract. For on-disk epoch checkpoints, pass a [`FleetChain`] and
+/// a [`durable::Store`] to [`durable::run`] instead.
 ///
 /// # Errors
 ///
 /// Propagates the first device [`IoError`] (a placement/geometry bug;
 /// healthy fleets never hit one).
 pub fn run(config: &FleetRunConfig) -> Result<FleetContractReport, IoError> {
-    let mut sim = FleetSim::new(config.fleet.clone(), build_pool(config));
-    let report = sim.run()?;
-    let obs = sim.obs_report();
-    let mut verdict = evaluate(report);
-    verdict.obs = obs;
-    Ok(verdict)
+    durable::run(&[FleetChain::new(config)], &Executor::sequential(), None)
+        .map(|mut verdicts| verdicts.remove(0))
+        .map_err(RunError::into_step)
 }
 
 /// A frozen fleet between epochs: the simulation snapshot plus every
@@ -214,19 +214,10 @@ pub struct FleetCheckpoint {
     pub devices: Vec<DeviceCheckpoint>,
 }
 
-impl FleetCheckpoint {
-    /// The on-disk record kind tag of a serialized fleet checkpoint.
-    /// Bump the suffix when the layout changes.
-    pub const RECORD_KIND: &'static str = "uc.fleet.v1";
+impl DurableRecord for FleetCheckpoint {
+    const RECORD_KIND: &'static str = "uc.fleet.v1";
 
-    /// Appends this checkpoint's wire form to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::NotPersistent`] if any embedded device
-    /// checkpoint carries no persistence codec (pool-built devices
-    /// always do).
-    pub fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
+    fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
         w.put_u32(self.fingerprint);
         self.snapshot.encode(w);
         w.put_u64(self.devices.len() as u64);
@@ -236,13 +227,8 @@ impl FleetCheckpoint {
         Ok(())
     }
 
-    /// Parses a checkpoint back out of its wire form, thawing the device
-    /// payloads through the roster's codec registry.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`DecodeError`] on any malformed input.
-    pub fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+    /// Thaws the device payloads through the roster's codec registry.
+    fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let fingerprint = r.get_u32()?;
         let snapshot = FleetSnapshot::decode(r)?;
         let count = r.get_u64()? as usize;
@@ -263,237 +249,100 @@ impl FleetCheckpoint {
         })
     }
 
-    /// Writes this checkpoint to `path` as a self-describing record file
-    /// (atomically: temp file + rename).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] on codec-less payloads or filesystem
-    /// failures.
-    pub fn save_to(&self, path: &Path) -> Result<(), PersistError> {
-        let mut w = Encoder::new();
-        self.encode_into(&mut w)?;
-        uc_persist::write_record_file(path, Self::RECORD_KIND, w.as_bytes())?;
-        Ok(())
+    fn key(&self) -> String {
+        "fleet".to_string()
     }
 
-    /// Reads a checkpoint back from a record file written by
-    /// [`FleetCheckpoint::save_to`].
-    ///
-    /// # Errors
-    ///
-    /// Every failure is a typed [`DecodeError`], never a panic.
-    pub fn load_from(path: &Path) -> Result<Self, DecodeError> {
-        let (kind, payload) = uc_persist::read_record_file(path)?;
-        if kind != Self::RECORD_KIND {
-            return Err(DecodeError::UnknownKind { found: kind });
-        }
-        let mut r = Decoder::new(&payload);
-        let checkpoint = Self::decode_from(&mut r)?;
-        r.finish()?;
-        Ok(checkpoint)
+    fn step(&self) -> usize {
+        self.snapshot.epoch as usize
     }
 }
 
-/// Errors of the durable fleet runner.
-#[derive(Debug)]
-pub enum FleetRunError {
-    /// A pool device reported an I/O error.
-    Io(IoError),
-    /// Writing an epoch-boundary checkpoint to disk failed.
-    Save(PersistError),
-    /// A checkpoint loaded from disk does not thaw onto the devices this
-    /// experiment builds.
-    Restore(CheckpointError),
-}
-
-impl std::fmt::Display for FleetRunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FleetRunError::Io(e) => write!(f, "fleet i/o error: {e}"),
-            FleetRunError::Save(e) => write!(f, "persisting fleet checkpoint: {e}"),
-            FleetRunError::Restore(e) => write!(f, "restoring fleet checkpoint: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FleetRunError {}
-
-impl From<IoError> for FleetRunError {
-    fn from(e: IoError) -> Self {
-        FleetRunError::Io(e)
-    }
-}
-
-/// A directory holding one durable fleet checkpoint (`fleet.ckpt`),
-/// atomically overwritten at every epoch boundary, so the newest
-/// boundary is always the only one on disk and a crash can never leave a
-/// torn record (temp file + rename).
-#[derive(Debug, Clone)]
-pub struct FleetStore {
-    dir: PathBuf,
-    kill_after: Option<u64>,
-    saves: u64,
-}
-
-impl FleetStore {
-    /// Opens (creating if needed) a checkpoint directory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the filesystem error if the directory cannot be
-    /// created.
-    pub fn create(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(FleetStore {
-            dir,
-            kill_after: None,
-            saves: 0,
-        })
-    }
-
-    /// Crash-testing hook: terminate the *process* (exit code 42)
-    /// immediately after the `n`-th successful checkpoint save — the
-    /// same deterministic stand-in for `kill -9` the fig3 and trace
-    /// crash-resume gates use. Never set in normal operation.
-    pub fn with_kill_after(mut self, saves: u64) -> Self {
-        self.kill_after = Some(saves);
-        self
-    }
-
-    /// Checkpoints saved through this store so far.
-    pub fn saves(&self) -> u64 {
-        self.saves
-    }
-
-    /// The checkpoint file path.
-    pub fn checkpoint_path(&self) -> PathBuf {
-        self.dir.join("fleet.ckpt")
-    }
-
-    /// Where a crash-hook telemetry dump lands (`crash.obs`, a
-    /// `uc.obs.v1` record next to the checkpoint).
-    pub fn obs_dump_path(&self) -> PathBuf {
-        self.dir.join("crash.obs")
-    }
-
-    /// `true` if the *next* successful save will trip the simulated
-    /// crash, i.e. the caller's last chance to dump telemetry.
-    pub fn kill_imminent(&self) -> bool {
-        self.kill_after.is_some_and(|limit| self.saves + 1 >= limit)
-    }
-
-    /// Persists one epoch-boundary checkpoint (atomically overwriting
-    /// the previous boundary), returning its path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PersistError`] from the underlying save.
-    pub fn save(&mut self, checkpoint: &FleetCheckpoint) -> Result<PathBuf, PersistError> {
-        let path = self.checkpoint_path();
-        checkpoint.save_to(&path)?;
-        self.saves += 1;
-        if let Some(limit) = self.kill_after {
-            if self.saves >= limit {
-                eprintln!(
-                    "fleet: simulated crash after {} checkpoint save(s) \
-                     (--kill-after {limit})",
-                    self.saves
-                );
-                std::process::exit(42);
-            }
-        }
-        Ok(path)
-    }
-
-    /// Loads the checkpoint if it exists, decodes cleanly and carries
-    /// `fingerprint`; anything else is reported on stderr and the fleet
-    /// starts fresh.
-    pub fn load_matching(&self, fingerprint: u32) -> Option<FleetCheckpoint> {
-        let path = self.checkpoint_path();
-        if !path.exists() {
-            return None;
-        }
-        match FleetCheckpoint::load_from(&path) {
-            Ok(checkpoint) if checkpoint.fingerprint == fingerprint => Some(checkpoint),
-            Ok(_) => {
-                eprintln!(
-                    "fleet: ignoring {} (taken under a different fleet \
-                     definition); starting fresh",
-                    path.display()
-                );
-                None
-            }
-            Err(e) => {
-                eprintln!("fleet: ignoring {}: {e}", path.display());
-                None
-            }
-        }
-    }
-}
-
-/// Runs the fleet experiment durably: every epoch boundary persists a
-/// [`FleetCheckpoint`] into `store`, and with `resume` the run continues
-/// from the on-disk boundary instead of from scratch.
+/// The whole fleet as one resumable [`Chain`] of epochs, for
+/// [`durable::run`].
 ///
-/// Durability does not perturb the simulation: a run killed at any
-/// boundary and resumed from disk produces results **byte-identical** to
-/// an uninterrupted run (the fleet CI smoke pins this end to end).
-///
-/// A resumed checkpoint must carry the current config's fingerprint; a
-/// stale one is reported on stderr and the fleet starts fresh.
-///
-/// # Errors
-///
-/// Returns the first I/O error, checkpoint-save failure, or restore
-/// mismatch the run hits.
-pub fn run_durable(
-    config: &FleetRunConfig,
-    store: &mut FleetStore,
-    resume: bool,
-) -> Result<FleetContractReport, FleetRunError> {
-    let fingerprint = fleet_fingerprint(config);
-    let from_disk = if resume {
-        store.load_matching(fingerprint)
-    } else {
-        None
-    };
-    let mut sim = match from_disk {
-        Some(checkpoint) => {
-            eprintln!(
-                "fleet: resuming from epoch boundary {}/{}",
-                checkpoint.snapshot.epoch, config.fleet.epochs
-            );
-            let mut pool = build_pool(config);
-            for (device, frozen) in pool.iter_mut().zip(checkpoint.devices) {
-                device
-                    .restore_from(frozen)
-                    .map_err(FleetRunError::Restore)?;
-            }
-            FleetSim::resume(config.fleet.clone(), pool, &checkpoint.snapshot)
+/// The live driver carries the [`FleetSim`] itself from epoch to epoch,
+/// so an uninterrupted durable run keeps its telemetry history and dumps
+/// the same `uc.obs.v1` bytes as [`run`]; only a resumed run starts its
+/// metrics registry and flight recorder afresh.
+pub struct FleetChain<'a> {
+    config: &'a FleetRunConfig,
+    fingerprint: u32,
+}
+
+impl<'a> FleetChain<'a> {
+    /// The fleet `config` defines.
+    pub fn new(config: &'a FleetRunConfig) -> Self {
+        FleetChain {
+            config,
+            fingerprint: fleet_fingerprint(config),
         }
-        None => FleetSim::new(config.fleet.clone(), build_pool(config)),
-    };
-    while !sim.is_finished() {
-        sim.run_epoch()?;
-        let checkpoint = FleetCheckpoint {
-            fingerprint,
+    }
+}
+
+impl Chain for FleetChain<'_> {
+    type State = FleetSim;
+    type Record = FleetCheckpoint;
+    type Error = IoError;
+    type Output = FleetContractReport;
+
+    fn key(&self) -> String {
+        "fleet".to_string()
+    }
+
+    fn steps(&self) -> usize {
+        self.config.fleet.epochs
+    }
+
+    fn start(&self) -> Result<FleetSim, IoError> {
+        Ok(FleetSim::new(
+            self.config.fleet.clone(),
+            build_pool(self.config),
+        ))
+    }
+
+    fn advance(&self, sim: &mut FleetSim) -> Result<(), IoError> {
+        sim.run_epoch()
+    }
+
+    fn checkpoint(&self, sim: &FleetSim) -> FleetCheckpoint {
+        FleetCheckpoint {
+            fingerprint: self.fingerprint,
             snapshot: sim.snapshot(),
             devices: sim.checkpoint_devices(),
-        };
-        // The crash hook kills the process inside `save`; flush the
-        // flight recorder first so the dump names what the fleet was
-        // doing at the boundary that "crashed".
-        if store.kill_imminent() {
-            let _ = sim.obs_report().save_to(&store.obs_dump_path());
         }
-        store.save(&checkpoint).map_err(FleetRunError::Save)?;
     }
-    let obs = sim.obs_report();
-    let mut verdict = evaluate(sim.report());
-    verdict.obs = obs;
-    Ok(verdict)
+
+    fn resume(&self, record: FleetCheckpoint) -> Result<FleetSim, CheckpointError> {
+        let mut pool = build_pool(self.config);
+        for (device, frozen) in pool.iter_mut().zip(record.devices) {
+            device.restore_from(frozen)?;
+        }
+        Ok(FleetSim::resume(
+            self.config.fleet.clone(),
+            pool,
+            &record.snapshot,
+        ))
+    }
+
+    /// Only a checkpoint of the same fleet definition (fingerprint) may
+    /// continue this run.
+    fn matches(&self, record: &FleetCheckpoint) -> bool {
+        record.fingerprint == self.fingerprint
+    }
+
+    fn finish(&self, sim: FleetSim) -> FleetContractReport {
+        let obs = sim.obs_report();
+        let mut verdict = evaluate(sim.report());
+        verdict.obs = obs;
+        verdict
+    }
+
+    /// Flushes the flight recorder to `crash.obs`, so the dump names what
+    /// the fleet was doing at the boundary that "crashed".
+    fn before_kill(&self, sim: &FleetSim, store: &Store<FleetCheckpoint>) {
+        let _ = sim.obs_report().save_to(&store.obs_dump_path());
+    }
 }
 
 #[cfg(test)]
@@ -513,12 +362,33 @@ mod tests {
         config
     }
 
-    fn tempdir(tag: &str) -> PathBuf {
+    fn temp_store(tag: &str) -> Store<FleetCheckpoint> {
         let dir = std::env::temp_dir()
             .join("uc-fleet-exp-tests")
             .join(format!("{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        Store::create(dir).unwrap()
+    }
+
+    /// Runs `config`'s fleet through the durable driver into `store`.
+    fn run_durable(config: &FleetRunConfig, store: &Store<FleetCheckpoint>) -> FleetContractReport {
+        durable::run(
+            &[FleetChain::new(config)],
+            &Executor::sequential(),
+            Some(store),
+        )
+        .unwrap()
+        .remove(0)
+    }
+
+    /// A checkpoint of `config`'s fleet after `epochs` live epochs.
+    fn partial(config: &FleetRunConfig, epochs: usize) -> FleetCheckpoint {
+        let chain = FleetChain::new(config);
+        let mut sim = chain.start().unwrap();
+        for _ in 0..epochs {
+            sim.run_epoch().unwrap();
+        }
+        chain.checkpoint(&sim)
     }
 
     #[test]
@@ -534,69 +404,52 @@ mod tests {
     fn durable_run_matches_plain_run_and_resumes_mid_flight() {
         let config = small();
         let plain = run(&config).unwrap();
-        let dir = tempdir("durable");
 
-        let mut store = FleetStore::create(&dir).unwrap();
-        let durable = run_durable(&config, &mut store, false).unwrap();
-        assert_eq!(store.saves(), config.fleet.epochs as u64);
+        let store = temp_store("durable");
+        let durable = run_durable(&config, &store);
+        // The primed epoch-0 state is persisted too.
+        assert_eq!(store.saves(), config.fleet.epochs as u64 + 1);
         assert_eq!(render_fleet_report(&plain), render_fleet_report(&durable));
         // Telemetry is observational state: an uninterrupted durable run
-        // sees the same history as a plain run, byte for byte.
+        // carries the live fleet, so it sees the same history as a plain
+        // run, byte for byte.
         assert_eq!(plain.obs.render_text(), durable.obs.render_text());
+        // The freeze/thaw reference renders the same report.
+        let round_trip = durable::round_trip(&FleetChain::new(&config)).unwrap();
+        assert_eq!(
+            render_fleet_report(&plain),
+            render_fleet_report(&round_trip)
+        );
 
-        // "Kill" after two epochs: run a fresh sim two epochs, persist,
-        // then resume from disk and finish.
-        let mut partial = FleetSim::new(config.fleet.clone(), build_pool(&config));
-        partial.run_epoch().unwrap();
-        partial.run_epoch().unwrap();
-        let mut store = FleetStore::create(&dir).unwrap();
-        store
-            .save(&FleetCheckpoint {
-                fingerprint: fleet_fingerprint(&config),
-                snapshot: partial.snapshot(),
-                devices: partial.checkpoint_devices(),
-            })
-            .unwrap();
-        drop(partial);
-
-        let resumed = run_durable(&config, &mut store, true).unwrap();
+        // "Kill" after two epochs: persist a partial run, then resume
+        // from disk and finish.
+        let store = Store::create(store.path()).unwrap().with_resume(true);
+        store.save(&partial(&config, 2)).unwrap();
+        let resumed = run_durable(&config, &store);
         assert_eq!(render_fleet_report(&plain), render_fleet_report(&resumed));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(store.path());
     }
 
     #[test]
     fn stale_fingerprint_starts_fresh() {
         let config = small();
-        let dir = tempdir("stale");
-        let mut store = FleetStore::create(&dir).unwrap();
-        let mut partial = FleetSim::new(config.fleet.clone(), build_pool(&config));
-        partial.run_epoch().unwrap();
-        store
-            .save(&FleetCheckpoint {
-                fingerprint: fleet_fingerprint(&config) ^ 1, // wrong identity
-                snapshot: partial.snapshot(),
-                devices: partial.checkpoint_devices(),
-            })
-            .unwrap();
-        let resumed = run_durable(&config, &mut store, true).unwrap();
+        let store = temp_store("stale").with_resume(true);
+        let mut stale = partial(&config, 1);
+        stale.fingerprint ^= 1; // wrong identity
+        store.save(&stale).unwrap();
+        let resumed = run_durable(&config, &store);
         let plain = run(&config).unwrap();
         assert_eq!(render_fleet_report(&plain), render_fleet_report(&resumed));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(store.path());
     }
 
     #[test]
     fn checkpoint_file_roundtrips_and_rejects_corruption() {
         let config = small();
-        let dir = tempdir("roundtrip");
-        let mut store = FleetStore::create(&dir).unwrap();
-        let mut sim = FleetSim::new(config.fleet.clone(), build_pool(&config));
-        sim.run_epoch().unwrap();
-        let checkpoint = FleetCheckpoint {
-            fingerprint: fleet_fingerprint(&config),
-            snapshot: sim.snapshot(),
-            devices: sim.checkpoint_devices(),
-        };
+        let store = temp_store("roundtrip");
+        let checkpoint = partial(&config, 1);
         let path = store.save(&checkpoint).unwrap();
+        assert!(path.ends_with("fleet.seg0001.ckpt"));
 
         let loaded = FleetCheckpoint::load_from(&path).unwrap();
         assert_eq!(loaded.fingerprint, checkpoint.fingerprint);
@@ -609,8 +462,8 @@ mod tests {
         flipped[mid] ^= 0x08;
         std::fs::write(&path, &flipped).unwrap();
         assert!(FleetCheckpoint::load_from(&path).is_err());
-        assert!(store.load_matching(checkpoint.fingerprint).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(store.latest_matching("fleet", |_| true).is_none());
+        let _ = std::fs::remove_dir_all(store.path());
     }
 
     #[test]
@@ -630,20 +483,6 @@ mod tests {
                 > 0,
             "obs snapshot should reach into pool devices"
         );
-    }
-
-    #[test]
-    fn kill_imminent_fires_exactly_before_the_fatal_save() {
-        let dir = tempdir("imminent");
-        let store = FleetStore::create(&dir).unwrap().with_kill_after(2);
-        // saves == 0: the next save is #1, the crash fires after #2.
-        assert!(!store.kill_imminent());
-        let mut armed = store.clone();
-        armed.saves = 1; // next save is the killing one
-        assert!(armed.kill_imminent());
-        let unarmed = FleetStore::create(&dir).unwrap();
-        assert!(!unarmed.kill_imminent());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

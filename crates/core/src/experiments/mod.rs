@@ -24,23 +24,26 @@
 //! `fig3` is different: each device's endurance run is one continuous
 //! virtual timeline, so instead of independent cells it is sliced into
 //! **resumable segments** through the checkpoint seam
-//! ([`CheckpointDevice`](uc_blockdev::CheckpointDevice)) — see
-//! [`fig3::run_pipelined`], which pipelines the per-device segment chains
-//! across workers ([`Executor::run_chains`]) with byte-identical results
-//! at any thread count.
+//! ([`CheckpointDevice`](uc_blockdev::CheckpointDevice)) and driven by
+//! the [`durable`] engine: one [`durable::Chain`] per timeline, whose
+//! steps [`durable::run`] pipelines across workers
+//! ([`Executor::run_chains`]) with byte-identical results at any thread
+//! count — optionally persisting every step boundary into a
+//! [`durable::Store`] a killed run resumes from.
 //!
 //! [`trace`] goes beyond the paper's own artifacts: it replays a
 //! captured or generated block-I/O trace (see the `uc-trace` crate)
-//! against every device and evaluates the contract phase by phase,
-//! using the same resumable-chain machinery as `fig3` (and the same
+//! against every device and evaluates the contract phase by phase, as
+//! one [`TraceChain`] per device on the same engine (and the same
 //! determinism bar).
 //!
 //! [`fleet`] scales the contract out: hundreds of tenants multiplexed
 //! onto a shared eSSD pool (the `uc-fleet` crate), with per-tenant
 //! interference findings, epoch fairness, checkpoint-seam rebalancing,
-//! and a durable epoch-boundary checkpoint matching fig3's kill-resume
-//! determinism bar.
+//! and — as one [`FleetChain`] of epochs — the same durable
+//! kill-resume determinism bar.
 
+pub mod durable;
 pub mod executor;
 pub mod fig2;
 pub mod fig3;
@@ -50,16 +53,15 @@ pub mod fleet;
 pub mod table1;
 pub mod trace;
 
+pub use durable::{Chain, DurableRecord, RunError, Store};
 pub use executor::Executor;
 pub use fig2::{Fig2Config, Fig2Result, LatencyCell, PatternGrid};
-pub use fig3::{CheckpointDir, DurableError, Fig3Checkpoint, Fig3Config, Fig3Result, SegmentedRun};
+pub use fig3::{Fig3Chain, Fig3Checkpoint, Fig3Config, Fig3Result, SegmentedRun};
 pub use fig4::{Fig4Config, Fig4Result};
 pub use fig5::{Fig5Config, Fig5Result};
-pub use fleet::{
-    FleetCheckpoint, FleetContractReport, FleetFinding, FleetRunConfig, FleetRunError, FleetStore,
-};
+pub use fleet::{FleetChain, FleetCheckpoint, FleetContractReport, FleetFinding, FleetRunConfig};
 pub use table1::{run as run_table1, Table1Row};
 pub use trace::{
-    PhaseStat, TraceContractReport, TraceRun, TraceRunCheckpoint, TraceRunConfig, TraceRunError,
-    TraceRunResult, TraceStore, TraceViolation, TraceViolationKind,
+    PhaseStat, TraceChain, TraceContractReport, TraceRun, TraceRunCheckpoint, TraceRunConfig,
+    TraceRunResult, TraceViolation, TraceViolationKind,
 };

@@ -10,10 +10,11 @@
 //!
 //! Like fig3, a replay is one continuous virtual timeline per device, so
 //! it is sliced into **resumable phases** (equal spans of scaled arrival
-//! time) through the checkpoint seam and pipelined across workers with
-//! [`Executor::run_chains`]; phase boundaries double as the reporting
-//! granularity. Determinism is the same contract fig3 pins: sequential,
-//! pipelined and kill-resumed runs all produce byte-identical reports.
+//! time, [`TraceRun`]) and driven by the shared durable-run engine
+//! ([`durable`], via [`TraceChain`]); phase boundaries double as the
+//! reporting granularity. Determinism is the same contract fig3 pins:
+//! round-trip, pipelined and kill-resumed runs all produce
+//! byte-identical reports.
 //!
 //! The per-phase **violation report** checks two trace-level expectations
 //! derived from the contract (thresholds in
@@ -30,10 +31,8 @@
 
 use crate::contract::thresholds::{TRACE_MAX_PHASE_LAG, TRACE_PHASE_LATENCY_BLOWUP};
 use crate::devices::{payload_codecs, DeviceKind, DeviceRoster};
+use crate::experiments::durable::{self, Chain, DurableRecord, RunError};
 use crate::experiments::Executor;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use uc_blockdev::{CheckpointDevice, CheckpointError, DeviceCheckpoint, PersistError};
 use uc_persist::{DecodeError, Decoder, Encoder, Persist};
 use uc_sim::{SimDuration, SimTime};
@@ -345,19 +344,10 @@ pub struct TraceRunCheckpoint {
     pub driver: ReplayCheckpoint,
 }
 
-impl TraceRunCheckpoint {
-    /// The on-disk record kind tag of a serialized trace-run checkpoint.
-    /// Bump the suffix when the layout changes.
-    pub const RECORD_KIND: &'static str = "uc.trace-run.v1";
+impl DurableRecord for TraceRunCheckpoint {
+    const RECORD_KIND: &'static str = "uc.trace-run.v1";
 
-    /// Appends this checkpoint's wire form to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::NotPersistent`] if the embedded device
-    /// checkpoint carries no persistence codec (roster-built devices
-    /// always do).
-    pub fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
+    fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
         self.kind.encode(w);
         w.put_u32(self.fingerprint);
         self.milestones.encode(w);
@@ -368,13 +358,8 @@ impl TraceRunCheckpoint {
         Ok(())
     }
 
-    /// Parses a checkpoint back out of its wire form, thawing the device
-    /// payload through the roster's codec registry.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`DecodeError`] on any malformed input.
-    pub fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+    /// Thaws the device payload through the roster's codec registry.
+    fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let kind = DeviceKind::decode(r)?;
         let fingerprint = r.get_u32()?;
         let milestones = Vec::<u64>::decode(r)?;
@@ -398,35 +383,12 @@ impl TraceRunCheckpoint {
         })
     }
 
-    /// Writes this checkpoint to `path` as a self-describing record file
-    /// (atomically: temp file + rename).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] on codec-less payloads or filesystem
-    /// failures.
-    pub fn save_to(&self, path: &Path) -> Result<(), PersistError> {
-        let mut w = Encoder::new();
-        self.encode_into(&mut w)?;
-        uc_persist::write_record_file(path, Self::RECORD_KIND, w.as_bytes())?;
-        Ok(())
+    fn key(&self) -> String {
+        chain_key(self.kind)
     }
 
-    /// Reads a checkpoint back from a record file written by
-    /// [`TraceRunCheckpoint::save_to`].
-    ///
-    /// # Errors
-    ///
-    /// Every failure is a typed [`DecodeError`], never a panic.
-    pub fn load_from(path: &Path) -> Result<Self, DecodeError> {
-        let (kind, payload) = uc_persist::read_record_file(path)?;
-        if kind != Self::RECORD_KIND {
-            return Err(DecodeError::UnknownKind { found: kind });
-        }
-        let mut r = Decoder::new(&payload);
-        let checkpoint = Self::decode_from(&mut r)?;
-        r.finish()?;
-        Ok(checkpoint)
+    fn step(&self) -> usize {
+        self.completed
     }
 }
 
@@ -624,338 +586,143 @@ impl TraceRun {
     }
 }
 
-/// Replays the trace on one device as a single-threaded run that still
-/// round-trips through a [`TraceRunCheckpoint`] at every phase boundary
-/// (exercising the same freeze/thaw path the pipelined runner uses).
-///
-/// # Errors
-///
-/// Propagates trace-validation and device I/O errors as
-/// [`TraceRunError::Replay`]. A checkpoint taken by this run that fails
-/// to restore (a checkpoint-seam bug, not an I/O condition) surfaces as
-/// [`TraceRunError::Restore`] instead of a panic, so callers on the
-/// non-test path get a typed error they can report.
-pub fn run(
-    roster: &DeviceRoster,
+/// The checkpoint file-stem key of `kind`'s replay.
+fn chain_key(kind: DeviceKind) -> String {
+    format!("trace-{}", kind.slug())
+}
+
+/// One device's replay as a resumable [`Chain`] of phases, for
+/// [`durable::run`] and [`durable::round_trip`]. Every stage borrows the
+/// trace — a GiB-scale trace is shared, never copied.
+pub struct TraceChain<'a> {
+    roster: &'a DeviceRoster,
     kind: DeviceKind,
-    trace: &Trace,
-    cfg: &TraceRunConfig,
-) -> Result<TraceRunResult, TraceRunError> {
-    let mut state = TraceRun::start(roster, kind, trace, cfg)?;
-    loop {
-        state.advance(trace)?;
-        if state.is_finished() {
-            return Ok(state.into_result());
+    trace: &'a Trace,
+    cfg: &'a TraceRunConfig,
+    plan: Plan,
+}
+
+impl<'a> TraceChain<'a> {
+    /// `kind`'s replay of `trace`, sliced into `cfg.phases` phases.
+    pub fn new(
+        roster: &'a DeviceRoster,
+        kind: DeviceKind,
+        trace: &'a Trace,
+        cfg: &'a TraceRunConfig,
+    ) -> Self {
+        TraceChain {
+            roster,
+            kind,
+            trace,
+            cfg,
+            plan: Plan::of(trace, cfg),
         }
-        let frozen = state.checkpoint();
-        state = TraceRun::resume(roster, trace, frozen).map_err(TraceRunError::Restore)?;
+    }
+}
+
+/// One [`TraceChain`] per device in `kinds`.
+pub fn chains<'a>(
+    roster: &'a DeviceRoster,
+    kinds: &[DeviceKind],
+    trace: &'a Trace,
+    cfg: &'a TraceRunConfig,
+) -> Vec<TraceChain<'a>> {
+    kinds
+        .iter()
+        .map(|&kind| TraceChain::new(roster, kind, trace, cfg))
+        .collect()
+}
+
+impl Chain for TraceChain<'_> {
+    type State = TraceRun;
+    type Record = TraceRunCheckpoint;
+    type Error = ReplayError;
+    type Output = TraceRunResult;
+
+    fn key(&self) -> String {
+        chain_key(self.kind)
+    }
+
+    fn steps(&self) -> usize {
+        self.plan.milestones.len()
+    }
+
+    fn start(&self) -> Result<TraceRun, ReplayError> {
+        TraceRun::start(self.roster, self.kind, self.trace, self.cfg)
+    }
+
+    fn advance(&self, state: &mut TraceRun) -> Result<(), ReplayError> {
+        state.advance(self.trace)
+    }
+
+    fn checkpoint(&self, state: &TraceRun) -> TraceRunCheckpoint {
+        state.checkpoint()
+    }
+
+    fn resume(&self, record: TraceRunCheckpoint) -> Result<TraceRun, CheckpointError> {
+        TraceRun::resume(self.roster, self.trace, record)
+    }
+
+    /// Only a checkpoint of the same trace (fingerprint), slicing and
+    /// replay configuration may continue this replay.
+    fn matches(&self, record: &TraceRunCheckpoint) -> bool {
+        self.plan.matches(record, &self.cfg.replay)
+    }
+
+    fn finish(&self, state: TraceRun) -> TraceRunResult {
+        state.into_result()
     }
 }
 
 /// Replays the trace on several devices with their phase chains
-/// pipelined across `exec`'s workers ([`Executor::run_chains`]): phase
-/// `k` of one device runs concurrently with phase `k-1` of another, each
-/// boundary feeding a [`TraceRunCheckpoint`] forward.
+/// pipelined across `exec`'s workers: phase `k` of one device runs
+/// concurrently with phase `k-1` of another.
 ///
 /// Results are returned in `kinds` order and are byte-identical to
-/// [`run`]'s for every device, at any thread count.
+/// [`durable::round_trip`]'s for every device, at any thread count. For
+/// on-disk checkpoints, pass [`chains`] and a [`durable::Store`] to
+/// [`durable::run`] instead.
 ///
 /// # Errors
 ///
 /// Propagates the first trace-validation or I/O error any device
-/// reports as [`TraceRunError::Replay`]; a checkpoint that fails to
-/// restore onto its own roster surfaces as [`TraceRunError::Restore`].
+/// reports.
 pub fn run_pipelined(
     roster: &DeviceRoster,
     kinds: &[DeviceKind],
     trace: &Trace,
     cfg: &TraceRunConfig,
     exec: &Executor,
-) -> Result<Vec<TraceRunResult>, TraceRunError> {
-    // Stages only borrow the trace (`run_chains` runs on scoped
-    // threads, so non-'static closures are fine) — a GiB-scale trace is
-    // shared, never copied.
-    type Stage<'t> = Box<
-        dyn FnOnce(
-                Result<TraceRunCheckpoint, TraceRunError>,
-            ) -> Result<TraceRunCheckpoint, TraceRunError>
-            + Send
-            + 't,
-    >;
-    let phases = cfg.phases.max(1);
-    let mut chains: Vec<(Result<TraceRunCheckpoint, TraceRunError>, Vec<Stage<'_>>)> =
-        Vec::with_capacity(kinds.len());
-    for &kind in kinds {
-        let initial = TraceRun::start(roster, kind, trace, cfg)
-            .map(|r| r.checkpoint())
-            .map_err(TraceRunError::Replay);
-        let stages: Vec<Stage<'_>> = (0..phases)
-            .map(|_| {
-                let roster = roster.clone();
-                Box::new(move |frozen: Result<TraceRunCheckpoint, TraceRunError>| {
-                    let mut state = TraceRun::resume(&roster, trace, frozen?)
-                        .map_err(TraceRunError::Restore)?;
-                    state.advance(trace)?;
-                    Ok(state.checkpoint())
-                }) as Stage<'_>
-            })
-            .collect();
-        chains.push((initial, stages));
-    }
-    exec.run_chains(chains)
-        .into_iter()
-        .map(|frozen| {
-            let state = TraceRun::resume(roster, trace, frozen?).map_err(TraceRunError::Restore)?;
-            Ok(state.into_result())
-        })
-        .collect()
-}
-
-/// Errors of the trace runners ([`run`], [`run_pipelined`] and
-/// [`run_pipelined_durable`]).
-#[derive(Debug)]
-pub enum TraceRunError {
-    /// The trace failed validation or a device reported an I/O error.
-    Replay(ReplayError),
-    /// Writing a phase checkpoint to disk failed.
-    Save(PersistError),
-    /// A checkpoint loaded from disk does not restore onto the devices
-    /// this roster builds.
-    Restore(CheckpointError),
-}
-
-impl std::fmt::Display for TraceRunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceRunError::Replay(e) => write!(f, "replay error: {e}"),
-            TraceRunError::Save(e) => write!(f, "persisting phase checkpoint: {e}"),
-            TraceRunError::Restore(e) => write!(f, "restoring phase checkpoint: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceRunError {}
-
-impl From<ReplayError> for TraceRunError {
-    fn from(e: ReplayError) -> Self {
-        TraceRunError::Replay(e)
-    }
-}
-
-/// A directory of durable trace-run checkpoints: one file per device
-/// (`trace-<slug>.ckpt`), atomically overwritten at every phase
-/// boundary, so the newest boundary is always the only one on disk and
-/// a crash can never leave a torn record (temp file + rename).
-///
-/// Cheaply cloneable and `Send + Sync`: the pipelined runner's worker
-/// threads share it.
-#[derive(Debug, Clone)]
-pub struct TraceStore {
-    dir: PathBuf,
-    kill_after: Option<u64>,
-    saves: Arc<AtomicU64>,
-}
-
-impl TraceStore {
-    /// Opens (creating if needed) a checkpoint directory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the filesystem error if the directory cannot be
-    /// created.
-    pub fn create(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(TraceStore {
-            dir,
-            kill_after: None,
-            saves: Arc::new(AtomicU64::new(0)),
-        })
-    }
-
-    /// The directory holding the checkpoint files.
-    pub fn path(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Crash-testing hook: terminate the *process* (exit code 42)
-    /// immediately after the `n`-th successful checkpoint save — the
-    /// same deterministic stand-in for `kill -9` the fig3 crash-resume
-    /// gate uses. Never set in normal operation.
-    pub fn with_kill_after(mut self, saves: u64) -> Self {
-        self.kill_after = Some(saves);
-        self
-    }
-
-    /// Checkpoints saved through this store (and its clones) so far.
-    pub fn saves(&self) -> u64 {
-        self.saves.load(Ordering::Relaxed)
-    }
-
-    /// The checkpoint file path of `kind`.
-    pub fn device_path(&self, kind: DeviceKind) -> PathBuf {
-        self.dir.join(format!("trace-{}.ckpt", kind.slug()))
-    }
-
-    /// Persists one phase-boundary checkpoint (atomically overwriting
-    /// the device's previous boundary), returning its path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PersistError`] from the underlying save.
-    pub fn save(&self, checkpoint: &TraceRunCheckpoint) -> Result<PathBuf, PersistError> {
-        let path = self.device_path(checkpoint.kind);
-        checkpoint.save_to(&path)?;
-        let saved = self.saves.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(limit) = self.kill_after {
-            if saved >= limit {
-                eprintln!(
-                    "trace: simulated crash after {saved} checkpoint save(s) \
-                     (--kill-after {limit})"
-                );
-                std::process::exit(42);
-            }
-        }
-        Ok(path)
-    }
-
-    /// Loads `kind`'s checkpoint if it exists, decodes cleanly and
-    /// satisfies `accept`; anything else is reported on stderr and the
-    /// device starts fresh.
-    pub fn load_matching<F>(&self, kind: DeviceKind, accept: F) -> Option<TraceRunCheckpoint>
-    where
-        F: Fn(&TraceRunCheckpoint) -> bool,
-    {
-        let path = self.device_path(kind);
-        if !path.exists() {
-            return None;
-        }
-        match TraceRunCheckpoint::load_from(&path) {
-            Ok(checkpoint) if checkpoint.kind != kind => {
-                eprintln!(
-                    "trace: ignoring {} (names device {}, expected {kind})",
-                    path.display(),
-                    checkpoint.kind
-                );
-                None
-            }
-            Ok(checkpoint) if accept(&checkpoint) => Some(checkpoint),
-            Ok(_) => {
-                eprintln!(
-                    "trace: ignoring {} (taken under a different plan — \
-                     trace/config/phases); starting fresh",
-                    path.display()
-                );
-                None
-            }
-            Err(e) => {
-                eprintln!("trace: ignoring {}: {e}", path.display());
-                None
-            }
-        }
-    }
-}
-
-/// Runs the trace experiment like [`run_pipelined`], additionally
-/// persisting every phase-boundary checkpoint into `store` — and, with
-/// `resume`, continuing each device from its on-disk checkpoint instead
-/// of from scratch.
-///
-/// Durability does not perturb the simulation: a run killed at any
-/// boundary and resumed from disk produces results **byte-identical** to
-/// an uninterrupted run (the trace CI smoke pins this end to end).
-///
-/// A resumed checkpoint must match the current plan (same trace
-/// fingerprint, milestones and replay configuration); a stale one is
-/// reported on stderr and that device starts fresh.
-///
-/// # Errors
-///
-/// Returns the first replay error, checkpoint-save failure, or restore
-/// mismatch any chain hits.
-pub fn run_pipelined_durable(
-    roster: &DeviceRoster,
-    kinds: &[DeviceKind],
-    trace: &Trace,
-    cfg: &TraceRunConfig,
-    exec: &Executor,
-    store: &TraceStore,
-    resume: bool,
-) -> Result<Vec<TraceRunResult>, TraceRunError> {
-    // As in `run_pipelined`, stages borrow the trace — no copy.
-    type Stage<'t> = Box<
-        dyn FnOnce(
-                Result<TraceRunCheckpoint, TraceRunError>,
-            ) -> Result<TraceRunCheckpoint, TraceRunError>
-            + Send
-            + 't,
-    >;
-    let phases = cfg.phases.max(1);
-    let plan = Plan::of(trace, cfg);
-    let mut chains: Vec<(Result<TraceRunCheckpoint, TraceRunError>, Vec<Stage<'_>>)> =
-        Vec::with_capacity(kinds.len());
-    for &kind in kinds {
-        let from_disk = if resume {
-            store.load_matching(kind, |checkpoint| plan.matches(checkpoint, &cfg.replay))
-        } else {
-            None
-        };
-        let initial: Result<TraceRunCheckpoint, TraceRunError> = match from_disk {
-            Some(checkpoint) => {
-                eprintln!(
-                    "trace: resuming {kind} from phase boundary {}/{}",
-                    checkpoint.completed,
-                    checkpoint.milestones.len()
-                );
-                Ok(checkpoint)
-            }
-            None => TraceRun::start(roster, kind, trace, cfg)
-                .map_err(TraceRunError::Replay)
-                .and_then(|state| {
-                    let checkpoint = state.checkpoint();
-                    // Persist the primed (phase-0) state too: a crash
-                    // before the first boundary then resumes instead of
-                    // re-validating from scratch.
-                    store.save(&checkpoint).map_err(TraceRunError::Save)?;
-                    Ok(checkpoint)
-                }),
-        };
-        let remaining = match &initial {
-            Ok(checkpoint) => phases - checkpoint.completed,
-            Err(_) => 0,
-        };
-        let stages: Vec<Stage<'_>> = (0..remaining)
-            .map(|_| {
-                let roster = roster.clone();
-                let store = store.clone();
-                Box::new(move |frozen: Result<TraceRunCheckpoint, TraceRunError>| {
-                    let mut state = TraceRun::resume(&roster, trace, frozen?)
-                        .map_err(TraceRunError::Restore)?;
-                    state.advance(trace)?;
-                    let checkpoint = state.checkpoint();
-                    store.save(&checkpoint).map_err(TraceRunError::Save)?;
-                    Ok(checkpoint)
-                }) as Stage<'_>
-            })
-            .collect();
-        chains.push((initial, stages));
-    }
-    exec.run_chains(chains)
-        .into_iter()
-        .map(|frozen| {
-            let state = TraceRun::resume(roster, trace, frozen?).map_err(TraceRunError::Restore)?;
-            Ok(state.into_result())
-        })
-        .collect()
+) -> Result<Vec<TraceRunResult>, ReplayError> {
+    durable::run(&chains(roster, kinds, trace, cfg), exec, None).map_err(RunError::into_step)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::report::render_trace_report;
+    use durable::Store;
 
     fn roster() -> DeviceRoster {
         DeviceRoster::with_capacities(128 << 20, 128 << 20)
+    }
+
+    /// The reference replay: a freeze/thaw round trip at every phase.
+    fn round_trip(
+        roster: &DeviceRoster,
+        kind: DeviceKind,
+        trace: &Trace,
+        cfg: &TraceRunConfig,
+    ) -> TraceRunResult {
+        durable::round_trip(&TraceChain::new(roster, kind, trace, cfg)).unwrap()
+    }
+
+    fn temp_store(name: &str) -> Store<TraceRunCheckpoint> {
+        let dir = std::env::temp_dir()
+            .join("uc-trace-run-tests")
+            .join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Store::create(dir).unwrap()
     }
 
     /// A bursty trace sized for the 128 MiB test roster: 20 kIOPS bursts
@@ -994,7 +761,7 @@ mod tests {
         )
         .unwrap();
         for (i, &kind) in DeviceKind::ALL.iter().enumerate() {
-            let sequential = run(&roster, kind, &trace, &cfg).unwrap();
+            let sequential = round_trip(&roster, kind, &trace, &cfg);
             assert_eq!(sequential.phases, pipelined[i].phases, "{kind}");
             assert_eq!(
                 sequential.report.finished_at, pipelined[i].report.finished_at,
@@ -1036,7 +803,7 @@ mod tests {
             .collect();
         let trace = Trace::from_entries(entries);
         let cfg = TraceRunConfig::open_loop(16);
-        let sequential = run(&roster, DeviceKind::LocalSsd, &trace, &cfg).unwrap();
+        let sequential = round_trip(&roster, DeviceKind::LocalSsd, &trace, &cfg);
         let pipelined = run_pipelined(
             &roster,
             &[DeviceKind::LocalSsd],
@@ -1058,7 +825,7 @@ mod tests {
         let roster = roster();
         let trace = bursty_trace();
         let cfg = TraceRunConfig::open_loop(5);
-        let result = run(&roster, DeviceKind::Essd1, &trace, &cfg).unwrap();
+        let result = round_trip(&roster, DeviceKind::Essd1, &trace, &cfg);
         assert_eq!(result.phases.len(), 5);
         let ios: u64 = result.phases.iter().map(|p| p.ios).sum();
         let bytes: u64 = result.phases.iter().map(|p| p.bytes).sum();
@@ -1106,12 +873,9 @@ mod tests {
         state.advance(&trace).unwrap();
         let checkpoint = state.checkpoint();
 
-        let dir = std::env::temp_dir()
-            .join("uc-trace-run-tests")
-            .join(format!("roundtrip-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = TraceStore::create(&dir).unwrap();
+        let store = temp_store("roundtrip");
         let path = store.save(&checkpoint).unwrap();
+        assert!(path.ends_with("trace-essd-2.seg0002.ckpt"));
         assert_eq!(store.saves(), 1);
 
         let loaded = TraceRunCheckpoint::load_from(&path).unwrap();
@@ -1140,9 +904,9 @@ mod tests {
             TraceRunCheckpoint::load_from(&path),
             Err(DecodeError::ChecksumMismatch { .. })
         ));
-        // A stale file is skipped (fresh start), not an error.
-        assert!(store.load_matching(DeviceKind::Essd2, |_| true).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
+        // A corrupt file is skipped (fresh start), not an error.
+        assert!(store.latest_matching("trace-essd-2", |_| true).is_none());
+        let _ = std::fs::remove_dir_all(store.path());
     }
 
     #[test]
@@ -1150,11 +914,7 @@ mod tests {
         let roster = roster();
         let trace = bursty_trace();
         let cfg = TraceRunConfig::open_loop(4);
-        let dir = std::env::temp_dir()
-            .join("uc-trace-run-tests")
-            .join(format!("kill-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = TraceStore::create(&dir).unwrap();
+        let store = temp_store("kill-resume").with_resume(true);
         // Advance each device partway, persist, "crash" (drop state).
         for &kind in &DeviceKind::ALL {
             let mut partial = TraceRun::start(&roster, kind, &trace, &cfg).unwrap();
@@ -1164,18 +924,14 @@ mod tests {
             }
             store.save(&partial.checkpoint()).unwrap();
         }
-        let resumed = run_pipelined_durable(
-            &roster,
-            &DeviceKind::ALL,
-            &trace,
-            &cfg,
+        let resumed = durable::run(
+            &chains(&roster, &DeviceKind::ALL, &trace, &cfg),
             &Executor::with_threads(2),
-            &store,
-            true,
+            Some(&store),
         )
         .unwrap();
         for (i, &kind) in DeviceKind::ALL.iter().enumerate() {
-            let uninterrupted = run(&roster, kind, &trace, &cfg).unwrap();
+            let uninterrupted = round_trip(&roster, kind, &trace, &cfg);
             assert_eq!(resumed[i].phases, uninterrupted.phases, "{kind}");
             assert_eq!(
                 resumed[i].report.latency.mean(),
@@ -1183,18 +939,14 @@ mod tests {
                 "{kind}"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(store.path());
     }
 
     #[test]
     fn stale_plan_checkpoints_start_fresh() {
         let roster = roster();
         let trace = bursty_trace();
-        let dir = std::env::temp_dir()
-            .join("uc-trace-run-tests")
-            .join(format!("stale-plan-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = TraceStore::create(&dir).unwrap();
+        let store = temp_store("stale-plan").with_resume(true);
         // A checkpoint under a 3-phase plan…
         let cfg3 = TraceRunConfig::open_loop(3);
         let mut other = TraceRun::start(&roster, DeviceKind::LocalSsd, &trace, &cfg3).unwrap();
@@ -1202,19 +954,15 @@ mod tests {
         store.save(&other.checkpoint()).unwrap();
         // …must not hijack a 5-phase resume.
         let cfg5 = TraceRunConfig::open_loop(5);
-        let resumed = run_pipelined_durable(
-            &roster,
-            &[DeviceKind::LocalSsd],
-            &trace,
-            &cfg5,
+        let resumed = durable::run(
+            &chains(&roster, &[DeviceKind::LocalSsd], &trace, &cfg5),
             &Executor::sequential(),
-            &store,
-            true,
+            Some(&store),
         )
         .unwrap();
-        let plain = run(&roster, DeviceKind::LocalSsd, &trace, &cfg5).unwrap();
+        let plain = round_trip(&roster, DeviceKind::LocalSsd, &trace, &cfg5);
         assert_eq!(resumed[0].phases, plain.phases);
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(store.path());
     }
 
     #[test]

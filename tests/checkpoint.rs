@@ -8,6 +8,7 @@
 //! segments leaves the figure byte-identical.
 
 use proptest::prelude::*;
+use unwritten_contract::core::experiments::durable;
 use unwritten_contract::core::experiments::fig3::{self, Fig3Config};
 use unwritten_contract::essd::{Essd, EssdConfig};
 use unwritten_contract::prelude::*;
@@ -126,7 +127,8 @@ proptest! {
     ) {
         let kind = DeviceKind::ALL[kind_index];
         let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
-        let sliced = fig3::run_segmented(&roster, kind, &Fig3Config::quick(), segments)
+        let cfg = Fig3Config::quick();
+        let sliced = durable::round_trip(&fig3::Fig3Chain::new(&roster, kind, &cfg, segments))
             .expect("segmented fig3");
         let baseline = unsliced_baseline(kind);
         prop_assert_eq!(&sliced.time_series, &baseline.time_series);

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use unwritten_contract::blockdev::{CheckpointDevice, DeviceCheckpoint};
 use unwritten_contract::core::devices::{payload_codecs, DeviceKind, DeviceRoster};
 use unwritten_contract::core::experiments::fig3::{self, Fig3Config};
-use unwritten_contract::core::experiments::{Fig3Checkpoint, SegmentedRun};
+use unwritten_contract::core::experiments::{DurableRecord, Fig3Checkpoint, SegmentedRun};
 use unwritten_contract::essd::{Essd, EssdCheckpoint, EssdConfig};
 use unwritten_contract::persist::{DecodeError, Decoder, Encoder, Persist};
 use unwritten_contract::prelude::*;

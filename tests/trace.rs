@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 use unwritten_contract::core::experiments::trace::{self as trace_exp, TraceRunConfig};
-use unwritten_contract::core::experiments::Executor;
+use unwritten_contract::core::experiments::{durable, Executor, Store};
 use unwritten_contract::core::report::render_trace_report;
 use unwritten_contract::prelude::*;
 use unwritten_contract::trace::{load_trace, save_trace};
@@ -132,7 +132,7 @@ fn trace_experiment_report_survives_threads_and_kill_resume() {
 
     // Kill-and-resume through the durable store.
     let dir = temp_dir("kill-resume");
-    let store = trace_exp::TraceStore::create(&dir).unwrap();
+    let store = Store::create(&dir).unwrap().with_resume(true);
     for &kind in &DeviceKind::ALL {
         let mut partial = trace_exp::TraceRun::start(&roster, kind, &trace, &cfg).unwrap();
         partial.advance(&trace).unwrap();
@@ -140,14 +140,10 @@ fn trace_experiment_report_survives_threads_and_kill_resume() {
         // The interrupted process's state is dropped here: only the
         // on-disk checkpoint survives the "crash".
     }
-    let resumed = trace_exp::run_pipelined_durable(
-        &roster,
-        &DeviceKind::ALL,
-        &trace,
-        &cfg,
+    let resumed = durable::run(
+        &trace_exp::chains(&roster, &DeviceKind::ALL, &trace, &cfg),
         &Executor::with_threads(2),
-        &store,
-        true,
+        Some(&store),
     )
     .unwrap();
     assert_eq!(
