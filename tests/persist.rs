@@ -125,6 +125,69 @@ fn obs_report() -> unwritten_contract::obs::ObsReport {
     ObsReport::capture(&reg, &flight)
 }
 
+/// A mid-run fleet epoch checkpoint (placement after a rebalance,
+/// per-tenant state and every pool device's checkpoint).
+fn fleet_checkpoint() -> unwritten_contract::core::experiments::FleetCheckpoint {
+    use unwritten_contract::core::experiments::{Chain, FleetChain, FleetRunConfig};
+    let mut config = FleetRunConfig::new(12, 3);
+    config.fleet = config
+        .fleet
+        .with_duration(SimDuration::from_millis(8))
+        .with_epochs(4)
+        .with_seed(0xF1EE7)
+        .with_rebalance(RebalancePolicy::default());
+    let chain = FleetChain::new(&config);
+    let mut sim = chain.start().unwrap();
+    for _ in 0..2 {
+        chain.advance(&mut sim).unwrap();
+    }
+    chain.checkpoint(&sim)
+}
+
+/// `(len, crc32)` of a payload's bytes.
+fn fingerprint(bytes: &[u8]) -> (usize, u32) {
+    (bytes.len(), unwritten_contract::persist::crc32(bytes))
+}
+
+/// Golden bytes: every checkpoint codec writes exactly the payload it
+/// wrote when these constants were captured. A round trip would still
+/// pass if encode and decode drifted together (a reordered field list,
+/// a widened integer); this test would not. Changing a constant here
+/// means the on-disk format changed and its record kind tag must be
+/// bumped.
+#[test]
+fn checkpoint_payload_bytes_are_pinned() {
+    let device = |checkpoint: DeviceCheckpoint| {
+        let mut w = Encoder::new();
+        checkpoint.encode_into(&mut w).unwrap();
+        fingerprint(w.as_bytes())
+    };
+    fn record<R: DurableRecord>(record: &R) -> (usize, u32) {
+        let mut w = Encoder::new();
+        record.encode_into(&mut w).unwrap();
+        fingerprint(w.as_bytes())
+    }
+    let mut w = Encoder::new();
+    obs_report().encode(&mut w);
+    let actual = [
+        ("ssd", device(CheckpointDevice::checkpoint(&busy_ssd()))),
+        ("essd", device(CheckpointDevice::checkpoint(&busy_essd()))),
+        ("trace-run", record(&trace_run_checkpoint())),
+        ("obs", fingerprint(w.as_bytes())),
+        ("fig3", record(&fig3_checkpoint())),
+        ("fleet", record(&fleet_checkpoint())),
+    ];
+    let golden = [
+        ("ssd", (1_255_113, 0x4ebf_9723)),
+        ("essd", (23_576, 0xcfdf_d224)),
+        ("trace-run", (112_391, 0xb326_ac94)),
+        ("obs", (426, 0x785f_7f81)),
+        ("fig3", (107_434, 0x1095_87f7)),
+        ("fleet", (437_076, 0xc8c6_6983)),
+    ];
+    assert_eq!(actual, golden);
+}
+
 /// How a checkpoint file decodes: through the device-checkpoint reader,
 /// the fig3 reader, the trace-run reader, the binary-trace decoder, or
 /// the `uc.obs.v1` telemetry reader.
