@@ -656,16 +656,7 @@ mod tests {
         assert!(text.contains("u32"));
     }
 
-    impl Persist for ToyCheckpoint {
-        fn encode(&self, w: &mut Encoder) {
-            self.busy_until.encode(w);
-        }
-        fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-            Ok(ToyCheckpoint {
-                busy_until: SimTime::decode(r)?,
-            })
-        }
-    }
+    uc_persist::persist_struct! { ToyCheckpoint { busy_until } }
 
     impl PersistPayload for ToyCheckpoint {
         const KIND: &'static str = "uc.toy-checkpoint.v1";

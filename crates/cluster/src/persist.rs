@@ -9,162 +9,51 @@
 use crate::{
     ClusterConfig, ClusterSnapshot, ClusterStats, NodeConfig, NodeStats, StorageNodeSnapshot,
 };
-use uc_flash::{DiePoolSnapshot, FlashTiming};
-use uc_persist::{DecodeError, Decoder, Encoder, Persist};
-use uc_sim::{LatencyDist, ResourceSnapshot};
+use uc_persist::{ensure, persist_struct, DecodeError};
 
-impl Persist for NodeConfig {
-    fn encode(&self, w: &mut Encoder) {
-        self.lane_header.encode(w);
-        self.per_io.encode(w);
-        w.put_f64(self.stream_bytes_per_sec);
-        self.staged_ack.encode(w);
-        self.replica_hop.encode(w);
-        self.flash_dies.encode(w);
-        self.flash_timing.encode(w);
-        w.put_u32(self.flash_page);
-    }
+persist_struct! {
+    NodeConfig {
+        lane_header, per_io, stream_bytes_per_sec, staged_ack, replica_hop, flash_dies,
+        flash_timing, flash_page
+    },
+    check = check_node
+}
+persist_struct! { NodeStats { writes, reads, bytes_written, bytes_read } }
+persist_struct! { StorageNodeSnapshot { config, lanes, flash, stats } }
+persist_struct! {
+    ClusterConfig { nodes, replication, chunk_bytes, capacity, node, placement_seed },
+    check = check_config
+}
+persist_struct! { ClusterStats { write_fragments, read_fragments, bytes_written, bytes_read } }
+persist_struct! { ClusterSnapshot { config, nodes, stats }, check = check_snapshot }
 
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let config = NodeConfig {
-            lane_header: LatencyDist::decode(r)?,
-            per_io: LatencyDist::decode(r)?,
-            stream_bytes_per_sec: r.get_f64()?,
-            staged_ack: LatencyDist::decode(r)?,
-            replica_hop: LatencyDist::decode(r)?,
-            flash_dies: usize::decode(r)?,
-            flash_timing: FlashTiming::decode(r)?,
-            flash_page: r.get_u32()?,
-        };
-        if !(config.stream_bytes_per_sec > 0.0 && config.stream_bytes_per_sec.is_finite()) {
-            return Err(DecodeError::InvalidValue {
-                what: "NodeConfig.stream_bytes_per_sec",
-            });
-        }
-        if config.flash_dies == 0 {
-            return Err(DecodeError::InvalidValue {
-                what: "NodeConfig.flash_dies",
-            });
-        }
-        Ok(config)
-    }
+fn check_node(c: &NodeConfig) -> Result<(), DecodeError> {
+    ensure(
+        c.stream_bytes_per_sec > 0.0 && c.stream_bytes_per_sec.is_finite(),
+        "NodeConfig.stream_bytes_per_sec",
+    )?;
+    ensure(c.flash_dies != 0, "NodeConfig.flash_dies")
 }
 
-impl Persist for NodeStats {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_u64(self.writes);
-        w.put_u64(self.reads);
-        w.put_u64(self.bytes_written);
-        w.put_u64(self.bytes_read);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(NodeStats {
-            writes: r.get_u64()?,
-            reads: r.get_u64()?,
-            bytes_written: r.get_u64()?,
-            bytes_read: r.get_u64()?,
-        })
-    }
+/// `Cluster::new`/`restore` assert these; reject here instead.
+fn check_config(c: &ClusterConfig) -> Result<(), DecodeError> {
+    ensure(
+        c.nodes != 0 && (1..=c.nodes).contains(&c.replication),
+        "ClusterConfig.replication",
+    )?;
+    ensure(c.chunk_bytes != 0, "ClusterConfig.chunk_bytes")
 }
 
-impl Persist for StorageNodeSnapshot {
-    fn encode(&self, w: &mut Encoder) {
-        self.config.encode(w);
-        self.lanes.encode(w);
-        self.flash.encode(w);
-        self.stats.encode(w);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(StorageNodeSnapshot {
-            config: NodeConfig::decode(r)?,
-            lanes: Vec::<(u64, ResourceSnapshot)>::decode(r)?,
-            flash: DiePoolSnapshot::decode(r)?,
-            stats: NodeStats::decode(r)?,
-        })
-    }
-}
-
-impl Persist for ClusterConfig {
-    fn encode(&self, w: &mut Encoder) {
-        self.nodes.encode(w);
-        self.replication.encode(w);
-        w.put_u64(self.chunk_bytes);
-        w.put_u64(self.capacity);
-        self.node.encode(w);
-        w.put_u64(self.placement_seed);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let config = ClusterConfig {
-            nodes: usize::decode(r)?,
-            replication: usize::decode(r)?,
-            chunk_bytes: r.get_u64()?,
-            capacity: r.get_u64()?,
-            node: NodeConfig::decode(r)?,
-            placement_seed: r.get_u64()?,
-        };
-        // `Cluster::new`/`restore` assert these; reject here instead.
-        if config.nodes == 0 || !(1..=config.nodes).contains(&config.replication) {
-            return Err(DecodeError::InvalidValue {
-                what: "ClusterConfig.replication",
-            });
-        }
-        if config.chunk_bytes == 0 {
-            return Err(DecodeError::InvalidValue {
-                what: "ClusterConfig.chunk_bytes",
-            });
-        }
-        Ok(config)
-    }
-}
-
-impl Persist for ClusterStats {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_u64(self.write_fragments);
-        w.put_u64(self.read_fragments);
-        w.put_u64(self.bytes_written);
-        w.put_u64(self.bytes_read);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(ClusterStats {
-            write_fragments: r.get_u64()?,
-            read_fragments: r.get_u64()?,
-            bytes_written: r.get_u64()?,
-            bytes_read: r.get_u64()?,
-        })
-    }
-}
-
-impl Persist for ClusterSnapshot {
-    fn encode(&self, w: &mut Encoder) {
-        self.config.encode(w);
-        self.nodes.encode(w);
-        self.stats.encode(w);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let snapshot = ClusterSnapshot {
-            config: ClusterConfig::decode(r)?,
-            nodes: Vec::<StorageNodeSnapshot>::decode(r)?,
-            stats: ClusterStats::decode(r)?,
-        };
-        // `Cluster::restore` panics on this mismatch; fail typed instead.
-        if snapshot.nodes.len() != snapshot.config.nodes {
-            return Err(DecodeError::InvalidValue {
-                what: "ClusterSnapshot.nodes",
-            });
-        }
-        Ok(snapshot)
-    }
+/// `Cluster::restore` panics on this mismatch; fail typed instead.
+fn check_snapshot(s: &ClusterSnapshot) -> Result<(), DecodeError> {
+    ensure(s.nodes.len() == s.config.nodes, "ClusterSnapshot.nodes")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Cluster;
+    use uc_persist::{Decoder, Encoder, Persist};
     use uc_sim::{SimRng, SimTime};
 
     fn busy_cluster() -> Cluster {

@@ -7,138 +7,30 @@
 
 use crate::{EssdCheckpoint, EssdConfig, EssdStats, IopsBudget, ThrottlePolicy};
 use uc_blockdev::PersistPayload;
-use uc_cluster::{ClusterConfig, ClusterSnapshot};
-use uc_net::{HostStackSnapshot, NetConfig, NetPathSnapshot};
-use uc_persist::{DecodeError, Decoder, Encoder, Persist};
-use uc_sim::{LatencyDist, RngSnapshot, TokenBucketSnapshot};
+use uc_persist::{ensure, persist_struct, DecodeError};
 
-impl Persist for IopsBudget {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_f64(self.ops_per_sec);
-        w.put_u32(self.unit_bytes);
-        w.put_f64(self.burst_ops);
-    }
+persist_struct! { IopsBudget { ops_per_sec, unit_bytes, burst_ops }, check = check_iops }
+persist_struct! { ThrottlePolicy { after_capacity_multiple, limited_bytes_per_sec } }
+persist_struct! {
+    EssdConfig {
+        name, capacity, logical_block, stack_workers, stack_per_io, net, cluster,
+        bandwidth_bytes_per_sec, bandwidth_burst_bytes, iops, throttle, seed
+    },
+    check = check_config
+}
+persist_struct! { EssdStats { reads, writes, read_bytes, write_bytes, throttled } }
+persist_struct! { EssdCheckpoint { config, stack, tx, rx, cluster, bandwidth, iops, rng, stats } }
 
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let budget = IopsBudget {
-            ops_per_sec: r.get_f64()?,
-            unit_bytes: r.get_u32()?,
-            burst_ops: r.get_f64()?,
-        };
-        if budget.unit_bytes == 0 {
-            return Err(DecodeError::InvalidValue {
-                what: "IopsBudget.unit_bytes",
-            });
-        }
-        Ok(budget)
-    }
+fn check_iops(b: &IopsBudget) -> Result<(), DecodeError> {
+    ensure(b.unit_bytes != 0, "IopsBudget.unit_bytes")
 }
 
-impl Persist for ThrottlePolicy {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_f64(self.after_capacity_multiple);
-        w.put_f64(self.limited_bytes_per_sec);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(ThrottlePolicy {
-            after_capacity_multiple: r.get_f64()?,
-            limited_bytes_per_sec: r.get_f64()?,
-        })
-    }
-}
-
-impl Persist for EssdConfig {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_str(&self.name);
-        w.put_u64(self.capacity);
-        w.put_u32(self.logical_block);
-        self.stack_workers.encode(w);
-        self.stack_per_io.encode(w);
-        self.net.encode(w);
-        self.cluster.encode(w);
-        w.put_f64(self.bandwidth_bytes_per_sec);
-        w.put_f64(self.bandwidth_burst_bytes);
-        self.iops.encode(w);
-        self.throttle.encode(w);
-        w.put_u64(self.seed);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let config = EssdConfig {
-            name: r.get_string()?,
-            capacity: r.get_u64()?,
-            logical_block: r.get_u32()?,
-            stack_workers: usize::decode(r)?,
-            stack_per_io: LatencyDist::decode(r)?,
-            net: NetConfig::decode(r)?,
-            cluster: ClusterConfig::decode(r)?,
-            bandwidth_bytes_per_sec: r.get_f64()?,
-            bandwidth_burst_bytes: r.get_f64()?,
-            iops: Option::<IopsBudget>::decode(r)?,
-            throttle: Option::<ThrottlePolicy>::decode(r)?,
-            seed: r.get_u64()?,
-        };
-        if config.logical_block == 0 {
-            return Err(DecodeError::InvalidValue {
-                what: "EssdConfig.logical_block",
-            });
-        }
-        if !(config.bandwidth_bytes_per_sec > 0.0 && config.bandwidth_bytes_per_sec.is_finite()) {
-            return Err(DecodeError::InvalidValue {
-                what: "EssdConfig.bandwidth_bytes_per_sec",
-            });
-        }
-        Ok(config)
-    }
-}
-
-impl Persist for EssdStats {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_u64(self.reads);
-        w.put_u64(self.writes);
-        w.put_u64(self.read_bytes);
-        w.put_u64(self.write_bytes);
-        w.put_bool(self.throttled);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(EssdStats {
-            reads: r.get_u64()?,
-            writes: r.get_u64()?,
-            read_bytes: r.get_u64()?,
-            write_bytes: r.get_u64()?,
-            throttled: r.get_bool()?,
-        })
-    }
-}
-
-impl Persist for EssdCheckpoint {
-    fn encode(&self, w: &mut Encoder) {
-        self.config.encode(w);
-        self.stack.encode(w);
-        self.tx.encode(w);
-        self.rx.encode(w);
-        self.cluster.encode(w);
-        self.bandwidth.encode(w);
-        self.iops.encode(w);
-        self.rng.encode(w);
-        self.stats.encode(w);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(EssdCheckpoint {
-            config: EssdConfig::decode(r)?,
-            stack: HostStackSnapshot::decode(r)?,
-            tx: NetPathSnapshot::decode(r)?,
-            rx: NetPathSnapshot::decode(r)?,
-            cluster: ClusterSnapshot::decode(r)?,
-            bandwidth: TokenBucketSnapshot::decode(r)?,
-            iops: Option::<TokenBucketSnapshot>::decode(r)?,
-            rng: RngSnapshot::decode(r)?,
-            stats: EssdStats::decode(r)?,
-        })
-    }
+fn check_config(c: &EssdConfig) -> Result<(), DecodeError> {
+    ensure(c.logical_block != 0, "EssdConfig.logical_block")?;
+    ensure(
+        c.bandwidth_bytes_per_sec > 0.0 && c.bandwidth_bytes_per_sec.is_finite(),
+        "EssdConfig.bandwidth_bytes_per_sec",
+    )
 }
 
 impl PersistPayload for EssdCheckpoint {
@@ -150,6 +42,7 @@ mod tests {
     use super::*;
     use crate::Essd;
     use uc_blockdev::{BlockDevice, IoRequest};
+    use uc_persist::{Decoder, Encoder, Persist};
     use uc_sim::SimTime;
 
     #[test]

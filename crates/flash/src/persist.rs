@@ -5,8 +5,7 @@
 //! zero-sized array that panics downstream.
 
 use crate::{DiePoolSnapshot, FlashArraySnapshot, FlashGeometry, FlashOpStats, FlashTiming};
-use uc_persist::{DecodeError, Decoder, Encoder, Persist};
-use uc_sim::{ParallelResourceSnapshot, ResourceSnapshot, SimDuration};
+use uc_persist::{ensure, persist_struct, DecodeError, Decoder, Encoder, Persist};
 
 impl Persist for FlashGeometry {
     fn encode(&self, w: &mut Encoder) {
@@ -33,87 +32,25 @@ impl Persist for FlashGeometry {
     }
 }
 
-impl Persist for FlashTiming {
-    fn encode(&self, w: &mut Encoder) {
-        self.read_page.encode(w);
-        self.program_page.encode(w);
-        self.erase_block.encode(w);
-        w.put_f64(self.bus_ns_per_byte);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(FlashTiming {
-            read_page: SimDuration::decode(r)?,
-            program_page: SimDuration::decode(r)?,
-            erase_block: SimDuration::decode(r)?,
-            bus_ns_per_byte: r.get_f64()?,
-        })
-    }
+persist_struct! { FlashTiming { read_page, program_page, erase_block, bus_ns_per_byte } }
+persist_struct! { FlashOpStats { reads, programs, erases } }
+persist_struct! {
+    FlashArraySnapshot { geometry, timing, dies, channels, stats },
+    check = check_array
 }
+persist_struct! { DiePoolSnapshot { pool, timing, page_size } }
 
-impl Persist for FlashOpStats {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_u64(self.reads);
-        w.put_u64(self.programs);
-        w.put_u64(self.erases);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(FlashOpStats {
-            reads: r.get_u64()?,
-            programs: r.get_u64()?,
-            erases: r.get_u64()?,
-        })
-    }
-}
-
-impl Persist for FlashArraySnapshot {
-    fn encode(&self, w: &mut Encoder) {
-        self.geometry.encode(w);
-        self.timing.encode(w);
-        self.dies.encode(w);
-        self.channels.encode(w);
-        self.stats.encode(w);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let snapshot = FlashArraySnapshot {
-            geometry: FlashGeometry::decode(r)?,
-            timing: FlashTiming::decode(r)?,
-            dies: Vec::<ResourceSnapshot>::decode(r)?,
-            channels: Vec::<ResourceSnapshot>::decode(r)?,
-            stats: FlashOpStats::decode(r)?,
-        };
-        // `FlashArray::restore` indexes dies/channels by the geometry's
-        // counts; mismatched lengths must fail here, not panic there.
-        if snapshot.dies.len() != snapshot.geometry.total_dies() as usize {
-            return Err(DecodeError::InvalidValue {
-                what: "FlashArraySnapshot.dies",
-            });
-        }
-        if snapshot.channels.len() != snapshot.geometry.channels() as usize {
-            return Err(DecodeError::InvalidValue {
-                what: "FlashArraySnapshot.channels",
-            });
-        }
-        Ok(snapshot)
-    }
-}
-
-impl Persist for DiePoolSnapshot {
-    fn encode(&self, w: &mut Encoder) {
-        self.pool.encode(w);
-        self.timing.encode(w);
-        w.put_u32(self.page_size);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(DiePoolSnapshot {
-            pool: ParallelResourceSnapshot::decode(r)?,
-            timing: FlashTiming::decode(r)?,
-            page_size: r.get_u32()?,
-        })
-    }
+/// `FlashArray::restore` indexes dies/channels by the geometry's counts;
+/// mismatched lengths must fail here, not panic there.
+fn check_array(s: &FlashArraySnapshot) -> Result<(), DecodeError> {
+    ensure(
+        s.dies.len() == s.geometry.total_dies() as usize,
+        "FlashArraySnapshot.dies",
+    )?;
+    ensure(
+        s.channels.len() == s.geometry.channels() as usize,
+        "FlashArraySnapshot.channels",
+    )
 }
 
 #[cfg(test)]

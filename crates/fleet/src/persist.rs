@@ -12,70 +12,12 @@
 use crate::metrics::{EpochStat, TenantMetrics};
 use crate::placement::{MigrationRecord, Placement};
 use crate::sim::FleetSnapshot;
-use uc_metrics::LatencyHistogram;
-use uc_persist::{DecodeError, Decoder, Encoder, Persist};
-use uc_sim::{SimDuration, SimTime};
+use uc_persist::{ensure, persist_struct, DecodeError, Decoder, Encoder, Persist};
 
-impl Persist for TenantMetrics {
-    fn encode(&self, w: &mut Encoder) {
-        self.latency.encode(w);
-        w.put_u64(self.ios);
-        w.put_u64(self.bytes);
-        w.put_u64(self.throttle_events);
-        self.throttled.encode(w);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(TenantMetrics {
-            latency: LatencyHistogram::decode(r)?,
-            ios: r.get_u64()?,
-            bytes: r.get_u64()?,
-            throttle_events: r.get_u64()?,
-            throttled: SimDuration::decode(r)?,
-        })
-    }
-}
-
-impl Persist for EpochStat {
-    fn encode(&self, w: &mut Encoder) {
-        self.tenant_bytes.encode(w);
-        self.device_bytes.encode(w);
-        w.put_f64(self.fairness);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(EpochStat {
-            tenant_bytes: Vec::decode(r)?,
-            device_bytes: Vec::decode(r)?,
-            fairness: r.get_f64()?,
-        })
-    }
-}
-
-impl Persist for MigrationRecord {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_u64(self.epoch);
-        w.put_u32(self.tenant);
-        self.from.encode(w);
-        self.to.encode(w);
-        self.frozen_at.encode(w);
-        self.completed_at.encode(w);
-        w.put_u64(self.bytes_copied);
-        w.put_u32(self.freeze_crc);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(MigrationRecord {
-            epoch: r.get_u64()?,
-            tenant: r.get_u32()?,
-            from: <(usize, usize)>::decode(r)?,
-            to: <(usize, usize)>::decode(r)?,
-            frozen_at: SimTime::decode(r)?,
-            completed_at: SimTime::decode(r)?,
-            bytes_copied: r.get_u64()?,
-            freeze_crc: r.get_u32()?,
-        })
-    }
+persist_struct! { TenantMetrics { latency, ios, bytes, throttle_events, throttled } }
+persist_struct! { EpochStat { tenant_bytes, device_bytes, fairness } }
+persist_struct! {
+    MigrationRecord { epoch, tenant, from, to, frozen_at, completed_at, bytes_copied, freeze_crc }
 }
 
 impl Persist for Placement {
@@ -115,55 +57,30 @@ impl Persist for Placement {
     }
 }
 
-impl Persist for FleetSnapshot {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_u64(self.epoch);
-        self.placement.encode(w);
-        self.cursors.encode(w);
-        self.floors.encode(w);
-        self.written_highs.encode(w);
-        self.metrics.encode(w);
-        self.buckets.encode(w);
-        self.epoch_stats.encode(w);
-        self.migrations.encode(w);
-        self.violations.encode(w);
-        self.queue_heads.encode(w);
-        self.finished_at.encode(w);
-    }
+persist_struct! {
+    FleetSnapshot {
+        epoch, placement, cursors, floors, written_highs, metrics, buckets, epoch_stats, migrations,
+        violations, queue_heads, finished_at
+    },
+    check = check_snapshot
+}
 
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let snapshot = FleetSnapshot {
-            epoch: r.get_u64()?,
-            placement: Placement::decode(r)?,
-            cursors: Vec::decode(r)?,
-            floors: Vec::decode(r)?,
-            written_highs: Vec::decode(r)?,
-            metrics: Vec::decode(r)?,
-            buckets: Vec::decode(r)?,
-            epoch_stats: Vec::decode(r)?,
-            migrations: Vec::decode(r)?,
-            violations: Vec::decode(r)?,
-            queue_heads: Vec::decode(r)?,
-            finished_at: SimTime::decode(r)?,
-        };
-        let tenants = snapshot.placement.tenant_count();
-        if snapshot.cursors.len() != tenants
-            || snapshot.floors.len() != tenants
-            || snapshot.written_highs.len() != tenants
-            || snapshot.metrics.len() != tenants
-            || snapshot.buckets.len() != tenants
-        {
-            return Err(DecodeError::InvalidValue {
-                what: "FleetSnapshot per-tenant vector lengths",
-            });
-        }
-        Ok(snapshot)
-    }
+fn check_snapshot(s: &FleetSnapshot) -> Result<(), DecodeError> {
+    let tenants = s.placement.tenant_count();
+    ensure(
+        s.cursors.len() == tenants
+            && s.floors.len() == tenants
+            && s.written_highs.len() == tenants
+            && s.metrics.len() == tenants
+            && s.buckets.len() == tenants,
+        "FleetSnapshot per-tenant vector lengths",
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uc_sim::{SimDuration, SimTime};
 
     fn roundtrip<T: Persist>(value: &T) -> T {
         let mut w = Encoder::new();

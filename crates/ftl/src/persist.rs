@@ -8,8 +8,7 @@
 //! validated on decode, so corrupted bytes surface as typed errors.
 
 use crate::{BlockState, FtlCheckpoint, FtlConfig, FtlStats, GcPolicy};
-use uc_flash::{FlashArraySnapshot, FlashGeometry, FlashTiming};
-use uc_persist::{DecodeError, Decoder, Encoder, Persist};
+use uc_persist::{ensure, persist_struct, DecodeError, Decoder, Encoder, Persist};
 
 impl Persist for GcPolicy {
     fn encode(&self, w: &mut Encoder) {
@@ -32,130 +31,44 @@ impl Persist for GcPolicy {
     }
 }
 
-impl Persist for FtlConfig {
-    fn encode(&self, w: &mut Encoder) {
-        self.geometry.encode(w);
-        self.timing.encode(w);
-        w.put_f64(self.over_provisioning);
-        w.put_u32(self.gc_trigger_free);
-        w.put_u32(self.gc_target_free);
-        self.gc_policy.encode(w);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(FtlConfig {
-            geometry: FlashGeometry::decode(r)?,
-            timing: FlashTiming::decode(r)?,
-            over_provisioning: r.get_f64()?,
-            gc_trigger_free: r.get_u32()?,
-            gc_target_free: r.get_u32()?,
-            gc_policy: GcPolicy::decode(r)?,
-        })
+persist_struct! {
+    FtlConfig { geometry, timing, over_provisioning, gc_trigger_free, gc_target_free, gc_policy }
+}
+persist_struct! { BlockState { written, valid, erase_count, opened_seq } }
+persist_struct! {
+    FtlStats {
+        host_pages_written, gc_pages_relocated, gc_blocks_erased, host_pages_read, pages_trimmed,
+        gc_invocations
     }
 }
-
-impl Persist for BlockState {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_u32(self.written);
-        w.put_u32(self.valid);
-        w.put_u32(self.erase_count);
-        w.put_u64(self.opened_seq);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(BlockState {
-            written: r.get_u32()?,
-            valid: r.get_u32()?,
-            erase_count: r.get_u32()?,
-            opened_seq: r.get_u64()?,
-        })
-    }
+persist_struct! {
+    FtlCheckpoint { config, flash, l2p, p2l, blocks, free, open_host, open_gc, cursor, seq, stats },
+    check = check_checkpoint
 }
 
-impl Persist for FtlStats {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_u64(self.host_pages_written);
-        w.put_u64(self.gc_pages_relocated);
-        w.put_u64(self.gc_blocks_erased);
-        w.put_u64(self.host_pages_read);
-        w.put_u64(self.pages_trimmed);
-        w.put_u64(self.gc_invocations);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(FtlStats {
-            host_pages_written: r.get_u64()?,
-            gc_pages_relocated: r.get_u64()?,
-            gc_blocks_erased: r.get_u64()?,
-            host_pages_read: r.get_u64()?,
-            pages_trimmed: r.get_u64()?,
-            gc_invocations: r.get_u64()?,
-        })
-    }
-}
-
-impl Persist for FtlCheckpoint {
-    fn encode(&self, w: &mut Encoder) {
-        self.config.encode(w);
-        self.flash.encode(w);
-        self.l2p.encode(w);
-        self.p2l.encode(w);
-        self.blocks.encode(w);
-        self.free.encode(w);
-        self.open_host.encode(w);
-        self.open_gc.encode(w);
-        w.put_u32(self.cursor);
-        w.put_u64(self.seq);
-        self.stats.encode(w);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let checkpoint = FtlCheckpoint {
-            config: FtlConfig::decode(r)?,
-            flash: FlashArraySnapshot::decode(r)?,
-            l2p: Vec::<u64>::decode(r)?,
-            p2l: Vec::<u64>::decode(r)?,
-            blocks: Vec::<BlockState>::decode(r)?,
-            free: Vec::<Vec<u32>>::decode(r)?,
-            open_host: Vec::<u32>::decode(r)?,
-            open_gc: Vec::<u32>::decode(r)?,
-            cursor: r.get_u32()?,
-            seq: r.get_u64()?,
-            stats: FtlStats::decode(r)?,
-        };
-        let g = checkpoint.config.geometry;
-        let dies = g.total_dies() as usize;
-        if checkpoint.l2p.len() as u64 != checkpoint.config.effective_logical_pages() {
-            return Err(DecodeError::InvalidValue {
-                what: "FtlCheckpoint.l2p",
-            });
-        }
-        if checkpoint.p2l.len() != g.total_pages() as usize {
-            return Err(DecodeError::InvalidValue {
-                what: "FtlCheckpoint.p2l",
-            });
-        }
-        if checkpoint.blocks.len() != g.total_blocks() as usize {
-            return Err(DecodeError::InvalidValue {
-                what: "FtlCheckpoint.blocks",
-            });
-        }
-        if checkpoint.free.len() != dies
-            || checkpoint.open_host.len() != dies
-            || checkpoint.open_gc.len() != dies
-        {
-            return Err(DecodeError::InvalidValue {
-                what: "FtlCheckpoint per-die tables",
-            });
-        }
-        Ok(checkpoint)
-    }
+fn check_checkpoint(c: &FtlCheckpoint) -> Result<(), DecodeError> {
+    let g = c.config.geometry;
+    let dies = g.total_dies() as usize;
+    ensure(
+        c.l2p.len() as u64 == c.config.effective_logical_pages(),
+        "FtlCheckpoint.l2p",
+    )?;
+    ensure(c.p2l.len() == g.total_pages() as usize, "FtlCheckpoint.p2l")?;
+    ensure(
+        c.blocks.len() == g.total_blocks() as usize,
+        "FtlCheckpoint.blocks",
+    )?;
+    ensure(
+        c.free.len() == dies && c.open_host.len() == dies && c.open_gc.len() == dies,
+        "FtlCheckpoint per-die tables",
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Ftl;
+    use uc_flash::{FlashGeometry, FlashTiming};
     use uc_sim::SimTime;
 
     fn busy_ftl() -> Ftl {

@@ -120,28 +120,13 @@ impl ThroughputTracker {
     }
 }
 
-impl uc_persist::Persist for ThroughputTracker {
-    fn encode(&self, w: &mut uc_persist::Encoder) {
-        self.window.encode(w);
-        self.windows.encode(w);
-        w.put_u64(self.total_bytes);
-        self.last_time.encode(w);
-    }
+uc_persist::persist_struct! {
+    ThroughputTracker { window, windows, total_bytes, last_time },
+    check = check_window
+}
 
-    fn decode(r: &mut uc_persist::Decoder<'_>) -> Result<Self, uc_persist::DecodeError> {
-        let window = SimDuration::decode(r)?;
-        if window.is_zero() {
-            return Err(uc_persist::DecodeError::InvalidValue {
-                what: "ThroughputTracker.window",
-            });
-        }
-        Ok(ThroughputTracker {
-            window,
-            windows: Vec::<u64>::decode(r)?,
-            total_bytes: r.get_u64()?,
-            last_time: SimTime::decode(r)?,
-        })
-    }
+fn check_window(t: &ThroughputTracker) -> Result<(), uc_persist::DecodeError> {
+    uc_persist::ensure(!t.window.is_zero(), "ThroughputTracker.window")
 }
 
 #[cfg(test)]

@@ -1,75 +1,26 @@
 //! [`Persist`] codecs for the network-layer snapshot types.
 
 use crate::{HostStackSnapshot, NetConfig, NetPathSnapshot};
-use uc_persist::{DecodeError, Decoder, Encoder, Persist};
-use uc_sim::{LatencyDist, ParallelResourceSnapshot};
+use uc_persist::{ensure, persist_struct, DecodeError};
 
-impl Persist for NetConfig {
-    fn encode(&self, w: &mut Encoder) {
-        self.one_way.encode(w);
-        w.put_f64(self.stream_bytes_per_sec);
-        self.connections.encode(w);
-    }
+persist_struct! { NetConfig { one_way, stream_bytes_per_sec, connections }, check = check_config }
+persist_struct! { NetPathSnapshot { config, lanes, bytes_sent, transfers } }
+persist_struct! { HostStackSnapshot { per_io, workers, ios } }
 
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let config = NetConfig {
-            one_way: LatencyDist::decode(r)?,
-            stream_bytes_per_sec: r.get_f64()?,
-            connections: usize::decode(r)?,
-        };
-        if !(config.stream_bytes_per_sec > 0.0 && config.stream_bytes_per_sec.is_finite()) {
-            return Err(DecodeError::InvalidValue {
-                what: "NetConfig.stream_bytes_per_sec",
-            });
-        }
-        if config.connections == 0 {
-            return Err(DecodeError::InvalidValue {
-                what: "NetConfig.connections",
-            });
-        }
-        Ok(config)
-    }
-}
-
-impl Persist for NetPathSnapshot {
-    fn encode(&self, w: &mut Encoder) {
-        self.config.encode(w);
-        self.lanes.encode(w);
-        w.put_u64(self.bytes_sent);
-        w.put_u64(self.transfers);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(NetPathSnapshot {
-            config: NetConfig::decode(r)?,
-            lanes: ParallelResourceSnapshot::decode(r)?,
-            bytes_sent: r.get_u64()?,
-            transfers: r.get_u64()?,
-        })
-    }
-}
-
-impl Persist for HostStackSnapshot {
-    fn encode(&self, w: &mut Encoder) {
-        self.per_io.encode(w);
-        self.workers.encode(w);
-        w.put_u64(self.ios);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(HostStackSnapshot {
-            per_io: LatencyDist::decode(r)?,
-            workers: ParallelResourceSnapshot::decode(r)?,
-            ios: r.get_u64()?,
-        })
-    }
+fn check_config(c: &NetConfig) -> Result<(), DecodeError> {
+    ensure(
+        c.stream_bytes_per_sec > 0.0 && c.stream_bytes_per_sec.is_finite(),
+        "NetConfig.stream_bytes_per_sec",
+    )?;
+    ensure(c.connections != 0, "NetConfig.connections")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{HostStack, NetPath};
-    use uc_sim::{SimDuration, SimRng, SimTime};
+    use uc_persist::{Decoder, Encoder, Persist};
+    use uc_sim::{LatencyDist, SimDuration, SimRng, SimTime};
 
     fn round_trip<T: Persist + PartialEq + std::fmt::Debug>(value: T) {
         let mut w = Encoder::new();

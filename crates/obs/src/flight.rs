@@ -2,7 +2,6 @@
 
 use std::collections::VecDeque;
 
-use uc_persist::{DecodeError, Decoder, Encoder, Persist};
 use uc_sim::SimTime;
 
 /// One structured event in the flight recorder.
@@ -41,25 +40,7 @@ impl ObsEvent {
     }
 }
 
-impl Persist for ObsEvent {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_u64(self.seq);
-        w.put_u64(self.at.as_nanos());
-        w.put_str(&self.what);
-        w.put_u64(self.a);
-        w.put_u64(self.b);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(ObsEvent {
-            seq: r.get_u64()?,
-            at: SimTime::from_nanos(r.get_u64()?),
-            what: r.get_string()?,
-            a: r.get_u64()?,
-            b: r.get_u64()?,
-        })
-    }
-}
+uc_persist::persist_struct! { ObsEvent { seq, at, what, a, b } }
 
 /// A bounded ring buffer of the last N [`ObsEvent`]s.
 ///
@@ -145,6 +126,7 @@ impl Default for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uc_persist::{Decoder, Encoder, Persist};
 
     fn t(n: u64) -> SimTime {
         SimTime::from_nanos(n)

@@ -301,6 +301,78 @@ pub trait Persist: Sized {
     fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError>;
 }
 
+/// Implements [`Persist`] for a plain struct from one field list.
+///
+/// `persist_struct! { Type { a, b, c } }` encodes `a`, `b` and `c` in
+/// that order, each through its own [`Persist`] impl, and decodes them
+/// back as a struct literal in the same order: the one list *is* the
+/// byte format, for both directions. Reordering it, or adding or
+/// removing a field, changes the bytes, so it needs a new record kind
+/// tag.
+///
+/// `persist_struct! { Type { a, b }, check = validate }` additionally
+/// runs `validate: fn(&Type) -> Result<(), DecodeError>` on the decoded
+/// value and returns its error unchanged. That is where a type's
+/// structural invariants (lengths matching a geometry, positive rates)
+/// are checked, so corrupted bytes fail typed instead of panicking later.
+///
+/// Invocations use braces, which `rustfmt` leaves alone, so a field list
+/// stays one wrapped line instead of one line per field.
+///
+/// ```
+/// use uc_persist::{ensure, persist_struct, DecodeError, Decoder, Encoder, Persist};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Lane {
+///     depth: u32,
+///     name: String,
+/// }
+/// persist_struct! { Lane { depth, name }, check = check_lane }
+///
+/// fn check_lane(lane: &Lane) -> Result<(), DecodeError> {
+///     ensure(lane.depth > 0, "Lane.depth")
+/// }
+///
+/// let lane = Lane { depth: 4, name: "lane0".into() };
+/// let mut w = Encoder::new();
+/// lane.encode(&mut w);
+/// assert_eq!(Lane::decode(&mut Decoder::new(w.as_bytes())), Ok(lane));
+/// ```
+#[macro_export]
+macro_rules! persist_struct {
+    ($ty:ident { $($field:ident),+ $(,)? } $(, check = $check:expr)? $(,)?) => {
+        impl $crate::Persist for $ty {
+            fn encode(&self, w: &mut $crate::Encoder) {
+                $($crate::Persist::encode(&self.$field, w);)+
+            }
+
+            fn decode(
+                r: &mut $crate::Decoder<'_>,
+            ) -> ::core::result::Result<Self, $crate::DecodeError> {
+                let value = $ty {
+                    $($field: $crate::Persist::decode(r)?,)+
+                };
+                $($check(&value)?;)?
+                ::core::result::Result::Ok(value)
+            }
+        }
+    };
+}
+
+/// `Ok(())` if `valid` holds, else [`DecodeError::InvalidValue`] naming
+/// `what` — the one-line form of a decode-time validation.
+///
+/// # Errors
+///
+/// Returns [`DecodeError::InvalidValue`] when `valid` is false.
+pub fn ensure(valid: bool, what: &'static str) -> Result<(), DecodeError> {
+    if valid {
+        Ok(())
+    } else {
+        Err(DecodeError::InvalidValue { what })
+    }
+}
+
 macro_rules! persist_prim {
     ($ty:ty, $put:ident, $get:ident) => {
         impl Persist for $ty {
@@ -508,6 +580,89 @@ mod tests {
         let mut r = Decoder::new(&bytes);
         u8::decode(&mut r).unwrap();
         assert_eq!(r.finish(), Err(DecodeError::TrailingBytes { count: 1 }));
+    }
+
+    /// Declared `first, second`; the codec lists them the other way round.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Swapped {
+        first: u8,
+        second: u32,
+    }
+    crate::persist_struct! { Swapped { second, first } }
+
+    /// A field of every container shape, validated after decoding.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Checked {
+        id: u64,
+        name: String,
+        parts: Vec<(u32, bool)>,
+        limit: Option<usize>,
+        ratio: f64,
+    }
+    crate::persist_struct! { Checked { id, name, parts, limit, ratio }, check = check_ratio }
+
+    fn check_ratio(c: &Checked) -> Result<(), DecodeError> {
+        ensure(c.ratio >= 0.0, "Checked.ratio")
+    }
+
+    fn checked() -> Checked {
+        Checked {
+            id: 7,
+            name: "lane".into(),
+            parts: vec![(1, true), (2, false)],
+            limit: Some(3),
+            ratio: 0.5,
+        }
+    }
+
+    #[test]
+    fn macro_encodes_in_list_order_not_declaration_order() {
+        let value = Swapped {
+            first: 0xAA,
+            second: 0x0403_0201,
+        };
+        let mut w = Encoder::new();
+        value.encode(&mut w);
+        assert_eq!(w.as_bytes(), &[0x01, 0x02, 0x03, 0x04, 0xAA]);
+        round_trip(value);
+        round_trip(checked());
+    }
+
+    #[test]
+    fn macro_check_error_comes_back_verbatim() {
+        let mut bad = checked();
+        bad.ratio = -1.0;
+        let mut w = Encoder::new();
+        bad.encode(&mut w);
+        assert_eq!(
+            Checked::decode(&mut Decoder::new(w.as_bytes())),
+            Err(DecodeError::InvalidValue {
+                what: "Checked.ratio"
+            })
+        );
+    }
+
+    #[test]
+    fn macro_decode_of_every_truncated_prefix_is_typed() {
+        let mut w = Encoder::new();
+        checked().encode(&mut w);
+        let bytes = w.into_bytes();
+        for cut in 0..bytes.len() {
+            let result = Checked::decode(&mut Decoder::new(&bytes[..cut]));
+            assert!(
+                matches!(result, Err(DecodeError::Truncated { .. })),
+                "cut at {cut}: {result:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn ensure_names_the_rejected_field() {
+        assert_eq!(ensure(true, "x"), Ok(()));
+        assert_eq!(
+            ensure(false, "x"),
+            Err(DecodeError::InvalidValue { what: "x" })
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@
 mod codec;
 mod record;
 
-pub use codec::{DecodeError, Decoder, Encoder, Persist};
+pub use codec::{ensure, DecodeError, Decoder, Encoder, Persist};
 pub use record::{
     crc32, decode_record, encode_record, peek_record_len, read_record_file, read_record_from,
     write_record_file, Crc32, FORMAT_VERSION, MAGIC, MAX_STREAM_KIND_LEN, MAX_STREAM_PAYLOAD_LEN,

@@ -11,7 +11,7 @@ use crate::{
     LatencyDist, ParallelResourceSnapshot, ResourceSnapshot, RngSnapshot, SimDuration, SimRng,
     SimTime, TokenBucketSnapshot,
 };
-use uc_persist::{DecodeError, Decoder, Encoder, Persist};
+use uc_persist::{ensure, persist_struct, DecodeError, Decoder, Encoder, Persist};
 
 impl Persist for SimTime {
     fn encode(&self, w: &mut Encoder) {
@@ -31,19 +31,6 @@ impl Persist for SimDuration {
     }
 }
 
-impl Persist for RngSnapshot {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_u64(self.seed);
-        self.state.encode(w);
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(RngSnapshot {
-            seed: r.get_u64()?,
-            state: <[u64; 4]>::decode(r)?,
-        })
-    }
-}
-
 impl Persist for SimRng {
     fn encode(&self, w: &mut Encoder) {
         self.snapshot().encode(w);
@@ -53,68 +40,29 @@ impl Persist for SimRng {
     }
 }
 
-impl Persist for ResourceSnapshot {
-    fn encode(&self, w: &mut Encoder) {
-        self.busy_until.encode(w);
-        self.busy_time.encode(w);
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(ResourceSnapshot {
-            busy_until: SimTime::decode(r)?,
-            busy_time: SimDuration::decode(r)?,
-        })
-    }
+persist_struct! { RngSnapshot { seed, state } }
+persist_struct! { ResourceSnapshot { busy_until, busy_time } }
+persist_struct! { ParallelResourceSnapshot { servers, busy_time }, check = check_servers }
+persist_struct! {
+    TokenBucketSnapshot { burst, rate_per_sec, available, last, granted_total },
+    check = check_bucket
 }
 
-impl Persist for ParallelResourceSnapshot {
-    fn encode(&self, w: &mut Encoder) {
-        self.servers.encode(w);
-        self.busy_time.encode(w);
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let servers = Vec::<SimTime>::decode(r)?;
-        if servers.is_empty() {
-            // `ParallelResource::restore` requires at least one server;
-            // reject here so decoding never yields a panic-on-use value.
-            return Err(DecodeError::InvalidValue {
-                what: "ParallelResourceSnapshot.servers",
-            });
-        }
-        Ok(ParallelResourceSnapshot {
-            servers,
-            busy_time: SimDuration::decode(r)?,
-        })
-    }
+/// `ParallelResource::restore` requires at least one server; reject here
+/// so decoding never yields a panic-on-use value.
+fn check_servers(s: &ParallelResourceSnapshot) -> Result<(), DecodeError> {
+    ensure(!s.servers.is_empty(), "ParallelResourceSnapshot.servers")
 }
 
-impl Persist for TokenBucketSnapshot {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_f64(self.burst);
-        w.put_f64(self.rate_per_sec);
-        w.put_f64(self.available);
-        self.last.encode(w);
-        w.put_u64(self.granted_total);
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let snapshot = TokenBucketSnapshot {
-            burst: r.get_f64()?,
-            rate_per_sec: r.get_f64()?,
-            available: r.get_f64()?,
-            last: SimTime::decode(r)?,
-            granted_total: r.get_u64()?,
-        };
-        if !(snapshot.burst > 0.0 && snapshot.burst.is_finite()) {
-            return Err(DecodeError::InvalidValue {
-                what: "TokenBucketSnapshot.burst",
-            });
-        }
-        if !(snapshot.rate_per_sec > 0.0 && snapshot.rate_per_sec.is_finite()) {
-            return Err(DecodeError::InvalidValue {
-                what: "TokenBucketSnapshot.rate_per_sec",
-            });
-        }
-        Ok(snapshot)
-    }
+fn check_bucket(s: &TokenBucketSnapshot) -> Result<(), DecodeError> {
+    ensure(
+        s.burst > 0.0 && s.burst.is_finite(),
+        "TokenBucketSnapshot.burst",
+    )?;
+    ensure(
+        s.rate_per_sec > 0.0 && s.rate_per_sec.is_finite(),
+        "TokenBucketSnapshot.rate_per_sec",
+    )
 }
 
 /// Variant tags of the [`LatencyDist`] wire form.

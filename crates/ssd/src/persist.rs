@@ -7,146 +7,41 @@
 
 use crate::{PrefetcherSnapshot, SsdCheckpoint, SsdConfig, SsdStats, WriteBufferSnapshot};
 use uc_blockdev::PersistPayload;
-use uc_ftl::FtlCheckpoint;
-use uc_persist::{DecodeError, Decoder, Encoder, Persist};
-use uc_sim::{LatencyDist, ResourceSnapshot, RngSnapshot, SimDuration, SimTime};
+use uc_persist::{ensure, persist_struct, DecodeError};
 
-impl Persist for SsdConfig {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_str(&self.name);
-        self.ftl.encode(w);
-        self.firmware_per_cmd.encode(w);
-        w.put_f64(self.host_bus_bytes_per_sec);
-        w.put_u64(self.write_buffer_bytes);
-        self.buffer_latency.encode(w);
-        w.put_u32(self.prefetch_trigger);
-        w.put_u32(self.prefetch_window_pages);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let config = SsdConfig {
-            name: r.get_string()?,
-            ftl: uc_ftl::FtlConfig::decode(r)?,
-            firmware_per_cmd: LatencyDist::decode(r)?,
-            host_bus_bytes_per_sec: r.get_f64()?,
-            write_buffer_bytes: r.get_u64()?,
-            buffer_latency: SimDuration::decode(r)?,
-            prefetch_trigger: r.get_u32()?,
-            prefetch_window_pages: r.get_u32()?,
-        };
-        if !(config.host_bus_bytes_per_sec > 0.0 && config.host_bus_bytes_per_sec.is_finite()) {
-            return Err(DecodeError::InvalidValue {
-                what: "SsdConfig.host_bus_bytes_per_sec",
-            });
-        }
-        Ok(config)
-    }
+persist_struct! {
+    SsdConfig {
+        name, ftl, firmware_per_cmd, host_bus_bytes_per_sec, write_buffer_bytes, buffer_latency,
+        prefetch_trigger, prefetch_window_pages
+    },
+    check = check_config
+}
+persist_struct! {
+    WriteBufferSnapshot { capacity, ring, admitted, resident, pending, hits },
+    check = check_buffer
+}
+persist_struct! {
+    PrefetcherSnapshot { trigger, window, last_end, streak, issued_up_to, ready, hits, issued }
+}
+persist_struct! {
+    SsdStats { reads, writes, read_bytes, write_bytes, buffer_hits, prefetch_hits, prefetch_issued }
+}
+persist_struct! {
+    SsdCheckpoint { config, ftl, firmware, read_lane, write_lane, buffer, prefetcher, rng, stats }
 }
 
-impl Persist for WriteBufferSnapshot {
-    fn encode(&self, w: &mut Encoder) {
-        self.capacity.encode(w);
-        self.ring.encode(w);
-        w.put_u64(self.admitted);
-        self.resident.encode(w);
-        self.pending.encode(w);
-        w.put_u64(self.hits);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let snapshot = WriteBufferSnapshot {
-            capacity: usize::decode(r)?,
-            ring: Vec::<SimTime>::decode(r)?,
-            admitted: r.get_u64()?,
-            resident: Vec::<(u64, u64, SimTime)>::decode(r)?,
-            pending: Vec::<(SimTime, u64, u64)>::decode(r)?,
-            hits: r.get_u64()?,
-        };
-        if snapshot.capacity == 0 || snapshot.ring.len() != snapshot.capacity {
-            return Err(DecodeError::InvalidValue {
-                what: "WriteBufferSnapshot.ring",
-            });
-        }
-        Ok(snapshot)
-    }
+fn check_config(c: &SsdConfig) -> Result<(), DecodeError> {
+    ensure(
+        c.host_bus_bytes_per_sec > 0.0 && c.host_bus_bytes_per_sec.is_finite(),
+        "SsdConfig.host_bus_bytes_per_sec",
+    )
 }
 
-impl Persist for PrefetcherSnapshot {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_u32(self.trigger);
-        w.put_u32(self.window);
-        w.put_u64(self.last_end);
-        w.put_u32(self.streak);
-        w.put_u64(self.issued_up_to);
-        self.ready.encode(w);
-        w.put_u64(self.hits);
-        w.put_u64(self.issued);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(PrefetcherSnapshot {
-            trigger: r.get_u32()?,
-            window: r.get_u32()?,
-            last_end: r.get_u64()?,
-            streak: r.get_u32()?,
-            issued_up_to: r.get_u64()?,
-            ready: Vec::<(u64, SimTime)>::decode(r)?,
-            hits: r.get_u64()?,
-            issued: r.get_u64()?,
-        })
-    }
-}
-
-impl Persist for SsdStats {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_u64(self.reads);
-        w.put_u64(self.writes);
-        w.put_u64(self.read_bytes);
-        w.put_u64(self.write_bytes);
-        w.put_u64(self.buffer_hits);
-        w.put_u64(self.prefetch_hits);
-        w.put_u64(self.prefetch_issued);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(SsdStats {
-            reads: r.get_u64()?,
-            writes: r.get_u64()?,
-            read_bytes: r.get_u64()?,
-            write_bytes: r.get_u64()?,
-            buffer_hits: r.get_u64()?,
-            prefetch_hits: r.get_u64()?,
-            prefetch_issued: r.get_u64()?,
-        })
-    }
-}
-
-impl Persist for SsdCheckpoint {
-    fn encode(&self, w: &mut Encoder) {
-        self.config.encode(w);
-        self.ftl.encode(w);
-        self.firmware.encode(w);
-        self.read_lane.encode(w);
-        self.write_lane.encode(w);
-        self.buffer.encode(w);
-        self.prefetcher.encode(w);
-        self.rng.encode(w);
-        self.stats.encode(w);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(SsdCheckpoint {
-            config: SsdConfig::decode(r)?,
-            ftl: FtlCheckpoint::decode(r)?,
-            firmware: ResourceSnapshot::decode(r)?,
-            read_lane: ResourceSnapshot::decode(r)?,
-            write_lane: ResourceSnapshot::decode(r)?,
-            buffer: WriteBufferSnapshot::decode(r)?,
-            prefetcher: PrefetcherSnapshot::decode(r)?,
-            rng: RngSnapshot::decode(r)?,
-            stats: SsdStats::decode(r)?,
-        })
-    }
+fn check_buffer(s: &WriteBufferSnapshot) -> Result<(), DecodeError> {
+    ensure(
+        s.capacity != 0 && s.ring.len() == s.capacity,
+        "WriteBufferSnapshot.ring",
+    )
 }
 
 impl PersistPayload for SsdCheckpoint {
@@ -158,6 +53,8 @@ mod tests {
     use super::*;
     use crate::Ssd;
     use uc_blockdev::{BlockDevice, IoRequest};
+    use uc_persist::{Decoder, Encoder, Persist};
+    use uc_sim::SimTime;
 
     #[test]
     fn busy_ssd_checkpoint_round_trips() {

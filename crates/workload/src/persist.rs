@@ -8,13 +8,11 @@
 
 use crate::driver::InflightIo;
 use crate::{
-    AccessPattern, AddressStream, DriverCheckpoint, JobLimit, JobReport, JobSpec, ReplayCheckpoint,
-    ReplayConfig, ReplayMode, TraceEntry,
+    AccessPattern, DriverCheckpoint, JobLimit, JobReport, JobSpec, ReplayCheckpoint, ReplayConfig,
+    ReplayMode, TraceEntry,
 };
-use uc_blockdev::IoKind;
-use uc_metrics::{LatencyHistogram, ThroughputTracker};
-use uc_persist::{DecodeError, Decoder, Encoder, Persist};
-use uc_sim::{SimDuration, SimTime};
+use uc_persist::{ensure, persist_struct, DecodeError, Decoder, Encoder, Persist};
+use uc_sim::SimDuration;
 
 /// Variant tags of the [`AccessPattern`] wire form.
 mod pattern_tag {
@@ -106,100 +104,24 @@ impl Persist for JobLimit {
     }
 }
 
-impl Persist for JobSpec {
-    fn encode(&self, w: &mut Encoder) {
-        self.pattern.encode(w);
-        w.put_u32(self.io_size);
-        self.queue_depth.encode(w);
-        self.span.encode(w);
-        self.limit.encode(w);
-        w.put_u64(self.seed);
-        self.throughput_window.encode(w);
-        self.start.encode(w);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let spec = JobSpec {
-            pattern: AccessPattern::decode(r)?,
-            io_size: r.get_u32()?,
-            queue_depth: usize::decode(r)?,
-            span: Option::<(u64, u64)>::decode(r)?,
-            limit: JobLimit::decode(r)?,
-            seed: r.get_u64()?,
-            throughput_window: SimDuration::decode(r)?,
-            start: SimTime::decode(r)?,
-        };
-        if spec.io_size == 0 || spec.queue_depth == 0 {
-            return Err(DecodeError::InvalidValue {
-                what: "JobSpec io_size/queue_depth",
-            });
-        }
-        Ok(spec)
+persist_struct! {
+    JobSpec { pattern, io_size, queue_depth, span, limit, seed, throughput_window, start },
+    check = check_spec
+}
+persist_struct! {
+    JobReport {
+        latency, read_latency, write_latency, throughput, write_throughput, ios, bytes, started_at,
+        finished_at
     }
 }
+persist_struct! { InflightIo { completes, submitted, kind, len } }
+persist_struct! { TraceEntry { at, kind, offset, len } }
 
-impl Persist for JobReport {
-    fn encode(&self, w: &mut Encoder) {
-        self.latency.encode(w);
-        self.read_latency.encode(w);
-        self.write_latency.encode(w);
-        self.throughput.encode(w);
-        self.write_throughput.encode(w);
-        w.put_u64(self.ios);
-        w.put_u64(self.bytes);
-        self.started_at.encode(w);
-        self.finished_at.encode(w);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(JobReport {
-            latency: LatencyHistogram::decode(r)?,
-            read_latency: LatencyHistogram::decode(r)?,
-            write_latency: LatencyHistogram::decode(r)?,
-            throughput: ThroughputTracker::decode(r)?,
-            write_throughput: ThroughputTracker::decode(r)?,
-            ios: r.get_u64()?,
-            bytes: r.get_u64()?,
-            started_at: SimTime::decode(r)?,
-            finished_at: SimTime::decode(r)?,
-        })
-    }
-}
-
-impl Persist for InflightIo {
-    fn encode(&self, w: &mut Encoder) {
-        self.completes.encode(w);
-        self.submitted.encode(w);
-        self.kind.encode(w);
-        w.put_u32(self.len);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(InflightIo {
-            completes: SimTime::decode(r)?,
-            submitted: SimTime::decode(r)?,
-            kind: IoKind::decode(r)?,
-            len: r.get_u32()?,
-        })
-    }
-}
-
-impl Persist for TraceEntry {
-    fn encode(&self, w: &mut Encoder) {
-        self.at.encode(w);
-        self.kind.encode(w);
-        w.put_u64(self.offset);
-        w.put_u32(self.len);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(TraceEntry {
-            at: SimTime::decode(r)?,
-            kind: IoKind::decode(r)?,
-            offset: r.get_u64()?,
-            len: r.get_u32()?,
-        })
-    }
+fn check_spec(spec: &JobSpec) -> Result<(), DecodeError> {
+    ensure(
+        spec.io_size != 0 && spec.queue_depth != 0,
+        "JobSpec io_size/queue_depth",
+    )
 }
 
 impl Persist for ReplayMode {
@@ -232,80 +154,26 @@ impl Persist for ReplayMode {
     }
 }
 
-impl Persist for ReplayConfig {
-    fn encode(&self, w: &mut Encoder) {
-        self.mode.encode(w);
-        self.window.encode(w);
-        w.put_f64(self.speed);
-        self.ring.encode(w);
-    }
+persist_struct! { ReplayConfig { mode, window, speed, ring }, check = check_replay }
+persist_struct! { ReplayCheckpoint { config, position, report, inflight, finished } }
+persist_struct! { DriverCheckpoint { spec, span, stream, report, inflight, finished } }
 
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let config = ReplayConfig {
-            mode: ReplayMode::decode(r)?,
-            window: SimDuration::decode(r)?,
-            speed: r.get_f64()?,
-            ring: usize::decode(r)?,
-        };
-        if !(config.speed.is_finite() && config.speed > 0.0)
-            || config.ring == 0
-            || config.window.is_zero()
-        {
-            return Err(DecodeError::InvalidValue {
-                what: "ReplayConfig window/speed/ring",
-            });
-        }
-        Ok(config)
-    }
-}
-
-impl Persist for ReplayCheckpoint {
-    fn encode(&self, w: &mut Encoder) {
-        self.config.encode(w);
-        w.put_u64(self.position);
-        self.report.encode(w);
-        self.inflight.encode(w);
-        w.put_bool(self.finished);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(ReplayCheckpoint {
-            config: ReplayConfig::decode(r)?,
-            position: r.get_u64()?,
-            report: JobReport::decode(r)?,
-            inflight: Vec::<InflightIo>::decode(r)?,
-            finished: r.get_bool()?,
-        })
-    }
-}
-
-impl Persist for DriverCheckpoint {
-    fn encode(&self, w: &mut Encoder) {
-        self.spec.encode(w);
-        self.span.encode(w);
-        self.stream.encode(w);
-        self.report.encode(w);
-        self.inflight.encode(w);
-        w.put_bool(self.finished);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(DriverCheckpoint {
-            spec: JobSpec::decode(r)?,
-            span: <(u64, u64)>::decode(r)?,
-            stream: AddressStream::decode(r)?,
-            report: JobReport::decode(r)?,
-            inflight: Vec::<InflightIo>::decode(r)?,
-            finished: r.get_bool()?,
-        })
-    }
+fn check_replay(config: &ReplayConfig) -> Result<(), DecodeError> {
+    ensure(
+        config.speed.is_finite()
+            && config.speed > 0.0
+            && config.ring != 0
+            && !config.window.is_zero(),
+        "ReplayConfig window/speed/ring",
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ClosedLoopJob;
-    use uc_blockdev::{BlockDevice, DeviceInfo, IoRequest, IoResult};
+    use uc_blockdev::{BlockDevice, DeviceInfo, IoKind, IoRequest, IoResult};
+    use uc_sim::SimTime;
 
     /// A deterministic 2-server test device.
     struct TestDevice {

@@ -107,34 +107,16 @@ impl AddressStream {
     }
 }
 
-impl uc_persist::Persist for AddressStream {
-    fn encode(&self, w: &mut uc_persist::Encoder) {
-        self.pattern.encode(w);
-        w.put_u64(self.io_size);
-        w.put_u64(self.start);
-        w.put_u64(self.slots);
-        w.put_u64(self.read_cursor);
-        w.put_u64(self.write_cursor);
-        self.rng.encode(w);
-    }
+uc_persist::persist_struct! {
+    AddressStream { pattern, io_size, start, slots, read_cursor, write_cursor, rng },
+    check = check_span
+}
 
-    fn decode(r: &mut uc_persist::Decoder<'_>) -> Result<Self, uc_persist::DecodeError> {
-        let stream = AddressStream {
-            pattern: AccessPattern::decode(r)?,
-            io_size: r.get_u64()?,
-            start: r.get_u64()?,
-            slots: r.get_u64()?,
-            read_cursor: r.get_u64()?,
-            write_cursor: r.get_u64()?,
-            rng: SimRng::decode(r)?,
-        };
-        if stream.io_size == 0 || stream.slots == 0 {
-            return Err(uc_persist::DecodeError::InvalidValue {
-                what: "AddressStream span",
-            });
-        }
-        Ok(stream)
-    }
+fn check_span(stream: &AddressStream) -> Result<(), uc_persist::DecodeError> {
+    uc_persist::ensure(
+        stream.io_size != 0 && stream.slots != 0,
+        "AddressStream span",
+    )
 }
 
 #[cfg(test)]
