@@ -14,9 +14,8 @@
 //!   number — and a typed [`Body`]. Sessions are first-class resumable
 //!   objects: OPEN issues a token, ATTACH mounts device or fleet-tenant
 //!   lanes, and RESUME replays exactly the unacknowledged responses
-//!   after a reconnect. `uc.wire.v1` clients are refused with a typed
-//!   `UnsupportedVersion` error ([`wire_v1`] keeps the old framing
-//!   decodable for the negotiation test surface);
+//!   after a reconnect. `uc.wire.v1` clients are recognized by their
+//!   kind tags and refused with a typed `UnsupportedVersion` error;
 //! * **poll** ([`Poller`]) — readiness without dependencies: Linux
 //!   `epoll` through a minimal FFI shim, `poll(2)` elsewhere;
 //! * **pool** ([`ServePool`]) — the served backend: per-lane device
@@ -83,7 +82,6 @@ mod poll;
 mod pool;
 mod server;
 mod wire;
-mod wire_v1;
 
 pub use client::{RemoteDevice, WireClient};
 pub use metrics::serve_metrics;
@@ -98,7 +96,6 @@ pub use wire::{
     Body, BusyReason, ErrCode, Frame, FrameHeader, LaneAck, LaneTarget, WireStats, ALL_KINDS,
     CONTROL_LANE, WIRE_VERSION,
 };
-pub use wire_v1::{FrameV1, ALL_KINDS_V1};
 
 /// Upper bound on the request (and completion) count one frame may
 /// claim, checked before any allocation: a hostile length field cannot

@@ -32,7 +32,8 @@ use crate::net::{Listener, Stream};
 use crate::poll::Poller;
 use crate::pool::{FleetError, FlushOutcome, OwnedInflightGuard, Rejection, ServePool};
 use crate::wire::{
-    Body, ErrCode, Frame, FrameHeader, LaneAck, LaneTarget, WireStats, CONTROL_LANE, WIRE_VERSION,
+    is_v1_kind, Body, ErrCode, Frame, FrameHeader, LaneAck, LaneTarget, WireStats, CONTROL_LANE,
+    WIRE_VERSION,
 };
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -329,9 +330,7 @@ impl EventLoop {
                     self.stats.frames += 1;
                     self.handle_frame(ci, frame);
                 }
-                Err(DecodeError::UnknownKind { found })
-                    if found.starts_with("uc.wire.") && found.ends_with(".v1") =>
-                {
+                Err(DecodeError::UnknownKind { found }) if is_v1_kind(&found) => {
                     // Version negotiation: a v1 client is recognized by
                     // its kind tags and refused with a typed reject, not
                     // a generic decode failure.
@@ -958,7 +957,6 @@ mod tests {
     use super::*;
     use crate::net::Endpoint;
     use crate::pool::PoolConfig;
-    use crate::wire_v1::FrameV1;
     use uc_blockdev::BlockDevice;
     use uc_ssd::{Ssd, SsdConfig};
 
@@ -979,12 +977,12 @@ mod tests {
             std::thread::spawn(move || serve_events(&listener, &pool, 1))
         };
 
-        // A legacy client speaks v1 straight at the v2 server and gets a
+        // A legacy client speaks v1 straight at the v2 server (a
+        // `uc.wire.open.v1` frame carrying device index 0) and gets a
         // typed reject, not a decode failure.
         let mut conn = endpoint.connect().unwrap();
-        FrameV1::OpenSession { device: 0 }
-            .write_to(&mut conn)
-            .unwrap();
+        let open_v1 = uc_persist::encode_record("uc.wire.open.v1", &0u32.to_le_bytes());
+        conn.write_all(&open_v1).unwrap();
         let reply = Frame::read_from(&mut conn).unwrap().expect("reject frame");
         match reply.body {
             Body::Err {

@@ -68,14 +68,14 @@ pub enum BusyReason {
 }
 
 impl BusyReason {
-    pub(crate) fn tag(self) -> u8 {
+    fn tag(self) -> u8 {
         match self {
             BusyReason::RingFull => 0,
             BusyReason::Overload => 1,
         }
     }
 
-    pub(crate) fn from_tag(tag: u8) -> Result<Self, DecodeError> {
+    fn from_tag(tag: u8) -> Result<Self, DecodeError> {
         match tag {
             0 => Ok(BusyReason::RingFull),
             1 => Ok(BusyReason::Overload),
@@ -335,6 +335,13 @@ pub const ALL_KINDS: [&str; 20] = [
     KIND_ERR,
 ];
 
+/// `true` for a legacy `uc.wire.v1` kind tag (`uc.wire.<kind>.v1`): the
+/// server answers such a frame with a typed `UnsupportedVersion` reject
+/// instead of a generic decode failure.
+pub(crate) fn is_v1_kind(kind: &str) -> bool {
+    kind.starts_with("uc.wire.") && kind.ends_with(".v1")
+}
+
 fn put_kind(w: &mut Encoder, kind: IoKind) {
     w.put_u8(kind.is_write() as u8);
 }
@@ -347,7 +354,7 @@ fn get_kind(r: &mut Decoder<'_>) -> Result<IoKind, DecodeError> {
     }
 }
 
-pub(crate) fn put_io_error(w: &mut Encoder, e: &IoError) {
+fn put_io_error(w: &mut Encoder, e: &IoError) {
     match e {
         IoError::ZeroLength => w.put_u8(0),
         IoError::Misaligned {
@@ -373,7 +380,7 @@ pub(crate) fn put_io_error(w: &mut Encoder, e: &IoError) {
     }
 }
 
-pub(crate) fn get_io_error(r: &mut Decoder<'_>) -> Result<IoError, DecodeError> {
+fn get_io_error(r: &mut Decoder<'_>) -> Result<IoError, DecodeError> {
     match r.get_u8()? {
         0 => Ok(IoError::ZeroLength),
         1 => Ok(IoError::Misaligned {
@@ -976,12 +983,15 @@ mod tests {
     #[test]
     fn v1_frames_are_foreign_to_v2_and_vice_versa() {
         // The version seam is the kind tag: a v1 open does not decode as
-        // any v2 frame (and a v2 open is foreign to v1), so negotiation
-        // happens on typed UnknownKind, never mis-parsed payloads.
+        // any v2 frame, so negotiation happens on typed UnknownKind, never
+        // mis-parsed payloads; and no v2 kind is mistaken for a v1 one.
         let err = Frame::from_parts("uc.wire.open.v1", &[]).unwrap_err();
         assert!(matches!(err, DecodeError::UnknownKind { .. }));
-        let err = crate::wire_v1::FrameV1::from_parts(KIND_OPEN, &[]).unwrap_err();
-        assert!(matches!(err, DecodeError::UnknownKind { .. }));
+        assert!(is_v1_kind("uc.wire.open.v1"));
+        for kind in ALL_KINDS {
+            assert!(!is_v1_kind(kind), "{kind} sniffed as v1");
+        }
+        assert!(!is_v1_kind("uc.trace.v1"));
     }
 
     #[test]

@@ -616,21 +616,15 @@ fn corruption_table_over_every_wire_frame_kind() {
         Err(DecodeError::UnknownKind { .. })
     ));
 
-    // Cross-version: a genuine `uc.wire.v1` frame is a typed
-    // `UnknownKind` to the v2 decoder (the hook version negotiation
-    // hangs off), while the retained v1 codec still reads it.
-    use unwritten_contract::serve::FrameV1;
-    let v1 = FrameV1::OpenSession { device: 2 }.encode();
-    let mut stream = std::io::Cursor::new(v1.clone());
+    // Cross-version: a `uc.wire.v1` open frame (device index 2) is a
+    // typed `UnknownKind` to the v2 decoder, the hook version negotiation
+    // hangs off.
+    let v1 = unwritten_contract::persist::encode_record("uc.wire.open.v1", &2u32.to_le_bytes());
+    let mut stream = std::io::Cursor::new(v1);
     assert!(matches!(
         Frame::read_from(&mut stream),
         Err(DecodeError::UnknownKind { .. })
     ));
-    let mut stream = std::io::Cursor::new(v1);
-    assert_eq!(
-        FrameV1::read_from(&mut stream).unwrap().unwrap(),
-        FrameV1::OpenSession { device: 2 }
-    );
 }
 
 /// A record whose kind tag no reader knows dispatches to
