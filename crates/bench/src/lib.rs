@@ -1,4 +1,4 @@
-//! Benchmark harness for the Unwritten Contract reproduction.
+//! Runner binaries for the Unwritten Contract reproduction.
 //!
 //! This crate hosts:
 //!
@@ -14,10 +14,10 @@
 //! * **shared argument parsing** ([`parse_count`], [`parse_value`],
 //!   [`DurableArgs`], [`fleet_config_from_args`]), so every binary reads
 //!   a flag the same way,
-//! * **criterion benches** (`benches/`): `fig2_latency`, `fig3_gc`,
-//!   `fig4_pattern`, `fig5_budget` measure the cost of the experiments, and
-//!   `ablations` measures the design choices called out in DESIGN.md (GC
-//!   policy, replication factor, chunk size).
+//! * **the `ablations` binary**: deterministic tables for three design
+//!   choices of the device models (GC policy, replication factor, chunk
+//!   size). Host-time performance is measured by `perfbench/`, the
+//!   repository benchmark, not by this crate.
 
 #![forbid(unsafe_code)]
 
