@@ -24,7 +24,7 @@ use crate::experiments::durable::{self, Chain, DurableRecord, RunError};
 use crate::experiments::Executor;
 use uc_blockdev::{CheckpointDevice, CheckpointError, DeviceCheckpoint, IoError, PersistError};
 use uc_metrics::Series;
-use uc_persist::{DecodeError, Decoder, Encoder, Persist};
+use uc_persist::{ensure, DecodeError, Decoder, Encoder, Persist};
 use uc_sim::SimDuration;
 use uc_workload::{AccessPattern, ClosedLoopJob, DriverCheckpoint, JobReport, JobSpec};
 
@@ -261,11 +261,7 @@ impl DurableRecord for Fig3Checkpoint {
         let completed = usize::decode(r)?;
         let device = DeviceCheckpoint::decode_from(r, &payload_codecs())?;
         let driver = DriverCheckpoint::decode(r)?;
-        if completed > milestones.len() {
-            return Err(DecodeError::InvalidValue {
-                what: "Fig3Checkpoint.completed",
-            });
-        }
+        ensure(completed <= milestones.len(), "Fig3Checkpoint.completed")?;
         Ok(Fig3Checkpoint {
             kind,
             capacity,

@@ -31,7 +31,7 @@ use uc_blockdev::{CheckpointError, DeviceCheckpoint, IoError, PersistError};
 use uc_essd::{Essd, EssdConfig};
 use uc_fleet::{FleetConfig, FleetDevice, FleetReport, FleetSim, FleetSnapshot};
 use uc_obs::ObsReport;
-use uc_persist::{DecodeError, Decoder, Encoder, Persist};
+use uc_persist::{ensure, DecodeError, Decoder, Encoder, Persist};
 
 /// Parameters of a fleet experiment run.
 #[derive(Debug, Clone, PartialEq)]
@@ -237,11 +237,10 @@ impl DurableRecord for FleetCheckpoint {
         for _ in 0..count {
             devices.push(DeviceCheckpoint::decode_from(r, &codecs)?);
         }
-        if devices.len() != snapshot.queue_heads.len() {
-            return Err(DecodeError::InvalidValue {
-                what: "FleetCheckpoint device count",
-            });
-        }
+        ensure(
+            devices.len() == snapshot.queue_heads.len(),
+            "FleetCheckpoint device count",
+        )?;
         Ok(FleetCheckpoint {
             fingerprint,
             snapshot,

@@ -34,7 +34,7 @@ use crate::devices::{payload_codecs, DeviceKind, DeviceRoster};
 use crate::experiments::durable::{self, Chain, DurableRecord, RunError};
 use crate::experiments::Executor;
 use uc_blockdev::{CheckpointDevice, CheckpointError, DeviceCheckpoint, PersistError};
-use uc_persist::{DecodeError, Decoder, Encoder, Persist};
+use uc_persist::{ensure, DecodeError, Decoder, Encoder, Persist};
 use uc_sim::{SimDuration, SimTime};
 use uc_workload::{JobReport, ReplayCheckpoint, ReplayConfig, ReplayError, Trace, TraceReplayJob};
 
@@ -367,11 +367,10 @@ impl DurableRecord for TraceRunCheckpoint {
         let cuts = Vec::<PhaseCut>::decode(r)?;
         let device = DeviceCheckpoint::decode_from(r, &payload_codecs())?;
         let driver = ReplayCheckpoint::decode(r)?;
-        if completed > milestones.len() || cuts.len() != completed {
-            return Err(DecodeError::InvalidValue {
-                what: "TraceRunCheckpoint.completed",
-            });
-        }
+        ensure(
+            completed <= milestones.len() && cuts.len() == completed,
+            "TraceRunCheckpoint.completed",
+        )?;
         Ok(TraceRunCheckpoint {
             kind,
             fingerprint,

@@ -36,17 +36,15 @@ impl Persist for Placement {
         // Bounds are validated here; *conservation* deliberately is not —
         // a run carrying a recorded violation (e.g. under fault
         // injection) must resume and re-report it identically.
-        if region_span == 0 || device_count == 0 || slots_per_device == 0 {
-            return Err(DecodeError::InvalidValue {
-                what: "Placement geometry",
-            });
-        }
+        ensure(
+            region_span != 0 && device_count != 0 && slots_per_device != 0,
+            "Placement geometry",
+        )?;
         for home in homes.iter().flatten() {
-            if home.0 >= device_count || home.1 >= slots_per_device {
-                return Err(DecodeError::InvalidValue {
-                    what: "Placement home out of bounds",
-                });
-            }
+            ensure(
+                home.0 < device_count && home.1 < slots_per_device,
+                "Placement home out of bounds",
+            )?;
         }
         Ok(Placement::from_parts(
             region_span,

@@ -214,11 +214,10 @@ impl uc_persist::Persist for LatencyHistogram {
 
     fn decode(r: &mut uc_persist::Decoder<'_>) -> Result<Self, uc_persist::DecodeError> {
         let buckets = Vec::<u64>::decode(r)?;
-        if buckets.len() != SUB as usize * GROUPS {
-            return Err(uc_persist::DecodeError::InvalidValue {
-                what: "LatencyHistogram.buckets",
-            });
-        }
+        uc_persist::ensure(
+            buckets.len() == SUB as usize * GROUPS,
+            "LatencyHistogram.buckets",
+        )?;
         let count = r.get_u64()?;
         let sum_hi = r.get_u64()?;
         let sum_lo = r.get_u64()?;

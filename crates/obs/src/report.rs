@@ -97,11 +97,7 @@ impl Persist for ObsReport {
         let dropped_events = r.get_u64()?;
         let n = r.get_u64()? as usize;
         // Each event is at least seq+at+len(what)+a+b = 40 bytes.
-        if n > r.remaining() / 40 + 1 {
-            return Err(DecodeError::InvalidValue {
-                what: "ObsReport.events.len",
-            });
-        }
+        uc_persist::ensure(n <= r.remaining() / 40 + 1, "ObsReport.events.len")?;
         let mut events = Vec::with_capacity(n);
         for _ in 0..n {
             events.push(ObsEvent::decode(r)?);

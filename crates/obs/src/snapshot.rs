@@ -287,11 +287,7 @@ impl Persist for ObsSnapshot {
         let n = r.get_u64()? as usize;
         // Each entry costs at least a length-prefixed name (8 bytes) plus a
         // tag byte; reject counts the remaining buffer cannot possibly hold.
-        if n > r.remaining() / 9 + 1 {
-            return Err(DecodeError::InvalidValue {
-                what: "ObsSnapshot.len",
-            });
-        }
+        uc_persist::ensure(n <= r.remaining() / 9 + 1, "ObsSnapshot.len")?;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let name = r.get_string()?;

@@ -140,11 +140,7 @@ impl Persist for ReplayMode {
             0 => Ok(ReplayMode::OpenLoop),
             1 => {
                 let queue_depth = usize::decode(r)?;
-                if queue_depth == 0 {
-                    return Err(DecodeError::InvalidValue {
-                        what: "ReplayMode queue_depth",
-                    });
-                }
+                ensure(queue_depth != 0, "ReplayMode queue_depth")?;
                 Ok(ReplayMode::ClosedLoop { queue_depth })
             }
             _ => Err(DecodeError::InvalidValue {
