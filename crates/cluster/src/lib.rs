@@ -188,8 +188,7 @@ impl Cluster {
         self.stats.bytes_written += len as u64;
         for (chunk, frag_len) in self.map.fragments(offset, len) {
             self.stats.write_fragments += 1;
-            let replicas = self.map.replicas(chunk);
-            for (i, node) in replicas.into_iter().enumerate() {
+            for (i, node) in self.map.replicas(chunk).enumerate() {
                 // Non-primary replicas see one extra backend hop.
                 let arrival = if i == 0 {
                     now
@@ -272,8 +271,10 @@ impl Cluster {
         self.stats.bytes_read += len as u64;
         for (chunk, frag_len) in self.map.fragments(offset, len) {
             self.stats.read_fragments += 1;
-            let replicas = self.map.replicas(chunk);
-            let node = replicas[rng.index(replicas.len())];
+            let mut replicas = self.map.replicas(chunk);
+            let node = replicas
+                .nth(rng.index(replicas.len()))
+                .expect("index is below the replica count");
             let ready = self.nodes[node].read(now, chunk, frag_len, rng);
             done = done.max(ready);
         }

@@ -1,7 +1,9 @@
 //! Flash array operation scheduling.
 
 use crate::{FlashGeometry, FlashTiming};
-use uc_sim::{ParallelResource, ParallelResourceSnapshot, Resource, ResourceSnapshot, SimTime};
+use uc_sim::{
+    ParallelResource, ParallelResourceSnapshot, Resource, ResourceSnapshot, SimDuration, SimTime,
+};
 
 /// Counters of operations issued to a [`FlashArray`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,6 +58,9 @@ pub struct FlashArray {
     dies: Vec<Resource>,
     channels: Vec<Resource>,
     stats: FlashOpStats,
+    /// Channel time of one page transfer, derived from `timing` and the
+    /// page size (not persisted).
+    page_bus_time: SimDuration,
 }
 
 /// The complete serializable state of a [`FlashArray`]: geometry, timing
@@ -98,6 +103,7 @@ impl FlashArray {
             dies: vec![Resource::new(); geometry.total_dies() as usize],
             channels: vec![Resource::new(); geometry.channels() as usize],
             stats: FlashOpStats::default(),
+            page_bus_time: timing.bus_time(geometry.page_size()),
         }
     }
 
@@ -125,8 +131,7 @@ impl FlashArray {
         self.stats.reads += 1;
         let ch = self.geometry.channel_of_die(die) as usize;
         let (_, sensed) = self.dies[die as usize].acquire(now, self.timing.read_page);
-        let xfer = self.timing.bus_time(self.geometry.page_size());
-        let (_, done) = self.channels[ch].acquire(sensed, xfer);
+        let (_, done) = self.channels[ch].acquire(sensed, self.page_bus_time);
         done
     }
 
@@ -138,8 +143,7 @@ impl FlashArray {
     pub fn program_page(&mut self, now: SimTime, die: u32) -> SimTime {
         self.stats.programs += 1;
         let ch = self.geometry.channel_of_die(die) as usize;
-        let xfer = self.timing.bus_time(self.geometry.page_size());
-        let (_, transferred) = self.channels[ch].acquire(now, xfer);
+        let (_, transferred) = self.channels[ch].acquire(now, self.page_bus_time);
         let (_, done) = self.dies[die as usize].acquire(transferred, self.timing.program_page);
         done
     }
@@ -242,6 +246,7 @@ impl FlashArray {
                 .map(Resource::restore)
                 .collect(),
             stats: snapshot.stats,
+            page_bus_time: snapshot.timing.bus_time(snapshot.geometry.page_size()),
         }
     }
 }
@@ -273,24 +278,19 @@ impl DiePool {
 
     /// Schedules a read of `bytes` (rounded up to whole pages) on the pool.
     pub fn read(&mut self, now: SimTime, bytes: u32) -> SimTime {
-        let pages = bytes.div_ceil(self.page_size).max(1);
-        let mut done = now;
-        for _ in 0..pages {
-            let (_, f) = self.pool.acquire(now, self.timing.read_page);
-            done = done.max(f);
-        }
-        done
+        self.pool
+            .acquire_many(now, self.timing.read_page, self.pages(bytes))
     }
 
     /// Schedules a program of `bytes` (rounded up to whole pages) on the pool.
     pub fn program(&mut self, now: SimTime, bytes: u32) -> SimTime {
-        let pages = bytes.div_ceil(self.page_size).max(1);
-        let mut done = now;
-        for _ in 0..pages {
-            let (_, f) = self.pool.acquire(now, self.timing.program_page);
-            done = done.max(f);
-        }
-        done
+        self.pool
+            .acquire_many(now, self.timing.program_page, self.pages(bytes))
+    }
+
+    /// Whole pages covering `bytes`; at least one.
+    fn pages(&self, bytes: u32) -> usize {
+        bytes.div_ceil(self.page_size).max(1) as usize
     }
 
     /// Captures the pool's complete state.

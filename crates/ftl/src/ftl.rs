@@ -5,7 +5,60 @@ use uc_flash::{FlashArray, FlashArraySnapshot, FlashOpStats};
 use uc_invariant::{ensure, Contract, Violation};
 use uc_sim::SimTime;
 
-const UNMAPPED: u64 = u64::MAX;
+/// A page-number map: index → page, or none.
+///
+/// Entries hold `page + 1`, wrapping, so "none" (`u64::MAX` in the
+/// [`FtlCheckpoint`] form) is stored as 0. A fresh map is therefore
+/// `vec![0; n]`, which the allocator hands out zeroed without touching
+/// the pages until the FTL first writes them.
+#[derive(Debug, Clone)]
+struct PageMap(Vec<u64>);
+
+impl PageMap {
+    /// A map of `len` entries, all none.
+    fn unmapped(len: usize) -> Self {
+        PageMap(vec![0; len])
+    }
+
+    /// Converts the checkpoint form (`u64::MAX` = none) in place.
+    fn from_checkpoint(mut entries: Vec<u64>) -> Self {
+        for e in &mut entries {
+            *e = e.wrapping_add(1);
+        }
+        PageMap(entries)
+    }
+
+    /// The checkpoint form (`u64::MAX` = none).
+    fn to_checkpoint(&self) -> Vec<u64> {
+        self.0.iter().map(|e| e.wrapping_sub(1)).collect()
+    }
+
+    fn len(&self) -> u64 {
+        self.0.len() as u64
+    }
+
+    fn get(&self, index: u64) -> Option<u64> {
+        self.0[index as usize].checked_sub(1)
+    }
+
+    fn set(&mut self, index: u64, page: u64) {
+        self.0[index as usize] = page.wrapping_add(1);
+    }
+
+    fn clear(&mut self, index: u64) {
+        self.0[index as usize] = 0;
+    }
+
+    /// Every entry in index order.
+    fn iter(&self) -> impl Iterator<Item = Option<u64>> + '_ {
+        self.0.iter().map(|e| e.checked_sub(1))
+    }
+
+    /// Count of entries that are not none.
+    fn count_mapped(&self) -> u64 {
+        self.0.iter().filter(|&&e| e != 0).count() as u64
+    }
+}
 
 /// A deterministic, one-shot map-corruption fault for invariant testing.
 ///
@@ -57,10 +110,10 @@ pub enum MapFault {
 pub struct Ftl {
     config: FtlConfig,
     flash: FlashArray,
-    /// Logical page -> physical page (or `UNMAPPED`).
-    l2p: Vec<u64>,
-    /// Physical page -> logical page (or `UNMAPPED` if the page is stale).
-    p2l: Vec<u64>,
+    /// Logical page -> physical page (none if unmapped).
+    l2p: PageMap,
+    /// Physical page -> logical page (none if the page is stale).
+    p2l: PageMap,
     /// All block states, indexed `die * blocks_per_die + slot`.
     blocks: Vec<BlockState>,
     /// Per-die stacks of free block slots.
@@ -168,8 +221,8 @@ impl Ftl {
 
         Ftl {
             flash: FlashArray::new(g, config.timing),
-            l2p: vec![UNMAPPED; logical],
-            p2l: vec![UNMAPPED; g.total_pages() as usize],
+            l2p: PageMap::unmapped(logical),
+            p2l: PageMap::unmapped(g.total_pages() as usize),
             blocks,
             free,
             open_host,
@@ -197,7 +250,7 @@ impl Ftl {
 
     /// Host-visible pages.
     pub fn logical_pages(&self) -> u64 {
-        self.l2p.len() as u64
+        self.l2p.len()
     }
 
     /// Page size in bytes.
@@ -233,7 +286,7 @@ impl Ftl {
     /// Panics if `lpn` is out of range.
     pub fn write_page(&mut self, now: SimTime, lpn: u64) -> SimTime {
         assert!(
-            (lpn as usize) < self.l2p.len(),
+            lpn < self.l2p.len(),
             "lpn {lpn} out of range ({} logical pages)",
             self.l2p.len()
         );
@@ -243,19 +296,18 @@ impl Ftl {
         self.ensure_free_blocks(now, die);
 
         // Invalidate the previous location, if any.
-        let old = self.l2p[lpn as usize];
-        if old != UNMAPPED {
+        if let Some(old) = self.l2p.get(lpn) {
             self.invalidate_ppn(old);
         }
 
         let ppn = self.allocate_host_page(die);
-        self.l2p[lpn as usize] = ppn;
-        self.p2l[ppn as usize] = lpn;
+        self.l2p.set(lpn, ppn);
+        self.p2l.set(ppn, lpn);
 
         #[cfg(feature = "fault-injection")]
         if let Some(fault) = self.armed_fault.take() {
             match fault {
-                MapFault::DropReverseMapping => self.p2l[ppn as usize] = UNMAPPED,
+                MapFault::DropReverseMapping => self.p2l.clear(ppn),
                 MapFault::SkipValidCount => {
                     // Undo the increment `allocate_host_page` just made.
                     let block = (ppn / self.ppb() as u64) as usize;
@@ -269,9 +321,9 @@ impl Ftl {
             ensure!(
                 self,
                 "map-update-roundtrip",
-                self.p2l[ppn as usize] == lpn,
-                "write lpn {lpn} -> ppn {ppn}, but reverse map holds {:#x}",
-                self.p2l[ppn as usize]
+                self.p2l.get(ppn) == Some(lpn),
+                "write lpn {lpn} -> ppn {ppn}, but reverse map holds {:?}",
+                self.p2l.get(ppn)
             );
             Ok(())
         });
@@ -292,16 +344,16 @@ impl Ftl {
     /// Panics if `lpn` is out of range.
     pub fn read_page(&mut self, now: SimTime, lpn: u64) -> SimTime {
         assert!(
-            (lpn as usize) < self.l2p.len(),
+            lpn < self.l2p.len(),
             "lpn {lpn} out of range ({} logical pages)",
             self.l2p.len()
         );
-        let ppn = self.l2p[lpn as usize];
-        let die = if ppn == UNMAPPED {
-            (lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) % self.config.geometry.total_dies() as u64)
-                as u32
-        } else {
-            self.die_of_ppn(ppn)
+        let die = match self.l2p.get(lpn) {
+            Some(ppn) => self.die_of_ppn(ppn),
+            None => {
+                (lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) % self.config.geometry.total_dies() as u64)
+                    as u32
+            }
         };
         self.stats.host_pages_read += 1;
         self.flash.read_page(now, die)
@@ -313,11 +365,10 @@ impl Ftl {
     ///
     /// Panics if `lpn` is out of range.
     pub fn trim(&mut self, lpn: u64) {
-        assert!((lpn as usize) < self.l2p.len(), "lpn out of range");
-        let old = self.l2p[lpn as usize];
-        if old != UNMAPPED {
+        assert!(lpn < self.l2p.len(), "lpn out of range");
+        if let Some(old) = self.l2p.get(lpn) {
             self.invalidate_ppn(old);
-            self.l2p[lpn as usize] = UNMAPPED;
+            self.l2p.clear(lpn);
             self.stats.pages_trimmed += 1;
 
             // Contract hook (O(1)): both directions of the dead mapping
@@ -326,10 +377,10 @@ impl Ftl {
                 ensure!(
                     self,
                     "trim-unmaps-both-directions",
-                    self.l2p[lpn as usize] == UNMAPPED && self.p2l[old as usize] == UNMAPPED,
-                    "trim of lpn {lpn} left l2p {:#x} / p2l[{old}] {:#x}",
-                    self.l2p[lpn as usize],
-                    self.p2l[old as usize]
+                    self.l2p.get(lpn).is_none() && self.p2l.get(old).is_none(),
+                    "trim of lpn {lpn} left l2p {:?} / p2l[{old}] {:?}",
+                    self.l2p.get(lpn),
+                    self.p2l.get(old)
                 );
                 Ok(())
             });
@@ -338,12 +389,12 @@ impl Ftl {
 
     /// `true` if `lpn` currently maps to a physical page.
     pub fn is_mapped(&self, lpn: u64) -> bool {
-        self.l2p.get(lpn as usize).is_some_and(|&p| p != UNMAPPED)
+        lpn < self.l2p.len() && self.l2p.get(lpn).is_some()
     }
 
     /// Count of currently mapped logical pages.
     pub fn mapped_pages(&self) -> u64 {
-        self.l2p.iter().filter(|&&p| p != UNMAPPED).count() as u64
+        self.l2p.count_mapped()
     }
 
     /// Sum of valid counts over all blocks (must equal
@@ -357,8 +408,8 @@ impl Ftl {
         FtlCheckpoint {
             config: self.config,
             flash: self.flash.snapshot(),
-            l2p: self.l2p.clone(),
-            p2l: self.p2l.clone(),
+            l2p: self.l2p.to_checkpoint(),
+            p2l: self.p2l.to_checkpoint(),
             blocks: self.blocks.clone(),
             free: self.free.clone(),
             open_host: self.open_host.clone(),
@@ -405,8 +456,8 @@ impl Ftl {
         );
         Ftl {
             flash: FlashArray::restore(checkpoint.flash),
-            l2p: checkpoint.l2p,
-            p2l: checkpoint.p2l,
+            l2p: PageMap::from_checkpoint(checkpoint.l2p),
+            p2l: PageMap::from_checkpoint(checkpoint.p2l),
             blocks: checkpoint.blocks,
             free: checkpoint.free,
             open_host: checkpoint.open_host,
@@ -446,7 +497,7 @@ impl Ftl {
         let block = (ppn / self.ppb() as u64) as usize;
         debug_assert!(self.blocks[block].valid > 0, "double invalidation");
         self.blocks[block].valid -= 1;
-        self.p2l[ppn as usize] = UNMAPPED;
+        self.p2l.clear(ppn);
     }
 
     /// Takes the next page of `die`'s host frontier, rotating to a fresh
@@ -531,17 +582,16 @@ impl Ftl {
         let victim_written = self.blocks[victim_idx].written;
         for page in 0..victim_written {
             let ppn = self.ppn_of(die, victim_slot, page);
-            let lpn = self.p2l[ppn as usize];
-            if lpn == UNMAPPED {
+            let Some(lpn) = self.p2l.get(ppn) else {
                 continue;
-            }
+            };
             self.flash.read_page(now, die);
             let new_ppn = self.allocate_gc_page(die);
             self.flash.program_page(now, die);
             // Rebind the logical page.
-            self.p2l[ppn as usize] = UNMAPPED;
-            self.l2p[lpn as usize] = new_ppn;
-            self.p2l[new_ppn as usize] = lpn;
+            self.p2l.clear(ppn);
+            self.l2p.set(lpn, new_ppn);
+            self.p2l.set(new_ppn, lpn);
             self.blocks[victim_idx].valid -= 1;
             self.stats.gc_pages_relocated += 1;
 
@@ -551,14 +601,14 @@ impl Ftl {
                 ensure!(
                     self,
                     "gc-relocation-rebinds",
-                    self.l2p[lpn as usize] == new_ppn
-                        && self.p2l[new_ppn as usize] == lpn
-                        && self.p2l[ppn as usize] == UNMAPPED,
+                    self.l2p.get(lpn) == Some(new_ppn)
+                        && self.p2l.get(new_ppn) == Some(lpn)
+                        && self.p2l.get(ppn).is_none(),
                     "GC moved lpn {lpn}: ppn {ppn} -> {new_ppn}, maps now \
-                     l2p {:#x} / p2l[new] {:#x} / p2l[old] {:#x}",
-                    self.l2p[lpn as usize],
-                    self.p2l[new_ppn as usize],
-                    self.p2l[ppn as usize]
+                     l2p {:?} / p2l[new] {:?} / p2l[old] {:?}",
+                    self.l2p.get(lpn),
+                    self.p2l.get(new_ppn),
+                    self.p2l.get(ppn)
                 );
                 Ok(())
             });
@@ -614,43 +664,43 @@ impl Contract for Ftl {
     fn check(&self) -> Result<(), Violation> {
         let ppb = self.ppb();
         // Forward direction: every mapped logical page round-trips.
-        for (lpn, &ppn) in self.l2p.iter().enumerate() {
-            if ppn == UNMAPPED {
+        for (lpn, ppn) in (0u64..).zip(self.l2p.iter()) {
+            let Some(ppn) = ppn else {
                 continue;
-            }
+            };
             ensure!(
                 self,
                 "l2p-in-range",
-                (ppn as usize) < self.p2l.len(),
+                ppn < self.p2l.len(),
                 "lpn {lpn} maps to ppn {ppn} beyond {} physical pages",
                 self.p2l.len()
             );
             ensure!(
                 self,
                 "l2p-p2l-bijective",
-                self.p2l[ppn as usize] == lpn as u64,
-                "lpn {lpn} -> ppn {ppn}, but reverse map holds {:#x}",
-                self.p2l[ppn as usize]
+                self.p2l.get(ppn) == Some(lpn),
+                "lpn {lpn} -> ppn {ppn}, but reverse map holds {:?}",
+                self.p2l.get(ppn)
             );
         }
         // Reverse direction: every live physical page round-trips.
-        for (ppn, &lpn) in self.p2l.iter().enumerate() {
-            if lpn == UNMAPPED {
+        for (ppn, lpn) in (0u64..).zip(self.p2l.iter()) {
+            let Some(lpn) = lpn else {
                 continue;
-            }
+            };
             ensure!(
                 self,
                 "p2l-in-range",
-                (lpn as usize) < self.l2p.len(),
+                lpn < self.l2p.len(),
                 "ppn {ppn} claims lpn {lpn} beyond {} logical pages",
                 self.l2p.len()
             );
             ensure!(
                 self,
                 "p2l-l2p-bijective",
-                self.l2p[lpn as usize] == ppn as u64,
-                "ppn {ppn} claims lpn {lpn}, but forward map holds {:#x}",
-                self.l2p[lpn as usize]
+                self.l2p.get(lpn) == Some(ppn),
+                "ppn {ppn} claims lpn {lpn}, but forward map holds {:?}",
+                self.l2p.get(lpn)
             );
         }
         // Conservation: block valid counts account for exactly the mapped
@@ -663,7 +713,7 @@ impl Contract for Ftl {
             mapped == valid,
             "{mapped} mapped logical pages but block valid counts sum to {valid}"
         );
-        let live = self.p2l.iter().filter(|&&l| l != UNMAPPED).count() as u64;
+        let live = self.p2l.count_mapped();
         ensure!(
             self,
             "live-ppn-conservation",

@@ -9,8 +9,7 @@
 //! and fast.
 
 use crate::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use uc_invariant::{ensure, Contract, Violation};
 
 /// A serialized FIFO station (one server).
@@ -50,11 +49,11 @@ pub struct ResourceSnapshot {
 /// The complete serializable state of a [`ParallelResource`].
 ///
 /// The per-server free-at instants are stored in ascending order — the
-/// canonical form — so two snapshots of behaviourally identical stations
-/// compare equal regardless of the internal heap layout they were captured
-/// from. Restoring from the sorted form is exact: the station only ever
-/// consults the *earliest-free* server, and servers with equal free-at
-/// instants are interchangeable.
+/// canonical form, and the station's own layout — so two snapshots of
+/// behaviourally identical stations compare equal. Restoring from the
+/// sorted form is exact: the station only ever consults the
+/// *earliest-free* server, and servers with equal free-at instants are
+/// interchangeable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelResourceSnapshot {
     /// Per-server free-at instants, sorted ascending.
@@ -121,6 +120,12 @@ impl Resource {
 /// network connections. Each arriving request is assigned to the server
 /// that frees up earliest.
 ///
+/// The servers' free-at instants live in an ascending ring: the front is
+/// the earliest-free server, and a finish that is the latest so far (the
+/// common case under load) is pushed to the back in O(1).
+/// [`ParallelResource::acquire_many`] schedules a batch of equal requests
+/// in one merge pass instead of one pop/insert per request.
+///
 /// # Example
 ///
 /// ```
@@ -138,9 +143,13 @@ impl Resource {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ParallelResource {
-    servers: BinaryHeap<Reverse<SimTime>>,
+    /// Per-server free-at instants, ascending.
+    servers: VecDeque<SimTime>,
     capacity: usize,
     busy_time: SimDuration,
+    /// Finish instants produced but not yet consumed inside one
+    /// [`ParallelResource::acquire_many`] call; empty between calls.
+    batch: VecDeque<SimTime>,
 }
 
 impl ParallelResource {
@@ -152,9 +161,10 @@ impl ParallelResource {
     pub fn new(servers: usize) -> Self {
         assert!(servers > 0, "ParallelResource requires at least one server");
         ParallelResource {
-            servers: (0..servers).map(|_| Reverse(SimTime::ZERO)).collect(),
+            servers: vec![SimTime::ZERO; servers].into(),
             capacity: servers,
             busy_time: SimDuration::ZERO,
+            batch: VecDeque::new(),
         }
     }
 
@@ -166,42 +176,90 @@ impl ParallelResource {
     /// Reserves the earliest-free server for `service` starting no earlier
     /// than `now`; returns `(start, finish)`.
     pub fn acquire(&mut self, now: SimTime, service: SimDuration) -> (SimTime, SimTime) {
-        let Reverse(free) = self.servers.pop().expect("at least one server");
+        let free = self.servers.pop_front().expect("at least one server");
         let start = now.max(free);
         let finish = start + service;
-        self.servers.push(Reverse(finish));
+        if self.servers.back().is_none_or(|&last| last <= finish) {
+            self.servers.push_back(finish);
+        } else {
+            let at = self.servers.partition_point(|&t| t <= finish);
+            self.servers.insert(at, finish);
+        }
         self.busy_time += service;
-        // Contract hook (O(1)): the pop/push pair conserved the server
-        // count — a lost server would silently serialize the station.
+        self.enforce_server_count();
+        (start, finish)
+    }
+
+    /// Reserves `n` servers in turn, each for `service` starting no
+    /// earlier than `now` — exactly `n` calls to
+    /// [`ParallelResource::acquire`] — and returns the last (latest)
+    /// finish, or `now` when `n == 0`.
+    ///
+    /// The finishes of the batch are non-decreasing, so each request takes
+    /// the earlier of the next untouched server and the oldest finish the
+    /// batch itself produced; one merge then puts the untouched servers and
+    /// the surviving finishes back in order.
+    pub fn acquire_many(&mut self, now: SimTime, service: SimDuration, n: usize) -> SimTime {
+        match n {
+            0 => return now,
+            1 => return self.acquire(now, service).1,
+            _ => {}
+        }
+        let mut last = now;
+        for _ in 0..n {
+            let free = match (self.servers.front(), self.batch.front()) {
+                (Some(&server), Some(&done)) if server <= done => self.servers.pop_front(),
+                (Some(_), None) => self.servers.pop_front(),
+                _ => self.batch.pop_front(),
+            }
+            .expect("at least one server");
+            last = now.max(free) + service;
+            self.batch.push_back(last);
+        }
+        // Merge from the back: `servers` holds the untouched prefix, so
+        // growing it to full size leaves room for the batch's finishes.
+        let mut kept = self.servers.len();
+        self.servers.resize(self.capacity, SimTime::ZERO);
+        let mut slot = self.capacity;
+        while let Some(&done) = self.batch.back() {
+            slot -= 1;
+            if kept > 0 && self.servers[kept - 1] > done {
+                kept -= 1;
+                self.servers[slot] = self.servers[kept];
+            } else {
+                self.servers[slot] = done;
+                self.batch.pop_back();
+            }
+        }
+        self.busy_time += service * n as u64;
+        self.enforce_server_count();
+        last
+    }
+
+    /// Contract hook (O(1)): scheduling conserved the server count — a
+    /// lost server would silently serialize the station.
+    fn enforce_server_count(&self) {
         uc_invariant::enforce(|| {
             ensure!(
                 self,
                 "server-count-conserved",
                 self.servers.len() == self.capacity,
-                "{} servers in heap, capacity {}",
+                "{} servers in ring, capacity {}",
                 self.servers.len(),
                 self.capacity
             );
             Ok(())
         });
-        (start, finish)
     }
 
     /// The earliest instant at which any server could start new work.
     pub fn free_at(&self) -> SimTime {
-        self.servers
-            .peek()
-            .map(|Reverse(t)| *t)
-            .unwrap_or(SimTime::ZERO)
+        self.servers.front().copied().unwrap_or(SimTime::ZERO)
     }
 
     /// The instant at which *all* currently scheduled work completes.
     pub fn drained_at(&self) -> SimTime {
-        self.servers
-            .iter()
-            .map(|Reverse(t)| *t)
-            .max()
-            .unwrap_or(SimTime::ZERO)
+        self.servers.back().copied().unwrap_or(SimTime::ZERO)
     }
 
     /// Total service time accumulated across all servers.
@@ -216,10 +274,8 @@ impl ParallelResource {
 
     /// Captures the station's complete state in canonical (sorted) form.
     pub fn snapshot(&self) -> ParallelResourceSnapshot {
-        let mut servers: Vec<SimTime> = self.servers.iter().map(|Reverse(t)| *t).collect();
-        servers.sort_unstable();
         ParallelResourceSnapshot {
-            servers,
+            servers: self.servers.iter().copied().collect(),
             busy_time: self.busy_time,
         }
     }
@@ -235,16 +291,20 @@ impl ParallelResource {
             !snapshot.servers.is_empty(),
             "ParallelResource snapshot requires at least one server"
         );
+        let mut servers = snapshot.servers;
+        // Snapshots are sorted already; a hand-built one need not be.
+        servers.sort_unstable();
         ParallelResource {
-            capacity: snapshot.servers.len(),
-            servers: snapshot.servers.into_iter().map(Reverse).collect(),
+            capacity: servers.len(),
+            servers: servers.into(),
             busy_time: snapshot.busy_time,
+            batch: VecDeque::new(),
         }
     }
 }
 
 /// Structural audit of a k-server station: the server pool never leaks or
-/// duplicates a server. O(servers).
+/// duplicates a server, and the free-at ring stays ascending. O(servers).
 impl Contract for ParallelResource {
     fn contract_name(&self) -> &'static str {
         "uc-sim/ParallelResource"
@@ -261,9 +321,15 @@ impl Contract for ParallelResource {
             self,
             "server-count-conserved",
             self.servers.len() == self.capacity,
-            "{} servers in heap, capacity {}",
+            "{} servers in ring, capacity {}",
             self.servers.len(),
             self.capacity
+        );
+        ensure!(
+            self,
+            "servers-ascending",
+            self.servers.iter().is_sorted(),
+            "server free-at ring is out of order"
         );
         Ok(())
     }
@@ -359,6 +425,50 @@ mod tests {
             servers: Vec::new(),
             busy_time: SimDuration::ZERO,
         });
+    }
+
+    #[test]
+    fn acquire_many_equals_repeated_acquire() {
+        let mut rng = crate::SimRng::new(0xACC);
+        for case in 0..500u64 {
+            let servers = rng.range_u64(1, 9) as usize;
+            let mut pool = ParallelResource::new(servers);
+            // Random history; a coarse grid of instants makes ties common.
+            for _ in 0..rng.range_u64(0, 3 * servers as u64) {
+                let at = SimTime::from_nanos(rng.range_u64(0, 8) * 100);
+                pool.acquire(at, SimDuration::from_nanos(rng.range_u64(0, 4) * 100));
+            }
+            let now = match case % 3 {
+                0 => SimTime::ZERO,                                  // before every server
+                1 => pool.drained_at() + SimDuration::from_nanos(1), // after every server
+                _ => SimTime::from_nanos(rng.range_u64(0, 8) * 100),
+            };
+            let service = SimDuration::from_nanos(rng.range_u64(0, 4) * 100);
+            for n in [0, 1, servers, servers + 3, rng.range_u64(2, 20) as usize] {
+                let mut batched = pool.clone();
+                let mut stepped = pool.clone();
+                let last = batched.acquire_many(now, service, n);
+                let latest = (0..n)
+                    .map(|_| stepped.acquire(now, service).1)
+                    .max()
+                    .unwrap_or(now);
+                assert_eq!(last, latest, "case {case}, n {n}");
+                assert_eq!(batched.snapshot(), stepped.snapshot(), "case {case}, n {n}");
+                assert_eq!(batched.busy_time(), stepped.busy_time());
+                assert!(batched.check().is_ok());
+            }
+        }
+    }
+
+    #[test]
+    fn restore_sorts_a_hand_built_snapshot() {
+        let t = SimTime::from_nanos;
+        let mut pool = ParallelResource::restore(ParallelResourceSnapshot {
+            servers: vec![t(30), t(10), t(20)],
+            busy_time: SimDuration::ZERO,
+        });
+        assert_eq!(pool.snapshot().servers, vec![t(10), t(20), t(30)]);
+        assert_eq!(pool.acquire(SimTime::ZERO, SimDuration::ZERO).0, t(10));
     }
 
     #[test]

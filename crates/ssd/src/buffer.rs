@@ -15,6 +15,11 @@ use uc_sim::SimTime;
 /// The buffer also answers read lookups: a read of a page still resident
 /// (admitted but not yet drained) is served from DRAM.
 ///
+/// Its bookkeeping stays bounded: [`WriteBuffer::prune`] drops pages that
+/// drained by a given instant, and the device prunes at every command's
+/// firmware-finish instant, so only the ring's worth of pages plus those
+/// still in flight are tracked.
+///
 /// # Example
 ///
 /// ```
@@ -126,7 +131,8 @@ impl WriteBuffer {
 
     /// `true` if `lpn` is resident (admitted, not yet drained) at `now`.
     ///
-    /// Increments the hit counter on success.
+    /// Increments the hit counter on success. Exact as long as `now` is
+    /// no earlier than any instant the buffer was pruned at.
     pub fn contains(&mut self, lpn: u64, now: SimTime) -> bool {
         self.prune(now);
         let hit = self
@@ -195,7 +201,12 @@ impl WriteBuffer {
     }
 
     /// Removes bookkeeping for pages that finished draining by `now`.
-    fn prune(&mut self, now: SimTime) {
+    ///
+    /// Pruning never changes what [`WriteBuffer::contains`] answers for a
+    /// later instant: with prune instants that never decrease, `lpn` stays
+    /// tracked until its newest record drains, so "resident at `now`"
+    /// still means "the newest record of `lpn` drains after `now`".
+    pub fn prune(&mut self, now: SimTime) {
         while let Some(&(drain, lpn, seq)) = self.pending.front() {
             if drain > now {
                 break;
@@ -273,6 +284,34 @@ mod tests {
         assert_eq!(buf.occupancy(t(25)), 2);
         assert_eq!(buf.occupancy(t(100)), 0);
         assert_eq!(buf.admitted_pages(), 4);
+    }
+
+    #[test]
+    fn pruning_at_write_instants_matches_read_only_pruning() {
+        // `bounded` also prunes at every write's (non-decreasing) firmware
+        // instant, as the device does; `reference` prunes only inside
+        // lookups. Every lookup and the hit count must agree.
+        let mut rng = uc_sim::SimRng::new(0xB0F);
+        let mut bounded = WriteBuffer::new(8);
+        let mut reference = WriteBuffer::new(8);
+        let mut now = t(0);
+        for _ in 0..5000 {
+            now += SimDuration::from_nanos(rng.range_u64(0, 3000));
+            let lpn = rng.range_u64(0, 32);
+            if rng.chance(0.6) {
+                bounded.prune(now);
+                let ready = now + SimDuration::from_nanos(rng.range_u64(0, 500));
+                let (seq, admit) = bounded.admit(ready);
+                assert_eq!(reference.admit(ready), (seq, admit));
+                let drain = admit + SimDuration::from_nanos(rng.range_u64(1, 40_000));
+                bounded.record_drain(seq, lpn, drain);
+                reference.record_drain(seq, lpn, drain);
+            } else {
+                assert_eq!(bounded.contains(lpn, now), reference.contains(lpn, now));
+            }
+        }
+        assert!(bounded.hits() > 100, "the sequence must exercise hits");
+        assert_eq!(bounded.hits(), reference.hits());
     }
 
     #[test]

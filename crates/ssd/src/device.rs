@@ -188,6 +188,12 @@ impl Ssd {
         let per_page_bus = self.config.bus_time(page as u32);
 
         let t_fw = self.fw_acquire(req.submit_time);
+        // The firmware is one serial station, so `t_fw` never decreases
+        // and every later read looks up residency at a `t_fw` no earlier
+        // than this one: pruning here bounds the buffer's bookkeeping
+        // without changing any lookup. (DMA and admission instants are
+        // not monotone across commands, so they are no prune points.)
+        self.buffer.prune(t_fw);
         let mut last_admit = t_fw;
         for i in 0..pages {
             let lpn = first + i;
@@ -530,6 +536,88 @@ mod tests {
         }
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.ftl_stats(), b.ftl_stats());
+    }
+
+    /// The next request of a small random mix over the first 64 pages:
+    /// one read in three, writes of one to four pages.
+    fn mixed_request(state: &mut u64, now: SimTime) -> IoRequest {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let r = *state >> 33;
+        let off = (r % 64) * 4096;
+        if r.is_multiple_of(3) {
+            IoRequest::read(off, 4096, now)
+        } else {
+            IoRequest::write(off, 4096 * (1 + (r >> 8) as u32 % 4), now)
+        }
+    }
+
+    #[test]
+    fn write_only_buffer_bookkeeping_stays_bounded() {
+        // 256 buffer slots; 3,200 pages written one 64 KiB command at a
+        // time, each submitted when the previous one completes.
+        let mut dev = Ssd::new(SsdConfig::samsung_970_pro(1 << 30).with_write_buffer(1 << 20));
+        let capacity = dev.buffer.capacity_pages();
+        let pages = 16;
+        let mut now = SimTime::ZERO;
+        let mut state = 3u64;
+        for _ in 0..200 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let off = (state >> 33) % 4096 * 65536;
+            now = dev.submit(&IoRequest::write(off, 65536, now)).unwrap();
+            let snap = dev.buffer.snapshot();
+            assert!(
+                snap.pending.len() <= capacity + pages,
+                "{} pages tracked, capacity {capacity} + {pages} in flight",
+                snap.pending.len()
+            );
+            assert!(snap.resident.len() <= snap.pending.len());
+        }
+    }
+
+    #[test]
+    fn restore_from_unpruned_buffer_continues_identically() {
+        // A write-only prefix; every buffer record it makes is collected,
+        // which is what a buffer pruned only by lookups would still hold.
+        let mut a = Ssd::new(SsdConfig::samsung_970_pro(1 << 30).with_write_buffer(256 << 10));
+        let mut records: Vec<(SimTime, u64, u64)> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut state = 5u64;
+        for _ in 0..200 {
+            let mut req = mixed_request(&mut state, now);
+            req.kind = IoKind::Write;
+            now = a.submit(&req).unwrap();
+            let seen = records.last().map_or(0, |&(_, _, seq)| seq + 1);
+            records.extend(a.buffer.snapshot().pending.iter().filter(|r| r.2 >= seen));
+        }
+        let pruned = a.snapshot();
+        let mut unpruned = pruned.clone();
+        let mut newest = std::collections::BTreeMap::new();
+        for &(drain, lpn, seq) in &records {
+            newest.insert(lpn, (seq, drain));
+        }
+        unpruned.buffer.resident = newest.into_iter().map(|(l, (s, d))| (l, s, d)).collect();
+        unpruned.buffer.pending = records;
+        assert!(unpruned.buffer.pending.len() > pruned.buffer.pending.len());
+
+        let mut b = Ssd::restore(pruned);
+        let mut c = Ssd::restore(unpruned);
+        let mut now_c = now;
+        let mut state_c = state;
+        for _ in 0..400 {
+            let done_b = b.submit(&mixed_request(&mut state, now)).unwrap();
+            let done_c = c.submit(&mixed_request(&mut state_c, now_c)).unwrap();
+            assert_eq!(done_b, done_c);
+            now = done_b;
+            now_c = done_c;
+        }
+        assert!(
+            b.stats().buffer_hits > 0,
+            "the mix must read buffered pages"
+        );
+        assert_eq!(b.stats(), c.stats());
+        assert_eq!(b.ftl_stats(), c.ftl_stats());
     }
 
     #[test]

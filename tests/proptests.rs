@@ -188,7 +188,7 @@ proptest! {
         len in 1u32..(64 << 20),
     ) {
         let map = ChunkMap::new(chunk_kib * 1024, 8, 3, 42);
-        let frags = map.fragments(offset, len);
+        let frags: Vec<(u64, u32)> = map.fragments(offset, len).collect();
         let total: u64 = frags.iter().map(|&(_, l)| l as u64).sum();
         prop_assert_eq!(total, len as u64);
         // Fragments are contiguous and chunk-monotone.
@@ -209,7 +209,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let map = ChunkMap::new(1 << 20, nodes, replication.min(nodes), seed);
-        let replicas = map.replicas(chunk);
+        let replicas: Vec<usize> = map.replicas(chunk).collect();
         let mut sorted = replicas.clone();
         sorted.sort_unstable();
         sorted.dedup();
