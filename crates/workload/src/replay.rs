@@ -586,6 +586,101 @@ mod tests {
         assert_eq!(dev.submissions, legacy_dev.submissions);
     }
 
+    /// Closed-loop replay spelled out with one `submit` per entry: the
+    /// first `queue_depth` entries go out at their scaled arrivals, then
+    /// each completion (in schedule order) frees a slot for the next
+    /// entry at `max(scaled arrival, slot-free instant)`.
+    fn replay_closed_one_at_a_time(
+        dev: &mut TestDevice,
+        trace: &Trace,
+        config: &ReplayConfig,
+        queue_depth: usize,
+    ) -> JobReport {
+        let mut report = JobReport::new(config.window, SimTime::ZERO);
+        let mut inflight: BinaryHeap<Reverse<InflightIo>> = BinaryHeap::new();
+        let submit = |dev: &mut TestDevice, e: &TraceEntry, at: SimTime| {
+            let req = IoRequest {
+                kind: e.kind,
+                offset: e.offset,
+                len: e.len,
+                submit_time: at,
+            };
+            Reverse(InflightIo {
+                completes: dev.submit(&req).unwrap(),
+                submitted: at,
+                kind: e.kind,
+                len: e.len,
+            })
+        };
+        let mut entries = trace.entries().iter();
+        for e in entries.by_ref().take(queue_depth) {
+            inflight.push(submit(dev, e, config.scaled(e.at)));
+        }
+        while let Some(Reverse(done)) = inflight.pop() {
+            report.record(
+                done.kind.is_write(),
+                done.len,
+                done.submitted,
+                done.completes,
+            );
+            if let Some(e) = entries.next() {
+                inflight.push(submit(dev, e, config.scaled(e.at).max(done.completes)));
+            }
+        }
+        report
+    }
+
+    fn report_bytes(report: &JobReport) -> Vec<u8> {
+        let mut w = uc_persist::Encoder::new();
+        uc_persist::Persist::encode(report, &mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn closed_loop_matches_one_at_a_time_reference() {
+        let mut rng = uc_sim::SimRng::new(0x00C1_05ED);
+        for case in 0..48 {
+            // Bursty arrivals with random gaps, so some entries wait for a
+            // slot and others wait for their own arrival.
+            let mut at = SimTime::ZERO;
+            let entries: Vec<TraceEntry> = (0..rng.range_u64(1, 90))
+                .map(|i| {
+                    if rng.chance(0.3) {
+                        at += SimDuration::from_micros(rng.range_u64(1, 60));
+                    }
+                    TraceEntry {
+                        at,
+                        kind: if rng.chance(0.5) {
+                            uc_blockdev::IoKind::Write
+                        } else {
+                            uc_blockdev::IoKind::Read
+                        },
+                        offset: 4096 * (i % 64),
+                        len: 4096 * rng.range_u64(1, 3) as u32,
+                    }
+                })
+                .collect();
+            let trace = Trace::from_entries(entries);
+            let qd = rng.range_u64(1, 12) as usize;
+            let ring = rng.range_u64(1, 10) as usize;
+            let speed = [1.0, 0.5, 3.0, 7.5][rng.index(4)];
+            let servers = rng.range_u64(1, 6) as usize;
+            let us = rng.range_u64(1, 20);
+            let config = ReplayConfig::closed_loop(qd)
+                .with_ring(ring)
+                .with_speed(speed);
+
+            let mut ref_dev = TestDevice::new(us, servers);
+            let reference = replay_closed_one_at_a_time(&mut ref_dev, &trace, &config, qd);
+            let mut dev = TestDevice::new(us, servers);
+            let batched = replay_with(&mut dev, &trace, &config).unwrap();
+            let ctx = format!("case {case}: qd {qd} ring {ring} speed {speed} servers {servers}");
+            assert_eq!(batched.ios, trace.len() as u64, "{ctx}");
+            assert_eq!(report_bytes(&batched), report_bytes(&reference), "{ctx}");
+            assert_eq!(dev.submissions, ref_dev.submissions, "{ctx}");
+        }
+    }
+
     #[test]
     fn bursts_share_one_doorbell() {
         // 12-entry bursts with ring 32: each burst must arrive as one

@@ -85,17 +85,14 @@ fn sample_trace() -> unwritten_contract::workload::Trace {
 }
 
 /// A mid-run trace-phase checkpoint (device + paused replay driver).
-fn trace_run_checkpoint() -> unwritten_contract::core::experiments::TraceRunCheckpoint {
+fn trace_run_checkpoint(
+    replay: ReplayConfig,
+) -> unwritten_contract::core::experiments::TraceRunCheckpoint {
     use unwritten_contract::core::experiments::trace::{TraceRun, TraceRunConfig};
     let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
     let trace = sample_trace();
-    let mut run = TraceRun::start(
-        &roster,
-        DeviceKind::Essd1,
-        &trace,
-        &TraceRunConfig::open_loop(3),
-    )
-    .unwrap();
+    let cfg = TraceRunConfig::open_loop(3).with_replay(replay);
+    let mut run = TraceRun::start(&roster, DeviceKind::Essd1, &trace, &cfg).unwrap();
     run.advance(&trace).unwrap();
     run.checkpoint()
 }
@@ -169,10 +166,17 @@ fn checkpoint_payload_bytes_are_pinned() {
     }
     let mut w = Encoder::new();
     obs_report().encode(&mut w);
+    // Closed loop, the paused driver holds requests in flight.
+    let closed = trace_run_checkpoint(ReplayConfig::closed_loop(4).with_ring(3));
+    assert!(!closed.driver.inflight.is_empty());
     let actual = [
         ("ssd", device(CheckpointDevice::checkpoint(&busy_ssd()))),
         ("essd", device(CheckpointDevice::checkpoint(&busy_essd()))),
-        ("trace-run", record(&trace_run_checkpoint())),
+        (
+            "trace-run",
+            record(&trace_run_checkpoint(ReplayConfig::open_loop())),
+        ),
+        ("trace-run-closed", record(&closed)),
         ("obs", fingerprint(w.as_bytes())),
         ("fig3", record(&fig3_checkpoint())),
         ("fleet", record(&fleet_checkpoint())),
@@ -187,6 +191,7 @@ fn checkpoint_payload_bytes_are_pinned() {
         ("ssd", (1_254_633, 0x4e6e_261c)),
         ("essd", (23_576, 0xcfdf_d224)),
         ("trace-run", (112_391, 0xb326_ac94)),
+        ("trace-run-closed", (112_483, 0x9f9f_f66b)),
         ("obs", (426, 0x785f_7f81)),
         ("fig3", (107_434, 0x1095_87f7)),
         ("fleet", (437_076, 0xc8c6_6983)),
@@ -258,7 +263,9 @@ fn corruption_table_over_every_record_codec() {
     let fig3_path = dir.join("fig3.ckpt");
     fig3_checkpoint().save_to(&fig3_path).unwrap();
     let trace_run_path = dir.join("trace-run.ckpt");
-    trace_run_checkpoint().save_to(&trace_run_path).unwrap();
+    trace_run_checkpoint(ReplayConfig::open_loop())
+        .save_to(&trace_run_path)
+        .unwrap();
     let trace_path = dir.join("t.trace");
     unwritten_contract::trace::save_trace(&trace_path, &sample_trace()).unwrap();
     let obs_path = dir.join("telemetry.obs");
