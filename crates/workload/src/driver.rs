@@ -1,79 +1,28 @@
-//! Closed-loop and open-loop job execution.
+//! The one I/O driver behind every job in this crate, and the synthetic
+//! closed-loop jobs built on it.
+//!
+//! [`DriverCore`] owns the in-flight heap, the doorbell and the
+//! drain-group loop; a [`RequestSource`] says which request goes out next
+//! and from when. Three sources ride on it:
+//!
+//! * a synthetic job ([`ClosedLoopJob`], [`run_job`], [`precondition`]):
+//!   an [`AddressStream`] whose requests all arrive at `spec.start`, so
+//!   each goes out at the instant that freed its slot;
+//! * closed-loop trace replay ([`TraceReplayJob`](crate::TraceReplayJob)):
+//!   a trace cursor whose requests go out at `max(scaled arrival,
+//!   slot-free instant)`;
+//! * open-loop trace replay: the same cursor with no depth bound, each
+//!   burst going out at its arrival and recorded as its doorbell returns.
 
-use crate::{AddressStream, JobLimit, JobReport, JobSpec};
+use crate::{AddressStream, JobLimit, JobReport, JobSpec, ReplayMode};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use uc_blockdev::{BlockDevice, IoBatch, IoError, IoKind, IoRequest};
 use uc_sim::SimTime;
 
-/// One outstanding request awaiting completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Inflight {
-    completes: SimTime,
-    submitted: SimTime,
-    kind: IoKind,
-    len: u32,
-}
-
-impl PartialOrd for Inflight {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Inflight {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Total order up to fully identical entries: (completes, submitted)
-        // is the schedule order; kind/len break the remaining ties so the
-        // completion-drain order never depends on heap push history (two
-        // entries equal on all four fields are interchangeable).
-        self.completes
-            .cmp(&other.completes)
-            .then_with(|| self.submitted.cmp(&other.submitted))
-            .then_with(|| self.kind.is_write().cmp(&other.kind.is_write()))
-            .then_with(|| self.len.cmp(&other.len))
-    }
-}
-
-fn job_span<D: BlockDevice + ?Sized>(dev: &D, spec: &JobSpec) -> (u64, u64) {
-    match spec.span {
-        Some((s, e)) => (s, e.min(dev.info().capacity())),
-        None => (0, dev.info().capacity()),
-    }
-}
-
-fn limit_reached(spec: &JobSpec, report: &JobReport) -> bool {
-    match spec.limit {
-        JobLimit::Ios(n) => report.ios >= n,
-        JobLimit::Bytes(b) => report.bytes >= b,
-        JobLimit::Elapsed(d) => report.elapsed() >= d,
-    }
-}
-
-/// Submits a queued batch through one doorbell ring and moves the
-/// completions into the in-flight heap.
-fn ring_doorbell<D: BlockDevice + ?Sized>(
-    dev: &mut D,
-    batch: &IoBatch,
-    inflight: &mut BinaryHeap<Reverse<Inflight>>,
-) -> Result<(), IoError> {
-    if batch.is_empty() {
-        return Ok(());
-    }
-    for completion in dev.submit_batch(batch)? {
-        inflight.push(Reverse(Inflight {
-            completes: completion.completes,
-            submitted: completion.submitted,
-            kind: completion.kind,
-            len: completion.len,
-        }));
-    }
-    Ok(())
-}
-
-/// One request in flight at a pause point, in plain serializable form.
-///
-/// The closed-loop driver's heap entries, exposed through
-/// [`DriverCheckpoint`] so a paused job can be frozen and rebuilt exactly.
+/// One outstanding request, as the driver's completion heap holds it and
+/// as checkpoints ([`DriverCheckpoint`],
+/// [`ReplayCheckpoint`](crate::ReplayCheckpoint)) serialize it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InflightIo {
     /// The instant the request completes.
@@ -93,14 +42,285 @@ impl PartialOrd for InflightIo {
 }
 impl Ord for InflightIo {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // The same canonical schedule order as the internal heap entries:
-        // (completes, submitted) first, kind/len as total-order tie-breaks.
-        // The trace-replay driver keys its completion heap on this.
+        // Total order up to fully identical entries: (completes, submitted)
+        // is the schedule order; kind/len break the remaining ties so the
+        // completion-drain order never depends on heap push history (two
+        // entries equal on all four fields are interchangeable).
         self.completes
             .cmp(&other.completes)
             .then_with(|| self.submitted.cmp(&other.submitted))
             .then_with(|| self.kind.is_write().cmp(&other.kind.is_write()))
             .then_with(|| self.len.cmp(&other.len))
+    }
+}
+
+/// How a `run_until` call ([`ClosedLoopJob::run_until`],
+/// [`TraceReplayJob::run_until`](crate::TraceReplayJob::run_until)) ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobProgress {
+    /// The milestone was reached; the job can be resumed.
+    Paused,
+    /// The job's stop condition fired or its source ran dry and every
+    /// request completed; the report is final.
+    Finished,
+}
+
+/// Where a [`DriverCore`]'s requests come from and when they may go out.
+pub(crate) trait RequestSource {
+    /// The next request's arrival — the earliest instant it may go out —
+    /// or `None` once the source is exhausted.
+    fn arrival(&self) -> Option<SimTime>;
+    /// Takes the next request, going out at `at`.
+    fn take(&mut self, at: SimTime) -> IoRequest;
+    /// `true` once the run should pause at the next doorbell boundary.
+    fn pause(&self, report: &JobReport) -> bool;
+    /// `true` once the job's own stop condition fires; checked after
+    /// every recorded completion.
+    fn stop(&self, _report: &JobReport) -> bool {
+        false
+    }
+}
+
+/// The resumable queue every job drives: its in-flight heap and its
+/// pacing. The job keeps its own report and passes it in.
+///
+/// Closed loop, this is [`ClosedLoopJob`]'s drain-group schedule, each
+/// replacement going out at `max(arrival, group instant)`. Open loop,
+/// each burst of requests sharing an arrival goes out through one
+/// doorbell and its completions are recorded as it returns, so nothing
+/// is ever left in flight. Every doorbell carries at most `ring`
+/// requests; splitting one never changes the schedule, since each
+/// request carries its own submit instant.
+#[derive(Debug, Clone)]
+pub(crate) struct DriverCore {
+    mode: ReplayMode,
+    ring: usize,
+    inflight: BinaryHeap<Reverse<InflightIo>>,
+    pub(crate) finished: bool,
+}
+
+impl DriverCore {
+    /// A core holding `inflight` (empty for a fresh job).
+    pub(crate) fn resume(
+        mode: ReplayMode,
+        ring: usize,
+        inflight: Vec<InflightIo>,
+        finished: bool,
+    ) -> Self {
+        DriverCore {
+            mode,
+            ring,
+            inflight: inflight.into_iter().map(Reverse).collect(),
+            finished,
+        }
+    }
+
+    /// The outstanding requests in canonical schedule order. Entries equal
+    /// on all fields are interchangeable, so this fully determines the
+    /// continuation.
+    pub(crate) fn inflight(&self) -> Vec<InflightIo> {
+        let mut inflight: Vec<InflightIo> = self.inflight.iter().map(|Reverse(io)| *io).collect();
+        inflight.sort_unstable();
+        inflight
+    }
+
+    /// An empty batch sized for one of this core's doorbells.
+    pub(crate) fn batch(&self) -> IoBatch {
+        IoBatch::with_capacity(match self.mode {
+            ReplayMode::OpenLoop => self.ring,
+            ReplayMode::ClosedLoop { queue_depth } => queue_depth.min(self.ring),
+        })
+    }
+
+    /// Submits `batch` through one doorbell ring and empties it. The
+    /// completions are recorded in `report` when one is given (open
+    /// loop), and join the in-flight heap otherwise.
+    fn ring_doorbell<D: BlockDevice + ?Sized>(
+        &mut self,
+        dev: &mut D,
+        batch: &mut IoBatch,
+        report: Option<&mut JobReport>,
+    ) -> Result<(), IoError> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let completions = dev.submit_batch(batch)?;
+        batch.clear();
+        match report {
+            Some(report) => {
+                for c in completions {
+                    report.record(c.kind.is_write(), c.len, c.submitted, c.completes);
+                }
+            }
+            None => {
+                for c in completions {
+                    self.inflight.push(Reverse(InflightIo {
+                        completes: c.completes,
+                        submitted: c.submitted,
+                        kind: c.kind,
+                        len: c.len,
+                    }));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Closed loop: fills the queue to its depth through `batch`, each
+    /// request going out at its own arrival.
+    pub(crate) fn prime<D, S>(
+        &mut self,
+        dev: &mut D,
+        source: &mut S,
+        batch: &mut IoBatch,
+    ) -> Result<(), IoError>
+    where
+        D: BlockDevice + ?Sized,
+        S: RequestSource,
+    {
+        let ReplayMode::ClosedLoop { queue_depth } = self.mode else {
+            return Ok(());
+        };
+        while self.inflight.len() + batch.len() < queue_depth {
+            let Some(at) = source.arrival() else { break };
+            batch.push(source.take(at));
+            if batch.len() >= self.ring {
+                self.ring_doorbell(dev, batch, None)?;
+            }
+        }
+        self.ring_doorbell(dev, batch, None)
+    }
+
+    /// Drives `source` until it asks to pause at a doorbell boundary, its
+    /// stop condition fires, or it runs dry and everything in flight has
+    /// completed, recording completions in `report`. A closed-loop core
+    /// with nothing in flight primes first.
+    pub(crate) fn run<D, S>(
+        &mut self,
+        dev: &mut D,
+        source: &mut S,
+        report: &mut JobReport,
+    ) -> Result<JobProgress, IoError>
+    where
+        D: BlockDevice + ?Sized,
+        S: RequestSource,
+    {
+        if self.finished {
+            return Ok(JobProgress::Finished);
+        }
+        if self.mode == ReplayMode::OpenLoop {
+            let mut batch = self.batch();
+            while let Some(at) = source.arrival() {
+                if source.pause(report) {
+                    return Ok(JobProgress::Paused);
+                }
+                // One doorbell per burst: requests sharing this arrival,
+                // split only at the ring size.
+                while batch.len() < self.ring && source.arrival() == Some(at) {
+                    batch.push(source.take(at));
+                }
+                self.ring_doorbell(dev, &mut batch, Some(report))?;
+            }
+            self.finished = true;
+            return Ok(JobProgress::Finished);
+        }
+        let mut batch = self.batch();
+        if self.inflight.is_empty() {
+            self.prime(dev, source, &mut batch)?;
+            if source.arrival().is_some() && source.pause(report) {
+                return Ok(JobProgress::Paused);
+            }
+        }
+        'drive: while let Some(Reverse(first)) = self.inflight.pop() {
+            // Drain every completion sharing the earliest instant, queueing
+            // one replacement per completion.
+            let mut done = first;
+            loop {
+                report.record(
+                    done.kind.is_write(),
+                    done.len,
+                    done.submitted,
+                    done.completes,
+                );
+                if source.stop(report) {
+                    // Replacements queued for the completions recorded
+                    // before the stop still go out (exactly the requests
+                    // one `submit` per request had already issued).
+                    self.ring_doorbell(dev, &mut batch, None)?;
+                    break 'drive;
+                }
+                if let Some(at) = source.arrival() {
+                    batch.push(source.take(at.max(done.completes)));
+                    // Replacements complete strictly after this group's
+                    // instant, so an early doorbell cannot add members to
+                    // the group being drained.
+                    if batch.len() >= self.ring {
+                        self.ring_doorbell(dev, &mut batch, None)?;
+                    }
+                }
+                match self.inflight.peek() {
+                    Some(Reverse(next)) if next.completes == first.completes => {
+                        done = self.inflight.pop().expect("peeked").0;
+                    }
+                    _ => break,
+                }
+            }
+            self.ring_doorbell(dev, &mut batch, None)?;
+            if !self.inflight.is_empty() && source.pause(report) {
+                return Ok(JobProgress::Paused);
+            }
+        }
+        self.finished = true;
+        Ok(JobProgress::Finished)
+    }
+}
+
+fn job_span<D: BlockDevice + ?Sized>(dev: &D, spec: &JobSpec) -> (u64, u64) {
+    match spec.span {
+        Some((s, e)) => (s, e.min(dev.info().capacity())),
+        None => (0, dev.info().capacity()),
+    }
+}
+
+fn limit_reached(spec: &JobSpec, report: &JobReport) -> bool {
+    match spec.limit {
+        JobLimit::Ios(n) => report.ios >= n,
+        JobLimit::Bytes(b) => report.bytes >= b,
+        JobLimit::Elapsed(d) => report.elapsed() >= d,
+    }
+}
+
+/// A synthetic job as a request source: every request arrives at
+/// `spec.start`, so each goes out at the instant that freed its slot.
+#[derive(Debug, Clone)]
+struct Synthetic {
+    spec: JobSpec,
+    stream: AddressStream,
+    /// Pause once this many bytes have completed.
+    milestone: u64,
+}
+
+impl RequestSource for Synthetic {
+    fn arrival(&self) -> Option<SimTime> {
+        Some(self.spec.start)
+    }
+
+    fn take(&mut self, at: SimTime) -> IoRequest {
+        let (kind, offset) = self.stream.next_io();
+        IoRequest {
+            kind,
+            offset,
+            len: self.spec.io_size,
+            submit_time: at,
+        }
+    }
+
+    fn pause(&self, report: &JobReport) -> bool {
+        report.bytes >= self.milestone
+    }
+
+    fn stop(&self, report: &JobReport) -> bool {
+        limit_reached(&self.spec, report)
     }
 }
 
@@ -126,16 +346,6 @@ pub struct DriverCheckpoint {
     pub inflight: Vec<InflightIo>,
     /// `true` once the job's stop condition has fired.
     pub finished: bool,
-}
-
-/// How a [`ClosedLoopJob::run_until`] call ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobProgress {
-    /// The byte milestone was reached; the job can be resumed.
-    Paused,
-    /// The spec's stop condition fired (or the address space drained);
-    /// the report is final.
-    Finished,
 }
 
 /// A resumable closed-loop job: the state [`run_job`] keeps on its stack,
@@ -185,12 +395,19 @@ pub enum JobProgress {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClosedLoopJob {
-    spec: JobSpec,
+    source: Synthetic,
     span: (u64, u64),
-    stream: AddressStream,
     report: JobReport,
-    inflight: BinaryHeap<Reverse<Inflight>>,
-    finished: bool,
+    core: DriverCore,
+}
+
+/// A synthetic job's queue: `queue_depth` outstanding, and no ring cap (a
+/// drain group never exceeds the depth).
+fn synthetic_core(spec: &JobSpec, inflight: Vec<InflightIo>, finished: bool) -> DriverCore {
+    let mode = ReplayMode::ClosedLoop {
+        queue_depth: spec.queue_depth,
+    };
+    DriverCore::resume(mode, usize::MAX, inflight, finished)
 }
 
 impl ClosedLoopJob {
@@ -203,20 +420,23 @@ impl ClosedLoopJob {
     /// spec's span exceeds the device capacity).
     pub fn start<D: BlockDevice + ?Sized>(dev: &mut D, spec: &JobSpec) -> Result<Self, IoError> {
         let span = job_span(dev, spec);
-        let mut stream = AddressStream::new(spec.pattern, spec.io_size, span.0, span.1, spec.seed);
-        let mut inflight: BinaryHeap<Reverse<Inflight>> = BinaryHeap::new();
-        let mut batch = IoBatch::with_capacity(spec.queue_depth);
-        for _ in 0..spec.queue_depth {
-            queue_next(&mut batch, &mut stream, spec.io_size, spec.start);
-        }
-        ring_doorbell(dev, &batch, &mut inflight)?;
-        Ok(ClosedLoopJob {
+        let mut source = Synthetic {
             spec: spec.clone(),
+            stream: AddressStream::new(spec.pattern, spec.io_size, span.0, span.1, spec.seed),
+            milestone: u64::MAX,
+        };
+        let mut core = synthetic_core(spec, Vec::new(), false);
+        // The report is allocated after the fill and the batch freed
+        // last: device builds that follow a run were measured to slow
+        // down up to 5x under other allocation orders (`setup_s` of the
+        // endurance benchmark).
+        let mut batch = core.batch();
+        core.prime(dev, &mut source, &mut batch)?;
+        Ok(ClosedLoopJob {
+            source,
             span,
-            stream,
             report: JobReport::new(spec.throughput_window, spec.start),
-            inflight,
-            finished: false,
+            core,
         })
     }
 
@@ -234,57 +454,13 @@ impl ClosedLoopJob {
         dev: &mut D,
         bytes: u64,
     ) -> Result<JobProgress, IoError> {
-        if self.finished {
-            return Ok(JobProgress::Finished);
-        }
-        let mut batch = IoBatch::with_capacity(self.spec.queue_depth);
-        'drive: while let Some(Reverse(first)) = self.inflight.pop() {
-            batch.clear();
-            // Drain every completion sharing the earliest instant and
-            // queue one replacement per completion, all at that instant.
-            // (A replacement cannot complete before this instant, so the
-            // heap order — and therefore the schedule — matches
-            // request-at-a-time submission exactly.)
-            let mut done = first;
-            loop {
-                self.report.record(
-                    done.kind.is_write(),
-                    done.len,
-                    done.submitted,
-                    done.completes,
-                );
-                if limit_reached(&self.spec, &self.report) {
-                    // Replacements queued for the completions recorded
-                    // before the limit still go out (exactly the requests
-                    // the one-at-a-time driver had already submitted).
-                    ring_doorbell(dev, &batch, &mut self.inflight)?;
-                    break 'drive;
-                }
-                queue_next(
-                    &mut batch,
-                    &mut self.stream,
-                    self.spec.io_size,
-                    done.completes,
-                );
-                match self.inflight.peek() {
-                    Some(Reverse(next)) if next.completes == first.completes => {
-                        done = self.inflight.pop().expect("peeked").0;
-                    }
-                    _ => break,
-                }
-            }
-            ring_doorbell(dev, &batch, &mut self.inflight)?;
-            if self.report.bytes >= bytes {
-                return Ok(JobProgress::Paused);
-            }
-        }
-        self.finished = true;
-        Ok(JobProgress::Finished)
+        self.source.milestone = bytes;
+        self.core.run(dev, &mut self.source, &mut self.report)
     }
 
     /// `true` once the job's stop condition has fired.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.core.finished
     }
 
     /// Everything measured so far (final once [`ClosedLoopJob::is_finished`]).
@@ -299,64 +475,30 @@ impl ClosedLoopJob {
 
     /// Captures the job's complete state at a pause point.
     pub fn checkpoint(&self) -> DriverCheckpoint {
-        let mut inflight: Vec<InflightIo> = self
-            .inflight
-            .iter()
-            .map(|Reverse(io)| InflightIo {
-                completes: io.completes,
-                submitted: io.submitted,
-                kind: io.kind,
-                len: io.len,
-            })
-            .collect();
-        // Canonical order: the heap's own schedule order. Entries equal on
-        // all fields are interchangeable, so this fully determines the
-        // continuation.
-        inflight
-            .sort_unstable_by_key(|io| (io.completes, io.submitted, io.kind.is_write(), io.len));
+        let inflight = self.core.inflight();
         DriverCheckpoint {
-            spec: self.spec.clone(),
+            spec: self.source.spec.clone(),
             span: self.span,
-            stream: self.stream.clone(),
+            stream: self.source.stream.clone(),
             report: self.report.clone(),
             inflight,
-            finished: self.finished,
+            finished: self.core.finished,
         }
     }
 
     /// Rebuilds a job that continues exactly where `checkpoint` was taken.
     pub fn resume(checkpoint: DriverCheckpoint) -> Self {
         ClosedLoopJob {
-            spec: checkpoint.spec,
+            core: synthetic_core(&checkpoint.spec, checkpoint.inflight, checkpoint.finished),
+            source: Synthetic {
+                spec: checkpoint.spec,
+                stream: checkpoint.stream,
+                milestone: u64::MAX,
+            },
             span: checkpoint.span,
-            stream: checkpoint.stream,
             report: checkpoint.report,
-            inflight: checkpoint
-                .inflight
-                .into_iter()
-                .map(|io| {
-                    Reverse(Inflight {
-                        completes: io.completes,
-                        submitted: io.submitted,
-                        kind: io.kind,
-                        len: io.len,
-                    })
-                })
-                .collect(),
-            finished: checkpoint.finished,
         }
     }
-}
-
-/// Queues the next I/O of `stream` into `batch` at instant `at`.
-fn queue_next(batch: &mut IoBatch, stream: &mut AddressStream, io_size: u32, at: SimTime) {
-    let (kind, offset) = stream.next_io();
-    batch.push(IoRequest {
-        kind,
-        offset,
-        len: io_size,
-        submit_time: at,
-    });
 }
 
 /// Runs `spec` against `dev` with a closed-loop driver: `queue_depth`
@@ -401,94 +543,34 @@ pub fn precondition<D: BlockDevice + ?Sized>(dev: &mut D) -> Result<SimTime, IoE
     Ok(run_job(dev, &spec)?.finished_at)
 }
 
-/// Runs an open-loop (arrival-driven) job: one I/O is submitted at each
-/// instant `arrivals` yields, regardless of completions.
-///
-/// Latencies therefore include any queueing the device accumulates — this
-/// is the driver for burstiness studies (the paper's Implication 4: smooth
-/// I/O across the timeline to fit a smaller throughput budget).
-///
-/// Arrival instants must be non-decreasing; offsets/kinds come from the
-/// spec's pattern, and the stop condition is ignored (the arrival iterator
-/// bounds the run). The driver speaks the queue-pair API: arrivals are
-/// grouped into [`IoBatch`]es of up to `queue_depth` requests per doorbell
-/// ring — each request still carries its own arrival instant, so the
-/// schedule is identical to one submission per arrival.
-///
-/// # Errors
-///
-/// Propagates the first [`IoError`] a submission reports.
-pub fn run_open_loop<D, I>(dev: &mut D, spec: &JobSpec, arrivals: I) -> Result<JobReport, IoError>
-where
-    D: BlockDevice + ?Sized,
-    I: IntoIterator<Item = SimTime>,
-{
-    let (start, end) = job_span(dev, spec);
-    let mut stream = AddressStream::new(spec.pattern, spec.io_size, start, end, spec.seed);
-    let mut report = JobReport::new(spec.throughput_window, spec.start);
-    let ring_size = spec.queue_depth.max(1);
-    let mut batch = IoBatch::with_capacity(ring_size);
-
-    let flush = |dev: &mut D, batch: &mut IoBatch, report: &mut JobReport| -> Result<(), IoError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        for c in dev.submit_batch(batch)? {
-            report.record(c.kind.is_write(), c.len, c.submitted, c.completes);
-        }
-        batch.clear();
-        Ok(())
-    };
-
-    for at in arrivals {
-        let (kind, offset) = stream.next_io();
-        batch.push(IoRequest {
-            kind,
-            offset,
-            len: spec.io_size,
-            submit_time: at,
-        });
-        if batch.len() >= ring_size {
-            flush(dev, &mut batch, &mut report)?;
-        }
-    }
-    flush(dev, &mut batch, &mut report)?;
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AccessPattern;
-    use uc_blockdev::{DeviceInfo, IoResult};
+    use crate::testdev::TestDevice;
+    use crate::{replay_with, AccessPattern, ReplayConfig, Trace, TraceEntry};
     use uc_sim::SimDuration;
 
-    /// A device with fixed service time and `servers`-way parallelism.
-    struct TestDevice {
-        service: SimDuration,
-        servers: uc_sim::ParallelResource,
-        submissions: Vec<SimTime>,
-    }
-
-    impl TestDevice {
-        fn new(us: u64, servers: usize) -> Self {
-            TestDevice {
-                service: SimDuration::from_micros(us),
-                servers: uc_sim::ParallelResource::new(servers),
-                submissions: Vec::new(),
-            }
-        }
-    }
-
-    impl BlockDevice for TestDevice {
-        fn info(&self) -> DeviceInfo {
-            DeviceInfo::new("test", 1 << 30, 4096)
-        }
-        fn submit(&mut self, req: &IoRequest) -> IoResult {
-            self.info().validate(req)?;
-            self.submissions.push(req.submit_time);
-            Ok(self.servers.acquire(req.submit_time, self.service).1)
-        }
+    /// An arrival-driven job: one request of `spec`'s pattern at each of
+    /// `arrivals`, replayed open loop.
+    fn run_open_loop(dev: &mut TestDevice, spec: &JobSpec, arrivals: &[SimTime]) -> JobReport {
+        let (start, end) = job_span(dev, spec);
+        let mut stream = AddressStream::new(spec.pattern, spec.io_size, start, end, spec.seed);
+        let entries = arrivals
+            .iter()
+            .map(|&at| {
+                let (kind, offset) = stream.next_io();
+                TraceEntry {
+                    at,
+                    kind,
+                    offset,
+                    len: spec.io_size,
+                }
+            })
+            .collect();
+        let config = ReplayConfig::open_loop()
+            .with_window(spec.throughput_window)
+            .with_ring(spec.queue_depth);
+        replay_with(dev, &Trace::from_entries(entries), &config).unwrap()
     }
 
     #[test]
@@ -559,7 +641,7 @@ mod tests {
         let spec = JobSpec::new(AccessPattern::RandRead, 4096, 1);
         // 20 requests all arriving at t=0: the last waits ~190 us.
         let arrivals = vec![SimTime::ZERO; 20];
-        let report = run_open_loop(&mut dev, &spec, arrivals).unwrap();
+        let report = run_open_loop(&mut dev, &spec, &arrivals);
         assert_eq!(report.ios, 20);
         assert_eq!(report.latency.max(), SimDuration::from_micros(200));
         assert_eq!(report.latency.min(), SimDuration::from_micros(10));
@@ -572,7 +654,7 @@ mod tests {
         let arrivals: Vec<SimTime> = (0..20)
             .map(|i| SimTime::ZERO + SimDuration::from_micros(20 * i))
             .collect();
-        let report = run_open_loop(&mut dev, &spec, arrivals).unwrap();
+        let report = run_open_loop(&mut dev, &spec, &arrivals);
         assert_eq!(report.latency.max(), SimDuration::from_micros(10));
     }
 
@@ -621,11 +703,11 @@ mod tests {
         let (start, end) = job_span(dev, spec);
         let mut stream = AddressStream::new(spec.pattern, spec.io_size, start, end, spec.seed);
         let mut report = JobReport::new(spec.throughput_window, spec.start);
-        let mut inflight: BinaryHeap<Reverse<Inflight>> = BinaryHeap::new();
+        let mut inflight: BinaryHeap<Reverse<InflightIo>> = BinaryHeap::new();
         let submit = |dev: &mut D,
                       at: SimTime,
                       stream: &mut AddressStream,
-                      inflight: &mut BinaryHeap<Reverse<Inflight>>|
+                      inflight: &mut BinaryHeap<Reverse<InflightIo>>|
          -> Result<(), IoError> {
             let (kind, offset) = stream.next_io();
             let req = IoRequest {
@@ -635,7 +717,7 @@ mod tests {
                 submit_time: at,
             };
             let completes = dev.submit(&req)?;
-            inflight.push(Reverse(Inflight {
+            inflight.push(Reverse(InflightIo {
                 completes,
                 submitted: at,
                 kind,
@@ -672,7 +754,7 @@ mod tests {
                 AccessPattern::SeqWrite,
                 // Mixed kinds can tie on (completes, submitted) within one
                 // multi-server completion group — the case the kind/len
-                // tie-break in `Inflight::cmp` pins down.
+                // tie-break in `InflightIo::cmp` pins down.
                 AccessPattern::Mixed {
                     write_ratio: 0.5,
                     random: true,
@@ -722,7 +804,7 @@ mod tests {
             }
         }
         let mut b = TestDevice::new(10, 2);
-        let batched = run_open_loop(&mut b, &spec, arrivals).unwrap();
+        let batched = run_open_loop(&mut b, &spec, &arrivals);
         assert_eq!(batched.ios, ref_report.ios);
         assert_eq!(batched.finished_at, ref_report.finished_at);
         assert_eq!(batched.latency.mean(), ref_report.latency.mean());

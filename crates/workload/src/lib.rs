@@ -6,14 +6,16 @@
 //!
 //! * [`JobSpec`] — a declarative job description (pattern × size × depth ×
 //!   stop condition),
-//! * [`run_job`] — a closed-loop driver keeping `queue_depth` requests
-//!   outstanding against any [`BlockDevice`](uc_blockdev::BlockDevice),
-//! * [`ClosedLoopJob`] — the same driver as a resumable object: pause at
-//!   byte milestones, capture a [`DriverCheckpoint`], continue on another
-//!   worker with a byte-identical schedule (the mechanism behind the
-//!   segmented Figure 3 endurance run in `uc-core`),
-//! * [`run_open_loop`] — an arrival-driven driver for burst/smoothing
-//!   studies (Implication 4),
+//! * one resumable I/O driver core, fed by a request source:
+//!   - [`run_job`] keeps `queue_depth` synthetic requests outstanding
+//!     against any [`BlockDevice`](uc_blockdev::BlockDevice);
+//!   - [`ClosedLoopJob`] is the same job as an object: pause at byte
+//!     milestones, capture a [`DriverCheckpoint`], continue on another
+//!     worker with a byte-identical schedule (the mechanism behind the
+//!     segmented Figure 3 endurance run in `uc-core`);
+//!   - [`TraceReplayJob`] / [`replay_with`] replay a [`Trace`] closed
+//!     loop, or open loop (arrival-driven) for the burst/smoothing
+//!     studies of Implication 4, pausing at entry milestones,
 //! * [`JobReport`] — latency histograms (overall and split by direction)
 //!   plus throughput timelines.
 //!
@@ -42,17 +44,16 @@ mod report;
 mod shaper;
 mod spec;
 mod stream;
+#[cfg(test)]
+mod testdev;
 mod trace;
 
-pub use driver::{
-    precondition, run_job, run_open_loop, ClosedLoopJob, DriverCheckpoint, InflightIo, JobProgress,
-};
+pub use driver::{precondition, run_job, ClosedLoopJob, DriverCheckpoint, InflightIo, JobProgress};
 pub use replay::{
-    replay_with, ReplayCheckpoint, ReplayConfig, ReplayError, ReplayMode, ReplayProgress,
-    TraceReplayJob,
+    replay_with, ReplayCheckpoint, ReplayConfig, ReplayError, ReplayMode, TraceReplayJob,
 };
 pub use report::JobReport;
 pub use shaper::Shaper;
 pub use spec::{AccessPattern, JobLimit, JobSpec};
 pub use stream::AddressStream;
-pub use trace::{replay, validate_entries, ParseTraceError, Trace, TraceEntry, TraceError};
+pub use trace::{validate_entries, ParseTraceError, Trace, TraceEntry, TraceError};

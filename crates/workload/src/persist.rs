@@ -167,27 +167,10 @@ fn check_replay(config: &ReplayConfig) -> Result<(), DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdev::TestDevice;
     use crate::ClosedLoopJob;
-    use uc_blockdev::{BlockDevice, DeviceInfo, IoKind, IoRequest, IoResult};
+    use uc_blockdev::IoKind;
     use uc_sim::SimTime;
-
-    /// A deterministic 2-server test device.
-    struct TestDevice {
-        servers: uc_sim::ParallelResource,
-    }
-
-    impl BlockDevice for TestDevice {
-        fn info(&self) -> DeviceInfo {
-            DeviceInfo::new("test", 1 << 30, 4096)
-        }
-        fn submit(&mut self, req: &IoRequest) -> IoResult {
-            self.info().validate(req)?;
-            Ok(self
-                .servers
-                .acquire(req.submit_time, SimDuration::from_micros(9))
-                .1)
-        }
-    }
 
     fn round_trip_driver(checkpoint: &DriverCheckpoint) -> DriverCheckpoint {
         let mut w = Encoder::new();
@@ -211,9 +194,7 @@ mod tests {
         )
         .with_byte_limit(300 * 4096)
         .with_seed(123);
-        let mut dev = TestDevice {
-            servers: uc_sim::ParallelResource::new(2),
-        };
+        let mut dev = TestDevice::new(9, 2);
         let mut job = ClosedLoopJob::start(&mut dev, &spec).unwrap();
         job.run_until(&mut dev, 80 * 4096).unwrap();
         let checkpoint = job.checkpoint();
@@ -227,12 +208,8 @@ mod tests {
 
         // The straight continuation and the decoded continuation finish
         // with byte-identical reports.
-        let mut dev_b = TestDevice {
-            servers: uc_sim::ParallelResource::new(2),
-        };
-        let mut dev_c = TestDevice {
-            servers: uc_sim::ParallelResource::new(2),
-        };
+        let mut dev_b = TestDevice::new(9, 2);
+        let mut dev_c = TestDevice::new(9, 2);
         // Devices are stateful; replay the prefix schedule into both by
         // resuming from equal checkpoints (the test device's relevant
         // state is entirely in the driver's virtual-time bookkeeping).
@@ -291,9 +268,7 @@ mod tests {
         use crate::{ReplayConfig, Trace, TraceReplayJob};
         let trace = Trace::bursty_writes(4, 9, SimDuration::from_millis(1), 4096, 4 << 20, 11);
         let config = ReplayConfig::closed_loop(5).with_speed(2.0);
-        let mut dev = TestDevice {
-            servers: uc_sim::ParallelResource::new(2),
-        };
+        let mut dev = TestDevice::new(9, 2);
         let mut job = TraceReplayJob::start(&dev, &trace, &config).unwrap();
         job.run_until(&mut dev, &trace, 15).unwrap();
         let checkpoint = job.checkpoint();
@@ -310,12 +285,8 @@ mod tests {
         assert_eq!(back.finished, checkpoint.finished);
 
         // The decoded continuation finishes byte-identically.
-        let mut dev_a = TestDevice {
-            servers: uc_sim::ParallelResource::new(2),
-        };
-        let mut dev_b = TestDevice {
-            servers: uc_sim::ParallelResource::new(2),
-        };
+        let mut dev_a = TestDevice::new(9, 2);
+        let mut dev_b = TestDevice::new(9, 2);
         let mut straight = TraceReplayJob::resume(checkpoint);
         let mut decoded = TraceReplayJob::resume(back);
         straight.run_until(&mut dev_a, &trace, usize::MAX).unwrap();

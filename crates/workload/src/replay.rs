@@ -1,11 +1,12 @@
 //! Trace replay: batched, timestamp-honouring, resumable.
 //!
 //! [`TraceReplayJob`] drives a [`Trace`] against any
-//! [`BlockDevice`], speaking the queue-pair API
-//! ([`BlockDevice::submit_batch`]) with **burst-preserving** scheduling:
-//! entries sharing one (speed-scaled) arrival instant go to the device
-//! through one doorbell ring, so a captured burst replays as the burst it
-//! was, not as a trickle of single submissions. Two modes:
+//! [`BlockDevice`] through the crate's one driver core, speaking the
+//! queue-pair API ([`BlockDevice::submit_batch`]) with
+//! **burst-preserving** scheduling: entries sharing one (speed-scaled)
+//! arrival instant go to the device through one doorbell ring, so a
+//! captured burst replays as the burst it was, not as a trickle of single
+//! submissions. Two modes:
 //!
 //! * **open loop** ([`ReplayMode::OpenLoop`]) — every entry is submitted
 //!   at its scaled arrival instant regardless of completions; latencies
@@ -18,20 +19,18 @@
 //!   the device's service time are still honoured, but the trace can
 //!   never overrun the configured depth.
 //!
-//! The driver implements the same checkpoint contract as
-//! [`ClosedLoopJob`](crate::ClosedLoopJob) (PR 3): it pauses at
-//! entry-index milestones, freezes into a plain-data
-//! [`ReplayCheckpoint`], and resumes with a byte-identical continuation —
-//! which is how `uc-core` slices a long replay into pipelined segments
-//! and how a killed replay process resumes from disk.
+//! The job keeps the same checkpoint contract as
+//! [`ClosedLoopJob`](crate::ClosedLoopJob): it pauses at entry-index
+//! milestones, freezes into a plain-data [`ReplayCheckpoint`], and
+//! resumes with a byte-identical continuation — which is how `uc-core`
+//! slices a long replay into pipelined segments and how a killed replay
+//! process resumes from disk.
 
-use crate::driver::InflightIo;
+use crate::driver::{DriverCore, InflightIo, JobProgress, RequestSource};
 use crate::trace::{Trace, TraceEntry, TraceError};
 use crate::JobReport;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
-use uc_blockdev::{BlockDevice, IoBatch, IoError, IoRequest};
+use uc_blockdev::{BlockDevice, IoError, IoRequest};
 use uc_sim::{SimDuration, SimTime};
 
 /// How replayed entries are paced against the device.
@@ -80,8 +79,7 @@ pub struct ReplayConfig {
 
 impl ReplayConfig {
     /// Open-loop replay at captured speed, 100 ms report windows,
-    /// 32-request doorbells — the semantics of the original
-    /// [`replay`](crate::replay) function.
+    /// 32-request doorbells.
     pub fn open_loop() -> Self {
         ReplayConfig {
             mode: ReplayMode::OpenLoop,
@@ -187,16 +185,6 @@ impl From<IoError> for ReplayError {
     }
 }
 
-/// How a [`TraceReplayJob::run_until`] call ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayProgress {
-    /// The entry milestone was reached; the job can be resumed.
-    Paused,
-    /// Every trace entry has been submitted and completed; the report is
-    /// final.
-    Finished,
-}
-
 /// The complete serializable state of a paused [`TraceReplayJob`].
 ///
 /// Captured by [`TraceReplayJob::checkpoint`];
@@ -220,7 +208,7 @@ pub struct ReplayCheckpoint {
     pub finished: bool,
 }
 
-/// A resumable trace replay (see the [module docs](self) for semantics).
+/// A resumable trace replay, open or closed loop (see [`ReplayMode`]).
 ///
 /// # Example
 ///
@@ -240,34 +228,44 @@ pub struct TraceReplayJob {
     config: ReplayConfig,
     position: usize,
     report: JobReport,
-    inflight: BinaryHeap<Reverse<InflightIo>>,
-    finished: bool,
+    core: DriverCore,
 }
 
-/// Submits a queued batch through one doorbell ring and moves the
-/// completions into the in-flight heap.
-fn ring_doorbell<D: BlockDevice + ?Sized>(
-    dev: &mut D,
-    batch: &IoBatch,
-    inflight: &mut BinaryHeap<Reverse<InflightIo>>,
-) -> Result<(), IoError> {
-    if batch.is_empty() {
-        return Ok(());
+/// A trace as a request source: entry `position` onwards, each arriving
+/// at its scaled timestamp; the run pauses once `target` entries are out.
+struct Cursor<'a> {
+    entries: &'a [TraceEntry],
+    config: &'a ReplayConfig,
+    position: &'a mut usize,
+    target: usize,
+}
+
+impl RequestSource for Cursor<'_> {
+    fn arrival(&self) -> Option<SimTime> {
+        let e = self.entries.get(*self.position)?;
+        Some(self.config.scaled(e.at))
     }
-    for c in dev.submit_batch(batch)? {
-        inflight.push(Reverse(InflightIo {
-            completes: c.completes,
-            submitted: c.submitted,
-            kind: c.kind,
-            len: c.len,
-        }));
+
+    fn take(&mut self, at: SimTime) -> IoRequest {
+        let e = self.entries[*self.position];
+        *self.position += 1;
+        IoRequest {
+            kind: e.kind,
+            offset: e.offset,
+            len: e.len,
+            submit_time: at,
+        }
     }
-    Ok(())
+
+    fn pause(&self, _report: &JobReport) -> bool {
+        *self.position >= self.target
+    }
 }
 
 impl TraceReplayJob {
-    /// Primes a replay of `trace` against `dev`: validates every entry
-    /// against the device capacity up front, issuing no I/O yet.
+    /// Prepares a replay of `trace` against `dev`: validates every entry
+    /// against the device capacity up front, issuing no I/O yet (the
+    /// first [`TraceReplayJob::run_until`] primes the queue).
     ///
     /// # Errors
     ///
@@ -279,13 +277,13 @@ impl TraceReplayJob {
         config: &ReplayConfig,
     ) -> Result<Self, ReplayError> {
         trace.validate(dev.info().capacity())?;
-        Ok(TraceReplayJob {
+        Ok(TraceReplayJob::resume(ReplayCheckpoint {
             config: *config,
             position: 0,
             report: JobReport::new(config.window, SimTime::ZERO),
-            inflight: BinaryHeap::new(),
+            inflight: Vec::new(),
             finished: false,
-        })
+        }))
     }
 
     /// Drives the replay until at least `entries` trace entries have been
@@ -310,147 +308,20 @@ impl TraceReplayJob {
         dev: &mut D,
         trace: &Trace,
         entries: usize,
-    ) -> Result<ReplayProgress, ReplayError> {
+    ) -> Result<JobProgress, ReplayError> {
         assert!(
             self.position <= trace.len(),
             "checkpoint position {} exceeds trace length {} (wrong trace?)",
             self.position,
             trace.len()
         );
-        if self.finished {
-            return Ok(ReplayProgress::Finished);
-        }
-        match self.config.mode {
-            ReplayMode::OpenLoop => self.run_open(dev, trace.entries(), entries),
-            ReplayMode::ClosedLoop { queue_depth } => {
-                self.run_closed(dev, trace.entries(), entries, queue_depth)
-            }
-        }
-    }
-
-    /// Open-loop drive: submit each burst at its scaled arrival instant,
-    /// record completions as they are returned.
-    fn run_open<D: BlockDevice + ?Sized>(
-        &mut self,
-        dev: &mut D,
-        entries: &[TraceEntry],
-        target: usize,
-    ) -> Result<ReplayProgress, ReplayError> {
-        let mut batch = IoBatch::with_capacity(self.config.ring);
-        while self.position < entries.len() {
-            if self.position >= target {
-                return Ok(ReplayProgress::Paused);
-            }
-            // One doorbell per burst: gather entries sharing this scaled
-            // arrival instant, splitting only at the ring size.
-            let burst_at = self.config.scaled(entries[self.position].at);
-            batch.clear();
-            while self.position < entries.len() && batch.len() < self.config.ring {
-                let e = entries[self.position];
-                let at = self.config.scaled(e.at);
-                if at != burst_at {
-                    break;
-                }
-                batch.push(IoRequest {
-                    kind: e.kind,
-                    offset: e.offset,
-                    len: e.len,
-                    submit_time: at,
-                });
-                self.position += 1;
-            }
-            for c in dev.submit_batch(&batch)? {
-                self.report
-                    .record(c.kind.is_write(), c.len, c.submitted, c.completes);
-            }
-        }
-        self.finished = true;
-        Ok(ReplayProgress::Finished)
-    }
-
-    /// Closed-loop drive: keep `queue_depth` entries outstanding; each
-    /// drained completion group queues its replacements at
-    /// `max(scaled arrival, group completion instant)`.
-    fn run_closed<D: BlockDevice + ?Sized>(
-        &mut self,
-        dev: &mut D,
-        entries: &[TraceEntry],
-        target: usize,
-        queue_depth: usize,
-    ) -> Result<ReplayProgress, ReplayError> {
-        let ring = self.config.ring;
-        let mut batch = IoBatch::with_capacity(queue_depth.min(ring));
-        // Initial fill (first call only): the first `queue_depth` entries
-        // go out at their own scaled arrivals, at most `ring` per
-        // doorbell (splitting a doorbell never changes the schedule —
-        // every request carries its own submit instant).
-        if self.inflight.is_empty() && self.position < entries.len() {
-            while self.position < entries.len() && self.inflight.len() + batch.len() < queue_depth {
-                let e = entries[self.position];
-                batch.push(IoRequest {
-                    kind: e.kind,
-                    offset: e.offset,
-                    len: e.len,
-                    submit_time: self.config.scaled(e.at),
-                });
-                self.position += 1;
-                if batch.len() >= ring {
-                    ring_doorbell(dev, &batch, &mut self.inflight)?;
-                    batch.clear();
-                }
-            }
-            ring_doorbell(dev, &batch, &mut self.inflight)?;
-            if self.position >= target && self.position < entries.len() {
-                return Ok(ReplayProgress::Paused);
-            }
-        }
-        while let Some(Reverse(first)) = self.inflight.pop() {
-            batch.clear();
-            // Drain every completion sharing the earliest instant and
-            // queue one replacement per completion. Replacements are
-            // submitted no earlier than this instant, so the heap order —
-            // and therefore the schedule — matches one-at-a-time
-            // submission exactly (the `ClosedLoopJob` argument).
-            let mut done = first;
-            loop {
-                self.report.record(
-                    done.kind.is_write(),
-                    done.len,
-                    done.submitted,
-                    done.completes,
-                );
-                if self.position < entries.len() {
-                    let e = entries[self.position];
-                    batch.push(IoRequest {
-                        kind: e.kind,
-                        offset: e.offset,
-                        len: e.len,
-                        submit_time: self.config.scaled(e.at).max(done.completes),
-                    });
-                    self.position += 1;
-                    // Honour the ring cap mid-drain too. Replacements
-                    // complete strictly after this group's instant, so
-                    // the early flush cannot add members to the group
-                    // being drained.
-                    if batch.len() >= ring {
-                        ring_doorbell(dev, &batch, &mut self.inflight)?;
-                        batch.clear();
-                    }
-                }
-                match self.inflight.peek() {
-                    Some(Reverse(next)) if next.completes == first.completes => {
-                        done = self.inflight.pop().expect("peeked").0;
-                    }
-                    _ => break,
-                }
-            }
-            ring_doorbell(dev, &batch, &mut self.inflight)?;
-            if self.position >= target && !self.inflight.is_empty() {
-                return Ok(ReplayProgress::Paused);
-            }
-        }
-        self.finished = true;
-        Ok(ReplayProgress::Finished)
+        let mut cursor = Cursor {
+            entries: trace.entries(),
+            config: &self.config,
+            position: &mut self.position,
+            target: entries,
+        };
+        Ok(self.core.run(dev, &mut cursor, &mut self.report)?)
     }
 
     /// Trace entries already submitted.
@@ -460,7 +331,7 @@ impl TraceReplayJob {
 
     /// `true` once every entry has been submitted and completed.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.core.finished
     }
 
     /// Everything measured so far (final once
@@ -477,26 +348,30 @@ impl TraceReplayJob {
     /// Captures the job's complete state at a pause point (canonical
     /// form: in-flight entries in schedule order).
     pub fn checkpoint(&self) -> ReplayCheckpoint {
-        let mut inflight: Vec<InflightIo> = self.inflight.iter().map(|Reverse(io)| *io).collect();
-        inflight.sort_unstable();
+        let inflight = self.core.inflight();
         ReplayCheckpoint {
             config: self.config,
             position: self.position as u64,
             report: self.report.clone(),
             inflight,
-            finished: self.finished,
+            finished: self.core.finished,
         }
     }
 
     /// Rebuilds a job that continues exactly where `checkpoint` was
     /// taken (pair it with the trace the checkpoint came from).
     pub fn resume(checkpoint: ReplayCheckpoint) -> Self {
+        let config = checkpoint.config;
         TraceReplayJob {
-            config: checkpoint.config,
+            config,
             position: checkpoint.position as usize,
             report: checkpoint.report,
-            inflight: checkpoint.inflight.into_iter().map(Reverse).collect(),
-            finished: checkpoint.finished,
+            core: DriverCore::resume(
+                config.mode,
+                config.ring,
+                checkpoint.inflight,
+                checkpoint.finished,
+            ),
         }
     }
 }
@@ -524,36 +399,9 @@ pub fn replay_with<D: BlockDevice + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uc_blockdev::{DeviceInfo, IoResult};
-
-    /// A device with fixed service time and `servers`-way parallelism
-    /// that remembers every submission instant.
-    struct TestDevice {
-        service: SimDuration,
-        servers: uc_sim::ParallelResource,
-        submissions: Vec<SimTime>,
-    }
-
-    impl TestDevice {
-        fn new(us: u64, servers: usize) -> Self {
-            TestDevice {
-                service: SimDuration::from_micros(us),
-                servers: uc_sim::ParallelResource::new(servers),
-                submissions: Vec::new(),
-            }
-        }
-    }
-
-    impl BlockDevice for TestDevice {
-        fn info(&self) -> DeviceInfo {
-            DeviceInfo::new("test", 1 << 30, 4096)
-        }
-        fn submit(&mut self, req: &IoRequest) -> IoResult {
-            self.info().validate(req)?;
-            self.submissions.push(req.submit_time);
-            Ok(self.servers.acquire(req.submit_time, self.service).1)
-        }
-    }
+    use crate::testdev::{Counting, TestDevice};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn bursty() -> Trace {
         Trace::bursty_writes(5, 12, SimDuration::from_millis(1), 4096, 8 << 20, 3)
@@ -685,41 +533,11 @@ mod tests {
     fn bursts_share_one_doorbell() {
         // 12-entry bursts with ring 32: each burst must arrive as one
         // batch (observable through a submit_batch-counting device).
-        struct Counting {
-            inner: TestDevice,
-            batches: Vec<usize>,
-        }
-        impl BlockDevice for Counting {
-            fn info(&self) -> DeviceInfo {
-                self.inner.info()
-            }
-            fn submit(&mut self, req: &IoRequest) -> IoResult {
-                self.inner.submit(req)
-            }
-            fn submit_batch(
-                &mut self,
-                batch: &IoBatch,
-            ) -> Result<Vec<uc_blockdev::Completion>, IoError> {
-                self.batches.push(batch.len());
-                // Delegate to the default sequential servicing.
-                let mut out = Vec::with_capacity(batch.len());
-                for (i, req) in batch.requests().iter().enumerate() {
-                    out.push(uc_blockdev::Completion::of(i, req, self.inner.submit(req)?));
-                }
-                Ok(out)
-            }
-        }
-        let mut dev = Counting {
-            inner: TestDevice::new(10, 2),
-            batches: Vec::new(),
-        };
+        let mut dev = Counting::new(10, 2);
         replay_with(&mut dev, &bursty(), &ReplayConfig::open_loop()).unwrap();
         assert_eq!(dev.batches, vec![12; 5], "one doorbell per burst");
         // A ring smaller than the burst splits it.
-        let mut dev = Counting {
-            inner: TestDevice::new(10, 2),
-            batches: Vec::new(),
-        };
+        let mut dev = Counting::new(10, 2);
         replay_with(&mut dev, &bursty(), &ReplayConfig::open_loop().with_ring(5)).unwrap();
         assert_eq!(
             dev.batches,
@@ -729,35 +547,9 @@ mod tests {
 
     #[test]
     fn closed_loop_honours_the_ring_cap() {
-        struct Counting {
-            inner: TestDevice,
-            batches: Vec<usize>,
-        }
-        impl BlockDevice for Counting {
-            fn info(&self) -> DeviceInfo {
-                self.inner.info()
-            }
-            fn submit(&mut self, req: &IoRequest) -> IoResult {
-                self.inner.submit(req)
-            }
-            fn submit_batch(
-                &mut self,
-                batch: &IoBatch,
-            ) -> Result<Vec<uc_blockdev::Completion>, IoError> {
-                self.batches.push(batch.len());
-                let mut out = Vec::with_capacity(batch.len());
-                for (i, req) in batch.requests().iter().enumerate() {
-                    out.push(uc_blockdev::Completion::of(i, req, self.inner.submit(req)?));
-                }
-                Ok(out)
-            }
-        }
         let trace = bursty();
         let config = ReplayConfig::closed_loop(16).with_ring(4);
-        let mut capped = Counting {
-            inner: TestDevice::new(10, 2),
-            batches: Vec::new(),
-        };
+        let mut capped = Counting::new(10, 2);
         let report = replay_with(&mut capped, &trace, &config).unwrap();
         assert!(
             capped.batches.iter().all(|&n| n <= 4),
@@ -854,8 +646,8 @@ mod tests {
             let mut milestone = 7;
             loop {
                 match job.run_until(&mut dev, &trace, milestone).unwrap() {
-                    ReplayProgress::Finished => break,
-                    ReplayProgress::Paused => {
+                    JobProgress::Finished => break,
+                    JobProgress::Paused => {
                         // Freeze and thaw: the continuation must not care.
                         job = TraceReplayJob::resume(job.checkpoint());
                         milestone += 7;
@@ -926,11 +718,11 @@ mod tests {
         let mut job = TraceReplayJob::start(&dev, &trace, &ReplayConfig::open_loop()).unwrap();
         assert_eq!(
             job.run_until(&mut dev, &trace, usize::MAX).unwrap(),
-            ReplayProgress::Finished
+            JobProgress::Finished
         );
         assert_eq!(
             job.run_until(&mut dev, &trace, usize::MAX).unwrap(),
-            ReplayProgress::Finished
+            JobProgress::Finished
         );
         assert_eq!(job.report().ios, trace.len() as u64);
     }

@@ -100,39 +100,18 @@ impl<D: BlockDevice> BlockDevice for Shaper<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uc_sim::{ParallelResource, SimDuration, SimTime};
+    use crate::testdev::TestDevice;
+    use uc_sim::{SimDuration, SimTime};
 
-    /// Fixed-latency test device.
-    #[derive(Debug)]
-    struct Fixed {
-        pool: ParallelResource,
-    }
-
-    impl Fixed {
-        fn new() -> Self {
-            Fixed {
-                pool: ParallelResource::new(64),
-            }
-        }
-    }
-
-    impl BlockDevice for Fixed {
-        fn info(&self) -> DeviceInfo {
-            DeviceInfo::new("fixed", 1 << 30, 4096)
-        }
-        fn submit(&mut self, req: &IoRequest) -> IoResult {
-            self.info().validate(req)?;
-            Ok(self
-                .pool
-                .acquire(req.submit_time, SimDuration::from_micros(50))
-                .1)
-        }
+    /// A 64-way device with a fixed 50 us service time.
+    fn fixed() -> TestDevice {
+        TestDevice::new(50, 64)
     }
 
     #[test]
     fn burst_rides_the_bucket_then_paces() {
         // 1 MB/s, 8 KiB burst: two 4 KiB writes pass, the third waits.
-        let mut s = Shaper::new(Fixed::new(), 1e6, 8192);
+        let mut s = Shaper::new(fixed(), 1e6, 8192);
         let a = s.submit(&IoRequest::write(0, 4096, SimTime::ZERO)).unwrap();
         let b = s
             .submit(&IoRequest::write(4096, 4096, SimTime::ZERO))
@@ -148,7 +127,7 @@ mod tests {
 
     #[test]
     fn sustained_rate_equals_shaping_rate() {
-        let mut s = Shaper::new(Fixed::new(), 10e6, 4096);
+        let mut s = Shaper::new(fixed(), 10e6, 4096);
         let mut last = SimTime::ZERO;
         let n = 200u64;
         for i in 0..n {
@@ -165,7 +144,7 @@ mod tests {
 
     #[test]
     fn validation_happens_before_shaping() {
-        let mut s = Shaper::new(Fixed::new(), 1e6, 4096);
+        let mut s = Shaper::new(fixed(), 1e6, 4096);
         assert!(s.submit(&IoRequest::write(3, 4096, SimTime::ZERO)).is_err());
         // The failed request must not consume tokens.
         let ok = s.submit(&IoRequest::write(0, 4096, SimTime::ZERO)).unwrap();
@@ -174,9 +153,9 @@ mod tests {
 
     #[test]
     fn info_and_unwrap_pass_through() {
-        let s = Shaper::new(Fixed::new(), 1e6, 4096);
+        let s = Shaper::new(fixed(), 1e6, 4096);
         assert_eq!(s.info().capacity(), 1 << 30);
         assert_eq!(s.rate(), 1e6);
-        let _inner: Fixed = s.into_inner();
+        let _inner: TestDevice = s.into_inner();
     }
 }

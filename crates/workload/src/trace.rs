@@ -6,10 +6,9 @@
 //! smoothing planner in `uc-core`, and replayed open-loop against any
 //! device — shaped or unshaped.
 
-use crate::JobReport;
 use std::fmt;
 use std::str::FromStr;
-use uc_blockdev::{BlockDevice, IoError, IoKind};
+use uc_blockdev::IoKind;
 use uc_sim::{SimDuration, SimRng, SimTime};
 
 /// One traced I/O.
@@ -63,7 +62,7 @@ impl TraceEntry {
 /// Shared by the text parser, the binary decoder in `uc-trace`, and the
 /// replay drivers: an invalid trace is rejected with one of these typed
 /// errors *before* any I/O is issued, instead of surfacing as the first
-/// request's [`IoError`] halfway through a replay.
+/// request's [`IoError`](uc_blockdev::IoError) halfway through a replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceError {
     /// An entry's length is zero.
@@ -294,7 +293,8 @@ impl Trace {
     ///
     /// The replay drivers call this before issuing any I/O, so a bad
     /// trace is a typed [`TraceError`] up front instead of an
-    /// [`IoError`] on whichever entry first hits the device.
+    /// [`IoError`](uc_blockdev::IoError) on whichever entry first hits the
+    /// device.
     ///
     /// # Errors
     ///
@@ -394,35 +394,6 @@ impl FromStr for Trace {
     }
 }
 
-/// Replays a trace open-loop against a device (arrivals are honoured even
-/// if the device falls behind), collecting the usual [`JobReport`] over
-/// the historical 100 ms throughput window.
-///
-/// This is a thin wrapper over [`replay_with`](crate::replay_with) with
-/// [`ReplayConfig::open_loop`](crate::ReplayConfig::open_loop): requests
-/// route through the queue-pair API ([`BlockDevice::submit_batch`]) one
-/// burst per doorbell, which produces completions identical to the old
-/// request-at-a-time loop. Use `replay_with` directly to choose the
-/// window, a closed-loop mode, or a `speed` factor.
-///
-/// # Errors
-///
-/// Propagates the first validation error (e.g. a trace offset beyond the
-/// device capacity) — now detected up front, before any I/O is issued —
-/// or the first [`IoError`] the device reports.
-pub fn replay<D: BlockDevice + ?Sized>(dev: &mut D, trace: &Trace) -> Result<JobReport, IoError> {
-    crate::replay_with(dev, trace, &crate::ReplayConfig::open_loop()).map_err(|e| match e {
-        crate::ReplayError::Io(e) => e,
-        crate::ReplayError::Trace(TraceError::ZeroLength { .. }) => IoError::ZeroLength,
-        crate::ReplayError::Trace(TraceError::OutOfRange { end, capacity, .. }) => {
-            IoError::OutOfRange { end, capacity }
-        }
-        crate::ReplayError::Trace(TraceError::TimestampRegression { .. }) => {
-            unreachable!("Trace entries are arrival-sorted by construction")
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,23 +483,10 @@ mod tests {
 
     #[test]
     fn replay_reports_queueing() {
-        use uc_blockdev::{DeviceInfo, IoRequest, IoResult};
-        struct Slow(uc_sim::Resource);
-        impl BlockDevice for Slow {
-            fn info(&self) -> DeviceInfo {
-                DeviceInfo::new("slow", 1 << 30, 4096)
-            }
-            fn submit(&mut self, req: &IoRequest) -> IoResult {
-                self.info().validate(req)?;
-                Ok(self
-                    .0
-                    .acquire(req.submit_time, SimDuration::from_micros(100))
-                    .1)
-            }
-        }
         let trace = Trace::bursty_writes(1, 10, SimDuration::from_secs(1), 4096, 1 << 20, 1);
-        let mut dev = Slow(uc_sim::Resource::new());
-        let report = replay(&mut dev, &trace).unwrap();
+        let mut dev = crate::testdev::TestDevice::new(100, 1);
+        let report =
+            crate::replay_with(&mut dev, &trace, &crate::ReplayConfig::open_loop()).unwrap();
         assert_eq!(report.ios, 10);
         assert_eq!(report.latency.max(), SimDuration::from_micros(1000));
     }

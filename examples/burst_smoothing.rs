@@ -11,7 +11,7 @@
 
 use unwritten_contract::core::implications::plan_smoothing;
 use unwritten_contract::prelude::*;
-use unwritten_contract::workload::{replay, Shaper, Trace};
+use unwritten_contract::workload::{AddressStream, Shaper, Trace, TraceEntry};
 
 /// One burst every second…
 const BURST_PERIOD: SimDuration = SimDuration::from_secs(1);
@@ -19,41 +19,58 @@ const BURST_PERIOD: SimDuration = SimDuration::from_secs(1);
 const BURST_IOS: u64 = 200;
 const IO_SIZE: u32 = 256 << 10;
 const BURSTS: u64 = 10;
+const CAPACITY: u64 = 2 << 30;
 
-fn main() -> Result<(), IoError> {
-    let spec = JobSpec::new(AccessPattern::RandWrite, IO_SIZE, 1).with_seed(21);
+/// A random-write trace with one request at each of `arrivals`.
+fn writes_at(arrivals: impl Iterator<Item = SimTime>) -> Trace {
+    let mut stream = AddressStream::new(AccessPattern::RandWrite, IO_SIZE, 0, CAPACITY, 21);
+    Trace::from_entries(
+        arrivals
+            .map(|at| {
+                let (kind, offset) = stream.next_io();
+                TraceEntry {
+                    at,
+                    kind,
+                    offset,
+                    len: IO_SIZE,
+                }
+            })
+            .collect(),
+    )
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // Open-loop replay: every request goes out at its arrival, so bursts
+    // queue inside the device.
+    let open_loop = ReplayConfig::open_loop().with_window(SimDuration::from_secs(1));
 
     // Unsmoothed: every burst lands at once.
-    let mut dev = Essd::new(EssdConfig::alibaba_pl3(2 << 30));
-    let bursty: Vec<SimTime> = (0..BURSTS)
-        .flat_map(|b| {
-            let at = SimTime::ZERO + BURST_PERIOD * b;
-            std::iter::repeat_n(at, BURST_IOS as usize)
-        })
-        .collect();
-    let bursty_report = run_open_loop(&mut dev, &spec, bursty)?;
+    let mut dev = Essd::new(EssdConfig::alibaba_pl3(CAPACITY));
+    let bursty = writes_at((0..BURSTS).flat_map(|b| {
+        let at = SimTime::ZERO + BURST_PERIOD * b;
+        std::iter::repeat_n(at, BURST_IOS as usize)
+    }));
+    let bursty_report = replay_with(&mut dev, &bursty, &open_loop)?;
 
     // Smoothed: the same demand spread evenly inside each period.
-    let mut dev = Essd::new(EssdConfig::alibaba_pl3(2 << 30));
+    let mut dev = Essd::new(EssdConfig::alibaba_pl3(CAPACITY));
     let gap = SimDuration::from_nanos(BURST_PERIOD.as_nanos() / BURST_IOS);
-    let smooth: Vec<SimTime> = (0..BURSTS)
-        .flat_map(|b| {
-            let start = SimTime::ZERO + BURST_PERIOD * b;
-            (0..BURST_IOS).map(move |i| start + gap * i)
-        })
-        .collect();
-    let smooth_report = run_open_loop(&mut dev, &spec, smooth)?;
+    let smooth = writes_at((0..BURSTS).flat_map(|b| {
+        let start = SimTime::ZERO + BURST_PERIOD * b;
+        (0..BURST_IOS).map(move |i| start + gap * i)
+    }));
+    let smooth_report = replay_with(&mut dev, &smooth, &open_loop)?;
 
     // Or let the Shaper do the smoothing mechanically: replay the same
     // bursty trace through a paced device adapter.
     let trace = Trace::bursty_writes(BURSTS, BURST_IOS, BURST_PERIOD, IO_SIZE, 1 << 30, 21);
     let shaped_rate = 0.09e9; // the planner's answer, see below
     let mut shaped_dev = Shaper::new(
-        Essd::new(EssdConfig::alibaba_pl3(2 << 30)),
+        Essd::new(EssdConfig::alibaba_pl3(CAPACITY)),
         shaped_rate,
         4 << 20,
     );
-    let shaped_report = replay(&mut shaped_dev, &trace)?;
+    let shaped_report = replay_with(&mut shaped_dev, &trace, &ReplayConfig::open_loop())?;
 
     println!("ESSD-2, {BURSTS} bursts of {BURST_IOS} x 256 KiB writes:");
     // bursty   = bursts hit the device as-is;

@@ -95,7 +95,6 @@ pub mod prelude {
     pub use uc_ssd::{Ssd, SsdConfig};
     pub use uc_trace::{TraceRecorder, TraceSpec};
     pub use uc_workload::{
-        replay_with, run_job, run_open_loop, AccessPattern, ClosedLoopJob, JobReport, JobSpec,
-        ReplayConfig, Trace,
+        replay_with, run_job, AccessPattern, ClosedLoopJob, JobReport, JobSpec, ReplayConfig, Trace,
     };
 }

@@ -3,7 +3,7 @@
 
 use unwritten_contract::core::casestudy::{run_inplace, run_lsm, LsmConfig};
 use unwritten_contract::prelude::*;
-use unwritten_contract::workload::{precondition, replay, Shaper, Trace};
+use unwritten_contract::workload::{precondition, Shaper, Trace};
 
 #[test]
 fn shaper_keeps_an_essd_under_a_smaller_budget() {
@@ -12,7 +12,7 @@ fn shaper_keeps_an_essd_under_a_smaller_budget() {
     let inner = Essd::new(EssdConfig::alibaba_pl3(512 << 20));
     let mut shaped = Shaper::new(inner, 100.0e6, 4 << 20);
     let trace = Trace::bursty_writes(5, 100, SimDuration::from_secs(1), 256 << 10, 256 << 20, 3);
-    let report = replay(&mut shaped, &trace).unwrap();
+    let report = replay_with(&mut shaped, &trace, &ReplayConfig::open_loop()).unwrap();
     assert_eq!(report.ios, 500);
     // Each 25.6 MB burst drains at 100 MB/s: worst-case latency ~0.22 s.
     let max = report.latency.max().as_secs_f64();

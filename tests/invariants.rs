@@ -276,7 +276,7 @@ proptest! {
         // Replay schedule equivalence: the same arrivals on an identical
         // fresh device complete at the same instants.
         let mut fresh = Ssd::new(SsdConfig::samsung_970_pro(128 << 20));
-        let report = unwritten_contract::workload::replay(&mut fresh, &trace)
+        let report = replay_with(&mut fresh, &trace, &ReplayConfig::open_loop())
             .expect("captured trace replays");
         prop_assert_eq!(report.ios, ops.len() as u64);
         let last = completions.iter().max().copied().unwrap();
