@@ -430,6 +430,10 @@ mod tests {
     #[test]
     fn acquire_many_equals_repeated_acquire() {
         let mut rng = crate::SimRng::new(0xACC);
+        // [general, saturated] calls, classified from the pool state
+        // before each call.
+        let mut kinds = [0usize; 2];
+        let mut saturated_beyond_capacity = 0;
         for case in 0..500u64 {
             let servers = rng.range_u64(1, 9) as usize;
             let mut pool = ParallelResource::new(servers);
@@ -445,6 +449,11 @@ mod tests {
             };
             let service = SimDuration::from_nanos(rng.range_u64(0, 4) * 100);
             for n in [0, 1, servers, servers + 3, rng.range_u64(2, 20) as usize] {
+                // A saturated pool: every finish of the batch is the latest
+                // so far.
+                let saturated = now.max(pool.free_at()) + service >= pool.drained_at();
+                kinds[usize::from(saturated)] += 1;
+                saturated_beyond_capacity += usize::from(saturated && n > servers);
                 let mut batched = pool.clone();
                 let mut stepped = pool.clone();
                 let last = batched.acquire_many(now, service, n);
@@ -458,6 +467,14 @@ mod tests {
                 assert!(batched.check().is_ok());
             }
         }
+        assert!(
+            kinds.iter().all(|&k| k > 100),
+            "both kinds occur: {kinds:?}"
+        );
+        assert!(
+            saturated_beyond_capacity > 50,
+            "{saturated_beyond_capacity}"
+        );
     }
 
     #[test]

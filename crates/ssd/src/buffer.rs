@@ -314,6 +314,149 @@ mod tests {
         assert_eq!(bounded.hits(), reference.hits());
     }
 
+    /// Reference model: a buffer that keeps its resident map current on
+    /// every `record_drain` and `prune`, the way the buffer did before
+    /// residency was indexed lazily.
+    struct EagerBuffer {
+        capacity: usize,
+        ring: Vec<SimTime>,
+        admitted: u64,
+        resident: HashMap<u64, (u64, SimTime)>,
+        pending: VecDeque<(SimTime, u64, u64)>,
+        hits: u64,
+    }
+
+    impl EagerBuffer {
+        fn new(capacity: usize) -> Self {
+            EagerBuffer {
+                capacity,
+                ring: vec![SimTime::ZERO; capacity],
+                admitted: 0,
+                resident: HashMap::new(),
+                pending: VecDeque::new(),
+                hits: 0,
+            }
+        }
+
+        fn admit(&mut self, ready: SimTime) -> (u64, SimTime) {
+            let k = self.admitted;
+            self.admitted += 1;
+            let slot = self.ring[(k % self.capacity as u64) as usize];
+            let at = if k >= self.capacity as u64 {
+                ready.max(slot)
+            } else {
+                ready
+            };
+            (k, at)
+        }
+
+        fn record_drain(&mut self, seq: u64, lpn: u64, drain: SimTime) {
+            self.ring[(seq % self.capacity as u64) as usize] = drain;
+            self.resident.insert(lpn, (seq, drain));
+            self.pending.push_back((drain, lpn, seq));
+        }
+
+        fn contains(&mut self, lpn: u64, now: SimTime) -> bool {
+            self.prune(now);
+            let hit = self.resident.get(&lpn).is_some_and(|&(_, d)| d > now);
+            self.hits += u64::from(hit);
+            hit
+        }
+
+        fn prune(&mut self, now: SimTime) {
+            while let Some(&(drain, lpn, seq)) = self.pending.front() {
+                if drain > now {
+                    break;
+                }
+                self.pending.pop_front();
+                if self.resident.get(&lpn).is_some_and(|&(s, _)| s == seq) {
+                    self.resident.remove(&lpn);
+                }
+            }
+        }
+
+        fn snapshot(&self) -> WriteBufferSnapshot {
+            let mut resident: Vec<_> = self
+                .resident
+                .iter()
+                .map(|(&lpn, &(seq, drain))| (lpn, seq, drain))
+                .collect();
+            resident.sort_unstable();
+            WriteBufferSnapshot {
+                capacity: self.capacity,
+                ring: self.ring.clone(),
+                admitted: self.admitted,
+                resident,
+                pending: self.pending.iter().copied().collect(),
+                hits: self.hits,
+            }
+        }
+
+        fn restore(s: WriteBufferSnapshot) -> Self {
+            EagerBuffer {
+                capacity: s.capacity,
+                ring: s.ring,
+                admitted: s.admitted,
+                resident: s
+                    .resident
+                    .into_iter()
+                    .map(|(l, q, d)| (l, (q, d)))
+                    .collect(),
+                pending: s.pending.into_iter().collect(),
+                hits: s.hits,
+            }
+        }
+    }
+
+    #[test]
+    fn write_buffer_matches_eager_reference() {
+        // Seeded random admit/record_drain/prune/contains sequences, cut
+        // by snapshot→restore round trips: every answer, the hit count
+        // and every snapshot must equal the eager reference model's.
+        let mut rng = uc_sim::SimRng::new(0x1A2E);
+        let mut hits = 0;
+        for case in 0..64u64 {
+            let capacity = rng.range_u64(1, 12) as usize;
+            let lpns = rng.range_u64(1, 40);
+            let mut lazy = WriteBuffer::new(capacity);
+            let mut eager = EagerBuffer::new(capacity);
+            let mut now = t(0);
+            for step in 0..800 {
+                now += SimDuration::from_nanos(rng.range_u64(0, 2500));
+                let lpn = rng.range_u64(0, lpns);
+                match rng.range_u64(0, 10) {
+                    0..=4 => {
+                        let ready = now + SimDuration::from_nanos(rng.range_u64(0, 500));
+                        let (seq, admit) = lazy.admit(ready);
+                        assert_eq!(eager.admit(ready), (seq, admit), "case {case} step {step}");
+                        let drain = admit + SimDuration::from_nanos(rng.range_u64(1, 30_000));
+                        lazy.record_drain(seq, lpn, drain);
+                        eager.record_drain(seq, lpn, drain);
+                    }
+                    5 => {
+                        lazy.prune(now);
+                        eager.prune(now);
+                    }
+                    6..=8 => assert_eq!(
+                        lazy.contains(lpn, now),
+                        eager.contains(lpn, now),
+                        "case {case} step {step}"
+                    ),
+                    _ => {
+                        let snap = lazy.snapshot();
+                        assert_eq!(snap, eager.snapshot(), "case {case} step {step}");
+                        lazy = WriteBuffer::restore(snap.clone());
+                        eager = EagerBuffer::restore(snap);
+                    }
+                }
+                assert_eq!(lazy.hits(), eager.hits, "case {case} step {step}");
+            }
+            assert_eq!(lazy.snapshot(), eager.snapshot(), "case {case}");
+            hits += lazy.hits();
+        }
+        assert!(hits > 1000, "the sequences must exercise hits");
+    }
+
     #[test]
     #[should_panic(expected = "at least one page")]
     fn zero_capacity_rejected() {
