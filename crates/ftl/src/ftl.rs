@@ -1,18 +1,20 @@
 //! The page-mapping FTL itself.
 
 use crate::{BlockState, FtlConfig, FtlStats, GcPolicy, WearStats};
-use uc_flash::{FlashArray, FlashArraySnapshot, FlashOpStats};
+use uc_flash::{FlashArray, FlashArraySnapshot, FlashGeometry, FlashOpStats};
 use uc_invariant::{ensure, Contract, Violation};
 use uc_sim::SimTime;
 
 /// A page-number map: index → page, or none.
 ///
-/// Entries hold `page + 1`, wrapping, so "none" (`u64::MAX` in the
+/// Entries hold `page + 1` as a `u32`, so "none" (`u64::MAX` in the
 /// [`FtlCheckpoint`] form) is stored as 0. A fresh map is therefore
 /// `vec![0; n]`, which the allocator hands out zeroed without touching
-/// the pages until the FTL first writes them.
+/// the pages until the FTL first writes them. [`Ftl::new`] and
+/// [`Ftl::restore`] bound the geometry below `u32::MAX` physical pages,
+/// so every entry fits.
 #[derive(Debug, Clone)]
-struct PageMap(Vec<u64>);
+struct PageMap(Vec<u32>);
 
 impl PageMap {
     /// A map of `len` entries, all none.
@@ -20,17 +22,24 @@ impl PageMap {
         PageMap(vec![0; len])
     }
 
-    /// Converts the checkpoint form (`u64::MAX` = none) in place.
-    fn from_checkpoint(mut entries: Vec<u64>) -> Self {
-        for e in &mut entries {
-            *e = e.wrapping_add(1);
-        }
-        PageMap(entries)
+    /// Converts the checkpoint form (`u64::MAX` = none). Takes it by
+    /// value so [`Ftl::restore`] frees each `u64` map as soon as it is
+    /// converted, which keeps a restore's peak heap down.
+    fn from_checkpoint(entries: Vec<u64>) -> Self {
+        PageMap(
+            entries
+                .iter()
+                .map(|&e| if e == u64::MAX { 0 } else { entry(e) })
+                .collect(),
+        )
     }
 
     /// The checkpoint form (`u64::MAX` = none).
     fn to_checkpoint(&self) -> Vec<u64> {
-        self.0.iter().map(|e| e.wrapping_sub(1)).collect()
+        self.0
+            .iter()
+            .map(|&e| e.checked_sub(1).map_or(u64::MAX, u64::from))
+            .collect()
     }
 
     fn len(&self) -> u64 {
@@ -38,11 +47,11 @@ impl PageMap {
     }
 
     fn get(&self, index: u64) -> Option<u64> {
-        self.0[index as usize].checked_sub(1)
+        self.0[index as usize].checked_sub(1).map(u64::from)
     }
 
     fn set(&mut self, index: u64, page: u64) {
-        self.0[index as usize] = page.wrapping_add(1);
+        self.0[index as usize] = entry(page);
     }
 
     fn clear(&mut self, index: u64) {
@@ -51,13 +60,28 @@ impl PageMap {
 
     /// Every entry in index order.
     fn iter(&self) -> impl Iterator<Item = Option<u64>> + '_ {
-        self.0.iter().map(|e| e.checked_sub(1))
+        self.0.iter().map(|e| e.checked_sub(1).map(u64::from))
     }
 
     /// Count of entries that are not none.
     fn count_mapped(&self) -> u64 {
         self.0.iter().filter(|&&e| e != 0).count() as u64
     }
+}
+
+/// The stored form of `page`: `page + 1`.
+fn entry(page: u64) -> u32 {
+    u32::try_from(page + 1).expect("page numbers are below u32::MAX")
+}
+
+/// Asserts the bound that lets [`PageMap`] store every page as a `u32`.
+fn assert_page_map_fits(g: FlashGeometry) {
+    assert!(
+        g.total_pages() < u64::from(u32::MAX),
+        "geometry has {} physical pages; the FTL maps hold fewer than {}",
+        g.total_pages(),
+        u32::MAX
+    );
 }
 
 /// A deterministic, one-shot map-corruption fault for invariant testing.
@@ -181,7 +205,8 @@ impl Ftl {
     ///
     /// Panics if the geometry has too few blocks per die to hold the two
     /// write frontiers plus the GC watermark (needs `blocks_per_die >
-    /// target + 3`).
+    /// target + 3`), or if it has `u32::MAX` physical pages or more (16 TiB
+    /// at 4 KiB pages).
     pub fn new(config: FtlConfig) -> Self {
         // Sanitization and the logical-capacity clamp live on `FtlConfig`
         // so the checkpoint decoder can validate against the same math.
@@ -196,6 +221,7 @@ impl Ftl {
             bpd,
             config.gc_target_free
         );
+        assert_page_map_fits(g);
         let logical = config.effective_logical_pages() as usize;
 
         let mut free: Vec<Vec<u32>> = (0..dies)
@@ -429,7 +455,8 @@ impl Ftl {
     /// # Panics
     ///
     /// Panics if the checkpoint's vector lengths disagree with its
-    /// geometry (a corrupted checkpoint).
+    /// geometry (a corrupted checkpoint), or if the geometry has
+    /// `u32::MAX` physical pages or more.
     pub fn restore(checkpoint: FtlCheckpoint) -> Self {
         let g = checkpoint.config.geometry;
         let dies = g.total_dies() as usize;
@@ -454,6 +481,7 @@ impl Ftl {
                 && checkpoint.open_gc.len() == dies,
             "checkpoint per-die state disagrees with geometry"
         );
+        assert_page_map_fits(g);
         Ftl {
             flash: FlashArray::restore(checkpoint.flash),
             l2p: PageMap::from_checkpoint(checkpoint.l2p),

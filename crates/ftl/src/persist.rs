@@ -61,7 +61,13 @@ fn check_checkpoint(c: &FtlCheckpoint) -> Result<(), DecodeError> {
     ensure(
         c.free.len() == dies && c.open_host.len() == dies && c.open_gc.len() == dies,
         "FtlCheckpoint per-die tables",
-    )
+    )?;
+    // Every mapped entry must index the opposite map (`u64::MAX` =
+    // unmapped), or restoring would panic at the first lookup.
+    let in_range =
+        |map: &[u64], bound: usize| map.iter().all(|&e| e == u64::MAX || e < bound as u64);
+    ensure(in_range(&c.l2p, c.p2l.len()), "FtlCheckpoint.l2p entry")?;
+    ensure(in_range(&c.p2l, c.l2p.len()), "FtlCheckpoint.p2l entry")
 }
 
 #[cfg(test)]
@@ -132,6 +138,46 @@ mod tests {
                 what: "FtlCheckpoint.l2p"
             })
         );
+    }
+
+    #[test]
+    fn out_of_range_map_entries_are_rejected() {
+        // A CRC-valid map entry that points past the opposite map must fail
+        // at decode time, not panic (or truncate) inside the FTL.
+        let base = busy_ftl().checkpoint();
+        let physical = base.p2l.len() as u64;
+        let logical = base.l2p.len() as u64;
+        for (l2p, value) in [
+            (true, physical),
+            (true, u64::MAX - 1),
+            (false, logical),
+            (false, 1 << 32),
+        ] {
+            let mut checkpoint = base.clone();
+            let (map, what) = if l2p {
+                (&mut checkpoint.l2p, "FtlCheckpoint.l2p entry")
+            } else {
+                (&mut checkpoint.p2l, "FtlCheckpoint.p2l entry")
+            };
+            map[1] = value;
+            let mut w = Encoder::new();
+            checkpoint.encode(&mut w);
+            let bytes = w.into_bytes();
+            assert_eq!(
+                FtlCheckpoint::decode(&mut Decoder::new(&bytes)),
+                Err(DecodeError::InvalidValue { what }),
+                "{what} = {value}"
+            );
+        }
+        // The largest in-range entries and the unmapped marker still decode.
+        let mut checkpoint = base;
+        checkpoint.l2p[1] = physical - 1;
+        checkpoint.p2l[1] = logical - 1;
+        checkpoint.l2p[2] = u64::MAX;
+        let mut w = Encoder::new();
+        checkpoint.encode(&mut w);
+        let bytes = w.into_bytes();
+        assert!(FtlCheckpoint::decode(&mut Decoder::new(&bytes)).is_ok());
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl Resource {
 /// the earliest-free server, and a finish that is the latest so far (the
 /// common case under load) is pushed to the back in O(1).
 /// [`ParallelResource::acquire_many`] schedules a batch of equal requests
-/// in one merge pass instead of one pop/insert per request.
+/// on a saturated pool by rotating the ring, with one busy-time update.
 ///
 /// # Example
 ///
@@ -147,9 +147,6 @@ pub struct ParallelResource {
     servers: VecDeque<SimTime>,
     capacity: usize,
     busy_time: SimDuration,
-    /// Finish instants produced but not yet consumed inside one
-    /// [`ParallelResource::acquire_many`] call; empty between calls.
-    batch: VecDeque<SimTime>,
 }
 
 impl ParallelResource {
@@ -164,7 +161,6 @@ impl ParallelResource {
             servers: vec![SimTime::ZERO; servers].into(),
             capacity: servers,
             busy_time: SimDuration::ZERO,
-            batch: VecDeque::new(),
         }
     }
 
@@ -195,41 +191,21 @@ impl ParallelResource {
     /// [`ParallelResource::acquire`] — and returns the last (latest)
     /// finish, or `now` when `n == 0`.
     ///
-    /// The finishes of the batch are non-decreasing, so each request takes
-    /// the earlier of the next untouched server and the oldest finish the
-    /// batch itself produced; one merge then puts the untouched servers and
-    /// the surviving finishes back in order.
+    /// The finishes of the batch are non-decreasing. On a saturated pool
+    /// — the first finish is no earlier than [`drained_at`] — every finish
+    /// is the latest so far, so the batch pops the front and pushes to the
+    /// back `n` times. Otherwise it issues `n` plain acquires.
+    ///
+    /// [`drained_at`]: ParallelResource::drained_at
     pub fn acquire_many(&mut self, now: SimTime, service: SimDuration, n: usize) -> SimTime {
-        match n {
-            0 => return now,
-            1 => return self.acquire(now, service).1,
-            _ => {}
+        if now.max(self.free_at()) + service < self.drained_at() {
+            return (0..n).fold(now, |_, _| self.acquire(now, service).1);
         }
         let mut last = now;
         for _ in 0..n {
-            let free = match (self.servers.front(), self.batch.front()) {
-                (Some(&server), Some(&done)) if server <= done => self.servers.pop_front(),
-                (Some(_), None) => self.servers.pop_front(),
-                _ => self.batch.pop_front(),
-            }
-            .expect("at least one server");
+            let free = self.servers.pop_front().expect("at least one server");
             last = now.max(free) + service;
-            self.batch.push_back(last);
-        }
-        // Merge from the back: `servers` holds the untouched prefix, so
-        // growing it to full size leaves room for the batch's finishes.
-        let mut kept = self.servers.len();
-        self.servers.resize(self.capacity, SimTime::ZERO);
-        let mut slot = self.capacity;
-        while let Some(&done) = self.batch.back() {
-            slot -= 1;
-            if kept > 0 && self.servers[kept - 1] > done {
-                kept -= 1;
-                self.servers[slot] = self.servers[kept];
-            } else {
-                self.servers[slot] = done;
-                self.batch.pop_back();
-            }
+            self.servers.push_back(last);
         }
         self.busy_time += service * n as u64;
         self.enforce_server_count();
@@ -298,7 +274,6 @@ impl ParallelResource {
             capacity: servers.len(),
             servers: servers.into(),
             busy_time: snapshot.busy_time,
-            batch: VecDeque::new(),
         }
     }
 }

@@ -1,5 +1,6 @@
 //! DRAM write-buffer model.
 
+use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use uc_sim::SimTime;
 
@@ -18,7 +19,9 @@ use uc_sim::SimTime;
 /// Its bookkeeping stays bounded: [`WriteBuffer::prune`] drops pages that
 /// drained by a given instant, and the device prunes at every command's
 /// firmware-finish instant, so only the ring's worth of pages plus those
-/// still in flight are tracked.
+/// still in flight are tracked. The residency index over those pages is
+/// built lazily, at the first lookup, so a write-only run never pays for
+/// it.
 ///
 /// # Example
 ///
@@ -40,18 +43,24 @@ pub struct WriteBuffer {
     ring: Vec<SimTime>,
     /// Pages admitted so far.
     admitted: u64,
-    /// Resident set: logical page -> (admission sequence, drain finish).
-    resident: HashMap<u64, (u64, SimTime)>,
-    /// Prune queue in admission order: (drain finish, lpn, sequence).
+    /// Every tracked record in admission order: (drain finish, lpn,
+    /// sequence).
     pending: VecDeque<(SimTime, u64, u64)>,
+    /// Index over the `pending` records with a sequence below `indexed`:
+    /// logical page -> (admission sequence, drain finish) of its newest
+    /// such record.
+    resident: HashMap<u64, (u64, SimTime)>,
+    /// Sequences below this are in `resident` (or already pruned).
+    indexed: u64,
     hits: u64,
 }
 
 /// The complete serializable state of a [`WriteBuffer`].
 ///
-/// The resident set (a hash map inside the live buffer) is stored sorted
-/// by logical page — the canonical form — so two snapshots of
-/// behaviourally identical buffers compare equal.
+/// The resident set is derived from the pending records (the newest one
+/// per logical page) and stored sorted by logical page — the canonical
+/// form — so two snapshots of behaviourally identical buffers compare
+/// equal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteBufferSnapshot {
     /// Buffer capacity in page slots.
@@ -61,8 +70,8 @@ pub struct WriteBufferSnapshot {
     pub ring: Vec<SimTime>,
     /// Pages admitted so far.
     pub admitted: u64,
-    /// Resident set as `(lpn, admission sequence, drain finish)`, sorted
-    /// by logical page.
+    /// Resident set as `(lpn, admission sequence, drain finish)`: the
+    /// newest pending record of each logical page, sorted by logical page.
     pub resident: Vec<(u64, u64, SimTime)>,
     /// Prune queue in admission order: `(drain finish, lpn, sequence)`.
     pub pending: Vec<(SimTime, u64, u64)>,
@@ -82,8 +91,9 @@ impl WriteBuffer {
             capacity: capacity_pages,
             ring: vec![SimTime::ZERO; capacity_pages],
             admitted: 0,
-            resident: HashMap::new(),
             pending: VecDeque::new(),
+            resident: HashMap::new(),
+            indexed: 0,
             hits: 0,
         }
     }
@@ -125,7 +135,6 @@ impl WriteBuffer {
     /// will finish draining to flash at `drain`.
     pub fn record_drain(&mut self, seq: u64, lpn: u64, drain: SimTime) {
         self.ring[(seq % self.capacity as u64) as usize] = drain;
-        self.resident.insert(lpn, (seq, drain));
         self.pending.push_back((drain, lpn, seq));
     }
 
@@ -135,6 +144,14 @@ impl WriteBuffer {
     /// no earlier than any instant the buffer was pruned at.
     pub fn contains(&mut self, lpn: u64, now: SimTime) -> bool {
         self.prune(now);
+        // Index the records admitted since the last lookup.
+        let start = self
+            .pending
+            .partition_point(|&(_, _, seq)| seq < self.indexed);
+        for &(drain, page, seq) in self.pending.range(start..) {
+            self.resident.insert(page, (seq, drain));
+            self.indexed = seq + 1;
+        }
         let hit = self
             .resident
             .get(&lpn)
@@ -153,24 +170,21 @@ impl WriteBuffer {
 
     /// Captures the buffer's complete state.
     pub fn snapshot(&self) -> WriteBufferSnapshot {
-        let mut resident: Vec<(u64, u64, SimTime)> = self
-            .resident
-            .iter()
-            .map(|(&lpn, &(seq, drain))| (lpn, seq, drain))
-            .collect();
-        resident.sort_unstable_by_key(|&(lpn, _, _)| lpn);
+        let pending: Vec<_> = self.pending.iter().copied().collect();
         WriteBufferSnapshot {
             capacity: self.capacity,
             ring: self.ring.clone(),
             admitted: self.admitted,
-            resident,
-            pending: self.pending.iter().copied().collect(),
+            resident: resident_view(&pending),
+            pending,
             hits: self.hits,
         }
     }
 
     /// Rebuilds a buffer that continues exactly where `snapshot` was
-    /// taken.
+    /// taken. The residency index is rebuilt from the pending records;
+    /// the snapshot's `resident` view is derived from them, so it is not
+    /// read.
     ///
     /// # Panics
     ///
@@ -190,12 +204,9 @@ impl WriteBuffer {
             capacity: snapshot.capacity,
             ring: snapshot.ring,
             admitted: snapshot.admitted,
-            resident: snapshot
-                .resident
-                .into_iter()
-                .map(|(lpn, seq, drain)| (lpn, (seq, drain)))
-                .collect(),
             pending: snapshot.pending.into_iter().collect(),
+            resident: HashMap::new(),
+            indexed: 0,
             hits: snapshot.hits,
         }
     }
@@ -212,13 +223,30 @@ impl WriteBuffer {
                 break;
             }
             self.pending.pop_front();
-            // Only evict if the resident entry is the same admission (the
-            // lpn may have been rewritten and now maps to a newer slot).
-            if self.resident.get(&lpn).is_some_and(|&(s, _)| s == seq) {
+            // Only evict an indexed record, and only if the resident entry
+            // is the same admission (the lpn may have been rewritten and
+            // now maps to a newer slot).
+            if seq < self.indexed && self.resident.get(&lpn).is_some_and(|&(s, _)| s == seq) {
                 self.resident.remove(&lpn);
             }
         }
     }
+}
+
+/// The resident set of `pending` (admission order): the newest record of
+/// each logical page as `(lpn, sequence, drain finish)`, sorted by
+/// logical page.
+pub(crate) fn resident_view(pending: &[(SimTime, u64, u64)]) -> Vec<(u64, u64, SimTime)> {
+    let mut resident: Vec<_> = pending
+        .iter()
+        .map(|&(drain, lpn, seq)| (lpn, Reverse(seq), drain))
+        .collect();
+    resident.sort_unstable();
+    resident.dedup_by_key(|&mut (lpn, _, _)| lpn);
+    resident
+        .into_iter()
+        .map(|(lpn, Reverse(seq), drain)| (lpn, seq, drain))
+        .collect()
 }
 
 #[cfg(test)]
@@ -314,9 +342,8 @@ mod tests {
         assert_eq!(bounded.hits(), reference.hits());
     }
 
-    /// Reference model: a buffer that keeps its resident map current on
-    /// every `record_drain` and `prune`, the way the buffer did before
-    /// residency was indexed lazily.
+    /// Reference model: a buffer that indexes residency eagerly, keeping
+    /// its resident map current on every `record_drain` and `prune`.
     struct EagerBuffer {
         capacity: usize,
         ring: Vec<SimTime>,

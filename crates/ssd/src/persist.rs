@@ -5,6 +5,7 @@
 //! and loaded from disk under the stable record tag
 //! [`SsdCheckpoint::KIND`].
 
+use crate::buffer::resident_view;
 use crate::{PrefetcherSnapshot, SsdCheckpoint, SsdConfig, SsdStats, WriteBufferSnapshot};
 use uc_blockdev::PersistPayload;
 use uc_persist::{ensure, persist_struct, DecodeError};
@@ -41,6 +42,12 @@ fn check_buffer(s: &WriteBufferSnapshot) -> Result<(), DecodeError> {
     ensure(
         s.capacity != 0 && s.ring.len() == s.capacity,
         "WriteBufferSnapshot.ring",
+    )?;
+    // `WriteBuffer::restore` rebuilds residency from `pending`, so a stored
+    // view that disagrees would not survive a thaw-freeze round trip.
+    ensure(
+        s.resident == resident_view(&s.pending),
+        "WriteBufferSnapshot.resident",
     )
 }
 
@@ -100,5 +107,41 @@ mod tests {
                 what: "WriteBufferSnapshot.ring"
             })
         ));
+    }
+
+    #[test]
+    fn resident_view_must_match_pending() {
+        let mut ssd = Ssd::new(SsdConfig::samsung_970_pro(256 << 20));
+        // Rewrites of the same pages leave stale pending records behind
+        // the newest one of each page.
+        let mut now = SimTime::ZERO;
+        for off in [0, 4096, 0, 8192, 4096] {
+            now = ssd.submit(&IoRequest::write(off, 4096, now)).unwrap();
+        }
+        let base = ssd.snapshot();
+        assert!(base.buffer.pending.len() > base.buffer.resident.len());
+        assert!(!base.buffer.resident.is_empty());
+        let decode = |checkpoint: &SsdCheckpoint| {
+            let mut w = Encoder::new();
+            checkpoint.encode(&mut w);
+            SsdCheckpoint::decode(&mut Decoder::new(&w.into_bytes()))
+        };
+        assert_eq!(decode(&base).as_ref(), Ok(&base));
+        for corruption in 0..4 {
+            let mut checkpoint = base.clone();
+            let resident = &mut checkpoint.buffer.resident;
+            match corruption {
+                0 => resident.clear(),                            // missing pages
+                1 => resident.reverse(),                          // not sorted by page
+                2 => resident[0].1 = u64::MAX,                    // not the newest record
+                _ => resident.push((u64::MAX, 0, SimTime::ZERO)), // page not pending
+            }
+            assert!(matches!(
+                decode(&checkpoint),
+                Err(DecodeError::InvalidValue {
+                    what: "WriteBufferSnapshot.resident"
+                })
+            ));
+        }
     }
 }
