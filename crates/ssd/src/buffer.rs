@@ -50,7 +50,7 @@ pub struct WriteBuffer {
     /// logical page -> (admission sequence, drain finish) of its newest
     /// such record.
     resident: HashMap<u64, (u64, SimTime)>,
-    /// Sequences below this are in `resident` (or already pruned).
+    /// `pending` records with a sequence below this have been indexed.
     indexed: u64,
     hits: u64,
 }
