@@ -215,6 +215,107 @@ mod tests {
         ));
     }
 
+    /// The original linear-scan k-way merge, kept as the test oracle:
+    /// every output step scans all cursors and takes the strictly
+    /// smallest `(arrival, tenant)`, so the lowest stream index wins an
+    /// exact tie (duplicate tenant ids at one instant).
+    fn scan_merge(streams: &[(u32, &[TraceEntry])]) -> Result<Vec<MergedEntry>, TraceError> {
+        for (_, entries) in streams {
+            let mut prev = SimTime::ZERO;
+            for (index, entry) in entries.iter().enumerate() {
+                if entry.at < prev {
+                    return Err(TraceError::TimestampRegression {
+                        index,
+                        prev,
+                        at: entry.at,
+                    });
+                }
+                prev = entry.at;
+            }
+        }
+        let total: usize = streams.iter().map(|(_, e)| e.len()).sum();
+        let mut merged = Vec::with_capacity(total);
+        let mut cursors = vec![0usize; streams.len()];
+        for _ in 0..total {
+            let mut best: Option<usize> = None;
+            for (s, &(tenant, entries)) in streams.iter().enumerate() {
+                if cursors[s] >= entries.len() {
+                    continue;
+                }
+                let candidate = (entries[cursors[s]].at, tenant);
+                if best.is_none_or(|b| candidate < (streams[b].1[cursors[b]].at, streams[b].0)) {
+                    best = Some(s);
+                }
+            }
+            let s = best.expect("total count admits another entry");
+            merged.push(MergedEntry {
+                tenant: streams[s].0,
+                entry: streams[s].1[cursors[s]],
+            });
+            cursors[s] += 1;
+        }
+        Ok(merged)
+    }
+
+    /// A seeded stream set: 0–40 streams, some empty, arrivals on a
+    /// coarse grid so instants collide across streams, and tenant ids
+    /// drawn from a pool small enough to repeat. Every entry's offset
+    /// names its stream and position, so outputs that pick a different
+    /// stream at a tie compare unequal.
+    fn stream_set(rng: &mut uc_sim::SimRng) -> Vec<(u32, Vec<TraceEntry>)> {
+        let streams = rng.index(41);
+        let tenant_pool = rng.range_u64(1, streams as u64 + 2);
+        (0..streams)
+            .map(|s| {
+                let len = if rng.chance(0.2) { 0 } else { rng.index(24) };
+                let mut at = rng.range_u64(0, 4);
+                let entries = (0..len)
+                    .map(|i| {
+                        at += rng.index(3) as u64;
+                        entry(at, ((s as u64) << 32) | i as u64)
+                    })
+                    .collect();
+                (rng.range_u64(0, tenant_pool) as u32, entries)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merge_matches_the_linear_scan_reference() {
+        let mut rng = uc_sim::SimRng::new(0x4E46);
+        let (mut duplicate_ties, mut regressions) = (0, 0);
+        for case in 0..400 {
+            let mut set = stream_set(&mut rng);
+            // Every fourth case breaks one non-trivial stream's order.
+            if case % 4 == 3 {
+                let candidates: Vec<usize> =
+                    (0..set.len()).filter(|&s| set[s].1.len() > 1).collect();
+                if !candidates.is_empty() {
+                    let s = candidates[rng.index(candidates.len())];
+                    let stream = &mut set[s].1;
+                    let i = rng.range_u64(1, stream.len() as u64) as usize;
+                    stream[i].at = SimTime::from_nanos(stream[i - 1].at.as_nanos() + 5);
+                    stream.swap(i - 1, i);
+                    regressions += 1;
+                }
+            }
+            let views: Vec<(u32, &[TraceEntry])> =
+                set.iter().map(|(t, e)| (*t, e.as_slice())).collect();
+            let expected = scan_merge(&views);
+            assert_eq!(merge_streams(&views), expected, "case {case}");
+            if let Ok(merged) = &expected {
+                duplicate_ties += merged
+                    .windows(2)
+                    .filter(|w| w[0].tenant == w[1].tenant && w[0].entry.at == w[1].entry.at)
+                    .filter(|w| w[0].entry.offset >> 32 != w[1].entry.offset >> 32)
+                    .count();
+            }
+        }
+        // The generator really produced the hard cases.
+        assert!(duplicate_ties > 0, "no same-instant duplicate-tenant ties");
+        assert!(regressions > 50, "only {regressions} regressing cases");
+    }
+
     #[test]
     fn merge_of_empty_and_single_streams_is_trivial() {
         assert_eq!(merge_streams(&[]).unwrap(), Vec::new());

@@ -18,11 +18,13 @@
 //! `every-tenant-placed` invariant at the next boundary audit.
 
 use proptest::prelude::*;
+use unwritten_contract::core::experiments::fleet as fleet_exp;
+use unwritten_contract::core::report::render_fleet_report;
 use unwritten_contract::essd::{Essd, EssdConfig};
 use unwritten_contract::fleet::{
     FleetConfig, FleetDevice, FleetSim, FleetSnapshot, RebalancePolicy,
 };
-use unwritten_contract::persist::{Encoder, Persist};
+use unwritten_contract::persist::{crc32, Encoder, Persist};
 use unwritten_contract::sim::SimDuration;
 
 /// A pool of small eSSDs, uniquely named (the checkpoint seam validates
@@ -150,6 +152,45 @@ fn skewed_fleet_migrates_and_the_record_fingerprints_the_freeze() {
         assert_ne!(a.freeze_crc, 0, "eSSD checkpoints carry a codec");
         assert_eq!(a.freeze_crc, b.freeze_crc, "freeze must be deterministic");
     }
+}
+
+/// A rebalancing fleet of 32 tenants on 4 devices (at least one
+/// migration), run to completion.
+fn rebalancing_fleet() -> FleetSim {
+    let mut sim = FleetSim::new(
+        config(32, 4, 11, true).with_duration(SimDuration::from_millis(20)),
+        pool(4, 11),
+    );
+    sim.run().expect("rebalancing fleet runs");
+    sim
+}
+
+/// Golden bytes for a whole rebalancing fleet: the encoded final
+/// snapshot, the rendered report and the `uc.obs.v1` telemetry record
+/// are pinned as `(len, crc32)`. How the epoch loop schedules its devices
+/// (one after another or in parallel) must not move any of them.
+#[test]
+fn rebalancing_fleet_outputs_are_pinned() {
+    let sim = rebalancing_fleet();
+    let report = sim.report();
+    assert!(
+        !report.migrations.is_empty(),
+        "the pinned fleet must migrate"
+    );
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    let fingerprint = |bytes: &[u8]| (bytes.len(), crc32(bytes));
+    let rendered = render_fleet_report(&fleet_exp::evaluate(report));
+    let actual = [
+        ("snapshot", fingerprint(&encoded(&sim.snapshot()))),
+        ("report", fingerprint(rendered.as_bytes())),
+        ("obs", fingerprint(&sim.obs_report().to_record_bytes())),
+    ];
+    let golden = [
+        ("snapshot", (989_808, 0x25acf2b4)),
+        ("report", (1_001, 0xd63bd350)),
+        ("obs", (15_023, 0xb11504b9)),
+    ];
+    assert_eq!(actual, golden);
 }
 
 // ---- fault injection: the conservation contract has teeth -------------
