@@ -5,14 +5,19 @@
 //! windows, and within each window every device independently merges its
 //! residents' budget-granted arrival streams
 //! ([`merge_streams`](uc_trace::merge_streams)) and drives them through
-//! one shared queue-pair doorbell. Epoch boundaries are the fleet's only
-//! synchronization points — where contracts are audited, interference is
-//! cut into [`EpochStat`]s, the rebalancer plans, and (in the durable
-//! runner) the whole fleet freezes into a resumable checkpoint.
+//! one shared queue-pair doorbell. Because devices share nothing within
+//! a window, each runs as one cell on a [`uc_sim::Executor`] (width from
+//! `UC_THREADS`, else one worker per core): the cell borrows only its own
+//! device and its residents' run state and budget buckets, and returns a
+//! small summary that the calling thread folds in device order. Epoch
+//! boundaries are the fleet's only synchronization points — where
+//! contracts are audited, interference is cut into [`EpochStat`]s, the
+//! rebalancer plans, and (in the durable runner) the whole fleet freezes
+//! into a resumable checkpoint.
 //!
 //! Everything here is a pure function of [`FleetConfig`] and the device
-//! pool: two runs of the same fleet produce byte-identical snapshots and
-//! reports.
+//! pool: two runs of the same fleet produce byte-identical snapshots,
+//! reports and telemetry, at any executor width.
 
 use crate::metrics::{jain_index, EpochStat, FleetReport, TenantMetrics, TenantSummary};
 use crate::placement::{MigrationAudit, MigrationRecord, Placement};
@@ -25,7 +30,7 @@ use uc_invariant::Contract;
 use uc_metrics::LatencyHistogram;
 use uc_obs::{CounterId, FlightRecorder, GaugeId, HistId, MetricsRegistry, ObsReport, ObsSnapshot};
 use uc_persist::Encoder;
-use uc_sim::{BucketSet, SimDuration, SimTime, TokenBucket, TokenBucketSnapshot};
+use uc_sim::{BucketSet, Executor, SimDuration, SimTime, TokenBucket, TokenBucketSnapshot};
 use uc_trace::merge_streams;
 use uc_workload::TraceEntry;
 
@@ -234,6 +239,154 @@ struct TenantRun {
     metrics: TenantMetrics,
 }
 
+/// A resident tenant lent to its home device's epoch cell: the cell
+/// owns these borrows exclusively, so cells of different devices never
+/// alias.
+struct Resident<'a> {
+    id: u32,
+    /// Region base: added to region-relative trace offsets.
+    base: u64,
+    run: &'a mut TenantRun,
+    bucket: &'a mut TokenBucket,
+}
+
+/// One resident's completed work in one epoch.
+struct Tally {
+    tenant: u32,
+    bytes: u64,
+    ios: u64,
+    latency_ns: u128,
+}
+
+/// What one device's epoch cell hands back for the in-order fold.
+struct DeviceEpoch {
+    /// One entry per resident, in resident order.
+    tallies: Vec<Tally>,
+    bytes: u64,
+    ios: u64,
+    /// Budget tokens granted (to credit to the set-level ledger).
+    granted: u64,
+    throttle_events: u64,
+    throttled_ns: u64,
+    finished_at: SimTime,
+    grant_wait: LatencyHistogram,
+    latency: LatencyHistogram,
+}
+
+/// One device's share of an epoch: grant every resident's arrivals
+/// before `cut` against its budget, merge the granted streams, ring one
+/// shared doorbell, and fold the completions into the residents'
+/// metrics.
+fn run_device_epoch(
+    device: &mut SharedDevice<FleetDevice>,
+    mut residents: Vec<Resident<'_>>,
+    cut: SimTime,
+) -> Result<DeviceEpoch, IoError> {
+    let mut out = DeviceEpoch {
+        tallies: residents
+            .iter()
+            .map(|r| Tally {
+                tenant: r.id,
+                bytes: 0,
+                ios: 0,
+                latency_ns: 0,
+            })
+            .collect(),
+        bytes: 0,
+        ios: 0,
+        granted: 0,
+        throttle_events: 0,
+        throttled_ns: 0,
+        finished_at: SimTime::ZERO,
+        grant_wait: LatencyHistogram::new(),
+        latency: LatencyHistogram::new(),
+    };
+    // Per-resident granted streams with region-absolute offsets, keyed by
+    // resident index: residents ascend by tenant id, so the merge's
+    // `(arrival, key)` order is the `(arrival, tenant)` order, and a
+    // merged entry's key indexes its resident directly.
+    let mut streams: Vec<(u32, Vec<TraceEntry>)> = Vec::with_capacity(residents.len());
+    for (i, r) in residents.iter_mut().enumerate() {
+        let run = &mut *r.run;
+        let mut stream = Vec::new();
+        while run.cursor < run.entries.len() && run.entries[run.cursor].at < cut {
+            let entry = run.entries[run.cursor];
+            let arrival = entry.at.max(run.floor);
+            let grant = r.bucket.reserve(arrival, entry.len as u64);
+            out.granted += entry.len as u64;
+            // The hook `BucketSet::reserve` runs on the touched bucket.
+            uc_invariant::enforce(|| r.bucket.check());
+            // Grant latency: how long the budget made this entry wait
+            // (zero for unthrottled entries, so the histogram covers the
+            // whole population).
+            let wait = grant.saturating_since(arrival);
+            out.grant_wait.record(wait);
+            if grant > arrival {
+                run.metrics.throttle_events += 1;
+                run.metrics.throttled += wait;
+                out.throttle_events += 1;
+                out.throttled_ns += wait.as_nanos();
+            }
+            stream.push(TraceEntry {
+                at: grant,
+                kind: entry.kind,
+                offset: r.base + entry.offset,
+                len: entry.len,
+            });
+            run.cursor += 1;
+        }
+        streams.push((i as u32, stream));
+    }
+    let merged = {
+        let refs: Vec<(u32, &[TraceEntry])> =
+            streams.iter().map(|(i, s)| (*i, s.as_slice())).collect();
+        merge_streams(&refs).expect("granted streams are monotone per tenant")
+    };
+    drop(streams);
+    if merged.is_empty() {
+        return Ok(out);
+    }
+    // One session per resident, one doorbell ring for the window.
+    let sessions: Vec<SessionId> = residents.iter().map(|_| device.open_session()).collect();
+    let mut batch = IoBatch::with_capacity(merged.len());
+    let mut owners = Vec::with_capacity(merged.len());
+    for m in &merged {
+        batch.push(IoRequest {
+            kind: m.entry.kind,
+            offset: m.entry.offset,
+            len: m.entry.len,
+            submit_time: m.entry.at,
+        });
+        owners.push(sessions[m.tenant as usize]);
+    }
+    let completions = device.submit_batch_shared(&owners, &batch)?;
+    for (m, c) in merged.iter().zip(&completions) {
+        let i = m.tenant as usize;
+        let r = &mut residents[i];
+        // Latency from the budget grant: the shared-queue clamp (waiting
+        // behind other tenants) counts as interference.
+        let lat = c.completes - m.entry.at;
+        r.run.metrics.latency.record(lat);
+        r.run.metrics.ios += 1;
+        r.run.metrics.bytes += c.len as u64;
+        out.latency.record(lat);
+        if m.entry.kind.is_write() {
+            r.run.written_high = r
+                .run
+                .written_high
+                .max(m.entry.offset - r.base + c.len as u64);
+        }
+        let tally = &mut out.tallies[i];
+        tally.bytes += c.len as u64;
+        tally.ios += 1;
+        tally.latency_ns += lat.as_nanos() as u128;
+        out.bytes += c.len as u64;
+        out.ios += 1;
+        out.finished_at = out.finished_at.max(c.completes);
+    }
+    Ok(out)
+}
+
 /// A live fleet: devices, tenants, budgets, placement, and the epoch
 /// clock. Drive it with [`run`](FleetSim::run) or epoch by epoch with
 /// [`run_epoch`](FleetSim::run_epoch) (the durable runner checkpoints
@@ -256,6 +409,7 @@ pub struct FleetSim {
     obs: MetricsRegistry,
     flight: FlightRecorder,
     ids: FleetObsIds,
+    executor: Executor,
     #[cfg(feature = "fault-injection")]
     drop_next_migrant: bool,
 }
@@ -306,6 +460,7 @@ impl FleetSim {
             obs,
             flight: FlightRecorder::default(),
             ids,
+            executor: Executor::from_env(),
             #[cfg(feature = "fault-injection")]
             drop_next_migrant: false,
         }
@@ -356,6 +511,7 @@ impl FleetSim {
             obs,
             flight: FlightRecorder::default(),
             ids,
+            executor: Executor::from_env(),
             #[cfg(feature = "fault-injection")]
             drop_next_migrant: false,
         }
@@ -426,6 +582,14 @@ impl FleetSim {
             });
         }
         (placement, tenants, buckets)
+    }
+
+    /// Replaces the executor the epoch's device cells run on (tests pin
+    /// the width here rather than through the process-wide environment).
+    #[cfg(test)]
+    pub(crate) fn with_executor(mut self, executor: Executor) -> Self {
+        self.executor = executor;
+        self
     }
 
     /// Completed epochs.
@@ -513,10 +677,18 @@ impl FleetSim {
 
     /// Runs the next epoch: merge, drive, audit, rebalance.
     ///
+    /// Every device's grant loop, stream merge and doorbell run as one
+    /// cell on the sim's executor (width from `UC_THREADS`, else one
+    /// worker per core); the results fold in device order, so the
+    /// outcome is identical at any width.
+    ///
     /// # Errors
     ///
-    /// Propagates the first device [`IoError`] (a placement/geometry bug;
-    /// healthy fleets never hit one).
+    /// Returns the lowest-numbered device's [`IoError`] (a
+    /// placement/geometry bug; healthy fleets never hit one). The other
+    /// devices' cells have run by then, so the sim is left part-way
+    /// through the epoch and cannot be resumed: drop it, or restart from
+    /// the last boundary's snapshot and device checkpoints.
     ///
     /// # Panics
     ///
@@ -530,98 +702,59 @@ impl FleetSim {
             self.window_end(e)
         };
         let n = self.tenants.len();
+        // Lend each resident's run and budget to its home device's cell,
+        // in ascending tenant id (the order `Placement::residents` gives).
+        let mut groups: Vec<Vec<Resident<'_>>> = (0..self.devices.len())
+            .map(|_| Vec::with_capacity(self.placement.slots_per_device()))
+            .collect();
+        let placement = &self.placement;
+        let lent = self.tenants.iter_mut().zip(self.buckets.buckets_mut());
+        for (t, (run, bucket)) in lent.enumerate() {
+            if let Some((dev, slot)) = placement.home(t as u32) {
+                groups[dev].push(Resident {
+                    id: t as u32,
+                    base: placement.base(slot),
+                    run,
+                    bucket,
+                });
+            }
+        }
+        // One cell per device: each touches only its own device and
+        // residents, so the executor may run them in any interleaving.
+        let cells: Vec<_> = self
+            .devices
+            .iter_mut()
+            .zip(groups)
+            .map(|(device, residents)| move || run_device_epoch(device, residents, cut))
+            .collect();
+        let epochs = self
+            .executor
+            .run(cells)
+            .into_iter()
+            .collect::<Result<Vec<_>, IoError>>()?;
+        // Fold in device order on this thread.
         let mut ep_bytes = vec![0u64; n];
         let mut ep_ios = vec![0u64; n];
         let mut ep_lat_ns = vec![0u128; n];
-        let mut dev_bytes = vec![0u64; self.devices.len()];
-        for (dev, dev_total) in dev_bytes.iter_mut().enumerate() {
-            let residents = self.placement.residents(dev);
-            // Per-tenant granted streams with region-absolute offsets.
-            let mut streams: Vec<(u32, Vec<TraceEntry>)> = Vec::with_capacity(residents.len());
-            for &t in &residents {
-                let base = self
-                    .placement
-                    .base(self.placement.home(t).expect("resident has a home").1);
-                let run = &mut self.tenants[t as usize];
-                let mut stream = Vec::new();
-                while run.cursor < run.entries.len() && run.entries[run.cursor].at < cut {
-                    let entry = run.entries[run.cursor];
-                    let arrival = entry.at.max(run.floor);
-                    let grant = self.buckets.reserve(t as usize, arrival, entry.len as u64);
-                    // Grant latency: how long the budget made this entry
-                    // wait (zero for unthrottled entries, so the histogram
-                    // covers the whole population).
-                    let wait = grant.saturating_since(arrival);
-                    self.obs.record(self.ids.grant_wait, wait);
-                    if grant > arrival {
-                        run.metrics.throttle_events += 1;
-                        run.metrics.throttled += wait;
-                        self.obs.inc(self.ids.throttle_events);
-                        self.obs.add(self.ids.throttled_ns, wait.as_nanos());
-                    }
-                    stream.push(TraceEntry {
-                        at: grant,
-                        kind: entry.kind,
-                        offset: base + entry.offset,
-                        len: entry.len,
-                    });
-                    run.cursor += 1;
-                }
-                streams.push((t, stream));
+        let mut dev_bytes = Vec::with_capacity(epochs.len());
+        for dev in &epochs {
+            for tally in &dev.tallies {
+                let t = tally.tenant as usize;
+                ep_bytes[t] = tally.bytes;
+                ep_ios[t] = tally.ios;
+                ep_lat_ns[t] = tally.latency_ns;
             }
-            let refs: Vec<(u32, &[TraceEntry])> =
-                streams.iter().map(|(t, s)| (*t, s.as_slice())).collect();
-            let merged = merge_streams(&refs).expect("granted streams are monotone per tenant");
-            if merged.is_empty() {
-                continue;
-            }
-            // One session per resident, one doorbell ring for the window.
-            let mut sessions: Vec<(u32, SessionId)> = Vec::with_capacity(residents.len());
-            for &t in &residents {
-                sessions.push((t, self.devices[dev].open_session()));
-            }
-            let session_of = |tenant: u32| {
-                sessions
-                    .iter()
-                    .find(|(t, _)| *t == tenant)
-                    .expect("merged entry from a resident")
-                    .1
-            };
-            let mut batch = IoBatch::with_capacity(merged.len());
-            let mut owners = Vec::with_capacity(merged.len());
-            for m in &merged {
-                batch.push(IoRequest {
-                    kind: m.entry.kind,
-                    offset: m.entry.offset,
-                    len: m.entry.len,
-                    submit_time: m.entry.at,
-                });
-                owners.push(session_of(m.tenant));
-            }
-            let completions = self.devices[dev].submit_batch_shared(&owners, &batch)?;
-            for (m, c) in merged.iter().zip(&completions) {
-                let base = self
-                    .placement
-                    .base(self.placement.home(m.tenant).expect("resident").1);
-                let run = &mut self.tenants[m.tenant as usize];
-                // Latency from the budget grant: the shared-queue clamp
-                // (waiting behind other tenants) counts as interference.
-                let lat = c.completes - m.entry.at;
-                run.metrics.latency.record(lat);
-                run.metrics.ios += 1;
-                run.metrics.bytes += c.len as u64;
-                self.obs.record(self.ids.latency, lat);
-                self.obs.inc(self.ids.ios);
-                self.obs.add(self.ids.bytes, c.len as u64);
-                if m.entry.kind.is_write() {
-                    run.written_high = run.written_high.max(m.entry.offset - base + c.len as u64);
-                }
-                ep_bytes[m.tenant as usize] += c.len as u64;
-                ep_ios[m.tenant as usize] += 1;
-                ep_lat_ns[m.tenant as usize] += lat.as_nanos() as u128;
-                *dev_total += c.len as u64;
-                self.finished_at = self.finished_at.max(c.completes);
-            }
+            dev_bytes.push(dev.bytes);
+            self.buckets.credit(dev.granted);
+            self.obs.add(self.ids.throttle_events, dev.throttle_events);
+            self.obs.add(self.ids.throttled_ns, dev.throttled_ns);
+            self.obs.add(self.ids.ios, dev.ios);
+            self.obs.add(self.ids.bytes, dev.bytes);
+            self.obs
+                .hist_mut(self.ids.grant_wait)
+                .merge(&dev.grant_wait);
+            self.obs.hist_mut(self.ids.latency).merge(&dev.latency);
+            self.finished_at = self.finished_at.max(dev.finished_at);
         }
         // Epoch cut: fairness over inverse mean latencies (equal service
         // quality -> 1.0; a tenant queueing behind a noisy neighbor drags
@@ -1065,6 +1198,63 @@ mod tests {
 
         assert_eq!(whole_report, resumed_report);
         assert_eq!(encoded(&whole.snapshot()), encoded(&resumed.snapshot()));
+    }
+
+    /// Everything a fleet run exposes, as bytes: the encoded snapshot,
+    /// every device's encoded checkpoint, and the telemetry record.
+    fn state_bytes(sim: &FleetSim) -> (Vec<u8>, Vec<Vec<u8>>, Vec<u8>) {
+        let devices = sim
+            .checkpoint_devices()
+            .iter()
+            .map(|cp| {
+                let mut w = Encoder::new();
+                cp.encode_into(&mut w).expect("eSSD checkpoints persist");
+                w.into_bytes()
+            })
+            .collect();
+        (
+            encoded(&sim.snapshot()),
+            devices,
+            sim.obs_report().to_record_bytes(),
+        )
+    }
+
+    #[test]
+    fn device_cells_are_thread_invariant_across_a_resume() {
+        let config = FleetConfig::new(32, 4)
+            .with_duration(SimDuration::from_millis(20))
+            .with_rebalance(RebalancePolicy::default());
+        let sequential = Executor::sequential();
+        let parallel = Executor::with_threads(3);
+        let mut outcomes = Vec::new();
+        for (prefix, suffix) in [
+            (sequential, sequential),
+            (parallel, parallel),
+            (sequential, parallel),
+            (parallel, sequential),
+        ] {
+            let mut first =
+                FleetSim::new(config.clone(), pool(4, 64 << 20, 7)).with_executor(prefix);
+            first.run_epoch().expect("epoch 0");
+            first.run_epoch().expect("epoch 1");
+            let at_cut = state_bytes(&first);
+            let snapshot = first.snapshot();
+            let frozen = first.checkpoint_devices();
+            drop(first);
+            let mut thawed = pool(4, 64 << 20, 7);
+            for (device, checkpoint) in thawed.iter_mut().zip(frozen) {
+                device.restore_from(checkpoint).expect("thaws");
+            }
+            let mut resumed =
+                FleetSim::resume(config.clone(), thawed, &snapshot).with_executor(suffix);
+            let report = resumed.run().expect("resumed runs");
+            assert!(!report.migrations.is_empty(), "the fleet must migrate");
+            assert!(report.violations.is_empty(), "{:?}", report.violations);
+            outcomes.push((at_cut, report, state_bytes(&resumed)));
+        }
+        for (i, outcome) in outcomes.iter().enumerate().skip(1) {
+            assert!(*outcome == outcomes[0], "executor pairing {i} diverged");
+        }
     }
 
     #[test]

@@ -14,8 +14,12 @@
 //! * [`Resource`] / [`ParallelResource`] — busy-until timelines modelling
 //!   serialized and k-server stations (firmware pipelines, flash dies,
 //!   storage-node service pools),
-//! * [`TokenBucket`] — the rate-limiter used for elastic-SSD throughput and
-//!   IOPS budgets.
+//! * [`TokenBucket`] / [`BucketSet`] — the rate-limiter used for
+//!   elastic-SSD throughput and IOPS budgets, and the per-tenant set a
+//!   fleet reserves against,
+//! * [`Executor`] — the order-preserving parallel executor every
+//!   multi-cell run (figure sweeps, segmented timelines, fleet epochs)
+//!   schedules on.
 //!
 //! Every stateful primitive can be frozen into a plain-data snapshot type
 //! ([`RngSnapshot`], [`ResourceSnapshot`], [`ParallelResourceSnapshot`],
@@ -47,6 +51,7 @@
 #![warn(missing_docs)]
 
 mod dist;
+mod executor;
 mod persist;
 mod queue;
 mod resource;
@@ -55,6 +60,7 @@ mod time;
 mod token;
 
 pub use dist::LatencyDist;
+pub use executor::Executor;
 pub use queue::EventQueue;
 pub use resource::{ParallelResource, ParallelResourceSnapshot, Resource, ResourceSnapshot};
 pub use rng::{RngSnapshot, SimRng};

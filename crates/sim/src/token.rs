@@ -314,6 +314,23 @@ impl BucketSet {
         grant
     }
 
+    /// Every bucket, mutably, in index order — for callers that reserve
+    /// against disjoint buckets from several threads at once (a fleet
+    /// epoch lends each device the buckets of its residents).
+    ///
+    /// Grants made here bypass the set-level ledger: the caller must
+    /// [`credit`](Self::credit) their total before the next audit, or
+    /// [`check`](Contract::check) reports `grant-ledger-conservation`.
+    pub fn buckets_mut(&mut self) -> &mut [TokenBucket] {
+        &mut self.buckets
+    }
+
+    /// Adds `tokens` granted through [`buckets_mut`](Self::buckets_mut)
+    /// to the set-level grant ledger.
+    pub fn credit(&mut self, tokens: u64) {
+        self.granted_total += tokens;
+    }
+
     /// Total tokens granted across every bucket since construction or
     /// the last restore.
     pub fn granted_total(&self) -> u64 {
@@ -503,6 +520,24 @@ mod tests {
         set.reserve(0, SimTime::ZERO, 5);
         // Corrupt the ledger the way a lost grant would.
         set.granted_total += 1;
+        let v = set.check().unwrap_err();
+        assert_eq!(v.invariant, "grant-ledger-conservation");
+        assert_eq!(v.contract, "uc-sim/BucketSet");
+    }
+
+    #[test]
+    fn direct_grants_must_be_credited_to_the_ledger() {
+        let mut set = BucketSet::new();
+        set.push(TokenBucket::new(100.0, 100.0));
+        set.push(TokenBucket::new(100.0, 100.0));
+        set.reserve(0, SimTime::ZERO, 10);
+        // A grant through the disjoint view, credited: the audit holds.
+        set.buckets_mut()[1].reserve(SimTime::ZERO, 30);
+        set.credit(30);
+        assert_eq!(set.check(), Ok(()));
+        assert_eq!(set.granted_total(), 40);
+        // The same grant with its credit dropped is caught.
+        set.buckets_mut()[0].reserve(SimTime::ZERO, 20);
         let v = set.check().unwrap_err();
         assert_eq!(v.invariant, "grant-ledger-conservation");
         assert_eq!(v.contract, "uc-sim/BucketSet");

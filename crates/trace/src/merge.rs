@@ -16,6 +16,9 @@
 //! [`TraceError::TimestampRegression`] — never a panic — before any I/O
 //! is issued.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use uc_sim::SimTime;
 use uc_workload::{TraceEntry, TraceError};
 
 /// One entry of a merged multi-tenant stream: the I/O plus which tenant
@@ -38,7 +41,10 @@ pub struct MergedEntry {
 /// 2. identical arrivals resolve by **ascending tenant id** (the stable
 ///    tie-break the fleet interleaver relies on);
 /// 3. one tenant's same-instant entries keep their original relative
-///    order.
+///    order; when a tenant id is listed more than once, the stream
+///    listed first goes first at a shared instant.
+///
+/// Runs in `O(n log k)` for `n` entries over `k` streams.
 ///
 /// # Errors
 ///
@@ -48,7 +54,7 @@ pub struct MergedEntry {
 /// reordered.
 pub fn merge_streams(streams: &[(u32, &[TraceEntry])]) -> Result<Vec<MergedEntry>, TraceError> {
     for (_, entries) in streams {
-        let mut prev = uc_sim::SimTime::ZERO;
+        let mut prev = SimTime::ZERO;
         for (index, entry) in entries.iter().enumerate() {
             if entry.at < prev {
                 return Err(TraceError::TimestampRegression {
@@ -62,36 +68,32 @@ pub fn merge_streams(streams: &[(u32, &[TraceEntry])]) -> Result<Vec<MergedEntry
     }
     let total: usize = streams.iter().map(|(_, e)| e.len()).sum();
     let mut merged = Vec::with_capacity(total);
-    // K-way merge over stream cursors. Scanning the (typically small)
-    // cursor set per step keeps the tie-break explicit: the earliest
-    // arrival wins, ties go to the lowest tenant id. Within one stream
-    // the cursor preserves original order.
-    let mut cursors = vec![0usize; streams.len()];
-    for _ in 0..total {
-        let mut best: Option<usize> = None;
-        for (s, &(tenant, entries)) in streams.iter().enumerate() {
-            let cursor = cursors[s];
-            if cursor >= entries.len() {
-                continue;
-            }
-            let candidate = (entries[cursor].at, tenant);
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    let incumbent = (streams[b].1[cursors[b]].at, streams[b].0);
-                    candidate < incumbent
-                }
-            };
-            if better {
-                best = Some(s);
+    // K-way merge over a min-heap of stream heads keyed
+    // `(arrival, tenant, stream index, cursor)`: the earliest arrival
+    // wins, ties go to the lowest tenant id, then to the stream listed
+    // first (duplicate tenant ids); within one stream the cursor
+    // preserves original order. Stream indices are unique in the heap,
+    // so the cursor never decides.
+    let mut heads: BinaryHeap<Reverse<(SimTime, u32, usize, usize)>> = streams
+        .iter()
+        .enumerate()
+        .filter_map(|(s, &(tenant, entries))| {
+            entries.first().map(|e| Reverse((e.at, tenant, s, 0)))
+        })
+        .collect();
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((_, tenant, s, cursor)) = *head;
+        let entries = streams[s].1;
+        merged.push(MergedEntry {
+            tenant,
+            entry: entries[cursor],
+        });
+        match entries.get(cursor + 1) {
+            Some(next) => *head = Reverse((next.at, tenant, s, cursor + 1)),
+            None => {
+                PeekMut::pop(head);
             }
         }
-        let s = best.expect("total count admits another entry");
-        merged.push(MergedEntry {
-            tenant: streams[s].0,
-            entry: streams[s].1[cursors[s]],
-        });
-        cursors[s] += 1;
     }
     Ok(merged)
 }
@@ -111,7 +113,7 @@ pub fn merge_streams(streams: &[(u32, &[TraceEntry])]) -> Result<Vec<MergedEntry
 /// Returns the first [`TraceError`] found, with the offending entry's
 /// index in the merged sequence.
 pub fn validate_merged(entries: &[MergedEntry], capacity: Option<u64>) -> Result<(), TraceError> {
-    let mut prev = uc_sim::SimTime::ZERO;
+    let mut prev = SimTime::ZERO;
     for (index, merged) in entries.iter().enumerate() {
         merged.entry.validate(index, capacity)?;
         if merged.entry.at < prev {
@@ -130,7 +132,6 @@ pub fn validate_merged(entries: &[MergedEntry], capacity: Option<u64>) -> Result
 mod tests {
     use super::*;
     use uc_blockdev::IoKind;
-    use uc_sim::SimTime;
 
     fn entry(at: u64, offset: u64) -> TraceEntry {
         TraceEntry {
