@@ -251,6 +251,7 @@ struct Resident<'a> {
 }
 
 /// One resident's completed work in one epoch.
+#[derive(Default)]
 struct Tally {
     tenant: u32,
     bytes: u64,
@@ -259,6 +260,7 @@ struct Tally {
 }
 
 /// What one device's epoch cell hands back for the in-order fold.
+#[derive(Default)]
 struct DeviceEpoch {
     /// One entry per resident, in resident order.
     tallies: Vec<Tally>,
@@ -287,19 +289,10 @@ fn run_device_epoch(
             .iter()
             .map(|r| Tally {
                 tenant: r.id,
-                bytes: 0,
-                ios: 0,
-                latency_ns: 0,
+                ..Tally::default()
             })
             .collect(),
-        bytes: 0,
-        ios: 0,
-        granted: 0,
-        throttle_events: 0,
-        throttled_ns: 0,
-        finished_at: SimTime::ZERO,
-        grant_wait: LatencyHistogram::new(),
-        latency: LatencyHistogram::new(),
+        ..DeviceEpoch::default()
     };
     // Per-resident granted streams with region-absolute offsets, keyed by
     // resident index: residents ascend by tenant id, so the merge's
