@@ -5,10 +5,18 @@
 //! doorbell; the device posts one completion entry per command. [`IoBatch`]
 //! and [`Completion`] model that interaction for the timeline-driven
 //! simulators — a driver issues a queue-depth's worth of requests through
-//! one [`BlockDevice::submit_batch`](crate::BlockDevice::submit_batch) call
-//! instead of a call per request.
+//! one [`BlockDevice::submit_batch_into`](crate::BlockDevice::submit_batch_into)
+//! call instead of a call per request.
+//!
+//! As on an NVMe host, the completion queue belongs to the caller: the
+//! device appends one entry per request to a `Vec<Completion>` the driver
+//! keeps across doorbells and drains after each, so a steady-state
+//! doorbell allocates nothing. [`submit_each`] is the request-at-a-time
+//! doorbell every device without a batched fast path uses.
+//! [`BlockDevice::submit_batch`](crate::BlockDevice::submit_batch), which
+//! returns a fresh queue per call, stays as the convenience form.
 
-use crate::{IoKind, IoRequest};
+use crate::{BlockDevice, IoError, IoKind, IoRequest};
 use uc_sim::{SimDuration, SimTime};
 
 /// An ordered set of requests submitted through one doorbell ring.
@@ -83,6 +91,12 @@ impl IoBatch {
     pub fn requests(&self) -> &[IoRequest] {
         &self.reqs
     }
+
+    /// The queued requests, mutably: the shared queue re-times them in
+    /// place, keeping their submit times non-decreasing.
+    pub(crate) fn requests_mut(&mut self) -> &mut [IoRequest] {
+        &mut self.reqs
+    }
 }
 
 impl From<Vec<IoRequest>> for IoBatch {
@@ -146,6 +160,39 @@ impl Completion {
     pub fn latency(&self) -> SimDuration {
         self.completes - self.submitted
     }
+}
+
+/// Services `batch` as consecutive [`BlockDevice::submit`] calls,
+/// appending one [`Completion`] per request to `completions`, in
+/// submission order.
+///
+/// This is the doorbell of a device without a batched fast path: the
+/// [`BlockDevice::submit_batch`] default, and the
+/// [`BlockDevice::submit_batch_into`] override of the simulators.
+///
+/// # Errors
+///
+/// Returns the first [`IoError`] any request reports, with `completions`
+/// truncated back to its length on entry. Requests before the failing one
+/// have already been applied to the device (as with consecutive `submit`
+/// calls).
+pub fn submit_each<D: BlockDevice + ?Sized>(
+    dev: &mut D,
+    batch: &IoBatch,
+    completions: &mut Vec<Completion>,
+) -> Result<(), IoError> {
+    let entry_len = completions.len();
+    completions.reserve(batch.len());
+    for (index, req) in batch.requests().iter().enumerate() {
+        match dev.submit(req) {
+            Ok(completes) => completions.push(Completion::of(index, req, completes)),
+            Err(e) => {
+                completions.truncate(entry_len);
+                return Err(e);
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -16,8 +16,9 @@
 //! Three companion layers complete the host-facing API:
 //!
 //! * the **queue pair** ([`IoBatch`] / [`Completion`] /
-//!   [`BlockDevice::submit_batch`]) lets drivers issue a queue-depth's
-//!   worth of requests per doorbell ring instead of one call per request,
+//!   [`BlockDevice::submit_batch_into`]) lets drivers issue a
+//!   queue-depth's worth of requests per doorbell ring instead of one call
+//!   per request, with completions posted into a queue the caller owns,
 //! * the **factory seam** ([`DeviceFactory`]) makes fresh-device
 //!   construction `Send + Sync`, so experiment cells can be fanned out
 //!   across threads, each building its own device where it runs,
@@ -63,7 +64,7 @@ mod checkpoint;
 mod factory;
 mod session;
 
-pub use batch::{Completion, IoBatch};
+pub use batch::{submit_each, Completion, IoBatch};
 pub use checkpoint::{
     CheckpointDevice, CheckpointError, DeviceCheckpoint, PayloadCodec, PersistError,
     PersistPayload, DEVICE_RECORD_KIND,
@@ -316,10 +317,14 @@ pub trait BlockDevice {
     /// returning one [`Completion`] per request, in submission order.
     ///
     /// The default implementation services the batch as consecutive
-    /// [`BlockDevice::submit`] calls, so batched and request-at-a-time
-    /// submission of the same request sequence produce identical
-    /// completion instants; device implementations that override this for
-    /// a fast path must preserve that equivalence.
+    /// [`BlockDevice::submit`] calls ([`submit_each`]), so batched and
+    /// request-at-a-time submission of the same request sequence produce
+    /// identical completion instants; device implementations that
+    /// override this for a fast path must preserve that equivalence.
+    ///
+    /// This is the convenience form: it allocates a new completion queue
+    /// per doorbell. Hot drivers call [`BlockDevice::submit_batch_into`]
+    /// with a queue they own and reuse.
     ///
     /// # Errors
     ///
@@ -328,11 +333,32 @@ pub trait BlockDevice {
     /// timelines (as with consecutive `submit` calls).
     fn submit_batch(&mut self, batch: &IoBatch) -> Result<Vec<Completion>, IoError> {
         let mut completions = Vec::with_capacity(batch.len());
-        for (index, req) in batch.requests().iter().enumerate() {
-            let completes = self.submit(req)?;
-            completions.push(Completion::of(index, req, completes));
-        }
+        submit_each(self, batch, &mut completions)?;
         Ok(completions)
+    }
+
+    /// Submits every request of `batch` through one doorbell ring,
+    /// appending one [`Completion`] per request, in submission order, to
+    /// the caller's completion queue — the host owns and reuses its
+    /// queue, so a doorbell allocates nothing once the queue has grown to
+    /// the ring size.
+    ///
+    /// The default appends what [`BlockDevice::submit_batch`] returns, so
+    /// an implementor that overrides only `submit_batch` still sees one
+    /// `submit_batch` call per doorbell. Devices without a doorbell of
+    /// their own override this with [`submit_each`].
+    ///
+    /// # Errors
+    ///
+    /// As [`BlockDevice::submit_batch`]. On error `completions` is left at
+    /// the length it had on entry.
+    fn submit_batch_into(
+        &mut self,
+        batch: &IoBatch,
+        completions: &mut Vec<Completion>,
+    ) -> Result<(), IoError> {
+        completions.extend(self.submit_batch(batch)?);
+        Ok(())
     }
 
     /// Tells the device a time span has passed with no host activity.
@@ -369,6 +395,13 @@ impl<D: BlockDevice + ?Sized> BlockDevice for &mut D {
     fn submit_batch(&mut self, batch: &IoBatch) -> Result<Vec<Completion>, IoError> {
         (**self).submit_batch(batch)
     }
+    fn submit_batch_into(
+        &mut self,
+        batch: &IoBatch,
+        completions: &mut Vec<Completion>,
+    ) -> Result<(), IoError> {
+        (**self).submit_batch_into(batch, completions)
+    }
     fn idle_until(&mut self, now: SimTime) {
         (**self).idle_until(now)
     }
@@ -386,6 +419,13 @@ impl<D: BlockDevice + ?Sized> BlockDevice for Box<D> {
     }
     fn submit_batch(&mut self, batch: &IoBatch) -> Result<Vec<Completion>, IoError> {
         (**self).submit_batch(batch)
+    }
+    fn submit_batch_into(
+        &mut self,
+        batch: &IoBatch,
+        completions: &mut Vec<Completion>,
+    ) -> Result<(), IoError> {
+        (**self).submit_batch_into(batch, completions)
     }
     fn idle_until(&mut self, now: SimTime) {
         (**self).idle_until(now)
@@ -542,5 +582,13 @@ mod tests {
         ));
         // The valid head of the batch was still applied to the timeline.
         assert!(dev.busy_until > SimTime::ZERO);
+        // Through the caller's queue, the error leaves it at its entry
+        // length.
+        let mut queue = vec![Completion::of(0, &batch.requests()[0], SimTime::ZERO)];
+        assert!(matches!(
+            dev.submit_batch_into(&batch, &mut queue),
+            Err(IoError::OutOfRange { .. })
+        ));
+        assert_eq!(queue.len(), 1);
     }
 }

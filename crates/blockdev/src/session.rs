@@ -202,12 +202,20 @@ impl<D: BlockDevice> SharedDevice<D> {
 
     /// Submits a whole multi-session batch through one doorbell ring:
     /// `owners[i]` names the session that issued `batch.requests()[i]`.
-    /// Completions come back in submission order, index-aligned with the
-    /// batch — the caller attributes them to tenants by position.
+    /// Completions are appended to the caller's queue `completions` in
+    /// submission order, index-aligned with the batch — the caller
+    /// attributes them to tenants by position.
+    ///
+    /// The queue discipline is applied in place: on return each request's
+    /// `submit_time` is the instant the shared queue took it (clamped to
+    /// the queue head), as its completion's `submitted` also says. So a
+    /// doorbell copies nothing and, once `completions` has grown to the
+    /// ring size, allocates nothing.
     ///
     /// # Errors
     ///
-    /// Propagates the inner device's [`IoError`].
+    /// Propagates the inner device's [`IoError`], leaving `completions`
+    /// at its length on entry.
     ///
     /// # Panics
     ///
@@ -216,20 +224,22 @@ impl<D: BlockDevice> SharedDevice<D> {
     pub fn submit_batch_shared(
         &mut self,
         owners: &[SessionId],
-        batch: &IoBatch,
-    ) -> Result<Vec<Completion>, IoError> {
+        batch: &mut IoBatch,
+        completions: &mut Vec<Completion>,
+    ) -> Result<(), IoError> {
         assert_eq!(
             owners.len(),
             batch.len(),
             "one owning session per batched request"
         );
-        let mut doorbelled = IoBatch::with_capacity(batch.len());
-        for (owner, req) in owners.iter().zip(batch.requests()) {
-            doorbelled.push(self.doorbell(*owner, req));
+        // Clamping to the running queue head keeps the batch's submit
+        // times non-decreasing.
+        for (owner, req) in owners.iter().zip(batch.requests_mut()) {
+            *req = self.doorbell(*owner, req);
         }
-        let completions = self.inner.submit_batch(&doorbelled)?;
+        self.inner.submit_batch_into(batch, completions)?;
         uc_invariant::debug_check(self);
-        Ok(completions)
+        Ok(())
     }
 }
 
@@ -370,11 +380,33 @@ mod tests {
         batch.push(IoRequest::write(4096, 512, at(0)));
         batch.push(IoRequest::read(0, 4096, at(5)));
         let owners = vec![a, b, a];
-        let completions = dev.submit_batch_shared(&owners, &batch).unwrap();
+        let mut completions = Vec::new();
+        dev.submit_batch_shared(&owners, &mut batch, &mut completions)
+            .unwrap();
         assert_eq!(completions.len(), 3);
         assert_eq!(completions[1].len, 512);
         assert_eq!(dev.stats(a).ios, 2);
         assert_eq!(dev.stats(b).ios, 1);
+        assert_eq!(dev.check(), Ok(()));
+        // A second doorbell appends to the caller's queue, and its late
+        // arrivals are clamped in place to the queue head.
+        let mut late = IoBatch::new();
+        late.push(IoRequest::write(0, 4096, at(2)));
+        late.push(IoRequest::write(4096, 512, at(3)));
+        late.push(IoRequest::read(0, 4096, at(9)));
+        dev.submit_batch_shared(&owners, &mut late, &mut completions)
+            .unwrap();
+        assert_eq!(completions.len(), 6);
+        assert_eq!(completions[4].index, 1);
+        assert_eq!(completions[4].len, 512);
+        let retimed: Vec<SimTime> = late.requests().iter().map(|r| r.submit_time).collect();
+        assert_eq!(retimed, [at(5), at(5), at(9)]);
+        assert!(completions[3..]
+            .iter()
+            .zip(&retimed)
+            .all(|(c, t)| c.submitted == *t));
+        assert_eq!(dev.stats(a).ios, 4);
+        assert_eq!(dev.stats(b).clamped, 1);
         assert_eq!(dev.check(), Ok(()));
     }
 

@@ -2,8 +2,8 @@
 
 use crate::EssdConfig;
 use uc_blockdev::{
-    BlockDevice, CheckpointDevice, CheckpointError, DeviceCheckpoint, DeviceInfo, IoKind,
-    IoRequest, IoResult,
+    BlockDevice, CheckpointDevice, CheckpointError, Completion, DeviceCheckpoint, DeviceInfo,
+    IoBatch, IoError, IoKind, IoRequest, IoResult,
 };
 use uc_cluster::{Cluster, ClusterSnapshot};
 use uc_net::{HostStack, HostStackSnapshot, NetPath, NetPathSnapshot};
@@ -283,10 +283,19 @@ impl BlockDevice for Essd {
         Ok(done)
     }
 
-    // `submit_batch` deliberately stays on the trait default: the default
-    // body is monomorphized per impl, so batched submission is already a
-    // loop of statically dispatched `submit` calls with identical
-    // completion instants (asserted by `batch_submission_matches_sequential`).
+    // The doorbell is the request-at-a-time loop (`submit_each`),
+    // monomorphized per impl, so batched submission is a loop of
+    // statically dispatched `submit` calls with identical completion
+    // instants (asserted by `batch_submission_matches_sequential`). It
+    // posts straight into the caller's completion queue; `submit_batch`
+    // stays on the trait default, which allocates a queue per call.
+    fn submit_batch_into(
+        &mut self,
+        batch: &IoBatch,
+        completions: &mut Vec<Completion>,
+    ) -> Result<(), IoError> {
+        uc_blockdev::submit_each(self, batch, completions)
+    }
 }
 
 impl CheckpointDevice for Essd {

@@ -352,7 +352,8 @@ fn run_device_epoch(
         });
         owners.push(sessions[m.tenant as usize]);
     }
-    let completions = device.submit_batch_shared(&owners, &batch)?;
+    let mut completions = Vec::with_capacity(batch.len());
+    device.submit_batch_shared(&owners, &mut batch, &mut completions)?;
     for (m, c) in merged.iter().zip(&completions) {
         let i = m.tenant as usize;
         let r = &mut residents[i];
@@ -874,8 +875,9 @@ impl FleetSim {
                 off += len as u64;
                 copied += len as u64;
             }
-            let read_done = src
-                .submit_batch_shared(&owners, &reads)?
+            let mut completions = Vec::with_capacity(reads.len());
+            src.submit_batch_shared(&owners, &mut reads, &mut completions)?;
+            let read_done = completions
                 .iter()
                 .fold(frozen_at, |acc, c| acc.max(c.completes));
             // ...and thaw it onto the target region.
@@ -891,8 +893,9 @@ impl FleetSim {
                 owners.push(session);
                 off += len as u64;
             }
-            completed_at = dst
-                .submit_batch_shared(&owners, &writes)?
+            completions.clear();
+            dst.submit_batch_shared(&owners, &mut writes, &mut completions)?;
+            completed_at = completions
                 .iter()
                 .fold(start, |acc, c| acc.max(c.completes));
         }

@@ -610,15 +610,16 @@ impl ServePool {
         }
         let owners = vec![sess.session; batch.len()];
         let lane = &self.lanes[sess.device];
-        let completions = {
+        let mut completions = Vec::with_capacity(batch.len());
+        {
             let mut shared = lane.shared.lock().expect("lane lock");
             shared
-                .submit_batch_shared(&owners, &batch)
-                .map_err(Rejection::Io)?
+                .submit_batch_shared(&owners, &mut batch, &mut completions)
+                .map_err(Rejection::Io)?;
             // Lock released here — never held across a response write
             // (and never while touching the obs hub: the hub-then-lane
             // order in obs_snapshot stays deadlock-free).
-        };
+        }
         self.obs.inc(self.oids.batches);
         let bytes: u64 = reqs.iter().map(|r| r.len as u64).sum();
         self.obs.add(self.oids.ios, reqs.len() as u64);
@@ -1132,5 +1133,43 @@ mod tests {
         // Single-request path too.
         let req = IoRequest::read(0, 4096, at(10_000));
         assert_eq!(via_pool.submit(&req).unwrap(), direct.submit(&req).unwrap());
+    }
+
+    #[test]
+    fn pool_device_doorbells_agree_through_either_method() {
+        // `submit_batch_into` appends what `submit_batch` returns: the
+        // same completions, and the same pool counters and telemetry.
+        let config = PoolConfig {
+            ring: 3,
+            ..PoolConfig::default()
+        };
+        let (returned, appended) = (pool(config), pool(config));
+        let mut a = returned.device(0).unwrap();
+        let mut b = appended.device(0).unwrap();
+        let mut queue = vec![Completion::of(7, &IoRequest::read(0, 512, at(0)), at(1))];
+        for round in 0..4u64 {
+            let batch: IoBatch = (0..=round * 2)
+                .map(|i| IoRequest::write(i * 4096, 4096, at(round * 1000 + i)))
+                .collect();
+            let got = a.submit_batch(&batch).unwrap();
+            let entry_len = queue.len();
+            b.submit_batch_into(&batch, &mut queue).unwrap();
+            assert_eq!(queue[entry_len..], got[..]);
+        }
+        let entry_len = queue.len();
+        let bad: IoBatch = [
+            IoRequest::read(0, 4096, at(9000)),
+            IoRequest::read(1 << 40, 4096, at(9000)),
+        ]
+        .into_iter()
+        .collect();
+        assert!(a.submit_batch(&bad).is_err());
+        assert!(b.submit_batch_into(&bad, &mut queue).is_err());
+        assert_eq!(queue.len(), entry_len);
+        assert_eq!(returned.report(), appended.report());
+        assert_eq!(
+            returned.obs_snapshot().render_prometheus(),
+            appended.obs_snapshot().render_prometheus()
+        );
     }
 }

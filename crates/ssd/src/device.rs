@@ -2,8 +2,8 @@
 
 use crate::{Prefetcher, PrefetcherSnapshot, SsdConfig, WriteBuffer, WriteBufferSnapshot};
 use uc_blockdev::{
-    BlockDevice, CheckpointDevice, CheckpointError, DeviceCheckpoint, DeviceInfo, IoKind,
-    IoRequest, IoResult,
+    BlockDevice, CheckpointDevice, CheckpointError, Completion, DeviceCheckpoint, DeviceInfo,
+    IoBatch, IoError, IoKind, IoRequest, IoResult,
 };
 use uc_ftl::{Ftl, FtlCheckpoint, FtlStats};
 use uc_sim::{Resource, ResourceSnapshot, RngSnapshot, SimRng, SimTime};
@@ -268,10 +268,19 @@ impl BlockDevice for Ssd {
         Ok(done)
     }
 
-    // `submit_batch` deliberately stays on the trait default: the default
-    // body is monomorphized per impl, so batched submission is already a
-    // loop of statically dispatched `submit` calls with identical
-    // completion instants (asserted by `batch_submission_matches_sequential`).
+    // The doorbell is the request-at-a-time loop (`submit_each`),
+    // monomorphized per impl, so batched submission is a loop of
+    // statically dispatched `submit` calls with identical completion
+    // instants (asserted by `batch_submission_matches_sequential`). It
+    // posts straight into the caller's completion queue; `submit_batch`
+    // stays on the trait default, which allocates a queue per call.
+    fn submit_batch_into(
+        &mut self,
+        batch: &IoBatch,
+        completions: &mut Vec<Completion>,
+    ) -> Result<(), IoError> {
+        uc_blockdev::submit_each(self, batch, completions)
+    }
 
     fn observe_into(&self, prefix: &str, obs: &mut uc_obs::MetricsRegistry) {
         let f = self.ftl.stats();

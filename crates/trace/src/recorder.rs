@@ -46,8 +46,8 @@ impl<D: BlockDevice> TraceRecorder<D> {
         self.entries.len()
     }
 
-    /// Doorbell rings ([`BlockDevice::submit_batch`] calls) recorded so
-    /// far. Requests submitted one at a time do not count as batches.
+    /// Doorbell rings ([`BlockDevice::submit_batch`] or
+    /// [`BlockDevice::submit_batch_into`] calls) recorded so far. Requests submitted one at a time do not count as batches.
     pub fn batches(&self) -> u64 {
         self.batches
     }
@@ -107,16 +107,26 @@ impl<D: BlockDevice> BlockDevice for TraceRecorder<D> {
     }
 
     fn submit_batch(&mut self, batch: &IoBatch) -> Result<Vec<Completion>, IoError> {
+        let mut completions = Vec::with_capacity(batch.len());
+        self.submit_batch_into(batch, &mut completions)?;
+        Ok(completions)
+    }
+
+    fn submit_batch_into(
+        &mut self,
+        batch: &IoBatch,
+        completions: &mut Vec<Completion>,
+    ) -> Result<(), IoError> {
         // On error the device may have applied a prefix of the batch, but
         // which prefix is not observable through the error; a failed
         // batch is therefore recorded as not-issued (experiments treat
         // the first IoError as fatal anyway).
-        let completions = self.inner.submit_batch(batch)?;
+        self.inner.submit_batch_into(batch, completions)?;
         for req in batch.requests() {
             self.record(req);
         }
         self.batches += 1;
-        Ok(completions)
+        Ok(())
     }
 
     fn idle_until(&mut self, now: SimTime) {
@@ -176,6 +186,38 @@ mod tests {
         for w in trace.entries().windows(2) {
             assert!(w[1].at >= w[0].at);
         }
+    }
+
+    #[test]
+    fn either_doorbell_records_the_same_capture() {
+        let batches: Vec<IoBatch> = (0..6u64)
+            .map(|b| {
+                (0..=b)
+                    .map(|i| IoRequest::write(i * 4096, 4096, SimTime::from_nanos(b * 1000)))
+                    .collect()
+            })
+            .collect();
+        let mut returned = TraceRecorder::new(TestDevice::new());
+        let mut appended = TraceRecorder::new(TestDevice::new());
+        let mut queue = Vec::new();
+        for batch in &batches {
+            let got = returned.submit_batch(batch).unwrap();
+            let entry_len = queue.len();
+            appended.submit_batch_into(batch, &mut queue).unwrap();
+            assert_eq!(queue[entry_len..], got[..]);
+        }
+        assert_eq!(appended.batches(), returned.batches());
+        assert_eq!(appended.trace(), returned.trace());
+        // A rejected batch leaves the caller's queue and the capture as
+        // they were.
+        let entry_len = queue.len();
+        let mut bad = IoBatch::new();
+        bad.push(IoRequest::read(0, 4096, SimTime::from_nanos(9000)));
+        bad.push(IoRequest::read(1 << 40, 4096, SimTime::from_nanos(9000)));
+        assert!(appended.submit_batch_into(&bad, &mut queue).is_err());
+        assert_eq!(queue.len(), entry_len);
+        assert_eq!(appended.batches(), returned.batches());
+        assert_eq!(appended.ios(), returned.ios());
     }
 
     #[test]

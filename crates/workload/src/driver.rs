@@ -17,7 +17,7 @@
 use crate::{AddressStream, JobLimit, JobReport, JobSpec, ReplayMode};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use uc_blockdev::{BlockDevice, IoBatch, IoError, IoKind, IoRequest};
+use uc_blockdev::{BlockDevice, Completion, IoBatch, IoError, IoKind, IoRequest};
 use uc_sim::SimTime;
 
 /// One outstanding request, as the driver's completion heap holds it and
@@ -97,6 +97,10 @@ pub(crate) struct DriverCore {
     ring: usize,
     inflight: BinaryHeap<Reverse<InflightIo>>,
     pub(crate) finished: bool,
+    /// The completion queue every doorbell posts into, drained before
+    /// the doorbell returns. Reused so a doorbell allocates nothing; it is
+    /// empty between doorbells and never part of a checkpoint.
+    completions: Vec<Completion>,
 }
 
 impl DriverCore {
@@ -112,6 +116,7 @@ impl DriverCore {
             ring,
             inflight: inflight.into_iter().map(Reverse).collect(),
             finished,
+            completions: Vec::new(),
         }
     }
 
@@ -132,9 +137,10 @@ impl DriverCore {
         })
     }
 
-    /// Submits `batch` through one doorbell ring and empties it. The
-    /// completions are recorded in `report` when one is given (open
-    /// loop), and join the in-flight heap otherwise.
+    /// Submits `batch` through one doorbell ring into the core's
+    /// completion queue and empties both. The completions are recorded in
+    /// `report` when one is given (open loop), and join the in-flight heap
+    /// otherwise.
     fn ring_doorbell<D: BlockDevice + ?Sized>(
         &mut self,
         dev: &mut D,
@@ -144,16 +150,16 @@ impl DriverCore {
         if batch.is_empty() {
             return Ok(());
         }
-        let completions = dev.submit_batch(batch)?;
+        dev.submit_batch_into(batch, &mut self.completions)?;
         batch.clear();
         match report {
             Some(report) => {
-                for c in completions {
+                for c in self.completions.drain(..) {
                     report.record(c.kind.is_write(), c.len, c.submitted, c.completes);
                 }
             }
             None => {
-                for c in completions {
+                for c in self.completions.drain(..) {
                     self.inflight.push(Reverse(InflightIo {
                         completes: c.completes,
                         submitted: c.submitted,

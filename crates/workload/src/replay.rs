@@ -2,7 +2,7 @@
 //!
 //! [`TraceReplayJob`] drives a [`Trace`] against any
 //! [`BlockDevice`] through the crate's one driver core, speaking the
-//! queue-pair API ([`BlockDevice::submit_batch`]) with
+//! queue-pair API ([`BlockDevice::submit_batch_into`]) with
 //! **burst-preserving** scheduling: entries sharing one (speed-scaled)
 //! arrival instant go to the device through one doorbell ring, so a
 //! captured burst replays as the burst it was, not as a trickle of single

@@ -7,7 +7,7 @@
 //! token bucket, so bursts are queued at the host instead of slamming the
 //! tenant budget (where they would queue anyway — at a higher bill).
 
-use uc_blockdev::{BlockDevice, DeviceInfo, IoRequest, IoResult};
+use uc_blockdev::{BlockDevice, Completion, DeviceInfo, IoBatch, IoError, IoRequest, IoResult};
 use uc_sim::TokenBucket;
 
 /// A byte-rate shaping layer in front of a block device.
@@ -37,6 +37,9 @@ use uc_sim::TokenBucket;
 #[derive(Debug, Clone)]
 pub struct Shaper<D> {
     inner: D,
+    /// The inner device's facts, captured once: every request is
+    /// validated against them without cloning the device name.
+    info: DeviceInfo,
     bucket: TokenBucket,
     shaped_requests: u64,
 }
@@ -49,6 +52,7 @@ impl<D: BlockDevice> Shaper<D> {
     /// Panics if `bytes_per_sec` or `burst_bytes` is not positive.
     pub fn new(inner: D, bytes_per_sec: f64, burst_bytes: u64) -> Self {
         Shaper {
+            info: inner.info(),
             inner,
             bucket: TokenBucket::new(burst_bytes.max(1) as f64, bytes_per_sec),
             shaped_requests: 0,
@@ -78,11 +82,11 @@ impl<D: BlockDevice> Shaper<D> {
 
 impl<D: BlockDevice> BlockDevice for Shaper<D> {
     fn info(&self) -> DeviceInfo {
-        self.inner.info()
+        self.info.clone()
     }
 
     fn submit(&mut self, req: &IoRequest) -> IoResult {
-        self.info().validate(req)?;
+        self.info.validate(req)?;
         let release = self.bucket.reserve(req.submit_time, req.len as u64);
         self.shaped_requests += 1;
         let shaped = IoRequest {
@@ -90,6 +94,16 @@ impl<D: BlockDevice> BlockDevice for Shaper<D> {
             ..*req
         };
         self.inner.submit(&shaped)
+    }
+
+    // Every request is re-timed on its own, so the doorbell is the
+    // request-at-a-time loop, posting into the caller's queue.
+    fn submit_batch_into(
+        &mut self,
+        batch: &IoBatch,
+        completions: &mut Vec<Completion>,
+    ) -> Result<(), IoError> {
+        uc_blockdev::submit_each(self, batch, completions)
     }
 
     fn idle_until(&mut self, now: uc_sim::SimTime) {

@@ -1,8 +1,10 @@
-//! Queue-pair API contract tests: batched submission must reproduce the
+//! Queue-pair API contract tests: batched submission, returned or
+//! appended to a caller-owned completion queue, must reproduce the
 //! request-at-a-time schedules exactly, and the parallel experiment
 //! executor must produce byte-identical results at any width.
 
 use proptest::prelude::*;
+use unwritten_contract::blockdev::IoResult;
 use unwritten_contract::core::experiments::{fig2, fig5, Executor, Fig2Config, Fig5Config};
 use unwritten_contract::core::report::{render_fig2_grid, render_fig5};
 use unwritten_contract::prelude::*;
@@ -25,25 +27,157 @@ fn requests_from_ops(ops: &[(u8, u64, u64)], capacity: u64) -> Vec<IoRequest> {
         .collect()
 }
 
-/// Asserts `submit_batch` equals consecutive `submit` calls on two fresh
-/// instances of the same device, for every chunking of the sequence.
-fn assert_batch_equivalence<D: BlockDevice>(mut sequential: D, mut batched: D, reqs: &[IoRequest]) {
-    let expected: Vec<SimTime> = reqs.iter().map(|r| sequential.submit(r).unwrap()).collect();
-    let mut got = Vec::with_capacity(reqs.len());
-    // Mixed batch sizes: 1, then 2, then 4, ... exercises both the
-    // singleton path and fat doorbells.
+/// The chunkings every equivalence check drives: widths 1, 2, 4, ...
+/// (capped at 64), which exercise both the singleton path and fat
+/// doorbells.
+fn chunks(reqs: &[IoRequest]) -> Vec<IoBatch> {
+    let mut out = Vec::new();
     let mut cursor = 0usize;
     let mut width = 1usize;
     while cursor < reqs.len() {
         let end = (cursor + width).min(reqs.len());
-        let batch: IoBatch = reqs[cursor..end].iter().copied().collect();
-        for c in batched.submit_batch(&batch).unwrap() {
-            got.push(c.completes);
-        }
+        out.push(reqs[cursor..end].iter().copied().collect());
         cursor = end;
         width = (width * 2).min(64);
     }
+    out
+}
+
+/// Asserts `submit_batch` and `submit_batch_into` both equal consecutive
+/// `submit` calls on fresh instances of the same device, for every
+/// chunking of the sequence. The `submit_batch_into` instance posts into
+/// one reused queue that already holds an entry, so it must append.
+fn assert_batch_equivalence<D: BlockDevice>(
+    mut sequential: D,
+    mut batched: D,
+    mut appended: D,
+    reqs: &[IoRequest],
+) {
+    let expected: Vec<SimTime> = reqs.iter().map(|r| sequential.submit(r).unwrap()).collect();
+    let mut got = Vec::with_capacity(reqs.len());
+    let sentinel = Completion::of(99, &IoRequest::read(0, 512, SimTime::ZERO), SimTime::ZERO);
+    let mut queue = vec![sentinel];
+    for batch in chunks(reqs) {
+        for c in batched.submit_batch(&batch).unwrap() {
+            got.push(c.completes);
+        }
+        let entry_len = queue.len();
+        appended.submit_batch_into(&batch, &mut queue).unwrap();
+        assert_eq!(queue.len(), entry_len + batch.len());
+        for (i, c) in queue[entry_len..].iter().enumerate() {
+            assert_eq!(c.index, i, "indices are batch-relative");
+            assert_eq!(c.submitted, batch.requests()[i].submit_time);
+        }
+    }
     assert_eq!(got, expected);
+    assert_eq!(queue[0], sentinel);
+    let appended_at: Vec<SimTime> = queue[1..].iter().map(|c| c.completes).collect();
+    assert_eq!(appended_at, expected);
+}
+
+/// A batch whose middle request is out of range fails through
+/// `submit_batch_into`: the error comes back, the caller's queue is at
+/// its entry length, and the device state equals sequential `submit` of
+/// the valid prefix.
+fn assert_failed_doorbell_keeps_queue<D, S>(
+    mut prefix_only: D,
+    mut failing: D,
+    snapshot: impl Fn(&D) -> S,
+) where
+    D: BlockDevice,
+    S: PartialEq + std::fmt::Debug,
+{
+    let capacity = failing.info().capacity();
+    let t = SimTime::from_nanos(1_000);
+    let prefix = [IoRequest::write(0, 8192, t), IoRequest::read(0, 4096, t)];
+    let mut batch: IoBatch = prefix.iter().copied().collect();
+    batch.push(IoRequest::read(capacity, 4096, t)); // out of range
+    batch.push(IoRequest::write(8192, 4096, t));
+    for req in &prefix {
+        prefix_only.submit(req).unwrap();
+    }
+    let mut queue = vec![Completion::of(0, &prefix[0], t)];
+    let err = failing.submit_batch_into(&batch, &mut queue).unwrap_err();
+    assert!(matches!(err, IoError::OutOfRange { .. }), "{err}");
+    assert_eq!(
+        queue.len(),
+        1,
+        "a failed doorbell leaves the queue as it was"
+    );
+    assert_eq!(snapshot(&failing), snapshot(&prefix_only));
+}
+
+#[test]
+fn failed_doorbell_restores_the_queue_on_ssd_and_essd() {
+    let capacity = 256 << 20;
+    assert_failed_doorbell_keeps_queue(
+        Ssd::new(SsdConfig::samsung_970_pro(capacity)),
+        Ssd::new(SsdConfig::samsung_970_pro(capacity)),
+        Ssd::snapshot,
+    );
+    for config in [
+        EssdConfig::aws_io2(capacity),
+        EssdConfig::alibaba_pl3(capacity),
+    ] {
+        assert_failed_doorbell_keeps_queue(
+            Essd::new(config.clone()),
+            Essd::new(config),
+            Essd::snapshot,
+        );
+    }
+}
+
+/// A device that overrides only `submit_batch` — as a timing wrapper that
+/// brackets each doorbell does — and counts its calls.
+struct BatchOnly {
+    inner: Ssd,
+    doorbells: usize,
+}
+
+impl BlockDevice for BatchOnly {
+    fn info(&self) -> DeviceInfo {
+        self.inner.info()
+    }
+    fn submit(&mut self, req: &IoRequest) -> IoResult {
+        self.inner.submit(req)
+    }
+    fn submit_batch(&mut self, batch: &IoBatch) -> Result<Vec<Completion>, IoError> {
+        self.doorbells += 1;
+        self.inner.submit_batch(batch)
+    }
+}
+
+#[test]
+fn submit_batch_into_rings_a_submit_batch_only_device_once_per_doorbell() {
+    let capacity = 256 << 20;
+    let ops: Vec<(u8, u64, u64)> = (0..100u64)
+        .map(|i| ((i % 6) as u8, i * 7, i * 900))
+        .collect();
+    let reqs = requests_from_ops(&ops, capacity);
+    let batches = chunks(&reqs);
+    let mut dev = BatchOnly {
+        inner: Ssd::new(SsdConfig::samsung_970_pro(capacity)),
+        doorbells: 0,
+    };
+    let mut queue = Vec::new();
+    // Directly, through a `&mut` forward and through a boxed trait object.
+    for (i, batch) in batches.iter().enumerate() {
+        match i % 3 {
+            0 => dev.submit_batch_into(batch, &mut queue),
+            1 => BlockDevice::submit_batch_into(&mut &mut dev, batch, &mut queue),
+            _ => {
+                let mut boxed: Box<dyn BlockDevice + '_> = Box::new(&mut dev);
+                boxed.submit_batch_into(batch, &mut queue)
+            }
+        }
+        .unwrap();
+        assert_eq!(dev.doorbells, i + 1);
+    }
+    assert_eq!(queue.len(), reqs.len());
+    let mut sequential = Ssd::new(SsdConfig::samsung_970_pro(capacity));
+    for (c, r) in queue.iter().zip(&reqs) {
+        assert_eq!(c.completes, sequential.submit(r).unwrap());
+    }
 }
 
 proptest! {
@@ -56,6 +190,7 @@ proptest! {
         let capacity = 256 << 20;
         let reqs = requests_from_ops(&ops, capacity);
         assert_batch_equivalence(
+            Ssd::new(SsdConfig::samsung_970_pro(capacity)),
             Ssd::new(SsdConfig::samsung_970_pro(capacity)),
             Ssd::new(SsdConfig::samsung_970_pro(capacity)),
             &reqs,
@@ -71,9 +206,11 @@ proptest! {
         assert_batch_equivalence(
             Essd::new(EssdConfig::aws_io2(capacity)),
             Essd::new(EssdConfig::aws_io2(capacity)),
+            Essd::new(EssdConfig::aws_io2(capacity)),
             &reqs,
         );
         assert_batch_equivalence(
+            Essd::new(EssdConfig::alibaba_pl3(capacity)),
             Essd::new(EssdConfig::alibaba_pl3(capacity)),
             Essd::new(EssdConfig::alibaba_pl3(capacity)),
             &reqs,

@@ -261,6 +261,61 @@ fn ring_full_splits_converge_and_account_every_io() {
     assert_eq!(report.total_bytes(), 48 * 4096);
 }
 
+/// `RemoteDevice` keeps its own `submit_batch` doorbell (ring-full
+/// splitting over the wire); `submit_batch_into` appends what it
+/// returns. Through either method a client sees the same completions
+/// and splits, the server the same accounting, and a rejected batch
+/// leaves the caller's queue as it was.
+#[test]
+fn remote_doorbells_agree_through_either_method() {
+    let run = |appending: bool| {
+        let config = PoolConfig {
+            ring: 4,
+            ..Default::default()
+        };
+        let pool = Arc::new(ServePool::new(lanes(), config));
+        let (listener, endpoint) = tcp_listener();
+        let server = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || serve_events(&listener, &pool, 1))
+        };
+        let mut dev = RemoteDevice::open(&endpoint, 0).unwrap();
+        let mut queue = Vec::new();
+        for round in 0..4u64 {
+            let at = SimTime::from_nanos(round * 1_000_000);
+            let batch: IoBatch = (0..1 + round * 5)
+                .map(|i| IoRequest::write(i * 8192, 4096, at))
+                .collect();
+            if appending {
+                dev.submit_batch_into(&batch, &mut queue).unwrap();
+            } else {
+                queue.extend(dev.submit_batch(&batch).unwrap());
+            }
+        }
+        let entry_len = queue.len();
+        let at = SimTime::from_nanos(5_000_000);
+        let bad: IoBatch = [
+            IoRequest::read(0, 4096, at),
+            IoRequest::read(1 << 50, 4096, at),
+        ]
+        .into_iter()
+        .collect();
+        if appending {
+            assert!(dev.submit_batch_into(&bad, &mut queue).is_err());
+        } else {
+            assert!(dev.submit_batch(&bad).is_err());
+        }
+        assert_eq!(queue.len(), entry_len);
+        let splits = dev.ring_full_splits();
+        dev.close().unwrap();
+        server.join().unwrap().unwrap();
+        (queue, splits, pool.report())
+    };
+    let returned = run(false);
+    assert!(returned.1 > 0, "the 4-slot ring must have split a doorbell");
+    assert_eq!(run(true), returned);
+}
+
 /// One full churn run: a single-lane replay over TCP, optionally with
 /// the connection killed after `kill` data-frame writes. Returns the
 /// pool report, its rendering, the data frames the client wrote, and
