@@ -30,7 +30,7 @@
 use uc_bench::{parse_count, parse_value, roster_from_args, BenchJson, DurableArgs};
 use uc_core::devices::DeviceKind;
 use uc_core::experiments::durable;
-use uc_core::experiments::fig3::{self, Fig3Chain, Fig3Config};
+use uc_core::experiments::fig3::{self, Fig3Config};
 use uc_core::experiments::Executor;
 use uc_core::report::render_fig3;
 
@@ -88,7 +88,7 @@ fn main() {
         println!();
         if verify {
             eprintln!("verifying {kind} against the freeze/thaw round trip…");
-            let reference = durable::round_trip(&Fig3Chain::new(&roster, kind, &cfg, segments))
+            let reference = durable::round_trip(&fig3::chain(&roster, kind, &cfg, segments))
                 .expect("fig3 round-trip run");
             if render_fig3(&reference) != render_fig3(&results[i]) {
                 eprintln!("::error::{kind}: pipelined fig3 diverged from the round-trip run");

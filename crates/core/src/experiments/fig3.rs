@@ -5,11 +5,10 @@
 //! be fanned out as independent cells: each device's run is a single
 //! continuous history (FTL wear, buffer occupancy, token-bucket levels all
 //! carry forward). This module therefore slices the run into **resumable
-//! segments** at capacity-fraction milestones ([`SegmentedRun`]), using
-//! the checkpoint seam ([`CheckpointDevice`]) plus the resumable
-//! closed-loop driver ([`ClosedLoopJob`]): at each milestone the device
-//! and driver state can be frozen into a [`Fig3Checkpoint`] and thawed
-//! on any worker or in a later process. [`Fig3Chain`] hands the segment
+//! segments** at capacity-fraction milestones: [`Endurance`] is its
+//! [`Slicing`] of the shared [`sliced`](super::sliced) run, which freezes
+//! device and closed-loop driver ([`ClosedLoopJob`]) into a
+//! [`Fig3Checkpoint`] at each milestone. [`chains`] hands the segment
 //! chains to the shared durable-run engine ([`durable`]), so segment `k`
 //! of one device runs concurrently with segment `k-1` of another.
 //!
@@ -19,14 +18,14 @@
 //! byte-identical [`Fig3Result`]s (pinned by this module's tests and the
 //! facade-level property tests).
 
-use crate::devices::{payload_codecs, DeviceKind, DeviceRoster};
-use crate::experiments::durable::{self, Chain, DurableRecord, RunError};
+use crate::devices::{DeviceKind, DeviceRoster};
+use crate::experiments::durable::{self, RunError};
+use crate::experiments::sliced::{Device, SlicedChain, SlicedCheckpoint, Slicing};
 use crate::experiments::Executor;
-use uc_blockdev::{CheckpointDevice, CheckpointError, DeviceCheckpoint, IoError, PersistError};
+use uc_blockdev::IoError;
 use uc_metrics::Series;
-use uc_persist::{ensure, DecodeError, Decoder, Encoder, Persist};
 use uc_sim::SimDuration;
-use uc_workload::{AccessPattern, ClosedLoopJob, DriverCheckpoint, JobReport, JobSpec};
+use uc_workload::{AccessPattern, ClosedLoopJob, DriverCheckpoint, JobSpec};
 
 /// Workload parameters for the Figure 3 endurance run.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,11 +131,6 @@ impl Fig3Result {
     }
 }
 
-/// The jitter-seed base every fig3 device is built with (`+ kind`).
-fn device_seed(kind: DeviceKind) -> u64 {
-    0xF1630000 + kind as u64
-}
-
 /// The throughput window for a run over `volume` bytes: scaled so the run
 /// spans a few hundred points regardless of the simulated capacity (a
 /// scaled-down device finishes in well under a second of virtual time).
@@ -147,349 +141,112 @@ fn effective_window(cfg: &Fig3Config, volume: u64) -> SimDuration {
         .max(SimDuration::from_micros(500))
 }
 
-/// The milestone plan of one device's endurance run: normalization
-/// capacity, throughput window, and ascending byte milestones (the last
-/// is the full volume). Derived in exactly one place — both
-/// [`SegmentedRun::start`] and the durable runner's resume-validity check
-/// go through here, so the check can never drift from what a fresh run
-/// actually executes.
-#[derive(Debug, Clone, PartialEq)]
-struct Plan {
-    capacity: u64,
-    window: SimDuration,
-    milestones: Vec<u64>,
-}
-
-impl Plan {
-    fn of(roster: &DeviceRoster, kind: DeviceKind, cfg: &Fig3Config, segments: usize) -> Plan {
-        let capacity = roster.capacity_of(kind);
-        let volume = (capacity as f64 * cfg.capacity_multiple) as u64;
-        let window = effective_window(cfg, volume);
-        let segments = segments.max(1) as u64;
-        // Equal-volume milestones; the last always equals the full
-        // volume, which is also the job spec's own byte limit.
-        let milestones = (1..=segments).map(|k| volume * k / segments).collect();
-        Plan {
-            capacity,
-            window,
-            milestones,
-        }
-    }
-
-    /// The full endurance volume in bytes.
-    fn volume(&self) -> u64 {
-        *self.milestones.last().expect("at least one milestone")
-    }
-
-    /// `true` if `checkpoint` was taken under this exact plan (same
-    /// scale, config and segment count) and can continue it.
-    fn matches(&self, checkpoint: &Fig3Checkpoint) -> bool {
-        checkpoint.capacity == self.capacity
-            && checkpoint.window == self.window
-            && checkpoint.milestones == self.milestones
-    }
-}
-
-/// Post-processes a finished endurance report into the figure's series.
-fn finish(kind: DeviceKind, capacity: u64, window: SimDuration, report: &JobReport) -> Fig3Result {
-    let time_series = report.throughput.series();
-    // Re-index by cumulative written volume (normalized by capacity).
-    let mut cumulative = 0.0f64;
-    let window_secs = window.as_secs_f64();
-    let mut volume_points = Vec::with_capacity(time_series.len());
-    for &(_, gbps) in time_series.points() {
-        cumulative += gbps * 1e9 * window_secs;
-        volume_points.push((cumulative / capacity as f64, gbps));
-    }
-    Fig3Result {
-        device: kind,
-        capacity,
-        volume_series: Series::from_points(
-            format!("{kind} GB/s vs written multiple"),
-            volume_points,
-        ),
-        time_series,
-    }
-}
-
-/// A frozen endurance run between segments: everything needed to continue
-/// the run on any worker — the device's complete hidden state plus the
-/// paused closed-loop driver.
-///
-/// Produced by [`SegmentedRun::checkpoint`], thawed by
-/// [`SegmentedRun::resume`], persisted as `fig3-<slug>.seg<k>.ckpt` by a
-/// [`durable::Store`].
+/// Figure 3's [`Slicing`]: one closed-loop random-write job paused at
+/// byte milestones. The plan head is the normalization capacity and the
+/// throughput window; there is no tail.
 #[derive(Debug, Clone)]
-pub struct Fig3Checkpoint {
-    /// Which device is being measured.
-    pub kind: DeviceKind,
-    /// The device capacity used for normalization.
-    pub capacity: u64,
-    /// The throughput-timeline window of this run.
-    pub window: SimDuration,
-    /// Ascending byte milestones; the last is the full endurance volume.
-    pub milestones: Vec<u64>,
-    /// Milestones already reached.
-    pub completed: usize,
-    /// The device's complete hidden state.
-    pub device: DeviceCheckpoint,
-    /// The paused workload driver.
-    pub driver: DriverCheckpoint,
-}
+pub struct Endurance;
 
-impl DurableRecord for Fig3Checkpoint {
+/// A frozen endurance run between segments, persisted as
+/// `fig3-<slug>.seg<k>.ckpt`.
+pub type Fig3Checkpoint = SlicedCheckpoint<Endurance>;
+
+impl Slicing for Endurance {
     const RECORD_KIND: &'static str = "uc.fig3-checkpoint.v1";
+    const KEY_PREFIX: &'static str = "fig3";
+    const DEVICE_SEED: u64 = 0xF163_0000;
+    type Context<'a> = &'a Fig3Config;
+    type Head = (u64, SimDuration);
+    type Tail = ();
+    type Job = ClosedLoopJob;
+    type Driver = DriverCheckpoint;
+    type Error = IoError;
+    type Output = Fig3Result;
 
-    fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
-        self.kind.encode(w);
-        w.put_u64(self.capacity);
-        self.window.encode(w);
-        self.milestones.encode(w);
-        self.completed.encode(w);
-        self.device.encode_into(w)?;
-        self.driver.encode(w);
-        Ok(())
-    }
-
-    /// Thaws the device payload through the roster's codec registry
-    /// ([`payload_codecs`]).
-    fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let kind = DeviceKind::decode(r)?;
-        let capacity = r.get_u64()?;
-        let window = SimDuration::decode(r)?;
-        let milestones = Vec::<u64>::decode(r)?;
-        let completed = usize::decode(r)?;
-        let device = DeviceCheckpoint::decode_from(r, &payload_codecs())?;
-        let driver = DriverCheckpoint::decode(r)?;
-        ensure(completed <= milestones.len(), "Fig3Checkpoint.completed")?;
-        Ok(Fig3Checkpoint {
-            kind,
-            capacity,
-            window,
-            milestones,
-            completed,
-            device,
-            driver,
-        })
-    }
-
-    fn key(&self) -> String {
-        chain_key(self.kind)
-    }
-
-    fn step(&self) -> usize {
-        self.completed
-    }
-}
-
-/// A Figure 3 endurance run sliced into resumable segments.
-///
-/// Segment boundaries are capacity-fraction milestones of the total
-/// written volume. Between segments the run can be checkpointed, moved
-/// and resumed; however it is driven, the final [`Fig3Result`] is
-/// byte-identical to an unsliced run.
-pub struct SegmentedRun {
-    kind: DeviceKind,
-    capacity: u64,
-    window: SimDuration,
-    milestones: Vec<u64>,
-    completed: usize,
-    device: Box<dyn CheckpointDevice + Send>,
-    job: ClosedLoopJob,
-}
-
-impl SegmentedRun {
-    /// Primes an endurance run on a fresh device, sliced into `segments`
-    /// equal byte milestones (clamped to at least 1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first I/O error from the device.
-    pub fn start(
-        roster: &DeviceRoster,
-        kind: DeviceKind,
-        cfg: &Fig3Config,
-        segments: usize,
-    ) -> Result<Self, IoError> {
-        let plan = Plan::of(roster, kind, cfg, segments);
-        let mut device = roster.build_checkpointable(kind, device_seed(kind));
+    fn start(chain: &SlicedChain<'_, Self>, device: &mut Device) -> Result<ClosedLoopJob, IoError> {
+        let cfg = chain.cx;
+        // The last milestone is the full volume, the job's own byte limit.
+        let volume = *chain.milestones.last().expect("at least one milestone");
         let spec = JobSpec::new(AccessPattern::RandWrite, cfg.io_size, cfg.queue_depth)
-            .with_byte_limit(plan.volume())
-            .with_throughput_window(plan.window)
+            .with_byte_limit(volume)
+            .with_throughput_window(chain.head.1)
             .with_seed(0xF163);
-        let job = ClosedLoopJob::start(&mut device, &spec)?;
-        Ok(SegmentedRun {
-            kind,
-            capacity: plan.capacity,
-            window: plan.window,
-            milestones: plan.milestones,
-            completed: 0,
-            device,
-            job,
-        })
+        ClosedLoopJob::start(device, &spec)
     }
 
-    /// Milestones already reached (segments executed).
-    pub fn completed(&self) -> usize {
-        self.completed
+    fn advance(
+        _chain: &SlicedChain<'_, Self>,
+        job: &mut ClosedLoopJob,
+        device: &mut Device,
+        target: u64,
+        _tail: &mut (),
+    ) -> Result<(), IoError> {
+        job.run_until(device, target).map(drop)
     }
 
-    /// Total segments in the plan.
-    pub fn segments(&self) -> usize {
-        self.milestones.len()
+    fn freeze(job: &ClosedLoopJob) -> DriverCheckpoint {
+        job.checkpoint()
     }
 
-    /// `true` once the endurance volume has been written.
-    pub fn is_finished(&self) -> bool {
-        self.job.is_finished() || self.completed >= self.milestones.len()
+    fn thaw(
+        _chain: &SlicedChain<'_, Self>,
+        _head: &Self::Head,
+        driver: DriverCheckpoint,
+    ) -> ClosedLoopJob {
+        ClosedLoopJob::resume(driver)
     }
 
-    /// Runs one segment: drives the device to the next byte milestone.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first I/O error from the device.
-    pub fn advance(&mut self) -> Result<(), IoError> {
-        let target = self.milestones[self.completed.min(self.milestones.len() - 1)];
-        self.job.run_until(&mut self.device, target)?;
-        self.completed += 1;
-        Ok(())
-    }
-
-    /// Freezes the run between segments into a portable checkpoint.
-    pub fn checkpoint(&self) -> Fig3Checkpoint {
-        Fig3Checkpoint {
-            kind: self.kind,
-            capacity: self.capacity,
-            window: self.window,
-            milestones: self.milestones.clone(),
-            completed: self.completed,
-            device: self.device.checkpoint(),
-            driver: self.job.checkpoint(),
+    fn finish(chain: &SlicedChain<'_, Self>, _tail: (), job: ClosedLoopJob) -> Fig3Result {
+        let (kind, (capacity, window)) = (chain.kind, chain.head);
+        let time_series = job.report().throughput.series();
+        // Re-index by cumulative written volume (normalized by capacity).
+        let mut cumulative = 0.0f64;
+        let window_secs = window.as_secs_f64();
+        let mut volume_points = Vec::with_capacity(time_series.len());
+        for &(_, gbps) in time_series.points() {
+            cumulative += gbps * 1e9 * window_secs;
+            volume_points.push((cumulative / capacity as f64, gbps));
+        }
+        Fig3Result {
+            device: kind,
+            capacity,
+            volume_series: Series::from_points(
+                format!("{kind} GB/s vs written multiple"),
+                volume_points,
+            ),
+            time_series,
         }
     }
-
-    /// Thaws a checkpoint: builds a fresh device through the roster's
-    /// checkpoint seam, restores the frozen state into it, and resumes the
-    /// paused driver.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CheckpointError`] if the checkpoint does not belong to
-    /// a device this roster builds for `checkpoint.kind` (e.g. a roster at
-    /// a different scale).
-    pub fn resume(
-        roster: &DeviceRoster,
-        checkpoint: Fig3Checkpoint,
-    ) -> Result<Self, CheckpointError> {
-        let mut device = roster.build_checkpointable(checkpoint.kind, device_seed(checkpoint.kind));
-        device.restore_from(checkpoint.device)?;
-        Ok(SegmentedRun {
-            kind: checkpoint.kind,
-            capacity: checkpoint.capacity,
-            window: checkpoint.window,
-            milestones: checkpoint.milestones,
-            completed: checkpoint.completed,
-            device,
-            job: ClosedLoopJob::resume(checkpoint.driver),
-        })
-    }
-
-    /// Consumes the finished run, yielding the figure's series.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run is not finished.
-    pub fn into_result(self) -> Fig3Result {
-        assert!(self.is_finished(), "fig3 run still has segments to go");
-        finish(self.kind, self.capacity, self.window, self.job.report())
-    }
 }
 
-/// The checkpoint file-stem key of `kind`'s endurance run.
-fn chain_key(kind: DeviceKind) -> String {
-    format!("fig3-{}", kind.slug())
-}
-
-/// One device's endurance run as a resumable [`Chain`] of segments, for
-/// [`durable::run`] and [`durable::round_trip`].
-pub struct Fig3Chain<'a> {
+/// `kind`'s endurance run sliced into `segments` equal byte milestones
+/// (clamped to at least 1), for [`durable::run`] and
+/// [`durable::round_trip`].
+pub fn chain<'a>(
     roster: &'a DeviceRoster,
     kind: DeviceKind,
     cfg: &'a Fig3Config,
-    plan: Plan,
+    segments: usize,
+) -> SlicedChain<'a, Endurance> {
+    let capacity = roster.capacity_of(kind);
+    let volume = (capacity as f64 * cfg.capacity_multiple) as u64;
+    let segments = segments.max(1) as u64;
+    let milestones = (1..=segments).map(|k| volume * k / segments).collect();
+    let head = (capacity, effective_window(cfg, volume));
+    SlicedChain::new(roster, kind, cfg, head, milestones)
 }
 
-impl<'a> Fig3Chain<'a> {
-    /// `kind`'s endurance run sliced into `segments` equal byte
-    /// milestones (clamped to at least 1).
-    pub fn new(
-        roster: &'a DeviceRoster,
-        kind: DeviceKind,
-        cfg: &'a Fig3Config,
-        segments: usize,
-    ) -> Self {
-        Fig3Chain {
-            roster,
-            kind,
-            cfg,
-            plan: Plan::of(roster, kind, cfg, segments),
-        }
-    }
-}
-
-/// One [`Fig3Chain`] per device in `kinds`.
+/// One [`chain`] per device in `kinds`.
 pub fn chains<'a>(
     roster: &'a DeviceRoster,
     kinds: &[DeviceKind],
     cfg: &'a Fig3Config,
     segments: usize,
-) -> Vec<Fig3Chain<'a>> {
+) -> Vec<SlicedChain<'a, Endurance>> {
     kinds
         .iter()
-        .map(|&kind| Fig3Chain::new(roster, kind, cfg, segments))
+        .map(|&kind| chain(roster, kind, cfg, segments))
         .collect()
-}
-
-impl Chain for Fig3Chain<'_> {
-    type State = SegmentedRun;
-    type Record = Fig3Checkpoint;
-    type Error = IoError;
-    type Output = Fig3Result;
-
-    fn key(&self) -> String {
-        chain_key(self.kind)
-    }
-
-    fn steps(&self) -> usize {
-        self.plan.milestones.len()
-    }
-
-    fn start(&self) -> Result<SegmentedRun, IoError> {
-        SegmentedRun::start(self.roster, self.kind, self.cfg, self.steps())
-    }
-
-    fn advance(&self, state: &mut SegmentedRun) -> Result<(), IoError> {
-        state.advance()
-    }
-
-    fn checkpoint(&self, state: &SegmentedRun) -> Fig3Checkpoint {
-        state.checkpoint()
-    }
-
-    fn resume(&self, record: Fig3Checkpoint) -> Result<SegmentedRun, CheckpointError> {
-        SegmentedRun::resume(self.roster, record)
-    }
-
-    /// Only a checkpoint taken under the exact plan a fresh run executes
-    /// (same `--scale`, config and `--segments`) may continue it.
-    fn matches(&self, record: &Fig3Checkpoint) -> bool {
-        self.plan.matches(record)
-    }
-
-    fn finish(&self, state: SegmentedRun) -> Fig3Result {
-        state.into_result()
-    }
 }
 
 /// Runs the Figure 3 endurance experiment on `kind` as one continuous
@@ -532,8 +289,21 @@ pub fn run_pipelined(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::durable::Chain;
+    use crate::experiments::sliced::tests as shared;
     use crate::report::render_fig3;
-    use durable::Store;
+
+    fn roster() -> DeviceRoster {
+        DeviceRoster::with_capacities(128 << 20, 128 << 20)
+    }
+
+    /// The unsliced run of every device, rendered.
+    fn unsliced(roster: &DeviceRoster, cfg: &Fig3Config) -> Vec<String> {
+        DeviceKind::ALL
+            .iter()
+            .map(|&kind| render_fig3(&run(roster, kind, cfg).unwrap()))
+            .collect()
+    }
 
     #[test]
     fn segmented_and_pipelined_match_unsliced_for_every_kind() {
@@ -541,7 +311,7 @@ mod tests {
         // endurance run into segments — with freeze/thaw round trips, or
         // pipelined live across workers — must leave the rendered figure
         // byte-identical for every device class.
-        let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
+        let roster = roster();
         let cfg = Fig3Config::quick();
         let pipelined = run_pipelined(
             &roster,
@@ -553,7 +323,7 @@ mod tests {
         .unwrap();
         for (i, &kind) in DeviceKind::ALL.iter().enumerate() {
             let unsliced = run(&roster, kind, &cfg).unwrap();
-            let segmented = durable::round_trip(&Fig3Chain::new(&roster, kind, &cfg, 4)).unwrap();
+            let segmented = durable::round_trip(&chain(&roster, kind, &cfg, 4)).unwrap();
             for (label, sliced) in [("segmented", &segmented), ("pipelined", &pipelined[i])] {
                 assert_eq!(sliced.capacity, unsliced.capacity, "{kind}/{label}");
                 assert_eq!(
@@ -575,63 +345,48 @@ mod tests {
 
     #[test]
     fn segment_bookkeeping_and_checkpoint_flow() {
-        let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
+        let roster = roster();
         let cfg = Fig3Config::quick();
-        let mut run = SegmentedRun::start(&roster, DeviceKind::Essd2, &cfg, 3).unwrap();
-        assert_eq!(run.segments(), 3);
+        let essd2 = chain(&roster, DeviceKind::Essd2, &cfg, 3);
+        assert_eq!(essd2.steps(), 3);
+        let mut run = essd2.start().unwrap();
         assert_eq!(run.completed(), 0);
-        assert!(!run.is_finished());
-        run.advance().unwrap();
+        essd2.advance(&mut run).unwrap();
         assert_eq!(run.completed(), 1);
-        let frozen = run.checkpoint();
+        let frozen = essd2.checkpoint(&run);
         assert_eq!(frozen.completed, 1);
         assert_eq!(frozen.milestones.len(), 3);
-        assert!(frozen.device.device().contains("PL3") || !frozen.device.device().is_empty());
+        assert!(!frozen.device.device().is_empty());
         // A frozen run thaws on a roster clone (another worker's view).
-        let mut thawed = SegmentedRun::resume(&roster.clone(), frozen).unwrap();
-        while !thawed.is_finished() {
-            thawed.advance().unwrap();
+        let other = roster.clone();
+        let thawed_chain = chain(&other, DeviceKind::Essd2, &cfg, 3);
+        let mut thawed = thawed_chain.resume(frozen).unwrap();
+        while thawed.completed() < thawed_chain.steps() {
+            thawed_chain.advance(&mut thawed).unwrap();
         }
-        let result = thawed.into_result();
+        let result = thawed_chain.finish(thawed);
         assert!(result.peak_gbps() > 0.0);
     }
 
     #[test]
     fn resume_on_mismatched_roster_fails_loudly() {
-        let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
+        let roster = roster();
         let cfg = Fig3Config::quick();
-        let run = SegmentedRun::start(&roster, DeviceKind::LocalSsd, &cfg, 2).unwrap();
-        let frozen = run.checkpoint();
+        let ssd = chain(&roster, DeviceKind::LocalSsd, &cfg, 2);
+        let frozen = ssd.checkpoint(&ssd.start().unwrap());
         // A roster at another scale builds a different device; the name
         // check (or payload check) must reject the stale checkpoint.
         let other = roster.with_scale(2);
-        assert!(SegmentedRun::resume(&other, frozen).is_err());
-    }
-
-    fn temp_store(name: &str) -> Store<Fig3Checkpoint> {
-        let dir = std::env::temp_dir()
-            .join("uc-fig3-durable-tests")
-            .join(format!("{name}-{}", std::process::id()));
-        // Stale files from a previous failed run would perturb resume.
-        let _ = std::fs::remove_dir_all(&dir);
-        Store::create(dir).expect("create checkpoint dir")
-    }
-
-    /// The checkpoint files in `store`'s directory, sorted.
-    fn files(store: &Store<Fig3Checkpoint>) -> Vec<String> {
-        let mut names: Vec<String> = std::fs::read_dir(store.path())
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        names.sort();
-        names
+        assert!(chain(&other, DeviceKind::LocalSsd, &cfg, 2)
+            .resume(frozen)
+            .is_err());
     }
 
     #[test]
     fn durable_run_matches_plain_run_and_prunes_stale_files() {
-        let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
+        let roster = roster();
         let cfg = Fig3Config::quick();
-        let store = temp_store("durable-matches");
+        let store = shared::temp_store::<Endurance>("durable-matches");
         let exec = Executor::with_threads(3);
         // An earlier, completed 8-segment run leaves its final boundaries
         // behind; a fresh 4-segment run into the same directory must not
@@ -642,25 +397,23 @@ mod tests {
             Some(&store),
         )
         .unwrap();
-        let store = Store::create(store.path()).unwrap();
+        let store = durable::Store::create(store.path()).unwrap();
         let durable = durable::run(
             &chains(&roster, &DeviceKind::ALL, &cfg, 4),
             &exec,
             Some(&store),
         )
         .unwrap();
-        for (i, &kind) in DeviceKind::ALL.iter().enumerate() {
-            let plain = run(&roster, kind, &cfg).unwrap();
-            assert_eq!(
-                render_fig3(&durable[i]),
-                render_fig3(&plain),
-                "{kind}: durable run must render byte-identically"
-            );
-        }
+        let rendered: Vec<String> = durable.iter().map(render_fig3).collect();
+        assert_eq!(
+            rendered,
+            unsliced(&roster, &cfg),
+            "durable run must render byte-identically"
+        );
         // Superseded and leftover boundaries were pruned: exactly the
         // final checkpoint file remains per device.
         assert_eq!(
-            files(&store),
+            shared::files(&store),
             [
                 "fig3-essd-1.seg0004.ckpt",
                 "fig3-essd-2.seg0004.ckpt",
@@ -673,120 +426,45 @@ mod tests {
 
     #[test]
     fn killed_run_resumes_to_byte_identical_figures() {
-        // Simulate the crash-resume CI gate in-process: advance each
-        // device partway, persist the boundary (as the durable runner
-        // would), "crash", then resume from disk and compare against an
-        // uninterrupted run.
-        let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
+        let roster = roster();
         let cfg = Fig3Config::quick();
-        let segments = 4;
-        let store = temp_store("kill-resume").with_resume(true);
-        for &kind in &DeviceKind::ALL {
-            let mut partial = SegmentedRun::start(&roster, kind, &cfg, segments).unwrap();
-            partial.advance().unwrap();
-            if kind == DeviceKind::Essd2 {
-                partial.advance().unwrap(); // devices die at different points
-            }
-            store.save(&partial.checkpoint()).unwrap();
-            // The interrupted process's state is dropped here: only the
-            // on-disk checkpoint survives the "crash".
-        }
-        let resumed = durable::run(
-            &chains(&roster, &DeviceKind::ALL, &cfg, segments),
-            &Executor::with_threads(2),
-            Some(&store),
-        )
-        .unwrap();
-        for (i, &kind) in DeviceKind::ALL.iter().enumerate() {
-            let uninterrupted = run(&roster, kind, &cfg).unwrap();
-            assert_eq!(
-                render_fig3(&resumed[i]),
-                render_fig3(&uninterrupted),
-                "{kind}: kill-and-resume must render byte-identically"
-            );
-        }
-        let _ = std::fs::remove_dir_all(store.path());
+        shared::killed_run_resumes(
+            &chains(&roster, &DeviceKind::ALL, &cfg, 4),
+            &unsliced(&roster, &cfg),
+            render_fig3,
+        );
     }
 
     #[test]
     fn stale_plan_checkpoints_are_ignored_on_resume() {
-        let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
+        // A checkpoint taken under a 3-segment plan must not hijack a
+        // 5-segment resume: the device starts fresh and still produces
+        // the canonical figure.
+        let roster = roster();
         let cfg = Fig3Config::quick();
-        let store = temp_store("stale-plan").with_resume(true);
-        // A checkpoint taken under a 3-segment plan...
-        let mut other = SegmentedRun::start(&roster, DeviceKind::LocalSsd, &cfg, 3).unwrap();
-        other.advance().unwrap();
-        store.save(&other.checkpoint()).unwrap();
-        // ...must not hijack a 5-segment resume: the device starts fresh
-        // and still produces the canonical figure.
-        let chain = Fig3Chain::new(&roster, DeviceKind::LocalSsd, &cfg, 5);
-        let resumed = durable::run(
-            std::slice::from_ref(&chain),
-            &Executor::sequential(),
-            Some(&store),
-        )
-        .unwrap();
         let plain = run(&roster, DeviceKind::LocalSsd, &cfg).unwrap();
-        assert_eq!(render_fig3(&resumed[0]), render_fig3(&plain));
-        assert_eq!(files(&store), ["fig3-ssd.seg0005.ckpt"]);
-        let _ = std::fs::remove_dir_all(store.path());
+        shared::stale_plan_is_skipped(
+            &chain(&roster, DeviceKind::LocalSsd, &cfg, 3),
+            &chain(&roster, DeviceKind::LocalSsd, &cfg, 5),
+            &render_fig3(&plain),
+            render_fig3,
+        );
     }
 
     #[test]
     fn fig3_checkpoint_file_round_trips_and_rejects_corruption() {
-        let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
+        let roster = roster();
         let cfg = Fig3Config::quick();
-        let mut state = SegmentedRun::start(&roster, DeviceKind::Essd1, &cfg, 3).unwrap();
-        state.advance().unwrap();
-        let checkpoint = state.checkpoint();
-        let store = temp_store("file-roundtrip");
-        let path = store.save(&checkpoint).unwrap();
-        assert!(path.ends_with("fig3-essd-1.seg0001.ckpt"));
-
-        let loaded = Fig3Checkpoint::load_from(&path).unwrap();
-        assert_eq!(loaded.kind, checkpoint.kind);
-        assert_eq!(loaded.capacity, checkpoint.capacity);
-        assert_eq!(loaded.milestones, checkpoint.milestones);
-        assert_eq!(loaded.completed, checkpoint.completed);
-        // The thawed run continues to the same final figure.
-        let mut a = SegmentedRun::resume(&roster, loaded).unwrap();
-        let mut b = SegmentedRun::resume(&roster, checkpoint).unwrap();
-        while !a.is_finished() {
-            a.advance().unwrap();
-            b.advance().unwrap();
-        }
-        assert_eq!(render_fig3(&a.into_result()), render_fig3(&b.into_result()));
-
-        // Corruptions decode to typed errors, never panics.
-        let good = std::fs::read(&path).unwrap();
-        let mut wrong_magic = good.clone();
-        wrong_magic[0] ^= 0xFF;
-        std::fs::write(&path, &wrong_magic).unwrap();
-        assert!(matches!(
-            Fig3Checkpoint::load_from(&path),
-            Err(DecodeError::BadMagic)
-        ));
-        let mut flipped = good.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x40;
-        std::fs::write(&path, &flipped).unwrap();
-        assert!(matches!(
-            Fig3Checkpoint::load_from(&path),
-            Err(DecodeError::ChecksumMismatch { .. })
-        ));
-        let mut future = good.clone();
-        future[8] = 0xFF; // bump the format version
-        std::fs::write(&path, &future).unwrap();
-        assert!(matches!(
-            Fig3Checkpoint::load_from(&path),
-            Err(DecodeError::UnsupportedVersion { .. })
-        ));
-        let _ = std::fs::remove_dir_all(store.path());
+        shared::file_round_trips_and_rejects_corruption(
+            &chain(&roster, DeviceKind::Essd1, &cfg, 3),
+            1,
+            render_fig3,
+        );
     }
 
     #[test]
     fn ssd_collapses_near_capacity() {
-        let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
+        let roster = roster();
         let cfg = Fig3Config {
             capacity_multiple: 2.0,
             ..Fig3Config::paper()
@@ -808,8 +486,7 @@ mod tests {
 
     #[test]
     fn essd2_sustains_throughout() {
-        let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
-        let r = run(&roster, DeviceKind::Essd2, &Fig3Config::quick()).unwrap();
+        let r = run(&roster(), DeviceKind::Essd2, &Fig3Config::quick()).unwrap();
         assert!(
             r.knee_multiple().is_none(),
             "ESSD-2 must not collapse, knee at {:?}",

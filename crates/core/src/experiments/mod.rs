@@ -33,9 +33,12 @@
 //!
 //! [`trace`] goes beyond the paper's own artifacts: it replays a
 //! captured or generated block-I/O trace (see the `uc-trace` crate)
-//! against every device and evaluates the contract phase by phase, as
-//! one [`TraceChain`] per device on the same engine (and the same
-//! determinism bar).
+//! against every device and evaluates the contract phase by phase.
+//!
+//! Both timelines are one [`sliced`] run: a [`SlicedChain`] per device
+//! whose frozen form is a [`SlicedCheckpoint`], with a small [`Slicing`]
+//! impl per experiment ([`fig3::Endurance`], [`trace::Replay`]) supplying
+//! the plan head, driver, tail and record kind.
 //!
 //! [`fleet`] scales the contract out: hundreds of tenants multiplexed
 //! onto a shared eSSD pool (the `uc-fleet` crate), with per-tenant
@@ -50,18 +53,20 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fleet;
+pub mod sliced;
 pub mod table1;
 pub mod trace;
 
 pub use durable::{Chain, DurableRecord, RunError, Store};
 pub use executor::Executor;
 pub use fig2::{Fig2Config, Fig2Result, LatencyCell, PatternGrid};
-pub use fig3::{Fig3Chain, Fig3Checkpoint, Fig3Config, Fig3Result, SegmentedRun};
+pub use fig3::{Fig3Checkpoint, Fig3Config, Fig3Result};
 pub use fig4::{Fig4Config, Fig4Result};
 pub use fig5::{Fig5Config, Fig5Result};
 pub use fleet::{FleetChain, FleetCheckpoint, FleetContractReport, FleetFinding, FleetRunConfig};
+pub use sliced::{SlicedChain, SlicedCheckpoint, Slicing};
 pub use table1::{run as run_table1, Table1Row};
 pub use trace::{
-    PhaseStat, TraceChain, TraceContractReport, TraceRun, TraceRunCheckpoint, TraceRunConfig,
-    TraceRunResult, TraceViolation, TraceViolationKind,
+    PhaseStat, TraceContractReport, TraceRunCheckpoint, TraceRunConfig, TraceRunResult,
+    TraceViolation, TraceViolationKind,
 };

@@ -10,9 +10,9 @@
 //!
 //! Like fig3, a replay is one continuous virtual timeline per device, so
 //! it is sliced into **resumable phases** (equal spans of scaled arrival
-//! time, [`TraceRun`]) and driven by the shared durable-run engine
-//! ([`durable`], via [`TraceChain`]); phase boundaries double as the
-//! reporting granularity. Determinism is the same contract fig3 pins:
+//! time, [`Replay`]'s [`Slicing`] of the shared [`sliced`](super::sliced)
+//! run) and driven by the shared durable-run engine ([`durable`], via
+//! [`chains`]); phase boundaries double as the reporting granularity. Determinism is the same contract fig3 pins:
 //! round-trip, pipelined and kill-resumed runs all produce
 //! byte-identical reports.
 //!
@@ -30,11 +30,11 @@
 //!   phase it arrived (sustained saturation, not just a transient spike).
 
 use crate::contract::thresholds::{TRACE_MAX_PHASE_LAG, TRACE_PHASE_LATENCY_BLOWUP};
-use crate::devices::{payload_codecs, DeviceKind, DeviceRoster};
-use crate::experiments::durable::{self, Chain, DurableRecord, RunError};
+use crate::devices::{DeviceKind, DeviceRoster};
+use crate::experiments::durable::{self, RunError};
+use crate::experiments::sliced::{Device, SlicedChain, SlicedCheckpoint, Slicing};
 use crate::experiments::Executor;
-use uc_blockdev::{CheckpointDevice, CheckpointError, DeviceCheckpoint, PersistError};
-use uc_persist::{ensure, DecodeError, Decoder, Encoder, Persist};
+use uc_persist::{DecodeError, Decoder, Encoder, Persist};
 use uc_sim::{SimDuration, SimTime};
 use uc_workload::{JobReport, ReplayCheckpoint, ReplayConfig, ReplayError, Trace, TraceReplayJob};
 
@@ -78,55 +78,9 @@ pub fn trace_fingerprint(trace: &Trace) -> u32 {
     uc_persist::crc32(w.as_bytes())
 }
 
-/// The milestone plan of one replay: entry-index milestones at equal
-/// spans of scaled arrival time, plus the nominal phase length. Derived
-/// in exactly one place so the durable runner's resume-validity check
-/// can never drift from what a fresh run executes.
-#[derive(Debug, Clone, PartialEq)]
-struct Plan {
-    fingerprint: u32,
-    milestones: Vec<u64>,
-    phase: SimDuration,
-}
-
-impl Plan {
-    fn of(trace: &Trace, cfg: &TraceRunConfig) -> Plan {
-        let phases = cfg.phases.max(1) as u64;
-        // The scaled span: one past the last scaled arrival (so the last
-        // entry falls inside the final phase), or 1 ns for empty traces.
-        let end = trace
-            .entries()
-            .last()
-            .map(|e| cfg.replay.scaled(e.at).as_nanos() + 1)
-            .unwrap_or(1);
-        let phase_nanos = end.div_ceil(phases).max(1);
-        let entries = trace.entries();
-        let milestones = (1..=phases)
-            .map(|k| {
-                let boundary = phase_nanos * k;
-                entries.partition_point(|e| cfg.replay.scaled(e.at).as_nanos() < boundary) as u64
-            })
-            .collect();
-        Plan {
-            fingerprint: trace_fingerprint(trace),
-            milestones,
-            phase: SimDuration::from_nanos(phase_nanos),
-        }
-    }
-
-    /// `true` if `checkpoint` was taken under this exact plan (same
-    /// trace, same slicing, same replay configuration) and can continue
-    /// it.
-    fn matches(&self, checkpoint: &TraceRunCheckpoint, replay: &ReplayConfig) -> bool {
-        checkpoint.fingerprint == self.fingerprint
-            && checkpoint.milestones == self.milestones
-            && checkpoint.driver.config == *replay
-    }
-}
-
 /// A cumulative snapshot of the replay report at one phase boundary —
 /// the difference of consecutive cuts yields the per-phase statistics.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseCut {
     /// I/Os completed so far.
     pub ios: u64,
@@ -317,241 +271,104 @@ pub fn evaluate(results: Vec<TraceRunResult>) -> TraceContractReport {
     }
 }
 
-/// The jitter-seed base every trace-experiment device is built with.
-fn device_seed(kind: DeviceKind) -> u64 {
-    0x7_2ACE_0000 + kind as u64
+/// The nominal phase length in nanoseconds: the scaled span (one past
+/// the last scaled arrival, so the last entry falls inside the final
+/// phase, or 1 ns for an empty trace) split into `cfg.phases` phases.
+fn phase_nanos(trace: &Trace, cfg: &TraceRunConfig) -> u64 {
+    let end = trace
+        .entries()
+        .last()
+        .map(|e| cfg.replay.scaled(e.at).as_nanos() + 1)
+        .unwrap_or(1);
+    end.div_ceil(cfg.phases.max(1) as u64).max(1)
 }
 
-/// A frozen trace replay between phases: everything needed to continue
-/// the run on any worker (or, persisted, in any process) — except the
-/// trace itself, whose identity is pinned by the fingerprint.
+/// The trace experiment's [`Slicing`]: one replay paused at entry-index
+/// milestones, equal spans of scaled arrival time. The plan head is the
+/// [`trace_fingerprint`]; the tail is one [`PhaseCut`] per phase.
 #[derive(Debug, Clone)]
-pub struct TraceRunCheckpoint {
-    /// Which device is being measured.
-    pub kind: DeviceKind,
-    /// Fingerprint of the trace this run replays
-    /// ([`trace_fingerprint`]).
-    pub fingerprint: u32,
-    /// Entry-index milestones; the last equals the trace length.
-    pub milestones: Vec<u64>,
-    /// Phases already completed.
-    pub completed: usize,
-    /// Boundary snapshots taken so far (one per completed phase).
-    pub cuts: Vec<PhaseCut>,
-    /// The device's complete hidden state.
-    pub device: DeviceCheckpoint,
-    /// The paused replay driver.
-    pub driver: ReplayCheckpoint,
-}
+pub struct Replay;
 
-impl DurableRecord for TraceRunCheckpoint {
+/// A frozen trace replay between phases, persisted as
+/// `trace-<slug>.seg<k>.ckpt`. The trace itself is not embedded; its
+/// identity is pinned by the fingerprint.
+pub type TraceRunCheckpoint = SlicedCheckpoint<Replay>;
+
+impl Slicing for Replay {
     const RECORD_KIND: &'static str = "uc.trace-run.v1";
+    const KEY_PREFIX: &'static str = "trace";
+    const DEVICE_SEED: u64 = 0x7_2ACE_0000;
+    type Context<'a> = (&'a Trace, &'a TraceRunConfig);
+    type Head = u32;
+    type Tail = Vec<PhaseCut>;
+    type Job = TraceReplayJob;
+    type Driver = ReplayCheckpoint;
+    type Error = ReplayError;
+    type Output = TraceRunResult;
 
-    fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
-        self.kind.encode(w);
-        w.put_u32(self.fingerprint);
-        self.milestones.encode(w);
-        self.completed.encode(w);
-        self.cuts.encode(w);
-        self.device.encode_into(w)?;
-        self.driver.encode(w);
+    /// Validates the trace against the device; no I/O is issued yet.
+    fn start(
+        chain: &SlicedChain<'_, Self>,
+        device: &mut Device,
+    ) -> Result<TraceReplayJob, ReplayError> {
+        let (trace, cfg) = chain.cx;
+        TraceReplayJob::start(device, trace, &cfg.replay)
+    }
+
+    fn advance(
+        chain: &SlicedChain<'_, Self>,
+        job: &mut TraceReplayJob,
+        device: &mut Device,
+        target: u64,
+        cuts: &mut Vec<PhaseCut>,
+    ) -> Result<(), ReplayError> {
+        let entries = usize::try_from(target).unwrap_or(usize::MAX);
+        job.run_until(device, chain.cx.0, entries)?;
+        cuts.push(PhaseCut::of(job.report()));
         Ok(())
     }
 
-    /// Thaws the device payload through the roster's codec registry.
-    fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let kind = DeviceKind::decode(r)?;
-        let fingerprint = r.get_u32()?;
-        let milestones = Vec::<u64>::decode(r)?;
-        let completed = usize::decode(r)?;
-        let cuts = Vec::<PhaseCut>::decode(r)?;
-        let device = DeviceCheckpoint::decode_from(r, &payload_codecs())?;
-        let driver = ReplayCheckpoint::decode(r)?;
-        ensure(
-            completed <= milestones.len() && cuts.len() == completed,
-            "TraceRunCheckpoint.completed",
-        )?;
-        Ok(TraceRunCheckpoint {
-            kind,
-            fingerprint,
-            milestones,
-            completed,
-            cuts,
-            device,
-            driver,
-        })
+    fn freeze(job: &TraceReplayJob) -> ReplayCheckpoint {
+        job.checkpoint()
     }
 
-    fn key(&self) -> String {
-        chain_key(self.kind)
-    }
-
-    fn step(&self) -> usize {
-        self.completed
-    }
-}
-
-/// A trace replay sliced into resumable phases.
-///
-/// Phase boundaries are equal spans of scaled arrival time; between
-/// phases the run can be checkpointed, moved and resumed. However it is
-/// driven, the final [`TraceRunResult`] is byte-identical to an unsliced
-/// run's.
-pub struct TraceRun {
-    kind: DeviceKind,
-    fingerprint: u32,
-    milestones: Vec<u64>,
-    phase: SimDuration,
-    completed: usize,
-    cuts: Vec<PhaseCut>,
-    device: Box<dyn CheckpointDevice + Send>,
-    job: TraceReplayJob,
-}
-
-impl TraceRun {
-    /// Primes a replay on a fresh device (no I/O is issued yet).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReplayError::Trace`] if the trace fails validation
-    /// against the device this roster builds for `kind`.
-    pub fn start(
-        roster: &DeviceRoster,
-        kind: DeviceKind,
-        trace: &Trace,
-        cfg: &TraceRunConfig,
-    ) -> Result<Self, ReplayError> {
-        let plan = Plan::of(trace, cfg);
-        let device = roster.build_checkpointable(kind, device_seed(kind));
-        let job = TraceReplayJob::start(&device, trace, &cfg.replay)?;
-        Ok(TraceRun {
-            kind,
-            fingerprint: plan.fingerprint,
-            milestones: plan.milestones,
-            phase: plan.phase,
-            completed: 0,
-            cuts: Vec::new(),
-            device,
-            job,
-        })
-    }
-
-    /// Phases already completed.
-    pub fn completed(&self) -> usize {
-        self.completed
-    }
-
-    /// Total phases in the plan.
-    pub fn phases(&self) -> usize {
-        self.milestones.len()
-    }
-
-    /// `true` once every phase has run.
-    ///
-    /// Deliberately *not* shortcut by the driver finishing early (an
-    /// intermediate milestone can already cover the whole trace, e.g.
-    /// for very short or heavily `--speed`-compressed traces): every
-    /// runner executes exactly [`TraceRun::phases`] advances so the
-    /// sequential, pipelined and durable paths always produce the same
-    /// number of [`PhaseStat`]s.
-    pub fn is_finished(&self) -> bool {
-        self.completed >= self.milestones.len()
-    }
-
-    /// Runs one phase: drives the replay to the next entry milestone (the
-    /// final phase drains to completion).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first I/O error from the device.
-    pub fn advance(&mut self, trace: &Trace) -> Result<(), ReplayError> {
-        let last = self.completed + 1 >= self.milestones.len();
-        let target = if last {
-            usize::MAX
-        } else {
-            self.milestones[self.completed] as usize
-        };
-        self.job.run_until(&mut self.device, trace, target)?;
-        self.cuts.push(PhaseCut::of(self.job.report()));
-        self.completed += 1;
-        Ok(())
-    }
-
-    /// Freezes the run between phases into a portable checkpoint.
-    pub fn checkpoint(&self) -> TraceRunCheckpoint {
-        TraceRunCheckpoint {
-            kind: self.kind,
-            fingerprint: self.fingerprint,
-            milestones: self.milestones.clone(),
-            completed: self.completed,
-            cuts: self.cuts.clone(),
-            device: self.device.checkpoint(),
-            driver: self.job.checkpoint(),
-        }
-    }
-
-    /// Thaws a checkpoint onto a fresh roster-built device and resumes
-    /// the paused driver. The caller must pass the same trace the
-    /// checkpoint was taken from (pinned by the fingerprint).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CheckpointError`] if the device state does not belong
-    /// to the device this roster builds for `checkpoint.kind`.
-    ///
     /// # Panics
     ///
-    /// Panics if `trace` does not match the checkpoint's fingerprint —
-    /// continuing a replay against different entries is never meaningful.
-    pub fn resume(
-        roster: &DeviceRoster,
-        trace: &Trace,
-        checkpoint: TraceRunCheckpoint,
-    ) -> Result<Self, CheckpointError> {
+    /// Panics if the chain's trace does not match the checkpoint's
+    /// fingerprint — continuing a replay against different entries is
+    /// never meaningful.
+    fn thaw(
+        chain: &SlicedChain<'_, Self>,
+        fingerprint: &u32,
+        driver: ReplayCheckpoint,
+    ) -> TraceReplayJob {
         assert_eq!(
-            trace_fingerprint(trace),
-            checkpoint.fingerprint,
+            chain.head, *fingerprint,
             "checkpoint does not belong to this trace"
         );
-        let mut device = roster.build_checkpointable(checkpoint.kind, device_seed(checkpoint.kind));
-        device.restore_from(checkpoint.device)?;
-        // The phase length is a pure function of (trace, config, phase
-        // count) — recompute rather than persist it.
-        let cfg = TraceRunConfig {
-            replay: checkpoint.driver.config,
-            phases: checkpoint.milestones.len(),
-        };
-        let plan = Plan::of(trace, &cfg);
-        Ok(TraceRun {
-            kind: checkpoint.kind,
-            fingerprint: checkpoint.fingerprint,
-            milestones: checkpoint.milestones,
-            phase: plan.phase,
-            completed: checkpoint.completed,
-            cuts: checkpoint.cuts,
-            device,
-            job: TraceReplayJob::resume(checkpoint.driver),
-        })
+        TraceReplayJob::resume(driver)
     }
 
-    /// Consumes the finished run, yielding the result with its per-phase
-    /// slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run is not finished.
-    pub fn into_result(self) -> TraceRunResult {
-        assert!(self.is_finished(), "trace run still has phases to go");
-        let phase_secs = self.phase.as_secs_f64();
-        let mut phases = Vec::with_capacity(self.cuts.len());
-        let mut prev = PhaseCut {
-            ios: 0,
-            bytes: 0,
-            lat_count: 0,
-            lat_sum_nanos: 0,
-            finished_at: SimTime::ZERO,
-        };
-        for (index, cut) in self.cuts.iter().enumerate() {
+    fn resumes(chain: &SlicedChain<'_, Self>, driver: &ReplayCheckpoint) -> bool {
+        driver.config == chain.cx.1.replay
+    }
+
+    fn tail_fits(cuts: &Vec<PhaseCut>, completed: usize) -> bool {
+        cuts.len() == completed
+    }
+
+    /// Slices the full report into per-phase statistics.
+    fn finish(
+        chain: &SlicedChain<'_, Self>,
+        cuts: Vec<PhaseCut>,
+        job: TraceReplayJob,
+    ) -> TraceRunResult {
+        let (trace, cfg) = chain.cx;
+        let phase = SimDuration::from_nanos(phase_nanos(trace, cfg));
+        let phase_secs = phase.as_secs_f64();
+        let mut phases = Vec::with_capacity(cuts.len());
+        let mut prev = PhaseCut::default();
+        for (index, cut) in cuts.iter().enumerate() {
             let ios = cut.ios - prev.ios;
             let bytes = cut.bytes - prev.bytes;
             let count = cut.lat_count - prev.lat_count;
@@ -563,8 +380,8 @@ impl TraceRun {
             };
             phases.push(PhaseStat {
                 index,
-                end: SimTime::ZERO + self.phase * (index as u64 + 1),
-                duration: self.phase,
+                end: SimTime::ZERO + phase * (index as u64 + 1),
+                duration: phase,
                 ios,
                 bytes,
                 mean_latency,
@@ -578,99 +395,45 @@ impl TraceRun {
             prev = *cut;
         }
         TraceRunResult {
-            device: self.kind,
-            report: self.job.into_report(),
+            device: chain.kind,
+            report: job.into_report(),
             phases,
         }
     }
 }
 
-/// The checkpoint file-stem key of `kind`'s replay.
-fn chain_key(kind: DeviceKind) -> String {
-    format!("trace-{}", kind.slug())
-}
-
-/// One device's replay as a resumable [`Chain`] of phases, for
-/// [`durable::run`] and [`durable::round_trip`]. Every stage borrows the
-/// trace — a GiB-scale trace is shared, never copied.
-pub struct TraceChain<'a> {
+/// `kind`'s replay of `trace`, sliced into `cfg.phases` phases.
+pub fn chain<'a>(
     roster: &'a DeviceRoster,
     kind: DeviceKind,
     trace: &'a Trace,
     cfg: &'a TraceRunConfig,
-    plan: Plan,
+) -> SlicedChain<'a, Replay> {
+    let phase = phase_nanos(trace, cfg);
+    let entries = trace.entries();
+    let milestones = (1..=cfg.phases.max(1) as u64)
+        .map(|k| entries.partition_point(|e| cfg.replay.scaled(e.at).as_nanos() < phase * k) as u64)
+        .collect();
+    SlicedChain::new(
+        roster,
+        kind,
+        (trace, cfg),
+        trace_fingerprint(trace),
+        milestones,
+    )
 }
 
-impl<'a> TraceChain<'a> {
-    /// `kind`'s replay of `trace`, sliced into `cfg.phases` phases.
-    pub fn new(
-        roster: &'a DeviceRoster,
-        kind: DeviceKind,
-        trace: &'a Trace,
-        cfg: &'a TraceRunConfig,
-    ) -> Self {
-        TraceChain {
-            roster,
-            kind,
-            trace,
-            cfg,
-            plan: Plan::of(trace, cfg),
-        }
-    }
-}
-
-/// One [`TraceChain`] per device in `kinds`.
+/// One [`chain`] per device in `kinds`.
 pub fn chains<'a>(
     roster: &'a DeviceRoster,
     kinds: &[DeviceKind],
     trace: &'a Trace,
     cfg: &'a TraceRunConfig,
-) -> Vec<TraceChain<'a>> {
+) -> Vec<SlicedChain<'a, Replay>> {
     kinds
         .iter()
-        .map(|&kind| TraceChain::new(roster, kind, trace, cfg))
+        .map(|&kind| chain(roster, kind, trace, cfg))
         .collect()
-}
-
-impl Chain for TraceChain<'_> {
-    type State = TraceRun;
-    type Record = TraceRunCheckpoint;
-    type Error = ReplayError;
-    type Output = TraceRunResult;
-
-    fn key(&self) -> String {
-        chain_key(self.kind)
-    }
-
-    fn steps(&self) -> usize {
-        self.plan.milestones.len()
-    }
-
-    fn start(&self) -> Result<TraceRun, ReplayError> {
-        TraceRun::start(self.roster, self.kind, self.trace, self.cfg)
-    }
-
-    fn advance(&self, state: &mut TraceRun) -> Result<(), ReplayError> {
-        state.advance(self.trace)
-    }
-
-    fn checkpoint(&self, state: &TraceRun) -> TraceRunCheckpoint {
-        state.checkpoint()
-    }
-
-    fn resume(&self, record: TraceRunCheckpoint) -> Result<TraceRun, CheckpointError> {
-        TraceRun::resume(self.roster, self.trace, record)
-    }
-
-    /// Only a checkpoint of the same trace (fingerprint), slicing and
-    /// replay configuration may continue this replay.
-    fn matches(&self, record: &TraceRunCheckpoint) -> bool {
-        self.plan.matches(record, &self.cfg.replay)
-    }
-
-    fn finish(&self, state: TraceRun) -> TraceRunResult {
-        state.into_result()
-    }
 }
 
 /// Replays the trace on several devices with their phase chains
@@ -699,8 +462,9 @@ pub fn run_pipelined(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::durable::Chain;
+    use crate::experiments::sliced::tests as shared;
     use crate::report::render_trace_report;
-    use durable::Store;
 
     fn roster() -> DeviceRoster {
         DeviceRoster::with_capacities(128 << 20, 128 << 20)
@@ -713,15 +477,12 @@ mod tests {
         trace: &Trace,
         cfg: &TraceRunConfig,
     ) -> TraceRunResult {
-        durable::round_trip(&TraceChain::new(roster, kind, trace, cfg)).unwrap()
+        durable::round_trip(&chain(roster, kind, trace, cfg)).unwrap()
     }
 
-    fn temp_store(name: &str) -> Store<TraceRunCheckpoint> {
-        let dir = std::env::temp_dir()
-            .join("uc-trace-run-tests")
-            .join(format!("{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Store::create(dir).unwrap()
+    /// What the shared tests compare: the phases and the mean latency.
+    fn render(result: &TraceRunResult) -> String {
+        format!("{:?} {:?}", result.phases, result.report.latency.mean())
     }
 
     /// A bursty trace sized for the 128 MiB test roster: 20 kIOPS bursts
@@ -855,11 +616,12 @@ mod tests {
         let roster = roster();
         let trace = bursty_trace();
         let cfg = TraceRunConfig::open_loop(3);
-        let mut state = TraceRun::start(&roster, DeviceKind::LocalSsd, &trace, &cfg).unwrap();
-        state.advance(&trace).unwrap();
-        let frozen = state.checkpoint();
+        let ssd = chain(&roster, DeviceKind::LocalSsd, &trace, &cfg);
+        let mut state = ssd.start().unwrap();
+        ssd.advance(&mut state).unwrap();
+        let frozen = ssd.checkpoint(&state);
         let other = Trace::from_entries(trace.entries()[..10].to_vec());
-        let _ = TraceRun::resume(&roster, &other, frozen);
+        let _ = chain(&roster, DeviceKind::LocalSsd, &other, &cfg).resume(frozen);
     }
 
     #[test]
@@ -867,45 +629,11 @@ mod tests {
         let roster = roster();
         let trace = bursty_trace();
         let cfg = TraceRunConfig::open_loop(4);
-        let mut state = TraceRun::start(&roster, DeviceKind::Essd2, &trace, &cfg).unwrap();
-        state.advance(&trace).unwrap();
-        state.advance(&trace).unwrap();
-        let checkpoint = state.checkpoint();
-
-        let store = temp_store("roundtrip");
-        let path = store.save(&checkpoint).unwrap();
-        assert!(path.ends_with("trace-essd-2.seg0002.ckpt"));
-        assert_eq!(store.saves(), 1);
-
-        let loaded = TraceRunCheckpoint::load_from(&path).unwrap();
-        assert_eq!(loaded.kind, checkpoint.kind);
-        assert_eq!(loaded.fingerprint, checkpoint.fingerprint);
-        assert_eq!(loaded.milestones, checkpoint.milestones);
-        assert_eq!(loaded.completed, checkpoint.completed);
-        assert_eq!(loaded.cuts, checkpoint.cuts);
-
-        // The thawed run continues to the same final result.
-        let mut a = TraceRun::resume(&roster, &trace, loaded).unwrap();
-        let mut b = TraceRun::resume(&roster, &trace, checkpoint).unwrap();
-        while !a.is_finished() {
-            a.advance(&trace).unwrap();
-            b.advance(&trace).unwrap();
-        }
-        assert_eq!(a.into_result().phases, b.into_result().phases);
-
-        // Corruption decodes to typed errors.
-        let good = std::fs::read(&path).unwrap();
-        let mut flipped = good.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x08;
-        std::fs::write(&path, &flipped).unwrap();
-        assert!(matches!(
-            TraceRunCheckpoint::load_from(&path),
-            Err(DecodeError::ChecksumMismatch { .. })
-        ));
-        // A corrupt file is skipped (fresh start), not an error.
-        assert!(store.latest_matching("trace-essd-2", |_| true).is_none());
-        let _ = std::fs::remove_dir_all(store.path());
+        shared::file_round_trips_and_rejects_corruption(
+            &chain(&roster, DeviceKind::Essd2, &trace, &cfg),
+            2,
+            render,
+        );
     }
 
     #[test]
@@ -913,55 +641,31 @@ mod tests {
         let roster = roster();
         let trace = bursty_trace();
         let cfg = TraceRunConfig::open_loop(4);
-        let store = temp_store("kill-resume").with_resume(true);
-        // Advance each device partway, persist, "crash" (drop state).
-        for &kind in &DeviceKind::ALL {
-            let mut partial = TraceRun::start(&roster, kind, &trace, &cfg).unwrap();
-            partial.advance(&trace).unwrap();
-            if kind == DeviceKind::Essd1 {
-                partial.advance(&trace).unwrap(); // devices die at different points
-            }
-            store.save(&partial.checkpoint()).unwrap();
-        }
-        let resumed = durable::run(
+        let uninterrupted: Vec<String> = DeviceKind::ALL
+            .iter()
+            .map(|&kind| render(&round_trip(&roster, kind, &trace, &cfg)))
+            .collect();
+        shared::killed_run_resumes(
             &chains(&roster, &DeviceKind::ALL, &trace, &cfg),
-            &Executor::with_threads(2),
-            Some(&store),
-        )
-        .unwrap();
-        for (i, &kind) in DeviceKind::ALL.iter().enumerate() {
-            let uninterrupted = round_trip(&roster, kind, &trace, &cfg);
-            assert_eq!(resumed[i].phases, uninterrupted.phases, "{kind}");
-            assert_eq!(
-                resumed[i].report.latency.mean(),
-                uninterrupted.report.latency.mean(),
-                "{kind}"
-            );
-        }
-        let _ = std::fs::remove_dir_all(store.path());
+            &uninterrupted,
+            render,
+        );
     }
 
     #[test]
     fn stale_plan_checkpoints_start_fresh() {
+        // A checkpoint under a 3-phase plan must not hijack a 5-phase
+        // resume.
         let roster = roster();
         let trace = bursty_trace();
-        let store = temp_store("stale-plan").with_resume(true);
-        // A checkpoint under a 3-phase plan…
-        let cfg3 = TraceRunConfig::open_loop(3);
-        let mut other = TraceRun::start(&roster, DeviceKind::LocalSsd, &trace, &cfg3).unwrap();
-        other.advance(&trace).unwrap();
-        store.save(&other.checkpoint()).unwrap();
-        // …must not hijack a 5-phase resume.
-        let cfg5 = TraceRunConfig::open_loop(5);
-        let resumed = durable::run(
-            &chains(&roster, &[DeviceKind::LocalSsd], &trace, &cfg5),
-            &Executor::sequential(),
-            Some(&store),
-        )
-        .unwrap();
+        let (cfg3, cfg5) = (TraceRunConfig::open_loop(3), TraceRunConfig::open_loop(5));
         let plain = round_trip(&roster, DeviceKind::LocalSsd, &trace, &cfg5);
-        assert_eq!(resumed[0].phases, plain.phases);
-        let _ = std::fs::remove_dir_all(store.path());
+        shared::stale_plan_is_skipped(
+            &chain(&roster, DeviceKind::LocalSsd, &trace, &cfg3),
+            &chain(&roster, DeviceKind::LocalSsd, &trace, &cfg5),
+            &render(&plain),
+            render,
+        );
     }
 
     #[test]

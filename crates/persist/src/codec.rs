@@ -394,6 +394,14 @@ persist_prim!(i64, put_i64, get_i64);
 persist_prim!(f64, put_f64, get_f64);
 persist_prim!(bool, put_bool, get_bool);
 
+/// The empty value: no bytes.
+impl Persist for () {
+    fn encode(&self, _w: &mut Encoder) {}
+    fn decode(_r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(())
+    }
+}
+
 impl Persist for usize {
     fn encode(&self, w: &mut Encoder) {
         w.put_u64(*self as u64);

@@ -128,7 +128,7 @@ proptest! {
         let kind = DeviceKind::ALL[kind_index];
         let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
         let cfg = Fig3Config::quick();
-        let sliced = durable::round_trip(&fig3::Fig3Chain::new(&roster, kind, &cfg, segments))
+        let sliced = durable::round_trip(&fig3::chain(&roster, kind, &cfg, segments))
             .expect("segmented fig3");
         let baseline = unsliced_baseline(kind);
         prop_assert_eq!(&sliced.time_series, &baseline.time_series);

@@ -13,7 +13,11 @@ use std::path::PathBuf;
 use unwritten_contract::blockdev::{CheckpointDevice, DeviceCheckpoint};
 use unwritten_contract::core::devices::{payload_codecs, DeviceKind, DeviceRoster};
 use unwritten_contract::core::experiments::fig3::{self, Fig3Config};
-use unwritten_contract::core::experiments::{DurableRecord, Fig3Checkpoint, SegmentedRun};
+use unwritten_contract::core::experiments::trace::{self as trace_exp, TraceRunConfig};
+use unwritten_contract::core::experiments::{
+    Chain, DurableRecord, Fig3Checkpoint, SlicedChain, SlicedCheckpoint, Slicing,
+    TraceRunCheckpoint,
+};
 use unwritten_contract::essd::{Essd, EssdCheckpoint, EssdConfig};
 use unwritten_contract::persist::{DecodeError, Decoder, Encoder, Persist};
 use unwritten_contract::prelude::*;
@@ -64,12 +68,22 @@ fn busy_essd() -> Essd {
     essd
 }
 
+/// `chain`'s checkpoint after its first step.
+fn after_one_step<S: Slicing>(chain: &SlicedChain<'_, S>) -> SlicedCheckpoint<S> {
+    let mut run = chain.start().unwrap();
+    chain.advance(&mut run).unwrap();
+    chain.checkpoint(&run)
+}
+
 /// A mid-run fig3 segment checkpoint.
 fn fig3_checkpoint() -> Fig3Checkpoint {
     let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
-    let mut run = SegmentedRun::start(&roster, DeviceKind::Essd2, &Fig3Config::quick(), 4).unwrap();
-    run.advance().unwrap();
-    run.checkpoint()
+    after_one_step(&fig3::chain(
+        &roster,
+        DeviceKind::Essd2,
+        &Fig3Config::quick(),
+        4,
+    ))
 }
 
 /// A non-trivial `uc.trace.v1` trace.
@@ -85,16 +99,11 @@ fn sample_trace() -> unwritten_contract::workload::Trace {
 }
 
 /// A mid-run trace-phase checkpoint (device + paused replay driver).
-fn trace_run_checkpoint(
-    replay: ReplayConfig,
-) -> unwritten_contract::core::experiments::TraceRunCheckpoint {
-    use unwritten_contract::core::experiments::trace::{TraceRun, TraceRunConfig};
+fn trace_run_checkpoint(replay: ReplayConfig) -> TraceRunCheckpoint {
     let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
     let trace = sample_trace();
     let cfg = TraceRunConfig::open_loop(3).with_replay(replay);
-    let mut run = TraceRun::start(&roster, DeviceKind::Essd1, &trace, &cfg).unwrap();
-    run.advance(&trace).unwrap();
-    run.checkpoint()
+    after_one_step(&trace_exp::chain(&roster, DeviceKind::Essd1, &trace, &cfg))
 }
 
 /// A populated `uc.obs.v1` telemetry record: counters, gauges and
@@ -216,10 +225,7 @@ impl Reader {
             Reader::Device => DeviceCheckpoint::load_from(path, &payload_codecs()).map(|_| ()),
             Reader::Fig3 => Fig3Checkpoint::load_from(path).map(|_| ()),
             Reader::Obs => unwritten_contract::obs::ObsReport::load_from(path).map(|_| ()),
-            Reader::TraceRun => {
-                unwritten_contract::core::experiments::TraceRunCheckpoint::load_from(path)
-                    .map(|_| ())
-            }
+            Reader::TraceRun => TraceRunCheckpoint::load_from(path).map(|_| ()),
             // The in-memory decoder checks the envelope CRC before any
             // entry, so every byte-level mutation lands on the same
             // typed error the other record codecs report. (The
@@ -656,7 +662,7 @@ fn unknown_record_kinds_are_typed() {
         Err(DecodeError::UnknownKind { .. })
     ));
     assert!(matches!(
-        unwritten_contract::core::experiments::TraceRunCheckpoint::load_from(&path),
+        TraceRunCheckpoint::load_from(&path),
         Err(DecodeError::UnknownKind { .. })
     ));
     assert!(matches!(
@@ -814,35 +820,118 @@ proptest! {
     }
 }
 
-/// Resume equivalence through the *file system*: a fig3 run driven
-/// through on-disk checkpoints at every boundary matches the in-memory
-/// run byte for byte.
+/// A record whose envelope is intact but whose plan no run could have
+/// taken — empty or decreasing milestones, more steps done than planned,
+/// a trace cut count that disagrees with its steps — fails typed on
+/// decode instead of panicking mid-resume.
+#[test]
+fn impossible_plans_fail_typed_on_decode() {
+    fn rejects<S: Slicing>(
+        dir: &std::path::Path,
+        mut record: SlicedCheckpoint<S>,
+        mutate: impl Fn(&mut SlicedCheckpoint<S>),
+    ) {
+        mutate(&mut record);
+        let path = dir.join(format!("{}.ckpt", record.key()));
+        record.save_to(&path).unwrap();
+        assert!(
+            matches!(
+                SlicedCheckpoint::<S>::load_from(&path),
+                Err(DecodeError::InvalidValue { .. })
+            ),
+            "{}: {:?} / {} steps done must fail typed",
+            S::RECORD_KIND,
+            record.milestones,
+            record.completed
+        );
+    }
+    let dir = temp_dir("impossible-plans");
+    let (fig3, trace) = (
+        fig3_checkpoint(),
+        trace_run_checkpoint(ReplayConfig::open_loop()),
+    );
+    // Empty milestones, with no step done and (trace) no cut.
+    rejects(&dir, fig3.clone(), |r| {
+        r.milestones.clear();
+        r.completed = 0;
+    });
+    rejects(&dir, trace.clone(), |r| {
+        r.milestones.clear();
+        r.completed = 0;
+        r.tail.clear();
+    });
+    // Decreasing milestones.
+    rejects(&dir, fig3.clone(), |r| r.milestones.reverse());
+    rejects(&dir, trace.clone(), |r| {
+        r.milestones = vec![9, 3, 27];
+    });
+    // More steps done than the plan has.
+    rejects(&dir, fig3, |r| r.completed = r.milestones.len() + 1);
+    rejects(&dir, trace.clone(), |r| {
+        r.completed = r.milestones.len() + 1;
+        let cut = r.tail[0];
+        r.tail.resize(r.completed, cut);
+    });
+    // A cut count that differs from the steps done.
+    rejects(&dir, trace, |r| r.tail.clear());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Drives `chain` freeze → disk → thaw at every boundary and returns its
+/// result, calling `on_hop` with every record read back.
+fn through_disk<S: Slicing>(
+    chain: &SlicedChain<'_, S>,
+    dir: &std::path::Path,
+    mut on_hop: impl FnMut(&SlicedCheckpoint<S>),
+) -> S::Output {
+    assert!(chain.steps() > 1, "the run must actually hop through disk");
+    let mut state = chain.start().unwrap();
+    for step in 1..=chain.steps() {
+        chain.advance(&mut state).unwrap();
+        if step < chain.steps() {
+            let path = dir.join(format!("{}.hop{step}.ckpt", chain.key()));
+            chain.checkpoint(&state).save_to(&path).unwrap();
+            let thawed = SlicedCheckpoint::<S>::load_from(&path).unwrap();
+            on_hop(&thawed);
+            state = chain.resume(thawed).unwrap();
+        }
+    }
+    chain.finish(state)
+}
+
+/// Resume equivalence through the *file system*: a fig3 run and a
+/// closed-loop trace replay with requests in flight, each driven through
+/// on-disk checkpoints at every boundary, match their in-memory runs byte
+/// for byte.
 #[test]
 fn fig3_resumed_through_disk_matches_memory() {
+    use unwritten_contract::core::report::render_trace_report;
     let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
-    let cfg = Fig3Config::quick();
     let dir = temp_dir("disk-vs-memory");
     let kind = DeviceKind::LocalSsd;
 
+    let cfg = Fig3Config::quick();
     let baseline = fig3::run(&roster, kind, &cfg).unwrap();
+    let through_disk_fig3 = through_disk(&fig3::chain(&roster, kind, &cfg, 3), &dir, |_| ());
+    assert_eq!(through_disk_fig3.time_series, baseline.time_series);
+    assert_eq!(through_disk_fig3.volume_series, baseline.volume_series);
 
-    let mut state = SegmentedRun::start(&roster, kind, &cfg, 3).unwrap();
-    let mut hops = 0;
-    loop {
-        state.advance().unwrap();
-        if state.is_finished() {
-            break;
-        }
-        // Freeze → disk → thaw at every boundary.
-        let path = dir.join(format!("hop{hops}.ckpt"));
-        state.checkpoint().save_to(&path).unwrap();
-        let thawed = Fig3Checkpoint::load_from(&path).unwrap();
-        state = SegmentedRun::resume(&roster, thawed).unwrap();
-        hops += 1;
-    }
-    assert!(hops > 0, "the run must actually hop through disk");
-    let through_disk = state.into_result();
-    assert_eq!(through_disk.time_series, baseline.time_series);
-    assert_eq!(through_disk.volume_series, baseline.volume_series);
+    let trace = sample_trace();
+    let cfg = TraceRunConfig::open_loop(3).with_replay(ReplayConfig::closed_loop(4).with_ring(3));
+    let in_memory =
+        trace_exp::run_pipelined(&roster, &[kind], &trace, &cfg, &Executor::sequential()).unwrap();
+    let mut in_flight = 0;
+    let replayed = through_disk(&trace_exp::chain(&roster, kind, &trace, &cfg), &dir, |r| {
+        in_flight += r.driver.inflight.len();
+    });
+    assert!(
+        in_flight > 0,
+        "the closed loop must hop with requests in flight"
+    );
+    assert_eq!(replayed.phases, in_memory[0].phases);
+    assert_eq!(
+        render_trace_report(&trace_exp::evaluate(vec![replayed])),
+        render_trace_report(&trace_exp::evaluate(in_memory))
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 use unwritten_contract::core::experiments::trace::{self as trace_exp, TraceRunConfig};
-use unwritten_contract::core::experiments::{durable, Executor, Store};
+use unwritten_contract::core::experiments::{durable, Chain, Executor, Store};
 use unwritten_contract::core::report::render_trace_report;
 use unwritten_contract::prelude::*;
 use unwritten_contract::trace::{load_trace, save_trace};
@@ -134,9 +134,10 @@ fn trace_experiment_report_survives_threads_and_kill_resume() {
     let dir = temp_dir("kill-resume");
     let store = Store::create(&dir).unwrap().with_resume(true);
     for &kind in &DeviceKind::ALL {
-        let mut partial = trace_exp::TraceRun::start(&roster, kind, &trace, &cfg).unwrap();
-        partial.advance(&trace).unwrap();
-        store.save(&partial.checkpoint()).unwrap();
+        let chain = trace_exp::chain(&roster, kind, &trace, &cfg);
+        let mut partial = chain.start().unwrap();
+        chain.advance(&mut partial).unwrap();
+        store.save(&chain.checkpoint(&partial)).unwrap();
         // The interrupted process's state is dropped here: only the
         // on-disk checkpoint survives the "crash".
     }
