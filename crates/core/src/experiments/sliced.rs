@@ -416,6 +416,7 @@ pub(crate) mod tests {
                 .unwrap();
         }
         let resumed = durable::run(chains, &Executor::with_threads(2), Some(&store)).unwrap();
+        assert_eq!(resumed.len(), expected.len());
         for ((chain, result), expected) in chains.iter().zip(&resumed).zip(expected) {
             assert_eq!(
                 &render(result),
