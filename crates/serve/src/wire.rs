@@ -968,6 +968,54 @@ mod tests {
         assert_eq!(Frame::read_from(&mut reader).unwrap(), None, "clean EOF");
     }
 
+    /// Golden bytes: every sample frame encodes to exactly the bytes it
+    /// encoded to when these `(len, crc32)` pairs were captured. A round
+    /// trip alone would pass a codec that moved a field; this does not.
+    /// The CRC covers the record up to its own trailing checksum: a CRC
+    /// over a message followed by its CRC is the same for every message
+    /// of one length, so hashing the whole record would pin only lengths.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let actual: Vec<(&str, (usize, u32))> = sample_frames()
+            .iter()
+            .map(|f| {
+                let bytes = f.encode();
+                let body = &bytes[..bytes.len() - 4];
+                (f.kind(), (bytes.len(), uc_persist::crc32(body)))
+            })
+            .collect();
+        let golden = [
+            ("uc.wire.open.v2", (67, 0x3181_9dae)),
+            ("uc.wire.open-ok.v2", (76, 0x9a4b_acc4)),
+            ("uc.wire.resume.v2", (99, 0x3a6d_f594)),
+            ("uc.wire.resume-ok.v2", (94, 0x661d_14b5)),
+            ("uc.wire.attach.v2", (72, 0xde9b_7ae0)),
+            ("uc.wire.attach.v2", (72, 0x2902_17a1)),
+            ("uc.wire.attach-ok.v2", (114, 0x5528_77c6)),
+            ("uc.wire.submit.v2", (138, 0x95ab_289b)),
+            ("uc.wire.completions.v2", (109, 0x5831_dfbe)),
+            ("uc.wire.push-ok.v2", (76, 0x5abd_6771)),
+            ("uc.wire.busy.v2", (66, 0x0cd1_3ba9)),
+            ("uc.wire.busy.v2", (66, 0x6cad_1f7c)),
+            ("uc.wire.stats.v2", (66, 0x67b8_6639)),
+            ("uc.wire.stats-ok.v2", (109, 0x1102_62eb)),
+            ("uc.wire.metrics.v2", (68, 0xa01c_33cc)),
+            ("uc.wire.metrics-ok.v2", (238, 0x019b_20f4)),
+            ("uc.wire.flush.v2", (74, 0x6e95_9052)),
+            ("uc.wire.flush-ok.v2", (77, 0x0811_ea64)),
+            ("uc.wire.lane-moved.v2", (75, 0xb4d1_41cd)),
+            ("uc.wire.close.v2", (66, 0x6283_4617)),
+            ("uc.wire.close-ok.v2", (69, 0x4e9c_2184)),
+            ("uc.wire.err.v2", (94, 0x6de5_2b54)),
+            ("uc.wire.err.v2", (87, 0x870a_c806)),
+            ("uc.wire.err.v2", (95, 0x2714_90a8)),
+            ("uc.wire.err.v2", (114, 0x27ee_8a1a)),
+            ("uc.wire.err.v2", (83, 0x0e98_32d8)),
+            ("uc.wire.err.v2", (87, 0x1014_6ee9)),
+        ];
+        assert_eq!(actual, golden);
+    }
+
     #[test]
     fn kinds_are_distinct_and_listed() {
         let frames = sample_frames();
