@@ -143,6 +143,8 @@ pub struct Completion {
     pub completes: SimTime,
 }
 
+uc_persist::persist_struct! { Completion { index, kind, len, submitted, completes } }
+
 impl Completion {
     /// Builds the completion entry for `req` (batch slot `index`)
     /// finishing at `completes`.

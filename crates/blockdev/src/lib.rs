@@ -163,6 +163,8 @@ impl IoRequest {
     }
 }
 
+uc_persist::persist_struct! { IoRequest { kind, offset, len, submit_time } }
+
 /// Static facts about a device.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceInfo {
@@ -266,6 +268,49 @@ pub enum IoError {
         /// giving up.
         refusals: u32,
     },
+}
+
+/// Tags 0–3, in declaration order, each followed by its variant's fields.
+impl uc_persist::Persist for IoError {
+    fn encode(&self, w: &mut uc_persist::Encoder) {
+        match *self {
+            IoError::ZeroLength => w.put_u8(0),
+            IoError::Misaligned {
+                offset,
+                len,
+                logical_block,
+            } => {
+                w.put_u8(1);
+                (offset, len, logical_block).encode(w);
+            }
+            IoError::OutOfRange { end, capacity } => (2u8, end, capacity).encode(w),
+            IoError::RingSaturated { ring, refusals } => (3u8, ring, refusals).encode(w),
+        }
+    }
+
+    fn decode(r: &mut uc_persist::Decoder<'_>) -> Result<Self, uc_persist::DecodeError> {
+        Ok(match r.get_u8()? {
+            0 => IoError::ZeroLength,
+            1 => IoError::Misaligned {
+                offset: r.get_u64()?,
+                len: r.get_u32()?,
+                logical_block: r.get_u32()?,
+            },
+            2 => IoError::OutOfRange {
+                end: r.get_u64()?,
+                capacity: r.get_u64()?,
+            },
+            3 => IoError::RingSaturated {
+                ring: r.get_u32()?,
+                refusals: r.get_u32()?,
+            },
+            _ => {
+                return Err(uc_persist::DecodeError::InvalidValue {
+                    what: "IoError tag",
+                })
+            }
+        })
+    }
 }
 
 impl fmt::Display for IoError {

@@ -52,6 +52,8 @@ pub struct SessionStats {
     pub last_submit: SimTime,
 }
 
+uc_persist::persist_struct! { SessionStats { ios, bytes, clamped, last_submit } }
+
 /// A block device shared by several sessions.
 ///
 /// See the [module docs](self) for the queue discipline. `SharedDevice`

@@ -45,9 +45,9 @@ pub mod thresholds {
 
     /// Obs 2: the local SSD's GC knee must appear by this multiple of its
     /// capacity. The paper measures 0.9×; the simulated FTL's gradual
-    /// write-amplification ramp lands the half-throughput point a little
-    /// later (1.1–1.5× depending on scale), so accept up to 1.6× — still
-    /// far from the ESSDs' 2.55× / never.
+    /// write-amplification ramp lands the half-throughput point later
+    /// (`fig3` prints 1.45× at scale 1 and 1.55× at `--scale 16`), so
+    /// accept up to 1.6× — still far from the ESSDs' 2.55× / never.
     pub const OBS2_MAX_SSD_KNEE: f64 = 1.6;
 
     /// Obs 2: an ESSD knee (if any) must appear at or after this capacity

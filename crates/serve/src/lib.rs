@@ -88,8 +88,8 @@ pub use metrics::serve_metrics;
 pub use net::{Endpoint, Listener, Stream};
 pub use poll::{Event, Poller};
 pub use pool::{
-    DeviceLaneReport, FleetError, FlushOutcome, InflightGuard, OwnedInflightGuard, PoolConfig,
-    PoolDevice, PoolSession, Rejection, ServePool, ServeReport, TenantMove,
+    DeviceLaneReport, FleetError, FlushOutcome, InflightGuard, PoolConfig, PoolDevice, PoolSession,
+    Rejection, ServePool, ServeReport, TenantMove,
 };
 pub use server::{serve_events, EventLoopStats};
 pub use wire::{

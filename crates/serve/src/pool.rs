@@ -107,46 +107,26 @@ pub enum Rejection {
 
 /// Decrements the pool's in-flight count when dropped.
 ///
-/// [`ServePool::submit`] returns one guard per admitted batch; the
-/// server holds it across the response write so that a stalled reader
-/// keeps occupying its admission slot — which is precisely what the
-/// overload ceiling must see.
-pub struct InflightGuard<'a> {
-    pool: &'a ServePool,
+/// [`ServePool::submit`] returns one guard per admitted batch. It shares
+/// the pool's counter rather than borrowing the pool, so the event loop
+/// can park it in a connection's state machine until the response bytes
+/// have fully drained to the socket: a stalled reader keeps occupying
+/// its admission slot, which is precisely what the overload ceiling
+/// must see.
+pub struct InflightGuard {
+    inflight: Arc<AtomicUsize>,
 }
 
-impl Drop for InflightGuard<'_> {
+impl Drop for InflightGuard {
     fn drop(&mut self) {
-        self.pool.inflight.fetch_sub(1, Ordering::AcqRel);
+        self.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-impl std::fmt::Debug for InflightGuard<'_> {
+impl std::fmt::Debug for InflightGuard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InflightGuard")
-            .field("inflight", &self.pool.inflight.load(Ordering::Acquire))
-            .finish()
-    }
-}
-
-/// The `'static` form of [`InflightGuard`]: holds the pool by [`Arc`],
-/// so the event loop — whose connections outlive any one stack frame —
-/// can park the admission slot inside a per-connection state machine
-/// until the response bytes have actually drained to the socket.
-pub struct OwnedInflightGuard {
-    pool: Arc<ServePool>,
-}
-
-impl Drop for OwnedInflightGuard {
-    fn drop(&mut self) {
-        self.pool.inflight.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-impl std::fmt::Debug for OwnedInflightGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OwnedInflightGuard")
-            .field("inflight", &self.pool.inflight.load(Ordering::Acquire))
+            .field("inflight", &self.inflight.load(Ordering::Acquire))
             .finish()
     }
 }
@@ -285,7 +265,7 @@ pub struct ServePool {
     lanes: Vec<Lane>,
     fleet: Option<Mutex<FleetFrontend>>,
     config: PoolConfig,
-    inflight: AtomicUsize,
+    inflight: Arc<AtomicUsize>,
     busy_ring_full: AtomicU64,
     shed_overload: AtomicU64,
     throttled: AtomicU64,
@@ -380,7 +360,7 @@ impl ServePool {
             lanes,
             fleet: None,
             config,
-            inflight: AtomicUsize::new(0),
+            inflight: Arc::new(AtomicUsize::new(0)),
             busy_ring_full: AtomicU64::new(0),
             shed_overload: AtomicU64::new(0),
             throttled: AtomicU64::new(0),
@@ -556,7 +536,7 @@ impl ServePool {
         &self,
         sess: &mut PoolSession,
         reqs: &[IoRequest],
-    ) -> Result<(Vec<Completion>, InflightGuard<'_>), Rejection> {
+    ) -> Result<(Vec<Completion>, InflightGuard), Rejection> {
         if reqs.len() > self.config.ring {
             self.busy_ring_full.fetch_add(1, Ordering::Relaxed);
             self.obs.inc(self.oids.busy_ring_full);
@@ -581,7 +561,9 @@ impl ServePool {
                 Err(observed) => current = observed,
             }
         }
-        let guard = InflightGuard { pool: self };
+        let guard = InflightGuard {
+            inflight: Arc::clone(&self.inflight),
+        };
         self.obs
             .set_max(self.oids.inflight_peak, (current + 1) as i64);
 
@@ -637,32 +619,6 @@ impl ServePool {
             }
         }
         Ok((completions, guard))
-    }
-
-    /// [`submit`](ServePool::submit), but the admission slot comes back
-    /// as an [`OwnedInflightGuard`]: the event loop parks it in the
-    /// connection's state machine until the completions frame has fully
-    /// drained to the socket, so a stalled reader keeps occupying its
-    /// slot exactly as in the thread-per-connection design.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit`](ServePool::submit).
-    pub fn submit_owned(
-        self: &Arc<Self>,
-        sess: &mut PoolSession,
-        reqs: &[IoRequest],
-    ) -> Result<(Vec<Completion>, OwnedInflightGuard), Rejection> {
-        let (completions, guard) = self.submit(sess, reqs)?;
-        // Transfer the decrement duty from the borrowed guard to the
-        // owned one: exactly one of them may run its destructor.
-        std::mem::forget(guard);
-        Ok((
-            completions,
-            OwnedInflightGuard {
-                pool: Arc::clone(self),
-            },
-        ))
     }
 
     /// Whether `sess` still names a live session on its lane — the
@@ -992,22 +948,31 @@ mod tests {
 
     #[test]
     fn owned_guards_hold_the_same_admission_slot() {
-        let pool = Arc::new(pool(PoolConfig {
-            max_inflight: 1,
+        // Guards parked away from the call that admitted them, as the
+        // event loop parks them in a connection, keep their slots until
+        // they drop.
+        let pool = pool(PoolConfig {
+            max_inflight: 2,
             ..PoolConfig::default()
-        }));
+        });
         let (mut s, _) = pool.open(0).unwrap();
         let reqs = [IoRequest::write(0, 512, at(0))];
-        let (_, guard) = pool.submit_owned(&mut s, &reqs).unwrap();
-        assert_eq!(
-            pool.submit(&mut s, &reqs).unwrap_err(),
-            Rejection::Busy(BusyReason::Overload)
-        );
-        drop(guard);
-        let (_, guard) = pool.submit_owned(&mut s, &reqs).unwrap();
-        drop(guard);
-        assert_eq!(pool.report().total_ios(), 2);
+        let overload = Rejection::Busy(BusyReason::Overload);
+        let mut parked: Vec<InflightGuard> = (0..2)
+            .map(|_| pool.submit(&mut s, &reqs).unwrap().1)
+            .collect();
+        assert_eq!(pool.submit(&mut s, &reqs).unwrap_err(), overload);
+        parked.pop();
+        parked.push(pool.submit(&mut s, &reqs).unwrap().1);
+        assert_eq!(pool.submit(&mut s, &reqs).unwrap_err(), overload);
+        parked.clear();
+        let (_, guard) = pool.submit(&mut s, &reqs).unwrap();
+        assert_eq!(pool.report().total_ios(), 4);
+        assert_eq!(pool.shed_overload(), 2);
         assert!(pool.validate_session(&s));
+        // A guard borrows nothing: it may outlive the pool that issued it.
+        drop(pool);
+        drop(guard);
     }
 
     #[test]

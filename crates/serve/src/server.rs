@@ -10,7 +10,7 @@
 //! acknowledged.
 //!
 //! Admission guards behave exactly as in the threaded design: an
-//! admitted batch's [`OwnedInflightGuard`] is parked in the connection
+//! admitted batch's [`InflightGuard`] is parked in the connection
 //! until the response bytes fully drain to the socket, so a stalled
 //! reader still occupies its in-flight slot and the overload ceiling
 //! sees it.
@@ -30,7 +30,7 @@
 
 use crate::net::{Listener, Stream};
 use crate::poll::Poller;
-use crate::pool::{FleetError, FlushOutcome, OwnedInflightGuard, Rejection, ServePool};
+use crate::pool::{FleetError, FlushOutcome, InflightGuard, Rejection, ServePool};
 use crate::wire::{
     is_v1_kind, Body, ErrCode, Frame, FrameHeader, LaneAck, LaneTarget, WireStats, CONTROL_LANE,
     WIRE_VERSION,
@@ -149,7 +149,7 @@ struct Conn {
     wbuf: Vec<u8>,
     wpos: usize,
     /// Admission slots held until `wbuf` fully drains.
-    guards: Vec<OwnedInflightGuard>,
+    guards: Vec<InflightGuard>,
     session: Option<usize>,
     /// Close the connection once `wbuf` drains.
     closing: bool,
@@ -672,12 +672,11 @@ impl EventLoop {
         header: FrameHeader,
         reqs: &[IoRequest],
     ) {
-        let pool = Arc::clone(&self.pool);
         let result = {
             let LaneBackend::Device(psess) = &mut self.sessions[si].lanes[lane].backend else {
                 unreachable!("backend kind matched Device");
             };
-            pool.submit_owned(psess, reqs)
+            self.pool.submit(psess, reqs)
         };
         match result {
             Ok((completions, guard)) => {

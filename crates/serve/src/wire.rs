@@ -36,6 +36,14 @@
 //! | `uc.wire.close-ok.v2`      | S → C     | control | (empty) |
 //! | `uc.wire.err.v2`           | S → C     | any     | [`ErrCode`], optional [`IoError`], message |
 //!
+//! The body table at the `wire_bodies!` invocation below is the byte
+//! format: it names each [`Body`] variant's kind tag and field list, and
+//! a frame's payload is its [`FrameHeader`] followed by the listed fields
+//! in that order, each in its type's [`Persist`] form. [`Frame::kind`],
+//! [`ALL_KINDS`], encode and decode are all generated from that one
+//! table, so reordering a field list changes the bytes (the golden-bytes
+//! test pins them).
+//!
 //! On a *device* lane a submit frame's request list is a doorbelled
 //! batch (instants validated non-decreasing on decode, exactly as in
 //! v1); on a *tenant* lane the same list carries the tenant's arrival
@@ -44,9 +52,11 @@
 //! error.
 
 use std::io::{Read, Write};
-use uc_blockdev::{Completion, IoError, IoKind, IoRequest, SessionStats};
+use uc_blockdev::{Completion, IoError, IoRequest, SessionStats};
 use uc_obs::ObsSnapshot;
-use uc_persist::{encode_record, read_record_from, DecodeError, Decoder, Encoder, Persist};
+use uc_persist::{
+    encode_record, ensure, persist_struct, read_record_from, DecodeError, Decoder, Encoder, Persist,
+};
 use uc_sim::SimTime;
 
 /// The protocol version this module speaks, sent in `OPEN`.
@@ -67,16 +77,14 @@ pub enum BusyReason {
     Overload,
 }
 
-impl BusyReason {
-    fn tag(self) -> u8 {
-        match self {
-            BusyReason::RingFull => 0,
-            BusyReason::Overload => 1,
-        }
+/// One tag byte: the variant's declaration index.
+impl Persist for BusyReason {
+    fn encode(&self, w: &mut Encoder) {
+        w.put_u8(*self as u8);
     }
 
-    fn from_tag(tag: u8) -> Result<Self, DecodeError> {
-        match tag {
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        match r.get_u8()? {
             0 => Ok(BusyReason::RingFull),
             1 => Ok(BusyReason::Overload),
             _ => Err(DecodeError::InvalidValue {
@@ -96,6 +104,8 @@ pub struct WireStats {
     pub queue_head: SimTime,
 }
 
+persist_struct! { WireStats { stats, queue_head } }
+
 /// The shared prefix of every v2 frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
@@ -109,6 +119,8 @@ pub struct FrameHeader {
     /// (`OPEN`/`RESUME` and their replies) carry 0.
     pub seq: u64,
 }
+
+persist_struct! { FrameHeader { session, lane, seq } }
 
 impl FrameHeader {
     /// A connection-level header: no session yet, control lane, seq 0.
@@ -132,6 +144,8 @@ pub struct LaneAck {
     pub seq: u64,
 }
 
+persist_struct! { LaneAck { lane, seq } }
+
 /// What a data lane attaches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneTarget {
@@ -140,6 +154,26 @@ pub enum LaneTarget {
     /// A fleet tenant (by tenant id) — the lane feeds the tenant's
     /// arrival stream and observes its epochs.
     Tenant(u32),
+}
+
+/// Tag 0 (device) or 1 (tenant), then the index.
+impl Persist for LaneTarget {
+    fn encode(&self, w: &mut Encoder) {
+        match *self {
+            LaneTarget::Device(i) => (0u8, i).encode(w),
+            LaneTarget::Tenant(t) => (1u8, t).encode(w),
+        }
+    }
+
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        match r.get_u8()? {
+            0 => Ok(LaneTarget::Device(r.get_u32()?)),
+            1 => Ok(LaneTarget::Tenant(r.get_u32()?)),
+            _ => Err(DecodeError::InvalidValue {
+                what: "LaneTarget tag",
+            }),
+        }
+    }
 }
 
 /// The typed failure class of an `ERR` frame.
@@ -160,6 +194,37 @@ pub enum ErrCode {
     UnknownLane,
     /// The device rejected a request; the frame's `io` field says why.
     Io,
+}
+
+/// Tags 0–4 in declaration order; `UnsupportedVersion` carries its pair.
+impl Persist for ErrCode {
+    fn encode(&self, w: &mut Encoder) {
+        match *self {
+            ErrCode::Protocol => w.put_u8(0),
+            ErrCode::UnsupportedVersion { found, supported } => (1u8, found, supported).encode(w),
+            ErrCode::UnknownSession => w.put_u8(2),
+            ErrCode::UnknownLane => w.put_u8(3),
+            ErrCode::Io => w.put_u8(4),
+        }
+    }
+
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(match r.get_u8()? {
+            0 => ErrCode::Protocol,
+            1 => ErrCode::UnsupportedVersion {
+                found: r.get_u16()?,
+                supported: r.get_u16()?,
+            },
+            2 => ErrCode::UnknownSession,
+            3 => ErrCode::UnknownLane,
+            4 => ErrCode::Io,
+            _ => {
+                return Err(DecodeError::InvalidValue {
+                    what: "ErrCode tag",
+                })
+            }
+        })
+    }
 }
 
 /// The payload of one v2 frame.
@@ -289,51 +354,95 @@ pub struct Frame {
     pub body: Body,
 }
 
-const KIND_OPEN: &str = "uc.wire.open.v2";
-const KIND_OPEN_OK: &str = "uc.wire.open-ok.v2";
-const KIND_RESUME: &str = "uc.wire.resume.v2";
-const KIND_RESUME_OK: &str = "uc.wire.resume-ok.v2";
-const KIND_ATTACH: &str = "uc.wire.attach.v2";
-const KIND_ATTACH_OK: &str = "uc.wire.attach-ok.v2";
-const KIND_SUBMIT: &str = "uc.wire.submit.v2";
-const KIND_COMPLETIONS: &str = "uc.wire.completions.v2";
-const KIND_PUSH_OK: &str = "uc.wire.push-ok.v2";
-const KIND_BUSY: &str = "uc.wire.busy.v2";
-const KIND_STATS: &str = "uc.wire.stats.v2";
-const KIND_STATS_OK: &str = "uc.wire.stats-ok.v2";
-const KIND_METRICS: &str = "uc.wire.metrics.v2";
-const KIND_METRICS_OK: &str = "uc.wire.metrics-ok.v2";
-const KIND_FLUSH: &str = "uc.wire.flush.v2";
-const KIND_FLUSH_OK: &str = "uc.wire.flush-ok.v2";
-const KIND_LANE_MOVED: &str = "uc.wire.lane-moved.v2";
-const KIND_CLOSE: &str = "uc.wire.close.v2";
-const KIND_CLOSE_OK: &str = "uc.wire.close-ok.v2";
-const KIND_ERR: &str = "uc.wire.err.v2";
+/// Generates [`Frame::kind`], [`ALL_KINDS`] and the body codec from one
+/// table of `Variant = "kind tag" { field, field: decoder, … }` entries.
+///
+/// A body's bytes are its listed fields in list order, each through its
+/// own [`Persist`] impl. A field written `name: decoder` decodes through
+/// `decoder(r)` instead, where its bytes need a check `Persist` cannot
+/// make (a count cap, an ordering).
+macro_rules! wire_bodies {
+    (@field $r:ident) => { Persist::decode($r)? };
+    (@field $r:ident $decode:expr) => { $decode($r)? };
+    ($($variant:ident = $kind:literal { $($field:ident $(: $decode:expr)?),* }),+ $(,)?) => {
+        /// Every `uc.wire.v2` kind tag, in protocol order (the corruption
+        /// sweeps iterate this).
+        pub const ALL_KINDS: [&str; 20] = [$($kind),+];
 
-/// Every `uc.wire.v2` kind tag, in protocol order (the corruption sweeps
-/// iterate this).
-pub const ALL_KINDS: [&str; 20] = [
-    KIND_OPEN,
-    KIND_OPEN_OK,
-    KIND_RESUME,
-    KIND_RESUME_OK,
-    KIND_ATTACH,
-    KIND_ATTACH_OK,
-    KIND_SUBMIT,
-    KIND_COMPLETIONS,
-    KIND_PUSH_OK,
-    KIND_BUSY,
-    KIND_STATS,
-    KIND_STATS_OK,
-    KIND_METRICS,
-    KIND_METRICS_OK,
-    KIND_FLUSH,
-    KIND_FLUSH_OK,
-    KIND_LANE_MOVED,
-    KIND_CLOSE,
-    KIND_CLOSE_OK,
-    KIND_ERR,
-];
+        impl Frame {
+            /// The frame's `uc.wire.v2` kind tag.
+            pub fn kind(&self) -> &'static str {
+                match self.body {
+                    $(Body::$variant { .. } => $kind,)+
+                }
+            }
+        }
+
+        fn encode_body(body: &Body, w: &mut Encoder) {
+            match body {
+                $(Body::$variant { $($field),* } => { $(Persist::encode($field, w);)* })+
+            }
+        }
+
+        /// The body decoder of `kind`, or `None` for a foreign kind tag.
+        #[allow(unused_variables)] // an empty body reads nothing from `r`
+        fn body_decoder(kind: &str) -> Option<BodyDecoder> {
+            Some(match kind {
+                $($kind => |r| Ok(Body::$variant {
+                    $($field: wire_bodies!(@field r $($decode)?),)*
+                }),)+
+                _ => return None,
+            })
+        }
+    };
+}
+
+type BodyDecoder = fn(&mut Decoder<'_>) -> Result<Body, DecodeError>;
+
+wire_bodies! {
+    Open        = "uc.wire.open.v2"        { version },
+    OpenOk      = "uc.wire.open-ok.v2"     { token },
+    Resume      = "uc.wire.resume.v2"      { acks: |r| list(r, "resume ack count") },
+    ResumeOk    = "uc.wire.resume-ok.v2"   { lanes, replay: |r| list(r, "resume ack count") },
+    Attach      = "uc.wire.attach.v2"      { target },
+    AttachOk    = "uc.wire.attach-ok.v2"   { lane, name, capacity, logical_block },
+    Submit      = "uc.wire.submit.v2"      { reqs: requests },
+    Completions = "uc.wire.completions.v2" {
+        completions: |r| list(r, "completions frame entry count")
+    },
+    PushOk      = "uc.wire.push-ok.v2"     { accepted },
+    Busy        = "uc.wire.busy.v2"        { reason },
+    Stats       = "uc.wire.stats.v2"       {},
+    StatsOk     = "uc.wire.stats-ok.v2"    { stats },
+    Metrics     = "uc.wire.metrics.v2"     {},
+    MetricsOk   = "uc.wire.metrics-ok.v2"  { snapshot },
+    Flush       = "uc.wire.flush.v2"       { epoch },
+    FlushOk     = "uc.wire.flush-ok.v2"    { epoch },
+    LaneMoved   = "uc.wire.lane-moved.v2"  { to_device },
+    Close       = "uc.wire.close.v2"       {},
+    CloseOk     = "uc.wire.close-ok.v2"    {},
+    Err         = "uc.wire.err.v2"         { code, io, message },
+}
+
+/// Decodes a list field. Its count is checked against
+/// [`MAX_FRAME_REQUESTS`](crate::MAX_FRAME_REQUESTS) — rejected as
+/// `what` — before anything is allocated, and [`Vec`]'s decode bounds
+/// the capacity by the bytes actually present.
+fn list<T: Persist>(r: &mut Decoder<'_>, what: &'static str) -> Result<Vec<T>, DecodeError> {
+    ensure(r.clone().get_u64()? <= crate::MAX_FRAME_REQUESTS, what)?;
+    Vec::decode(r)
+}
+
+/// A submit frame's request list: bounded, submit instants
+/// non-decreasing.
+fn requests(r: &mut Decoder<'_>) -> Result<Vec<IoRequest>, DecodeError> {
+    let reqs: Vec<IoRequest> = list(r, "submit frame request count")?;
+    let ordered = reqs
+        .windows(2)
+        .all(|w| w[0].submit_time <= w[1].submit_time);
+    ensure(ordered, "submit frame request order")?;
+    Ok(reqs)
+}
 
 /// `true` for a legacy `uc.wire.v1` kind tag (`uc.wire.<kind>.v1`): the
 /// server answers such a frame with a typed `UnsupportedVersion` reject
@@ -342,215 +451,17 @@ pub(crate) fn is_v1_kind(kind: &str) -> bool {
     kind.starts_with("uc.wire.") && kind.ends_with(".v1")
 }
 
-fn put_kind(w: &mut Encoder, kind: IoKind) {
-    w.put_u8(kind.is_write() as u8);
-}
-
-fn get_kind(r: &mut Decoder<'_>) -> Result<IoKind, DecodeError> {
-    match r.get_u8()? {
-        0 => Ok(IoKind::Read),
-        1 => Ok(IoKind::Write),
-        _ => Err(DecodeError::InvalidValue { what: "IoKind tag" }),
-    }
-}
-
-fn put_io_error(w: &mut Encoder, e: &IoError) {
-    match e {
-        IoError::ZeroLength => w.put_u8(0),
-        IoError::Misaligned {
-            offset,
-            len,
-            logical_block,
-        } => {
-            w.put_u8(1);
-            w.put_u64(*offset);
-            w.put_u32(*len);
-            w.put_u32(*logical_block);
-        }
-        IoError::OutOfRange { end, capacity } => {
-            w.put_u8(2);
-            w.put_u64(*end);
-            w.put_u64(*capacity);
-        }
-        IoError::RingSaturated { ring, refusals } => {
-            w.put_u8(3);
-            w.put_u32(*ring);
-            w.put_u32(*refusals);
-        }
-    }
-}
-
-fn get_io_error(r: &mut Decoder<'_>) -> Result<IoError, DecodeError> {
-    match r.get_u8()? {
-        0 => Ok(IoError::ZeroLength),
-        1 => Ok(IoError::Misaligned {
-            offset: r.get_u64()?,
-            len: r.get_u32()?,
-            logical_block: r.get_u32()?,
-        }),
-        2 => Ok(IoError::OutOfRange {
-            end: r.get_u64()?,
-            capacity: r.get_u64()?,
-        }),
-        3 => Ok(IoError::RingSaturated {
-            ring: r.get_u32()?,
-            refusals: r.get_u32()?,
-        }),
-        _ => Err(DecodeError::InvalidValue {
-            what: "IoError tag",
-        }),
-    }
-}
-
-fn put_acks(w: &mut Encoder, acks: &[LaneAck]) {
-    w.put_u64(acks.len() as u64);
-    for a in acks {
-        w.put_u32(a.lane);
-        w.put_u64(a.seq);
-    }
-}
-
-fn get_acks(r: &mut Decoder<'_>) -> Result<Vec<LaneAck>, DecodeError> {
-    let count = r.get_u64()?;
-    if count > crate::MAX_FRAME_REQUESTS {
-        return Err(DecodeError::InvalidValue {
-            what: "resume ack count",
-        });
-    }
-    let mut acks = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        acks.push(LaneAck {
-            lane: r.get_u32()?,
-            seq: r.get_u64()?,
-        });
-    }
-    Ok(acks)
-}
-
 impl Frame {
     /// A frame under `header`.
     pub fn new(header: FrameHeader, body: Body) -> Self {
         Frame { header, body }
     }
 
-    /// The frame's `uc.wire.v2` kind tag.
-    pub fn kind(&self) -> &'static str {
-        match &self.body {
-            Body::Open { .. } => KIND_OPEN,
-            Body::OpenOk { .. } => KIND_OPEN_OK,
-            Body::Resume { .. } => KIND_RESUME,
-            Body::ResumeOk { .. } => KIND_RESUME_OK,
-            Body::Attach { .. } => KIND_ATTACH,
-            Body::AttachOk { .. } => KIND_ATTACH_OK,
-            Body::Submit { .. } => KIND_SUBMIT,
-            Body::Completions { .. } => KIND_COMPLETIONS,
-            Body::PushOk { .. } => KIND_PUSH_OK,
-            Body::Busy { .. } => KIND_BUSY,
-            Body::Stats => KIND_STATS,
-            Body::StatsOk { .. } => KIND_STATS_OK,
-            Body::Metrics => KIND_METRICS,
-            Body::MetricsOk { .. } => KIND_METRICS_OK,
-            Body::Flush { .. } => KIND_FLUSH,
-            Body::FlushOk { .. } => KIND_FLUSH_OK,
-            Body::LaneMoved { .. } => KIND_LANE_MOVED,
-            Body::Close => KIND_CLOSE,
-            Body::CloseOk => KIND_CLOSE_OK,
-            Body::Err { .. } => KIND_ERR,
-        }
-    }
-
     /// Encodes the frame as one complete `uc-persist` record.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Encoder::new();
-        w.put_u64(self.header.session);
-        w.put_u32(self.header.lane);
-        w.put_u64(self.header.seq);
-        match &self.body {
-            Body::Open { version } => w.put_u16(*version),
-            Body::OpenOk { token } => w.put_u64(*token),
-            Body::Resume { acks } => put_acks(&mut w, acks),
-            Body::ResumeOk { lanes, replay } => {
-                w.put_u32(*lanes);
-                put_acks(&mut w, replay);
-            }
-            Body::Attach { target } => match target {
-                LaneTarget::Device(i) => {
-                    w.put_u8(0);
-                    w.put_u32(*i);
-                }
-                LaneTarget::Tenant(t) => {
-                    w.put_u8(1);
-                    w.put_u32(*t);
-                }
-            },
-            Body::AttachOk {
-                lane,
-                name,
-                capacity,
-                logical_block,
-            } => {
-                w.put_u32(*lane);
-                w.put_str(name);
-                w.put_u64(*capacity);
-                w.put_u32(*logical_block);
-            }
-            Body::Submit { reqs } => {
-                w.put_u64(reqs.len() as u64);
-                for req in reqs {
-                    put_kind(&mut w, req.kind);
-                    w.put_u64(req.offset);
-                    w.put_u32(req.len);
-                    w.put_u64(req.submit_time.as_nanos());
-                }
-            }
-            Body::Completions { completions } => {
-                w.put_u64(completions.len() as u64);
-                for c in completions {
-                    w.put_u64(c.index as u64);
-                    put_kind(&mut w, c.kind);
-                    w.put_u32(c.len);
-                    w.put_u64(c.submitted.as_nanos());
-                    w.put_u64(c.completes.as_nanos());
-                }
-            }
-            Body::PushOk { accepted } => w.put_u64(*accepted),
-            Body::Busy { reason } => w.put_u8(reason.tag()),
-            Body::Stats => {}
-            Body::StatsOk { stats } => {
-                w.put_u64(stats.stats.ios);
-                w.put_u64(stats.stats.bytes);
-                w.put_u64(stats.stats.clamped);
-                w.put_u64(stats.stats.last_submit.as_nanos());
-                w.put_u64(stats.queue_head.as_nanos());
-            }
-            Body::Metrics => {}
-            Body::MetricsOk { snapshot } => snapshot.encode(&mut w),
-            Body::Flush { epoch } => w.put_u64(*epoch),
-            Body::FlushOk { epoch } => w.put_u64(*epoch),
-            Body::LaneMoved { to_device } => w.put_u32(*to_device),
-            Body::Close | Body::CloseOk => {}
-            Body::Err { code, io, message } => {
-                match code {
-                    ErrCode::Protocol => w.put_u8(0),
-                    ErrCode::UnsupportedVersion { found, supported } => {
-                        w.put_u8(1);
-                        w.put_u16(*found);
-                        w.put_u16(*supported);
-                    }
-                    ErrCode::UnknownSession => w.put_u8(2),
-                    ErrCode::UnknownLane => w.put_u8(3),
-                    ErrCode::Io => w.put_u8(4),
-                }
-                match io {
-                    None => w.put_u8(0),
-                    Some(e) => {
-                        w.put_u8(1);
-                        put_io_error(&mut w, e);
-                    }
-                }
-                w.put_str(message);
-            }
-        }
+        self.header.encode(&mut w);
+        encode_body(&self.body, &mut w);
         encode_record(self.kind(), w.as_bytes())
     }
 
@@ -565,171 +476,12 @@ impl Frame {
         // The kind gate comes first: a foreign frame (a v1 client, say)
         // must surface as `UnknownKind` for version negotiation, not as
         // a truncation error from misreading its payload as a v2 header.
-        if !ALL_KINDS.contains(&kind) {
-            return Err(DecodeError::UnknownKind {
-                found: kind.to_string(),
-            });
-        }
+        let decode_body = body_decoder(kind).ok_or_else(|| DecodeError::UnknownKind {
+            found: kind.to_string(),
+        })?;
         let mut r = Decoder::new(payload);
-        let header = FrameHeader {
-            session: r.get_u64()?,
-            lane: r.get_u32()?,
-            seq: r.get_u64()?,
-        };
-        let body = match kind {
-            KIND_OPEN => Body::Open {
-                version: r.get_u16()?,
-            },
-            KIND_OPEN_OK => Body::OpenOk {
-                token: r.get_u64()?,
-            },
-            KIND_RESUME => Body::Resume {
-                acks: get_acks(&mut r)?,
-            },
-            KIND_RESUME_OK => Body::ResumeOk {
-                lanes: r.get_u32()?,
-                replay: get_acks(&mut r)?,
-            },
-            KIND_ATTACH => Body::Attach {
-                target: match r.get_u8()? {
-                    0 => LaneTarget::Device(r.get_u32()?),
-                    1 => LaneTarget::Tenant(r.get_u32()?),
-                    _ => {
-                        return Err(DecodeError::InvalidValue {
-                            what: "LaneTarget tag",
-                        })
-                    }
-                },
-            },
-            KIND_ATTACH_OK => Body::AttachOk {
-                lane: r.get_u32()?,
-                name: r.get_string()?,
-                capacity: r.get_u64()?,
-                logical_block: r.get_u32()?,
-            },
-            KIND_SUBMIT => {
-                let count = r.get_u64()?;
-                if count > crate::MAX_FRAME_REQUESTS {
-                    return Err(DecodeError::InvalidValue {
-                        what: "submit frame request count",
-                    });
-                }
-                let mut reqs = Vec::with_capacity(count as usize);
-                let mut last = SimTime::ZERO;
-                for _ in 0..count {
-                    let kind = get_kind(&mut r)?;
-                    let offset = r.get_u64()?;
-                    let len = r.get_u32()?;
-                    let submit_time = SimTime::from_nanos(r.get_u64()?);
-                    if submit_time < last {
-                        return Err(DecodeError::InvalidValue {
-                            what: "submit frame request order",
-                        });
-                    }
-                    last = submit_time;
-                    reqs.push(IoRequest {
-                        kind,
-                        offset,
-                        len,
-                        submit_time,
-                    });
-                }
-                Body::Submit { reqs }
-            }
-            KIND_COMPLETIONS => {
-                let count = r.get_u64()?;
-                if count > crate::MAX_FRAME_REQUESTS {
-                    return Err(DecodeError::InvalidValue {
-                        what: "completions frame entry count",
-                    });
-                }
-                let mut completions = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let index = r.get_u64()? as usize;
-                    let kind = get_kind(&mut r)?;
-                    let len = r.get_u32()?;
-                    let submitted = SimTime::from_nanos(r.get_u64()?);
-                    let completes = SimTime::from_nanos(r.get_u64()?);
-                    completions.push(Completion {
-                        index,
-                        kind,
-                        len,
-                        submitted,
-                        completes,
-                    });
-                }
-                Body::Completions { completions }
-            }
-            KIND_PUSH_OK => Body::PushOk {
-                accepted: r.get_u64()?,
-            },
-            KIND_BUSY => Body::Busy {
-                reason: BusyReason::from_tag(r.get_u8()?)?,
-            },
-            KIND_STATS => Body::Stats,
-            KIND_STATS_OK => Body::StatsOk {
-                stats: WireStats {
-                    stats: SessionStats {
-                        ios: r.get_u64()?,
-                        bytes: r.get_u64()?,
-                        clamped: r.get_u64()?,
-                        last_submit: SimTime::from_nanos(r.get_u64()?),
-                    },
-                    queue_head: SimTime::from_nanos(r.get_u64()?),
-                },
-            },
-            KIND_METRICS => Body::Metrics,
-            KIND_METRICS_OK => Body::MetricsOk {
-                snapshot: ObsSnapshot::decode(&mut r)?,
-            },
-            KIND_FLUSH => Body::Flush {
-                epoch: r.get_u64()?,
-            },
-            KIND_FLUSH_OK => Body::FlushOk {
-                epoch: r.get_u64()?,
-            },
-            KIND_LANE_MOVED => Body::LaneMoved {
-                to_device: r.get_u32()?,
-            },
-            KIND_CLOSE => Body::Close,
-            KIND_CLOSE_OK => Body::CloseOk,
-            KIND_ERR => {
-                let code = match r.get_u8()? {
-                    0 => ErrCode::Protocol,
-                    1 => ErrCode::UnsupportedVersion {
-                        found: r.get_u16()?,
-                        supported: r.get_u16()?,
-                    },
-                    2 => ErrCode::UnknownSession,
-                    3 => ErrCode::UnknownLane,
-                    4 => ErrCode::Io,
-                    _ => {
-                        return Err(DecodeError::InvalidValue {
-                            what: "ErrCode tag",
-                        })
-                    }
-                };
-                let io = match r.get_u8()? {
-                    0 => None,
-                    1 => Some(get_io_error(&mut r)?),
-                    _ => {
-                        return Err(DecodeError::InvalidValue {
-                            what: "error frame io tag",
-                        })
-                    }
-                };
-                Body::Err {
-                    code,
-                    io,
-                    message: r.get_string()?,
-                }
-            }
-            _ => {
-                return Err(DecodeError::UnknownKind {
-                    found: kind.to_string(),
-                })
-            }
-        };
+        let header = FrameHeader::decode(&mut r)?;
+        let body = decode_body(&mut r)?;
         r.finish()?;
         Ok(Frame { header, body })
     }
@@ -765,6 +517,7 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uc_blockdev::IoKind;
 
     fn at(nanos: u64) -> SimTime {
         SimTime::from_nanos(nanos)
@@ -1057,7 +810,7 @@ mod tests {
             w.put_u32(4096);
             w.put_u64(t);
         }
-        let err = Frame::from_parts(KIND_SUBMIT, w.as_bytes()).unwrap_err();
+        let err = Frame::from_parts("uc.wire.submit.v2", w.as_bytes()).unwrap_err();
         assert!(matches!(
             err,
             DecodeError::InvalidValue {
@@ -1069,9 +822,9 @@ mod tests {
     #[test]
     fn hostile_counts_are_bounded() {
         for (kind, what) in [
-            (KIND_SUBMIT, "submit frame request count"),
-            (KIND_COMPLETIONS, "completions frame entry count"),
-            (KIND_RESUME, "resume ack count"),
+            ("uc.wire.submit.v2", "submit frame request count"),
+            ("uc.wire.completions.v2", "completions frame entry count"),
+            ("uc.wire.resume.v2", "resume ack count"),
         ] {
             let mut w = Encoder::new();
             w.put_u64(7);
@@ -1091,7 +844,7 @@ mod tests {
         w.put_u64(0);
         w.put_u16(2);
         w.put_u8(0xEE); // junk after the version
-        let err = Frame::from_parts(KIND_OPEN, w.as_bytes()).unwrap_err();
+        let err = Frame::from_parts("uc.wire.open.v2", w.as_bytes()).unwrap_err();
         assert!(matches!(err, DecodeError::TrailingBytes { count: 1 }));
     }
 
