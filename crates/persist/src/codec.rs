@@ -120,6 +120,17 @@ impl Encoder {
         self.buf
     }
 
+    /// An encoder that appends to `buf`, keeping its bytes and capacity
+    /// (take it back with [`Encoder::into_bytes`]).
+    pub(crate) fn from_vec(buf: Vec<u8>) -> Self {
+        Encoder { buf }
+    }
+
+    /// Appends bytes as they are, with no length prefix.
+    pub(crate) fn put_raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
     /// Appends a single byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -254,9 +265,14 @@ impl<'a> Decoder<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_string(&mut self) -> Result<String, DecodeError> {
+        self.get_str().map(str::to_owned)
+    }
+
+    /// Reads a length-prefixed UTF-8 string, borrowing from the buffer.
+    pub(crate) fn get_str(&mut self) -> Result<&'a str, DecodeError> {
         let len = self.get_len()?;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::InvalidValue { what: "utf-8" })
+        std::str::from_utf8(bytes).map_err(|_| DecodeError::InvalidValue { what: "utf-8" })
     }
 
     /// Reads a length-prefixed byte block, borrowing from the buffer.

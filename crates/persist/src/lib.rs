@@ -26,9 +26,11 @@
 //!   written atomically (temp file + rename) so a crash mid-write leaves
 //!   either the old checkpoint or none — never a torn one. The envelope
 //!   is self-describing, so [`read_record_from`] can also walk records
-//!   incrementally off any byte stream (a socket serving `uc.wire.v1`
+//!   incrementally off any byte stream (a socket serving `uc.wire.v2`
 //!   frames, a pipe of trace records) with every length field bounded
-//!   before it is trusted.
+//!   before it is trusted. [`encode_record_into`] and [`read_record_into`]
+//!   are the forms over a buffer the caller owns and reuses: a
+//!   connection encodes and reads its frames without allocating.
 //!
 //! # Example
 //!
@@ -56,6 +58,7 @@ mod record;
 
 pub use codec::{ensure, DecodeError, Decoder, Encoder, Persist};
 pub use record::{
-    crc32, decode_record, encode_record, peek_record_len, read_record_file, read_record_from,
-    write_record_file, Crc32, FORMAT_VERSION, MAGIC, MAX_STREAM_KIND_LEN, MAX_STREAM_PAYLOAD_LEN,
+    crc32, decode_record, encode_record, encode_record_into, peek_record_len, read_record_file,
+    read_record_from, read_record_into, write_record_file, Crc32, FORMAT_VERSION, MAGIC,
+    MAX_STREAM_KIND_LEN, MAX_STREAM_PAYLOAD_LEN,
 };

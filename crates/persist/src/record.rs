@@ -30,11 +30,14 @@ pub const MAGIC: [u8; 8] = *b"UCSSDCP\0";
 /// The envelope format version this build writes and reads.
 pub const FORMAT_VERSION: u16 = 1;
 
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
+/// The slicing-by-8 tables: `[0]` is the bytewise table, and `[k][i]` is
+/// the CRC state after feeding byte `i` followed by `k` zero bytes, so
+/// one lookup per table folds eight input bytes at once.
+fn crc_tables() -> &'static [[u32; 256]; 8] {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut tables = [[0u32; 256]; 8];
+        for (i, entry) in tables[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -45,7 +48,13 @@ fn crc_table() -> &'static [u32; 256] {
             }
             *entry = c;
         }
-        table
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = tables[k - 1][i];
+                tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            }
+        }
+        tables
     })
 }
 
@@ -79,10 +88,25 @@ impl Crc32 {
 
     /// Feeds `bytes` through the hasher.
     pub fn update(&mut self, bytes: &[u8]) {
-        let table = crc_table();
-        for &b in bytes {
-            self.state = table[((self.state ^ b as u32) & 0xFF) as usize] ^ (self.state >> 8);
+        let t = crc_tables();
+        let mut crc = self.state;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in words.remainder() {
+            crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.state = crc;
     }
 
     /// The CRC-32 of every byte fed so far (the hasher stays usable).
@@ -109,17 +133,42 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Wraps `payload` in the record envelope under the given kind tag.
 pub fn encode_record(kind: &str, payload: &[u8]) -> Vec<u8> {
-    let mut body = Encoder::new();
-    body.put_u16(FORMAT_VERSION);
-    body.put_str(kind);
-    body.put_bytes(payload);
-    let checksum = crc32(body.as_bytes());
-
-    let mut record = Vec::with_capacity(MAGIC.len() + body.as_bytes().len() + 4);
-    record.extend_from_slice(&MAGIC);
-    record.extend_from_slice(body.as_bytes());
-    record.extend_from_slice(&checksum.to_le_bytes());
+    // magic 8 + version 2 + kind length 8 + payload length 8 + CRC 4.
+    let mut record = Vec::with_capacity(30 + kind.len() + payload.len());
+    encode_record_into(&mut record, kind, |w| w.put_raw(payload));
     record
+}
+
+/// Appends one record to `out`: the envelope under `kind`, then whatever
+/// `payload` writes, in place.
+///
+/// The payload length is filled in once `payload` returns and the CRC
+/// is computed over the bytes just written, so the payload is never
+/// staged in a buffer of its own. A caller that clears and reuses `out`
+/// encodes without allocating once `out` has grown to its largest
+/// record. The bytes are exactly [`encode_record`]'s.
+///
+/// ```
+/// use uc_persist::{encode_record, encode_record_into};
+///
+/// let mut out = b"already queued".to_vec();
+/// encode_record_into(&mut out, "example.v1", |w| w.put_u32(7));
+/// assert_eq!(out[14..], encode_record("example.v1", &7u32.to_le_bytes())[..]);
+/// ```
+pub fn encode_record_into(out: &mut Vec<u8>, kind: &str, payload: impl FnOnce(&mut Encoder)) {
+    let start = out.len();
+    let mut w = Encoder::from_vec(std::mem::take(out));
+    w.put_raw(&MAGIC);
+    w.put_u16(FORMAT_VERSION);
+    w.put_str(kind);
+    w.put_u64(0); // the payload length, filled in below
+    let payload_at = w.as_bytes().len();
+    payload(&mut w);
+    *out = w.into_bytes();
+    let len = (out.len() - payload_at) as u64;
+    out[payload_at - 8..payload_at].copy_from_slice(&len.to_le_bytes());
+    let checksum = crc32(&out[start + MAGIC.len()..]);
+    out.extend_from_slice(&checksum.to_le_bytes());
 }
 
 /// Unwraps a record envelope, returning `(kind, payload)`.
@@ -133,7 +182,7 @@ pub fn encode_record(kind: &str, payload: &[u8]) -> Vec<u8> {
 /// reads, [`ChecksumMismatch`](DecodeError::ChecksumMismatch) for flipped
 /// bits and [`TrailingBytes`](DecodeError::TrailingBytes) for appended
 /// junk.
-pub fn decode_record(bytes: &[u8]) -> Result<(String, &[u8]), DecodeError> {
+pub fn decode_record(bytes: &[u8]) -> Result<(&str, &[u8]), DecodeError> {
     if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
         return Err(DecodeError::BadMagic);
     }
@@ -146,7 +195,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<(String, &[u8]), DecodeError> {
             supported: FORMAT_VERSION,
         });
     }
-    let kind = r.get_string()?;
+    let kind = r.get_str()?;
     let payload = r.get_bytes()?;
     let checked_len = body.len() - r.remaining();
     let stored = r.get_u32()?;
@@ -205,13 +254,33 @@ fn fill_exact<R: Read + ?Sized>(reader: &mut R, buf: &mut [u8]) -> Result<(), De
 /// `Ok(None)` at a clean end of stream (end exactly at a record
 /// boundary) and `(kind, payload)` otherwise.
 ///
+/// The owning form of [`read_record_into`], which it wraps: it reads
+/// into a fresh buffer and copies the kind and payload out.
+///
+/// # Errors
+///
+/// As [`read_record_into`].
+pub fn read_record_from<R: Read + ?Sized>(
+    reader: &mut R,
+) -> Result<Option<(String, Vec<u8>)>, DecodeError> {
+    let mut record = Vec::new();
+    Ok(read_record_into(reader, &mut record)?
+        .map(|(kind, payload)| (kind.to_string(), payload.to_vec())))
+}
+
+/// Reads the next record envelope off a byte stream into `record`, a
+/// buffer the caller owns and reuses, and unwraps it: `Ok(None)` at a
+/// clean end of stream (end exactly at a record boundary), otherwise
+/// `(kind, payload)` borrowed from `record`.
+///
 /// This is the incremental twin of [`decode_record`] for sources without
-/// random access — a socket serving `uc.wire.v1` frames, a pipe of
+/// random access — a socket serving `uc.wire.v2` frames, a pipe of
 /// streamed trace records. The envelope is self-describing, so no outer
 /// length prefix is needed; the reader walks the fields, bounds every
 /// length (see [`MAX_STREAM_KIND_LEN`] / [`MAX_STREAM_PAYLOAD_LEN`]), and
 /// then validates the assembled record through [`decode_record`] —
-/// checksum included.
+/// checksum included. `record` is cleared first; once it has grown to
+/// the largest record read, reading allocates nothing.
 ///
 /// # Errors
 ///
@@ -222,27 +291,28 @@ fn fill_exact<R: Read + ?Sized>(reader: &mut R, buf: &mut [u8]) -> Result<(), De
 /// [`DecodeError::InvalidValue`]; flipped bits are
 /// [`DecodeError::ChecksumMismatch`]; transport failures surface as
 /// [`DecodeError::Io`]. Corruption never panics.
-pub fn read_record_from<R: Read + ?Sized>(
+pub fn read_record_into<'b, R: Read + ?Sized>(
     reader: &mut R,
-) -> Result<Option<(String, Vec<u8>)>, DecodeError> {
-    let mut magic = [0u8; 8];
-    let got = fill(reader, &mut magic)?;
+    record: &'b mut Vec<u8>,
+) -> Result<Option<(&'b str, &'b [u8])>, DecodeError> {
+    record.clear();
+    // magic 8 + version 2 + kind length 8, read before anything is sized.
+    let mut head = [0u8; 18];
+    let got = fill(reader, &mut head[..8])?;
     if got == 0 {
         return Ok(None);
     }
-    if got < magic.len() {
+    if got < 8 {
         return Err(DecodeError::Truncated {
-            needed: (magic.len() - got) as u64,
+            needed: (8 - got) as u64,
             available: 0,
         });
     }
-    if magic != MAGIC {
+    if head[..8] != MAGIC {
         return Err(DecodeError::BadMagic);
     }
-
-    let mut version = [0u8; 2];
-    fill_exact(reader, &mut version)?;
-    let found = u16::from_le_bytes(version);
+    fill_exact(reader, &mut head[8..10])?;
+    let found = u16::from_le_bytes([head[8], head[9]]);
     if found != FORMAT_VERSION {
         // A future envelope may lay its fields out differently; bail
         // before trusting any length read under the wrong layout.
@@ -251,40 +321,39 @@ pub fn read_record_from<R: Read + ?Sized>(
             supported: FORMAT_VERSION,
         });
     }
+    fill_exact(reader, &mut head[10..])?;
+    let kind_len = u64::from_le_bytes(head[10..].try_into().expect("8 bytes"));
+    if kind_len > MAX_STREAM_KIND_LEN {
+        return Err(DecodeError::InvalidValue {
+            what: "stream record kind length",
+        });
+    }
+    // The kind tag and the payload length.
+    record.reserve(head.len() + kind_len as usize + 8);
+    record.extend_from_slice(&head);
+    append_exact(reader, record, kind_len as usize + 8)?;
+    let len_at = record.len() - 8;
+    let payload_len = u64::from_le_bytes(record[len_at..].try_into().expect("8 bytes"));
+    if payload_len > MAX_STREAM_PAYLOAD_LEN {
+        return Err(DecodeError::InvalidValue {
+            what: "stream record payload length",
+        });
+    }
+    // The payload and its CRC.
+    append_exact(reader, record, payload_len as usize + 4)?;
+    let record: &'b Vec<u8> = record;
+    decode_record(record).map(Some)
+}
 
-    let mut record = Vec::with_capacity(64);
-    record.extend_from_slice(&magic);
-    record.extend_from_slice(&version);
-
-    let mut read_block = |record: &mut Vec<u8>, cap: u64, what| -> Result<(), DecodeError> {
-        let mut len_bytes = [0u8; 8];
-        fill_exact(reader, &mut len_bytes)?;
-        record.extend_from_slice(&len_bytes);
-        let len = u64::from_le_bytes(len_bytes);
-        if len > cap {
-            return Err(DecodeError::InvalidValue { what });
-        }
-        let start = record.len();
-        record.resize(start + len as usize, 0);
-        fill_exact(reader, &mut record[start..])
-    };
-    read_block(
-        &mut record,
-        MAX_STREAM_KIND_LEN,
-        "stream record kind length",
-    )?;
-    read_block(
-        &mut record,
-        MAX_STREAM_PAYLOAD_LEN,
-        "stream record payload length",
-    )?;
-
-    let mut checksum = [0u8; 4];
-    fill_exact(reader, &mut checksum)?;
-    record.extend_from_slice(&checksum);
-
-    let (kind, payload) = decode_record(&record)?;
-    Ok(Some((kind, payload.to_vec())))
+/// Appends exactly `n` bytes read off `reader` to `buf`, or fails typed.
+fn append_exact<R: Read + ?Sized>(
+    reader: &mut R,
+    buf: &mut Vec<u8>,
+    n: usize,
+) -> Result<(), DecodeError> {
+    let start = buf.len();
+    buf.resize(start + n, 0);
+    fill_exact(reader, &mut buf[start..])
 }
 
 /// Reports whether `buf` starts with one complete record, and how long
@@ -383,7 +452,7 @@ pub fn read_record_file(path: &Path) -> Result<(String, Vec<u8>), DecodeError> {
         message: e.to_string(),
     })?;
     let (kind, payload) = decode_record(&bytes)?;
-    Ok((kind, payload.to_vec()))
+    Ok((kind.to_string(), payload.to_vec()))
 }
 
 #[cfg(test)]
@@ -395,6 +464,57 @@ mod tests {
         // The IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The plain one-table CRC-32, one byte per step.
+    fn bytewise_crc32(bytes: &[u8]) -> u32 {
+        let table = &crc_tables()[0];
+        !bytes.iter().fold(!0u32, |crc, &b| {
+            table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8)
+        })
+    }
+
+    #[test]
+    fn sliced_crc_matches_the_bytewise_reference() {
+        let bytes: Vec<u8> = (0u32..257).map(|i| (i * 31 + 7) as u8).collect();
+        for len in 0..=bytes.len() {
+            assert_eq!(
+                crc32(&bytes[..len]),
+                bytewise_crc32(&bytes[..len]),
+                "len {len}"
+            );
+        }
+        let input = &bytes[..64];
+        for split in 0..=input.len() {
+            let mut hasher = Crc32::new();
+            hasher.update(&input[..split]);
+            hasher.update(&input[split..]);
+            assert_eq!(hasher.finalize(), bytewise_crc32(input), "split at {split}");
+        }
+    }
+
+    #[test]
+    fn record_into_appends_the_same_bytes_and_reads_back_borrowed() {
+        let mut out = b"dirty".to_vec();
+        encode_record_into(&mut out, "into.v1", |w| w.put_raw(b"payload"));
+        assert_eq!(out[5..], encode_record("into.v1", b"payload")[..]);
+
+        // One reused buffer reads back-to-back records, borrowing each.
+        let mut stream = encode_record("a.v1", &[0xCD; 200]);
+        stream.extend_from_slice(&encode_record("b.v1", b"x"));
+        let mut reader = &stream[..];
+        let mut record = Vec::new();
+        let (kind, payload) = read_record_into(&mut reader, &mut record).unwrap().unwrap();
+        assert_eq!((kind, payload), ("a.v1", &[0xCD; 200][..]));
+        let grown = record.capacity();
+        let (kind, payload) = read_record_into(&mut reader, &mut record).unwrap().unwrap();
+        assert_eq!((kind, payload), ("b.v1", &b"x"[..]));
+        assert_eq!(
+            record.capacity(),
+            grown,
+            "a smaller record reuses the buffer"
+        );
+        assert_eq!(read_record_into(&mut reader, &mut record), Ok(None));
     }
 
     #[test]

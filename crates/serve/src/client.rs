@@ -22,11 +22,15 @@
 //! retry cap into the typed [`IoError::RingSaturated`] — a hostile or
 //! misconfigured server can neither blow the stack nor spin the client
 //! forever.
+//!
+//! A client owns one write buffer, one record buffer and its parked
+//! request list for its whole life, so a round trip allocates only the
+//! completion list it decodes.
 
 use crate::net::{Endpoint, Stream};
 use crate::wire::{
-    Body, BusyReason, ErrCode, Frame, FrameHeader, LaneAck, LaneTarget, WireStats, CONTROL_LANE,
-    WIRE_VERSION,
+    recycle, Body, BusyReason, ErrCode, Frame, FrameHeader, LaneAck, LaneTarget, WireStats,
+    CONTROL_LANE, WIRE_VERSION,
 };
 use std::collections::VecDeque;
 use std::io::{self, BufReader};
@@ -60,6 +64,9 @@ struct LaneCli {
     /// The request awaiting its response: `(seq, body)`. Encoded at send
     /// time so a resume under a fresh token re-frames it correctly.
     pending: Option<(u64, Body)>,
+    /// The request list of the last answered submit, kept for the next
+    /// one to fill.
+    spare_reqs: Vec<IoRequest>,
 }
 
 impl LaneCli {
@@ -68,6 +75,7 @@ impl LaneCli {
             next_seq: 1,
             last_received: 0,
             pending: None,
+            spare_reqs: Vec::new(),
         }
     }
 }
@@ -81,6 +89,10 @@ pub struct WireClient {
     writer: Box<dyn Stream>,
     token: u64,
     lanes: Vec<LaneCli>,
+    /// The frame being sent, encoded in place.
+    wbuf: Vec<u8>,
+    /// The record being read, filled in place.
+    rbuf: Vec<u8>,
     /// Test hook: shut the connection down after this many more
     /// data-frame writes (simulating a mid-stream kill).
     kill_after: Option<u64>,
@@ -137,6 +149,8 @@ impl WireClient {
             writer,
             token,
             lanes: vec![LaneCli::new()],
+            wbuf: Vec::new(),
+            rbuf: Vec::new(),
             kill_after: None,
             frames_sent: 0,
             resumes: 0,
@@ -209,13 +223,29 @@ impl WireClient {
         }
         let (got_lane, got_seq, resp) = self.read_response()?;
         if got_lane == lane && got_seq == seq {
-            self.lanes[li].pending = None;
-            self.lanes[li].last_received = seq;
+            let l = &mut self.lanes[li];
+            if let Some((_, Body::Submit { reqs })) = l.pending.take() {
+                l.spare_reqs = reqs;
+            }
+            l.last_received = seq;
             return Ok(resp);
         }
         Err(proto_err(format!(
             "response for lane {got_lane} seq {got_seq} while awaiting lane {lane} seq {seq}: {resp:?}"
         )))
+    }
+
+    /// [`call`](WireClient::call) with a `SUBMIT` of `reqs`, built in the
+    /// lane's kept request list.
+    ///
+    /// # Errors
+    ///
+    /// As [`call`](WireClient::call).
+    fn call_submit(&mut self, lane: u32, reqs: &[IoRequest]) -> io::Result<Body> {
+        let mut list = std::mem::take(&mut self.lanes[lane as usize].spare_reqs);
+        list.clear();
+        list.extend_from_slice(reqs);
+        self.call(lane, Body::Submit { reqs: list })
     }
 
     /// Flushes `epoch` on every lane in `lanes` — all flush frames are
@@ -324,7 +354,9 @@ impl WireClient {
     /// body)`.
     fn read_response(&mut self) -> io::Result<(u32, u64, Body)> {
         loop {
-            match Frame::read_from(&mut self.reader) {
+            let read = Frame::read_into(&mut self.reader, &mut self.rbuf);
+            recycle(&mut self.rbuf);
+            match read {
                 Ok(Some(frame)) => {
                     return Ok((frame.header.lane, frame.header.seq, frame.body));
                 }
@@ -339,19 +371,23 @@ impl WireClient {
     /// Encodes and sends lane `li`'s parked request under the current
     /// token.
     fn send_pending(&mut self, li: usize) -> io::Result<()> {
-        let Some((seq, body)) = self.lanes[li].pending.clone() else {
+        // The body moves into the frame and back: nothing is cloned.
+        let Some((seq, body)) = self.lanes[li].pending.take() else {
             return Ok(());
         };
-        let bytes = Frame::new(
-            FrameHeader {
-                session: self.token,
-                lane: li as u32,
-                seq,
-            },
-            body,
-        )
-        .encode();
-        self.send_bytes(&bytes)
+        let header = FrameHeader {
+            session: self.token,
+            lane: li as u32,
+            seq,
+        };
+        let frame = Frame::new(header, body);
+        let mut bytes = std::mem::take(&mut self.wbuf);
+        frame.encode_into(&mut bytes);
+        self.lanes[li].pending = Some((seq, frame.body));
+        let sent = self.send_bytes(&bytes);
+        recycle(&mut bytes);
+        self.wbuf = bytes;
+        sent
     }
 
     fn send_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
@@ -603,46 +639,41 @@ impl RemoteDevice {
     }
 }
 
-impl BlockDevice for RemoteDevice {
-    fn info(&self) -> DeviceInfo {
-        self.info.clone()
-    }
-
-    fn submit(&mut self, req: &IoRequest) -> IoResult {
-        let completions = self.submit_batch(&IoBatch::from(vec![*req]))?;
-        Ok(completions[0].completes)
-    }
-
-    fn submit_batch(&mut self, batch: &IoBatch) -> Result<Vec<Completion>, IoError> {
-        let reqs = batch.requests();
-        let mut out = Vec::with_capacity(reqs.len());
-        // Iterative ring-full splitting: an explicit work queue of
-        // `(start, len)` chunks, processed left-to-right so completions
-        // come out in submission order. A split pushes the two halves
-        // back at the front (left first); depth is bounded by the queue,
-        // not the call stack.
-        let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
-        if !reqs.is_empty() {
-            queue.push_back((0, reqs.len()));
-        }
+impl RemoteDevice {
+    /// Doorbells `reqs` through as many `SUBMIT` round trips as the
+    /// server's backpressure needs, appending completions to `out` in
+    /// submission order. On error `out` may hold a prefix of them.
+    fn submit_requests(
+        &mut self,
+        reqs: &[IoRequest],
+        out: &mut Vec<Completion>,
+    ) -> Result<(), IoError> {
+        // Iterative ring-full splitting: `next` is the chunk to send, as
+        // `(start, len)`, and chunks still owed after it wait on an
+        // explicit work queue, built at the first split. Chunks go
+        // left-to-right, so completions come out in submission order; a
+        // split sends the left half next and queues the right half at
+        // the front. Depth is bounded by the queue, not the call stack.
+        let mut queue: Option<VecDeque<(usize, usize)>> = None;
+        let mut next = (!reqs.is_empty()).then_some((0, reqs.len()));
         let mut refusals: u32 = 0;
-        while let Some((start, len)) = queue.pop_front() {
-            let chunk = &reqs[start..start + len];
+        while let Some((start, len)) = next {
             match self
                 .client
-                .call(
-                    self.lane,
-                    Body::Submit {
-                        reqs: chunk.to_vec(),
-                    },
-                )
+                .call_submit(self.lane, &reqs[start..start + len])
                 .unwrap_or_else(|e| panic!("connection lost beyond recovery: {e}"))
             {
-                Body::Completions { completions } => {
-                    out.extend(completions.into_iter().map(|c| Completion {
-                        index: start + c.index,
-                        ..c
-                    }));
+                Body::Completions { mut completions } => {
+                    for c in &mut completions {
+                        c.index += start;
+                    }
+                    // An empty queue takes the decoded list as it is.
+                    if out.is_empty() {
+                        *out = completions;
+                    } else {
+                        out.extend_from_slice(&completions);
+                    }
+                    next = queue.as_mut().and_then(VecDeque::pop_front);
                 }
                 Body::Busy {
                     reason: BusyReason::RingFull,
@@ -650,8 +681,10 @@ impl BlockDevice for RemoteDevice {
                     if len > 1 {
                         self.ring_full_splits += 1;
                         let mid = len / 2;
-                        queue.push_front((start + mid, len - mid));
-                        queue.push_front((start, mid));
+                        queue
+                            .get_or_insert_with(VecDeque::new)
+                            .push_front((start + mid, len - mid));
+                        next = Some((start, mid));
                     } else {
                         // A 1-request chunk cannot split further; a ring
                         // that still refuses it is saturated (or lying).
@@ -659,7 +692,6 @@ impl BlockDevice for RemoteDevice {
                         if refusals > RING_RETRY_CAP {
                             return Err(IoError::RingSaturated { ring: 1, refusals });
                         }
-                        queue.push_front((start, len));
                     }
                 }
                 Body::Busy {
@@ -667,7 +699,6 @@ impl BlockDevice for RemoteDevice {
                 } => {
                     self.overload_retries += 1;
                     std::thread::sleep(OVERLOAD_BACKOFF);
-                    queue.push_front((start, len));
                 }
                 Body::Err { io: Some(e), .. } => return Err(e),
                 Body::Err {
@@ -676,7 +707,40 @@ impl BlockDevice for RemoteDevice {
                 other => panic!("unexpected frame mid-submit: {other:?}"),
             }
         }
-        Ok(out)
+        Ok(())
+    }
+}
+
+impl BlockDevice for RemoteDevice {
+    fn info(&self) -> DeviceInfo {
+        self.info.clone()
+    }
+
+    fn submit(&mut self, req: &IoRequest) -> IoResult {
+        let mut completions = Vec::new();
+        self.submit_requests(std::slice::from_ref(req), &mut completions)?;
+        Ok(completions[0].completes)
+    }
+
+    /// Returns the completion list decoded from the server's reply as
+    /// it is, when the batch needed one round trip.
+    fn submit_batch(&mut self, batch: &IoBatch) -> Result<Vec<Completion>, IoError> {
+        let mut completions = Vec::new();
+        self.submit_batch_into(batch, &mut completions)?;
+        Ok(completions)
+    }
+
+    fn submit_batch_into(
+        &mut self,
+        batch: &IoBatch,
+        completions: &mut Vec<Completion>,
+    ) -> Result<(), IoError> {
+        let entry = completions.len();
+        let result = self.submit_requests(batch.requests(), completions);
+        if result.is_err() {
+            completions.truncate(entry);
+        }
+        result
     }
 }
 

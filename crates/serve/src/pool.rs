@@ -133,7 +133,17 @@ impl std::fmt::Debug for InflightGuard {
 
 struct Lane {
     label: String,
-    shared: Mutex<SharedDevice<Box<dyn BlockDevice + Send>>>,
+    state: Mutex<LaneState>,
+}
+
+/// What a lane's lock guards: the shared device, plus the doorbell
+/// scratch [`ServePool::submit`] rebuilds and reuses for every batch.
+struct LaneState {
+    shared: SharedDevice<Box<dyn BlockDevice + Send>>,
+    /// The batch as doorbelled, shifted to the rate budget's grant.
+    batch: IoBatch,
+    /// The issuing session of each batched request.
+    owners: Vec<SessionId>,
 }
 
 /// Typed handles into the pool's [`ObsHub`] for one lane.
@@ -351,7 +361,11 @@ impl ServePool {
             .into_iter()
             .map(|(label, dev)| Lane {
                 label,
-                shared: Mutex::new(SharedDevice::new(dev)),
+                state: Mutex::new(LaneState {
+                    shared: SharedDevice::new(dev),
+                    batch: IoBatch::new(),
+                    owners: Vec::new(),
+                }),
             })
             .collect();
         let obs = ObsHub::new();
@@ -507,7 +521,7 @@ impl ServePool {
     /// range.
     pub fn open(&self, device: usize) -> Option<(PoolSession, DeviceInfo)> {
         let lane = self.lanes.get(device)?;
-        let mut shared = lane.shared.lock().expect("lane lock");
+        let shared = &mut lane.state.lock().expect("lane lock").shared;
         let session = shared.open_session();
         let info = shared.info();
         Some((
@@ -522,21 +536,26 @@ impl ServePool {
     }
 
     /// Submits one batch under `sess`, applying ring bound, overload
-    /// shedding and the session's rate budget (see the [module
-    /// docs](self)).
+    /// shedding and the session's rate budget, in that order, and
+    /// appends one [`Completion`] per request to the caller's queue
+    /// `completions`, index-aligned with `reqs`.
     ///
     /// On success the returned [`InflightGuard`] holds the batch's
     /// admission slot; drop it once the completions have been delivered.
+    /// Once `completions` and the lane's doorbell scratch have grown to
+    /// the ring size, a doorbell allocates nothing.
     ///
     /// # Errors
     ///
     /// [`Rejection::Busy`] refusals issue no I/O. [`Rejection::Io`]
-    /// propagates the device's typed error.
+    /// propagates the device's typed error. Either way `completions` is
+    /// left at its length on entry.
     pub fn submit(
         &self,
         sess: &mut PoolSession,
         reqs: &[IoRequest],
-    ) -> Result<(Vec<Completion>, InflightGuard), Rejection> {
+        completions: &mut Vec<Completion>,
+    ) -> Result<InflightGuard, Rejection> {
         if reqs.len() > self.config.ring {
             self.busy_ring_full.fetch_add(1, Ordering::Relaxed);
             self.obs.inc(self.oids.busy_ring_full);
@@ -564,8 +583,6 @@ impl ServePool {
         let guard = InflightGuard {
             inflight: Arc::clone(&self.inflight),
         };
-        self.obs
-            .set_max(self.oids.inflight_peak, (current + 1) as i64);
 
         // Rate budget: shift the whole batch to the bucket's grant
         // instant (relative spacing within the batch is preserved).
@@ -579,46 +596,60 @@ impl ServePool {
             if delay_nanos > 0 {
                 sess.throttled += 1;
                 self.throttled.fetch_add(1, Ordering::Relaxed);
-                self.obs.inc(self.oids.throttled);
             }
         }
 
-        let mut batch = IoBatch::with_capacity(reqs.len());
-        for req in reqs {
-            let mut shifted = *req;
-            shifted.submit_time =
-                SimTime::from_nanos(shifted.submit_time.as_nanos().saturating_add(delay_nanos));
-            batch.push(shifted);
-        }
-        let owners = vec![sess.session; batch.len()];
-        let lane = &self.lanes[sess.device];
-        let mut completions = Vec::with_capacity(batch.len());
-        {
-            let mut shared = lane.shared.lock().expect("lane lock");
-            shared
-                .submit_batch_shared(&owners, &mut batch, &mut completions)
-                .map_err(Rejection::Io)?;
+        let base = completions.len();
+        let result = {
+            let mut lane = self.lanes[sess.device].state.lock().expect("lane lock");
+            let LaneState {
+                shared,
+                batch,
+                owners,
+            } = &mut *lane;
+            batch.clear();
+            for req in reqs {
+                let mut shifted = *req;
+                shifted.submit_time =
+                    SimTime::from_nanos(shifted.submit_time.as_nanos().saturating_add(delay_nanos));
+                batch.push(shifted);
+            }
+            owners.clear();
+            owners.resize(reqs.len(), sess.session);
+            shared.submit_batch_shared(owners, batch, completions)
             // Lock released here — never held across a response write
             // (and never while touching the obs hub: the hub-then-lane
             // order in obs_snapshot stays deadlock-free).
-        }
-        self.obs.inc(self.oids.batches);
-        let bytes: u64 = reqs.iter().map(|r| r.len as u64).sum();
-        self.obs.add(self.oids.ios, reqs.len() as u64);
-        self.obs.add(self.oids.bytes, bytes);
-        if let Some(ids) = self.oids.lanes.get(sess.device).copied() {
-            self.obs.add(ids.ios, reqs.len() as u64);
-            self.obs.add(ids.bytes, bytes);
-            self.obs.record_ns(ids.batch_size, reqs.len() as u64);
-            self.obs.set_max(ids.queue_depth, reqs.len() as i64);
-            for c in &completions {
-                self.obs.record_ns(
-                    ids.service,
-                    c.completes.saturating_since(c.submitted).as_nanos(),
-                );
+        };
+        // Every telemetry update of the doorbell, under one hub lock.
+        let oids = &self.oids;
+        self.obs.with_registry(|obs| {
+            obs.set_max(oids.inflight_peak, (current + 1) as i64);
+            if delay_nanos > 0 {
+                obs.inc(oids.throttled);
             }
-        }
-        Ok((completions, guard))
+            if result.is_err() {
+                return;
+            }
+            let bytes: u64 = reqs.iter().map(|r| r.len as u64).sum();
+            obs.inc(oids.batches);
+            obs.add(oids.ios, reqs.len() as u64);
+            obs.add(oids.bytes, bytes);
+            if let Some(ids) = oids.lanes.get(sess.device) {
+                obs.add(ids.ios, reqs.len() as u64);
+                obs.add(ids.bytes, bytes);
+                obs.record_ns(ids.batch_size, reqs.len() as u64);
+                obs.set_max(ids.queue_depth, reqs.len() as i64);
+                for c in &completions[base..] {
+                    obs.record_ns(
+                        ids.service,
+                        c.completes.saturating_since(c.submitted).as_nanos(),
+                    );
+                }
+            }
+        });
+        result.map_err(Rejection::Io)?;
+        Ok(guard)
     }
 
     /// Whether `sess` still names a live session on its lane — the
@@ -626,16 +657,21 @@ impl ServePool {
     /// lanes onto the pool.
     pub fn validate_session(&self, sess: &PoolSession) -> bool {
         self.lanes.get(sess.device).is_some_and(|lane| {
-            lane.shared
+            lane.state
                 .lock()
                 .expect("lane lock")
+                .shared
                 .has_session(sess.session)
         })
     }
 
     /// The session's ledger and its lane's queue head.
     pub fn stats(&self, sess: &PoolSession) -> (SessionStats, SimTime) {
-        let shared = self.lanes[sess.device].shared.lock().expect("lane lock");
+        let shared = &self.lanes[sess.device]
+            .state
+            .lock()
+            .expect("lane lock")
+            .shared;
         (*shared.stats(sess.session), shared.queue_head())
     }
 
@@ -663,7 +699,7 @@ impl ServePool {
                 .iter()
                 .enumerate()
                 .map(|(index, lane)| {
-                    let shared = lane.shared.lock().expect("lane lock");
+                    let shared = &lane.state.lock().expect("lane lock").shared;
                     let info = shared.info();
                     DeviceLaneReport {
                         index,
@@ -699,7 +735,7 @@ impl ServePool {
         // (submit records hub-side only after releasing its lane lock).
         let mut reg = self.obs.with_registry(|r| r.clone());
         for (i, lane) in self.lanes.iter().enumerate() {
-            let shared = lane.shared.lock().expect("lane lock");
+            let shared = &lane.state.lock().expect("lane lock").shared;
             shared
                 .inner()
                 .observe_into(&format!("serve.device{i}"), &mut reg);
@@ -743,6 +779,7 @@ impl ServePool {
             pool: self,
             session,
             info,
+            single: Vec::new(),
         })
     }
 }
@@ -759,6 +796,8 @@ pub struct PoolDevice<'a> {
     pool: &'a ServePool,
     session: PoolSession,
     info: DeviceInfo,
+    /// The completion queue of single-request [`BlockDevice::submit`]s.
+    single: Vec<Completion>,
 }
 
 impl PoolDevice<'_> {
@@ -768,37 +807,63 @@ impl PoolDevice<'_> {
     }
 }
 
+/// Doorbells `reqs` (at most one ring) on `session`, yielding through
+/// overload refusals, and appends their completions to `out`.
+fn doorbell(
+    pool: &ServePool,
+    session: &mut PoolSession,
+    reqs: &[IoRequest],
+    out: &mut Vec<Completion>,
+) -> Result<(), IoError> {
+    loop {
+        match pool.submit(session, reqs, out) {
+            Ok(_guard) => return Ok(()),
+            Err(Rejection::Busy(_)) => std::thread::yield_now(),
+            Err(Rejection::Io(e)) => return Err(e),
+        }
+    }
+}
+
 impl BlockDevice for PoolDevice<'_> {
     fn info(&self) -> DeviceInfo {
         self.info.clone()
     }
 
     fn submit(&mut self, req: &IoRequest) -> IoResult {
-        let completions = self.submit_batch(&IoBatch::from(vec![*req]))?;
-        Ok(completions[0].completes)
+        self.single.clear();
+        doorbell(
+            self.pool,
+            &mut self.session,
+            std::slice::from_ref(req),
+            &mut self.single,
+        )?;
+        Ok(self.single[0].completes)
     }
 
     fn submit_batch(&mut self, batch: &IoBatch) -> Result<Vec<Completion>, IoError> {
-        let ring = self.pool.config.ring;
         let mut out = Vec::with_capacity(batch.len());
-        for chunk in batch.requests().chunks(ring) {
-            let base = out.len();
-            loop {
-                match self.pool.submit(&mut self.session, chunk) {
-                    Ok((completions, guard)) => {
-                        drop(guard);
-                        out.extend(completions.into_iter().map(|c| Completion {
-                            index: base + c.index,
-                            ..c
-                        }));
-                        break;
-                    }
-                    Err(Rejection::Busy(_)) => std::thread::yield_now(),
-                    Err(Rejection::Io(e)) => return Err(e),
-                }
+        self.submit_batch_into(batch, &mut out)?;
+        Ok(out)
+    }
+
+    fn submit_batch_into(
+        &mut self,
+        batch: &IoBatch,
+        completions: &mut Vec<Completion>,
+    ) -> Result<(), IoError> {
+        let entry = completions.len();
+        for (i, chunk) in batch.requests().chunks(self.pool.config.ring).enumerate() {
+            let start = completions.len();
+            if let Err(e) = doorbell(self.pool, &mut self.session, chunk, completions) {
+                completions.truncate(entry);
+                return Err(e);
+            }
+            let base = i * self.pool.config.ring;
+            for c in &mut completions[start..] {
+                c.index += base;
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -837,6 +902,24 @@ mod tests {
         SimTime::from_nanos(nanos)
     }
 
+    /// One doorbell into a fresh completion queue.
+    fn submit(
+        pool: &ServePool,
+        sess: &mut PoolSession,
+        reqs: &[IoRequest],
+    ) -> Result<(Vec<Completion>, InflightGuard), Rejection> {
+        let mut completions = vec![Completion::of(9, &reqs[0], at(0))];
+        let result = pool.submit(sess, reqs, &mut completions);
+        let completions = completions.split_off(1);
+        match result {
+            Ok(guard) => Ok((completions, guard)),
+            Err(e) => {
+                assert!(completions.is_empty(), "a refused doorbell appends nothing");
+                Err(e)
+            }
+        }
+    }
+
     #[test]
     fn sessions_submit_and_account_per_lane() {
         let pool = pool(PoolConfig::default());
@@ -847,10 +930,10 @@ mod tests {
             IoRequest::write(0, 4096, at(0)),
             IoRequest::read(4096, 512, at(5)),
         ];
-        let (completions, guard) = pool.submit(&mut s0, &reqs).unwrap();
+        let (completions, guard) = submit(&pool, &mut s0, &reqs).unwrap();
         assert_eq!(completions.len(), 2);
         drop(guard);
-        let (completions, guard) = pool.submit(&mut s1, &reqs[..1]).unwrap();
+        let (completions, guard) = submit(&pool, &mut s1, &reqs[..1]).unwrap();
         assert_eq!(completions.len(), 1);
         drop(guard);
         let report = pool.report();
@@ -876,7 +959,7 @@ mod tests {
             IoRequest::write(1024, 512, at(0)),
         ];
         assert_eq!(
-            pool.submit(&mut s, &reqs).unwrap_err(),
+            submit(&pool, &mut s, &reqs).unwrap_err(),
             Rejection::Busy(BusyReason::RingFull)
         );
         assert_eq!(pool.busy_ring_full(), 1);
@@ -892,16 +975,16 @@ mod tests {
         });
         let (mut s, _) = pool.open(0).unwrap();
         let reqs = [IoRequest::write(0, 512, at(0))];
-        let (_, guard) = pool.submit(&mut s, &reqs).unwrap();
+        let (_, guard) = submit(&pool, &mut s, &reqs).unwrap();
         // The first batch's guard is still alive: the next arrival sheds.
         assert_eq!(
-            pool.submit(&mut s, &reqs).unwrap_err(),
+            submit(&pool, &mut s, &reqs).unwrap_err(),
             Rejection::Busy(BusyReason::Overload)
         );
         assert_eq!(pool.shed_overload(), 1);
         drop(guard);
         // Slot free again: the retry is admitted.
-        let (_, guard) = pool.submit(&mut s, &reqs).unwrap();
+        let (_, guard) = submit(&pool, &mut s, &reqs).unwrap();
         drop(guard);
         assert_eq!(pool.report().total_ios(), 2);
     }
@@ -917,7 +1000,7 @@ mod tests {
         let reqs: Vec<IoRequest> = (0..4)
             .map(|i| IoRequest::write(i * (512 << 10), 512 << 10, at(0)))
             .collect();
-        let (completions, guard) = pool.submit(&mut s, &reqs).unwrap();
+        let (completions, guard) = submit(&pool, &mut s, &reqs).unwrap();
         drop(guard);
         // 2 MB against a 1 MB burst: 1 MB of deficit at 1 MB/s = 1 s.
         assert!(completions[0].submitted >= at(999_000_000));
@@ -931,12 +1014,12 @@ mod tests {
         let (mut s, _) = pool.open(0).unwrap();
         let reqs = [IoRequest::write(1 << 40, 512, at(0))];
         assert!(matches!(
-            pool.submit(&mut s, &reqs),
+            submit(&pool, &mut s, &reqs),
             Err(Rejection::Io(IoError::OutOfRange { .. }))
         ));
         // The failed batch's admission slot was released with its guard.
         let ok = [IoRequest::write(0, 512, at(0))];
-        assert!(pool.submit(&mut s, &ok).is_ok());
+        assert!(submit(&pool, &mut s, &ok).is_ok());
     }
 
     #[test]
@@ -959,14 +1042,14 @@ mod tests {
         let reqs = [IoRequest::write(0, 512, at(0))];
         let overload = Rejection::Busy(BusyReason::Overload);
         let mut parked: Vec<InflightGuard> = (0..2)
-            .map(|_| pool.submit(&mut s, &reqs).unwrap().1)
+            .map(|_| submit(&pool, &mut s, &reqs).unwrap().1)
             .collect();
-        assert_eq!(pool.submit(&mut s, &reqs).unwrap_err(), overload);
+        assert_eq!(submit(&pool, &mut s, &reqs).unwrap_err(), overload);
         parked.pop();
-        parked.push(pool.submit(&mut s, &reqs).unwrap().1);
-        assert_eq!(pool.submit(&mut s, &reqs).unwrap_err(), overload);
+        parked.push(submit(&pool, &mut s, &reqs).unwrap().1);
+        assert_eq!(submit(&pool, &mut s, &reqs).unwrap_err(), overload);
         parked.clear();
-        let (_, guard) = pool.submit(&mut s, &reqs).unwrap();
+        let (_, guard) = submit(&pool, &mut s, &reqs).unwrap();
         assert_eq!(pool.report().total_ios(), 4);
         assert_eq!(pool.shed_overload(), 2);
         assert!(pool.validate_session(&s));
@@ -1045,12 +1128,10 @@ mod tests {
                     IoRequest::write(i * 8192, 4096, at(i * 100)),
                     IoRequest::read(i * 8192, 512, at(i * 100 + 10)),
                 ];
-                let (_, g) = pool.submit(&mut s0, &reqs).unwrap();
+                let (_, g) = submit(pool, &mut s0, &reqs).unwrap();
                 drop(g);
             }
-            let (_, g) = pool
-                .submit(&mut s1, &[IoRequest::write(0, 4096, at(9))])
-                .unwrap();
+            let (_, g) = submit(pool, &mut s1, &[IoRequest::write(0, 4096, at(9))]).unwrap();
             drop(g);
         };
         let a = pool(PoolConfig::default());

@@ -32,12 +32,12 @@ use crate::net::{Listener, Stream};
 use crate::poll::Poller;
 use crate::pool::{FleetError, FlushOutcome, InflightGuard, Rejection, ServePool};
 use crate::wire::{
-    is_v1_kind, Body, ErrCode, Frame, FrameHeader, LaneAck, LaneTarget, WireStats, CONTROL_LANE,
-    WIRE_VERSION,
+    is_v1_kind, recycle, Body, ErrCode, Frame, FrameHeader, LaneAck, LaneTarget, WireStats,
+    CONTROL_LANE, KEPT_CAPACITY, WIRE_VERSION,
 };
 use std::io::{self, Read, Write};
 use std::sync::Arc;
-use uc_blockdev::IoRequest;
+use uc_blockdev::{Completion, IoRequest};
 use uc_persist::{decode_record, peek_record_len, DecodeError};
 use uc_workload::TraceEntry;
 
@@ -59,8 +59,9 @@ pub struct EventLoopStats {
     pub dispatches: u64,
     /// Complete frames decoded and handled.
     pub frames: u64,
-    /// Reads that drained a socket dry (`WouldBlock`) — how often a
-    /// connection's request stream out-ran the kernel buffer.
+    /// Reads that found a socket dry (`WouldBlock`). A short read ends a
+    /// readiness event without this extra read, so this counts only
+    /// wakeups whose bytes another read had already taken.
     pub read_stalls: u64,
     /// Writes parked on a full socket buffer (`WouldBlock`) — slow
     /// readers holding their admission slots.
@@ -97,6 +98,9 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 /// connection's drain keeps the loop fair under floods without losing
 /// the wakeup.
 const READ_BUDGET: usize = 256 << 10;
+/// The read window a connection starts with; a read that fills it
+/// doubles it, and it shrinks back to [`KEPT_CAPACITY`] once drained.
+const READ_WINDOW: usize = 16 << 10;
 
 enum LaneBackend {
     Control,
@@ -116,10 +120,7 @@ enum BackendKind {
 struct LaneSrv {
     backend: LaneBackend,
     next_seq: u64,
-    /// The encoded bytes of the last response on this lane (possibly
-    /// several frames, e.g. `LANE_MOVED` + `FLUSH_OK`), keyed by the
-    /// request seq they answer — the resume replay source.
-    cached: Option<(u64, Vec<u8>)>,
+    cached: Cached,
     /// A flush parked on the epoch barrier: `(seq, epoch)`.
     pending_flush: Option<(u64, u64)>,
 }
@@ -129,9 +130,28 @@ impl LaneSrv {
         LaneSrv {
             backend,
             next_seq: 1,
-            cached: None,
+            cached: Cached::default(),
             pending_flush: None,
         }
+    }
+}
+
+/// The encoded bytes of a lane's last response (possibly several
+/// frames, e.g. `LANE_MOVED` + `FLUSH_OK`), keyed by the request seq
+/// they answer — the resume replay source. Each response re-encodes the
+/// one buffer in place.
+#[derive(Default)]
+struct Cached {
+    seq: Option<u64>,
+    bytes: Vec<u8>,
+}
+
+impl Cached {
+    /// Replaces the cache with what `encode` appends, answering `seq`.
+    fn refill(&mut self, seq: u64, encode: impl FnOnce(&mut Vec<u8>)) {
+        recycle(&mut self.bytes);
+        encode(&mut self.bytes);
+        self.seq = Some(seq);
     }
 }
 
@@ -143,9 +163,15 @@ struct SessionSrv {
     closed: bool,
 }
 
+/// One connection's state machine. It owns its read window and write
+/// buffer for its whole life; neither is reallocated per frame.
 struct Conn {
     stream: Box<dyn Stream>,
+    /// The read window: `rbuf[..rlen]` arrived and is not yet framed,
+    /// the rest is room for the next read.
     rbuf: Vec<u8>,
+    rlen: usize,
+    /// Encoded responses; `wbuf[..wpos]` already reached the kernel.
     wbuf: Vec<u8>,
     wpos: usize,
     /// Admission slots held until `wbuf` fully drains.
@@ -158,7 +184,7 @@ struct Conn {
 
 enum SeqCheck {
     Ignore,
-    Resend(Vec<u8>),
+    Resend,
     OutOfOrder,
     New,
 }
@@ -171,6 +197,8 @@ struct EventLoop {
     stats: EventLoopStats,
     closed_sessions: usize,
     live_conns: usize,
+    /// The completion queue every device-lane doorbell appends to.
+    completions: Vec<Completion>,
 }
 
 /// Serves connections on `listener` until `sessions` wire sessions have
@@ -188,35 +216,51 @@ pub fn serve_events(
     pool: &Arc<ServePool>,
     sessions: usize,
 ) -> io::Result<EventLoopStats> {
-    listener.set_nonblocking(true)?;
-    let mut lp = EventLoop {
-        pool: Arc::clone(pool),
-        poller: Poller::new()?,
-        conns: Vec::new(),
-        sessions: Vec::new(),
-        stats: EventLoopStats::default(),
-        closed_sessions: 0,
-        live_conns: 0,
-    };
-    lp.poller.add(listener.raw_fd(), LISTENER_TOKEN, false)?;
+    let mut lp = EventLoop::new(listener, pool)?;
     let mut events = Vec::new();
     while lp.closed_sessions < sessions || lp.has_undelivered_bytes() {
-        lp.poller.wait(&mut events, 1000)?;
-        lp.stats.polls += 1;
-        lp.stats.dispatches += events.len() as u64;
-        for ev in &events {
-            if ev.token == LISTENER_TOKEN {
-                lp.accept_ready(listener);
-            } else if ev.readable {
-                lp.read_ready(ev.token as usize);
-            }
-        }
-        lp.flush_writes();
+        lp.turn(listener, &mut events)?;
     }
     Ok(lp.stats)
 }
 
 impl EventLoop {
+    fn new(listener: &Listener, pool: &Arc<ServePool>) -> io::Result<EventLoop> {
+        listener.set_nonblocking(true)?;
+        let lp = EventLoop {
+            pool: Arc::clone(pool),
+            poller: Poller::new()?,
+            conns: Vec::new(),
+            sessions: Vec::new(),
+            stats: EventLoopStats::default(),
+            closed_sessions: 0,
+            live_conns: 0,
+            completions: Vec::new(),
+        };
+        lp.poller.add(listener.raw_fd(), LISTENER_TOKEN, false)?;
+        Ok(lp)
+    }
+
+    /// One loop iteration: wait for readiness, dispatch it, flush writes.
+    fn turn(
+        &mut self,
+        listener: &Listener,
+        events: &mut Vec<crate::poll::Event>,
+    ) -> io::Result<()> {
+        self.poller.wait(events, 1000)?;
+        self.stats.polls += 1;
+        self.stats.dispatches += events.len() as u64;
+        for ev in events.iter() {
+            if ev.token == LISTENER_TOKEN {
+                self.accept_ready(listener);
+            } else if ev.readable {
+                self.read_ready(ev.token as usize);
+            }
+        }
+        self.flush_writes();
+        Ok(())
+    }
+
     fn has_undelivered_bytes(&self) -> bool {
         self.conns.iter().flatten().any(|c| c.wpos < c.wbuf.len())
     }
@@ -246,6 +290,7 @@ impl EventLoop {
                     self.conns[slot] = Some(Conn {
                         stream,
                         rbuf: Vec::new(),
+                        rlen: 0,
                         wbuf: Vec::new(),
                         wpos: 0,
                         guards: Vec::new(),
@@ -265,38 +310,37 @@ impl EventLoop {
     }
 
     fn read_ready(&mut self, ci: usize) {
-        let mut dead = false;
-        {
-            let Some(conn) = self.conns.get_mut(ci).and_then(Option::as_mut) else {
-                return;
-            };
-            let mut total = 0;
-            let mut buf = [0u8; 16 << 10];
-            loop {
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.rbuf.extend_from_slice(&buf[..n]);
-                        total += n;
-                        if total >= READ_BUDGET {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        self.stats.read_stalls += 1;
-                        break;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
+        let Some(conn) = self.conns.get_mut(ci).and_then(Option::as_mut) else {
+            return;
+        };
+        let mut total = 0;
+        let dead = loop {
+            if conn.rlen == conn.rbuf.len() {
+                let grown = (conn.rbuf.len() * 2).max(READ_WINDOW);
+                conn.rbuf.resize(grown, 0);
+            }
+            let room = conn.rbuf.len() - conn.rlen;
+            match conn.stream.read(&mut conn.rbuf[conn.rlen..]) {
+                Ok(0) => break true,
+                Ok(n) => {
+                    conn.rlen += n;
+                    total += n;
+                    // A short read took everything the socket held.
+                    // Polling is level-triggered, so bytes that arrive
+                    // later, and EOF, are reported again: no second read
+                    // just to see `WouldBlock`.
+                    if n < room || total >= READ_BUDGET {
+                        break false;
                     }
                 }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.stats.read_stalls += 1;
+                    break false;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break true,
             }
-        }
+        };
         if dead {
             self.disconnect(ci);
             return;
@@ -314,13 +358,13 @@ impl EventLoop {
                 if conn.closing {
                     break;
                 }
-                match peek_record_len(&conn.rbuf[pos..]) {
+                match peek_record_len(&conn.rbuf[pos..conn.rlen]) {
                     Ok(None) => break,
                     Ok(Some(len)) => {
                         let record = &conn.rbuf[pos..pos + len];
                         pos += len;
                         decode_record(record)
-                            .and_then(|(kind, payload)| Frame::from_parts(&kind, payload))
+                            .and_then(|(kind, payload)| Frame::from_parts(kind, payload))
                     }
                     Err(e) => Err(e),
                 }
@@ -349,7 +393,12 @@ impl EventLoop {
             }
         }
         if let Some(conn) = self.conns.get_mut(ci).and_then(Option::as_mut) {
-            conn.rbuf.drain(..pos);
+            conn.rbuf.copy_within(pos..conn.rlen, 0);
+            conn.rlen -= pos;
+            if conn.rbuf.len() > KEPT_CAPACITY && conn.rlen <= KEPT_CAPACITY {
+                conn.rbuf.truncate(KEPT_CAPACITY);
+                conn.rbuf.shrink_to_fit();
+            }
         }
     }
 
@@ -386,7 +435,7 @@ impl EventLoop {
                     }
                     self.queue_frame(
                         ci,
-                        Frame::new(
+                        &Frame::new(
                             FrameHeader {
                                 session: token,
                                 lane: CONTROL_LANE,
@@ -440,40 +489,31 @@ impl EventLoop {
             .iter()
             .enumerate()
             .filter_map(|(li, l)| {
-                l.cached.as_ref().and_then(|(cs, _)| {
-                    (*cs > acked(li as u32)).then_some(LaneAck {
-                        lane: li as u32,
-                        seq: *cs,
-                    })
+                let seq = l.cached.seq.filter(|&cs| cs > acked(li as u32))?;
+                Some(LaneAck {
+                    lane: li as u32,
+                    seq,
                 })
             })
             .collect();
         let lanes = (self.sessions[si].lanes.len() - 1) as u32;
-        let replay_bytes: Vec<Vec<u8>> = replay
-            .iter()
-            .map(|a| {
-                self.sessions[si].lanes[a.lane as usize]
-                    .cached
-                    .as_ref()
-                    .expect("replay lane has a cache")
-                    .1
-                    .clone()
-            })
-            .collect();
         self.queue_frame(
             ci,
-            Frame::new(
+            &Frame::new(
                 FrameHeader {
                     session: token,
                     lane: CONTROL_LANE,
                     seq: 0,
                 },
-                Body::ResumeOk { lanes, replay },
+                Body::ResumeOk {
+                    lanes,
+                    replay: replay.clone(),
+                },
             ),
         );
-        for bytes in replay_bytes {
+        for ack in replay {
             self.stats.replays += 1;
-            self.queue_bytes(ci, bytes);
+            self.queue_cached(ci, si, ack.lane as usize);
         }
     }
 
@@ -488,7 +528,7 @@ impl EventLoop {
         if lane >= self.sessions[si].lanes.len() {
             self.queue_frame(
                 ci,
-                Frame::new(
+                &Frame::new(
                     frame.header,
                     Body::Err {
                         code: ErrCode::UnknownLane,
@@ -504,9 +544,10 @@ impl EventLoop {
             if l.pending_flush.is_some_and(|(ps, _)| ps == seq) {
                 SeqCheck::Ignore
             } else if seq + 1 == l.next_seq {
-                match l.cached.as_ref().filter(|(cs, _)| *cs == seq) {
-                    Some((_, bytes)) => SeqCheck::Resend(bytes.clone()),
-                    None => SeqCheck::Ignore,
+                if l.cached.seq == Some(seq) {
+                    SeqCheck::Resend
+                } else {
+                    SeqCheck::Ignore
                 }
             } else if seq != l.next_seq {
                 SeqCheck::OutOfOrder
@@ -517,9 +558,9 @@ impl EventLoop {
         };
         match check {
             SeqCheck::Ignore => return,
-            SeqCheck::Resend(bytes) => {
+            SeqCheck::Resend => {
                 self.stats.replays += 1;
-                self.queue_bytes(ci, bytes);
+                self.queue_cached(ci, si, lane);
                 return;
             }
             SeqCheck::OutOfOrder => {
@@ -552,7 +593,7 @@ impl EventLoop {
                     si,
                     lane,
                     seq,
-                    Frame::new(header, Body::MetricsOk { snapshot }),
+                    &Frame::new(header, Body::MetricsOk { snapshot }),
                 );
             }
             (BackendKind::Control, Body::Close) => {
@@ -561,7 +602,7 @@ impl EventLoop {
                     self.closed_sessions += 1;
                     self.stats.sessions_served += 1;
                 }
-                self.respond_cached(ci, si, lane, seq, Frame::new(header, Body::CloseOk));
+                self.respond_cached(ci, si, lane, seq, &Frame::new(header, Body::CloseOk));
                 if let Some(conn) = self.conns[ci].as_mut() {
                     conn.closing = true;
                 }
@@ -581,7 +622,7 @@ impl EventLoop {
                     si,
                     lane,
                     seq,
-                    Frame::new(
+                    &Frame::new(
                         header,
                         Body::StatsOk {
                             stats: WireStats { stats, queue_head },
@@ -610,7 +651,7 @@ impl EventLoop {
                         },
                     ),
                 };
-                self.respond_cached(ci, si, lane, seq, resp);
+                self.respond_cached(ci, si, lane, seq, &resp);
             }
             (BackendKind::Tenant(t), Body::Flush { epoch }) => {
                 self.handle_tenant_flush(ci, si, lane, seq, t, epoch);
@@ -661,7 +702,7 @@ impl EventLoop {
                 },
             ),
         };
-        self.respond_cached(ci, si, CONTROL_LANE as usize, header.seq, resp);
+        self.respond_cached(ci, si, CONTROL_LANE as usize, header.seq, &resp);
     }
 
     fn handle_device_submit(
@@ -676,46 +717,30 @@ impl EventLoop {
             let LaneBackend::Device(psess) = &mut self.sessions[si].lanes[lane].backend else {
                 unreachable!("backend kind matched Device");
             };
-            self.pool.submit(psess, reqs)
+            self.completions.clear();
+            self.pool.submit(psess, reqs, &mut self.completions)
         };
-        match result {
-            Ok((completions, guard)) => {
+        let body = match result {
+            Ok(guard) => {
                 if let Some(conn) = self.conns[ci].as_mut() {
                     conn.guards.push(guard);
                 }
-                self.respond_cached(
-                    ci,
-                    si,
-                    lane,
-                    header.seq,
-                    Frame::new(header, Body::Completions { completions }),
-                );
+                Body::Completions {
+                    completions: std::mem::take(&mut self.completions),
+                }
             }
-            Err(Rejection::Busy(reason)) => {
-                self.respond_cached(
-                    ci,
-                    si,
-                    lane,
-                    header.seq,
-                    Frame::new(header, Body::Busy { reason }),
-                );
-            }
-            Err(Rejection::Io(e)) => {
-                self.respond_cached(
-                    ci,
-                    si,
-                    lane,
-                    header.seq,
-                    Frame::new(
-                        header,
-                        Body::Err {
-                            code: ErrCode::Io,
-                            io: Some(e),
-                            message: format!("device rejected request: {e}"),
-                        },
-                    ),
-                );
-            }
+            Err(Rejection::Busy(reason)) => Body::Busy { reason },
+            Err(Rejection::Io(e)) => Body::Err {
+                code: ErrCode::Io,
+                io: Some(e),
+                message: format!("device rejected request: {e}"),
+            },
+        };
+        let resp = Frame::new(header, body);
+        self.respond_cached(ci, si, lane, header.seq, &resp);
+        // The queue goes back to the loop for the next doorbell.
+        if let Body::Completions { completions } = resp.body {
+            self.completions = completions;
         }
     }
 
@@ -759,28 +784,22 @@ impl EventLoop {
                             lane: li2 as u32,
                             seq: pseq,
                         };
-                        let mut bytes = Vec::new();
-                        if let LaneBackend::Tenant(t2) = &self.sessions[si2].lanes[li2].backend {
-                            if let Some(mv) = moves.iter().find(|m| m.tenant == *t2) {
-                                bytes.extend_from_slice(
-                                    &Frame::new(
-                                        header2,
-                                        Body::LaneMoved {
-                                            to_device: mv.to_device,
-                                        },
-                                    )
-                                    .encode(),
-                                );
-                            }
-                        }
-                        bytes.extend_from_slice(
-                            &Frame::new(header2, Body::FlushOk { epoch }).encode(),
-                        );
+                        let moved = match &self.sessions[si2].lanes[li2].backend {
+                            LaneBackend::Tenant(t2) => moves.iter().find(|m| m.tenant == *t2),
+                            _ => None,
+                        };
                         let l = &mut self.sessions[si2].lanes[li2];
                         l.pending_flush = None;
-                        l.cached = Some((pseq, bytes.clone()));
+                        l.cached.refill(pseq, |bytes| {
+                            if let Some(mv) = moved {
+                                let to_device = mv.to_device;
+                                Frame::new(header2, Body::LaneMoved { to_device })
+                                    .encode_into(bytes);
+                            }
+                            Frame::new(header2, Body::FlushOk { epoch }).encode_into(bytes);
+                        });
                         if let Some(c2) = conn2 {
-                            self.queue_bytes(c2, bytes);
+                            self.queue_cached(c2, si2, li2);
                         }
                     }
                 }
@@ -792,7 +811,7 @@ impl EventLoop {
                     si,
                     lane,
                     seq,
-                    Frame::new(
+                    &Frame::new(
                         header,
                         Body::Err {
                             code: ErrCode::Io,
@@ -811,7 +830,7 @@ impl EventLoop {
                     si,
                     lane,
                     seq,
-                    Frame::new(
+                    &Frame::new(
                         header,
                         Body::Err {
                             code: ErrCode::Protocol,
@@ -824,21 +843,25 @@ impl EventLoop {
         }
     }
 
-    /// Queues `resp` to `ci` and caches its bytes on the lane for resume
-    /// replay.
-    fn respond_cached(&mut self, ci: usize, si: usize, lane: usize, seq: u64, resp: Frame) {
-        let bytes = resp.encode();
-        self.sessions[si].lanes[lane].cached = Some((seq, bytes.clone()));
-        self.queue_bytes(ci, bytes);
+    /// Re-encodes the lane's resume cache as `resp` and queues it to `ci`.
+    fn respond_cached(&mut self, ci: usize, si: usize, lane: usize, seq: u64, resp: &Frame) {
+        self.sessions[si].lanes[lane]
+            .cached
+            .refill(seq, |bytes| resp.encode_into(bytes));
+        self.queue_cached(ci, si, lane);
     }
 
-    fn queue_frame(&mut self, ci: usize, frame: Frame) {
-        self.queue_bytes(ci, frame.encode());
-    }
-
-    fn queue_bytes(&mut self, ci: usize, bytes: Vec<u8>) {
+    /// Copies the lane's cached response bytes into `ci`'s write buffer.
+    fn queue_cached(&mut self, ci: usize, si: usize, lane: usize) {
         if let Some(conn) = self.conns.get_mut(ci).and_then(Option::as_mut) {
-            conn.wbuf.extend_from_slice(&bytes);
+            conn.wbuf
+                .extend_from_slice(&self.sessions[si].lanes[lane].cached.bytes);
+        }
+    }
+
+    fn queue_frame(&mut self, ci: usize, frame: &Frame) {
+        if let Some(conn) = self.conns.get_mut(ci).and_then(Option::as_mut) {
+            frame.encode_into(&mut conn.wbuf);
         }
     }
 
@@ -852,7 +875,7 @@ impl EventLoop {
             .map_or(0, |si| self.sessions[si].token);
         self.queue_frame(
             ci,
-            Frame::new(
+            &Frame::new(
                 FrameHeader {
                     session,
                     lane: CONTROL_LANE,
@@ -903,7 +926,7 @@ impl EventLoop {
             }
             if !dead {
                 if conn.wpos == conn.wbuf.len() {
-                    conn.wbuf.clear();
+                    recycle(&mut conn.wbuf);
                     conn.wpos = 0;
                     // Responses delivered to the kernel: the admission
                     // slots they were holding are released.
@@ -1027,5 +1050,69 @@ mod tests {
         assert_eq!(stats.sessions_served, 1);
         assert_eq!(stats.connections_accepted, 2);
         assert_eq!(stats.resumes, 0);
+    }
+
+    #[test]
+    fn a_huge_frame_does_not_pin_connection_buffers() {
+        use std::sync::mpsc;
+
+        let pool = Arc::new(ServePool::new(
+            vec![(
+                "ssd".to_string(),
+                Box::new(Ssd::new(SsdConfig::samsung_970_pro(64 << 20)))
+                    as Box<dyn BlockDevice + Send>,
+            )],
+            PoolConfig::default(),
+        ));
+        let listener = Listener::bind(&Endpoint::parse("tcp:127.0.0.1:0").unwrap()).unwrap();
+        let endpoint = listener.local_endpoint().unwrap();
+        let (answered_tx, answered) = mpsc::channel();
+        let (close_tx, close_rx) = mpsc::channel::<()>();
+        let client = std::thread::spawn(move || {
+            let mut client = crate::WireClient::connect(&endpoint).unwrap();
+            let (lane, ..) = client.attach(LaneTarget::Device(0)).unwrap();
+            // One submit frame of more than 1 MiB: far past the ring, so
+            // the server reads it whole, then refuses it.
+            let n = (1 << 20) / 21 + 1;
+            let reqs = vec![IoRequest::write(0, 4096, uc_sim::SimTime::ZERO); n];
+            let frame = Frame::new(
+                FrameHeader::connection(),
+                Body::Submit { reqs: reqs.clone() },
+            );
+            assert!(frame.encode().len() > 1 << 20);
+            let reply = client.call(lane, Body::Submit { reqs }).unwrap();
+            assert_eq!(
+                reply,
+                Body::Busy {
+                    reason: crate::BusyReason::RingFull
+                }
+            );
+            answered_tx.send(()).unwrap();
+            close_rx.recv().unwrap();
+            client.close().unwrap();
+        });
+
+        let mut lp = EventLoop::new(&listener, &pool).unwrap();
+        let mut events = Vec::new();
+        while answered.try_recv().is_err() {
+            lp.turn(&listener, &mut events).unwrap();
+        }
+        let conn = lp
+            .conns
+            .iter()
+            .flatten()
+            .next()
+            .expect("the client's connection");
+        assert!(
+            conn.rbuf.capacity() <= KEPT_CAPACITY && conn.wbuf.capacity() <= KEPT_CAPACITY,
+            "an answered 1 MiB frame left {} B of read and {} B of write buffer",
+            conn.rbuf.capacity(),
+            conn.wbuf.capacity()
+        );
+        close_tx.send(()).unwrap();
+        while lp.closed_sessions < 1 || lp.has_undelivered_bytes() {
+            lp.turn(&listener, &mut events).unwrap();
+        }
+        client.join().unwrap();
     }
 }

@@ -55,7 +55,8 @@ use std::io::{Read, Write};
 use uc_blockdev::{Completion, IoError, IoRequest, SessionStats};
 use uc_obs::ObsSnapshot;
 use uc_persist::{
-    encode_record, ensure, persist_struct, read_record_from, DecodeError, Decoder, Encoder, Persist,
+    encode_record_into, ensure, persist_struct, read_record_into, DecodeError, Decoder, Encoder,
+    Persist,
 };
 use uc_sim::SimTime;
 
@@ -444,6 +445,17 @@ fn requests(r: &mut Decoder<'_>) -> Result<Vec<IoRequest>, DecodeError> {
     Ok(reqs)
 }
 
+/// The capacity a reused frame buffer may keep once it drains: one large
+/// or hostile frame must not pin memory for the life of a connection.
+pub(crate) const KEPT_CAPACITY: usize = 64 << 10;
+
+/// Empties a reused frame buffer, shrinking it back to
+/// [`KEPT_CAPACITY`] if one frame grew it past that.
+pub(crate) fn recycle(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.shrink_to(KEPT_CAPACITY);
+}
+
 /// `true` for a legacy `uc.wire.v1` kind tag (`uc.wire.<kind>.v1`): the
 /// server answers such a frame with a typed `UnsupportedVersion` reject
 /// instead of a generic decode failure.
@@ -459,10 +471,21 @@ impl Frame {
 
     /// Encodes the frame as one complete `uc-persist` record.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Encoder::new();
-        self.header.encode(&mut w);
-        encode_body(&self.body, &mut w);
-        encode_record(self.kind(), w.as_bytes())
+        // Room for any frame without a list, string or snapshot (66 to
+        // 109 bytes), so most frames encode in one allocation.
+        let mut out = Vec::with_capacity(128);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the frame to `out` as one complete `uc-persist` record,
+    /// the same bytes [`Frame::encode`] returns. A connection that
+    /// clears and reuses `out` encodes without allocating.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_record_into(out, self.kind(), |w| {
+            self.header.encode(w);
+            encode_body(&self.body, w);
+        });
     }
 
     /// Rebuilds a frame from a decoded record's kind tag and payload.
@@ -497,9 +520,23 @@ impl Frame {
     /// foreign kind tag, a malformed payload — is a typed
     /// [`DecodeError`].
     pub fn read_from<R: Read + ?Sized>(reader: &mut R) -> Result<Option<Frame>, DecodeError> {
-        match read_record_from(reader)? {
+        Frame::read_into(reader, &mut Vec::new())
+    }
+
+    /// Reads the next frame off `reader` through `record`, a buffer the
+    /// caller owns and reuses (see [`read_record_into`]); only the
+    /// frame's own lists and strings are allocated.
+    ///
+    /// # Errors
+    ///
+    /// As [`Frame::read_from`].
+    pub(crate) fn read_into<R: Read + ?Sized>(
+        reader: &mut R,
+        record: &mut Vec<u8>,
+    ) -> Result<Option<Frame>, DecodeError> {
+        match read_record_into(reader, record)? {
             None => Ok(None),
-            Some((kind, payload)) => Frame::from_parts(&kind, &payload).map(Some),
+            Some((kind, payload)) => Frame::from_parts(kind, payload).map(Some),
         }
     }
 
@@ -767,6 +804,19 @@ mod tests {
             ("uc.wire.err.v2", (87, 0x1014_6ee9)),
         ];
         assert_eq!(actual, golden);
+    }
+
+    #[test]
+    fn encode_into_a_dirty_reused_buffer_matches_encode() {
+        let mut buf = vec![0xA5; 4096];
+        for f in sample_frames() {
+            // Stale bytes ahead of the record stay; the record appended
+            // after them is exactly `encode`'s.
+            buf.truncate(3);
+            f.encode_into(&mut buf);
+            assert_eq!(buf[3..], f.encode()[..], "{}", f.kind());
+        }
+        assert_eq!(buf.capacity(), 4096, "no frame outgrew the reused buffer");
     }
 
     #[test]

@@ -103,7 +103,10 @@ pub fn encode_trace(trace: &Trace) -> Vec<u8> {
 pub fn decode_trace(bytes: &[u8]) -> Result<Trace, TraceFileError> {
     let (kind, payload) = uc_persist::decode_record(bytes)?;
     if kind != TRACE_RECORD_KIND {
-        return Err(DecodeError::UnknownKind { found: kind }.into());
+        return Err(DecodeError::UnknownKind {
+            found: kind.to_string(),
+        }
+        .into());
     }
     let mut r = Decoder::new(payload);
     let count = r.get_u64()?;

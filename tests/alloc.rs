@@ -8,11 +8,16 @@
 //! than running `N` — the per-run set-up (report, heap, batch, queue
 //! growth) is paid once, the per-I/O path nothing.
 //!
+//! A served round trip allocates only the list each side decodes: the
+//! request list on the server, the completion list on the client. Every
+//! wire buffer is owned by its connection and reused.
+//!
 //! The allocator also records each thread's largest single allocation,
 //! which bounds what a hostile wire frame can make the decoder reserve.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use unwritten_contract::blockdev::{submit_each, IoResult};
 use unwritten_contract::prelude::*;
 use unwritten_contract::workload::Shaper;
 
@@ -128,6 +133,92 @@ fn shaped_essd_jobs_do_not_allocate_per_io() {
     assert_no_per_io_allocation("Shaper<Essd>", &|| {
         Shaper::new(Essd::new(EssdConfig::aws_io2(CAPACITY)), 200.0e6, 1 << 20)
     });
+}
+
+/// A device that completes every request 10 µs after submission and
+/// allocates nothing, so a served count is the serving path's alone.
+struct FixedLatency;
+
+impl BlockDevice for FixedLatency {
+    fn info(&self) -> DeviceInfo {
+        DeviceInfo::new("fixed", CAPACITY, 512)
+    }
+
+    fn submit(&mut self, req: &IoRequest) -> IoResult {
+        Ok(req.submit_time + SimDuration::from_micros(10))
+    }
+
+    fn submit_batch_into(
+        &mut self,
+        batch: &IoBatch,
+        completions: &mut Vec<Completion>,
+    ) -> Result<(), IoError> {
+        submit_each(self, batch, completions)
+    }
+}
+
+/// Allocations `(client thread, server thread)` for `ios` one-request
+/// round trips from a `RemoteDevice` to a `serve_events` loop over
+/// loopback TCP. The client counts its doorbells only; the server
+/// counts its whole loop.
+fn served_allocs(ios: u64) -> (u64, u64) {
+    use unwritten_contract::serve::ServePool;
+    use unwritten_contract::serve::{serve_events, Endpoint, Listener, PoolConfig, RemoteDevice};
+
+    let device: Box<dyn BlockDevice + Send> = Box::new(FixedLatency);
+    let pool = std::sync::Arc::new(ServePool::new(
+        vec![("essd".to_string(), device)],
+        PoolConfig::default(),
+    ));
+    let listener = Listener::bind(&Endpoint::parse("tcp:127.0.0.1:0").unwrap()).unwrap();
+    let endpoint = listener.local_endpoint().unwrap();
+    let server = std::thread::spawn(move || {
+        let before = allocs();
+        serve_events(&listener, &pool, 1).expect("event loop");
+        allocs() - before
+    });
+    let mut remote = RemoteDevice::open(&endpoint, 0).expect("open served lane");
+    let mut batch = IoBatch::with_capacity(1);
+    let mut completions = Vec::with_capacity(1);
+    let before = allocs();
+    for i in 0..ios {
+        batch.clear();
+        batch.push(IoRequest::write(
+            (i * 4096) % CAPACITY,
+            4096,
+            SimTime::from_nanos(i * 10_000),
+        ));
+        completions.clear();
+        remote
+            .submit_batch_into(&batch, &mut completions)
+            .expect("in-range write");
+        assert_eq!(completions.len(), 1);
+    }
+    let client = allocs() - before;
+    remote.close().expect("orderly close");
+    (client, server.join().expect("event loop thread"))
+}
+
+/// The extra `3N` round trips of a `4N` run cost at most `3N`
+/// allocations on each side: one decoded list per round trip.
+#[test]
+fn served_round_trips_allocate_one_list_per_side() {
+    const N: u64 = 500;
+    let (short_client, short_server) = served_allocs(N);
+    let (long_client, long_server) = served_allocs(4 * N);
+    for (side, short, long) in [
+        ("client", short_client, long_client),
+        ("server", short_server, long_server),
+    ] {
+        let extra = long.saturating_sub(short);
+        assert!(
+            extra <= 3 * N,
+            "{side}: {N} round trips took {short} allocations, {} took {long} \
+             ({extra} more for {} extra round trips)",
+            4 * N,
+            3 * N
+        );
+    }
 }
 
 /// A frame that claims the maximum 65,536 list entries but carries none
