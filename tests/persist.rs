@@ -208,6 +208,208 @@ fn checkpoint_payload_bytes_are_pinned() {
     assert_eq!(actual, golden);
 }
 
+/// Asserts `value` encodes to exactly `hex` (spaces between fields are
+/// ignored) and decodes back to itself, consuming every byte.
+fn pin<T: Persist + PartialEq + std::fmt::Debug>(value: T, hex: &str) {
+    let mut w = Encoder::new();
+    value.encode(&mut w);
+    let actual: String = w.as_bytes().iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(actual, hex.replace(' ', ""), "{value:?}");
+    let mut r = Decoder::new(w.as_bytes());
+    assert_eq!(T::decode(&mut r).as_ref(), Ok(&value));
+    r.finish().expect("fully consumed");
+}
+
+/// Asserts `bytes` (an out-of-range tag, or a tag whose fields fail a
+/// check) decodes to [`DecodeError::InvalidValue`].
+fn rejects<T: Persist + std::fmt::Debug>(bytes: &[u8]) {
+    let result = T::decode(&mut Decoder::new(bytes));
+    assert!(
+        matches!(result, Err(DecodeError::InvalidValue { .. })),
+        "{} from {bytes:02x?}: {result:?}",
+        std::any::type_name::<T>()
+    );
+}
+
+/// Golden bytes of every tagged enum: one value of each variant, its
+/// tag byte followed by its fields in order, and the first tag past the
+/// last variant rejected typed. Changing a string here changes a
+/// checkpoint or wire format.
+#[test]
+fn every_enum_variant_bytes_are_pinned() {
+    use unwritten_contract::blockdev::{IoError, IoKind};
+    use unwritten_contract::ftl::GcPolicy;
+    use unwritten_contract::obs::{HistSummary, MetricValue};
+    use unwritten_contract::serve::{BusyReason, ErrCode, LaneTarget};
+    use unwritten_contract::workload::{AccessPattern, JobLimit, ReplayMode};
+    const ONE: &str = "0100000000000000";
+    const TWO: &str = "0200000000000000";
+    const THREE: &str = "0300000000000000";
+    // 0.25, 0.5 and 1.5 as little-endian IEEE-754 bit patterns.
+    const QUARTER: &str = "000000000000d03f";
+    const HALF: &str = "000000000000e03f";
+    const ONE_HALF: &str = "000000000000f83f";
+    let ns = SimDuration::from_nanos;
+
+    pin(IoKind::Read, "00");
+    pin(IoKind::Write, "01");
+    rejects::<IoKind>(&[2]);
+
+    pin(IoError::ZeroLength, "00");
+    pin(
+        IoError::Misaligned {
+            offset: 1,
+            len: 2,
+            logical_block: 3,
+        },
+        &format!("01 {ONE} 02000000 03000000"),
+    );
+    pin(
+        IoError::OutOfRange {
+            end: 2,
+            capacity: 3,
+        },
+        &format!("02 {TWO} {THREE}"),
+    );
+    pin(
+        IoError::RingSaturated {
+            ring: 6,
+            refusals: 7,
+        },
+        "03 06000000 07000000",
+    );
+    rejects::<IoError>(&[4]);
+
+    pin(BusyReason::RingFull, "00");
+    pin(BusyReason::Overload, "01");
+    rejects::<BusyReason>(&[2]);
+
+    pin(LaneTarget::Device(1), "00 01000000");
+    pin(LaneTarget::Tenant(2), "01 02000000");
+    rejects::<LaneTarget>(&[2, 0, 0, 0, 0]);
+
+    pin(ErrCode::Protocol, "00");
+    pin(
+        ErrCode::UnsupportedVersion {
+            found: 1,
+            supported: 2,
+        },
+        "01 0100 0200",
+    );
+    pin(ErrCode::UnknownSession, "02");
+    pin(ErrCode::UnknownLane, "03");
+    pin(ErrCode::Io, "04");
+    rejects::<ErrCode>(&[5]);
+
+    pin(MetricValue::Counter(1), &format!("00 {ONE}"));
+    pin(MetricValue::Gauge(-1), "01 ffffffffffffffff");
+    pin(
+        MetricValue::Histogram(HistSummary {
+            count: 1,
+            sum_ns: (2 << 64) | 3,
+            min_ns: 4,
+            max_ns: 5,
+            p50_ns: 6,
+            p99_ns: 7,
+            p999_ns: 8,
+        }),
+        &format!(
+            "02 {ONE} {TWO} {THREE} 0400000000000000 0500000000000000 0600000000000000 \
+             0700000000000000 0800000000000000"
+        ),
+    );
+    rejects::<MetricValue>(&[3]);
+
+    pin(LatencyDist::Constant(ns(1)), &format!("00 {ONE}"));
+    pin(
+        LatencyDist::Uniform {
+            low: ns(1),
+            high: ns(2),
+        },
+        &format!("01 {ONE} {TWO}"),
+    );
+    pin(
+        LatencyDist::Normal {
+            mean: ns(2),
+            std_dev: ns(3),
+        },
+        &format!("02 {TWO} {THREE}"),
+    );
+    pin(
+        LatencyDist::LogNormal {
+            median: ns(1),
+            sigma: 0.5,
+        },
+        &format!("03 {ONE} {HALF}"),
+    );
+    pin(
+        LatencyDist::BoundedPareto {
+            scale: ns(1),
+            shape: 1.5,
+            cap: ns(3),
+        },
+        &format!("04 {ONE} {ONE_HALF} {THREE}"),
+    );
+    pin(
+        LatencyDist::Mixture {
+            base: Box::new(LatencyDist::Constant(ns(1))),
+            tail: Box::new(LatencyDist::Uniform {
+                low: ns(2),
+                high: ns(3),
+            }),
+            tail_prob: 0.25,
+        },
+        &format!("05 00 {ONE} 01 {TWO} {THREE} {QUARTER}"),
+    );
+    rejects::<LatencyDist>(&[6]);
+    rejects::<LatencyDist>(&[5, 6]);
+
+    pin(GcPolicy::Greedy, "00");
+    pin(GcPolicy::CostBenefit, "01");
+    pin(GcPolicy::Fifo, "02");
+    rejects::<GcPolicy>(&[3]);
+
+    pin(AccessPattern::RandRead, "00");
+    pin(AccessPattern::RandWrite, "01");
+    pin(AccessPattern::SeqRead, "02");
+    pin(AccessPattern::SeqWrite, "03");
+    pin(
+        AccessPattern::Mixed {
+            write_ratio: 0.5,
+            random: true,
+        },
+        &format!("04 {HALF} 01"),
+    );
+    pin(
+        AccessPattern::Hotspot {
+            hot_fraction: 0.25,
+            hot_probability: 0.5,
+            write_ratio: 1.5,
+        },
+        &format!("05 {QUARTER} {HALF} {ONE_HALF}"),
+    );
+    rejects::<AccessPattern>(&[6]);
+
+    pin(JobLimit::Ios(1), &format!("00 {ONE}"));
+    pin(JobLimit::Bytes(2), &format!("01 {TWO}"));
+    pin(JobLimit::Elapsed(ns(3)), &format!("02 {THREE}"));
+    rejects::<JobLimit>(&[3]);
+
+    pin(ReplayMode::OpenLoop, "00");
+    pin(
+        ReplayMode::ClosedLoop { queue_depth: 2 },
+        &format!("01 {TWO}"),
+    );
+    rejects::<ReplayMode>(&[2]);
+    // A closed loop must keep at least one request in flight.
+    rejects::<ReplayMode>(&[1, 0, 0, 0, 0, 0, 0, 0, 0]);
+
+    pin(DeviceKind::LocalSsd, "00");
+    pin(DeviceKind::Essd1, "01");
+    pin(DeviceKind::Essd2, "02");
+    rejects::<DeviceKind>(&[3]);
+}
+
 /// How a checkpoint file decodes: through the device-checkpoint reader,
 /// the fig3 reader, the trace-run reader, the binary-trace decoder, or
 /// the `uc.obs.v1` telemetry reader.
