@@ -106,19 +106,7 @@ impl fmt::Display for IoKind {
     }
 }
 
-impl uc_persist::Persist for IoKind {
-    fn encode(&self, w: &mut uc_persist::Encoder) {
-        w.put_u8(self.is_write() as u8);
-    }
-
-    fn decode(r: &mut uc_persist::Decoder<'_>) -> Result<Self, uc_persist::DecodeError> {
-        match r.get_u8()? {
-            0 => Ok(IoKind::Read),
-            1 => Ok(IoKind::Write),
-            _ => Err(uc_persist::DecodeError::InvalidValue { what: "IoKind tag" }),
-        }
-    }
-}
+uc_persist::persist_enum! { IoKind { 0 = Read, 1 = Write } }
 
 /// One block-level I/O request.
 ///
@@ -270,46 +258,10 @@ pub enum IoError {
     },
 }
 
-/// Tags 0–3, in declaration order, each followed by its variant's fields.
-impl uc_persist::Persist for IoError {
-    fn encode(&self, w: &mut uc_persist::Encoder) {
-        match *self {
-            IoError::ZeroLength => w.put_u8(0),
-            IoError::Misaligned {
-                offset,
-                len,
-                logical_block,
-            } => {
-                w.put_u8(1);
-                (offset, len, logical_block).encode(w);
-            }
-            IoError::OutOfRange { end, capacity } => (2u8, end, capacity).encode(w),
-            IoError::RingSaturated { ring, refusals } => (3u8, ring, refusals).encode(w),
-        }
-    }
-
-    fn decode(r: &mut uc_persist::Decoder<'_>) -> Result<Self, uc_persist::DecodeError> {
-        Ok(match r.get_u8()? {
-            0 => IoError::ZeroLength,
-            1 => IoError::Misaligned {
-                offset: r.get_u64()?,
-                len: r.get_u32()?,
-                logical_block: r.get_u32()?,
-            },
-            2 => IoError::OutOfRange {
-                end: r.get_u64()?,
-                capacity: r.get_u64()?,
-            },
-            3 => IoError::RingSaturated {
-                ring: r.get_u32()?,
-                refusals: r.get_u32()?,
-            },
-            _ => {
-                return Err(uc_persist::DecodeError::InvalidValue {
-                    what: "IoError tag",
-                })
-            }
-        })
+uc_persist::persist_enum! {
+    IoError {
+        0 = ZeroLength, 1 = Misaligned { offset, len, logical_block },
+        2 = OutOfRange { end, capacity }, 3 = RingSaturated { ring, refusals }
     }
 }
 

@@ -38,26 +38,7 @@ impl DeviceKind {
     }
 }
 
-impl uc_persist::Persist for DeviceKind {
-    fn encode(&self, w: &mut uc_persist::Encoder) {
-        w.put_u8(match self {
-            DeviceKind::LocalSsd => 0,
-            DeviceKind::Essd1 => 1,
-            DeviceKind::Essd2 => 2,
-        });
-    }
-
-    fn decode(r: &mut uc_persist::Decoder<'_>) -> Result<Self, uc_persist::DecodeError> {
-        match r.get_u8()? {
-            0 => Ok(DeviceKind::LocalSsd),
-            1 => Ok(DeviceKind::Essd1),
-            2 => Ok(DeviceKind::Essd2),
-            _ => Err(uc_persist::DecodeError::InvalidValue {
-                what: "DeviceKind tag",
-            }),
-        }
-    }
-}
+uc_persist::persist_enum! { DeviceKind { 0 = LocalSsd, 1 = Essd1, 2 = Essd2 } }
 
 /// The payload codecs of every device class the roster builds.
 ///

@@ -8,28 +8,9 @@
 //! validated on decode, so corrupted bytes surface as typed errors.
 
 use crate::{BlockState, FtlCheckpoint, FtlConfig, FtlStats, GcPolicy};
-use uc_persist::{ensure, persist_struct, DecodeError, Decoder, Encoder, Persist};
+use uc_persist::{ensure, persist_enum, persist_struct, DecodeError};
 
-impl Persist for GcPolicy {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_u8(match self {
-            GcPolicy::Greedy => 0,
-            GcPolicy::CostBenefit => 1,
-            GcPolicy::Fifo => 2,
-        });
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match r.get_u8()? {
-            0 => Ok(GcPolicy::Greedy),
-            1 => Ok(GcPolicy::CostBenefit),
-            2 => Ok(GcPolicy::Fifo),
-            _ => Err(DecodeError::InvalidValue {
-                what: "GcPolicy tag",
-            }),
-        }
-    }
-}
+persist_enum! { GcPolicy { 0 = Greedy, 1 = CostBenefit, 2 = Fifo } }
 
 persist_struct! {
     FtlConfig { geometry, timing, over_provisioning, gc_trigger_free, gc_target_free, gc_policy }
@@ -75,6 +56,7 @@ mod tests {
     use super::*;
     use crate::Ftl;
     use uc_flash::{FlashGeometry, FlashTiming};
+    use uc_persist::{Decoder, Encoder, Persist};
     use uc_sim::SimTime;
 
     fn busy_ftl() -> Ftl {

@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 
 use uc_metrics::LatencyHistogram;
-use uc_persist::{DecodeError, Decoder, Encoder, Persist};
+use uc_persist::{persist_enum, DecodeError, Decoder, Encoder, Persist};
 
 /// Integer summary of a [`LatencyHistogram`].
 ///
@@ -91,39 +91,7 @@ pub enum MetricValue {
     Histogram(HistSummary),
 }
 
-const TAG_COUNTER: u8 = 0;
-const TAG_GAUGE: u8 = 1;
-const TAG_HIST: u8 = 2;
-
-impl Persist for MetricValue {
-    fn encode(&self, w: &mut Encoder) {
-        match self {
-            MetricValue::Counter(v) => {
-                w.put_u8(TAG_COUNTER);
-                w.put_u64(*v);
-            }
-            MetricValue::Gauge(v) => {
-                w.put_u8(TAG_GAUGE);
-                w.put_i64(*v);
-            }
-            MetricValue::Histogram(s) => {
-                w.put_u8(TAG_HIST);
-                s.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match r.get_u8()? {
-            TAG_COUNTER => Ok(MetricValue::Counter(r.get_u64()?)),
-            TAG_GAUGE => Ok(MetricValue::Gauge(r.get_i64()?)),
-            TAG_HIST => Ok(MetricValue::Histogram(HistSummary::decode(r)?)),
-            _ => Err(DecodeError::InvalidValue {
-                what: "MetricValue.tag",
-            }),
-        }
-    }
-}
+persist_enum! { MetricValue { 0 = Counter(v), 1 = Gauge(v), 2 = Histogram(summary) } }
 
 /// An ordered list of `(name, value)` metric rows.
 ///
@@ -371,7 +339,7 @@ mod tests {
         assert!(matches!(
             ObsSnapshot::decode(&mut Decoder::new(&bytes)),
             Err(DecodeError::InvalidValue {
-                what: "MetricValue.tag"
+                what: "MetricValue tag"
             })
         ));
     }

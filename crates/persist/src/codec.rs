@@ -375,6 +375,83 @@ macro_rules! persist_struct {
     };
 }
 
+/// Implements [`Persist`] for a tagged enum from one variant table.
+///
+/// `persist_enum! { Type { 0 = Unit, 1 = Tuple(a, b), 2 = Named { x, y } } }`
+/// encodes a value as its variant's tag byte followed by the variant's
+/// fields in the listed order, each through its own [`Persist`] impl.
+/// Decode reads the tag, then the same fields in the same order: the one
+/// table *is* the byte format, for both directions. A tuple variant's
+/// names are only bindings; a named variant lists its own field names.
+/// A tag the table does not list decodes to
+/// [`DecodeError::InvalidValue`] with `what` set to `"Type tag"`.
+///
+/// `check = validate` runs `validate: fn(&Type) -> Result<(), DecodeError>`
+/// on the decoded value, as in [`persist_struct!`].
+///
+/// ```
+/// use uc_persist::{persist_enum, DecodeError, Decoder, Encoder, Persist};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Limit {
+///     None,
+///     Ios(u64),
+///     Window { start: u64, len: u32 },
+/// }
+/// persist_enum! { Limit { 0 = None, 1 = Ios(n), 2 = Window { start, len } } }
+///
+/// let mut w = Encoder::new();
+/// Limit::Ios(7).encode(&mut w);
+/// assert_eq!(w.as_bytes(), &[1, 7, 0, 0, 0, 0, 0, 0, 0]);
+/// assert_eq!(Limit::decode(&mut Decoder::new(w.as_bytes())), Ok(Limit::Ios(7)));
+/// assert_eq!(
+///     Limit::decode(&mut Decoder::new(&[3])),
+///     Err(DecodeError::InvalidValue { what: "Limit tag" })
+/// );
+/// ```
+#[macro_export]
+macro_rules! persist_enum {
+    (
+        $ty:ident {
+            $($tag:literal = $variant:ident
+                $(( $($arg:ident),+ $(,)? ))?
+                $({ $($field:ident),+ $(,)? })?
+            ),+ $(,)?
+        } $(, check = $check:expr)?
+    ) => {
+        impl $crate::Persist for $ty {
+            fn encode(&self, w: &mut $crate::Encoder) {
+                match self {
+                    $($ty::$variant $(($($arg),+))? $({ $($field),+ })? => {
+                        w.put_u8($tag);
+                        $($($crate::Persist::encode($arg, w);)+)?
+                        $($($crate::Persist::encode($field, w);)+)?
+                    })+
+                }
+            }
+
+            fn decode(
+                r: &mut $crate::Decoder<'_>,
+            ) -> ::core::result::Result<Self, $crate::DecodeError> {
+                let value = match r.get_u8()? {
+                    $($tag => {
+                        $($(let $arg = $crate::Persist::decode(r)?;)+)?
+                        $($(let $field = $crate::Persist::decode(r)?;)+)?
+                        $ty::$variant $(($($arg),+))? $({ $($field),+ })?
+                    })+
+                    _ => {
+                        return ::core::result::Result::Err($crate::DecodeError::InvalidValue {
+                            what: concat!(stringify!($ty), " tag"),
+                        })
+                    }
+                };
+                $($check(&value)?;)?
+                ::core::result::Result::Ok(value)
+            }
+        }
+    };
+}
+
 /// `Ok(())` if `valid` holds, else [`DecodeError::InvalidValue`] naming
 /// `what` — the one-line form of a decode-time validation.
 ///
@@ -433,6 +510,15 @@ impl Persist for String {
     }
     fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         r.get_string()
+    }
+}
+
+impl<T: Persist> Persist for Box<T> {
+    fn encode(&self, w: &mut Encoder) {
+        (**self).encode(w);
+    }
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        T::decode(r).map(Box::new)
     }
 }
 
@@ -678,6 +764,60 @@ mod tests {
                 "cut at {cut}: {result:?}"
             );
         }
+    }
+
+    /// Every variant shape, tags listed out of declaration order, and a
+    /// recursive variant through `Box`.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Shape {
+        Empty,
+        Pair(u8, u32),
+        Named { id: u64, label: String },
+        Nested(Box<Shape>),
+    }
+    crate::persist_enum! {
+        Shape { 3 = Empty, 0 = Pair(a, b), 1 = Named { id, label }, 7 = Nested(inner) },
+        check = check_shape
+    }
+
+    fn check_shape(s: &Shape) -> Result<(), DecodeError> {
+        ensure(!matches!(s, Shape::Pair(0, _)), "Shape.Pair")
+    }
+
+    #[test]
+    fn enum_macro_writes_the_listed_tag_then_fields_in_order() {
+        let encoded = |s: Shape| {
+            let mut w = Encoder::new();
+            s.encode(&mut w);
+            round_trip(s);
+            w.into_bytes()
+        };
+        assert_eq!(encoded(Shape::Empty), [3]);
+        assert_eq!(encoded(Shape::Pair(9, 0x0403_0201)), [0, 9, 1, 2, 3, 4]);
+        assert_eq!(
+            encoded(Shape::Named {
+                id: 5,
+                label: "x".into()
+            }),
+            [1, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, b'x']
+        );
+        assert_eq!(encoded(Shape::Nested(Box::new(Shape::Empty))), [7, 3]);
+    }
+
+    #[test]
+    fn enum_macro_rejects_unlisted_tags_and_failed_checks() {
+        let tag = Err(DecodeError::InvalidValue { what: "Shape tag" });
+        for bad in [&[2u8][..], &[8], &[7, 2], &[255]] {
+            assert_eq!(Shape::decode(&mut Decoder::new(bad)), tag, "{bad:?}");
+        }
+        assert_eq!(
+            Shape::decode(&mut Decoder::new(&[0, 0, 1, 0, 0, 0])),
+            Err(DecodeError::InvalidValue { what: "Shape.Pair" })
+        );
+        assert!(matches!(
+            Shape::decode(&mut Decoder::new(&[0, 9, 1])),
+            Err(DecodeError::Truncated { .. })
+        ));
     }
 
     #[test]

@@ -55,8 +55,8 @@ use std::io::{Read, Write};
 use uc_blockdev::{Completion, IoError, IoRequest, SessionStats};
 use uc_obs::ObsSnapshot;
 use uc_persist::{
-    encode_record_into, ensure, persist_struct, read_record_into, DecodeError, Decoder, Encoder,
-    Persist,
+    encode_record_into, ensure, persist_enum, persist_struct, read_record_into, DecodeError,
+    Decoder, Encoder, Persist,
 };
 use uc_sim::SimTime;
 
@@ -78,22 +78,7 @@ pub enum BusyReason {
     Overload,
 }
 
-/// One tag byte: the variant's declaration index.
-impl Persist for BusyReason {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_u8(*self as u8);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match r.get_u8()? {
-            0 => Ok(BusyReason::RingFull),
-            1 => Ok(BusyReason::Overload),
-            _ => Err(DecodeError::InvalidValue {
-                what: "BusyReason tag",
-            }),
-        }
-    }
-}
+persist_enum! { BusyReason { 0 = RingFull, 1 = Overload } }
 
 /// One session's server-side ledger as reported by a STATS exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,25 +142,7 @@ pub enum LaneTarget {
     Tenant(u32),
 }
 
-/// Tag 0 (device) or 1 (tenant), then the index.
-impl Persist for LaneTarget {
-    fn encode(&self, w: &mut Encoder) {
-        match *self {
-            LaneTarget::Device(i) => (0u8, i).encode(w),
-            LaneTarget::Tenant(t) => (1u8, t).encode(w),
-        }
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match r.get_u8()? {
-            0 => Ok(LaneTarget::Device(r.get_u32()?)),
-            1 => Ok(LaneTarget::Tenant(r.get_u32()?)),
-            _ => Err(DecodeError::InvalidValue {
-                what: "LaneTarget tag",
-            }),
-        }
-    }
-}
+persist_enum! { LaneTarget { 0 = Device(index), 1 = Tenant(id) } }
 
 /// The typed failure class of an `ERR` frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,34 +164,10 @@ pub enum ErrCode {
     Io,
 }
 
-/// Tags 0–4 in declaration order; `UnsupportedVersion` carries its pair.
-impl Persist for ErrCode {
-    fn encode(&self, w: &mut Encoder) {
-        match *self {
-            ErrCode::Protocol => w.put_u8(0),
-            ErrCode::UnsupportedVersion { found, supported } => (1u8, found, supported).encode(w),
-            ErrCode::UnknownSession => w.put_u8(2),
-            ErrCode::UnknownLane => w.put_u8(3),
-            ErrCode::Io => w.put_u8(4),
-        }
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.get_u8()? {
-            0 => ErrCode::Protocol,
-            1 => ErrCode::UnsupportedVersion {
-                found: r.get_u16()?,
-                supported: r.get_u16()?,
-            },
-            2 => ErrCode::UnknownSession,
-            3 => ErrCode::UnknownLane,
-            4 => ErrCode::Io,
-            _ => {
-                return Err(DecodeError::InvalidValue {
-                    what: "ErrCode tag",
-                })
-            }
-        })
+persist_enum! {
+    ErrCode {
+        0 = Protocol, 1 = UnsupportedVersion { found, supported }, 2 = UnknownSession,
+        3 = UnknownLane, 4 = Io
     }
 }
 

@@ -11,7 +11,7 @@ use crate::{
     LatencyDist, ParallelResourceSnapshot, ResourceSnapshot, RngSnapshot, SimDuration, SimRng,
     SimTime, TokenBucketSnapshot,
 };
-use uc_persist::{ensure, persist_struct, DecodeError, Decoder, Encoder, Persist};
+use uc_persist::{ensure, persist_enum, persist_struct, DecodeError, Decoder, Encoder, Persist};
 
 impl Persist for SimTime {
     fn encode(&self, w: &mut Encoder) {
@@ -65,86 +65,11 @@ fn check_bucket(s: &TokenBucketSnapshot) -> Result<(), DecodeError> {
     )
 }
 
-/// Variant tags of the [`LatencyDist`] wire form.
-mod dist_tag {
-    pub const CONSTANT: u8 = 0;
-    pub const UNIFORM: u8 = 1;
-    pub const NORMAL: u8 = 2;
-    pub const LOG_NORMAL: u8 = 3;
-    pub const BOUNDED_PARETO: u8 = 4;
-    pub const MIXTURE: u8 = 5;
-}
-
-impl Persist for LatencyDist {
-    fn encode(&self, w: &mut Encoder) {
-        match self {
-            LatencyDist::Constant(v) => {
-                w.put_u8(dist_tag::CONSTANT);
-                v.encode(w);
-            }
-            LatencyDist::Uniform { low, high } => {
-                w.put_u8(dist_tag::UNIFORM);
-                low.encode(w);
-                high.encode(w);
-            }
-            LatencyDist::Normal { mean, std_dev } => {
-                w.put_u8(dist_tag::NORMAL);
-                mean.encode(w);
-                std_dev.encode(w);
-            }
-            LatencyDist::LogNormal { median, sigma } => {
-                w.put_u8(dist_tag::LOG_NORMAL);
-                median.encode(w);
-                w.put_f64(*sigma);
-            }
-            LatencyDist::BoundedPareto { scale, shape, cap } => {
-                w.put_u8(dist_tag::BOUNDED_PARETO);
-                scale.encode(w);
-                w.put_f64(*shape);
-                cap.encode(w);
-            }
-            LatencyDist::Mixture {
-                base,
-                tail,
-                tail_prob,
-            } => {
-                w.put_u8(dist_tag::MIXTURE);
-                base.encode(w);
-                tail.encode(w);
-                w.put_f64(*tail_prob);
-            }
-        }
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match r.get_u8()? {
-            dist_tag::CONSTANT => Ok(LatencyDist::Constant(SimDuration::decode(r)?)),
-            dist_tag::UNIFORM => Ok(LatencyDist::Uniform {
-                low: SimDuration::decode(r)?,
-                high: SimDuration::decode(r)?,
-            }),
-            dist_tag::NORMAL => Ok(LatencyDist::Normal {
-                mean: SimDuration::decode(r)?,
-                std_dev: SimDuration::decode(r)?,
-            }),
-            dist_tag::LOG_NORMAL => Ok(LatencyDist::LogNormal {
-                median: SimDuration::decode(r)?,
-                sigma: r.get_f64()?,
-            }),
-            dist_tag::BOUNDED_PARETO => Ok(LatencyDist::BoundedPareto {
-                scale: SimDuration::decode(r)?,
-                shape: r.get_f64()?,
-                cap: SimDuration::decode(r)?,
-            }),
-            dist_tag::MIXTURE => Ok(LatencyDist::Mixture {
-                base: Box::new(LatencyDist::decode(r)?),
-                tail: Box::new(LatencyDist::decode(r)?),
-                tail_prob: r.get_f64()?,
-            }),
-            _ => Err(DecodeError::InvalidValue {
-                what: "LatencyDist tag",
-            }),
-        }
+persist_enum! {
+    LatencyDist {
+        0 = Constant(v), 1 = Uniform { low, high }, 2 = Normal { mean, std_dev },
+        3 = LogNormal { median, sigma }, 4 = BoundedPareto { scale, shape, cap },
+        5 = Mixture { base, tail, tail_prob }
     }
 }
 

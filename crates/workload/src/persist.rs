@@ -11,98 +11,16 @@ use crate::{
     AccessPattern, DriverCheckpoint, JobLimit, JobReport, JobSpec, ReplayCheckpoint, ReplayConfig,
     ReplayMode, TraceEntry,
 };
-use uc_persist::{ensure, persist_struct, DecodeError, Decoder, Encoder, Persist};
-use uc_sim::SimDuration;
+use uc_persist::{ensure, persist_enum, persist_struct, DecodeError};
 
-/// Variant tags of the [`AccessPattern`] wire form.
-mod pattern_tag {
-    pub const RAND_READ: u8 = 0;
-    pub const RAND_WRITE: u8 = 1;
-    pub const SEQ_READ: u8 = 2;
-    pub const SEQ_WRITE: u8 = 3;
-    pub const MIXED: u8 = 4;
-    pub const HOTSPOT: u8 = 5;
-}
-
-impl Persist for AccessPattern {
-    fn encode(&self, w: &mut Encoder) {
-        match self {
-            AccessPattern::RandRead => w.put_u8(pattern_tag::RAND_READ),
-            AccessPattern::RandWrite => w.put_u8(pattern_tag::RAND_WRITE),
-            AccessPattern::SeqRead => w.put_u8(pattern_tag::SEQ_READ),
-            AccessPattern::SeqWrite => w.put_u8(pattern_tag::SEQ_WRITE),
-            AccessPattern::Mixed {
-                write_ratio,
-                random,
-            } => {
-                w.put_u8(pattern_tag::MIXED);
-                w.put_f64(*write_ratio);
-                w.put_bool(*random);
-            }
-            AccessPattern::Hotspot {
-                hot_fraction,
-                hot_probability,
-                write_ratio,
-            } => {
-                w.put_u8(pattern_tag::HOTSPOT);
-                w.put_f64(*hot_fraction);
-                w.put_f64(*hot_probability);
-                w.put_f64(*write_ratio);
-            }
-        }
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match r.get_u8()? {
-            pattern_tag::RAND_READ => Ok(AccessPattern::RandRead),
-            pattern_tag::RAND_WRITE => Ok(AccessPattern::RandWrite),
-            pattern_tag::SEQ_READ => Ok(AccessPattern::SeqRead),
-            pattern_tag::SEQ_WRITE => Ok(AccessPattern::SeqWrite),
-            pattern_tag::MIXED => Ok(AccessPattern::Mixed {
-                write_ratio: r.get_f64()?,
-                random: r.get_bool()?,
-            }),
-            pattern_tag::HOTSPOT => Ok(AccessPattern::Hotspot {
-                hot_fraction: r.get_f64()?,
-                hot_probability: r.get_f64()?,
-                write_ratio: r.get_f64()?,
-            }),
-            _ => Err(DecodeError::InvalidValue {
-                what: "AccessPattern tag",
-            }),
-        }
+persist_enum! {
+    AccessPattern {
+        0 = RandRead, 1 = RandWrite, 2 = SeqRead, 3 = SeqWrite, 4 = Mixed { write_ratio, random },
+        5 = Hotspot { hot_fraction, hot_probability, write_ratio }
     }
 }
 
-impl Persist for JobLimit {
-    fn encode(&self, w: &mut Encoder) {
-        match self {
-            JobLimit::Ios(n) => {
-                w.put_u8(0);
-                w.put_u64(*n);
-            }
-            JobLimit::Bytes(b) => {
-                w.put_u8(1);
-                w.put_u64(*b);
-            }
-            JobLimit::Elapsed(d) => {
-                w.put_u8(2);
-                d.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match r.get_u8()? {
-            0 => Ok(JobLimit::Ios(r.get_u64()?)),
-            1 => Ok(JobLimit::Bytes(r.get_u64()?)),
-            2 => Ok(JobLimit::Elapsed(SimDuration::decode(r)?)),
-            _ => Err(DecodeError::InvalidValue {
-                what: "JobLimit tag",
-            }),
-        }
-    }
-}
+persist_enum! { JobLimit { 0 = Ios(n), 1 = Bytes(n), 2 = Elapsed(d) } }
 
 persist_struct! {
     JobSpec { pattern, io_size, queue_depth, span, limit, seed, throughput_window, start },
@@ -124,35 +42,18 @@ fn check_spec(spec: &JobSpec) -> Result<(), DecodeError> {
     )
 }
 
-impl Persist for ReplayMode {
-    fn encode(&self, w: &mut Encoder) {
-        match self {
-            ReplayMode::OpenLoop => w.put_u8(0),
-            ReplayMode::ClosedLoop { queue_depth } => {
-                w.put_u8(1);
-                queue_depth.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match r.get_u8()? {
-            0 => Ok(ReplayMode::OpenLoop),
-            1 => {
-                let queue_depth = usize::decode(r)?;
-                ensure(queue_depth != 0, "ReplayMode queue_depth")?;
-                Ok(ReplayMode::ClosedLoop { queue_depth })
-            }
-            _ => Err(DecodeError::InvalidValue {
-                what: "ReplayMode tag",
-            }),
-        }
-    }
-}
+persist_enum! { ReplayMode { 0 = OpenLoop, 1 = ClosedLoop { queue_depth } }, check = check_mode }
 
 persist_struct! { ReplayConfig { mode, window, speed, ring }, check = check_replay }
 persist_struct! { ReplayCheckpoint { config, position, report, inflight, finished } }
 persist_struct! { DriverCheckpoint { spec, span, stream, report, inflight, finished } }
+
+fn check_mode(mode: &ReplayMode) -> Result<(), DecodeError> {
+    ensure(
+        !matches!(mode, ReplayMode::ClosedLoop { queue_depth: 0 }),
+        "ReplayMode queue_depth",
+    )
+}
 
 fn check_replay(config: &ReplayConfig) -> Result<(), DecodeError> {
     ensure(
@@ -170,7 +71,8 @@ mod tests {
     use crate::testdev::TestDevice;
     use crate::ClosedLoopJob;
     use uc_blockdev::IoKind;
-    use uc_sim::SimTime;
+    use uc_persist::{Decoder, Encoder, Persist};
+    use uc_sim::{SimDuration, SimTime};
 
     fn round_trip_driver(checkpoint: &DriverCheckpoint) -> DriverCheckpoint {
         let mut w = Encoder::new();
