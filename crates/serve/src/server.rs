@@ -543,7 +543,7 @@ impl EventLoop {
             let l = &mut self.sessions[si].lanes[lane];
             if l.pending_flush.is_some_and(|(ps, _)| ps == seq) {
                 SeqCheck::Ignore
-            } else if seq + 1 == l.next_seq {
+            } else if seq == l.next_seq - 1 {
                 if l.cached.seq == Some(seq) {
                     SeqCheck::Resend
                 } else {
@@ -1050,6 +1050,64 @@ mod tests {
         assert_eq!(stats.sessions_served, 1);
         assert_eq!(stats.connections_accepted, 2);
         assert_eq!(stats.resumes, 0);
+    }
+
+    /// A client opens a session and sends one frame stamped `seq`; the
+    /// reply it reads back, if any.
+    fn send_one_frame(endpoint: &Endpoint, seq: u64) -> Option<Frame> {
+        let mut conn = endpoint.connect().unwrap();
+        let open = Body::Open {
+            version: WIRE_VERSION,
+        };
+        Frame::new(FrameHeader::connection(), open)
+            .write_to(&mut conn)
+            .unwrap();
+        let open_ok = Frame::read_from(&mut conn).unwrap().expect("open-ok");
+        let Body::OpenOk { token } = open_ok.body else {
+            panic!("expected OPEN_OK, got {open_ok:?}");
+        };
+        let header = FrameHeader {
+            session: token,
+            lane: CONTROL_LANE,
+            seq,
+        };
+        Frame::new(header, Body::Close).write_to(&mut conn).unwrap();
+        Frame::read_from(&mut conn).ok().flatten()
+    }
+
+    #[test]
+    fn a_max_seq_frame_gets_a_typed_close_and_the_loop_serves_on() {
+        let pool = Arc::new(ServePool::new(
+            vec![(
+                "ssd".to_string(),
+                Box::new(Ssd::new(SsdConfig::samsung_970_pro(64 << 20)))
+                    as Box<dyn BlockDevice + Send>,
+            )],
+            PoolConfig::default(),
+        ));
+        let listener = Listener::bind(&Endpoint::parse("tcp:127.0.0.1:0").unwrap()).unwrap();
+        let endpoint = listener.local_endpoint().unwrap();
+        let server = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || serve_events(&listener, &pool, 1))
+        };
+
+        let reply = send_one_frame(&endpoint, u64::MAX).expect("a typed reject");
+        assert!(
+            matches!(
+                reply.body,
+                Body::Err {
+                    code: ErrCode::Protocol,
+                    ..
+                }
+            ),
+            "{reply:?}"
+        );
+        let reply = send_one_frame(&endpoint, 1).expect("close-ok");
+        assert_eq!(reply.body, Body::CloseOk);
+
+        let stats = server.join().expect("the loop did not panic").unwrap();
+        assert_eq!(stats.sessions_served, 1);
     }
 
     #[test]
