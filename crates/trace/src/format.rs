@@ -466,69 +466,6 @@ impl Iterator for TraceReader {
     }
 }
 
-/// A trace in its binary wire form — the `From`/`TryFrom` bridge between
-/// the text [`Trace`] and the `uc.trace.v1` bytes.
-///
-/// # Example
-///
-/// ```
-/// use uc_trace::EncodedTrace;
-/// use uc_workload::Trace;
-///
-/// let trace: Trace = "0 W 0 4096\n1000 R 4096 4096".parse()?;
-/// let encoded = EncodedTrace::from(&trace);
-/// let back = Trace::try_from(&encoded)?;
-/// assert_eq!(back, trace);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EncodedTrace(Vec<u8>);
-
-impl EncodedTrace {
-    /// Wraps raw bytes (validated when converted back into a [`Trace`]).
-    pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        EncodedTrace(bytes)
-    }
-
-    /// The complete record bytes (envelope included).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// Consumes the wrapper, yielding the record bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.0
-    }
-}
-
-impl From<&Trace> for EncodedTrace {
-    fn from(trace: &Trace) -> Self {
-        EncodedTrace(encode_trace(trace))
-    }
-}
-
-impl From<Trace> for EncodedTrace {
-    fn from(trace: Trace) -> Self {
-        EncodedTrace::from(&trace)
-    }
-}
-
-impl TryFrom<&EncodedTrace> for Trace {
-    type Error = TraceFileError;
-
-    fn try_from(encoded: &EncodedTrace) -> Result<Self, Self::Error> {
-        decode_trace(&encoded.0)
-    }
-}
-
-impl TryFrom<EncodedTrace> for Trace {
-    type Error = TraceFileError;
-
-    fn try_from(encoded: EncodedTrace) -> Result<Self, Self::Error> {
-        decode_trace(&encoded.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -768,22 +705,6 @@ mod tests {
             })]
         ));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn encoded_trace_interop() {
-        let trace = sample();
-        let encoded: EncodedTrace = (&trace).into();
-        assert_eq!(encoded.as_bytes(), &encode_trace(&trace)[..]);
-        let back: Trace = (&encoded).try_into().unwrap();
-        assert_eq!(back, trace);
-        let owned: EncodedTrace = trace.clone().into();
-        let back: Trace = owned.try_into().unwrap();
-        assert_eq!(back, trace);
-        // Garbage bytes fail typed.
-        let junk = EncodedTrace::from_bytes(b"not a trace".to_vec());
-        assert!(Trace::try_from(&junk).is_err());
-        assert_eq!(junk.clone().into_bytes(), b"not a trace".to_vec());
     }
 
     #[test]

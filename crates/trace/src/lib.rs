@@ -69,8 +69,8 @@ mod merge;
 mod recorder;
 
 pub use format::{
-    decode_trace, encode_trace, load_trace, save_trace, EncodedTrace, TraceFileError, TraceReader,
-    TraceWriter, TRACE_RECORD_KIND,
+    decode_trace, encode_trace, load_trace, save_trace, TraceFileError, TraceReader, TraceWriter,
+    TRACE_RECORD_KIND,
 };
 pub use generate::{ArrivalShape, TraceSpec};
 pub use merge::{merge_streams, validate_merged, MergedEntry};
