@@ -56,6 +56,44 @@ fn proto_err(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
+/// A connection's buffered read half.
+type Reader = BufReader<Box<dyn Stream>>;
+
+/// Connects to `endpoint` and runs the `OPEN`/`OPEN_OK` handshake,
+/// returning the connection's reader and writer and the new session's
+/// token.
+///
+/// A refusal or a malformed reply is [`io::ErrorKind::InvalidData`]; a
+/// server that hangs up mid-handshake is
+/// [`io::ErrorKind::UnexpectedEof`], which a reconnect may retry.
+fn open_session(endpoint: &Endpoint) -> io::Result<(Reader, Box<dyn Stream>, u64)> {
+    let stream = endpoint.connect()?;
+    let mut writer = stream.try_clone_stream()?;
+    let mut reader = BufReader::new(stream);
+    let open = Body::Open {
+        version: WIRE_VERSION,
+    };
+    Frame::new(FrameHeader::connection(), open).write_to(&mut writer)?;
+    match Frame::read_from(&mut reader) {
+        Ok(Some(Frame {
+            body: Body::OpenOk { token },
+            ..
+        })) => Ok((reader, writer, token)),
+        Ok(Some(Frame {
+            body: Body::Err { code, message, .. },
+            ..
+        })) => Err(proto_err(format!(
+            "server refused session ({code:?}): {message}"
+        ))),
+        Ok(Some(other)) => Err(proto_err(format!("expected OPEN_OK, got {}", other.kind()))),
+        Ok(None) => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "server closed the connection during the handshake",
+        )),
+        Err(e) => Err(proto_err(format!("bad OPEN_OK frame: {e}"))),
+    }
+}
+
 struct LaneCli {
     /// Seq the next request on this lane will carry (starts at 1).
     next_seq: u64,
@@ -85,7 +123,7 @@ impl LaneCli {
 /// may be replaced any number of times.
 pub struct WireClient {
     endpoint: Endpoint,
-    reader: BufReader<Box<dyn Stream>>,
+    reader: Reader,
     writer: Box<dyn Stream>,
     token: u64,
     lanes: Vec<LaneCli>,
@@ -109,40 +147,7 @@ impl WireClient {
     /// reply) comes back as [`io::ErrorKind::InvalidData`] with the
     /// server's message.
     pub fn connect(endpoint: &Endpoint) -> io::Result<WireClient> {
-        let stream = endpoint.connect()?;
-        let mut writer = stream.try_clone_stream()?;
-        let mut reader = BufReader::new(stream);
-        Frame::new(
-            FrameHeader::connection(),
-            Body::Open {
-                version: WIRE_VERSION,
-            },
-        )
-        .write_to(&mut writer)?;
-        let token = match Frame::read_from(&mut reader) {
-            Ok(Some(Frame {
-                body: Body::OpenOk { token },
-                ..
-            })) => token,
-            Ok(Some(Frame {
-                body: Body::Err { code, message, .. },
-                ..
-            })) => {
-                return Err(proto_err(format!(
-                    "server refused session ({code:?}): {message}"
-                )))
-            }
-            Ok(Some(other)) => {
-                return Err(proto_err(format!("expected OPEN_OK, got {}", other.kind())))
-            }
-            Ok(None) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection during the handshake",
-                ))
-            }
-            Err(e) => return Err(proto_err(format!("bad OPEN_OK frame: {e}"))),
-        };
+        let (reader, writer, token) = open_session(endpoint)?;
         Ok(WireClient {
             endpoint: endpoint.clone(),
             reader,
@@ -508,23 +513,7 @@ impl WireClient {
     /// when the server no longer knows the old token and no data lane
     /// was ever established.
     fn fresh_open(&mut self) -> io::Result<()> {
-        let stream = self.endpoint.connect()?;
-        let mut writer = stream.try_clone_stream()?;
-        let mut reader = BufReader::new(stream);
-        Frame::new(
-            FrameHeader::connection(),
-            Body::Open {
-                version: WIRE_VERSION,
-            },
-        )
-        .write_to(&mut writer)?;
-        let token = match Frame::read_from(&mut reader) {
-            Ok(Some(Frame {
-                body: Body::OpenOk { token },
-                ..
-            })) => token,
-            other => return Err(proto_err(format!("expected OPEN_OK, got {other:?}"))),
-        };
+        let (reader, writer, token) = open_session(&self.endpoint)?;
         self.token = token;
         self.reader = reader;
         self.writer = writer;
@@ -790,6 +779,71 @@ mod tests {
             }
         });
         (endpoint, handle)
+    }
+
+    /// A server that forgets sessions: it drops the first connection
+    /// after reading the attach, answers every `RESUME` with
+    /// `UnknownSession` and closes, hangs up on the first fresh `OPEN`
+    /// before answering it, and exits once it has answered an attach.
+    fn spawn_forgetful() -> (Endpoint, std::thread::JoinHandle<()>) {
+        let listener = Listener::bind(&Endpoint::parse("tcp:127.0.0.1:0").unwrap()).unwrap();
+        let endpoint = listener.local_endpoint().unwrap();
+        let handle = std::thread::spawn(move || {
+            let mut opens = 0;
+            loop {
+                let mut conn = listener.accept().unwrap();
+                let mut writer = conn.try_clone_stream().unwrap();
+                while let Ok(Some(frame)) = Frame::read_from(&mut conn) {
+                    let body = match frame.body {
+                        Body::Open { .. } => {
+                            opens += 1;
+                            if opens == 2 {
+                                break;
+                            }
+                            Body::OpenOk { token: opens }
+                        }
+                        Body::Resume { .. } => Body::Err {
+                            code: ErrCode::UnknownSession,
+                            io: None,
+                            message: "forgotten".to_string(),
+                        },
+                        Body::Attach { .. } if opens == 1 => break,
+                        _ => Body::AttachOk {
+                            lane: 1,
+                            name: "forgetful".to_string(),
+                            capacity: 1 << 30,
+                            logical_block: 512,
+                        },
+                    };
+                    let (refused, answered) = (
+                        matches!(body, Body::Err { .. }),
+                        matches!(body, Body::AttachOk { .. }),
+                    );
+                    Frame::new(frame.header, body)
+                        .write_to(&mut writer)
+                        .unwrap();
+                    if answered {
+                        return;
+                    }
+                    if refused {
+                        break;
+                    }
+                }
+            }
+        });
+        (endpoint, handle)
+    }
+
+    #[test]
+    fn a_hang_up_during_a_fresh_open_is_retried() {
+        let (endpoint, server) = spawn_forgetful();
+        let mut client = WireClient::connect(&endpoint).unwrap();
+        let (lane, name, ..) = client.attach(LaneTarget::Device(0)).unwrap();
+        assert_eq!((lane, name.as_str()), (1, "forgetful"));
+        // Token 1 was forgotten, the open that would have issued 2 was
+        // hung up on, and the retried open issued 3.
+        assert_eq!(client.token(), 3);
+        server.join().unwrap();
     }
 
     #[test]
