@@ -32,7 +32,8 @@
 //!   local devices, open a session on a `serve` frontend and replay the
 //!   generated trace over the wire (the replayer drives the
 //!   [`RemoteDevice`](uc_serve::RemoteDevice) through the same
-//!   [`BlockDevice`] seam). `--remote-device <i>` picks the served lane
+//!   [`BlockDevice`](uc_blockdev::BlockDevice) seam).
+//!   `--remote-device <i>` picks the served lane
 //!   (default 0); the trace seed is `0x7ACE + i` and the offset span is
 //!   the lane's advertised capacity, so concurrent clients on distinct
 //!   lanes stay deterministic. `--kill-conn-after <f>` kills the

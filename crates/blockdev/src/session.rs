@@ -56,8 +56,9 @@ uc_persist::persist_struct! { SessionStats { ios, bytes, clamped, last_submit } 
 
 /// A block device shared by several sessions.
 ///
-/// See the [module docs](self) for the queue discipline. `SharedDevice`
-/// is a thin multiplexer: open one session per tenant, submit each
+/// A request is never doorbelled earlier than the previously doorbelled
+/// one: a late arrival is clamped to the queue head. `SharedDevice` is a
+/// thin multiplexer: open one session per tenant, submit each
 /// tenant's requests under its [`SessionId`], and read the per-session
 /// ledger back out of [`SharedDevice::stats`].
 #[derive(Debug)]

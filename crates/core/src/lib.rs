@@ -6,7 +6,7 @@
 //!   the paper's evaluation (Table I, Figures 2–5) against any
 //!   [`BlockDevice`](uc_blockdev::BlockDevice), decomposed into
 //!   independent cells and fanned out across cores by the shared
-//!   [`Executor`](experiments::Executor) (parallel runs are
+//!   [`Executor`] (parallel runs are
 //!   byte-identical to sequential ones),
 //! * [`contract`] — the four observations as *checkable predicates* over
 //!   experiment results (thresholds centralized in
