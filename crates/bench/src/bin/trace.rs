@@ -33,10 +33,10 @@
 //!   generated trace over the wire (the replayer drives the
 //!   [`RemoteDevice`](uc_serve::RemoteDevice) through the same
 //!   [`BlockDevice`](uc_blockdev::BlockDevice) seam).
-//!   `--remote-device <i>` picks the served lane
-//!   (default 0); the trace seed is `0x7ACE + i` and the offset span is
-//!   the lane's advertised capacity, so concurrent clients on distinct
-//!   lanes stay deterministic. `--kill-conn-after <f>` kills the
+//!   `--remote-device <i>` picks the served lane (default 0); the trace
+//!   seed is `0x7ACE + i` and the offset span is the lane's advertised
+//!   capacity, so concurrent clients on distinct lanes stay
+//!   deterministic. `--kill-conn-after <f>` kills the
 //!   connection after `f` frame writes — the client reconnects and
 //!   RESUMEs, and the replay must come out identical (the CI
 //!   connection-churn smoke pins this).

@@ -44,9 +44,9 @@ uc_persist::persist_enum! { DeviceKind { 0 = LocalSsd, 1 = Essd1, 2 = Essd2 } }
 ///
 /// This is the registry
 /// [`DeviceCheckpoint::load_from`](uc_blockdev::DeviceCheckpoint::load_from)
-/// needs to thaw an on-disk checkpoint
-/// of *any* roster device: the record's kind tag selects the SSD or ESSD
-/// decoder, and an unknown tag fails typed instead of misparsing.
+/// needs to thaw an on-disk checkpoint of *any* roster device: the
+/// record's kind tag selects the SSD or ESSD decoder, and an unknown tag
+/// fails typed instead of misparsing.
 pub fn payload_codecs() -> Vec<uc_blockdev::PayloadCodec> {
     vec![
         uc_blockdev::PayloadCodec::of::<uc_ssd::SsdCheckpoint>(),

@@ -982,6 +982,29 @@ mod tests {
     use uc_blockdev::BlockDevice;
     use uc_ssd::{Ssd, SsdConfig};
 
+    /// Opens a session and sends one control-lane `CLOSE` stamped `seq`;
+    /// returns the reply read back, if any.
+    fn open_then_close(endpoint: &Endpoint, seq: u64) -> Option<Frame> {
+        let mut conn = endpoint.connect().unwrap();
+        let open = Body::Open {
+            version: WIRE_VERSION,
+        };
+        Frame::new(FrameHeader::connection(), open)
+            .write_to(&mut conn)
+            .unwrap();
+        let open_ok = Frame::read_from(&mut conn).unwrap().expect("open-ok");
+        let Body::OpenOk { token } = open_ok.body else {
+            panic!("expected OPEN_OK, got {open_ok:?}");
+        };
+        let header = FrameHeader {
+            session: token,
+            lane: CONTROL_LANE,
+            seq,
+        };
+        Frame::new(header, Body::Close).write_to(&mut conn).unwrap();
+        Frame::read_from(&mut conn).ok().flatten()
+    }
+
     #[test]
     fn v1_clients_are_rejected_with_a_typed_unsupported_version() {
         let pool = Arc::new(ServePool::new(
@@ -1020,59 +1043,13 @@ mod tests {
         drop(conn);
 
         // A proper v2 session lets the loop reach its target and exit.
-        let mut conn = endpoint.connect().unwrap();
-        Frame::new(
-            FrameHeader::connection(),
-            Body::Open {
-                version: WIRE_VERSION,
-            },
-        )
-        .write_to(&mut conn)
-        .unwrap();
-        let open_ok = Frame::read_from(&mut conn).unwrap().expect("open-ok");
-        let Body::OpenOk { token } = open_ok.body else {
-            panic!("expected OPEN_OK, got {open_ok:?}");
-        };
-        Frame::new(
-            FrameHeader {
-                session: token,
-                lane: CONTROL_LANE,
-                seq: 1,
-            },
-            Body::Close,
-        )
-        .write_to(&mut conn)
-        .unwrap();
-        let close_ok = Frame::read_from(&mut conn).unwrap().expect("close-ok");
+        let close_ok = open_then_close(&endpoint, 1).expect("close-ok");
         assert_eq!(close_ok.body, Body::CloseOk);
 
         let stats = server.join().unwrap().unwrap();
         assert_eq!(stats.sessions_served, 1);
         assert_eq!(stats.connections_accepted, 2);
         assert_eq!(stats.resumes, 0);
-    }
-
-    /// A client opens a session and sends one frame stamped `seq`; the
-    /// reply it reads back, if any.
-    fn send_one_frame(endpoint: &Endpoint, seq: u64) -> Option<Frame> {
-        let mut conn = endpoint.connect().unwrap();
-        let open = Body::Open {
-            version: WIRE_VERSION,
-        };
-        Frame::new(FrameHeader::connection(), open)
-            .write_to(&mut conn)
-            .unwrap();
-        let open_ok = Frame::read_from(&mut conn).unwrap().expect("open-ok");
-        let Body::OpenOk { token } = open_ok.body else {
-            panic!("expected OPEN_OK, got {open_ok:?}");
-        };
-        let header = FrameHeader {
-            session: token,
-            lane: CONTROL_LANE,
-            seq,
-        };
-        Frame::new(header, Body::Close).write_to(&mut conn).unwrap();
-        Frame::read_from(&mut conn).ok().flatten()
     }
 
     #[test]
@@ -1092,7 +1069,7 @@ mod tests {
             std::thread::spawn(move || serve_events(&listener, &pool, 1))
         };
 
-        let reply = send_one_frame(&endpoint, u64::MAX).expect("a typed reject");
+        let reply = open_then_close(&endpoint, u64::MAX).expect("a typed reject");
         assert!(
             matches!(
                 reply.body,
@@ -1103,7 +1080,7 @@ mod tests {
             ),
             "{reply:?}"
         );
-        let reply = send_one_frame(&endpoint, 1).expect("close-ok");
+        let reply = open_then_close(&endpoint, 1).expect("close-ok");
         assert_eq!(reply.body, Body::CloseOk);
 
         let stats = server.join().expect("the loop did not panic").unwrap();
