@@ -90,6 +90,28 @@ mod tests {
         assert_eq!(restored.stats(), ftl.stats());
     }
 
+    /// Pins the exact bytes of a checkpoint taken after GC, whose `p2l`
+    /// holds stale (unmapped) entries among mapped ones. A change to how
+    /// the maps are stored in memory must not move them.
+    #[test]
+    fn checkpoint_bytes_after_gc_are_pinned() {
+        let checkpoint = busy_ftl().checkpoint();
+        assert!(checkpoint.stats.gc_invocations > 0, "exercise GC state");
+        let stale: u64 = checkpoint
+            .blocks
+            .iter()
+            .map(|b| u64::from(b.written - b.valid))
+            .sum();
+        assert!(stale > 0, "exercise stale p2l entries");
+        let mut w = Encoder::new();
+        checkpoint.encode(&mut w);
+        let bytes = w.as_bytes();
+        assert_eq!(
+            (bytes.len(), uc_persist::crc32(bytes)),
+            (26_373, 0x3443_388a)
+        );
+    }
+
     #[test]
     fn mismatched_tables_are_rejected() {
         let mut checkpoint = busy_ftl().checkpoint();
