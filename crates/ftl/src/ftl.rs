@@ -1,88 +1,10 @@
 //! The page-mapping FTL itself.
 
+use crate::map::{assert_page_map_fits, PageMap};
 use crate::{BlockState, FtlConfig, FtlStats, GcPolicy, WearStats};
-use uc_flash::{FlashArray, FlashArraySnapshot, FlashGeometry, FlashOpStats};
+use uc_flash::{FlashArray, FlashArraySnapshot, FlashOpStats};
 use uc_invariant::{ensure, Contract, Violation};
 use uc_sim::SimTime;
-
-/// A page-number map: index → page, or none.
-///
-/// Entries hold `page + 1` as a `u32`, so "none" (`u64::MAX` in the
-/// [`FtlCheckpoint`] form) is stored as 0. A fresh map is therefore
-/// `vec![0; n]`, which the allocator hands out zeroed without touching
-/// the pages until the FTL first writes them. [`Ftl::new`] and
-/// [`Ftl::restore`] bound the geometry below `u32::MAX` physical pages,
-/// so every entry fits.
-#[derive(Debug, Clone)]
-struct PageMap(Vec<u32>);
-
-impl PageMap {
-    /// A map of `len` entries, all none.
-    fn unmapped(len: usize) -> Self {
-        PageMap(vec![0; len])
-    }
-
-    /// Converts the checkpoint form (`u64::MAX` = none). Takes it by
-    /// value so [`Ftl::restore`] frees each `u64` map as soon as it is
-    /// converted, which keeps a restore's peak heap down.
-    fn from_checkpoint(entries: Vec<u64>) -> Self {
-        PageMap(
-            entries
-                .iter()
-                .map(|&e| if e == u64::MAX { 0 } else { entry(e) })
-                .collect(),
-        )
-    }
-
-    /// The checkpoint form (`u64::MAX` = none).
-    fn to_checkpoint(&self) -> Vec<u64> {
-        self.0
-            .iter()
-            .map(|&e| e.checked_sub(1).map_or(u64::MAX, u64::from))
-            .collect()
-    }
-
-    fn len(&self) -> u64 {
-        self.0.len() as u64
-    }
-
-    fn get(&self, index: u64) -> Option<u64> {
-        self.0[index as usize].checked_sub(1).map(u64::from)
-    }
-
-    fn set(&mut self, index: u64, page: u64) {
-        self.0[index as usize] = entry(page);
-    }
-
-    fn clear(&mut self, index: u64) {
-        self.0[index as usize] = 0;
-    }
-
-    /// Every entry in index order.
-    fn iter(&self) -> impl Iterator<Item = Option<u64>> + '_ {
-        self.0.iter().map(|e| e.checked_sub(1).map(u64::from))
-    }
-
-    /// Count of entries that are not none.
-    fn count_mapped(&self) -> u64 {
-        self.0.iter().filter(|&&e| e != 0).count() as u64
-    }
-}
-
-/// The stored form of `page`: `page + 1`.
-fn entry(page: u64) -> u32 {
-    u32::try_from(page + 1).expect("page numbers are below u32::MAX")
-}
-
-/// Asserts the bound that lets [`PageMap`] store every page as a `u32`.
-fn assert_page_map_fits(g: FlashGeometry) {
-    assert!(
-        g.total_pages() < u64::from(u32::MAX),
-        "geometry has {} physical pages; the FTL maps hold fewer than {}",
-        g.total_pages(),
-        u32::MAX
-    );
-}
 
 /// A deterministic, one-shot map-corruption fault for invariant testing.
 ///
@@ -170,10 +92,10 @@ pub struct FtlCheckpoint {
     pub config: FtlConfig,
     /// Die/channel timelines and NAND operation counters.
     pub flash: FlashArraySnapshot,
-    /// Logical page → physical page map (`u64::MAX` = unmapped).
-    pub l2p: Vec<u64>,
-    /// Physical page → logical page map (`u64::MAX` = stale).
-    pub p2l: Vec<u64>,
+    /// Logical page → physical page map (none = unmapped).
+    pub l2p: PageMap,
+    /// Physical page → logical page map (none = stale or free).
+    pub p2l: PageMap,
     /// All block states, indexed `die * blocks_per_die + slot`.
     pub blocks: Vec<BlockState>,
     /// Per-die stacks of free block slots.
@@ -429,13 +351,14 @@ impl Ftl {
         self.blocks.iter().map(|b| b.valid as u64).sum()
     }
 
-    /// Captures the FTL's complete state.
+    /// Captures the FTL's complete state. Each page map is copied once,
+    /// as it is.
     pub fn checkpoint(&self) -> FtlCheckpoint {
         FtlCheckpoint {
             config: self.config,
             flash: self.flash.snapshot(),
-            l2p: self.l2p.to_checkpoint(),
-            p2l: self.p2l.to_checkpoint(),
+            l2p: self.l2p.clone(),
+            p2l: self.p2l.clone(),
             blocks: self.blocks.clone(),
             free: self.free.clone(),
             open_host: self.open_host.clone(),
@@ -450,7 +373,8 @@ impl Ftl {
     /// taken.
     ///
     /// The checkpoint's configuration is used verbatim (it was already
-    /// sanitized by [`Ftl::new`] when the original FTL was built).
+    /// sanitized by [`Ftl::new`] when the original FTL was built), and its
+    /// page maps move into the FTL without a copy.
     ///
     /// # Panics
     ///
@@ -461,13 +385,13 @@ impl Ftl {
         let g = checkpoint.config.geometry;
         let dies = g.total_dies() as usize;
         assert_eq!(
-            checkpoint.l2p.len() as u64,
+            checkpoint.l2p.len(),
             checkpoint.config.effective_logical_pages(),
             "checkpoint l2p length disagrees with configuration"
         );
         assert_eq!(
             checkpoint.p2l.len(),
-            g.total_pages() as usize,
+            g.total_pages(),
             "checkpoint p2l length disagrees with geometry"
         );
         assert_eq!(
@@ -484,8 +408,8 @@ impl Ftl {
         assert_page_map_fits(g);
         Ftl {
             flash: FlashArray::restore(checkpoint.flash),
-            l2p: PageMap::from_checkpoint(checkpoint.l2p),
-            p2l: PageMap::from_checkpoint(checkpoint.p2l),
+            l2p: checkpoint.l2p,
+            p2l: checkpoint.p2l,
             blocks: checkpoint.blocks,
             free: checkpoint.free,
             open_host: checkpoint.open_host,

@@ -35,6 +35,7 @@ mod blocks;
 mod config;
 mod ftl;
 mod gc;
+mod map;
 mod persist;
 mod stats;
 
@@ -44,4 +45,5 @@ pub use config::FtlConfig;
 pub use ftl::MapFault;
 pub use ftl::{Ftl, FtlCheckpoint};
 pub use gc::GcPolicy;
+pub use map::PageMap;
 pub use stats::{FtlStats, WearStats};

@@ -2,10 +2,12 @@
 //!
 //! An [`FtlCheckpoint`] is the largest leaf of a device checkpoint — the
 //! full logical↔physical mapping plus per-block bookkeeping — so its wire
-//! form is a straight field-by-field dump of the plain-data snapshot.
-//! Structural invariants that [`Ftl::restore`](crate::Ftl::restore)
-//! relies on (map and block-table lengths matching the geometry) are
-//! validated on decode, so corrupted bytes surface as typed errors.
+//! form is a straight field-by-field dump of the plain-data snapshot. The
+//! two maps are [`PageMap`](crate::PageMap)s, whose own codec writes each
+//! 32-bit entry in its 64-bit durable form. Structural invariants that
+//! [`Ftl::restore`](crate::Ftl::restore) relies on (map and block-table
+//! lengths matching the geometry) are validated on decode, so corrupted
+//! bytes surface as typed errors.
 
 use crate::{BlockState, FtlCheckpoint, FtlConfig, FtlStats, GcPolicy};
 use uc_persist::{ensure, persist_enum, persist_struct, DecodeError};
@@ -31,10 +33,10 @@ fn check_checkpoint(c: &FtlCheckpoint) -> Result<(), DecodeError> {
     let g = c.config.geometry;
     let dies = g.total_dies() as usize;
     ensure(
-        c.l2p.len() as u64 == c.config.effective_logical_pages(),
+        c.l2p.len() == c.config.effective_logical_pages(),
         "FtlCheckpoint.l2p",
     )?;
-    ensure(c.p2l.len() == g.total_pages() as usize, "FtlCheckpoint.p2l")?;
+    ensure(c.p2l.len() == g.total_pages(), "FtlCheckpoint.p2l")?;
     ensure(
         c.blocks.len() == g.total_blocks() as usize,
         "FtlCheckpoint.blocks",
@@ -43,18 +45,16 @@ fn check_checkpoint(c: &FtlCheckpoint) -> Result<(), DecodeError> {
         c.free.len() == dies && c.open_host.len() == dies && c.open_gc.len() == dies,
         "FtlCheckpoint per-die tables",
     )?;
-    // Every mapped entry must index the opposite map (`u64::MAX` =
-    // unmapped), or restoring would panic at the first lookup.
-    let in_range =
-        |map: &[u64], bound: usize| map.iter().all(|&e| e == u64::MAX || e < bound as u64);
-    ensure(in_range(&c.l2p, c.p2l.len()), "FtlCheckpoint.l2p entry")?;
-    ensure(in_range(&c.p2l, c.l2p.len()), "FtlCheckpoint.p2l entry")
+    // Every mapped entry must index the opposite map, or restoring would
+    // panic at the first lookup.
+    ensure(c.l2p.all_below(c.p2l.len()), "FtlCheckpoint.l2p entry")?;
+    ensure(c.p2l.all_below(c.l2p.len()), "FtlCheckpoint.p2l entry")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ftl;
+    use crate::{Ftl, PageMap};
     use uc_flash::{FlashGeometry, FlashTiming};
     use uc_persist::{Decoder, Encoder, Persist};
     use uc_sim::SimTime;
@@ -127,15 +127,38 @@ mod tests {
         );
     }
 
+    /// A map's entries in their 64-bit durable form (`u64::MAX` = none).
+    fn wide(map: &PageMap) -> Vec<u64> {
+        map.iter().map(|e| e.unwrap_or(u64::MAX)).collect()
+    }
+
+    /// Encodes `c` field by field with its maps replaced by `l2p` and
+    /// `p2l` in the 64-bit durable form, which can hold entries that no
+    /// `PageMap` can.
+    fn encode_with_wide_maps(c: &FtlCheckpoint, l2p: &[u64], p2l: &[u64]) -> Vec<u8> {
+        let mut w = Encoder::new();
+        c.config.encode(&mut w);
+        c.flash.encode(&mut w);
+        l2p.to_vec().encode(&mut w);
+        p2l.to_vec().encode(&mut w);
+        c.blocks.encode(&mut w);
+        c.free.encode(&mut w);
+        c.open_host.encode(&mut w);
+        c.open_gc.encode(&mut w);
+        c.cursor.encode(&mut w);
+        c.seq.encode(&mut w);
+        c.stats.encode(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
     fn shortened_l2p_is_rejected() {
         // A CRC-valid but shortened logical map must fail at decode time,
         // not panic later inside `Ftl::write_page`.
-        let mut checkpoint = busy_ftl().checkpoint();
-        checkpoint.l2p.pop();
-        let mut w = Encoder::new();
-        checkpoint.encode(&mut w);
-        let bytes = w.into_bytes();
+        let checkpoint = busy_ftl().checkpoint();
+        let mut l2p = wide(&checkpoint.l2p);
+        l2p.pop();
+        let bytes = encode_with_wide_maps(&checkpoint, &l2p, &wide(&checkpoint.p2l));
         assert_eq!(
             FtlCheckpoint::decode(&mut Decoder::new(&bytes)),
             Err(DecodeError::InvalidValue {
@@ -147,40 +170,50 @@ mod tests {
     #[test]
     fn out_of_range_map_entries_are_rejected() {
         // A CRC-valid map entry that points past the opposite map must fail
-        // at decode time, not panic (or truncate) inside the FTL.
+        // at decode time, not panic (or truncate) inside the FTL. An entry
+        // too large for a 32-bit map fails in the `PageMap` codec.
         let base = busy_ftl().checkpoint();
-        let physical = base.p2l.len() as u64;
-        let logical = base.l2p.len() as u64;
-        for (l2p, value) in [
-            (true, physical),
-            (true, u64::MAX - 1),
-            (false, logical),
-            (false, 1 << 32),
+        let (l2p, p2l) = (wide(&base.l2p), wide(&base.p2l));
+        let mut w = Encoder::new();
+        base.encode(&mut w);
+        assert_eq!(
+            encode_with_wide_maps(&base, &l2p, &p2l),
+            w.into_bytes(),
+            "the wide maps are the durable form"
+        );
+        let physical = base.p2l.len();
+        let logical = base.l2p.len();
+        let max = u64::from(u32::MAX);
+        for (in_l2p, value, what) in [
+            (true, physical, "FtlCheckpoint.l2p entry"),
+            (true, max - 1, "FtlCheckpoint.l2p entry"),
+            (true, max, "PageMap entry"),
+            (true, u64::MAX - 1, "PageMap entry"),
+            (false, logical, "FtlCheckpoint.p2l entry"),
+            (false, max - 1, "FtlCheckpoint.p2l entry"),
+            (false, max, "PageMap entry"),
+            (false, 1 << 32, "PageMap entry"),
         ] {
-            let mut checkpoint = base.clone();
-            let (map, what) = if l2p {
-                (&mut checkpoint.l2p, "FtlCheckpoint.l2p entry")
+            let (mut l2p, mut p2l) = (l2p.clone(), p2l.clone());
+            if in_l2p {
+                l2p[1] = value;
             } else {
-                (&mut checkpoint.p2l, "FtlCheckpoint.p2l entry")
-            };
-            map[1] = value;
-            let mut w = Encoder::new();
-            checkpoint.encode(&mut w);
-            let bytes = w.into_bytes();
+                p2l[1] = value;
+            }
+            let bytes = encode_with_wide_maps(&base, &l2p, &p2l);
             assert_eq!(
                 FtlCheckpoint::decode(&mut Decoder::new(&bytes)),
                 Err(DecodeError::InvalidValue { what }),
-                "{what} = {value}"
+                "{} entry = {value}",
+                if in_l2p { "l2p" } else { "p2l" }
             );
         }
         // The largest in-range entries and the unmapped marker still decode.
-        let mut checkpoint = base;
-        checkpoint.l2p[1] = physical - 1;
-        checkpoint.p2l[1] = logical - 1;
-        checkpoint.l2p[2] = u64::MAX;
-        let mut w = Encoder::new();
-        checkpoint.encode(&mut w);
-        let bytes = w.into_bytes();
+        let (mut l2p, mut p2l) = (l2p, p2l);
+        l2p[1] = physical - 1;
+        p2l[1] = logical - 1;
+        l2p[2] = u64::MAX;
+        let bytes = encode_with_wide_maps(&base, &l2p, &p2l);
         assert!(FtlCheckpoint::decode(&mut Decoder::new(&bytes)).is_ok());
     }
 

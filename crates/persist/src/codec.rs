@@ -180,17 +180,27 @@ impl Encoder {
     }
 }
 
+/// How many [`Box`]es a decode may nest. A recursive type recurses
+/// through a `Box`, so this bounds the decoder's stack on any bytes.
+const MAX_DEPTH: u32 = 16;
+
 /// Reads values back out of a byte buffer, validating every access.
 #[derive(Debug, Clone)]
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// How many `Box`es the value being decoded sits inside.
+    depth: u32,
 }
 
 impl<'a> Decoder<'a> {
     /// A decoder over `buf`, positioned at its start.
     pub fn new(buf: &'a [u8]) -> Self {
-        Decoder { buf, pos: 0 }
+        Decoder {
+            buf,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     /// Bytes not yet consumed.
@@ -517,8 +527,14 @@ impl<T: Persist> Persist for Box<T> {
     fn encode(&self, w: &mut Encoder) {
         (**self).encode(w);
     }
+    /// Fails with [`DecodeError::InvalidValue`] past 16 nested boxes, so
+    /// crafted bytes cannot overflow the stack.
     fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        T::decode(r).map(Box::new)
+        ensure(r.depth < MAX_DEPTH, "nesting depth")?;
+        r.depth += 1;
+        let value = T::decode(r);
+        r.depth -= 1;
+        value.map(Box::new)
     }
 }
 
@@ -818,6 +834,25 @@ mod tests {
             Shape::decode(&mut Decoder::new(&[0, 9, 1])),
             Err(DecodeError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn box_nesting_is_bounded() {
+        // `MAX_DEPTH` boxes decode; one more fails typed, and so does a
+        // megabyte of nesting tags, without overflowing the stack.
+        let nested = |depth: usize| {
+            let mut bytes = vec![7u8; depth];
+            bytes.push(3);
+            bytes
+        };
+        let deepest = Shape::decode(&mut Decoder::new(&nested(MAX_DEPTH as usize))).unwrap();
+        round_trip(deepest);
+        let too_deep = Err(DecodeError::InvalidValue {
+            what: "nesting depth",
+        });
+        let bytes = nested(MAX_DEPTH as usize + 1);
+        assert_eq!(Shape::decode(&mut Decoder::new(&bytes)), too_deep);
+        assert_eq!(Shape::decode(&mut Decoder::new(&[7; 1 << 20])), too_deep);
     }
 
     #[test]

@@ -170,6 +170,27 @@ mod tests {
     }
 
     #[test]
+    fn nested_mixtures_are_bounded() {
+        // Three levels of tails round-trip.
+        let us = SimDuration::from_micros;
+        let tail = |base: LatencyDist, prob| {
+            base.with_tail(LatencyDist::bounded_pareto(us(500), 1.2, us(5000)), prob)
+        };
+        round_trip(tail(
+            tail(tail(LatencyDist::lognormal(us(50), 0.25), 0.01), 0.001),
+            0.0001,
+        ));
+        // A megabyte of `Mixture` tags fails typed instead of recursing
+        // once per tag until the stack overflows.
+        assert_eq!(
+            LatencyDist::decode(&mut Decoder::new(&[5; 1 << 20])),
+            Err(DecodeError::InvalidValue {
+                what: "nesting depth"
+            })
+        );
+    }
+
+    #[test]
     fn unknown_dist_tag_is_typed() {
         assert_eq!(
             LatencyDist::decode(&mut Decoder::new(&[99])),

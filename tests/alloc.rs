@@ -13,7 +13,9 @@
 //! wire buffer is owned by its connection and reused.
 //!
 //! The allocator also records each thread's largest single allocation,
-//! which bounds what a hostile wire frame can make the decoder reserve.
+//! which bounds what a hostile wire frame can make the decoder reserve,
+//! and shows that the checkpoint seam copies the FTL page maps once per
+//! cut at their in-memory width.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -255,4 +257,31 @@ fn hostile_frame_counts_do_not_reserve_memory() {
             w.as_bytes().len()
         );
     }
+}
+
+/// The checkpoint seam copies each FTL page map once per cut, at its
+/// in-memory 4 bytes per entry, and a restore moves the maps into the
+/// device without allocating anything map-sized.
+#[test]
+fn checkpoint_seam_copies_page_maps_once() {
+    let config = SsdConfig::samsung_970_pro(1 << 30);
+    let physical_pages = config.ftl.geometry.total_pages() as usize;
+    let mut dev = Ssd::new(config.clone());
+    let spec = JobSpec::new(AccessPattern::RandWrite, 4096, 16).with_io_limit(20_000);
+    run_job(&mut dev, &spec).expect("in-range job");
+
+    let mut checkpoint = None;
+    let largest = largest_alloc_in(|| checkpoint = Some(CheckpointDevice::checkpoint(&dev)));
+    assert!(
+        largest <= 4 * physical_pages,
+        "checkpoint allocated {largest} bytes at once for {physical_pages} physical pages"
+    );
+    let checkpoint = checkpoint.expect("checkpoint taken");
+    // As at a segment cut: restore into a freshly built device.
+    let mut fresh = Ssd::new(config);
+    let largest = largest_alloc_in(|| fresh.restore_from(checkpoint).expect("same device"));
+    assert!(
+        largest < 4096,
+        "restore_from allocated {largest} bytes at once"
+    );
 }
