@@ -18,9 +18,11 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use unwritten_contract::core::report::render_serve_report;
 use unwritten_contract::essd::{Essd, EssdConfig};
 use unwritten_contract::fleet::{FleetConfig, FleetDevice, FleetSim, RebalancePolicy};
 use unwritten_contract::obs::ObsReport;
+use unwritten_contract::persist::crc32;
 use unwritten_contract::prelude::*;
 use unwritten_contract::serve::{
     serve_events, Endpoint, Listener, PoolConfig, RemoteDevice, ServePool, WireClient,
@@ -58,15 +60,20 @@ fn lane_trace(lane: usize) -> Trace {
     )
 }
 
-/// Drives every lane of a fresh pool with its trace and captures the
-/// pool's full telemetry report.
-fn replayed_pool_report() -> ObsReport {
+/// A fresh pool with every lane driven by its trace, in lane order.
+fn replayed_pool() -> ServePool {
     let pool = ServePool::new(lanes(), PoolConfig::default());
     for lane in 0..DeviceKind::ALL.len() {
         let mut dev = pool.device(lane).unwrap();
         replay_with(&mut dev, &lane_trace(lane), &ReplayConfig::open_loop()).unwrap();
     }
-    pool.obs_report()
+    pool
+}
+
+/// Drives every lane of a fresh pool with its trace and captures the
+/// pool's full telemetry report.
+fn replayed_pool_report() -> ObsReport {
+    replayed_pool().obs_report()
 }
 
 /// A pool of small eSSDs for the fleet-path tests.
@@ -113,6 +120,25 @@ fn served_replay_telemetry_is_byte_deterministic() {
     assert_eq!(a, b);
     assert_eq!(a.render_text(), b.render_text());
     assert_eq!(a.to_record_bytes(), b.to_record_bytes());
+}
+
+/// The served replay's telemetry record and rendered device report are
+/// pinned as `(len, crc32)`: how the pool locks, counts or stores its
+/// metrics must not move a byte of either.
+#[test]
+fn served_replay_telemetry_bytes_are_pinned() {
+    let fingerprint = |bytes: &[u8]| (bytes.len(), crc32(bytes));
+    let pool = replayed_pool();
+    assert_eq!(
+        fingerprint(&pool.obs_report().to_record_bytes()),
+        (10_635, 3_920_545_668),
+        "uc.obs.v1 record"
+    );
+    assert_eq!(
+        fingerprint(render_serve_report(&pool.report()).as_bytes()),
+        (669, 3_331_480_821),
+        "rendered serve report"
+    );
 }
 
 /// Two same-seed fleet simulations capture byte-identical telemetry —
