@@ -23,10 +23,6 @@
 //!   and rendered as stable text, Prometheus text, or merged into bench
 //!   JSON.
 //!
-//! Shared contexts (the serve pool, which is touched by the event loop,
-//! the Prometheus endpoint thread, and wire control frames at once) use
-//! [`ObsHub`], a cloneable `Arc<Mutex<…>>` wrapper over the same core.
-//!
 //! # Example
 //!
 //! ```
@@ -51,13 +47,11 @@
 #![warn(missing_docs)]
 
 mod flight;
-mod hub;
 mod registry;
 mod report;
 mod snapshot;
 
 pub use flight::{FlightRecorder, ObsEvent};
-pub use hub::ObsHub;
 pub use registry::{CounterId, GaugeId, HistId, MetricsRegistry};
 pub use report::{ObsReport, OBS_RECORD_KIND};
 pub use snapshot::{HistSummary, MetricValue, ObsSnapshot};

@@ -1,10 +1,10 @@
 //! The served device pool: shared lanes, admission control, rate limits.
 //!
 //! [`ServePool`] owns the device lanes a server exposes. Each lane wraps
-//! one [`BlockDevice`] in a [`SharedDevice`] behind a mutex; every
-//! connection (or in-process [`PoolDevice`]) opens a session on one lane
-//! and submits batches through [`ServePool::submit`], which applies the
-//! three protection mechanisms in order:
+//! one [`BlockDevice`] in a [`SharedDevice`]; every connection (or
+//! in-process [`PoolDevice`]) opens a session on one lane and submits
+//! batches through [`ServePool::submit`], which applies the three
+//! protection mechanisms in order:
 //!
 //! 1. **ring bound** — a batch larger than the per-connection submission
 //!    ring is refused with [`BusyReason::RingFull`] before admission;
@@ -19,9 +19,16 @@
 //!    their throughput budgets (Observation 4).
 //!
 //! Refusals are typed and issue no I/O — backpressure is never a silent
-//! drop. Admission counts whole batches and is the only cross-lane
-//! state, so one lane's slow client cannot block another lane's traffic
-//! (the device mutex is never held across a socket write).
+//! drop.
+//!
+//! **One lock.** Everything the pool guards — the lanes, the fleet
+//! frontend and the telemetry registry — sits behind one mutex, taken
+//! once per call and never held across a socket write: the event loop
+//! writes responses after `submit` returns, so a slow client cannot
+//! hold up another lane. The lock tolerates poison. A device that
+//! panics inside a doorbell unwinds through its caller and releases
+//! the batch's admission slot; later requests and read-outs proceed on
+//! whatever state the panic left.
 //!
 //! **Fleet mode** ([`ServePool::new_fleet`]) mounts a fed
 //! [`FleetSim`](uc_fleet::FleetSim) behind the same pool: wire clients
@@ -33,14 +40,14 @@
 //! typed moves for the server to translate into `LANE_MOVED` frames.
 
 use crate::wire::BusyReason;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use uc_blockdev::{
     BlockDevice, Completion, DeviceInfo, IoBatch, IoError, IoRequest, IoResult, SessionId,
     SessionStats, SharedDevice,
 };
 use uc_fleet::{FeedError, FleetReport, FleetSim};
-use uc_obs::{CounterId, GaugeId, HistId, ObsHub, ObsSnapshot};
+use uc_obs::{CounterId, GaugeId, HistId, MetricsRegistry, ObsReport, ObsSnapshot};
 use uc_sim::{SimTime, TokenBucket};
 use uc_workload::TraceEntry;
 
@@ -133,20 +140,22 @@ impl std::fmt::Debug for InflightGuard {
 
 struct Lane {
     label: String,
-    state: Mutex<LaneState>,
+    shared: SharedDevice<Box<dyn BlockDevice + Send>>,
 }
 
-/// What a lane's lock guards: the shared device, plus the doorbell
-/// scratch [`ServePool::submit`] rebuilds and reuses for every batch.
-struct LaneState {
-    shared: SharedDevice<Box<dyn BlockDevice + Send>>,
-    /// The batch as doorbelled, shifted to the rate budget's grant.
+/// Everything the pool's one lock guards.
+struct PoolState {
+    lanes: Vec<Lane>,
+    fleet: Option<FleetFrontend>,
+    obs: MetricsRegistry,
+    /// Doorbell scratch [`ServePool::submit`] rebuilds and reuses for
+    /// every batch: the batch shifted to the rate budget's grant...
     batch: IoBatch,
-    /// The issuing session of each batched request.
+    /// ...and the issuing session of each batched request.
     owners: Vec<SessionId>,
 }
 
-/// Typed handles into the pool's [`ObsHub`] for one lane.
+/// Typed handles into the pool's registry for one lane.
 #[derive(Debug, Clone, Copy)]
 struct LaneObsIds {
     ios: CounterId,
@@ -156,7 +165,7 @@ struct LaneObsIds {
     queue_depth: GaugeId,
 }
 
-/// Typed handles into the pool's [`ObsHub`], registered once at
+/// Typed handles into the pool's registry, registered once at
 /// construction so the hot path never allocates a metric name.
 #[derive(Debug, Clone)]
 struct PoolObsIds {
@@ -174,7 +183,7 @@ impl PoolObsIds {
     /// Registration order is the snapshot's row order: pool-level
     /// metrics first, then each lane's, in lane order — deterministic
     /// for any pool shape.
-    fn register(obs: &ObsHub, lanes: usize) -> Self {
+    fn register(obs: &mut MetricsRegistry, lanes: usize) -> Self {
         PoolObsIds {
             batches: obs.counter("serve.pool.batches"),
             ios: obs.counter("serve.pool.ios"),
@@ -272,14 +281,11 @@ struct FleetFrontend {
 /// The set of device lanes one server exposes, plus (in fleet mode) the
 /// tenant seam.
 pub struct ServePool {
-    lanes: Vec<Lane>,
-    fleet: Option<Mutex<FleetFrontend>>,
+    state: Mutex<PoolState>,
     config: PoolConfig,
+    /// Batches admitted and not yet released. Raised only under the
+    /// lock; an [`InflightGuard`] lowers it wherever it drops.
     inflight: Arc<AtomicUsize>,
-    busy_ring_full: AtomicU64,
-    shed_overload: AtomicU64,
-    throttled: AtomicU64,
-    obs: ObsHub,
     oids: PoolObsIds,
 }
 
@@ -361,26 +367,30 @@ impl ServePool {
             .into_iter()
             .map(|(label, dev)| Lane {
                 label,
-                state: Mutex::new(LaneState {
-                    shared: SharedDevice::new(dev),
-                    batch: IoBatch::new(),
-                    owners: Vec::new(),
-                }),
+                shared: SharedDevice::new(dev),
             })
             .collect();
-        let obs = ObsHub::new();
-        let oids = PoolObsIds::register(&obs, lanes.len());
+        let mut obs = MetricsRegistry::new();
+        let oids = PoolObsIds::register(&mut obs, lanes.len());
         ServePool {
-            lanes,
-            fleet: None,
+            state: Mutex::new(PoolState {
+                lanes,
+                fleet: None,
+                obs,
+                batch: IoBatch::new(),
+                owners: Vec::new(),
+            }),
             config,
             inflight: Arc::new(AtomicUsize::new(0)),
-            busy_ring_full: AtomicU64::new(0),
-            shed_overload: AtomicU64::new(0),
-            throttled: AtomicU64::new(0),
-            obs,
             oids,
         }
+    }
+
+    /// Takes the pool's one lock. A panic under it (a device panicking
+    /// inside a doorbell) poisons the mutex; the state is taken back
+    /// as the panic left it rather than failing every later caller.
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Builds a fleet-mode pool: no device lanes, every wire lane is a
@@ -394,26 +404,19 @@ impl ServePool {
     /// [`new`](ServePool::new).
     pub fn new_fleet(sim: FleetSim, config: PoolConfig) -> Self {
         let tenants = sim.config().tenants;
-        let mut pool = ServePool::new(Vec::new(), config);
-        pool.fleet = Some(Mutex::new(FleetFrontend {
+        let pool = ServePool::new(Vec::new(), config);
+        pool.state().fleet = Some(FleetFrontend {
             sim,
             attached: vec![false; tenants],
             flushed: vec![false; tenants],
             flushed_count: 0,
-        }));
+        });
         pool
-    }
-
-    /// Whether the pool is serving a fleet.
-    pub fn is_fleet(&self) -> bool {
-        self.fleet.is_some()
     }
 
     /// Number of tenants in fleet mode (0 otherwise).
     pub fn fleet_tenants(&self) -> usize {
-        self.fleet
-            .as_ref()
-            .map_or(0, |f| f.lock().expect("fleet lock").attached.len())
+        self.state().fleet.as_ref().map_or(0, |f| f.attached.len())
     }
 
     /// Mounts `tenant` as a wire lane: returns the lane's advertised
@@ -425,7 +428,8 @@ impl ServePool {
     /// [`FleetError::NotFleet`] / [`FleetError::UnknownTenant`] /
     /// [`FleetError::AlreadyAttached`].
     pub fn attach_tenant(&self, tenant: u32) -> Result<(String, u64, u32), FleetError> {
-        let mut f = self.fleet_frontend()?;
+        let mut st = self.state();
+        let f = st.fleet.as_mut().ok_or(FleetError::NotFleet)?;
         let slot = f
             .attached
             .get_mut(tenant as usize)
@@ -446,8 +450,11 @@ impl ServePool {
     ///
     /// [`FleetError::Feed`] with the seam's typed refusal.
     pub fn tenant_push(&self, tenant: u32, entries: &[TraceEntry]) -> Result<u64, FleetError> {
-        let mut f = self.fleet_frontend()?;
-        f.sim
+        self.state()
+            .fleet
+            .as_mut()
+            .ok_or(FleetError::NotFleet)?
+            .sim
             .push_entries(tenant, entries)
             .map_err(FleetError::Feed)?;
         Ok(entries.len() as u64)
@@ -462,7 +469,8 @@ impl ServePool {
     /// [`FleetError::EpochMismatch`] for an out-of-order flush,
     /// [`FleetError::Io`] if the epoch run hit a device error.
     pub fn tenant_flush(&self, tenant: u32, epoch: u64) -> Result<FlushOutcome, FleetError> {
-        let mut f = self.fleet_frontend()?;
+        let mut st = self.state();
+        let f = st.fleet.as_mut().ok_or(FleetError::NotFleet)?;
         if tenant as usize >= f.attached.len() {
             return Err(FleetError::UnknownTenant);
         }
@@ -495,33 +503,19 @@ impl ServePool {
 
     /// The fleet's report so far (`None` for a roster pool).
     pub fn fleet_report(&self) -> Option<FleetReport> {
-        self.fleet
-            .as_ref()
-            .map(|f| f.lock().expect("fleet lock").sim.report())
-    }
-
-    fn fleet_frontend(&self) -> Result<std::sync::MutexGuard<'_, FleetFrontend>, FleetError> {
-        self.fleet
-            .as_ref()
-            .map(|f| f.lock().expect("fleet lock"))
-            .ok_or(FleetError::NotFleet)
-    }
-
-    /// The pool's configuration.
-    pub fn config(&self) -> &PoolConfig {
-        &self.config
+        self.state().fleet.as_ref().map(|f| f.sim.report())
     }
 
     /// Number of device lanes.
     pub fn devices(&self) -> usize {
-        self.lanes.len()
+        self.oids.lanes.len()
     }
 
     /// Opens a session on lane `device`; `None` if the index is out of
     /// range.
     pub fn open(&self, device: usize) -> Option<(PoolSession, DeviceInfo)> {
-        let lane = self.lanes.get(device)?;
-        let shared = &mut lane.state.lock().expect("lane lock").shared;
+        let mut st = self.state();
+        let shared = &mut st.lanes.get_mut(device)?.shared;
         let session = shared.open_session();
         let info = shared.info();
         Some((
@@ -542,7 +536,7 @@ impl ServePool {
     ///
     /// On success the returned [`InflightGuard`] holds the batch's
     /// admission slot; drop it once the completions have been delivered.
-    /// Once `completions` and the lane's doorbell scratch have grown to
+    /// Once `completions` and the pool's doorbell scratch have grown to
     /// the ring size, a doorbell allocates nothing.
     ///
     /// # Errors
@@ -556,99 +550,79 @@ impl ServePool {
         reqs: &[IoRequest],
         completions: &mut Vec<Completion>,
     ) -> Result<InflightGuard, Rejection> {
+        let oids = &self.oids;
+        let mut st = self.state();
+        let PoolState {
+            lanes,
+            obs,
+            batch,
+            owners,
+            ..
+        } = &mut *st;
         if reqs.len() > self.config.ring {
-            self.busy_ring_full.fetch_add(1, Ordering::Relaxed);
-            self.obs.inc(self.oids.busy_ring_full);
+            obs.inc(oids.busy_ring_full);
             return Err(Rejection::Busy(BusyReason::RingFull));
         }
         // Admission: occupancy counts whole batches, admission-to-drop of
-        // the guard. CAS so a burst of arrivals cannot overshoot.
-        let mut current = self.inflight.load(Ordering::Acquire);
-        loop {
-            if current >= self.config.max_inflight {
-                self.shed_overload.fetch_add(1, Ordering::Relaxed);
-                self.obs.inc(self.oids.shed_overload);
-                return Err(Rejection::Busy(BusyReason::Overload));
-            }
-            match self.inflight.compare_exchange_weak(
-                current,
-                current + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(observed) => current = observed,
-            }
+        // the guard. Only this lock raises the count, so a burst of
+        // arrivals cannot overshoot the ceiling.
+        let current = self.inflight.load(Ordering::Acquire);
+        if current >= self.config.max_inflight {
+            obs.inc(oids.shed_overload);
+            return Err(Rejection::Busy(BusyReason::Overload));
         }
+        self.inflight.fetch_add(1, Ordering::AcqRel);
+        // Built before the device runs, so a panicking doorbell still
+        // releases the slot as it unwinds.
         let guard = InflightGuard {
             inflight: Arc::clone(&self.inflight),
         };
+        obs.set_max(oids.inflight_peak, (current + 1) as i64);
 
         // Rate budget: shift the whole batch to the bucket's grant
         // instant (relative spacing within the batch is preserved).
+        let bytes: u64 = reqs.iter().map(|r| r.len as u64).sum();
         let mut delay_nanos = 0u64;
         if let (Some(bucket), Some(first)) = (sess.bucket.as_mut(), reqs.first()) {
-            let bytes: u64 = reqs.iter().map(|r| r.len as u64).sum();
             let grant = bucket.reserve(first.submit_time, bytes);
             delay_nanos = grant
                 .as_nanos()
                 .saturating_sub(first.submit_time.as_nanos());
             if delay_nanos > 0 {
                 sess.throttled += 1;
-                self.throttled.fetch_add(1, Ordering::Relaxed);
+                obs.inc(oids.throttled);
             }
         }
 
         let base = completions.len();
-        let result = {
-            let mut lane = self.lanes[sess.device].state.lock().expect("lane lock");
-            let LaneState {
-                shared,
-                batch,
-                owners,
-            } = &mut *lane;
-            batch.clear();
-            for req in reqs {
-                let mut shifted = *req;
-                shifted.submit_time =
-                    SimTime::from_nanos(shifted.submit_time.as_nanos().saturating_add(delay_nanos));
-                batch.push(shifted);
-            }
-            owners.clear();
-            owners.resize(reqs.len(), sess.session);
-            shared.submit_batch_shared(owners, batch, completions)
-            // Lock released here — never held across a response write
-            // (and never while touching the obs hub: the hub-then-lane
-            // order in obs_snapshot stays deadlock-free).
-        };
-        // Every telemetry update of the doorbell, under one hub lock.
-        let oids = &self.oids;
-        self.obs.with_registry(|obs| {
-            obs.set_max(oids.inflight_peak, (current + 1) as i64);
-            if delay_nanos > 0 {
-                obs.inc(oids.throttled);
-            }
-            if result.is_err() {
-                return;
-            }
-            let bytes: u64 = reqs.iter().map(|r| r.len as u64).sum();
-            obs.inc(oids.batches);
-            obs.add(oids.ios, reqs.len() as u64);
-            obs.add(oids.bytes, bytes);
-            if let Some(ids) = oids.lanes.get(sess.device) {
-                obs.add(ids.ios, reqs.len() as u64);
-                obs.add(ids.bytes, bytes);
-                obs.record_ns(ids.batch_size, reqs.len() as u64);
-                obs.set_max(ids.queue_depth, reqs.len() as i64);
-                for c in &completions[base..] {
-                    obs.record_ns(
-                        ids.service,
-                        c.completes.saturating_since(c.submitted).as_nanos(),
-                    );
-                }
-            }
-        });
-        result.map_err(Rejection::Io)?;
+        batch.clear();
+        for req in reqs {
+            let mut shifted = *req;
+            shifted.submit_time =
+                SimTime::from_nanos(shifted.submit_time.as_nanos().saturating_add(delay_nanos));
+            batch.push(shifted);
+        }
+        owners.clear();
+        owners.resize(reqs.len(), sess.session);
+        lanes[sess.device]
+            .shared
+            .submit_batch_shared(owners, batch, completions)
+            .map_err(Rejection::Io)?;
+
+        obs.inc(oids.batches);
+        obs.add(oids.ios, reqs.len() as u64);
+        obs.add(oids.bytes, bytes);
+        let ids = &oids.lanes[sess.device];
+        obs.add(ids.ios, reqs.len() as u64);
+        obs.add(ids.bytes, bytes);
+        obs.record_ns(ids.batch_size, reqs.len() as u64);
+        obs.set_max(ids.queue_depth, reqs.len() as i64);
+        for c in &completions[base..] {
+            obs.record_ns(
+                ids.service,
+                c.completes.saturating_since(c.submitted).as_nanos(),
+            );
+        }
         Ok(guard)
     }
 
@@ -656,109 +630,83 @@ impl ServePool {
     /// sanity check the server runs before re-arming a resumed session's
     /// lanes onto the pool.
     pub fn validate_session(&self, sess: &PoolSession) -> bool {
-        self.lanes.get(sess.device).is_some_and(|lane| {
-            lane.state
-                .lock()
-                .expect("lane lock")
-                .shared
-                .has_session(sess.session)
-        })
+        self.state()
+            .lanes
+            .get(sess.device)
+            .is_some_and(|lane| lane.shared.has_session(sess.session))
     }
 
     /// The session's ledger and its lane's queue head.
     pub fn stats(&self, sess: &PoolSession) -> (SessionStats, SimTime) {
-        let shared = &self.lanes[sess.device]
-            .state
-            .lock()
-            .expect("lane lock")
-            .shared;
+        let st = self.state();
+        let shared = &st.lanes[sess.device].shared;
         (*shared.stats(sess.session), shared.queue_head())
-    }
-
-    /// Submit frames refused for exceeding the ring.
-    pub fn busy_ring_full(&self) -> u64 {
-        self.busy_ring_full.load(Ordering::Relaxed)
-    }
-
-    /// Submit frames shed above the in-flight ceiling.
-    pub fn shed_overload(&self) -> u64 {
-        self.shed_overload.load(Ordering::Relaxed)
-    }
-
-    /// Batches delayed by a session rate budget.
-    pub fn throttled(&self) -> u64 {
-        self.throttled.load(Ordering::Relaxed)
     }
 
     /// The device-side report: every lane's session ledgers plus the
     /// pool-level backpressure counters.
     pub fn report(&self) -> ServeReport {
+        let st = self.state();
         ServeReport {
-            devices: self
+            devices: st
                 .lanes
                 .iter()
                 .enumerate()
                 .map(|(index, lane)| {
-                    let shared = &lane.state.lock().expect("lane lock").shared;
-                    let info = shared.info();
+                    let info = lane.shared.info();
                     DeviceLaneReport {
                         index,
                         label: lane.label.clone(),
                         name: info.name().to_string(),
                         capacity: info.capacity(),
-                        queue_head: shared.queue_head(),
-                        sessions: shared.session_stats().to_vec(),
+                        queue_head: lane.shared.queue_head(),
+                        sessions: lane.shared.session_stats().to_vec(),
                     }
                 })
                 .collect(),
-            busy_ring_full: self.busy_ring_full(),
-            shed_overload: self.shed_overload(),
-            throttled: self.throttled(),
+            busy_ring_full: st.obs.counter_value(self.oids.busy_ring_full),
+            shed_overload: st.obs.counter_value(self.oids.shed_overload),
+            throttled: st.obs.counter_value(self.oids.throttled),
         }
     }
 
-    /// The pool's shared telemetry hub — the event loop and the metrics
-    /// endpoint clone this to record their own counters alongside the
-    /// pool's.
-    pub fn obs(&self) -> &ObsHub {
-        &self.obs
+    /// A live telemetry snapshot: the pool's rows (pool counters,
+    /// per-lane histograms) in registration order, then each lane's
+    /// underlying device observed under `serve.device{i}.*`, then — in
+    /// fleet mode — the fleet simulation's whole snapshot.
+    /// Deterministic: same run, same bytes.
+    pub fn obs_snapshot(&self) -> ObsSnapshot {
+        Self::snapshot_of(&self.state())
     }
 
-    /// A live telemetry snapshot: the hub's rows (pool counters, per-lane
-    /// histograms, whatever the event loop registered) in registration
-    /// order, then each lane's underlying device observed under
-    /// `serve.device{i}.*`, then — in fleet mode — the fleet simulation's
-    /// whole snapshot. Deterministic: same run, same bytes.
-    pub fn obs_snapshot(&self) -> ObsSnapshot {
-        // Clone the registry out of the hub first, then observe devices
-        // into the clone: no lane lock is ever taken under the hub lock
-        // (submit records hub-side only after releasing its lane lock).
-        let mut reg = self.obs.with_registry(|r| r.clone());
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let shared = &lane.state.lock().expect("lane lock").shared;
-            shared
+    fn snapshot_of(st: &PoolState) -> ObsSnapshot {
+        let mut reg = st.obs.clone();
+        for (i, lane) in st.lanes.iter().enumerate() {
+            lane.shared
                 .inner()
                 .observe_into(&format!("serve.device{i}"), &mut reg);
         }
         let mut snap = reg.snapshot();
-        if let Some(f) = self.fleet.as_ref() {
-            let fleet_snap = f.lock().expect("fleet lock").sim.obs_snapshot();
-            snap.extend_prefixed("", &fleet_snap);
+        if let Some(f) = &st.fleet {
+            snap.extend_prefixed("", &f.sim.obs_snapshot());
         }
         snap
     }
 
     /// A full `uc.obs.v1` telemetry capture: the combined snapshot from
-    /// [`ServePool::obs_snapshot`] plus the flight-recorder tail — the
-    /// hub's own events followed, in fleet mode, by the fleet
-    /// simulation's (migration phases, contract violations).
-    pub fn obs_report(&self) -> uc_obs::ObsReport {
-        let mut report = self.obs.report();
-        report.snapshot = self.obs_snapshot();
-        if let Some(f) = self.fleet.as_ref() {
-            let fleet_report = f.lock().expect("fleet lock").sim.obs_report();
-            report.events.extend(fleet_report.events);
-            report.dropped_events += fleet_report.dropped_events;
+    /// [`ServePool::obs_snapshot`] plus, in fleet mode, the fleet
+    /// simulation's flight-recorder tail (migration phases, contract
+    /// violations).
+    pub fn obs_report(&self) -> ObsReport {
+        let st = self.state();
+        let mut report = ObsReport {
+            snapshot: Self::snapshot_of(&st),
+            ..ObsReport::default()
+        };
+        if let Some(f) = &st.fleet {
+            let fleet_report = f.sim.obs_report();
+            report.events = fleet_report.events;
+            report.dropped_events = fleet_report.dropped_events;
         }
         report
     }
@@ -766,8 +714,12 @@ impl ServePool {
     /// Service-latency percentiles merged across every lane — the
     /// summary `serve --bench-json` publishes.
     pub fn service_summary(&self) -> uc_obs::HistSummary {
-        let ids: Vec<HistId> = self.oids.lanes.iter().map(|l| l.service).collect();
-        uc_obs::HistSummary::of(&self.obs.merged_hist(&ids))
+        let st = self.state();
+        let mut merged = uc_metrics::LatencyHistogram::new();
+        for ids in &self.oids.lanes {
+            merged.merge(st.obs.hist_value(ids.service));
+        }
+        uc_obs::HistSummary::of(&merged)
     }
 
     /// Opens a session on lane `device` wrapped as an in-process
@@ -885,6 +837,44 @@ mod tests {
         }
     }
 
+    /// A device 30 µs slow, and one that panics on a write at offset 0;
+    /// otherwise both behave like [`Fixed`].
+    struct Slow;
+    struct PanicsAtZero;
+
+    impl BlockDevice for Slow {
+        fn info(&self) -> DeviceInfo {
+            Fixed.info()
+        }
+        fn submit(&mut self, req: &IoRequest) -> IoResult {
+            self.info().validate(req)?;
+            Ok(req.submit_time + SimDuration::from_micros(30))
+        }
+    }
+
+    impl BlockDevice for PanicsAtZero {
+        fn info(&self) -> DeviceInfo {
+            Fixed.info()
+        }
+        fn submit(&mut self, req: &IoRequest) -> IoResult {
+            assert!(
+                !(req.kind == uc_blockdev::IoKind::Write && req.offset == 0),
+                "device fault"
+            );
+            Fixed.submit(req)
+        }
+    }
+
+    /// A pool over `devices`, labelled by lane index.
+    fn pool_of(devices: Vec<Box<dyn BlockDevice + Send>>, config: PoolConfig) -> ServePool {
+        let lanes = devices
+            .into_iter()
+            .enumerate()
+            .map(|(i, d)| (i.to_string(), d))
+            .collect();
+        ServePool::new(lanes, config)
+    }
+
     fn pool(config: PoolConfig) -> ServePool {
         ServePool::new(
             vec![
@@ -962,7 +952,7 @@ mod tests {
             submit(&pool, &mut s, &reqs).unwrap_err(),
             Rejection::Busy(BusyReason::RingFull)
         );
-        assert_eq!(pool.busy_ring_full(), 1);
+        assert_eq!(pool.report().busy_ring_full, 1);
         // Nothing was issued.
         assert_eq!(pool.report().total_ios(), 0);
     }
@@ -981,7 +971,7 @@ mod tests {
             submit(&pool, &mut s, &reqs).unwrap_err(),
             Rejection::Busy(BusyReason::Overload)
         );
-        assert_eq!(pool.shed_overload(), 1);
+        assert_eq!(pool.report().shed_overload, 1);
         drop(guard);
         // Slot free again: the retry is admitted.
         let (_, guard) = submit(&pool, &mut s, &reqs).unwrap();
@@ -1005,7 +995,7 @@ mod tests {
         // 2 MB against a 1 MB burst: 1 MB of deficit at 1 MB/s = 1 s.
         assert!(completions[0].submitted >= at(999_000_000));
         assert_eq!(s.throttled(), 1);
-        assert_eq!(pool.throttled(), 1);
+        assert_eq!(pool.report().throttled, 1);
     }
 
     #[test]
@@ -1051,7 +1041,7 @@ mod tests {
         parked.clear();
         let (_, guard) = submit(&pool, &mut s, &reqs).unwrap();
         assert_eq!(pool.report().total_ios(), 4);
-        assert_eq!(pool.shed_overload(), 2);
+        assert_eq!(pool.report().shed_overload, 2);
         assert!(pool.validate_session(&s));
         // A guard borrows nothing: it may outlive the pool that issued it.
         drop(pool);
@@ -1070,7 +1060,6 @@ mod tests {
         ))];
         let sim = FleetSim::new_fed(fleet_config, devices);
         let pool = ServePool::new_fleet(sim, PoolConfig::default());
-        assert!(pool.is_fleet());
         assert_eq!(pool.fleet_tenants(), 3);
 
         let (name, span, io_size) = pool.attach_tenant(0).unwrap();
@@ -1157,6 +1146,73 @@ mod tests {
             snap.render_prometheus(),
             b.obs_snapshot().render_prometheus()
         );
+    }
+
+    #[test]
+    fn a_panicking_device_does_not_take_the_pool_down() {
+        let pool = pool_of(
+            vec![Box::new(PanicsAtZero), Box::new(Fixed)],
+            PoolConfig {
+                max_inflight: 1,
+                ..PoolConfig::default()
+            },
+        );
+        let (mut s0, _) = pool.open(0).unwrap();
+        let (mut s1, _) = pool.open(1).unwrap();
+        let fault = [IoRequest::write(0, 512, at(0))];
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = submit(&pool, &mut s0, &fault);
+        }));
+        assert!(unwound.is_err(), "the device must have panicked");
+
+        // The lock is not left unusable, and the panicking batch gave
+        // back its only admission slot as it unwound.
+        let ok = [IoRequest::write(4096, 512, at(10))];
+        drop(submit(&pool, &mut s0, &ok).unwrap());
+        drop(submit(&pool, &mut s1, &ok).unwrap());
+        assert!(pool.validate_session(&s0));
+        assert_eq!(pool.obs_snapshot().counter("serve.pool.ios"), Some(2));
+        let report = pool.report();
+        assert_eq!(report.devices[1].sessions[0].ios, 1);
+        assert_eq!(report.shed_overload, 0);
+    }
+
+    #[test]
+    fn service_summary_merges_every_lane() {
+        let pool = pool_of(vec![Box::new(Fixed), Box::new(Slow)], PoolConfig::default());
+        let (mut s0, _) = pool.open(0).unwrap();
+        let (mut s1, _) = pool.open(1).unwrap();
+        for i in 0..3u64 {
+            drop(
+                submit(
+                    &pool,
+                    &mut s0,
+                    &[IoRequest::write(i * 512, 512, at(i * 100))],
+                )
+                .unwrap(),
+            );
+        }
+        for i in 0..2u64 {
+            drop(
+                submit(
+                    &pool,
+                    &mut s1,
+                    &[IoRequest::read(i * 512, 512, at(i * 100))],
+                )
+                .unwrap(),
+            );
+        }
+        let snap = pool.obs_snapshot();
+        let lane = |i: usize| {
+            snap.histogram(&format!("serve.lane{i}.service_ns"))
+                .unwrap()
+        };
+        let (fast, slow) = (lane(0), lane(1));
+        assert_eq!((fast.count, slow.count), (3, 2));
+        assert!(slow.max_ns > fast.max_ns);
+        let summary = pool.service_summary();
+        assert_eq!(summary.count, fast.count + slow.count);
+        assert_eq!(summary.max_ns, slow.max_ns);
     }
 
     #[test]

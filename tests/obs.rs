@@ -11,12 +11,14 @@
 //!   `serve`/`fleet` binaries' `--obs-dump`);
 //! * **live export equivalence** — a `uc.wire.metrics.v2` pull over a
 //!   real socket returns the same rows a server-side snapshot shows,
-//!   and the Prometheus endpoint renders that same snapshot;
+//!   the Prometheus endpoint renders that same snapshot, and a scrape
+//!   taken while the loop serves sees pool totals that only grow;
 //! * **postmortem usefulness** — a seeded contract violation produces a
 //!   flight dump (written to disk, read back through the checksummed
 //!   record envelope) whose last events name the violating seam.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use unwritten_contract::core::report::render_serve_report;
 use unwritten_contract::essd::{Essd, EssdConfig};
@@ -218,6 +220,60 @@ fn wire_metrics_pull_matches_server_side_snapshot() {
     // rows) but stay out of the deterministic pool snapshot.
     assert!(observed.counter("serve.loop.polls").unwrap() > 0);
     assert_eq!(server_side.counter("serve.loop.polls"), None);
+}
+
+/// A scrape while the event loop serves takes the pool's lock from
+/// another thread: every scrape sees pool totals that only grow, and the
+/// served run still ends with the in-process replay's report.
+#[test]
+fn live_scrapes_while_serving_see_monotonic_totals() {
+    let pool = Arc::new(ServePool::new(lanes(), PoolConfig::default()));
+    let listener = Listener::bind(&Endpoint::parse("tcp:127.0.0.1:0").unwrap()).unwrap();
+    let endpoint = listener.local_endpoint().unwrap();
+    let sessions = DeviceKind::ALL.len();
+    let server = {
+        let pool = Arc::clone(&pool);
+        std::thread::spawn(move || serve_events(&listener, &pool, sessions))
+    };
+    let done = Arc::new(AtomicBool::new(false));
+    let scraper = {
+        let (pool, done) = (Arc::clone(&pool), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let mut seen = Vec::new();
+            while !done.load(Ordering::Acquire) {
+                seen.push(pool.obs_snapshot().counter("serve.pool.ios").unwrap());
+                std::thread::yield_now();
+            }
+            seen
+        })
+    };
+
+    let clients: Vec<_> = (0..sessions)
+        .map(|lane| {
+            let endpoint = endpoint.clone();
+            std::thread::spawn(move || {
+                let mut dev = RemoteDevice::open(&endpoint, lane as u32).unwrap();
+                replay_with(&mut dev, &lane_trace(lane), &ReplayConfig::open_loop()).unwrap();
+                dev.close().unwrap();
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().unwrap();
+    }
+    server.join().unwrap().unwrap();
+    done.store(true, Ordering::Release);
+    let seen = scraper.join().unwrap();
+
+    assert!(!seen.is_empty(), "the scraper must have run");
+    assert!(
+        seen.windows(2).all(|w| w[0] <= w[1]),
+        "serve.pool.ios went backwards between scrapes"
+    );
+    assert_eq!(
+        render_serve_report(&pool.report()),
+        render_serve_report(&replayed_pool().report())
+    );
 }
 
 /// A seeded contract violation produces a flight dump — written to disk
