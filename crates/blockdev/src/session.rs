@@ -40,9 +40,9 @@ impl SessionId {
 /// queue.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Requests submitted.
+    /// Requests the device served (not those it failed or panicked on).
     pub ios: u64,
-    /// Bytes submitted.
+    /// Bytes of the requests the device served.
     pub bytes: u64,
     /// Requests whose nominal submit instant predated the queue head and
     /// were clamped forward (head-of-line blocking behind another
@@ -154,8 +154,8 @@ impl<D: BlockDevice> SharedDevice<D> {
     }
 
     /// Applies the queue discipline to one request: clamp its submit
-    /// instant to the queue head, advance the head, and debit `session`'s
-    /// ledger. Returns the doorbelled request.
+    /// instant to the queue head and advance the head. Returns the
+    /// doorbelled request, charged once served ([`SharedDevice::charge`]).
     fn doorbell(&mut self, session: SessionId, req: &IoRequest) -> IoRequest {
         let mut doorbelled = *req;
         let stats = &mut self.sessions[session.0];
@@ -164,12 +164,18 @@ impl<D: BlockDevice> SharedDevice<D> {
             stats.clamped += 1;
         }
         self.last_submit = doorbelled.submit_time;
-        stats.ios += 1;
-        stats.bytes += doorbelled.len as u64;
         stats.last_submit = doorbelled.submit_time;
-        self.ios += 1;
-        self.bytes += doorbelled.len as u64;
         doorbelled
+    }
+
+    /// Debits `session`'s ledger and the device totals for one request of
+    /// `len` bytes that the inner device served.
+    fn charge(&mut self, session: SessionId, len: u32) {
+        let stats = &mut self.sessions[session.0];
+        stats.ios += 1;
+        stats.bytes += u64::from(len);
+        self.ios += 1;
+        self.bytes += u64::from(len);
     }
 
     /// Submits one request under `session`, returning its completion
@@ -186,6 +192,9 @@ impl<D: BlockDevice> SharedDevice<D> {
     pub fn submit_shared(&mut self, session: SessionId, req: &IoRequest) -> IoResult {
         let doorbelled = self.doorbell(session, req);
         let result = self.inner.submit(&doorbelled);
+        if result.is_ok() {
+            self.charge(session, doorbelled.len);
+        }
         // Contract hook (O(1)): the queue head never regresses and the
         // session ledger stays within the device totals.
         uc_invariant::enforce(|| {
@@ -241,6 +250,9 @@ impl<D: BlockDevice> SharedDevice<D> {
             *req = self.doorbell(*owner, req);
         }
         self.inner.submit_batch_into(batch, completions)?;
+        for (owner, req) in owners.iter().zip(batch.requests()) {
+            self.charge(*owner, req.len);
+        }
         uc_invariant::debug_check(self);
         Ok(())
     }

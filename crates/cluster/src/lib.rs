@@ -111,13 +111,33 @@ pub struct ClusterStats {
 /// The storage backend of an elastic SSD.
 ///
 /// See the crate docs for the model; constructed from a [`ClusterConfig`],
-/// driven by `uc-essd`.
+/// driven by `uc-essd`. Its chunk lanes are one dense table, allocated
+/// idle at the first fragment (see [`ClusterSnapshot::lanes`]); a
+/// fragment past the configured capacity panics.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     config: ClusterConfig,
     map: ChunkMap,
     nodes: Vec<StorageNode>,
+    lanes: Vec<u64>,
     stats: ClusterStats,
+}
+
+/// Length of the chunk-lane table of `config`, `ceil(capacity /
+/// chunk_bytes) * replication`, or `None` if it overflows.
+fn lane_count(config: &ClusterConfig) -> Option<usize> {
+    let chunks = usize::try_from(config.capacity.div_ceil(config.chunk_bytes)).ok()?;
+    chunks.checked_mul(config.replication)
+}
+
+/// The replica lanes of `chunk`, allocating the table at the first
+/// fragment.
+fn chunk_lanes<'a>(lanes: &'a mut Vec<u64>, config: &ClusterConfig, chunk: u64) -> &'a mut [u64] {
+    if lanes.is_empty() {
+        *lanes = vec![0; lane_count(config).expect("lane table overflows")];
+    }
+    let first = chunk as usize * config.replication;
+    &mut lanes[first..first + config.replication]
 }
 
 // The device-factory contract (`uc_blockdev::DeviceFactory`) hands freshly
@@ -153,14 +173,10 @@ impl Cluster {
         Cluster {
             map,
             nodes,
+            lanes: Vec::new(),
             stats: ClusterStats::default(),
             config,
         }
-    }
-
-    /// The chunk map (placement inspection for tests and ablations).
-    pub fn map(&self) -> &ChunkMap {
-        &self.map
     }
 
     /// The cluster configuration.
@@ -188,14 +204,15 @@ impl Cluster {
         self.stats.bytes_written += len as u64;
         for (chunk, frag_len) in self.map.fragments(offset, len) {
             self.stats.write_fragments += 1;
-            for (i, node) in self.map.replicas(chunk).enumerate() {
+            let lanes = chunk_lanes(&mut self.lanes, &self.config, chunk);
+            for ((i, node), lane) in self.map.replicas(chunk).enumerate().zip(lanes) {
                 // Non-primary replicas see one extra backend hop.
                 let arrival = if i == 0 {
                     now
                 } else {
                     now + self.config.node.replica_hop.sample(rng)
                 };
-                let ack = self.nodes[node].write(arrival, chunk, frag_len, rng);
+                let ack = self.nodes[node].write(arrival, lane, frag_len, rng);
                 done = done.max(ack);
             }
         }
@@ -211,6 +228,7 @@ impl Cluster {
         ClusterSnapshot {
             config: self.config.clone(),
             nodes: self.nodes.iter().map(StorageNode::snapshot).collect(),
+            lanes: self.lanes.clone(),
             stats: self.stats,
         }
     }
@@ -220,13 +238,12 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's node count disagrees with its
-    /// configuration (a corrupted snapshot).
+    /// Panics if the snapshot's node count or lane-table length disagrees
+    /// with its configuration (a corrupted snapshot).
     pub fn restore(snapshot: ClusterSnapshot) -> Self {
-        assert_eq!(
-            snapshot.nodes.len(),
-            snapshot.config.nodes,
-            "snapshot node count disagrees with configuration"
+        assert!(
+            snapshot.nodes.len() == snapshot.config.nodes && lanes_fit(&snapshot),
+            "snapshot node count or lane table disagrees with configuration"
         );
         #[cfg(feature = "strict-invariants")]
         let expected = snapshot.clone();
@@ -241,8 +258,9 @@ impl Cluster {
             nodes: snapshot
                 .nodes
                 .into_iter()
-                .map(StorageNode::restore)
+                .map(|node| StorageNode::restore(snapshot.config.node.clone(), node))
                 .collect(),
+            lanes: snapshot.lanes,
             stats: snapshot.stats,
             config: snapshot.config,
         };
@@ -272,17 +290,18 @@ impl Cluster {
         for (chunk, frag_len) in self.map.fragments(offset, len) {
             self.stats.read_fragments += 1;
             let mut replicas = self.map.replicas(chunk);
-            let node = replicas
-                .nth(rng.index(replicas.len()))
-                .expect("index is below the replica count");
-            let ready = self.nodes[node].read(now, chunk, frag_len, rng);
+            let i = rng.index(replicas.len());
+            let node = replicas.nth(i).expect("index is below the replica count");
+            let lane = &mut chunk_lanes(&mut self.lanes, &self.config, chunk)[i];
+            let ready = self.nodes[node].read(now, lane, frag_len, rng);
             done = done.max(ready);
         }
         done
     }
 }
 
-/// The complete serializable state of a [`Cluster`].
+/// The complete serializable state of a [`Cluster`]. Taking one clones
+/// the lane table and restoring one moves it: nothing is hashed or sorted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSnapshot {
     /// The cluster configuration (including the placement seed the chunk
@@ -290,8 +309,19 @@ pub struct ClusterSnapshot {
     pub config: ClusterConfig,
     /// Per-node state, indexed by node id.
     pub nodes: Vec<StorageNodeSnapshot>,
+    /// The chunk-lane table as busy-until nanoseconds, lane
+    /// `chunk * replication + i` for the chunk's `i`-th replica: empty
+    /// before the first fragment, else `ceil(capacity / chunk_bytes) *
+    /// replication` lanes.
+    pub lanes: Vec<u64>,
     /// Operation counters.
     pub stats: ClusterStats,
+}
+
+/// Whether `snapshot`'s lane table is empty or exactly as long as its
+/// configuration's.
+fn lanes_fit(snapshot: &ClusterSnapshot) -> bool {
+    snapshot.lanes.is_empty() || lane_count(&snapshot.config) == Some(snapshot.lanes.len())
 }
 
 #[cfg(test)]
@@ -415,6 +445,14 @@ mod tests {
     fn corrupted_snapshot_rejected() {
         let mut snap = cluster().snapshot();
         snap.nodes.pop();
+        let _ = Cluster::restore(snap);
+    }
+
+    #[test]
+    #[should_panic(expected = "disagrees with configuration")]
+    fn short_lane_table_rejected() {
+        let mut snap = cluster().snapshot();
+        snap.lanes = vec![0; 1];
         let _ = Cluster::restore(snap);
     }
 

@@ -1,8 +1,7 @@
 //! Storage node service model.
 
-use std::collections::HashMap;
 use uc_flash::{DiePool, DiePoolSnapshot, FlashTiming};
-use uc_sim::{LatencyDist, Resource, ResourceSnapshot, SimDuration, SimRng, SimTime};
+use uc_sim::{LatencyDist, SimDuration, SimRng, SimTime};
 
 /// Parameters of a [`StorageNode`].
 ///
@@ -119,7 +118,10 @@ pub struct NodeStats {
 ///
 /// * every fragment *occupies* the lane of its chunk for
 ///   `lane_header + bytes/stream` — this per-chunk FIFO occupancy is what
-///   caps a single sequential stream (Observation 3),
+///   caps a single sequential stream (Observation 3). A lane is one
+///   chunk replica's busy-until instant in nanoseconds; the
+///   [`Cluster`](crate::Cluster) owns every lane and lends each fragment
+///   its own,
 /// * the fragment's own completion *overlaps* the stream: a write
 ///   acknowledges after `lane_header + per_io + staged_ack` once its lane
 ///   slot starts (data is staged as it arrives); a read is ready after
@@ -131,9 +133,16 @@ pub struct NodeStats {
 #[derive(Debug, Clone)]
 pub struct StorageNode {
     config: NodeConfig,
-    lanes: HashMap<u64, Resource>,
     flash: DiePool,
     stats: NodeStats,
+}
+
+/// Occupies `lane` (a busy-until instant in ns) for `occupancy`, starting
+/// no earlier than `now`; returns the start of the slot.
+fn occupy(lane: &mut u64, now: SimTime, occupancy: SimDuration) -> SimTime {
+    let start = now.max(SimTime::from_nanos(*lane));
+    *lane = (start + occupancy).as_nanos();
+    start
 }
 
 impl StorageNode {
@@ -141,7 +150,6 @@ impl StorageNode {
     pub fn new(config: NodeConfig) -> Self {
         StorageNode {
             flash: DiePool::new(config.flash_dies, config.flash_timing, config.flash_page),
-            lanes: HashMap::new(),
             stats: NodeStats::default(),
             config,
         }
@@ -152,13 +160,11 @@ impl StorageNode {
         self.stats
     }
 
-    /// Stages a write fragment of `len` bytes belonging to `chunk`;
+    /// Stages a write fragment of `len` bytes on its chunk's `lane`;
     /// returns the acknowledgement instant.
-    pub fn write(&mut self, now: SimTime, chunk: u64, len: u32, rng: &mut SimRng) -> SimTime {
+    pub fn write(&mut self, now: SimTime, lane: &mut u64, len: u32, rng: &mut SimRng) -> SimTime {
         let header = self.config.lane_header.sample(rng);
-        let occupancy = header + self.transfer_time(len);
-        let lane = self.lanes.entry(chunk).or_default();
-        let (start, _) = lane.acquire(now, occupancy);
+        let start = occupy(lane, now, header + self.transfer_time(len));
         // The ack pipelines with the inbound stream: it leaves once the
         // lane slot starts and the header + lookup are done.
         let staged = start + header + self.config.per_io.sample(rng);
@@ -170,13 +176,13 @@ impl StorageNode {
         staged + self.config.staged_ack.sample(rng)
     }
 
-    /// Serves a read fragment of `len` bytes belonging to `chunk`; returns
-    /// when the data is ready to start streaming back (the outbound
-    /// transfer itself is the network layer's job and overlaps this).
-    pub fn read(&mut self, now: SimTime, chunk: u64, len: u32, rng: &mut SimRng) -> SimTime {
+    /// Serves a read fragment of `len` bytes on its chunk's `lane`;
+    /// returns when the data is ready to start streaming back (the
+    /// outbound transfer itself is the network layer's job and overlaps
+    /// this).
+    pub fn read(&mut self, now: SimTime, lane: &mut u64, len: u32, rng: &mut SimRng) -> SimTime {
         let header = self.config.lane_header.sample(rng);
-        let occupancy = header + self.transfer_time(len);
-        let (start, _) = self.lanes.entry(chunk).or_default().acquire(now, occupancy);
+        let start = occupy(lane, now, header + self.transfer_time(len));
         let parsed = start + header + self.config.per_io.sample(rng);
         let fetched = self.flash.read(parsed, len);
         self.stats.reads += 1;
@@ -188,33 +194,21 @@ impl StorageNode {
         SimDuration::from_secs_f64(len as f64 / self.config.stream_bytes_per_sec)
     }
 
-    /// Captures the node's complete state.
+    /// Captures the node's state (its lanes are the cluster's).
     pub fn snapshot(&self) -> StorageNodeSnapshot {
-        let mut lanes: Vec<(u64, ResourceSnapshot)> = self
-            .lanes
-            .iter()
-            .map(|(&chunk, lane)| (chunk, lane.snapshot()))
-            .collect();
-        lanes.sort_unstable_by_key(|&(chunk, _)| chunk);
         StorageNodeSnapshot {
-            config: self.config.clone(),
-            lanes,
             flash: self.flash.snapshot(),
             stats: self.stats,
         }
     }
 
-    /// Rebuilds a node that continues exactly where `snapshot` was taken.
-    pub fn restore(snapshot: StorageNodeSnapshot) -> Self {
+    /// Rebuilds a node with service parameters `config` that continues
+    /// exactly where `snapshot` was taken.
+    pub fn restore(config: NodeConfig, snapshot: StorageNodeSnapshot) -> Self {
         #[cfg(feature = "strict-invariants")]
         let expected = snapshot.clone();
         let restored = StorageNode {
-            config: snapshot.config,
-            lanes: snapshot
-                .lanes
-                .into_iter()
-                .map(|(chunk, lane)| (chunk, Resource::restore(lane)))
-                .collect(),
+            config,
             flash: DiePool::restore(snapshot.flash),
             stats: snapshot.stats,
         };
@@ -234,17 +228,15 @@ impl StorageNode {
     }
 }
 
-/// The complete serializable state of a [`StorageNode`].
+/// The serializable state of a [`StorageNode`]: its flash pool and
+/// counters.
 ///
-/// Chunk lanes (a hash map inside the live node) are stored sorted by
-/// chunk id — the canonical form — so two snapshots of behaviourally
-/// identical nodes compare equal.
+/// The node's service parameters are the cluster's
+/// [`ClusterConfig::node`](crate::ClusterConfig::node), passed back to
+/// [`StorageNode::restore`], and its chunk lanes live in the cluster's
+/// one lane table ([`ClusterSnapshot::lanes`](crate::ClusterSnapshot::lanes)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StorageNodeSnapshot {
-    /// The node's service parameters.
-    pub config: NodeConfig,
-    /// Per-chunk lane timelines as `(chunk, lane)`, sorted by chunk id.
-    pub lanes: Vec<(u64, ResourceSnapshot)>,
     /// The flash read/program pool.
     pub flash: DiePoolSnapshot,
     /// Cumulative counters.
@@ -263,7 +255,7 @@ mod tests {
     fn write_ack_is_staging_fast() {
         let mut n = node();
         let mut rng = SimRng::new(1);
-        let ack = n.write(SimTime::ZERO, 0, 4096, &mut rng);
+        let ack = n.write(SimTime::ZERO, &mut 0, 4096, &mut rng);
         let us = (ack - SimTime::ZERO).as_micros_f64();
         // per_io ~25 + transfer ~4 + ack ~15: well under one NAND program.
         assert!(us < 100.0, "staged ack took {us} us");
@@ -273,7 +265,7 @@ mod tests {
     fn read_pays_flash_sense() {
         let mut n = node();
         let mut rng = SimRng::new(2);
-        let done = n.read(SimTime::ZERO, 0, 4096, &mut rng);
+        let done = n.read(SimTime::ZERO, &mut 0, 4096, &mut rng);
         let us = (done - SimTime::ZERO).as_micros_f64();
         assert!(us > 50.0, "flash read should cost a sense, got {us} us");
     }
@@ -283,15 +275,16 @@ mod tests {
         let mut n = node();
         let mut rng = SimRng::new(3);
         let big = 1 << 20;
-        let a = n.write(SimTime::ZERO, 0, big, &mut rng);
-        let b = n.write(SimTime::ZERO, 0, big, &mut rng);
+        let mut lane = 0;
+        let a = n.write(SimTime::ZERO, &mut lane, big, &mut rng);
+        let b = n.write(SimTime::ZERO, &mut lane, big, &mut rng);
         assert!(
             (b - SimTime::ZERO).as_secs_f64() > 1.8 * (a - SimTime::ZERO).as_secs_f64(),
             "same-chunk writes must queue"
         );
         let mut n2 = node();
-        let c = n2.write(SimTime::ZERO, 0, big, &mut rng);
-        let d = n2.write(SimTime::ZERO, 1, big, &mut rng);
+        let c = n2.write(SimTime::ZERO, &mut 0, big, &mut rng);
+        let d = n2.write(SimTime::ZERO, &mut 0, big, &mut rng);
         let spread = (d - SimTime::ZERO)
             .as_secs_f64()
             .max((c - SimTime::ZERO).as_secs_f64());
@@ -311,12 +304,12 @@ mod tests {
         let baseline = {
             let mut fresh =
                 StorageNode::new(NodeConfig::default().with_flash(1, FlashTiming::mlc(), 4096));
-            fresh.read(SimTime::ZERO, 9, 4096, &mut rng) - SimTime::ZERO
+            fresh.read(SimTime::ZERO, &mut 0, 4096, &mut rng) - SimTime::ZERO
         };
-        for i in 0..8 {
-            n.write(SimTime::ZERO, i, 64 << 10, &mut rng);
+        for _ in 0..8 {
+            n.write(SimTime::ZERO, &mut 0, 64 << 10, &mut rng);
         }
-        let slowed = n.read(SimTime::ZERO, 9, 4096, &mut rng) - SimTime::ZERO;
+        let slowed = n.read(SimTime::ZERO, &mut 0, 4096, &mut rng) - SimTime::ZERO;
         assert!(
             slowed > baseline,
             "read behind programs ({slowed}) should exceed clean read ({baseline})"
@@ -327,8 +320,8 @@ mod tests {
     fn stats_track_bytes() {
         let mut n = node();
         let mut rng = SimRng::new(5);
-        n.write(SimTime::ZERO, 0, 4096, &mut rng);
-        n.read(SimTime::ZERO, 0, 8192, &mut rng);
+        n.write(SimTime::ZERO, &mut 0, 4096, &mut rng);
+        n.read(SimTime::ZERO, &mut 0, 8192, &mut rng);
         assert_eq!(n.stats().writes, 1);
         assert_eq!(n.stats().reads, 1);
         assert_eq!(n.stats().bytes_written, 4096);

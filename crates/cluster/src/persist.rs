@@ -7,7 +7,8 @@
 //! recomputed.
 
 use crate::{
-    ClusterConfig, ClusterSnapshot, ClusterStats, NodeConfig, NodeStats, StorageNodeSnapshot,
+    lanes_fit, ClusterConfig, ClusterSnapshot, ClusterStats, NodeConfig, NodeStats,
+    StorageNodeSnapshot,
 };
 use uc_persist::{ensure, persist_struct, DecodeError};
 
@@ -19,13 +20,13 @@ persist_struct! {
     check = check_node
 }
 persist_struct! { NodeStats { writes, reads, bytes_written, bytes_read } }
-persist_struct! { StorageNodeSnapshot { config, lanes, flash, stats } }
+persist_struct! { StorageNodeSnapshot { flash, stats } }
 persist_struct! {
     ClusterConfig { nodes, replication, chunk_bytes, capacity, node, placement_seed },
     check = check_config
 }
 persist_struct! { ClusterStats { write_fragments, read_fragments, bytes_written, bytes_read } }
-persist_struct! { ClusterSnapshot { config, nodes, stats }, check = check_snapshot }
+persist_struct! { ClusterSnapshot { config, nodes, lanes, stats }, check = check_snapshot }
 
 fn check_node(c: &NodeConfig) -> Result<(), DecodeError> {
     ensure(
@@ -44,9 +45,10 @@ fn check_config(c: &ClusterConfig) -> Result<(), DecodeError> {
     ensure(c.chunk_bytes != 0, "ClusterConfig.chunk_bytes")
 }
 
-/// `Cluster::restore` panics on this mismatch; fail typed instead.
+/// `Cluster::restore` panics on these mismatches; fail typed instead.
 fn check_snapshot(s: &ClusterSnapshot) -> Result<(), DecodeError> {
-    ensure(s.nodes.len() == s.config.nodes, "ClusterSnapshot.nodes")
+    ensure(s.nodes.len() == s.config.nodes, "ClusterSnapshot.nodes")?;
+    ensure(lanes_fit(s), "ClusterSnapshot.lanes")
 }
 
 #[cfg(test)]
@@ -80,6 +82,54 @@ mod tests {
         let restored = Cluster::restore(back);
         assert_eq!(restored.stats(), cluster.stats());
         assert_eq!(restored.node_stats(), cluster.node_stats());
+    }
+
+    #[test]
+    fn fresh_cluster_has_an_empty_lane_table_that_round_trips() {
+        let fresh = Cluster::new(ClusterConfig::small(1 << 30));
+        let snapshot = fresh.snapshot();
+        assert!(
+            snapshot.lanes.is_empty(),
+            "no lane before the first fragment"
+        );
+        let mut w = Encoder::new();
+        snapshot.encode(&mut w);
+        let bytes = w.into_bytes();
+        let back = ClusterSnapshot::decode(&mut Decoder::new(&bytes)).unwrap();
+        assert_eq!(back, snapshot);
+        // The restored cluster allocates its table at its first fragment
+        // and then schedules exactly as the original does.
+        let (mut a, mut b) = (fresh, Cluster::restore(back));
+        let (mut ra, mut rb) = (SimRng::new(3), SimRng::new(3));
+        for i in 0..8u64 {
+            let off = i * (3 << 20);
+            assert_eq!(
+                a.write(SimTime::ZERO, off, 64 << 10, &mut ra),
+                b.write(SimTime::ZERO, off, 64 << 10, &mut rb)
+            );
+            assert_eq!(
+                a.read(SimTime::ZERO, off, 4096, &mut ra),
+                b.read(SimTime::ZERO, off, 4096, &mut rb)
+            );
+        }
+        // 1 GiB of 4 MiB chunks, 3 replicas each.
+        assert_eq!(b.snapshot().lanes.len(), 256 * 3);
+        assert_eq!(a.snapshot(), b.snapshot());
+    }
+
+    #[test]
+    fn lane_table_of_the_wrong_length_is_typed() {
+        let mut snapshot = busy_cluster().snapshot();
+        snapshot.lanes.pop();
+        let mut w = Encoder::new();
+        snapshot.encode(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            ClusterSnapshot::decode(&mut Decoder::new(&bytes)),
+            Err(DecodeError::InvalidValue {
+                what: "ClusterSnapshot.lanes"
+            })
+        );
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub struct EssdCheckpoint {
     pub tx: NetPathSnapshot,
     /// Response-direction network path state.
     pub rx: NetPathSnapshot,
-    /// Backend cluster state (per-node lanes, flash pools, counters).
+    /// Backend cluster state (chunk-lane table, flash pools, counters).
     pub cluster: ClusterSnapshot,
     /// Throughput-budget bucket state (rate reflects any engaged
     /// throttle).
@@ -92,14 +92,28 @@ pub struct EssdCheckpoint {
     pub stats: EssdStats,
 }
 
+/// The host-visible description of a device built from `config`. A
+/// request past the cluster's capacity would have no chunk lane.
+fn device_info(config: &EssdConfig) -> DeviceInfo {
+    assert!(
+        config.cluster.capacity >= config.capacity,
+        "cluster below device capacity"
+    );
+    DeviceInfo::new(
+        config.name.clone(),
+        config.capacity - config.capacity % config.logical_block as u64,
+        config.logical_block,
+    )
+}
+
 impl Essd {
     /// Builds the device described by `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.cluster.capacity` is below `config.capacity`.
     pub fn new(config: EssdConfig) -> Self {
-        let info = DeviceInfo::new(
-            config.name.clone(),
-            config.capacity - config.capacity % config.logical_block as u64,
-            config.logical_block,
-        );
+        let info = device_info(&config);
         let rng = SimRng::new(config.seed);
         let bandwidth = TokenBucket::new(
             config.bandwidth_burst_bytes.max(1.0),
@@ -161,14 +175,8 @@ impl Essd {
     /// Rebuilds a device that continues exactly where `checkpoint` was
     /// taken.
     pub fn restore(checkpoint: EssdCheckpoint) -> Self {
-        let info = DeviceInfo::new(
-            checkpoint.config.name.clone(),
-            checkpoint.config.capacity
-                - checkpoint.config.capacity % checkpoint.config.logical_block as u64,
-            checkpoint.config.logical_block,
-        );
         Essd {
-            info,
+            info: device_info(&checkpoint.config),
             stack: HostStack::restore(checkpoint.stack),
             tx: NetPath::restore(checkpoint.tx),
             rx: NetPath::restore(checkpoint.rx),

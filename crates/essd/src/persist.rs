@@ -27,6 +27,11 @@ fn check_iops(b: &IopsBudget) -> Result<(), DecodeError> {
 
 fn check_config(c: &EssdConfig) -> Result<(), DecodeError> {
     ensure(c.logical_block != 0, "EssdConfig.logical_block")?;
+    // `Essd::new`/`restore` assert this.
+    ensure(
+        c.cluster.capacity >= c.capacity,
+        "EssdConfig.cluster.capacity",
+    )?;
     ensure(
         c.bandwidth_bytes_per_sec > 0.0 && c.bandwidth_bytes_per_sec.is_finite(),
         "EssdConfig.bandwidth_bytes_per_sec",
@@ -34,7 +39,7 @@ fn check_config(c: &EssdConfig) -> Result<(), DecodeError> {
 }
 
 impl PersistPayload for EssdCheckpoint {
-    const KIND: &'static str = "uc.essd-checkpoint.v1";
+    const KIND: &'static str = "uc.essd-checkpoint.v2";
 }
 
 #[cfg(test)]
@@ -75,6 +80,29 @@ mod tests {
         assert_eq!(restored.current_rate(), 5e6, "throttled rate survives");
         let req = IoRequest::read(0, 4096, now);
         assert_eq!(restored.submit(&req), essd.submit(&req));
+    }
+
+    #[test]
+    fn cluster_smaller_than_device_is_typed() {
+        let mut checkpoint = Essd::new(EssdConfig::aws_io2(64 << 20)).snapshot();
+        checkpoint.config.cluster.capacity = (64 << 20) - 1;
+        let mut w = Encoder::new();
+        checkpoint.encode(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            EssdCheckpoint::decode(&mut Decoder::new(&bytes)),
+            Err(DecodeError::InvalidValue {
+                what: "EssdConfig.cluster.capacity"
+            })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster below device capacity")]
+    fn cluster_smaller_than_device_is_rejected() {
+        let mut config = EssdConfig::alibaba_pl3(64 << 20);
+        config.cluster.capacity = 32 << 20;
+        let _ = Essd::new(config);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Flash array operation scheduling.
 
 use crate::{FlashGeometry, FlashTiming};
-use uc_sim::{
-    ParallelResource, ParallelResourceSnapshot, Resource, ResourceSnapshot, SimDuration, SimTime,
-};
+use uc_sim::{ParallelResource, ParallelResourceSnapshot, Resource, SimDuration, SimTime};
 
 /// Counters of operations issued to a [`FlashArray`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,10 +73,10 @@ pub struct FlashArraySnapshot {
     pub geometry: FlashGeometry,
     /// The array's timing parameters.
     pub timing: FlashTiming,
-    /// Per-die busy-until timelines.
-    pub dies: Vec<ResourceSnapshot>,
-    /// Per-channel busy-until timelines.
-    pub channels: Vec<ResourceSnapshot>,
+    /// Per-die busy-until instants.
+    pub dies: Vec<SimTime>,
+    /// Per-channel busy-until instants.
+    pub channels: Vec<SimTime>,
     /// Operation counters.
     pub stats: FlashOpStats,
 }

@@ -13,8 +13,9 @@ use uc_persist::{DecodeError, Decoder, Encoder, Persist};
 ///
 /// An [`FtlCheckpoint`](crate::FtlCheckpoint) holds the FTL's maps in
 /// this form, so taking a checkpoint copies each map once and restoring
-/// one moves it. Only the [`Persist`] codec sees the durable form: a
-/// `u64` length, then one `u64` page per entry, `u64::MAX` for none.
+/// one moves it. The durable form is the same: a `u64` length, then each
+/// entry's `page + 1` as a `u32` (0 = none). Decoding accepts any `u32`;
+/// the checkpoint's own check bounds every page by the opposite map.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageMap(Vec<u32>);
 
@@ -84,30 +85,14 @@ pub(crate) fn assert_page_map_fits(g: FlashGeometry) {
     );
 }
 
-/// The durable form is one `u64` per entry, `u64::MAX` for none. Since
-/// memory holds `page + 1`, the two differ by a wrapping 1 both ways.
+/// The durable form is the memory form, through the `Vec<u32>` codec.
 impl Persist for PageMap {
     fn encode(&self, w: &mut Encoder) {
-        w.put_u64(self.len());
-        for &e in &self.0 {
-            w.put_u64(u64::from(e).wrapping_sub(1));
-        }
+        self.0.encode(w);
     }
 
     fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let len = r.get_len()?;
-        // A corrupted length cannot force a huge allocation: capacity is
-        // bounded by the entries actually present.
-        let mut entries = Vec::with_capacity(len.min(r.remaining() / 8));
-        for _ in 0..len {
-            let stored = u32::try_from(r.get_u64()?.wrapping_add(1)).map_err(|_| {
-                DecodeError::InvalidValue {
-                    what: "PageMap entry",
-                }
-            })?;
-            entries.push(stored);
-        }
-        Ok(PageMap(entries))
+        Vec::decode(r).map(PageMap)
     }
 }
 

@@ -3,8 +3,8 @@
 //! An [`FtlCheckpoint`] is the largest leaf of a device checkpoint — the
 //! full logical↔physical mapping plus per-block bookkeeping — so its wire
 //! form is a straight field-by-field dump of the plain-data snapshot. The
-//! two maps are [`PageMap`](crate::PageMap)s, whose own codec writes each
-//! 32-bit entry in its 64-bit durable form. Structural invariants that
+//! two maps are [`PageMap`](crate::PageMap)s, written as they are held:
+//! one `u32` per entry. Structural invariants that
 //! [`Ftl::restore`](crate::Ftl::restore) relies on (map and block-table
 //! lengths matching the geometry) are validated on decode, so corrupted
 //! bytes surface as typed errors.
@@ -91,8 +91,8 @@ mod tests {
     }
 
     /// Pins the exact bytes of a checkpoint taken after GC, whose `p2l`
-    /// holds stale (unmapped) entries among mapped ones. A change to how
-    /// the maps are stored in memory must not move them.
+    /// holds stale (unmapped) entries among mapped ones. Moving them
+    /// changes the SSD checkpoint format.
     #[test]
     fn checkpoint_bytes_after_gc_are_pinned() {
         let checkpoint = busy_ftl().checkpoint();
@@ -108,7 +108,7 @@ mod tests {
         let bytes = w.as_bytes();
         assert_eq!(
             (bytes.len(), uc_persist::crc32(bytes)),
-            (26_373, 0x3443_388a)
+            (14_037, 0xc603_73e1)
         );
     }
 
@@ -127,15 +127,19 @@ mod tests {
         );
     }
 
-    /// A map's entries in their 64-bit durable form (`u64::MAX` = none).
-    fn wide(map: &PageMap) -> Vec<u64> {
-        map.iter().map(|e| e.unwrap_or(u64::MAX)).collect()
+    /// A map's entries in their stored form, `page + 1` (0 = none).
+    fn stored(map: &PageMap) -> Vec<u32> {
+        map.iter().map(|e| e.map_or(0, entry)).collect()
     }
 
-    /// Encodes `c` field by field with its maps replaced by `l2p` and
-    /// `p2l` in the 64-bit durable form, which can hold entries that no
-    /// `PageMap` can.
-    fn encode_with_wide_maps(c: &FtlCheckpoint, l2p: &[u64], p2l: &[u64]) -> Vec<u8> {
+    /// The stored form of `page`.
+    fn entry(page: u64) -> u32 {
+        u32::try_from(page + 1).unwrap()
+    }
+
+    /// Encodes `c` field by field with its maps replaced by the stored
+    /// entries `l2p` and `p2l`, which need not index the opposite map.
+    fn encode_with_maps(c: &FtlCheckpoint, l2p: &[u32], p2l: &[u32]) -> Vec<u8> {
         let mut w = Encoder::new();
         c.config.encode(&mut w);
         c.flash.encode(&mut w);
@@ -156,9 +160,9 @@ mod tests {
         // A CRC-valid but shortened logical map must fail at decode time,
         // not panic later inside `Ftl::write_page`.
         let checkpoint = busy_ftl().checkpoint();
-        let mut l2p = wide(&checkpoint.l2p);
+        let mut l2p = stored(&checkpoint.l2p);
         l2p.pop();
-        let bytes = encode_with_wide_maps(&checkpoint, &l2p, &wide(&checkpoint.p2l));
+        let bytes = encode_with_maps(&checkpoint, &l2p, &stored(&checkpoint.p2l));
         assert_eq!(
             FtlCheckpoint::decode(&mut Decoder::new(&bytes)),
             Err(DecodeError::InvalidValue {
@@ -170,50 +174,48 @@ mod tests {
     #[test]
     fn out_of_range_map_entries_are_rejected() {
         // A CRC-valid map entry that points past the opposite map must fail
-        // at decode time, not panic (or truncate) inside the FTL. An entry
-        // too large for a 32-bit map fails in the `PageMap` codec.
+        // at decode time, not panic inside the FTL.
         let base = busy_ftl().checkpoint();
-        let (l2p, p2l) = (wide(&base.l2p), wide(&base.p2l));
+        let (l2p, p2l) = (stored(&base.l2p), stored(&base.p2l));
         let mut w = Encoder::new();
         base.encode(&mut w);
         assert_eq!(
-            encode_with_wide_maps(&base, &l2p, &p2l),
+            encode_with_maps(&base, &l2p, &p2l),
             w.into_bytes(),
-            "the wide maps are the durable form"
+            "the stored maps are the durable form"
         );
         let physical = base.p2l.len();
         let logical = base.l2p.len();
-        let max = u64::from(u32::MAX);
-        for (in_l2p, value, what) in [
+        // The largest page a stored entry can name.
+        let max = u64::from(u32::MAX) - 1;
+        for (in_l2p, page, what) in [
             (true, physical, "FtlCheckpoint.l2p entry"),
             (true, max - 1, "FtlCheckpoint.l2p entry"),
-            (true, max, "PageMap entry"),
-            (true, u64::MAX - 1, "PageMap entry"),
+            (true, max, "FtlCheckpoint.l2p entry"),
             (false, logical, "FtlCheckpoint.p2l entry"),
             (false, max - 1, "FtlCheckpoint.p2l entry"),
-            (false, max, "PageMap entry"),
-            (false, 1 << 32, "PageMap entry"),
+            (false, max, "FtlCheckpoint.p2l entry"),
         ] {
             let (mut l2p, mut p2l) = (l2p.clone(), p2l.clone());
             if in_l2p {
-                l2p[1] = value;
+                l2p[1] = entry(page);
             } else {
-                p2l[1] = value;
+                p2l[1] = entry(page);
             }
-            let bytes = encode_with_wide_maps(&base, &l2p, &p2l);
+            let bytes = encode_with_maps(&base, &l2p, &p2l);
             assert_eq!(
                 FtlCheckpoint::decode(&mut Decoder::new(&bytes)),
                 Err(DecodeError::InvalidValue { what }),
-                "{} entry = {value}",
+                "{} page = {page}",
                 if in_l2p { "l2p" } else { "p2l" }
             );
         }
         // The largest in-range entries and the unmapped marker still decode.
         let (mut l2p, mut p2l) = (l2p, p2l);
-        l2p[1] = physical - 1;
-        p2l[1] = logical - 1;
-        l2p[2] = u64::MAX;
-        let bytes = encode_with_wide_maps(&base, &l2p, &p2l);
+        l2p[1] = entry(physical - 1);
+        p2l[1] = entry(logical - 1);
+        l2p[2] = 0;
+        let bytes = encode_with_maps(&base, &l2p, &p2l);
         assert!(FtlCheckpoint::decode(&mut Decoder::new(&bytes)).is_ok());
     }
 

@@ -114,8 +114,6 @@ impl NetConfig {
 pub struct NetPath {
     config: NetConfig,
     lanes: ParallelResource,
-    bytes_sent: u64,
-    transfers: u64,
 }
 
 impl NetPath {
@@ -124,8 +122,6 @@ impl NetPath {
         NetPath {
             lanes: ParallelResource::new(config.connections),
             config,
-            bytes_sent: 0,
-            transfers: 0,
         }
     }
 
@@ -134,23 +130,11 @@ impl NetPath {
         &self.config
     }
 
-    /// Total payload bytes transferred.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    /// Total transfers performed.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
     /// Transfers `bytes` starting no earlier than `now`; returns the
     /// arrival instant at the far end.
     pub fn send(&mut self, now: SimTime, bytes: u64, rng: &mut SimRng) -> SimTime {
         let xfer = SimDuration::from_secs_f64(bytes as f64 / self.config.stream_bytes_per_sec);
         let (_, pushed) = self.lanes.acquire(now, xfer);
-        self.bytes_sent += bytes;
-        self.transfers += 1;
         pushed + self.config.one_way.sample(rng)
     }
 
@@ -159,8 +143,6 @@ impl NetPath {
         NetPathSnapshot {
             config: self.config.clone(),
             lanes: self.lanes.snapshot(),
-            bytes_sent: self.bytes_sent,
-            transfers: self.transfers,
         }
     }
 
@@ -171,8 +153,6 @@ impl NetPath {
         let restored = NetPath {
             lanes: ParallelResource::restore(snapshot.lanes),
             config: snapshot.config,
-            bytes_sent: snapshot.bytes_sent,
-            transfers: snapshot.transfers,
         };
         // Contract hook (deep): thaw(freeze(p)) is observationally exact.
         #[cfg(feature = "strict-invariants")]
@@ -197,10 +177,6 @@ pub struct NetPathSnapshot {
     pub config: NetConfig,
     /// Per-connection busy-until timelines.
     pub lanes: ParallelResourceSnapshot,
-    /// Total payload bytes transferred.
-    pub bytes_sent: u64,
-    /// Total transfers performed.
-    pub transfers: u64,
 }
 
 /// The complete serializable state of a [`HostStack`].
@@ -210,8 +186,6 @@ pub struct HostStackSnapshot {
     pub per_io: LatencyDist,
     /// Worker-pool busy-until timelines.
     pub workers: ParallelResourceSnapshot,
-    /// I/Os processed so far.
-    pub ios: u64,
 }
 
 /// The host-side storage software stack (virtio/vhost, protocol encoding).
@@ -224,7 +198,6 @@ pub struct HostStackSnapshot {
 pub struct HostStack {
     per_io: LatencyDist,
     workers: ParallelResource,
-    ios: u64,
 }
 
 impl HostStack {
@@ -237,7 +210,6 @@ impl HostStack {
         HostStack {
             per_io,
             workers: ParallelResource::new(workers),
-            ios: 0,
         }
     }
 
@@ -245,13 +217,7 @@ impl HostStack {
     /// network.
     pub fn process(&mut self, now: SimTime, rng: &mut SimRng) -> SimTime {
         let cost = self.per_io.sample(rng);
-        self.ios += 1;
         self.workers.acquire(now, cost).1
-    }
-
-    /// I/Os processed so far.
-    pub fn ios(&self) -> u64 {
-        self.ios
     }
 
     /// Captures the stack's complete state.
@@ -259,7 +225,6 @@ impl HostStack {
         HostStackSnapshot {
             per_io: self.per_io.clone(),
             workers: self.workers.snapshot(),
-            ios: self.ios,
         }
     }
 
@@ -270,7 +235,6 @@ impl HostStack {
         let restored = HostStack {
             per_io: snapshot.per_io,
             workers: ParallelResource::restore(snapshot.workers),
-            ios: snapshot.ios,
         };
         // Contract hook (deep): thaw(freeze(s)) is observationally exact.
         #[cfg(feature = "strict-invariants")]
@@ -330,16 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
-        let mut path = NetPath::new(fixed_config(1));
-        let mut rng = SimRng::new(1);
-        path.send(SimTime::ZERO, 10, &mut rng);
-        path.send(SimTime::ZERO, 20, &mut rng);
-        assert_eq!(path.bytes_sent(), 30);
-        assert_eq!(path.transfers(), 2);
-    }
-
-    #[test]
     fn jittered_delay_varies() {
         let mut path = NetPath::new(NetConfig::intra_dc().with_connections(1));
         let mut rng = SimRng::new(3);
@@ -366,7 +320,6 @@ mod tests {
         let c = stack.process(SimTime::ZERO, &mut rng);
         assert_eq!(a, b);
         assert_eq!(c, a + SimDuration::from_micros(10));
-        assert_eq!(stack.ios(), 3);
     }
 
     #[test]
@@ -388,7 +341,6 @@ mod tests {
             path.send(SimTime::ZERO, 500_000, &mut rng),
             resumed.send(SimTime::ZERO, 500_000, &mut rng2)
         );
-        assert_eq!(path.bytes_sent(), resumed.bytes_sent());
 
         let mut stack = HostStack::new(2, LatencyDist::constant(SimDuration::from_micros(10)));
         stack.process(SimTime::ZERO, &mut rng);
@@ -398,6 +350,5 @@ mod tests {
             stack.process(SimTime::ZERO, &mut rng),
             resumed.process(SimTime::ZERO, &mut rng2)
         );
-        assert_eq!(stack.ios(), resumed.ios());
     }
 }

@@ -4,8 +4,8 @@ use crate::{HostStackSnapshot, NetConfig, NetPathSnapshot};
 use uc_persist::{ensure, persist_struct, DecodeError};
 
 persist_struct! { NetConfig { one_way, stream_bytes_per_sec, connections }, check = check_config }
-persist_struct! { NetPathSnapshot { config, lanes, bytes_sent, transfers } }
-persist_struct! { HostStackSnapshot { per_io, workers, ios } }
+persist_struct! { NetPathSnapshot { config, lanes } }
+persist_struct! { HostStackSnapshot { per_io, workers } }
 
 fn check_config(c: &NetConfig) -> Result<(), DecodeError> {
     ensure(

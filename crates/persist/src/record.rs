@@ -11,7 +11,7 @@
 //! | … | payload |
 //! | 4 | CRC-32 (IEEE) of everything after the magic |
 //!
-//! The kind tag names the payload type (`"uc.ssd-checkpoint.v1"`,
+//! The kind tag names the payload type (`"uc.ssd-checkpoint.v2"`,
 //! `"uc.fig3-checkpoint.v1"`, …) so a reader can dispatch to the right
 //! decoder — or fail with [`DecodeError::UnknownKind`] instead of
 //! misinterpreting bytes. Bumping a payload's layout means bumping its

@@ -1,5 +1,6 @@
 //! A minimal std-only readiness poller: `epoll(7)` on Linux, `poll(2)`
-//! elsewhere on unix.
+//! elsewhere on unix. Test builds on Linux compile the `poll(2)` poller
+//! too, and run the readiness tests against both.
 //!
 //! This is the only module in the crate allowed to use `unsafe` (the
 //! raw syscall FFI); everything above it sees a safe, edge-free API:
@@ -145,13 +146,16 @@ mod sys {
 }
 
 #[cfg(all(unix, not(target_os = "linux")))]
+use fallback as sys;
+
+#[cfg(all(unix, any(test, not(target_os = "linux"))))]
 #[allow(unsafe_code)]
-mod sys {
+mod fallback {
     use super::Event;
     use std::io;
     use std::os::fd::RawFd;
     use std::os::raw::{c_int, c_short, c_ulong};
-    use std::sync::Mutex;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     const POLLIN: c_short = 0x001;
     const POLLOUT: c_short = 0x004;
@@ -183,13 +187,21 @@ mod sys {
             })
         }
 
+        /// The registration table; every update is one `Vec` call, so a
+        /// poisoned lock holds no half-made entry.
+        fn registered(&self) -> MutexGuard<'_, Vec<(RawFd, u64, bool)>> {
+            self.registered
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+        }
+
         pub fn add(&self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
-            self.registered.lock().unwrap().push((fd, token, writable));
+            self.registered().push((fd, token, writable));
             Ok(())
         }
 
         pub fn modify(&self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
-            let mut reg = self.registered.lock().unwrap();
+            let mut reg = self.registered();
             match reg.iter_mut().find(|(f, _, _)| *f == fd) {
                 Some(slot) => {
                     *slot = (fd, token, writable);
@@ -200,13 +212,13 @@ mod sys {
         }
 
         pub fn remove(&self, fd: RawFd) -> io::Result<()> {
-            self.registered.lock().unwrap().retain(|(f, _, _)| *f != fd);
+            self.registered().retain(|(f, _, _)| *f != fd);
             Ok(())
         }
 
         pub fn wait(&self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
             events.clear();
-            let reg = self.registered.lock().unwrap().clone();
+            let reg = self.registered().clone();
             let mut fds: Vec<PollFd> = reg
                 .iter()
                 .map(|&(fd, _, writable)| PollFd {
@@ -308,40 +320,53 @@ mod tests {
     use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
 
-    #[test]
-    fn readiness_follows_the_byte_flow() {
-        let (mut a, mut b) = UnixStream::pair().unwrap();
-        let poller = Poller::new().unwrap();
-        poller.add(b.as_raw_fd(), 42, false).unwrap();
-        let mut events = Vec::new();
+    /// Defines a test that drives a poller of type `$poller` through
+    /// reads, level-triggered re-reports, write interest and hangup.
+    macro_rules! readiness_test {
+        ($name:ident, $poller:ty) => {
+            #[test]
+            fn $name() {
+                let (mut a, mut b) = UnixStream::pair().unwrap();
+                let poller = <$poller>::new().unwrap();
+                poller.add(b.as_raw_fd(), 42, false).unwrap();
+                let mut events = Vec::new();
 
-        // Nothing to read yet: a zero-timeout wait reports no events.
-        poller.wait(&mut events, 0).unwrap();
-        assert!(events.iter().all(|e| e.token != 42));
+                // Nothing to read yet: a zero-timeout wait reports no events.
+                poller.wait(&mut events, 0).unwrap();
+                assert!(events.iter().all(|e| e.token != 42));
 
-        a.write_all(b"ping").unwrap();
-        poller.wait(&mut events, 1000).unwrap();
-        let ev = events.iter().find(|e| e.token == 42).expect("readable");
-        assert!(ev.readable && !ev.hangup);
+                a.write_all(b"ping").unwrap();
+                poller.wait(&mut events, 1000).unwrap();
+                let ev = events.iter().find(|e| e.token == 42).expect("readable");
+                assert!(ev.readable && !ev.hangup);
 
-        // Level-triggered: still readable until drained.
-        poller.wait(&mut events, 0).unwrap();
-        assert!(events.iter().any(|e| e.token == 42 && e.readable));
-        let mut buf = [0u8; 4];
-        b.read_exact(&mut buf).unwrap();
-        poller.wait(&mut events, 0).unwrap();
-        assert!(events.iter().all(|e| e.token != 42));
+                // Level-triggered: still readable until drained.
+                poller.wait(&mut events, 0).unwrap();
+                assert!(events.iter().any(|e| e.token == 42 && e.readable));
+                let mut buf = [0u8; 4];
+                b.read_exact(&mut buf).unwrap();
+                poller.wait(&mut events, 0).unwrap();
+                assert!(events.iter().all(|e| e.token != 42));
 
-        // Write interest: an idle socket is immediately writable.
-        poller.modify(b.as_raw_fd(), 42, true).unwrap();
-        poller.wait(&mut events, 1000).unwrap();
-        assert!(events.iter().any(|e| e.token == 42 && e.writable));
+                // Write interest: an idle socket is immediately writable.
+                poller.modify(b.as_raw_fd(), 42, true).unwrap();
+                poller.wait(&mut events, 1000).unwrap();
+                assert!(events.iter().any(|e| e.token == 42 && e.writable));
 
-        // Hangup: the peer closing surfaces as readable + hangup.
-        drop(a);
-        poller.wait(&mut events, 1000).unwrap();
-        let ev = events.iter().find(|e| e.token == 42).expect("hup");
-        assert!(ev.readable && ev.hangup);
-        poller.remove(b.as_raw_fd()).unwrap();
+                // Hangup: the peer closing surfaces as readable + hangup.
+                drop(a);
+                poller.wait(&mut events, 1000).unwrap();
+                let ev = events.iter().find(|e| e.token == 42).expect("hup");
+                assert!(ev.readable && ev.hangup);
+                poller.remove(b.as_raw_fd()).unwrap();
+            }
+        };
     }
+
+    readiness_test!(readiness_follows_the_byte_flow, Poller);
+    #[cfg(target_os = "linux")]
+    readiness_test!(
+        poll_fallback_readiness_follows_the_byte_flow,
+        fallback::Poller
+    );
 }

@@ -325,7 +325,7 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Total requests doorbelled across every lane and session.
+    /// Total requests served across every lane and session.
     pub fn total_ios(&self) -> u64 {
         self.devices
             .iter()
@@ -334,7 +334,7 @@ impl ServeReport {
             .sum()
     }
 
-    /// Total bytes doorbelled across every lane and session.
+    /// Total bytes served across every lane and session.
     pub fn total_bytes(&self) -> u64 {
         self.devices
             .iter()
@@ -1174,6 +1174,11 @@ mod tests {
         assert_eq!(pool.obs_snapshot().counter("serve.pool.ios"), Some(2));
         let report = pool.report();
         assert_eq!(report.devices[1].sessions[0].ios, 1);
+        // The request that panicked in the device is in no ledger.
+        assert_eq!(
+            Some(report.total_ios()),
+            pool.obs_snapshot().counter("serve.pool.ios")
+        );
         assert_eq!(report.shed_overload, 0);
     }
 

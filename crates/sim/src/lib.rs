@@ -21,8 +21,8 @@
 //!   multi-cell run (figure sweeps, segmented timelines, fleet epochs)
 //!   schedules on.
 //!
-//! Every stateful primitive can be frozen into a plain-data snapshot type
-//! ([`RngSnapshot`], [`ResourceSnapshot`], [`ParallelResourceSnapshot`],
+//! Every stateful primitive can be frozen into plain data ([`RngSnapshot`],
+//! a [`Resource`]'s busy-until [`SimTime`], [`ParallelResourceSnapshot`],
 //! [`TokenBucketSnapshot`]) and restored exactly — the bottom layer of the
 //! device checkpoint/restore API (`uc-blockdev`'s `CheckpointDevice`) that
 //! lets long endurance runs be sliced into resumable segments.
@@ -62,7 +62,7 @@ mod token;
 pub use dist::LatencyDist;
 pub use executor::Executor;
 pub use queue::EventQueue;
-pub use resource::{ParallelResource, ParallelResourceSnapshot, Resource, ResourceSnapshot};
+pub use resource::{ParallelResource, ParallelResourceSnapshot, Resource};
 pub use rng::{RngSnapshot, SimRng};
 pub use time::{SimDuration, SimTime};
 pub use token::{BucketSet, TokenBucket, TokenBucketSnapshot};

@@ -8,8 +8,8 @@
 //! (`uc-persist` records) is built on.
 
 use crate::{
-    LatencyDist, ParallelResourceSnapshot, ResourceSnapshot, RngSnapshot, SimDuration, SimRng,
-    SimTime, TokenBucketSnapshot,
+    LatencyDist, ParallelResourceSnapshot, RngSnapshot, SimDuration, SimRng, SimTime,
+    TokenBucketSnapshot,
 };
 use uc_persist::{ensure, persist_enum, persist_struct, DecodeError, Decoder, Encoder, Persist};
 
@@ -41,8 +41,7 @@ impl Persist for SimRng {
 }
 
 persist_struct! { RngSnapshot { seed, state } }
-persist_struct! { ResourceSnapshot { busy_until, busy_time } }
-persist_struct! { ParallelResourceSnapshot { servers, busy_time }, check = check_servers }
+persist_struct! { ParallelResourceSnapshot { servers }, check = check_servers }
 persist_struct! {
     TokenBucketSnapshot { burst, rate_per_sec, available, last, granted_total },
     check = check_bucket
@@ -124,7 +123,6 @@ mod tests {
     fn empty_server_pool_rejected() {
         let mut w = Encoder::new();
         Vec::<SimTime>::new().encode(&mut w);
-        SimDuration::ZERO.encode(&mut w);
         let bytes = w.into_bytes();
         assert_eq!(
             ParallelResourceSnapshot::decode(&mut Decoder::new(&bytes)),

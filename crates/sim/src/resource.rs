@@ -34,32 +34,20 @@ use uc_invariant::{ensure, Contract, Violation};
 #[derive(Debug, Clone, Default)]
 pub struct Resource {
     busy_until: SimTime,
-    busy_time: SimDuration,
 }
 
-/// The complete serializable state of a [`Resource`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ResourceSnapshot {
-    /// The instant the resource becomes idle.
-    pub busy_until: SimTime,
-    /// Total service time accumulated.
-    pub busy_time: SimDuration,
-}
-
-/// The complete serializable state of a [`ParallelResource`].
+/// The complete serializable state of a [`ParallelResource`]: its
+/// servers' free-at instants, nothing else.
 ///
-/// The per-server free-at instants are stored in ascending order — the
-/// canonical form, and the station's own layout — so two snapshots of
-/// behaviourally identical stations compare equal. Restoring from the
-/// sorted form is exact: the station only ever consults the
-/// *earliest-free* server, and servers with equal free-at instants are
-/// interchangeable.
+/// The instants are stored in ascending order — the canonical form, and
+/// the station's own layout — so two snapshots of behaviourally
+/// identical stations compare equal. Restoring from the sorted form is
+/// exact: the station only ever consults the *earliest-free* server, and
+/// servers with equal free-at instants are interchangeable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelResourceSnapshot {
     /// Per-server free-at instants, sorted ascending.
     pub servers: Vec<SimTime>,
-    /// Total service time accumulated across all servers.
-    pub busy_time: SimDuration,
 }
 
 impl Resource {
@@ -76,7 +64,6 @@ impl Resource {
         let start = now.max(self.busy_until);
         let finish = start + service;
         self.busy_until = finish;
-        self.busy_time += service;
         (start, finish)
     }
 
@@ -85,31 +72,21 @@ impl Resource {
         self.busy_until
     }
 
-    /// Total service time accumulated (for utilization accounting).
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy_time
-    }
-
     /// Forgets all scheduled work; the resource is idle from `SimTime::ZERO`.
     pub fn reset(&mut self) {
         *self = Resource::default();
     }
 
-    /// Captures the resource's complete state.
-    pub fn snapshot(&self) -> ResourceSnapshot {
-        ResourceSnapshot {
-            busy_until: self.busy_until,
-            busy_time: self.busy_time,
-        }
+    /// Captures the resource's complete state: the instant it becomes
+    /// idle.
+    pub fn snapshot(&self) -> SimTime {
+        self.busy_until
     }
 
     /// Rebuilds a resource that continues exactly where `snapshot` was
-    /// taken.
-    pub fn restore(snapshot: ResourceSnapshot) -> Self {
-        Resource {
-            busy_until: snapshot.busy_until,
-            busy_time: snapshot.busy_time,
-        }
+    /// taken: idle from `busy_until`.
+    pub fn restore(busy_until: SimTime) -> Self {
+        Resource { busy_until }
     }
 }
 
@@ -124,7 +101,7 @@ impl Resource {
 /// the earliest-free server, and a finish that is the latest so far (the
 /// common case under load) is pushed to the back in O(1).
 /// [`ParallelResource::acquire_many`] schedules a batch of equal requests
-/// on a saturated pool by rotating the ring, with one busy-time update.
+/// on a saturated pool by rotating the ring.
 ///
 /// # Example
 ///
@@ -146,7 +123,6 @@ pub struct ParallelResource {
     /// Per-server free-at instants, ascending.
     servers: VecDeque<SimTime>,
     capacity: usize,
-    busy_time: SimDuration,
 }
 
 impl ParallelResource {
@@ -160,7 +136,6 @@ impl ParallelResource {
         ParallelResource {
             servers: vec![SimTime::ZERO; servers].into(),
             capacity: servers,
-            busy_time: SimDuration::ZERO,
         }
     }
 
@@ -181,7 +156,6 @@ impl ParallelResource {
             let at = self.servers.partition_point(|&t| t <= finish);
             self.servers.insert(at, finish);
         }
-        self.busy_time += service;
         self.enforce_server_count();
         (start, finish)
     }
@@ -207,7 +181,6 @@ impl ParallelResource {
             last = now.max(free) + service;
             self.servers.push_back(last);
         }
-        self.busy_time += service * n as u64;
         self.enforce_server_count();
         last
     }
@@ -238,11 +211,6 @@ impl ParallelResource {
         self.servers.back().copied().unwrap_or(SimTime::ZERO)
     }
 
-    /// Total service time accumulated across all servers.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy_time
-    }
-
     /// Forgets all scheduled work.
     pub fn reset(&mut self) {
         *self = ParallelResource::new(self.capacity);
@@ -252,7 +220,6 @@ impl ParallelResource {
     pub fn snapshot(&self) -> ParallelResourceSnapshot {
         ParallelResourceSnapshot {
             servers: self.servers.iter().copied().collect(),
-            busy_time: self.busy_time,
         }
     }
 
@@ -273,7 +240,6 @@ impl ParallelResource {
         ParallelResource {
             capacity: servers.len(),
             servers: servers.into(),
-            busy_time: snapshot.busy_time,
         }
     }
 }
@@ -323,7 +289,6 @@ mod tests {
         assert_eq!(s1, SimTime::ZERO);
         assert_eq!(s2, f1);
         assert_eq!(f2.as_nanos(), 20_000);
-        assert_eq!(r.busy_time(), SimDuration::from_micros(20));
     }
 
     #[test]
@@ -374,7 +339,6 @@ mod tests {
         serial.acquire(SimTime::ZERO, d);
         let resumed = Resource::restore(serial.snapshot());
         assert_eq!(resumed.free_at(), serial.free_at());
-        assert_eq!(resumed.busy_time(), serial.busy_time());
 
         let mut pool = ParallelResource::new(3);
         pool.acquire(SimTime::ZERO, d);
@@ -398,7 +362,6 @@ mod tests {
     fn empty_parallel_snapshot_rejected() {
         let _ = ParallelResource::restore(ParallelResourceSnapshot {
             servers: Vec::new(),
-            busy_time: SimDuration::ZERO,
         });
     }
 
@@ -438,7 +401,6 @@ mod tests {
                     .unwrap_or(now);
                 assert_eq!(last, latest, "case {case}, n {n}");
                 assert_eq!(batched.snapshot(), stepped.snapshot(), "case {case}, n {n}");
-                assert_eq!(batched.busy_time(), stepped.busy_time());
                 assert!(batched.check().is_ok());
             }
         }
@@ -457,7 +419,6 @@ mod tests {
         let t = SimTime::from_nanos;
         let mut pool = ParallelResource::restore(ParallelResourceSnapshot {
             servers: vec![t(30), t(10), t(20)],
-            busy_time: SimDuration::ZERO,
         });
         assert_eq!(pool.snapshot().servers, vec![t(10), t(20), t(30)]);
         assert_eq!(pool.acquire(SimTime::ZERO, SimDuration::ZERO).0, t(10));

@@ -52,7 +52,6 @@ pub struct WriteBuffer {
     resident: HashMap<u64, (u64, SimTime)>,
     /// `pending` records with a sequence below this have been indexed.
     indexed: u64,
-    hits: u64,
 }
 
 /// The complete serializable state of a [`WriteBuffer`].
@@ -75,8 +74,6 @@ pub struct WriteBufferSnapshot {
     pub resident: Vec<(u64, u64, SimTime)>,
     /// Prune queue in admission order: `(drain finish, lpn, sequence)`.
     pub pending: Vec<(SimTime, u64, u64)>,
-    /// Read hits served so far.
-    pub hits: u64,
 }
 
 impl WriteBuffer {
@@ -94,7 +91,6 @@ impl WriteBuffer {
             pending: VecDeque::new(),
             resident: HashMap::new(),
             indexed: 0,
-            hits: 0,
         }
     }
 
@@ -106,11 +102,6 @@ impl WriteBuffer {
     /// Total pages ever admitted.
     pub fn admitted_pages(&self) -> u64 {
         self.admitted
-    }
-
-    /// Read hits served from the buffer.
-    pub fn hits(&self) -> u64 {
-        self.hits
     }
 
     /// Reserves the next buffer slot for a page whose host transfer
@@ -152,14 +143,9 @@ impl WriteBuffer {
             self.resident.insert(page, (seq, drain));
             self.indexed = seq + 1;
         }
-        let hit = self
-            .resident
+        self.resident
             .get(&lpn)
-            .is_some_and(|&(_, drain)| drain > now);
-        if hit {
-            self.hits += 1;
-        }
-        hit
+            .is_some_and(|&(_, drain)| drain > now)
     }
 
     /// Approximate resident page count at `now`.
@@ -177,7 +163,6 @@ impl WriteBuffer {
             admitted: self.admitted,
             resident: resident_view(&pending),
             pending,
-            hits: self.hits,
         }
     }
 
@@ -207,7 +192,6 @@ impl WriteBuffer {
             pending: snapshot.pending.into_iter().collect(),
             resident: HashMap::new(),
             indexed: 0,
-            hits: snapshot.hits,
         }
     }
 
@@ -287,7 +271,6 @@ mod tests {
         assert!(buf.contains(42, t(10)));
         assert!(!buf.contains(42, t(60)));
         assert!(!buf.contains(7, t(10)));
-        assert_eq!(buf.hits(), 1);
     }
 
     #[test]
@@ -318,11 +301,12 @@ mod tests {
     fn pruning_at_write_instants_matches_read_only_pruning() {
         // `bounded` also prunes at every write's (non-decreasing) firmware
         // instant, as the device does; `reference` prunes only inside
-        // lookups. Every lookup and the hit count must agree.
+        // lookups. Every lookup must agree.
         let mut rng = uc_sim::SimRng::new(0xB0F);
         let mut bounded = WriteBuffer::new(8);
         let mut reference = WriteBuffer::new(8);
         let mut now = t(0);
+        let mut hits = 0;
         for _ in 0..5000 {
             now += SimDuration::from_nanos(rng.range_u64(0, 3000));
             let lpn = rng.range_u64(0, 32);
@@ -335,11 +319,12 @@ mod tests {
                 bounded.record_drain(seq, lpn, drain);
                 reference.record_drain(seq, lpn, drain);
             } else {
-                assert_eq!(bounded.contains(lpn, now), reference.contains(lpn, now));
+                let hit = bounded.contains(lpn, now);
+                assert_eq!(hit, reference.contains(lpn, now));
+                hits += u64::from(hit);
             }
         }
-        assert!(bounded.hits() > 100, "the sequence must exercise hits");
-        assert_eq!(bounded.hits(), reference.hits());
+        assert!(hits > 100, "the sequence must exercise hits");
     }
 
     /// Reference model: a buffer that indexes residency eagerly, keeping
@@ -350,7 +335,6 @@ mod tests {
         admitted: u64,
         resident: HashMap<u64, (u64, SimTime)>,
         pending: VecDeque<(SimTime, u64, u64)>,
-        hits: u64,
     }
 
     impl EagerBuffer {
@@ -361,7 +345,6 @@ mod tests {
                 admitted: 0,
                 resident: HashMap::new(),
                 pending: VecDeque::new(),
-                hits: 0,
             }
         }
 
@@ -385,9 +368,7 @@ mod tests {
 
         fn contains(&mut self, lpn: u64, now: SimTime) -> bool {
             self.prune(now);
-            let hit = self.resident.get(&lpn).is_some_and(|&(_, d)| d > now);
-            self.hits += u64::from(hit);
-            hit
+            self.resident.get(&lpn).is_some_and(|&(_, d)| d > now)
         }
 
         fn prune(&mut self, now: SimTime) {
@@ -415,7 +396,6 @@ mod tests {
                 admitted: self.admitted,
                 resident,
                 pending: self.pending.iter().copied().collect(),
-                hits: self.hits,
             }
         }
 
@@ -430,7 +410,6 @@ mod tests {
                     .map(|(l, q, d)| (l, (q, d)))
                     .collect(),
                 pending: s.pending.into_iter().collect(),
-                hits: s.hits,
             }
         }
     }
@@ -438,8 +417,8 @@ mod tests {
     #[test]
     fn write_buffer_matches_eager_reference() {
         // Seeded random admit/record_drain/prune/contains sequences, cut
-        // by snapshot→restore round trips: every answer, the hit count
-        // and every snapshot must equal the eager reference model's.
+        // by snapshot→restore round trips: every answer and every
+        // snapshot must equal the eager reference model's.
         let mut rng = uc_sim::SimRng::new(0x1A2E);
         let mut hits = 0;
         for case in 0..64u64 {
@@ -464,11 +443,11 @@ mod tests {
                         lazy.prune(now);
                         eager.prune(now);
                     }
-                    6..=8 => assert_eq!(
-                        lazy.contains(lpn, now),
-                        eager.contains(lpn, now),
-                        "case {case} step {step}"
-                    ),
+                    6..=8 => {
+                        let hit = lazy.contains(lpn, now);
+                        assert_eq!(hit, eager.contains(lpn, now), "case {case} step {step}");
+                        hits += u64::from(hit);
+                    }
                     _ => {
                         let snap = lazy.snapshot();
                         assert_eq!(snap, eager.snapshot(), "case {case} step {step}");
@@ -476,10 +455,8 @@ mod tests {
                         eager = EagerBuffer::restore(snap);
                     }
                 }
-                assert_eq!(lazy.hits(), eager.hits, "case {case} step {step}");
             }
             assert_eq!(lazy.snapshot(), eager.snapshot(), "case {case}");
-            hits += lazy.hits();
         }
         assert!(hits > 1000, "the sequences must exercise hits");
     }
@@ -505,6 +482,5 @@ mod tests {
         // …and so do residency answers and occupancy.
         assert_eq!(a.contains(2, t(150)), b.contains(2, t(150)));
         assert_eq!(a.occupancy(t(150)), b.occupancy(t(150)));
-        assert_eq!(a.hits(), b.hits());
     }
 }

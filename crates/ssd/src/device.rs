@@ -6,7 +6,7 @@ use uc_blockdev::{
     IoBatch, IoError, IoKind, IoRequest, IoResult,
 };
 use uc_ftl::{Ftl, FtlCheckpoint, FtlStats};
-use uc_sim::{Resource, ResourceSnapshot, RngSnapshot, SimRng, SimTime};
+use uc_sim::{Resource, RngSnapshot, SimRng, SimTime};
 
 /// Activity counters of an [`Ssd`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,12 +76,12 @@ pub struct SsdCheckpoint {
     pub config: SsdConfig,
     /// FTL state (mapping, free blocks, GC cursor, wear, flash timelines).
     pub ftl: FtlCheckpoint,
-    /// Firmware pipeline timeline.
-    pub firmware: ResourceSnapshot,
-    /// Host-DMA read lane timeline.
-    pub read_lane: ResourceSnapshot,
-    /// Host-DMA write lane timeline.
-    pub write_lane: ResourceSnapshot,
+    /// Instant the firmware pipeline becomes idle.
+    pub firmware: SimTime,
+    /// Instant the host-DMA read lane becomes idle.
+    pub read_lane: SimTime,
+    /// Instant the host-DMA write lane becomes idle.
+    pub write_lane: SimTime,
     /// DRAM write-buffer state.
     pub buffer: WriteBufferSnapshot,
     /// Readahead prefetcher state.

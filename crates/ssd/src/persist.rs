@@ -18,11 +18,11 @@ persist_struct! {
     check = check_config
 }
 persist_struct! {
-    WriteBufferSnapshot { capacity, ring, admitted, resident, pending, hits },
+    WriteBufferSnapshot { capacity, ring, admitted, resident, pending },
     check = check_buffer
 }
 persist_struct! {
-    PrefetcherSnapshot { trigger, window, last_end, streak, issued_up_to, ready, hits, issued }
+    PrefetcherSnapshot { trigger, window, last_end, streak, issued_up_to, ready }
 }
 persist_struct! {
     SsdStats { reads, writes, read_bytes, write_bytes, buffer_hits, prefetch_hits, prefetch_issued }
@@ -52,7 +52,7 @@ fn check_buffer(s: &WriteBufferSnapshot) -> Result<(), DecodeError> {
 }
 
 impl PersistPayload for SsdCheckpoint {
-    const KIND: &'static str = "uc.ssd-checkpoint.v1";
+    const KIND: &'static str = "uc.ssd-checkpoint.v2";
 }
 
 #[cfg(test)]

@@ -39,8 +39,6 @@ pub struct Prefetcher {
     streak: u32,
     issued_up_to: u64,
     ready: HashMap<u64, SimTime>,
-    hits: u64,
-    issued: u64,
 }
 
 /// The complete serializable state of a [`Prefetcher`].
@@ -62,10 +60,6 @@ pub struct PrefetcherSnapshot {
     pub issued_up_to: u64,
     /// Outstanding readahead as `(lpn, ready instant)`, sorted by page.
     pub ready: Vec<(u64, SimTime)>,
-    /// Prefetch hits served so far.
-    pub hits: u64,
-    /// Pages issued for readahead so far.
-    pub issued: u64,
 }
 
 impl Prefetcher {
@@ -79,19 +73,7 @@ impl Prefetcher {
             streak: 0,
             issued_up_to: 0,
             ready: HashMap::new(),
-            hits: 0,
-            issued: 0,
         }
-    }
-
-    /// Prefetch hits served so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Pages issued for readahead so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
     }
 
     /// Notes a host read of `pages` pages starting at `first_lpn` and
@@ -115,7 +97,6 @@ impl Prefetcher {
             let end = self.last_end + self.window as u64;
             if end > start {
                 self.issued_up_to = end;
-                self.issued += end - start;
                 return Some(start..end);
             }
         }
@@ -129,11 +110,7 @@ impl Prefetcher {
 
     /// Consumes the readiness entry for `lpn`, if prefetched.
     pub fn take(&mut self, lpn: u64) -> Option<SimTime> {
-        let hit = self.ready.remove(&lpn);
-        if hit.is_some() {
-            self.hits += 1;
-        }
-        hit
+        self.ready.remove(&lpn)
     }
 
     /// Captures the prefetcher's complete state.
@@ -148,8 +125,6 @@ impl Prefetcher {
             streak: self.streak,
             issued_up_to: self.issued_up_to,
             ready,
-            hits: self.hits,
-            issued: self.issued,
         }
     }
 
@@ -163,8 +138,6 @@ impl Prefetcher {
             streak: snapshot.streak,
             issued_up_to: snapshot.issued_up_to,
             ready: snapshot.ready.into_iter().collect(),
-            hits: snapshot.hits,
-            issued: snapshot.issued,
         }
     }
 }
@@ -179,7 +152,6 @@ mod tests {
         assert_eq!(pf.observe(10, 1), None);
         assert_eq!(pf.observe(100, 1), None);
         assert_eq!(pf.observe(7, 1), None);
-        assert_eq!(pf.issued(), 0);
     }
 
     #[test]
@@ -210,7 +182,6 @@ mod tests {
         pf.insert(1, SimTime::ZERO);
         assert!(pf.take(1).is_some());
         assert!(pf.take(1).is_none());
-        assert_eq!(pf.hits(), 1);
     }
 
     #[test]
@@ -241,7 +212,6 @@ mod tests {
         assert_eq!(a.observe(8, 4), b.observe(8, 4));
         // …and pending readahead survives.
         assert_eq!(a.take(9), b.take(9));
-        assert_eq!(a.hits(), b.hits());
-        assert_eq!(a.issued(), b.issued());
+        assert_eq!(a.snapshot(), b.snapshot());
     }
 }

@@ -191,19 +191,21 @@ fn checkpoint_payload_bytes_are_pinned() {
         ("fleet", record(&fleet_checkpoint())),
     ];
     let golden = [
-        // Same layout and kind tag as before; the SSD write buffer now
-        // prunes drained pages at every write's firmware instant, so its
-        // `resident`/`pending` lists are shorter (was 1_255_113 bytes).
-        // Checkpoints with the longer lists still restore and continue
-        // identically (`restore_from_unpruned_buffer_continues_identically`
-        // in uc-ssd).
-        ("ssd", (1_254_633, 0x4e6e_261c)),
-        ("essd", (23_576, 0xcfdf_d224)),
-        ("trace-run", (112_391, 0xb326_ac94)),
-        ("trace-run-closed", (112_483, 0x9f9f_f66b)),
+        // Format v2 (`uc.ssd-checkpoint.v2`, `uc.essd-checkpoint.v2`):
+        // FTL map entries are 32-bit, the counters nothing read (busy
+        // time, fabric traffic, stack I/Os, buffer and prefetch hits) are
+        // gone, and an ESSD's chunk lanes are one dense table in its
+        // cluster. Every device-carrying row moved once; v1 read
+        // 1_254_633, 23_576, 112_391, 112_483, 107_434 and 437_076 bytes.
+        // The trace and fleet rows grew: the dense table persists lanes no
+        // fragment has touched yet.
+        ("ssd", (648_053, 0x7f66_29a2)),
+        ("essd", (21_792, 0x1f41_c91a)),
+        ("trace-run", (114_351, 0x2c96_30ec)),
+        ("trace-run-closed", (114_443, 0x9c23_0bb8)),
         ("obs", (426, 0x785f_7f81)),
-        ("fig3", (107_434, 0x1095_87f7)),
-        ("fleet", (437_076, 0xc8c6_6983)),
+        ("fig3", (105_010, 0x0169_0311)),
+        ("fleet", (438_092, 0x792f_64ce)),
     ];
     assert_eq!(actual, golden);
 }
@@ -886,6 +888,52 @@ fn unknown_record_kinds_are_typed() {
         DeviceCheckpoint::load_from(&fig3_path, &payload_codecs()),
         Err(DecodeError::UnknownKind { .. })
     ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrites the record file at `path` with the one occurrence of `from`
+/// in its payload replaced by `to` (same length), under a fresh CRC.
+fn retag_payload(path: &std::path::Path, from: &str, to: &str) {
+    use unwritten_contract::persist::{read_record_file, write_record_file};
+    assert_eq!(from.len(), to.len());
+    let (kind, mut payload) = read_record_file(path).unwrap();
+    let at: Vec<usize> = payload
+        .windows(from.len())
+        .enumerate()
+        .filter(|(_, w)| *w == from.as_bytes())
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(at.len(), 1, "{from} occurs once in {kind}");
+    payload[at[0]..at[0] + to.len()].copy_from_slice(to.as_bytes());
+    write_record_file(path, &kind, &payload).unwrap();
+}
+
+/// A file from before the v2 device checkpoint format fails typed at its
+/// embedded payload tag, both stand-alone and inside a fig3 record.
+#[test]
+fn v1_device_payloads_are_rejected_typed() {
+    let dir = temp_dir("v1-payload");
+    let v1 = || DecodeError::UnknownKind {
+        found: "uc.ssd-checkpoint.v1".into(),
+    };
+
+    let device_path = dir.join("ssd.ckpt");
+    CheckpointDevice::checkpoint(&busy_ssd())
+        .save_to(&device_path)
+        .unwrap();
+    retag_payload(&device_path, "uc.ssd-checkpoint.v2", "uc.ssd-checkpoint.v1");
+    assert_eq!(
+        DeviceCheckpoint::load_from(&device_path, &payload_codecs()).err(),
+        Some(v1())
+    );
+
+    let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
+    let config = Fig3Config::quick();
+    let chain = fig3::chain(&roster, DeviceKind::LocalSsd, &config, 4);
+    let fig3_path = dir.join("fig3.ckpt");
+    after_one_step(&chain).save_to(&fig3_path).unwrap();
+    retag_payload(&fig3_path, "uc.ssd-checkpoint.v2", "uc.ssd-checkpoint.v1");
+    assert_eq!(Fig3Checkpoint::load_from(&fig3_path).err(), Some(v1()));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
