@@ -210,6 +210,22 @@ fn checkpoint_payload_bytes_are_pinned() {
     assert_eq!(actual, golden);
 }
 
+/// Golden bytes of a `uc.trace.v1` file: `save_trace` writes exactly
+/// `encode_trace`'s record, envelope included, and that record has not
+/// moved since these constants were captured.
+#[test]
+fn trace_file_bytes_are_pinned() {
+    use unwritten_contract::trace::{encode_trace, save_trace};
+    let dir = temp_dir("trace-file-pin");
+    let path = dir.join("sample.trace");
+    let trace = sample_trace();
+    save_trace(&path, &trace).unwrap();
+    let written = std::fs::read(&path).unwrap();
+    assert_eq!(written, encode_trace(&trace));
+    assert_eq!(fingerprint(&written), (805, 0x22d1_8f57));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Asserts `value` encodes to exactly `hex` (spaces between fields are
 /// ignored) and decodes back to itself, consuming every byte.
 fn pin<T: Persist + PartialEq + std::fmt::Debug>(value: T, hex: &str) {
