@@ -276,10 +276,7 @@ impl DeviceCheckpoint {
     /// versions and unknown payload kinds all come back as the matching
     /// variant — never a panic.
     pub fn load_from(path: &Path, codecs: &[PayloadCodec]) -> Result<Self, DecodeError> {
-        let (kind, payload) = uc_persist::read_record_file(path)?;
-        if kind != DEVICE_RECORD_KIND {
-            return Err(DecodeError::UnknownKind { found: kind });
-        }
+        let payload = uc_persist::read_record_file(path, DEVICE_RECORD_KIND)?;
         let mut r = Decoder::new(&payload);
         let checkpoint = Self::decode_from(&mut r, codecs)?;
         r.finish()?;

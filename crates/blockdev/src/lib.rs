@@ -19,9 +19,6 @@
 //!   [`BlockDevice::submit_batch_into`]) lets drivers issue a
 //!   queue-depth's worth of requests per doorbell ring instead of one call
 //!   per request, with completions posted into a queue the caller owns,
-//! * the **factory seam** ([`DeviceFactory`]) makes fresh-device
-//!   construction `Send + Sync`, so experiment cells can be fanned out
-//!   across threads, each building its own device where it runs,
 //! * the **checkpoint seam** ([`CheckpointDevice`] / [`DeviceCheckpoint`])
 //!   captures a device's complete hidden state and restores it exactly,
 //!   so one device's long virtual timeline can be sliced into resumable
@@ -61,7 +58,6 @@
 
 mod batch;
 mod checkpoint;
-mod factory;
 mod session;
 
 pub use batch::{submit_each, Completion, IoBatch};
@@ -69,7 +65,6 @@ pub use checkpoint::{
     CheckpointDevice, CheckpointError, DeviceCheckpoint, PayloadCodec, PersistError,
     PersistPayload, DEVICE_RECORD_KIND,
 };
-pub use factory::{DeviceFactory, FnFactory};
 pub use session::{SessionId, SessionStats, SharedDevice};
 
 use std::error::Error;

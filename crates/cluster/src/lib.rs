@@ -140,9 +140,9 @@ fn chunk_lanes<'a>(lanes: &'a mut Vec<u64>, config: &ClusterConfig, chunk: u64) 
     &mut lanes[first..first + config.replication]
 }
 
-// The device-factory contract (`uc_blockdev::DeviceFactory`) hands freshly
-// built ESSDs — and therefore their backend clusters — to worker threads,
-// so the whole backend must stay `Send` (no interior shared state).
+// Parallel experiment cells hand freshly built ESSDs — and therefore
+// their backend clusters — to worker threads, so the whole backend must
+// stay `Send` (no interior shared state).
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Cluster>()

@@ -1,6 +1,6 @@
 //! The calibrated device roster of the paper's Table I.
 
-use uc_blockdev::{BlockDevice, CheckpointDevice, DeviceFactory};
+use uc_blockdev::{BlockDevice, CheckpointDevice};
 use uc_essd::{Essd, EssdConfig};
 use uc_ssd::{Ssd, SsdConfig};
 
@@ -67,10 +67,10 @@ impl std::fmt::Display for DeviceKind {
 /// capacities (the paper's 1 TB SSD / 2 TB ESSDs keep their 1:2 ratio at
 /// simulation scale — see DESIGN.md).
 ///
-/// The roster implements [`DeviceFactory`] (keyed by [`DeviceKind`]), so
-/// the parallel cell executor — and any other consumer of the factory
-/// seam — can hand one shared roster to many worker threads and let each
-/// cell build its own device where it runs.
+/// The roster is `Send + Sync` and its builds are `Send`, so the parallel
+/// cell executor can hand one shared roster to many worker threads and
+/// let each cell build its own device ([`DeviceRoster::build_seeded`])
+/// where it runs.
 ///
 /// A `scale` multiplier (see [`DeviceRoster::with_scale`]) grows every
 /// capacity proportionally toward the paper's TB-scale settings; `--scale
@@ -226,14 +226,6 @@ impl DeviceRoster {
     }
 }
 
-impl DeviceFactory for DeviceRoster {
-    type Key = DeviceKind;
-
-    fn fresh(&self, key: DeviceKind, seed: u64) -> Box<dyn BlockDevice + Send> {
-        self.build_seeded(key, seed)
-    }
-}
-
 impl Default for DeviceRoster {
     fn default() -> Self {
         DeviceRoster::scaled_default()
@@ -298,17 +290,18 @@ mod tests {
 
     #[test]
     fn roster_is_a_device_factory() {
-        fn takes_factory<F: DeviceFactory<Key = DeviceKind>>(f: &F) -> u64 {
-            f.fresh(DeviceKind::Essd1, 3).info().capacity()
-        }
         let roster = DeviceRoster::scaled_default();
-        assert_eq!(takes_factory(&roster), roster.essd_capacity());
-        // Factories cross threads: build each kind on its own worker.
+        assert_eq!(
+            roster.build_seeded(DeviceKind::Essd1, 3).info().capacity(),
+            roster.essd_capacity()
+        );
+        // One shared roster builds across threads: each kind on its own
+        // worker.
         std::thread::scope(|scope| {
             for kind in DeviceKind::ALL {
                 let roster = &roster;
                 scope.spawn(move || {
-                    assert!(roster.fresh(kind, 1).info().capacity() > 0);
+                    assert!(roster.build_seeded(kind, 1).info().capacity() > 0);
                 });
             }
         });

@@ -87,10 +87,7 @@ pub trait DurableRecord: Sized {
     /// flipped bits, future format version, another record kind — is a
     /// typed [`DecodeError`], never a panic.
     fn load_from(path: &Path) -> Result<Self, DecodeError> {
-        let (kind, payload) = uc_persist::read_record_file(path)?;
-        if kind != Self::RECORD_KIND {
-            return Err(DecodeError::UnknownKind { found: kind });
-        }
+        let payload = uc_persist::read_record_file(path, Self::RECORD_KIND)?;
         let mut r = Decoder::new(&payload);
         let record = Self::decode_from(&mut r)?;
         r.finish()?;

@@ -3,8 +3,8 @@
 //! implementation.
 //!
 //! Every figure runner decomposes its sweep into self-contained *cells* —
-//! closures that build their own fresh device (through the
-//! [`DeviceFactory`](uc_blockdev::DeviceFactory) seam) and return one
+//! closures that build their own fresh device (from a shared
+//! `DeviceRoster`) and return one
 //! measurement. Cells never share device state, so they are embarrassingly
 //! parallel; the executor returns results **in the cells' original
 //! order**, which keeps parallel runs byte-identical to sequential ones.

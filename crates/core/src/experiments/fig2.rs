@@ -2,7 +2,7 @@
 
 use crate::devices::{DeviceKind, DeviceRoster};
 use crate::experiments::Executor;
-use uc_blockdev::{DeviceFactory, IoError};
+use uc_blockdev::IoError;
 use uc_sim::SimDuration;
 use uc_workload::{run_job, AccessPattern, JobSpec};
 
@@ -144,7 +144,7 @@ pub fn run(
 /// cells out on `exec`.
 ///
 /// Every cell is a self-contained job — it builds its own seeded device
-/// through the roster's [`DeviceFactory`] seam and runs one closed-loop
+/// ([`DeviceRoster::build_seeded`]) and runs one closed-loop
 /// job — so results are byte-identical for any executor width.
 ///
 /// # Errors
@@ -164,7 +164,7 @@ pub fn run_with(
         for (qi, &qd) in cfg.queue_depths.iter().enumerate() {
             for (si, &size) in cfg.io_sizes.iter().enumerate() {
                 cells.push(move || {
-                    let mut dev = roster.fresh(
+                    let mut dev = roster.build_seeded(
                         kind,
                         0xF1620000 + (pi as u64) * 1000 + (qi as u64) * 10 + si as u64,
                     );

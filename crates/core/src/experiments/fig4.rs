@@ -3,7 +3,7 @@
 
 use crate::devices::{DeviceKind, DeviceRoster};
 use crate::experiments::Executor;
-use uc_blockdev::{DeviceFactory, IoError};
+use uc_blockdev::IoError;
 use uc_workload::{run_job, AccessPattern, JobSpec};
 
 /// Workload grid for the Figure 4 sweep.
@@ -113,8 +113,8 @@ pub fn run(
 }
 
 /// Runs the Figure 4 sweep on `kind`, fanning the (pattern, depth, size)
-/// cells out on `exec`. Each cell builds its own seeded device through
-/// the roster's [`DeviceFactory`] seam, so results are byte-identical for
+/// cells out on `exec`. Each cell builds its own seeded device
+/// ([`DeviceRoster::build_seeded`]), so results are byte-identical for
 /// any executor width.
 ///
 /// # Errors
@@ -134,7 +134,7 @@ pub fn run_with(
             for (si, &size) in cfg.io_sizes.iter().enumerate() {
                 let salt = (qi as u64) * 100 + si as u64 + salt_offset;
                 cells.push(move || {
-                    let mut dev = roster.fresh(kind, 0xF1640000 + salt);
+                    let mut dev = roster.build_seeded(kind, 0xF1640000 + salt);
                     // Enough I/Os for steady state at this depth, but
                     // bounded volume: the paper's cells never age the
                     // device into GC ("when GC does not occur"), so stay

@@ -2,7 +2,7 @@
 
 use crate::devices::{DeviceKind, DeviceRoster};
 use crate::experiments::Executor;
-use uc_blockdev::{DeviceFactory, IoError};
+use uc_blockdev::IoError;
 use uc_workload::{run_job, AccessPattern, JobSpec};
 
 /// Workload parameters for the Figure 5 mix sweep.
@@ -88,9 +88,9 @@ pub fn run(
 }
 
 /// Runs the Figure 5 sweep on `kind`, fanning the per-ratio cells out on
-/// `exec`. Each cell builds its own seeded device through the roster's
-/// [`DeviceFactory`] seam, so results are byte-identical for any executor
-/// width.
+/// `exec`. Each cell builds its own seeded device
+/// ([`DeviceRoster::build_seeded`]), so results are byte-identical for any
+/// executor width.
 ///
 /// # Errors
 ///
@@ -119,7 +119,7 @@ pub fn run_with(
                         random: true,
                     }
                 };
-                let mut dev = roster.fresh(kind, 0xF1650000 + i as u64);
+                let mut dev = roster.build_seeded(kind, 0xF1650000 + i as u64);
                 // Keep the written volume under half the capacity so device
                 // GC stays out of the mix sweep (as in the paper's short
                 // FIO runs).

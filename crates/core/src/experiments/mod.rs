@@ -16,10 +16,11 @@
 //! The grid runners (`table1`, `fig2`, `fig4`, `fig5`) decompose their
 //! sweeps into self-contained cells and fan them out on the shared
 //! [`Executor`] — by default one worker per core (`UC_THREADS` overrides).
-//! Because each cell builds its own seeded device through the
-//! [`DeviceFactory`](uc_blockdev::DeviceFactory) seam and carries its own
-//! virtual clock, parallel and sequential runs are byte-identical; every
-//! runner also exposes a `run_with` variant taking an explicit executor.
+//! Because each cell builds its own seeded device
+//! ([`DeviceRoster::build_seeded`](crate::devices::DeviceRoster::build_seeded))
+//! and carries its own virtual clock, parallel and sequential runs are
+//! byte-identical; every runner also exposes a `run_with` variant taking
+//! an explicit executor.
 //!
 //! `fig3` is different: each device's endurance run is one continuous
 //! virtual timeline, so instead of independent cells it is sliced into

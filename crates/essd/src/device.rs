@@ -345,7 +345,7 @@ impl CheckpointDevice for Essd {
     }
 }
 
-// The factory contract: built devices cross thread boundaries.
+// Parallel experiment cells move built devices across threads.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Essd>()

@@ -71,10 +71,7 @@ impl ObsReport {
 
     /// Reads a report back from `path`, verifying envelope and kind.
     pub fn load_from(path: &Path) -> Result<Self, DecodeError> {
-        let (kind, payload) = uc_persist::read_record_file(path)?;
-        if kind != OBS_RECORD_KIND {
-            return Err(DecodeError::UnknownKind { found: kind });
-        }
+        let payload = uc_persist::read_record_file(path, OBS_RECORD_KIND)?;
         let mut r = Decoder::new(&payload);
         let report = ObsReport::decode(&mut r)?;
         r.finish()?;

@@ -20,17 +20,20 @@
 //!   `decode(encode(x)) == x`.
 //! * **records** ([`encode_record`] / [`decode_record`] and the file
 //!   helpers [`write_record_file`] / [`read_record_file`]) — the
-//!   self-describing on-disk envelope: an 8-byte magic, a format version,
-//!   a record-kind tag naming the payload type, the payload length, the
-//!   payload and a CRC-32 of everything after the magic. Files are
-//!   written atomically (temp file + rename) so a crash mid-write leaves
-//!   either the old checkpoint or none — never a torn one. The envelope
-//!   is self-describing, so [`read_record_from`] can also walk records
-//!   incrementally off any byte stream (a socket serving `uc.wire.v2`
-//!   frames, a pipe of trace records) with every length field bounded
-//!   before it is trusted. [`encode_record_into`] and [`read_record_into`]
-//!   are the forms over a buffer the caller owns and reuses: a
-//!   connection encodes and reads its frames without allocating.
+//!   self-describing envelope every file and stream in the workspace is
+//!   framed by: an 8-byte magic, a format version, a record-kind tag
+//!   naming the payload type, the payload length, the payload and a
+//!   CRC-32 of everything after the magic. Only this crate knows that
+//!   layout. Files are written atomically (temp file + rename) so a
+//!   crash mid-write leaves either the old checkpoint or none — never a
+//!   torn one — and are read back kind-checked, into one buffer. The
+//!   envelope is self-describing, so [`read_record_into`] can also take
+//!   records one at a time off any byte stream (a socket serving
+//!   `uc.wire.v2` frames), and [`peek_record_len`] can find a record's
+//!   end in a buffer of partial reads, with every length field bounded
+//!   before it is trusted. [`encode_record_into`] and
+//!   [`read_record_into`] work over a buffer the caller owns and reuses:
+//!   a connection encodes and reads its frames without allocating.
 //!
 //! # Example
 //!
@@ -59,6 +62,5 @@ mod record;
 pub use codec::{ensure, DecodeError, Decoder, Encoder, Persist};
 pub use record::{
     crc32, decode_record, encode_record, encode_record_into, peek_record_len, read_record_file,
-    read_record_from, read_record_into, write_record_file, Crc32, FORMAT_VERSION, MAGIC,
-    MAX_STREAM_KIND_LEN, MAX_STREAM_PAYLOAD_LEN,
+    read_record_into, write_record_file, MAX_STREAM_KIND_LEN, MAX_STREAM_PAYLOAD_LEN,
 };

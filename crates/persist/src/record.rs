@@ -4,8 +4,8 @@
 //!
 //! | bytes | field |
 //! |---|---|
-//! | 8 | [`MAGIC`] |
-//! | 2 | [`FORMAT_VERSION`], little-endian |
+//! | 8 | magic `UCSSDCP\0` |
+//! | 2 | envelope format version, little-endian |
 //! | 8 + n | record kind: `u64` length + UTF-8 tag |
 //! | 8 | payload length, little-endian |
 //! | … | payload |
@@ -15,20 +15,30 @@
 //! `"uc.fig3-checkpoint.v1"`, …) so a reader can dispatch to the right
 //! decoder — or fail with [`DecodeError::UnknownKind`] instead of
 //! misinterpreting bytes. Bumping a payload's layout means bumping its
-//! kind tag; bumping the envelope itself means bumping
-//! [`FORMAT_VERSION`], which old readers reject as
+//! kind tag; bumping the envelope itself means bumping the format
+//! version, which old readers reject as
 //! [`DecodeError::UnsupportedVersion`].
+//!
+//! This module is the only code that knows the layout: every head is
+//! written by [`encode_record_into`], every whole record is checked by
+//! [`decode_record`], and every stream prefix is parsed by one private
+//! `parse_prefix`, which both [`read_record_into`] and
+//! [`peek_record_len`] use.
 
 use crate::codec::{DecodeError, Decoder, Encoder};
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::OnceLock;
 
-/// The 8-byte signature every checkpoint record starts with.
-pub const MAGIC: [u8; 8] = *b"UCSSDCP\0";
+/// The 8-byte signature every record starts with.
+const MAGIC: [u8; 8] = *b"UCSSDCP\0";
 
 /// The envelope format version this build writes and reads.
-pub const FORMAT_VERSION: u16 = 1;
+const FORMAT_VERSION: u16 = 1;
+
+/// Magic, version and kind length: the head every record starts with
+/// before its first variable-length field.
+const HEAD_LEN: usize = 18;
 
 /// The slicing-by-8 tables: `[0]` is the bytewise table, and `[k][i]` is
 /// the CRC state after feeding byte `i` followed by `k` zero bytes, so
@@ -58,77 +68,30 @@ fn crc_tables() -> &'static [[u32; 256]; 8] {
     })
 }
 
-/// An incremental CRC-32 (IEEE 802.3 polynomial, reflected) hasher.
-///
-/// Streaming writers (e.g. a GiB-scale trace encoder) feed bytes through
-/// [`Crc32::update`] as they go to disk instead of buffering the whole
-/// payload just to checksum it; [`Crc32::finalize`] yields the same value
-/// [`crc32`] computes over the concatenation of every update.
-///
-/// # Example
-///
-/// ```
-/// use uc_persist::{crc32, Crc32};
-///
-/// let mut hasher = Crc32::new();
-/// hasher.update(b"1234");
-/// hasher.update(b"56789");
-/// assert_eq!(hasher.finalize(), crc32(b"123456789"));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    /// A hasher over the empty byte sequence.
-    pub fn new() -> Self {
-        Crc32 { state: !0u32 }
-    }
-
-    /// Feeds `bytes` through the hasher.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let t = crc_tables();
-        let mut crc = self.state;
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-            crc = t[7][(lo & 0xFF) as usize]
-                ^ t[6][((lo >> 8) & 0xFF) as usize]
-                ^ t[5][((lo >> 16) & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xFF) as usize]
-                ^ t[2][((hi >> 8) & 0xFF) as usize]
-                ^ t[1][((hi >> 16) & 0xFF) as usize]
-                ^ t[0][(hi >> 24) as usize];
-        }
-        for &b in words.remainder() {
-            crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        self.state = crc;
-    }
-
-    /// The CRC-32 of every byte fed so far (the hasher stays usable).
-    pub fn finalize(&self) -> u32 {
-        !self.state
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
-}
-
 /// CRC-32 (IEEE 802.3 polynomial, reflected) of `bytes`.
 ///
 /// This is the per-record checksum; a single flipped payload bit decodes
 /// as [`DecodeError::ChecksumMismatch`] instead of corrupt state.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut hasher = Crc32::new();
-    hasher.update(bytes);
-    hasher.finalize()
+    let t = crc_tables();
+    let mut crc = !0u32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    !crc
 }
 
 /// Wraps `payload` in the record envelope under the given kind tag.
@@ -173,6 +136,10 @@ pub fn encode_record_into(out: &mut Vec<u8>, kind: &str, payload: impl FnOnce(&m
 
 /// Unwraps a record envelope, returning `(kind, payload)`.
 ///
+/// This is the whole-record validator: it bounds every length by the
+/// bytes present, not by the stream caps, so a record of any size that
+/// fits in memory decodes.
+///
 /// # Errors
 ///
 /// Returns the [`DecodeError`] variant matching exactly what is wrong:
@@ -207,15 +174,70 @@ pub fn decode_record(bytes: &[u8]) -> Result<(&str, &[u8]), DecodeError> {
     Ok((kind, payload))
 }
 
-/// Largest kind tag [`read_record_from`] accepts (the longest real tags
-/// are tens of bytes; anything bigger is a corrupt length field, and the
-/// cap keeps a flipped bit from turning into a giant allocation).
+/// Largest kind tag a stream reader ([`read_record_into`],
+/// [`peek_record_len`]) accepts (the longest real tags are tens of
+/// bytes; anything bigger is a corrupt length field, and the cap keeps a
+/// flipped bit from turning into a giant allocation).
 pub const MAX_STREAM_KIND_LEN: u64 = 1 << 10;
 
-/// Largest payload [`read_record_from`] accepts, for the same reason:
-/// a stream peer (or a corrupt record) must not be able to make the
-/// reader allocate an arbitrary amount of memory off an 8-byte length.
+/// Largest payload a stream reader accepts, for the same reason: a
+/// stream peer (or a corrupt record) must not be able to make the reader
+/// allocate an arbitrary amount of memory off an 8-byte length.
 pub const MAX_STREAM_PAYLOAD_LEN: u64 = 64 << 20;
+
+/// What the first bytes of a stream say about the record they begin.
+enum Prefix {
+    /// The length fields are not all in yet: at least this many bytes
+    /// are needed before the record's length is known.
+    Partial(usize),
+    /// The record is exactly this many bytes long.
+    Complete(usize),
+}
+
+/// Parses as much of a record's head as `buf` holds, checking each field
+/// the moment it is whole: a byte that disagrees with the magic is
+/// [`DecodeError::BadMagic`], a foreign envelope version is
+/// [`DecodeError::UnsupportedVersion`] (before any length read under the
+/// wrong layout is trusted), and a length past the stream caps is
+/// [`DecodeError::InvalidValue`].
+fn parse_prefix(buf: &[u8]) -> Result<Prefix, DecodeError> {
+    let magic = buf.len().min(MAGIC.len());
+    if buf[..magic] != MAGIC[..magic] {
+        return Err(DecodeError::BadMagic);
+    }
+    let version_end = MAGIC.len() + 2;
+    if buf.len() < version_end {
+        return Ok(Prefix::Partial(version_end));
+    }
+    let found = u16::from_le_bytes([buf[MAGIC.len()], buf[MAGIC.len() + 1]]);
+    if found != FORMAT_VERSION {
+        return Err(DecodeError::UnsupportedVersion {
+            found,
+            supported: FORMAT_VERSION,
+        });
+    }
+    if buf.len() < HEAD_LEN {
+        return Ok(Prefix::Partial(HEAD_LEN));
+    }
+    let kind_len = u64::from_le_bytes(buf[version_end..HEAD_LEN].try_into().expect("8 bytes"));
+    if kind_len > MAX_STREAM_KIND_LEN {
+        return Err(DecodeError::InvalidValue {
+            what: "stream record kind length",
+        });
+    }
+    let payload_at = HEAD_LEN + kind_len as usize + 8;
+    if buf.len() < payload_at {
+        return Ok(Prefix::Partial(payload_at));
+    }
+    let payload_len =
+        u64::from_le_bytes(buf[payload_at - 8..payload_at].try_into().expect("8 bytes"));
+    if payload_len > MAX_STREAM_PAYLOAD_LEN {
+        return Err(DecodeError::InvalidValue {
+            what: "stream record payload length",
+        });
+    }
+    Ok(Prefix::Complete(payload_at + payload_len as usize + 4))
+}
 
 /// Reads exactly `buf.len()` bytes unless the stream ends first;
 /// returns how many bytes were actually read.
@@ -237,35 +259,12 @@ fn fill<R: Read + ?Sized>(reader: &mut R, buf: &mut [u8]) -> Result<usize, Decod
     Ok(read)
 }
 
-/// Reads `buf.len()` bytes or fails typed: end-of-stream mid-field is
-/// [`DecodeError::Truncated`].
-fn fill_exact<R: Read + ?Sized>(reader: &mut R, buf: &mut [u8]) -> Result<(), DecodeError> {
-    let got = fill(reader, buf)?;
-    if got < buf.len() {
-        return Err(DecodeError::Truncated {
-            needed: (buf.len() - got) as u64,
-            available: 0,
-        });
+/// The typed error for a stream that ended `missing` bytes short.
+fn truncated(missing: usize) -> DecodeError {
+    DecodeError::Truncated {
+        needed: missing as u64,
+        available: 0,
     }
-    Ok(())
-}
-
-/// Reads the next record envelope off a byte stream, returning
-/// `Ok(None)` at a clean end of stream (end exactly at a record
-/// boundary) and `(kind, payload)` otherwise.
-///
-/// The owning form of [`read_record_into`], which it wraps: it reads
-/// into a fresh buffer and copies the kind and payload out.
-///
-/// # Errors
-///
-/// As [`read_record_into`].
-pub fn read_record_from<R: Read + ?Sized>(
-    reader: &mut R,
-) -> Result<Option<(String, Vec<u8>)>, DecodeError> {
-    let mut record = Vec::new();
-    Ok(read_record_into(reader, &mut record)?
-        .map(|(kind, payload)| (kind.to_string(), payload.to_vec())))
 }
 
 /// Reads the next record envelope off a byte stream into `record`, a
@@ -274,13 +273,14 @@ pub fn read_record_from<R: Read + ?Sized>(
 /// `(kind, payload)` borrowed from `record`.
 ///
 /// This is the incremental twin of [`decode_record`] for sources without
-/// random access — a socket serving `uc.wire.v2` frames, a pipe of
-/// streamed trace records. The envelope is self-describing, so no outer
-/// length prefix is needed; the reader walks the fields, bounds every
-/// length (see [`MAX_STREAM_KIND_LEN`] / [`MAX_STREAM_PAYLOAD_LEN`]), and
-/// then validates the assembled record through [`decode_record`] —
-/// checksum included. `record` is cleared first; once it has grown to
-/// the largest record read, reading allocates nothing.
+/// random access, such as a socket serving `uc.wire.v2` frames. The
+/// envelope is self-describing, so no outer length prefix is needed:
+/// the reader takes exactly the record's bytes off the stream, never
+/// more, bounds every length (see [`MAX_STREAM_KIND_LEN`] /
+/// [`MAX_STREAM_PAYLOAD_LEN`]) before it sizes anything by it, and then
+/// validates the assembled record through [`decode_record`], checksum
+/// included. `record` is cleared first; once it has grown to the largest
+/// record read, reading allocates nothing.
 ///
 /// # Errors
 ///
@@ -296,64 +296,33 @@ pub fn read_record_into<'b, R: Read + ?Sized>(
     record: &'b mut Vec<u8>,
 ) -> Result<Option<(&'b str, &'b [u8])>, DecodeError> {
     record.clear();
-    // magic 8 + version 2 + kind length 8, read before anything is sized.
-    let mut head = [0u8; 18];
-    let got = fill(reader, &mut head[..8])?;
+    // The fixed head goes through the stack, so `record` is sized only
+    // once the kind length is known. Every record is longer than it.
+    let mut head = [0u8; HEAD_LEN];
+    let got = fill(reader, &mut head)?;
     if got == 0 {
         return Ok(None);
     }
-    if got < 8 {
-        return Err(DecodeError::Truncated {
-            needed: (8 - got) as u64,
-            available: 0,
-        });
-    }
-    if head[..8] != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    fill_exact(reader, &mut head[8..10])?;
-    let found = u16::from_le_bytes([head[8], head[9]]);
-    if found != FORMAT_VERSION {
-        // A future envelope may lay its fields out differently; bail
-        // before trusting any length read under the wrong layout.
-        return Err(DecodeError::UnsupportedVersion {
-            found,
-            supported: FORMAT_VERSION,
-        });
-    }
-    fill_exact(reader, &mut head[10..])?;
-    let kind_len = u64::from_le_bytes(head[10..].try_into().expect("8 bytes"));
-    if kind_len > MAX_STREAM_KIND_LEN {
-        return Err(DecodeError::InvalidValue {
-            what: "stream record kind length",
-        });
-    }
-    // The kind tag and the payload length.
-    record.reserve(head.len() + kind_len as usize + 8);
+    let mut len = match parse_prefix(&head[..got])? {
+        Prefix::Partial(len) if got == HEAD_LEN => len,
+        _ => return Err(truncated(HEAD_LEN - got)),
+    };
+    record.reserve(len);
     record.extend_from_slice(&head);
-    append_exact(reader, record, kind_len as usize + 8)?;
-    let len_at = record.len() - 8;
-    let payload_len = u64::from_le_bytes(record[len_at..].try_into().expect("8 bytes"));
-    if payload_len > MAX_STREAM_PAYLOAD_LEN {
-        return Err(DecodeError::InvalidValue {
-            what: "stream record payload length",
-        });
+    loop {
+        let start = record.len();
+        record.resize(len, 0);
+        let got = fill(reader, &mut record[start..])?;
+        if start + got < len {
+            return Err(truncated(len - start - got));
+        }
+        match parse_prefix(record)? {
+            Prefix::Complete(whole) if whole == len => break,
+            Prefix::Partial(next) | Prefix::Complete(next) => len = next,
+        }
     }
-    // The payload and its CRC.
-    append_exact(reader, record, payload_len as usize + 4)?;
     let record: &'b Vec<u8> = record;
     decode_record(record).map(Some)
-}
-
-/// Appends exactly `n` bytes read off `reader` to `buf`, or fails typed.
-fn append_exact<R: Read + ?Sized>(
-    reader: &mut R,
-    buf: &mut Vec<u8>,
-    n: usize,
-) -> Result<(), DecodeError> {
-    let start = buf.len();
-    buf.resize(start + n, 0);
-    fill_exact(reader, &mut buf[start..])
 }
 
 /// Reports whether `buf` starts with one complete record, and how long
@@ -376,50 +345,10 @@ fn append_exact<R: Read + ?Sized>(
 /// [`MAX_STREAM_PAYLOAD_LEN`]) — a flipped length bit must not make the
 /// caller buffer gigabytes waiting for a record that never completes.
 pub fn peek_record_len(buf: &[u8]) -> Result<Option<usize>, DecodeError> {
-    let prefix = buf.len().min(MAGIC.len());
-    if buf[..prefix] != MAGIC[..prefix] {
-        return Err(DecodeError::BadMagic);
-    }
-    if buf.len() < MAGIC.len() + 2 {
-        return Ok(None);
-    }
-    let found = u16::from_le_bytes([buf[8], buf[9]]);
-    if found != FORMAT_VERSION {
-        return Err(DecodeError::UnsupportedVersion {
-            found,
-            supported: FORMAT_VERSION,
-        });
-    }
-    if buf.len() < 18 {
-        return Ok(None);
-    }
-    let kind_len = u64::from_le_bytes(buf[10..18].try_into().expect("8 bytes"));
-    if kind_len > MAX_STREAM_KIND_LEN {
-        return Err(DecodeError::InvalidValue {
-            what: "stream record kind length",
-        });
-    }
-    let kind_len = kind_len as usize;
-    if buf.len() < 18 + kind_len + 8 {
-        return Ok(None);
-    }
-    let payload_len = u64::from_le_bytes(
-        buf[18 + kind_len..26 + kind_len]
-            .try_into()
-            .expect("8 bytes"),
-    );
-    if payload_len > MAX_STREAM_PAYLOAD_LEN {
-        return Err(DecodeError::InvalidValue {
-            what: "stream record payload length",
-        });
-    }
-    // magic 8 + version 2 + kind len 8 + kind + payload len 8 + payload
-    // + CRC 4.
-    let total = 30 + kind_len + payload_len as usize;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    Ok(Some(total))
+    Ok(match parse_prefix(buf)? {
+        Prefix::Complete(len) if buf.len() >= len => Some(len),
+        _ => None,
+    })
 }
 
 /// Writes a record file atomically: the bytes go to `<path>.tmp` first
@@ -440,19 +369,34 @@ pub fn write_record_file(path: &Path, kind: &str, payload: &[u8]) -> io::Result<
     std::fs::rename(&tmp, path)
 }
 
-/// Reads and unwraps a record file, returning `(kind, payload)`.
+/// Reads a record file of the given `kind` and returns its payload.
+///
+/// The envelope is trimmed off the file's bytes in place, so the payload
+/// is the one buffer the file was read into.
 ///
 /// # Errors
 ///
 /// Filesystem errors surface as [`DecodeError::Io`]; malformed bytes as
-/// the matching [`DecodeError`] variant (see [`decode_record`]).
-pub fn read_record_file(path: &Path) -> Result<(String, Vec<u8>), DecodeError> {
-    let bytes = std::fs::read(path).map_err(|e| DecodeError::Io {
+/// the matching [`DecodeError`] variant (see [`decode_record`]); a
+/// well-formed record of another kind as [`DecodeError::UnknownKind`]
+/// naming the kind it has.
+pub fn read_record_file(path: &Path, kind: &str) -> Result<Vec<u8>, DecodeError> {
+    let mut bytes = std::fs::read(path).map_err(|e| DecodeError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
     })?;
-    let (kind, payload) = decode_record(&bytes)?;
-    Ok((kind.to_string(), payload.to_vec()))
+    let (found, payload) = decode_record(&bytes)?;
+    if found != kind {
+        return Err(DecodeError::UnknownKind {
+            found: found.to_string(),
+        });
+    }
+    // The payload is the last field before the 4-byte CRC.
+    let end = bytes.len() - 4;
+    let start = end - payload.len();
+    bytes.truncate(end);
+    bytes.drain(..start);
+    Ok(bytes)
 }
 
 #[cfg(test)]
@@ -484,13 +428,18 @@ mod tests {
                 "len {len}"
             );
         }
-        let input = &bytes[..64];
-        for split in 0..=input.len() {
-            let mut hasher = Crc32::new();
-            hasher.update(&input[..split]);
-            hasher.update(&input[split..]);
-            assert_eq!(hasher.finalize(), bytewise_crc32(input), "split at {split}");
+    }
+
+    /// Reads every record off `bytes` through one reused buffer, owning
+    /// each `(kind, payload)`, up to the clean end or the first error.
+    fn read_all(bytes: &[u8]) -> Result<Vec<(String, Vec<u8>)>, DecodeError> {
+        let mut reader = bytes;
+        let mut record = Vec::new();
+        let mut out = Vec::new();
+        while let Some((kind, payload)) = read_record_into(&mut reader, &mut record)? {
+            out.push((kind.to_string(), payload.to_vec()));
         }
+        Ok(out)
     }
 
     #[test]
@@ -515,24 +464,6 @@ mod tests {
             "a smaller record reuses the buffer"
         );
         assert_eq!(read_record_into(&mut reader, &mut record), Ok(None));
-    }
-
-    #[test]
-    fn incremental_crc_matches_one_shot_at_any_split() {
-        let bytes: Vec<u8> = (0u16..300).map(|i| (i * 7) as u8).collect();
-        let expected = crc32(&bytes);
-        for split in [0, 1, 9, 150, 299, 300] {
-            let mut hasher = Crc32::new();
-            hasher.update(&bytes[..split]);
-            hasher.update(&bytes[split..]);
-            assert_eq!(hasher.finalize(), expected, "split at {split}");
-        }
-        // `finalize` does not consume: more updates keep accumulating.
-        let mut hasher = Crc32::default();
-        hasher.update(b"1234");
-        let _ = hasher.finalize();
-        hasher.update(b"56789");
-        assert_eq!(hasher.finalize(), crc32(b"123456789"));
     }
 
     #[test]
@@ -671,22 +602,17 @@ mod tests {
         bytes.extend_from_slice(&encode_record("a.v1", b"first"));
         bytes.extend_from_slice(&encode_record("b.v1", b""));
         bytes.extend_from_slice(&encode_record("c.v1", &[0xAB; 300]));
-        let mut cursor = std::io::Cursor::new(bytes);
+        // Each record comes back, then a clean end of stream exactly at a
+        // record boundary.
         assert_eq!(
-            read_record_from(&mut cursor).unwrap(),
-            Some(("a.v1".to_string(), b"first".to_vec()))
+            read_all(&bytes).unwrap(),
+            [
+                ("a.v1".to_string(), b"first".to_vec()),
+                ("b.v1".to_string(), Vec::new()),
+                ("c.v1".to_string(), vec![0xAB; 300]),
+            ]
         );
-        assert_eq!(
-            read_record_from(&mut cursor).unwrap(),
-            Some(("b.v1".to_string(), Vec::new()))
-        );
-        assert_eq!(
-            read_record_from(&mut cursor).unwrap(),
-            Some(("c.v1".to_string(), vec![0xAB; 300]))
-        );
-        // Clean end of stream, exactly at a record boundary.
-        assert_eq!(read_record_from(&mut cursor).unwrap(), None);
-        assert_eq!(read_record_from(&mut cursor).unwrap(), None);
+        assert_eq!(read_all(b"").unwrap(), []);
     }
 
     #[test]
@@ -694,13 +620,9 @@ mod tests {
         let record = encode_record("cut.v1", b"payload-bytes");
         // A cut anywhere inside the record — including mid-magic — is a
         // typed truncation, never a clean end of stream.
-        for cut in [1, 7, 9, 12, 20, record.len() - 1] {
-            let mut cursor = std::io::Cursor::new(record[..cut].to_vec());
+        for cut in 1..record.len() {
             assert!(
-                matches!(
-                    read_record_from(&mut cursor),
-                    Err(DecodeError::Truncated { .. })
-                ),
+                matches!(read_all(&record[..cut]), Err(DecodeError::Truncated { .. })),
                 "cut at {cut}"
             );
         }
@@ -710,15 +632,12 @@ mod tests {
     fn stream_reader_rejects_foreign_bytes_and_future_versions() {
         let mut wrong_magic = encode_record("t", b"x");
         wrong_magic[0] ^= 0xFF;
-        assert_eq!(
-            read_record_from(&mut std::io::Cursor::new(wrong_magic)),
-            Err(DecodeError::BadMagic)
-        );
+        assert_eq!(read_all(&wrong_magic), Err(DecodeError::BadMagic));
         let mut future = encode_record("t", b"x");
         future[8] = 0xEE;
         future[9] = 0x7F;
         assert_eq!(
-            read_record_from(&mut std::io::Cursor::new(future)),
+            read_all(&future),
             Err(DecodeError::UnsupportedVersion {
                 found: 0x7FEE,
                 supported: FORMAT_VERSION
@@ -733,7 +652,7 @@ mod tests {
         let mut bad_kind = encode_record("t", b"x");
         bad_kind[10..18].copy_from_slice(&u64::MAX.to_le_bytes());
         assert_eq!(
-            read_record_from(&mut std::io::Cursor::new(bad_kind)),
+            read_all(&bad_kind),
             Err(DecodeError::InvalidValue {
                 what: "stream record kind length"
             })
@@ -744,7 +663,7 @@ mod tests {
         bad_payload[payload_len_at..payload_len_at + 8]
             .copy_from_slice(&(MAX_STREAM_PAYLOAD_LEN + 1).to_le_bytes());
         assert_eq!(
-            read_record_from(&mut std::io::Cursor::new(bad_payload)),
+            read_all(&bad_payload),
             Err(DecodeError::InvalidValue {
                 what: "stream record payload length"
             })
@@ -757,7 +676,7 @@ mod tests {
         let payload_at = record.len() - 4 - 4;
         record[payload_at] ^= 0x01;
         assert!(matches!(
-            read_record_from(&mut std::io::Cursor::new(record)),
+            read_all(&record),
             Err(DecodeError::ChecksumMismatch { .. })
         ));
     }
@@ -768,14 +687,19 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.ckpt");
         write_record_file(&path, "file.v1", b"on disk").unwrap();
-        let (kind, payload) = read_record_file(&path).unwrap();
-        assert_eq!(kind, "file.v1");
-        assert_eq!(payload, b"on disk");
+        assert_eq!(read_record_file(&path, "file.v1").unwrap(), b"on disk");
+        // Another kind is typed, naming the kind the file has.
+        assert_eq!(
+            read_record_file(&path, "other.v1"),
+            Err(DecodeError::UnknownKind {
+                found: "file.v1".to_string()
+            })
+        );
         // No stray temp file is left behind.
         assert!(!path.with_extension("tmp").exists());
         std::fs::remove_file(&path).unwrap();
         assert!(matches!(
-            read_record_file(&path),
+            read_record_file(&path, "file.v1"),
             Err(DecodeError::Io { .. })
         ));
     }

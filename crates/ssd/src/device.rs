@@ -360,7 +360,7 @@ impl CheckpointDevice for Ssd {
     }
 }
 
-// The factory contract: built devices cross thread boundaries.
+// Parallel experiment cells move built devices across threads.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Ssd>()

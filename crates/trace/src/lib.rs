@@ -9,12 +9,11 @@
 //!   [`BlockDevice`](uc_blockdev::BlockDevice) wrapper that records every
 //!   request (and batch) crossing the seam, so any existing experiment can
 //!   emit a [`Trace`] of exactly what it issued;
-//! * **format** ([`save_trace`] / [`load_trace`] and the streaming
-//!   [`TraceWriter`] / [`TraceReader`]) — a versioned binary trace format
-//!   on the `uc-persist` record envelope (kind tag
-//!   [`TRACE_RECORD_KIND`]), streamed in both directions so GiB-scale
-//!   traces never sit in memory, with typed decode errors and
-//!   `From`/`TryFrom` interop with the text [`Trace`] format;
+//! * **format** ([`save_trace`] / [`load_trace`], [`encode_trace`] /
+//!   [`decode_trace`]) — a versioned binary trace format, one
+//!   `uc-persist` record file per trace (kind tag [`TRACE_RECORD_KIND`]),
+//!   with typed decode errors and the same entry validation as the text
+//!   [`Trace`] format;
 //! * **generators** ([`TraceSpec`]) — synthetic arrival shapes (steady,
 //!   diurnal, bursty ON/OFF) parameterized like `uc-workload` job specs;
 //! * **interleaving** ([`merge_streams`] / [`validate_merged`]) — the
@@ -68,8 +67,7 @@ mod merge;
 mod recorder;
 
 pub use format::{
-    decode_trace, encode_trace, load_trace, save_trace, TraceFileError, TraceReader, TraceWriter,
-    TRACE_RECORD_KIND,
+    decode_trace, encode_trace, load_trace, save_trace, TraceFileError, TRACE_RECORD_KIND,
 };
 pub use generate::{ArrivalShape, TraceSpec};
 pub use merge::{merge_streams, validate_merged, MergedEntry};

@@ -41,7 +41,7 @@
 //! | [`persist`] | versioned binary checkpoint codec (magic, version, checksum records) |
 //! | [`sim`] | virtual clock, RNG, distributions, resources, token buckets |
 //! | [`metrics`] | latency histograms, throughput timelines, summary stats |
-//! | [`blockdev`] | the `BlockDevice` abstraction, queue-pair batching (`IoBatch`/`Completion`), `DeviceFactory` seam, `CheckpointDevice` snapshot/restore seam |
+//! | [`blockdev`] | the `BlockDevice` abstraction, queue-pair batching (`IoBatch`/`Completion`), `CheckpointDevice` snapshot/restore seam |
 //! | [`flash`] | NAND geometry/timing and die/channel scheduling |
 //! | [`ftl`] | page-mapping FTL with garbage collection |
 //! | [`invariant`] | the `Contract` trait, structured `Violation` reports, `strict-invariants` enforcement hooks |
@@ -80,8 +80,8 @@ pub use uc_workload as workload;
 /// The types most programs need, in one import.
 pub mod prelude {
     pub use uc_blockdev::{
-        BlockDevice, CheckpointDevice, CheckpointError, Completion, DeviceCheckpoint,
-        DeviceFactory, DeviceInfo, IoBatch, IoError, IoKind, IoRequest,
+        BlockDevice, CheckpointDevice, CheckpointError, Completion, DeviceCheckpoint, DeviceInfo,
+        IoBatch, IoError, IoKind, IoRequest,
     };
     pub use uc_core::contract::{check_all, ContractInputs, ContractReport};
     pub use uc_core::devices::{DeviceKind, DeviceRoster};

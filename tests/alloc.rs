@@ -15,7 +15,9 @@
 //! The allocator also records each thread's largest single allocation,
 //! which bounds what a hostile wire frame can make the decoder reserve,
 //! and shows that the checkpoint seam copies the FTL page maps once per
-//! cut at their in-memory width.
+//! cut at their in-memory width. It counts each thread's allocations
+//! above a size too, which shows that a record file is read into one
+//! buffer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -32,11 +34,16 @@ thread_local! {
     // so the allocator may touch them from any point of a thread's life.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    static BIG_FROM: Cell<usize> = const { Cell::new(usize::MAX) };
+    static BIG: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(size: usize) {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
     let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
+    if BIG_FROM.try_with(Cell::get).is_ok_and(|from| size >= from) {
+        let _ = BIG.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 // SAFETY: every method forwards to `System` with the caller's own
@@ -81,6 +88,16 @@ fn largest_alloc_in(f: impl FnOnce()) -> usize {
     LARGEST.with(|m| m.set(0));
     f();
     LARGEST.with(Cell::get)
+}
+
+/// How many allocations of at least `bytes` this thread makes while
+/// running `f`.
+fn allocs_of_at_least(bytes: usize, f: impl FnOnce()) -> u64 {
+    BIG.with(|n| n.set(0));
+    BIG_FROM.with(|from| from.set(bytes));
+    f();
+    BIG_FROM.with(|from| from.set(usize::MAX));
+    BIG.with(Cell::get)
 }
 
 const N: u64 = 2_000;
@@ -262,6 +279,11 @@ fn hostile_frame_counts_do_not_reserve_memory() {
 /// The checkpoint seam copies each FTL page map once per cut, at its
 /// in-memory 4 bytes per entry, and a restore moves the maps into the
 /// device without allocating anything map-sized.
+///
+/// Builds with the deep invariant hooks (`strict-invariants`) re-freeze
+/// the restored device to prove `thaw(freeze(d))` exact, and that check
+/// copies each map once more: there the restore is held to the
+/// checkpoint's own bound instead.
 #[test]
 fn checkpoint_seam_copies_page_maps_once() {
     let config = SsdConfig::samsung_970_pro(1 << 30);
@@ -280,8 +302,48 @@ fn checkpoint_seam_copies_page_maps_once() {
     // As at a segment cut: restore into a freshly built device.
     let mut fresh = Ssd::new(config);
     let largest = largest_alloc_in(|| fresh.restore_from(checkpoint).expect("same device"));
+    if unwritten_contract::invariant::deep_enabled() {
+        assert!(
+            largest <= 4 * physical_pages,
+            "restore_from allocated {largest} bytes at once for {physical_pages} physical pages"
+        );
+    } else {
+        assert!(
+            largest < 4096,
+            "restore_from allocated {largest} bytes at once"
+        );
+    }
+}
+
+/// A record file is read into one buffer: the envelope is checked and
+/// trimmed off in place, never copied out.
+#[test]
+fn record_files_are_read_into_one_buffer() {
+    use unwritten_contract::blockdev::DEVICE_RECORD_KIND;
+    use unwritten_contract::persist::read_record_file;
+
+    let mut dev = Ssd::new(SsdConfig::samsung_970_pro(1 << 30));
+    let spec = JobSpec::new(AccessPattern::RandWrite, 4096, 16).with_io_limit(2_000);
+    run_job(&mut dev, &spec).expect("in-range job");
+    let dir = std::env::temp_dir().join(format!("uc-alloc-record-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("ssd.ckpt");
+    CheckpointDevice::checkpoint(&dev)
+        .save_to(&path)
+        .expect("save");
+    let file_len = std::fs::metadata(&path).expect("saved").len() as usize;
+    assert!(file_len >= 1 << 20, "a {file_len}-byte record is too small");
+
+    let mut payload = None;
+    let big = allocs_of_at_least(file_len / 2, || {
+        payload = Some(read_record_file(&path, DEVICE_RECORD_KIND));
+    });
+    let payload = payload.expect("read").expect("an intact device record");
+    assert!(payload.len() < file_len);
     assert!(
-        largest < 4096,
-        "restore_from allocated {largest} bytes at once"
+        big <= 1,
+        "reading a {file_len}-byte record file made {big} allocations of {} bytes or more",
+        file_len / 2
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -429,7 +429,7 @@ fn every_enum_variant_bytes_are_pinned() {
 }
 
 /// How a checkpoint file decodes: through the device-checkpoint reader,
-/// the fig3 reader, the trace-run reader, the binary-trace decoder, or
+/// the fig3 reader, the trace-run reader, the binary-trace loader, or
 /// the `uc.obs.v1` telemetry reader.
 enum Reader {
     Device,
@@ -446,27 +446,19 @@ impl Reader {
             Reader::Fig3 => Fig3Checkpoint::load_from(path).map(|_| ()),
             Reader::Obs => unwritten_contract::obs::ObsReport::load_from(path).map(|_| ()),
             Reader::TraceRun => TraceRunCheckpoint::load_from(path).map(|_| ()),
-            // The in-memory decoder checks the envelope CRC before any
-            // entry, so every byte-level mutation lands on the same
-            // typed error the other record codecs report. (The
-            // streaming `TraceReader` is corruption-swept in its own
-            // unit tests.)
-            Reader::Trace => {
-                let bytes = std::fs::read(path).map_err(|e| DecodeError::Io {
-                    path: path.display().to_string(),
-                    message: e.to_string(),
-                })?;
-                unwritten_contract::trace::decode_trace(&bytes)
-                    .map(|_| ())
-                    .map_err(|e| match e {
-                        unwritten_contract::trace::TraceFileError::Decode(e) => e,
-                        unwritten_contract::trace::TraceFileError::Invalid(_) => {
-                            DecodeError::InvalidValue {
-                                what: "trace entries",
-                            }
+            // The envelope CRC is checked before any entry, so every
+            // byte-level mutation lands on the same typed error the
+            // other record codecs report.
+            Reader::Trace => unwritten_contract::trace::load_trace(path)
+                .map(|_| ())
+                .map_err(|e| match e {
+                    unwritten_contract::trace::TraceFileError::Decode(e) => e,
+                    unwritten_contract::trace::TraceFileError::Invalid(_) => {
+                        DecodeError::InvalidValue {
+                            what: "trace entries",
                         }
-                    })
-            }
+                    }
+                }),
         }
     }
 }
@@ -910,9 +902,11 @@ fn unknown_record_kinds_are_typed() {
 /// Rewrites the record file at `path` with the one occurrence of `from`
 /// in its payload replaced by `to` (same length), under a fresh CRC.
 fn retag_payload(path: &std::path::Path, from: &str, to: &str) {
-    use unwritten_contract::persist::{read_record_file, write_record_file};
+    use unwritten_contract::persist::{decode_record, write_record_file};
     assert_eq!(from.len(), to.len());
-    let (kind, mut payload) = read_record_file(path).unwrap();
+    let bytes = std::fs::read(path).unwrap();
+    let (kind, payload) = decode_record(&bytes).unwrap();
+    let mut payload = payload.to_vec();
     let at: Vec<usize> = payload
         .windows(from.len())
         .enumerate()
@@ -921,7 +915,7 @@ fn retag_payload(path: &std::path::Path, from: &str, to: &str) {
         .collect();
     assert_eq!(at.len(), 1, "{from} occurs once in {kind}");
     payload[at[0]..at[0] + to.len()].copy_from_slice(to.as_bytes());
-    write_record_file(path, &kind, &payload).unwrap();
+    write_record_file(path, kind, &payload).unwrap();
 }
 
 /// A file from before the v2 device checkpoint format fails typed at its
