@@ -15,11 +15,11 @@
 //! be sliced into resumable segments whose concatenation is byte-identical
 //! to one continuous run.
 //!
-//! Each device crate defines its own concrete checkpoint payload (an
-//! `SsdCheckpoint`, an `EssdCheckpoint`, …) composed of the plain-data
-//! snapshot types its layers expose; [`DeviceCheckpoint`] type-erases the
-//! payload so checkpoints of heterogeneous devices can travel through one
-//! channel (an experiment pipeline, a queue between workers).
+//! Each device is its own checkpoint payload: an `Ssd` or `Essd` checkpoint
+//! is a clone of the device, and its durable form is the device's own
+//! [`Persist`] codec. [`DeviceCheckpoint`] type-erases the payload so
+//! checkpoints of heterogeneous devices can travel through one channel
+//! (an experiment pipeline, a queue between workers).
 
 use std::any::Any;
 use std::error::Error;
@@ -55,12 +55,11 @@ impl<S: Any + Send + Clone> ErasedState for S {
 
 /// A device checkpoint payload with a durable on-disk form.
 ///
-/// Implemented by the concrete per-device checkpoint types
-/// (`SsdCheckpoint`, `EssdCheckpoint`, …). The [`Persist`] supertrait
-/// provides the byte codec; [`PersistPayload::KIND`] is the **stable**
-/// record tag written next to the bytes, so a reader can dispatch to the
-/// right decoder — change the payload's layout and the tag must change
-/// with it (`…·v1` → `…·v2`).
+/// Implemented by the device types themselves (`Ssd`, `Essd`, …). The
+/// [`Persist`] supertrait provides the byte codec;
+/// [`PersistPayload::KIND`] is the **stable** record tag written next to
+/// the bytes, so a reader can dispatch to the right decoder — change the
+/// payload's layout and the tag must change with it (`…·v1` → `…·v2`).
 pub trait PersistPayload: Any + Send + Clone + Persist {
     /// Stable on-disk tag naming this payload type and layout version.
     const KIND: &'static str;
@@ -158,8 +157,7 @@ pub const DEVICE_RECORD_KIND: &str = "uc.device-checkpoint.v1";
 /// A type-erased snapshot of one device's complete hidden state.
 ///
 /// Produced by [`CheckpointDevice::checkpoint`]; consumed by
-/// [`CheckpointDevice::restore_from`] (or by the concrete device types'
-/// `restore` constructors after downcasting with
+/// [`CheckpointDevice::restore_from`] (or taken apart by downcasting with
 /// [`DeviceCheckpoint::state`] / [`DeviceCheckpoint::into_state`]). The
 /// checkpoint records the device's name so restoring onto the wrong
 /// device fails loudly instead of silently producing a chimera.
@@ -220,9 +218,7 @@ impl DeviceCheckpoint {
         })?;
         w.put_str(&self.device);
         w.put_str(codec.kind);
-        let mut payload = Encoder::new();
-        (codec.encode)(self.state.as_any(), &mut payload);
-        w.put_bytes(payload.as_bytes());
+        w.put_block(|w| (codec.encode)(self.state.as_any(), w));
         Ok(())
     }
 
@@ -260,10 +256,7 @@ impl DeviceCheckpoint {
     /// Returns [`PersistError::NotPersistent`] for codec-less payloads
     /// and [`PersistError::Io`] for filesystem failures.
     pub fn save_to(&self, path: &Path) -> Result<(), PersistError> {
-        let mut w = Encoder::new();
-        self.encode_into(&mut w)?;
-        uc_persist::write_record_file(path, DEVICE_RECORD_KIND, w.as_bytes())?;
-        Ok(())
+        uc_persist::write_record_file(path, DEVICE_RECORD_KIND, |w| self.encode_into(w))
     }
 
     /// Reads a checkpoint back from a stand-alone record file written by

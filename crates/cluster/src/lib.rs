@@ -35,7 +35,7 @@ mod node;
 mod persist;
 
 pub use map::ChunkMap;
-pub use node::{NodeConfig, NodeStats, StorageNode, StorageNodeSnapshot};
+pub use node::{NodeConfig, NodeStats, StorageNode};
 
 use uc_sim::{SimRng, SimTime};
 
@@ -111,16 +111,20 @@ pub struct ClusterStats {
 /// The storage backend of an elastic SSD.
 ///
 /// See the crate docs for the model; constructed from a [`ClusterConfig`],
-/// driven by `uc-essd`. Its chunk lanes are one dense table, allocated
-/// idle at the first fragment (see [`ClusterSnapshot::lanes`]); a
-/// fragment past the configured capacity panics.
+/// driven by `uc-essd`. A fragment past the configured capacity panics.
 #[derive(Debug, Clone)]
 pub struct Cluster {
-    config: ClusterConfig,
-    map: ChunkMap,
-    nodes: Vec<StorageNode>,
-    lanes: Vec<u64>,
-    stats: ClusterStats,
+    pub(crate) config: ClusterConfig,
+    /// Placement is a pure function of the configuration (and its
+    /// placement seed), so the durable form does not carry it.
+    pub(crate) map: ChunkMap,
+    pub(crate) nodes: Vec<StorageNode>,
+    /// The chunk-lane table as busy-until nanoseconds, lane
+    /// `chunk * replication + i` for the chunk's `i`-th replica: empty
+    /// before the first fragment, then `ceil(capacity / chunk_bytes) *
+    /// replication` lanes, allocated idle at once.
+    pub(crate) lanes: Vec<u64>,
+    pub(crate) stats: ClusterStats,
 }
 
 /// Length of the chunk-lane table of `config`, `ceil(capacity /
@@ -219,66 +223,6 @@ impl Cluster {
         done
     }
 
-    /// Captures the cluster's complete state.
-    ///
-    /// The chunk map is not part of the snapshot: placement is a pure
-    /// function of the configuration (and its placement seed), so restore
-    /// rebuilds it deterministically.
-    pub fn snapshot(&self) -> ClusterSnapshot {
-        ClusterSnapshot {
-            config: self.config.clone(),
-            nodes: self.nodes.iter().map(StorageNode::snapshot).collect(),
-            lanes: self.lanes.clone(),
-            stats: self.stats,
-        }
-    }
-
-    /// Rebuilds a cluster that continues exactly where `snapshot` was
-    /// taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's node count or lane-table length disagrees
-    /// with its configuration (a corrupted snapshot).
-    pub fn restore(snapshot: ClusterSnapshot) -> Self {
-        assert!(
-            snapshot.nodes.len() == snapshot.config.nodes && lanes_fit(&snapshot),
-            "snapshot node count or lane table disagrees with configuration"
-        );
-        #[cfg(feature = "strict-invariants")]
-        let expected = snapshot.clone();
-        let map = ChunkMap::new(
-            snapshot.config.chunk_bytes,
-            snapshot.config.nodes,
-            snapshot.config.replication,
-            snapshot.config.placement_seed,
-        );
-        let restored = Cluster {
-            map,
-            nodes: snapshot
-                .nodes
-                .into_iter()
-                .map(|node| StorageNode::restore(snapshot.config.node.clone(), node))
-                .collect(),
-            lanes: snapshot.lanes,
-            stats: snapshot.stats,
-            config: snapshot.config,
-        };
-        // Contract hook (deep): thaw(freeze(c)) is observationally exact.
-        #[cfg(feature = "strict-invariants")]
-        uc_invariant::deep_enforce(|| {
-            if restored.snapshot() != expected {
-                return Err(uc_invariant::Violation::new(
-                    "uc-cluster/Cluster",
-                    "thaw-freeze-exact",
-                    "re-freezing the restored cluster does not reproduce its snapshot",
-                ));
-            }
-            Ok(())
-        });
-        restored
-    }
-
     /// Reads `len` bytes at `offset`, arriving at the cluster at `now`.
     ///
     /// Each fragment is served by one replica of its chunk, chosen
@@ -300,33 +244,15 @@ impl Cluster {
     }
 }
 
-/// The complete serializable state of a [`Cluster`]. Taking one clones
-/// the lane table and restoring one moves it: nothing is hashed or sorted.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterSnapshot {
-    /// The cluster configuration (including the placement seed the chunk
-    /// map is rebuilt from).
-    pub config: ClusterConfig,
-    /// Per-node state, indexed by node id.
-    pub nodes: Vec<StorageNodeSnapshot>,
-    /// The chunk-lane table as busy-until nanoseconds, lane
-    /// `chunk * replication + i` for the chunk's `i`-th replica: empty
-    /// before the first fragment, else `ceil(capacity / chunk_bytes) *
-    /// replication` lanes.
-    pub lanes: Vec<u64>,
-    /// Operation counters.
-    pub stats: ClusterStats,
-}
-
-/// Whether `snapshot`'s lane table is empty or exactly as long as its
-/// configuration's.
-fn lanes_fit(snapshot: &ClusterSnapshot) -> bool {
-    snapshot.lanes.is_empty() || lane_count(&snapshot.config) == Some(snapshot.lanes.len())
+/// Whether `lanes` is empty or exactly as long as `config`'s table.
+fn lanes_fit(config: &ClusterConfig, lanes: &[u64]) -> bool {
+    lanes.is_empty() || lane_count(config) == Some(lanes.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uc_persist::Persist;
     use uc_sim::SimDuration;
 
     fn cluster() -> Cluster {
@@ -421,9 +347,9 @@ mod tests {
         for i in 0..16u64 {
             a.write(SimTime::ZERO, i * (8 << 20), 64 << 10, &mut rng);
         }
-        let snap = a.snapshot();
-        let mut b = Cluster::restore(snap.clone());
-        assert_eq!(b.snapshot(), snap, "round trip is lossless");
+        let snap = a.to_bytes();
+        let mut b = Cluster::from_bytes(&snap).unwrap();
+        assert_eq!(b.to_bytes(), snap, "round trip is lossless");
         let mut rng_b = rng.clone();
         for i in 0..16u64 {
             let off = (i * 3) % 200 * (1 << 20);
@@ -438,22 +364,6 @@ mod tests {
         }
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.node_stats(), b.node_stats());
-    }
-
-    #[test]
-    #[should_panic(expected = "disagrees with configuration")]
-    fn corrupted_snapshot_rejected() {
-        let mut snap = cluster().snapshot();
-        snap.nodes.pop();
-        let _ = Cluster::restore(snap);
-    }
-
-    #[test]
-    #[should_panic(expected = "disagrees with configuration")]
-    fn short_lane_table_rejected() {
-        let mut snap = cluster().snapshot();
-        snap.lanes = vec![0; 1];
-        let _ = Cluster::restore(snap);
     }
 
     #[test]

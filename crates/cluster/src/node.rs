@@ -1,6 +1,6 @@
 //! Storage node service model.
 
-use uc_flash::{DiePool, DiePoolSnapshot, FlashTiming};
+use uc_flash::{DiePool, FlashTiming};
 use uc_sim::{LatencyDist, SimDuration, SimRng, SimTime};
 
 /// Parameters of a [`StorageNode`].
@@ -132,9 +132,11 @@ pub struct NodeStats {
 ///   absorption).
 #[derive(Debug, Clone)]
 pub struct StorageNode {
-    config: NodeConfig,
-    flash: DiePool,
-    stats: NodeStats,
+    /// The cluster's [`ClusterConfig::node`](crate::ClusterConfig::node),
+    /// which the durable form carries once for every node.
+    pub(crate) config: NodeConfig,
+    pub(crate) flash: DiePool,
+    pub(crate) stats: NodeStats,
 }
 
 /// Occupies `lane` (a busy-until instant in ns) for `occupancy`, starting
@@ -193,54 +195,6 @@ impl StorageNode {
     fn transfer_time(&self, len: u32) -> SimDuration {
         SimDuration::from_secs_f64(len as f64 / self.config.stream_bytes_per_sec)
     }
-
-    /// Captures the node's state (its lanes are the cluster's).
-    pub fn snapshot(&self) -> StorageNodeSnapshot {
-        StorageNodeSnapshot {
-            flash: self.flash.snapshot(),
-            stats: self.stats,
-        }
-    }
-
-    /// Rebuilds a node with service parameters `config` that continues
-    /// exactly where `snapshot` was taken.
-    pub fn restore(config: NodeConfig, snapshot: StorageNodeSnapshot) -> Self {
-        #[cfg(feature = "strict-invariants")]
-        let expected = snapshot.clone();
-        let restored = StorageNode {
-            config,
-            flash: DiePool::restore(snapshot.flash),
-            stats: snapshot.stats,
-        };
-        // Contract hook (deep): thaw(freeze(n)) is observationally exact.
-        #[cfg(feature = "strict-invariants")]
-        uc_invariant::deep_enforce(|| {
-            if restored.snapshot() != expected {
-                return Err(uc_invariant::Violation::new(
-                    "uc-cluster/StorageNode",
-                    "thaw-freeze-exact",
-                    "re-freezing the restored node does not reproduce its snapshot",
-                ));
-            }
-            Ok(())
-        });
-        restored
-    }
-}
-
-/// The serializable state of a [`StorageNode`]: its flash pool and
-/// counters.
-///
-/// The node's service parameters are the cluster's
-/// [`ClusterConfig::node`](crate::ClusterConfig::node), passed back to
-/// [`StorageNode::restore`], and its chunk lanes live in the cluster's
-/// one lane table ([`ClusterSnapshot::lanes`](crate::ClusterSnapshot::lanes)).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StorageNodeSnapshot {
-    /// The flash read/program pool.
-    pub flash: DiePoolSnapshot,
-    /// Cumulative counters.
-    pub stats: NodeStats,
 }
 
 #[cfg(test)]

@@ -1,16 +1,16 @@
-//! [`Persist`] codecs for the storage-cluster snapshot types.
+//! [`Persist`] codecs for the storage cluster's state.
 //!
 //! The chunk map is not serialized: placement is a pure function of the
-//! configuration (including its placement seed), so
-//! [`Cluster::restore`](crate::Cluster::restore) rebuilds it
-//! deterministically — the on-disk form only carries what cannot be
-//! recomputed.
+//! configuration (including its placement seed), so decoding rebuilds it
+//! deterministically. Neither is each node's copy of the node
+//! parameters, which the cluster's configuration carries once — the
+//! on-disk form only carries what cannot be recomputed.
 
 use crate::{
-    lanes_fit, ClusterConfig, ClusterSnapshot, ClusterStats, NodeConfig, NodeStats,
-    StorageNodeSnapshot,
+    lanes_fit, ChunkMap, Cluster, ClusterConfig, ClusterStats, NodeConfig, NodeStats, StorageNode,
 };
-use uc_persist::{ensure, persist_struct, DecodeError};
+use uc_flash::DiePool;
+use uc_persist::{ensure, persist_struct, DecodeError, Decoder, Encoder, Persist};
 
 persist_struct! {
     NodeConfig {
@@ -20,13 +20,56 @@ persist_struct! {
     check = check_node
 }
 persist_struct! { NodeStats { writes, reads, bytes_written, bytes_read } }
-persist_struct! { StorageNodeSnapshot { flash, stats } }
 persist_struct! {
     ClusterConfig { nodes, replication, chunk_bytes, capacity, node, placement_seed },
     check = check_config
 }
 persist_struct! { ClusterStats { write_fragments, read_fragments, bytes_written, bytes_read } }
-persist_struct! { ClusterSnapshot { config, nodes, lanes, stats }, check = check_snapshot }
+
+/// The configuration, each node's flash pool and counters, the lane
+/// table and the counters.
+impl Persist for Cluster {
+    fn encode(&self, w: &mut Encoder) {
+        self.config.encode(w);
+        w.put_u64(self.nodes.len() as u64);
+        for node in &self.nodes {
+            node.flash.encode(w);
+            node.stats.encode(w);
+        }
+        self.lanes.encode(w);
+        self.stats.encode(w);
+    }
+
+    /// Fails typed where a mismatched node count or lane table would
+    /// panic later.
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let config = ClusterConfig::decode(r)?;
+        let nodes: Vec<(DiePool, NodeStats)> = Vec::decode(r)?;
+        let lanes: Vec<u64> = Vec::decode(r)?;
+        let stats = ClusterStats::decode(r)?;
+        ensure(nodes.len() == config.nodes, "ClusterSnapshot.nodes")?;
+        ensure(lanes_fit(&config, &lanes), "ClusterSnapshot.lanes")?;
+        Ok(Cluster {
+            map: ChunkMap::new(
+                config.chunk_bytes,
+                config.nodes,
+                config.replication,
+                config.placement_seed,
+            ),
+            nodes: nodes
+                .into_iter()
+                .map(|(flash, stats)| StorageNode {
+                    config: config.node.clone(),
+                    flash,
+                    stats,
+                })
+                .collect(),
+            lanes,
+            stats,
+            config,
+        })
+    }
+}
 
 fn check_node(c: &NodeConfig) -> Result<(), DecodeError> {
     ensure(
@@ -36,7 +79,7 @@ fn check_node(c: &NodeConfig) -> Result<(), DecodeError> {
     ensure(c.flash_dies != 0, "NodeConfig.flash_dies")
 }
 
-/// `Cluster::new`/`restore` assert these; reject here instead.
+/// `Cluster::new` and the chunk map assert these; reject here instead.
 fn check_config(c: &ClusterConfig) -> Result<(), DecodeError> {
     ensure(
         c.nodes != 0 && (1..=c.nodes).contains(&c.replication),
@@ -45,17 +88,9 @@ fn check_config(c: &ClusterConfig) -> Result<(), DecodeError> {
     ensure(c.chunk_bytes != 0, "ClusterConfig.chunk_bytes")
 }
 
-/// `Cluster::restore` panics on these mismatches; fail typed instead.
-fn check_snapshot(s: &ClusterSnapshot) -> Result<(), DecodeError> {
-    ensure(s.nodes.len() == s.config.nodes, "ClusterSnapshot.nodes")?;
-    ensure(lanes_fit(s), "ClusterSnapshot.lanes")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Cluster;
-    use uc_persist::{Decoder, Encoder, Persist};
     use uc_sim::{SimRng, SimTime};
 
     fn busy_cluster() -> Cluster {
@@ -68,18 +103,17 @@ mod tests {
         cluster
     }
 
+    /// Decodes `bytes` as a cluster, keeping only the error.
+    fn decode_err(bytes: &[u8]) -> Result<(), DecodeError> {
+        Cluster::from_bytes(bytes).map(drop)
+    }
+
     #[test]
     fn busy_cluster_round_trips_and_restores() {
         let cluster = busy_cluster();
-        let snapshot = cluster.snapshot();
-        let mut w = Encoder::new();
-        snapshot.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Decoder::new(&bytes);
-        let back = ClusterSnapshot::decode(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back, snapshot);
-        let restored = Cluster::restore(back);
+        let bytes = cluster.to_bytes();
+        let restored = Cluster::from_bytes(&bytes).unwrap();
+        assert_eq!(restored.to_bytes(), bytes);
         assert_eq!(restored.stats(), cluster.stats());
         assert_eq!(restored.node_stats(), cluster.node_stats());
     }
@@ -87,19 +121,13 @@ mod tests {
     #[test]
     fn fresh_cluster_has_an_empty_lane_table_that_round_trips() {
         let fresh = Cluster::new(ClusterConfig::small(1 << 30));
-        let snapshot = fresh.snapshot();
-        assert!(
-            snapshot.lanes.is_empty(),
-            "no lane before the first fragment"
-        );
-        let mut w = Encoder::new();
-        snapshot.encode(&mut w);
-        let bytes = w.into_bytes();
-        let back = ClusterSnapshot::decode(&mut Decoder::new(&bytes)).unwrap();
-        assert_eq!(back, snapshot);
-        // The restored cluster allocates its table at its first fragment
+        assert!(fresh.lanes.is_empty(), "no lane before the first fragment");
+        let bytes = fresh.to_bytes();
+        let back = Cluster::from_bytes(&bytes).unwrap();
+        assert_eq!(back.to_bytes(), bytes);
+        // The decoded cluster allocates its table at its first fragment
         // and then schedules exactly as the original does.
-        let (mut a, mut b) = (fresh, Cluster::restore(back));
+        let (mut a, mut b) = (fresh, back);
         let (mut ra, mut rb) = (SimRng::new(3), SimRng::new(3));
         for i in 0..8u64 {
             let off = i * (3 << 20);
@@ -113,19 +141,25 @@ mod tests {
             );
         }
         // 1 GiB of 4 MiB chunks, 3 replicas each.
-        assert_eq!(b.snapshot().lanes.len(), 256 * 3);
-        assert_eq!(a.snapshot(), b.snapshot());
+        assert_eq!(b.lanes.len(), 256 * 3);
+        assert_eq!(a.to_bytes(), b.to_bytes());
     }
 
     #[test]
     fn lane_table_of_the_wrong_length_is_typed() {
-        let mut snapshot = busy_cluster().snapshot();
-        snapshot.lanes.pop();
+        // The cluster's fields, encoded directly with one lane short.
+        let cluster = busy_cluster();
         let mut w = Encoder::new();
-        snapshot.encode(&mut w);
-        let bytes = w.into_bytes();
+        cluster.config.encode(&mut w);
+        w.put_u64(cluster.nodes.len() as u64);
+        for node in &cluster.nodes {
+            node.flash.encode(&mut w);
+            node.stats.encode(&mut w);
+        }
+        cluster.lanes[1..].to_vec().encode(&mut w);
+        cluster.stats.encode(&mut w);
         assert_eq!(
-            ClusterSnapshot::decode(&mut Decoder::new(&bytes)),
+            decode_err(w.as_bytes()),
             Err(DecodeError::InvalidValue {
                 what: "ClusterSnapshot.lanes"
             })
@@ -134,13 +168,10 @@ mod tests {
 
     #[test]
     fn node_count_mismatch_is_typed() {
-        let mut snapshot = busy_cluster().snapshot();
-        snapshot.nodes.pop();
-        let mut w = Encoder::new();
-        snapshot.encode(&mut w);
-        let bytes = w.into_bytes();
+        let mut cluster = busy_cluster();
+        cluster.nodes.pop();
         assert_eq!(
-            ClusterSnapshot::decode(&mut Decoder::new(&bytes)),
+            decode_err(&cluster.to_bytes()),
             Err(DecodeError::InvalidValue {
                 what: "ClusterSnapshot.nodes"
             })
@@ -149,13 +180,10 @@ mod tests {
 
     #[test]
     fn invalid_replication_is_typed() {
-        let mut snapshot = busy_cluster().snapshot();
-        snapshot.config.replication = 0;
-        let mut w = Encoder::new();
-        snapshot.encode(&mut w);
-        let bytes = w.into_bytes();
+        let mut cluster = busy_cluster();
+        cluster.config.replication = 0;
         assert_eq!(
-            ClusterSnapshot::decode(&mut Decoder::new(&bytes)),
+            decode_err(&cluster.to_bytes()),
             Err(DecodeError::InvalidValue {
                 what: "ClusterConfig.replication"
             })

@@ -49,8 +49,8 @@ uc_persist::persist_enum! { DeviceKind { 0 = LocalSsd, 1 = Essd1, 2 = Essd2 } }
 /// fails typed instead of misparsing.
 pub fn payload_codecs() -> Vec<uc_blockdev::PayloadCodec> {
     vec![
-        uc_blockdev::PayloadCodec::of::<uc_ssd::SsdCheckpoint>(),
-        uc_blockdev::PayloadCodec::of::<uc_essd::EssdCheckpoint>(),
+        uc_blockdev::PayloadCodec::of::<uc_ssd::Ssd>(),
+        uc_blockdev::PayloadCodec::of::<uc_essd::Essd>(),
     ]
 }
 

@@ -72,10 +72,7 @@ pub trait DurableRecord: Sized {
     /// Returns [`PersistError`] on codec-less payloads or filesystem
     /// failures.
     fn save_to(&self, path: &Path) -> Result<(), PersistError> {
-        let mut w = Encoder::new();
-        self.encode_into(&mut w)?;
-        uc_persist::write_record_file(path, Self::RECORD_KIND, w.as_bytes())?;
-        Ok(())
+        uc_persist::write_record_file(path, Self::RECORD_KIND, |w| self.encode_into(w))
     }
 
     /// Reads a record back from a file written by

@@ -5,9 +5,9 @@ use uc_blockdev::{
     BlockDevice, CheckpointDevice, CheckpointError, Completion, DeviceCheckpoint, DeviceInfo,
     IoBatch, IoError, IoKind, IoRequest, IoResult,
 };
-use uc_cluster::{Cluster, ClusterSnapshot};
-use uc_net::{HostStack, HostStackSnapshot, NetPath, NetPathSnapshot};
-use uc_sim::{RngSnapshot, SimRng, SimTime, TokenBucket, TokenBucketSnapshot};
+use uc_cluster::Cluster;
+use uc_net::{HostStack, NetPath};
+use uc_sim::{SimRng, SimTime, TokenBucket};
 
 /// Protocol overhead bytes carried by every request/response message.
 const HEADER_BYTES: u64 = 128;
@@ -48,53 +48,23 @@ pub struct EssdStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Essd {
-    config: EssdConfig,
-    info: DeviceInfo,
-    stack: HostStack,
-    tx: NetPath,
-    rx: NetPath,
-    cluster: Cluster,
-    bandwidth: TokenBucket,
-    iops: Option<TokenBucket>,
-    rng: SimRng,
-    stats: EssdStats,
-}
-
-/// The complete serializable state of an [`Essd`]: the configuration plus
-/// one snapshot per stateful layer (host stack, both network directions,
-/// the backend cluster, the budget token buckets — including any engaged
-/// throttle's reduced rate — the jitter RNG and the counters).
-///
-/// Captured by [`Essd::snapshot`] (or type-erased through
-/// [`CheckpointDevice::checkpoint`]); [`Essd::restore`] rebuilds a device
-/// that serves any subsequent request sequence with completion instants
-/// identical to the original's.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EssdCheckpoint {
-    /// The configuration the device was built with.
-    pub config: EssdConfig,
-    /// Host virtualization/storage stack state.
-    pub stack: HostStackSnapshot,
-    /// Request-direction network path state.
-    pub tx: NetPathSnapshot,
-    /// Response-direction network path state.
-    pub rx: NetPathSnapshot,
-    /// Backend cluster state (chunk-lane table, flash pools, counters).
-    pub cluster: ClusterSnapshot,
-    /// Throughput-budget bucket state (rate reflects any engaged
-    /// throttle).
-    pub bandwidth: TokenBucketSnapshot,
-    /// IOPS-budget bucket state, if the device has an IOPS budget.
-    pub iops: Option<TokenBucketSnapshot>,
-    /// Jitter RNG state.
-    pub rng: RngSnapshot,
-    /// Device activity counters (including the throttle flag).
-    pub stats: EssdStats,
+    pub(crate) config: EssdConfig,
+    /// Derived from the configuration.
+    pub(crate) info: DeviceInfo,
+    pub(crate) stack: HostStack,
+    pub(crate) tx: NetPath,
+    pub(crate) rx: NetPath,
+    pub(crate) cluster: Cluster,
+    /// Throughput-budget bucket (its rate reflects any engaged throttle).
+    pub(crate) bandwidth: TokenBucket,
+    pub(crate) iops: Option<TokenBucket>,
+    pub(crate) rng: SimRng,
+    pub(crate) stats: EssdStats,
 }
 
 /// The host-visible description of a device built from `config`. A
 /// request past the cluster's capacity would have no chunk lane.
-fn device_info(config: &EssdConfig) -> DeviceInfo {
+pub(crate) fn device_info(config: &EssdConfig) -> DeviceInfo {
     assert!(
         config.cluster.capacity >= config.capacity,
         "cluster below device capacity"
@@ -155,38 +125,6 @@ impl Essd {
     /// engaged throttle).
     pub fn current_rate(&self) -> f64 {
         self.bandwidth.rate()
-    }
-
-    /// Captures the device's complete state as a typed checkpoint.
-    pub fn snapshot(&self) -> EssdCheckpoint {
-        EssdCheckpoint {
-            config: self.config.clone(),
-            stack: self.stack.snapshot(),
-            tx: self.tx.snapshot(),
-            rx: self.rx.snapshot(),
-            cluster: self.cluster.snapshot(),
-            bandwidth: self.bandwidth.snapshot(),
-            iops: self.iops.as_ref().map(TokenBucket::snapshot),
-            rng: self.rng.snapshot(),
-            stats: self.stats,
-        }
-    }
-
-    /// Rebuilds a device that continues exactly where `checkpoint` was
-    /// taken.
-    pub fn restore(checkpoint: EssdCheckpoint) -> Self {
-        Essd {
-            info: device_info(&checkpoint.config),
-            stack: HostStack::restore(checkpoint.stack),
-            tx: NetPath::restore(checkpoint.tx),
-            rx: NetPath::restore(checkpoint.rx),
-            cluster: Cluster::restore(checkpoint.cluster),
-            bandwidth: TokenBucket::restore(checkpoint.bandwidth),
-            iops: checkpoint.iops.map(TokenBucket::restore),
-            rng: SimRng::restore(checkpoint.rng),
-            stats: checkpoint.stats,
-            config: checkpoint.config,
-        }
     }
 
     fn engage_throttle_if_due(&mut self, now: SimTime) {
@@ -308,17 +246,14 @@ impl BlockDevice for Essd {
 
 impl CheckpointDevice for Essd {
     fn checkpoint(&self) -> DeviceCheckpoint {
-        // `EssdCheckpoint` is a `PersistPayload`, so every checkpoint taken
-        // through this seam has a durable on-disk form (`save_to`).
-        DeviceCheckpoint::persistent(self.info.name(), self.snapshot())
+        // `Essd` is a `PersistPayload`, so every checkpoint taken through
+        // this seam has a durable on-disk form (`save_to`).
+        DeviceCheckpoint::persistent(self.info.name(), self.clone())
     }
 
     fn restore_from(&mut self, checkpoint: DeviceCheckpoint) -> Result<(), CheckpointError> {
         checkpoint.expect_device(self.info.name())?;
-        let state = checkpoint.into_state::<EssdCheckpoint>()?;
-        #[cfg(feature = "strict-invariants")]
-        let expected = state.clone();
-        let restored = Essd::restore(state);
+        let restored = checkpoint.into_state::<Essd>()?;
         // Same name is not enough: a checkpoint from a differently-scaled
         // device must not silently shrink or grow this one.
         if restored.info != self.info {
@@ -327,19 +262,6 @@ impl CheckpointDevice for Essd {
                 found: format!("{} ({} B)", restored.info.name(), restored.info.capacity()),
             });
         }
-        // Contract hook (deep): thaw(freeze(d)) is observationally exact —
-        // re-freezing the thawed device reproduces the checkpoint verbatim.
-        #[cfg(feature = "strict-invariants")]
-        uc_invariant::deep_enforce(|| {
-            if restored.snapshot() != expected {
-                return Err(uc_invariant::Violation::new(
-                    "uc-essd/Essd",
-                    "thaw-freeze-exact",
-                    "re-freezing the restored device does not reproduce its checkpoint",
-                ));
-            }
-            Ok(())
-        });
         *self = restored;
         Ok(())
     }
@@ -356,6 +278,7 @@ mod tests {
     use super::*;
     use crate::ThrottlePolicy;
     use uc_blockdev::IoBatch;
+    use uc_persist::Persist;
     use uc_sim::SimDuration;
 
     fn essd1() -> Essd {
@@ -538,7 +461,7 @@ mod tests {
             })),
         );
         b.restore_from(cp).unwrap();
-        assert_eq!(b.snapshot(), a.snapshot(), "restore is lossless");
+        assert_eq!(b.to_bytes(), a.to_bytes(), "restore is lossless");
         assert_eq!(b.current_rate(), 5e6, "throttled rate survives");
         let mut now_b = now;
         for i in 0..24u64 {

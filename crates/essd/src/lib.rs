@@ -42,4 +42,4 @@ mod device;
 mod persist;
 
 pub use config::{EssdConfig, IopsBudget, ThrottlePolicy};
-pub use device::{Essd, EssdCheckpoint, EssdStats};
+pub use device::{Essd, EssdStats};

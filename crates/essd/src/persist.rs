@@ -1,13 +1,14 @@
-//! [`Persist`] codecs for the elastic-SSD checkpoint types.
+//! [`Persist`] codecs for the elastic SSD's state.
 //!
-//! [`EssdCheckpoint`] is a [`PersistPayload`], so an `Essd`'s type-erased
+//! [`Essd`] is a [`PersistPayload`], so an `Essd`'s type-erased
 //! [`DeviceCheckpoint`](uc_blockdev::DeviceCheckpoint) — including an
 //! engaged throttle's reduced token-bucket rate — can be saved to and
-//! loaded from disk under the stable record tag [`EssdCheckpoint::KIND`].
+//! loaded from disk under the stable record tag [`Essd::KIND`].
 
-use crate::{EssdCheckpoint, EssdConfig, EssdStats, IopsBudget, ThrottlePolicy};
+use crate::device::device_info;
+use crate::{Essd, EssdConfig, EssdStats, IopsBudget, ThrottlePolicy};
 use uc_blockdev::PersistPayload;
-use uc_persist::{ensure, persist_struct, DecodeError};
+use uc_persist::{ensure, persist_struct, DecodeError, Decoder, Encoder, Persist};
 
 persist_struct! { IopsBudget { ops_per_sec, unit_bytes, burst_ops }, check = check_iops }
 persist_struct! { ThrottlePolicy { after_capacity_multiple, limited_bytes_per_sec } }
@@ -19,7 +20,38 @@ persist_struct! {
     check = check_config
 }
 persist_struct! { EssdStats { reads, writes, read_bytes, write_bytes, throttled } }
-persist_struct! { EssdCheckpoint { config, stack, tx, rx, cluster, bandwidth, iops, rng, stats } }
+
+/// Every field but the device info, which is derived from the
+/// configuration.
+impl Persist for Essd {
+    fn encode(&self, w: &mut Encoder) {
+        self.config.encode(w);
+        self.stack.encode(w);
+        self.tx.encode(w);
+        self.rx.encode(w);
+        self.cluster.encode(w);
+        self.bandwidth.encode(w);
+        self.iops.encode(w);
+        self.rng.encode(w);
+        self.stats.encode(w);
+    }
+
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let config = EssdConfig::decode(r)?;
+        Ok(Essd {
+            info: device_info(&config),
+            config,
+            stack: Persist::decode(r)?,
+            tx: Persist::decode(r)?,
+            rx: Persist::decode(r)?,
+            cluster: Persist::decode(r)?,
+            bandwidth: Persist::decode(r)?,
+            iops: Persist::decode(r)?,
+            rng: Persist::decode(r)?,
+            stats: Persist::decode(r)?,
+        })
+    }
+}
 
 fn check_iops(b: &IopsBudget) -> Result<(), DecodeError> {
     ensure(b.unit_bytes != 0, "IopsBudget.unit_bytes")
@@ -27,7 +59,7 @@ fn check_iops(b: &IopsBudget) -> Result<(), DecodeError> {
 
 fn check_config(c: &EssdConfig) -> Result<(), DecodeError> {
     ensure(c.logical_block != 0, "EssdConfig.logical_block")?;
-    // `Essd::new`/`restore` assert this.
+    // `Essd::new` asserts this.
     ensure(
         c.cluster.capacity >= c.capacity,
         "EssdConfig.cluster.capacity",
@@ -38,16 +70,14 @@ fn check_config(c: &EssdConfig) -> Result<(), DecodeError> {
     )
 }
 
-impl PersistPayload for EssdCheckpoint {
+impl PersistPayload for Essd {
     const KIND: &'static str = "uc.essd-checkpoint.v2";
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Essd;
     use uc_blockdev::{BlockDevice, IoRequest};
-    use uc_persist::{Decoder, Encoder, Persist};
     use uc_sim::SimTime;
 
     #[test]
@@ -67,16 +97,10 @@ mod tests {
         }
         assert!(essd.stats().throttled);
 
-        let checkpoint = essd.snapshot();
-        let mut w = Encoder::new();
-        checkpoint.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Decoder::new(&bytes);
-        let back = EssdCheckpoint::decode(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back, checkpoint);
+        let bytes = essd.to_bytes();
+        let mut restored = Essd::from_bytes(&bytes).unwrap();
+        assert_eq!(restored.to_bytes(), bytes);
 
-        let mut restored = Essd::restore(back);
         assert_eq!(restored.current_rate(), 5e6, "throttled rate survives");
         let req = IoRequest::read(0, 4096, now);
         assert_eq!(restored.submit(&req), essd.submit(&req));
@@ -84,13 +108,10 @@ mod tests {
 
     #[test]
     fn cluster_smaller_than_device_is_typed() {
-        let mut checkpoint = Essd::new(EssdConfig::aws_io2(64 << 20)).snapshot();
-        checkpoint.config.cluster.capacity = (64 << 20) - 1;
-        let mut w = Encoder::new();
-        checkpoint.encode(&mut w);
-        let bytes = w.into_bytes();
+        let mut essd = Essd::new(EssdConfig::aws_io2(64 << 20));
+        essd.config.cluster.capacity = (64 << 20) - 1;
         assert_eq!(
-            EssdCheckpoint::decode(&mut Decoder::new(&bytes)),
+            Essd::from_bytes(&essd.to_bytes()).map(drop),
             Err(DecodeError::InvalidValue {
                 what: "EssdConfig.cluster.capacity"
             })
@@ -107,13 +128,10 @@ mod tests {
 
     #[test]
     fn corrupt_config_is_typed() {
-        let mut checkpoint = Essd::new(EssdConfig::alibaba_pl3(64 << 20)).snapshot();
-        checkpoint.config.bandwidth_bytes_per_sec = f64::INFINITY;
-        let mut w = Encoder::new();
-        checkpoint.encode(&mut w);
-        let bytes = w.into_bytes();
+        let mut essd = Essd::new(EssdConfig::alibaba_pl3(64 << 20));
+        essd.config.bandwidth_bytes_per_sec = f64::INFINITY;
         assert!(matches!(
-            EssdCheckpoint::decode(&mut Decoder::new(&bytes)),
+            Essd::from_bytes(&essd.to_bytes()),
             Err(DecodeError::InvalidValue {
                 what: "EssdConfig.bandwidth_bytes_per_sec"
             })

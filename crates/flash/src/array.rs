@@ -1,7 +1,7 @@
 //! Flash array operation scheduling.
 
 use crate::{FlashGeometry, FlashTiming};
-use uc_sim::{ParallelResource, ParallelResourceSnapshot, Resource, SimDuration, SimTime};
+use uc_sim::{ParallelResource, Resource, SimDuration, SimTime};
 
 /// Counters of operations issued to a [`FlashArray`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,45 +51,14 @@ impl FlashOpStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FlashArray {
-    geometry: FlashGeometry,
-    timing: FlashTiming,
-    dies: Vec<Resource>,
-    channels: Vec<Resource>,
-    stats: FlashOpStats,
+    pub(crate) geometry: FlashGeometry,
+    pub(crate) timing: FlashTiming,
+    pub(crate) dies: Vec<Resource>,
+    pub(crate) channels: Vec<Resource>,
+    pub(crate) stats: FlashOpStats,
     /// Channel time of one page transfer, derived from `timing` and the
     /// page size (not persisted).
-    page_bus_time: SimDuration,
-}
-
-/// The complete serializable state of a [`FlashArray`]: geometry, timing
-/// and every die/channel timeline plus the operation counters.
-///
-/// Captured by [`FlashArray::snapshot`]; [`FlashArray::restore`] rebuilds
-/// an array that schedules every future operation exactly as the original
-/// would have.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlashArraySnapshot {
-    /// The array's geometry.
-    pub geometry: FlashGeometry,
-    /// The array's timing parameters.
-    pub timing: FlashTiming,
-    /// Per-die busy-until instants.
-    pub dies: Vec<SimTime>,
-    /// Per-channel busy-until instants.
-    pub channels: Vec<SimTime>,
-    /// Operation counters.
-    pub stats: FlashOpStats,
-}
-
-/// The complete serializable state of a [`DiePool`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiePoolSnapshot {
-    /// The k-server die station.
-    pub pool: ParallelResourceSnapshot,
-    /// NAND timing of the pool's dies.
-    pub timing: FlashTiming,
-    /// Flash page size in bytes.
-    pub page_size: u32,
+    pub(crate) page_bus_time: SimDuration,
 }
 
 impl FlashArray {
@@ -204,49 +173,6 @@ impl FlashArray {
         }
         self.stats = FlashOpStats::default();
     }
-
-    /// Captures the array's complete state.
-    pub fn snapshot(&self) -> FlashArraySnapshot {
-        FlashArraySnapshot {
-            geometry: self.geometry,
-            timing: self.timing,
-            dies: self.dies.iter().map(Resource::snapshot).collect(),
-            channels: self.channels.iter().map(Resource::snapshot).collect(),
-            stats: self.stats,
-        }
-    }
-
-    /// Rebuilds an array that continues exactly where `snapshot` was
-    /// taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's die/channel counts disagree with its
-    /// geometry (a corrupted snapshot).
-    pub fn restore(snapshot: FlashArraySnapshot) -> Self {
-        assert_eq!(
-            snapshot.dies.len(),
-            snapshot.geometry.total_dies() as usize,
-            "snapshot die count disagrees with geometry"
-        );
-        assert_eq!(
-            snapshot.channels.len(),
-            snapshot.geometry.channels() as usize,
-            "snapshot channel count disagrees with geometry"
-        );
-        FlashArray {
-            geometry: snapshot.geometry,
-            timing: snapshot.timing,
-            dies: snapshot.dies.into_iter().map(Resource::restore).collect(),
-            channels: snapshot
-                .channels
-                .into_iter()
-                .map(Resource::restore)
-                .collect(),
-            stats: snapshot.stats,
-            page_bus_time: snapshot.timing.bus_time(snapshot.geometry.page_size()),
-        }
-    }
 }
 
 /// A convenience wrapper: a pool of dies treated as an anonymous k-server
@@ -254,9 +180,9 @@ impl FlashArray {
 /// backend nodes use this).
 #[derive(Debug, Clone)]
 pub struct DiePool {
-    pool: ParallelResource,
-    timing: FlashTiming,
-    page_size: u32,
+    pub(crate) pool: ParallelResource,
+    pub(crate) timing: FlashTiming,
+    pub(crate) page_size: u32,
 }
 
 impl DiePool {
@@ -290,34 +216,13 @@ impl DiePool {
     fn pages(&self, bytes: u32) -> usize {
         bytes.div_ceil(self.page_size).max(1) as usize
     }
-
-    /// Captures the pool's complete state.
-    pub fn snapshot(&self) -> DiePoolSnapshot {
-        DiePoolSnapshot {
-            pool: self.pool.snapshot(),
-            timing: self.timing,
-            page_size: self.page_size,
-        }
-    }
-
-    /// Rebuilds a pool that continues exactly where `snapshot` was taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot holds no servers or a zero page size.
-    pub fn restore(snapshot: DiePoolSnapshot) -> Self {
-        assert!(snapshot.page_size > 0, "page size must be positive");
-        DiePool {
-            pool: ParallelResource::restore(snapshot.pool),
-            timing: snapshot.timing,
-            page_size: snapshot.page_size,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::tests::thaw;
+    use uc_persist::Persist;
     use uc_sim::SimDuration;
 
     fn array() -> FlashArray {
@@ -424,9 +329,8 @@ mod tests {
         let mut a = array();
         a.read_page(SimTime::ZERO, 0);
         a.program_page(SimTime::ZERO, 1);
-        let snap = a.snapshot();
-        let mut b = FlashArray::restore(snap.clone());
-        assert_eq!(b.snapshot(), snap, "round trip is lossless");
+        let mut b = thaw(&a);
+        assert_eq!(b.to_bytes(), a.to_bytes(), "round trip is lossless");
         assert_eq!(b.stats(), a.stats());
         for die in 0..4 {
             assert_eq!(b.die_free_at(die), a.die_free_at(die));
@@ -440,19 +344,11 @@ mod tests {
 
         let mut p = DiePool::new(3, FlashTiming::mlc(), 4096);
         p.read(SimTime::ZERO, 2 * 4096);
-        let mut q = DiePool::restore(p.snapshot());
+        let mut q = thaw(&p);
         assert_eq!(
             p.program(SimTime::ZERO, 4 * 4096),
             q.program(SimTime::ZERO, 4 * 4096)
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "disagrees with geometry")]
-    fn corrupted_snapshot_rejected() {
-        let mut snap = array().snapshot();
-        snap.dies.pop();
-        let _ = FlashArray::restore(snap);
     }
 
     #[test]

@@ -31,6 +31,6 @@ mod geometry;
 mod persist;
 mod timing;
 
-pub use array::{DiePool, DiePoolSnapshot, FlashArray, FlashArraySnapshot, FlashOpStats};
+pub use array::{DiePool, FlashArray, FlashOpStats};
 pub use geometry::{FlashGeometry, GeometryError};
 pub use timing::FlashTiming;

@@ -1,11 +1,12 @@
-//! [`Persist`] codecs for the flash layer's snapshot types.
+//! [`Persist`] codecs for the flash layer's stateful types.
 //!
 //! Geometry is validated through [`FlashGeometry::new`] on decode, so a
 //! corrupted dimension comes back as a typed error instead of a
 //! zero-sized array that panics downstream.
 
-use crate::{DiePoolSnapshot, FlashArraySnapshot, FlashGeometry, FlashOpStats, FlashTiming};
+use crate::{DiePool, FlashArray, FlashGeometry, FlashOpStats, FlashTiming};
 use uc_persist::{ensure, persist_struct, DecodeError, Decoder, Encoder, Persist};
+use uc_sim::Resource;
 
 impl Persist for FlashGeometry {
     fn encode(&self, w: &mut Encoder) {
@@ -34,30 +35,60 @@ impl Persist for FlashGeometry {
 
 persist_struct! { FlashTiming { read_page, program_page, erase_block, bus_ns_per_byte } }
 persist_struct! { FlashOpStats { reads, programs, erases } }
-persist_struct! {
-    FlashArraySnapshot { geometry, timing, dies, channels, stats },
-    check = check_array
-}
-persist_struct! { DiePoolSnapshot { pool, timing, page_size } }
+persist_struct! { DiePool { pool, timing, page_size }, check = check_pool }
 
-/// `FlashArray::restore` indexes dies/channels by the geometry's counts;
-/// mismatched lengths must fail here, not panic there.
-fn check_array(s: &FlashArraySnapshot) -> Result<(), DecodeError> {
-    ensure(
-        s.dies.len() == s.geometry.total_dies() as usize,
-        "FlashArraySnapshot.dies",
-    )?;
-    ensure(
-        s.channels.len() == s.geometry.channels() as usize,
-        "FlashArraySnapshot.channels",
-    )
+/// The array's geometry, timing, timelines and counters; the page bus
+/// time is derived from the first two.
+impl Persist for FlashArray {
+    fn encode(&self, w: &mut Encoder) {
+        self.geometry.encode(w);
+        self.timing.encode(w);
+        self.dies.encode(w);
+        self.channels.encode(w);
+        self.stats.encode(w);
+    }
+
+    /// The array indexes dies and channels by the geometry's counts, so
+    /// mismatched lengths fail here instead of panicking there.
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let geometry = FlashGeometry::decode(r)?;
+        let timing = FlashTiming::decode(r)?;
+        let dies: Vec<Resource> = Vec::decode(r)?;
+        let channels: Vec<Resource> = Vec::decode(r)?;
+        let stats = FlashOpStats::decode(r)?;
+        ensure(
+            dies.len() == geometry.total_dies() as usize,
+            "FlashArraySnapshot.dies",
+        )?;
+        ensure(
+            channels.len() == geometry.channels() as usize,
+            "FlashArraySnapshot.channels",
+        )?;
+        Ok(FlashArray {
+            page_bus_time: timing.bus_time(geometry.page_size()),
+            geometry,
+            timing,
+            dies,
+            channels,
+            stats,
+        })
+    }
+}
+
+/// A pool rounds requests up to whole pages, so it needs a page size.
+fn check_pool(p: &DiePool) -> Result<(), DecodeError> {
+    ensure(p.page_size > 0, "DiePoolSnapshot.page_size")
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::{DiePool, FlashArray};
     use uc_sim::SimTime;
+
+    /// `value` encoded and decoded back, as a resumed run gets it.
+    pub(crate) fn thaw<T: Persist>(value: &T) -> T {
+        T::from_bytes(&value.to_bytes()).expect("decodes")
+    }
 
     fn round_trip<T: Persist + PartialEq + std::fmt::Debug>(value: T) {
         let mut w = Encoder::new();
@@ -104,19 +135,17 @@ mod tests {
             array.read_page(SimTime::ZERO, die);
             array.program_page(SimTime::ZERO, die);
         }
-        round_trip(array.snapshot());
+        assert_eq!(thaw(&array).to_bytes(), array.to_bytes());
     }
 
     #[test]
     fn mismatched_die_count_rejected() {
         let g = FlashGeometry::new(2, 2, 1, 8, 16, 4096).unwrap();
-        let mut snapshot = FlashArray::new(g, FlashTiming::mlc()).snapshot();
-        snapshot.dies.pop();
-        let mut w = Encoder::new();
-        snapshot.encode(&mut w);
-        let bytes = w.into_bytes();
+        let mut array = FlashArray::new(g, FlashTiming::mlc());
+        array.dies.pop();
+        let bytes = array.to_bytes();
         assert_eq!(
-            FlashArraySnapshot::decode(&mut Decoder::new(&bytes)),
+            FlashArray::decode(&mut Decoder::new(&bytes)).map(|a| a.stats()),
             Err(DecodeError::InvalidValue {
                 what: "FlashArraySnapshot.dies"
             })
@@ -128,6 +157,15 @@ mod tests {
         let mut pool = DiePool::new(4, FlashTiming::slc(), 4096);
         pool.read(SimTime::ZERO, 8192);
         pool.program(SimTime::ZERO, 4096);
-        round_trip(pool.snapshot());
+        assert_eq!(thaw(&pool).to_bytes(), pool.to_bytes());
+
+        // A pool rounds requests up to whole pages of a positive size.
+        pool.page_size = 0;
+        assert_eq!(
+            DiePool::from_bytes(&pool.to_bytes()).map(drop),
+            Err(DecodeError::InvalidValue {
+                what: "DiePoolSnapshot.page_size"
+            })
+        );
     }
 }

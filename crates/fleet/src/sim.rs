@@ -30,7 +30,7 @@ use uc_invariant::Contract;
 use uc_metrics::LatencyHistogram;
 use uc_obs::{CounterId, FlightRecorder, GaugeId, HistId, MetricsRegistry, ObsReport, ObsSnapshot};
 use uc_persist::Encoder;
-use uc_sim::{BucketSet, Executor, SimDuration, SimTime, TokenBucket, TokenBucketSnapshot};
+use uc_sim::{BucketSet, Executor, SimDuration, SimTime, TokenBucket};
 use uc_trace::merge_streams;
 use uc_workload::TraceEntry;
 
@@ -176,7 +176,7 @@ pub struct FleetSnapshot {
     /// Per-tenant measurements.
     pub metrics: Vec<TenantMetrics>,
     /// Per-tenant budget state.
-    pub buckets: Vec<TokenBucketSnapshot>,
+    pub buckets: BucketSet,
     /// Per-epoch cuts so far.
     pub epoch_stats: Vec<EpochStat>,
     /// Completed migrations so far.
@@ -482,7 +482,7 @@ impl FleetSim {
             run.written_high = snapshot.written_highs[t];
             run.metrics = snapshot.metrics[t].clone();
         }
-        let buckets = BucketSet::restore(&snapshot.buckets);
+        let buckets = snapshot.buckets.clone();
         let devices = pool
             .into_iter()
             .zip(&snapshot.queue_heads)
@@ -991,7 +991,7 @@ impl FleetSim {
             floors: self.tenants.iter().map(|r| r.floor).collect(),
             written_highs: self.tenants.iter().map(|r| r.written_high).collect(),
             metrics: self.tenants.iter().map(|r| r.metrics.clone()).collect(),
-            buckets: self.buckets.snapshot(),
+            buckets: self.buckets.clone(),
             epoch_stats: self.epoch_stats.clone(),
             migrations: self.migrations.clone(),
             violations: self.violations.clone(),

@@ -2,7 +2,7 @@
 
 use crate::map::{assert_page_map_fits, PageMap};
 use crate::{BlockState, FtlConfig, FtlStats, GcPolicy, WearStats};
-use uc_flash::{FlashArray, FlashArraySnapshot, FlashOpStats};
+use uc_flash::{FlashArray, FlashOpStats};
 use uc_invariant::{ensure, Contract, Violation};
 use uc_sim::SimTime;
 
@@ -54,62 +54,28 @@ pub enum MapFault {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ftl {
-    config: FtlConfig,
-    flash: FlashArray,
+    pub(crate) config: FtlConfig,
+    pub(crate) flash: FlashArray,
     /// Logical page -> physical page (none if unmapped).
-    l2p: PageMap,
+    pub(crate) l2p: PageMap,
     /// Physical page -> logical page (none if the page is stale).
-    p2l: PageMap,
+    pub(crate) p2l: PageMap,
     /// All block states, indexed `die * blocks_per_die + slot`.
-    blocks: Vec<BlockState>,
+    pub(crate) blocks: Vec<BlockState>,
     /// Per-die stacks of free block slots.
-    free: Vec<Vec<u32>>,
+    pub(crate) free: Vec<Vec<u32>>,
     /// Per-die open block receiving host writes.
-    open_host: Vec<u32>,
+    pub(crate) open_host: Vec<u32>,
     /// Per-die open block receiving GC relocations.
-    open_gc: Vec<u32>,
+    pub(crate) open_gc: Vec<u32>,
     /// Round-robin die cursor for host writes.
-    cursor: u32,
+    pub(crate) cursor: u32,
     /// Monotonic open-sequence counter (GC age reference).
-    seq: u64,
-    stats: FtlStats,
+    pub(crate) seq: u64,
+    pub(crate) stats: FtlStats,
     /// One-shot fault armed by the invariant test suites.
     #[cfg(feature = "fault-injection")]
-    armed_fault: Option<MapFault>,
-}
-
-/// The complete serializable state of an [`Ftl`]: the sanitized
-/// configuration, the flash-array timelines, the full logical↔physical
-/// mapping, per-block bookkeeping, free pools, both write frontiers, the
-/// striping cursor, the GC age counter and the activity counters.
-///
-/// Captured by [`Ftl::checkpoint`]; [`Ftl::restore`] rebuilds an FTL whose
-/// every future write, read, trim and GC decision is identical to the
-/// original's.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FtlCheckpoint {
-    /// The (sanitized) configuration the FTL was built with.
-    pub config: FtlConfig,
-    /// Die/channel timelines and NAND operation counters.
-    pub flash: FlashArraySnapshot,
-    /// Logical page → physical page map (none = unmapped).
-    pub l2p: PageMap,
-    /// Physical page → logical page map (none = stale or free).
-    pub p2l: PageMap,
-    /// All block states, indexed `die * blocks_per_die + slot`.
-    pub blocks: Vec<BlockState>,
-    /// Per-die stacks of free block slots.
-    pub free: Vec<Vec<u32>>,
-    /// Per-die open block receiving host writes.
-    pub open_host: Vec<u32>,
-    /// Per-die open block receiving GC relocations.
-    pub open_gc: Vec<u32>,
-    /// Round-robin die cursor for host writes.
-    pub cursor: u32,
-    /// Monotonic open-sequence counter (GC age reference).
-    pub seq: u64,
-    /// Activity counters.
-    pub stats: FtlStats,
+    pub(crate) armed_fault: Option<MapFault>,
 }
 
 impl Ftl {
@@ -349,78 +315,6 @@ impl Ftl {
     /// [`Ftl::mapped_pages`]; exposed for invariant testing).
     pub fn total_valid_pages(&self) -> u64 {
         self.blocks.iter().map(|b| b.valid as u64).sum()
-    }
-
-    /// Captures the FTL's complete state. Each page map is copied once,
-    /// as it is.
-    pub fn checkpoint(&self) -> FtlCheckpoint {
-        FtlCheckpoint {
-            config: self.config,
-            flash: self.flash.snapshot(),
-            l2p: self.l2p.clone(),
-            p2l: self.p2l.clone(),
-            blocks: self.blocks.clone(),
-            free: self.free.clone(),
-            open_host: self.open_host.clone(),
-            open_gc: self.open_gc.clone(),
-            cursor: self.cursor,
-            seq: self.seq,
-            stats: self.stats,
-        }
-    }
-
-    /// Rebuilds an FTL that continues exactly where `checkpoint` was
-    /// taken.
-    ///
-    /// The checkpoint's configuration is used verbatim (it was already
-    /// sanitized by [`Ftl::new`] when the original FTL was built), and its
-    /// page maps move into the FTL without a copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint's vector lengths disagree with its
-    /// geometry (a corrupted checkpoint), or if the geometry has
-    /// `u32::MAX` physical pages or more.
-    pub fn restore(checkpoint: FtlCheckpoint) -> Self {
-        let g = checkpoint.config.geometry;
-        let dies = g.total_dies() as usize;
-        assert_eq!(
-            checkpoint.l2p.len(),
-            checkpoint.config.effective_logical_pages(),
-            "checkpoint l2p length disagrees with configuration"
-        );
-        assert_eq!(
-            checkpoint.p2l.len(),
-            g.total_pages(),
-            "checkpoint p2l length disagrees with geometry"
-        );
-        assert_eq!(
-            checkpoint.blocks.len(),
-            g.total_blocks() as usize,
-            "checkpoint block count disagrees with geometry"
-        );
-        assert!(
-            checkpoint.free.len() == dies
-                && checkpoint.open_host.len() == dies
-                && checkpoint.open_gc.len() == dies,
-            "checkpoint per-die state disagrees with geometry"
-        );
-        assert_page_map_fits(g);
-        Ftl {
-            flash: FlashArray::restore(checkpoint.flash),
-            l2p: checkpoint.l2p,
-            p2l: checkpoint.p2l,
-            blocks: checkpoint.blocks,
-            free: checkpoint.free,
-            open_host: checkpoint.open_host,
-            open_gc: checkpoint.open_gc,
-            cursor: checkpoint.cursor,
-            seq: checkpoint.seq,
-            stats: checkpoint.stats,
-            config: checkpoint.config,
-            #[cfg(feature = "fault-injection")]
-            armed_fault: None,
-        }
     }
 
     // ---- internals ----------------------------------------------------
@@ -712,6 +606,7 @@ impl Contract for Ftl {
 mod tests {
     use super::*;
     use uc_flash::{FlashGeometry, FlashTiming};
+    use uc_persist::Persist;
 
     fn small_ftl() -> Ftl {
         // 2 channels x 2 dies, 16 blocks/die, 64 pages, 4 KiB pages.
@@ -909,9 +804,9 @@ mod tests {
         for _ in 0..(logical * 2) {
             now = a.write_page(now, next(&mut state));
         }
-        let cp = a.checkpoint();
-        let mut b = Ftl::restore(cp.clone());
-        assert_eq!(b.checkpoint(), cp, "round trip is lossless");
+        let cp = a.to_bytes();
+        let mut b = Ftl::from_bytes(&cp).unwrap();
+        assert_eq!(b.to_bytes(), cp, "round trip is lossless");
         let mut state_b = state;
         let mut now_b = now;
         for _ in 0..(logical * 2) {
@@ -922,15 +817,7 @@ mod tests {
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.wear(), b.wear());
         assert_eq!(a.free_blocks(), b.free_blocks());
-        assert_eq!(a.checkpoint(), b.checkpoint());
-    }
-
-    #[test]
-    #[should_panic(expected = "disagrees with geometry")]
-    fn corrupted_checkpoint_rejected() {
-        let mut cp = small_ftl().checkpoint();
-        cp.blocks.pop();
-        let _ = Ftl::restore(cp);
+        assert_eq!(a.to_bytes(), b.to_bytes());
     }
 
     #[test]

@@ -41,9 +41,9 @@ mod stats;
 
 pub use blocks::{BlockId, BlockState};
 pub use config::FtlConfig;
+pub use ftl::Ftl;
 #[cfg(feature = "fault-injection")]
 pub use ftl::MapFault;
-pub use ftl::{Ftl, FtlCheckpoint};
 pub use gc::GcPolicy;
 pub use map::PageMap;
 pub use stats::{FtlStats, WearStats};

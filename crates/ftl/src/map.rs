@@ -7,15 +7,13 @@ use uc_persist::{DecodeError, Decoder, Encoder, Persist};
 ///
 /// Entries hold `page + 1` as a `u32`, so none is stored as 0 and a
 /// fresh map is one zeroed allocation, `vec![0; n]`.
-/// [`Ftl::new`](crate::Ftl::new) and [`Ftl::restore`](crate::Ftl::restore)
-/// bound the geometry below `u32::MAX` physical pages, so every entry
-/// fits.
+/// [`Ftl::new`](crate::Ftl::new) bounds the geometry below `u32::MAX`
+/// physical pages, so every entry fits.
 ///
-/// An [`FtlCheckpoint`](crate::FtlCheckpoint) holds the FTL's maps in
-/// this form, so taking a checkpoint copies each map once and restoring
-/// one moves it. The durable form is the same: a `u64` length, then each
+/// Cloning an [`Ftl`](crate::Ftl) at a checkpoint copies each map once,
+/// as it is. The durable form is the same: a `u64` length, then each
 /// entry's `page + 1` as a `u32` (0 = none). Decoding accepts any `u32`;
-/// the checkpoint's own check bounds every page by the opposite map.
+/// the FTL's own check bounds every page by the opposite map.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageMap(Vec<u32>);
 

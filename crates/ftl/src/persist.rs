@@ -1,16 +1,17 @@
-//! [`Persist`] codecs for the FTL's checkpoint types.
+//! [`Persist`] codecs for the FTL's state.
 //!
-//! An [`FtlCheckpoint`] is the largest leaf of a device checkpoint — the
-//! full logical↔physical mapping plus per-block bookkeeping — so its wire
-//! form is a straight field-by-field dump of the plain-data snapshot. The
-//! two maps are [`PageMap`](crate::PageMap)s, written as they are held:
-//! one `u32` per entry. Structural invariants that
-//! [`Ftl::restore`](crate::Ftl::restore) relies on (map and block-table
-//! lengths matching the geometry) are validated on decode, so corrupted
-//! bytes surface as typed errors.
+//! An [`Ftl`] is the largest leaf of a device checkpoint — the full
+//! logical↔physical mapping plus per-block bookkeeping — so its wire
+//! form is a straight field-by-field dump of the live FTL. The two maps
+//! are [`PageMap`](crate::PageMap)s, written as they are held: one `u32`
+//! per entry. The structural invariants the FTL relies on (map and
+//! block-table lengths matching the geometry, every mapped entry inside
+//! the opposite map) are validated on decode, so corrupted bytes surface
+//! as typed errors. The configuration is used verbatim: it was sanitized
+//! when the original FTL was built.
 
-use crate::{BlockState, FtlCheckpoint, FtlConfig, FtlStats, GcPolicy};
-use uc_persist::{ensure, persist_enum, persist_struct, DecodeError};
+use crate::{BlockState, Ftl, FtlConfig, FtlStats, GcPolicy};
+use uc_persist::{ensure, persist_enum, persist_struct, DecodeError, Decoder, Encoder, Persist};
 
 persist_enum! { GcPolicy { 0 = Greedy, 1 = CostBenefit, 2 = Fifo } }
 
@@ -24,12 +25,45 @@ persist_struct! {
         gc_invocations
     }
 }
-persist_struct! {
-    FtlCheckpoint { config, flash, l2p, p2l, blocks, free, open_host, open_gc, cursor, seq, stats },
-    check = check_checkpoint
+
+/// Every field but the armed test fault, which a decoded FTL never has.
+impl Persist for Ftl {
+    fn encode(&self, w: &mut Encoder) {
+        self.config.encode(w);
+        self.flash.encode(w);
+        self.l2p.encode(w);
+        self.p2l.encode(w);
+        self.blocks.encode(w);
+        self.free.encode(w);
+        self.open_host.encode(w);
+        self.open_gc.encode(w);
+        self.cursor.encode(w);
+        self.seq.encode(w);
+        self.stats.encode(w);
+    }
+
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let ftl = Ftl {
+            config: Persist::decode(r)?,
+            flash: Persist::decode(r)?,
+            l2p: Persist::decode(r)?,
+            p2l: Persist::decode(r)?,
+            blocks: Persist::decode(r)?,
+            free: Persist::decode(r)?,
+            open_host: Persist::decode(r)?,
+            open_gc: Persist::decode(r)?,
+            cursor: Persist::decode(r)?,
+            seq: Persist::decode(r)?,
+            stats: Persist::decode(r)?,
+            #[cfg(feature = "fault-injection")]
+            armed_fault: None,
+        };
+        check_checkpoint(&ftl)?;
+        Ok(ftl)
+    }
 }
 
-fn check_checkpoint(c: &FtlCheckpoint) -> Result<(), DecodeError> {
+fn check_checkpoint(c: &Ftl) -> Result<(), DecodeError> {
     let g = c.config.geometry;
     let dies = g.total_dies() as usize;
     ensure(
@@ -54,9 +88,8 @@ fn check_checkpoint(c: &FtlCheckpoint) -> Result<(), DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Ftl, PageMap};
+    use crate::PageMap;
     use uc_flash::{FlashGeometry, FlashTiming};
-    use uc_persist::{Decoder, Encoder, Persist};
     use uc_sim::SimTime;
 
     fn busy_ftl() -> Ftl {
@@ -76,17 +109,11 @@ mod tests {
     #[test]
     fn checkpoint_round_trips_after_gc_activity() {
         let ftl = busy_ftl();
-        let checkpoint = ftl.checkpoint();
-        assert!(checkpoint.stats.gc_invocations > 0, "exercise GC state");
-        let mut w = Encoder::new();
-        checkpoint.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Decoder::new(&bytes);
-        let back = FtlCheckpoint::decode(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back, checkpoint);
-        // The decoded checkpoint restores into a working FTL.
-        let restored = Ftl::restore(back);
+        assert!(ftl.stats.gc_invocations > 0, "exercise GC state");
+        let bytes = ftl.to_bytes();
+        let restored = Ftl::from_bytes(&bytes).unwrap();
+        assert_eq!(restored.to_bytes(), bytes);
+        // The decoded checkpoint is a working FTL.
         assert_eq!(restored.stats(), ftl.stats());
     }
 
@@ -95,7 +122,7 @@ mod tests {
     /// changes the SSD checkpoint format.
     #[test]
     fn checkpoint_bytes_after_gc_are_pinned() {
-        let checkpoint = busy_ftl().checkpoint();
+        let checkpoint = busy_ftl();
         assert!(checkpoint.stats.gc_invocations > 0, "exercise GC state");
         let stale: u64 = checkpoint
             .blocks
@@ -114,17 +141,20 @@ mod tests {
 
     #[test]
     fn mismatched_tables_are_rejected() {
-        let mut checkpoint = busy_ftl().checkpoint();
+        let mut checkpoint = busy_ftl();
         checkpoint.blocks.pop();
-        let mut w = Encoder::new();
-        checkpoint.encode(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = checkpoint.to_bytes();
         assert_eq!(
-            FtlCheckpoint::decode(&mut Decoder::new(&bytes)),
+            decode_err(&bytes),
             Err(DecodeError::InvalidValue {
                 what: "FtlCheckpoint.blocks"
             })
         );
+    }
+
+    /// Decodes `bytes` as an FTL, keeping only the error.
+    fn decode_err(bytes: &[u8]) -> Result<(), DecodeError> {
+        Ftl::from_bytes(bytes).map(drop)
     }
 
     /// A map's entries in their stored form, `page + 1` (0 = none).
@@ -139,7 +169,7 @@ mod tests {
 
     /// Encodes `c` field by field with its maps replaced by the stored
     /// entries `l2p` and `p2l`, which need not index the opposite map.
-    fn encode_with_maps(c: &FtlCheckpoint, l2p: &[u32], p2l: &[u32]) -> Vec<u8> {
+    fn encode_with_maps(c: &Ftl, l2p: &[u32], p2l: &[u32]) -> Vec<u8> {
         let mut w = Encoder::new();
         c.config.encode(&mut w);
         c.flash.encode(&mut w);
@@ -159,12 +189,12 @@ mod tests {
     fn shortened_l2p_is_rejected() {
         // A CRC-valid but shortened logical map must fail at decode time,
         // not panic later inside `Ftl::write_page`.
-        let checkpoint = busy_ftl().checkpoint();
+        let checkpoint = busy_ftl();
         let mut l2p = stored(&checkpoint.l2p);
         l2p.pop();
         let bytes = encode_with_maps(&checkpoint, &l2p, &stored(&checkpoint.p2l));
         assert_eq!(
-            FtlCheckpoint::decode(&mut Decoder::new(&bytes)),
+            decode_err(&bytes),
             Err(DecodeError::InvalidValue {
                 what: "FtlCheckpoint.l2p"
             })
@@ -175,13 +205,11 @@ mod tests {
     fn out_of_range_map_entries_are_rejected() {
         // A CRC-valid map entry that points past the opposite map must fail
         // at decode time, not panic inside the FTL.
-        let base = busy_ftl().checkpoint();
+        let base = busy_ftl();
         let (l2p, p2l) = (stored(&base.l2p), stored(&base.p2l));
-        let mut w = Encoder::new();
-        base.encode(&mut w);
         assert_eq!(
             encode_with_maps(&base, &l2p, &p2l),
-            w.into_bytes(),
+            base.to_bytes(),
             "the stored maps are the durable form"
         );
         let physical = base.p2l.len();
@@ -204,7 +232,7 @@ mod tests {
             }
             let bytes = encode_with_maps(&base, &l2p, &p2l);
             assert_eq!(
-                FtlCheckpoint::decode(&mut Decoder::new(&bytes)),
+                decode_err(&bytes),
                 Err(DecodeError::InvalidValue { what }),
                 "{} page = {page}",
                 if in_l2p { "l2p" } else { "p2l" }
@@ -216,7 +244,7 @@ mod tests {
         p2l[1] = entry(logical - 1);
         l2p[2] = 0;
         let bytes = encode_with_maps(&base, &l2p, &p2l);
-        assert!(FtlCheckpoint::decode(&mut Decoder::new(&bytes)).is_ok());
+        assert!(Ftl::from_bytes(&bytes).is_ok());
     }
 
     #[test]

@@ -78,32 +78,12 @@ pub const fn strict_enabled() -> bool {
     cfg!(any(debug_assertions, feature = "strict-invariants"))
 }
 
-/// Whether the *expensive* hooks (full re-audits on hot paths, freeze/thaw
-/// re-snapshot comparisons) are enforced. Only the explicit
-/// `strict-invariants` feature turns these on — they are too slow for
-/// every debug build.
-#[inline(always)]
-pub const fn deep_enabled() -> bool {
-    cfg!(feature = "strict-invariants")
-}
-
 /// Seam hook: panics with the violation report when hooks are enforced
 /// ([`strict_enabled`]); free otherwise. `violation` is only evaluated in
 /// enforcing builds.
 #[inline(always)]
 pub fn enforce(violation: impl FnOnce() -> Result<(), Violation>) {
     if strict_enabled() {
-        if let Err(v) = violation() {
-            panic!("{v}");
-        }
-    }
-}
-
-/// Expensive seam hook: like [`enforce`] but only active with the
-/// `strict-invariants` feature (see [`deep_enabled`]).
-#[inline(always)]
-pub fn deep_enforce(violation: impl FnOnce() -> Result<(), Violation>) {
-    if deep_enabled() {
         if let Err(v) = violation() {
             panic!("{v}");
         }
@@ -207,8 +187,5 @@ mod tests {
             strict_enabled(),
             cfg!(any(debug_assertions, feature = "strict-invariants"))
         );
-        assert_eq!(deep_enabled(), cfg!(feature = "strict-invariants"));
-        // deep implies strict.
-        assert!(!deep_enabled() || strict_enabled());
     }
 }

@@ -29,9 +29,7 @@
 
 mod persist;
 
-use uc_sim::{
-    LatencyDist, ParallelResource, ParallelResourceSnapshot, SimDuration, SimRng, SimTime,
-};
+use uc_sim::{LatencyDist, ParallelResource, SimDuration, SimRng, SimTime};
 
 /// Parameters of a [`NetPath`].
 ///
@@ -113,6 +111,7 @@ impl NetConfig {
 #[derive(Debug, Clone)]
 pub struct NetPath {
     config: NetConfig,
+    /// Per-connection busy-until timelines.
     lanes: ParallelResource,
 }
 
@@ -137,55 +136,6 @@ impl NetPath {
         let (_, pushed) = self.lanes.acquire(now, xfer);
         pushed + self.config.one_way.sample(rng)
     }
-
-    /// Captures the path's complete state.
-    pub fn snapshot(&self) -> NetPathSnapshot {
-        NetPathSnapshot {
-            config: self.config.clone(),
-            lanes: self.lanes.snapshot(),
-        }
-    }
-
-    /// Rebuilds a path that continues exactly where `snapshot` was taken.
-    pub fn restore(snapshot: NetPathSnapshot) -> Self {
-        #[cfg(feature = "strict-invariants")]
-        let expected = snapshot.clone();
-        let restored = NetPath {
-            lanes: ParallelResource::restore(snapshot.lanes),
-            config: snapshot.config,
-        };
-        // Contract hook (deep): thaw(freeze(p)) is observationally exact.
-        #[cfg(feature = "strict-invariants")]
-        uc_invariant::deep_enforce(|| {
-            if restored.snapshot() != expected {
-                return Err(uc_invariant::Violation::new(
-                    "uc-net/NetPath",
-                    "thaw-freeze-exact",
-                    "re-freezing the restored path does not reproduce its snapshot",
-                ));
-            }
-            Ok(())
-        });
-        restored
-    }
-}
-
-/// The complete serializable state of a [`NetPath`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetPathSnapshot {
-    /// The path configuration.
-    pub config: NetConfig,
-    /// Per-connection busy-until timelines.
-    pub lanes: ParallelResourceSnapshot,
-}
-
-/// The complete serializable state of a [`HostStack`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HostStackSnapshot {
-    /// The per-I/O service-time distribution.
-    pub per_io: LatencyDist,
-    /// Worker-pool busy-until timelines.
-    pub workers: ParallelResourceSnapshot,
 }
 
 /// The host-side storage software stack (virtio/vhost, protocol encoding).
@@ -196,7 +146,9 @@ pub struct HostStackSnapshot {
 /// that larger-scale deployments amortize.
 #[derive(Debug, Clone)]
 pub struct HostStack {
+    /// The per-I/O service-time distribution.
     per_io: LatencyDist,
+    /// Worker-pool busy-until timelines.
     workers: ParallelResource,
 }
 
@@ -219,42 +171,12 @@ impl HostStack {
         let cost = self.per_io.sample(rng);
         self.workers.acquire(now, cost).1
     }
-
-    /// Captures the stack's complete state.
-    pub fn snapshot(&self) -> HostStackSnapshot {
-        HostStackSnapshot {
-            per_io: self.per_io.clone(),
-            workers: self.workers.snapshot(),
-        }
-    }
-
-    /// Rebuilds a stack that continues exactly where `snapshot` was taken.
-    pub fn restore(snapshot: HostStackSnapshot) -> Self {
-        #[cfg(feature = "strict-invariants")]
-        let expected = snapshot.clone();
-        let restored = HostStack {
-            per_io: snapshot.per_io,
-            workers: ParallelResource::restore(snapshot.workers),
-        };
-        // Contract hook (deep): thaw(freeze(s)) is observationally exact.
-        #[cfg(feature = "strict-invariants")]
-        uc_invariant::deep_enforce(|| {
-            if restored.snapshot() != expected {
-                return Err(uc_invariant::Violation::new(
-                    "uc-net/HostStack",
-                    "thaw-freeze-exact",
-                    "re-freezing the restored stack does not reproduce its snapshot",
-                ));
-            }
-            Ok(())
-        });
-        restored
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uc_persist::Persist;
 
     fn fixed_config(one_way_us: u64) -> NetConfig {
         NetConfig::intra_dc()
@@ -333,9 +255,9 @@ mod tests {
         let mut rng = SimRng::new(9);
         let mut path = NetPath::new(NetConfig::intra_dc().with_connections(2));
         path.send(SimTime::ZERO, 1_000_000, &mut rng);
-        let snap = path.snapshot();
-        let mut resumed = NetPath::restore(snap.clone());
-        assert_eq!(resumed.snapshot(), snap, "round trip is lossless");
+        let snap = path.to_bytes();
+        let mut resumed = NetPath::from_bytes(&snap).unwrap();
+        assert_eq!(resumed.to_bytes(), snap, "round trip is lossless");
         let mut rng2 = rng.clone();
         assert_eq!(
             path.send(SimTime::ZERO, 500_000, &mut rng),
@@ -344,7 +266,7 @@ mod tests {
 
         let mut stack = HostStack::new(2, LatencyDist::constant(SimDuration::from_micros(10)));
         stack.process(SimTime::ZERO, &mut rng);
-        let mut resumed = HostStack::restore(stack.snapshot());
+        let mut resumed = HostStack::from_bytes(&stack.to_bytes()).unwrap();
         let mut rng2 = rng.clone();
         assert_eq!(
             stack.process(SimTime::ZERO, &mut rng),

@@ -1,11 +1,11 @@
-//! [`Persist`] codecs for the network-layer snapshot types.
+//! [`Persist`] codecs for the network layer's stateful types.
 
-use crate::{HostStackSnapshot, NetConfig, NetPathSnapshot};
+use crate::{HostStack, NetConfig, NetPath};
 use uc_persist::{ensure, persist_struct, DecodeError};
 
 persist_struct! { NetConfig { one_way, stream_bytes_per_sec, connections }, check = check_config }
-persist_struct! { NetPathSnapshot { config, lanes } }
-persist_struct! { HostStackSnapshot { per_io, workers } }
+persist_struct! { NetPath { config, lanes } }
+persist_struct! { HostStack { per_io, workers } }
 
 fn check_config(c: &NetConfig) -> Result<(), DecodeError> {
     ensure(
@@ -18,18 +18,13 @@ fn check_config(c: &NetConfig) -> Result<(), DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HostStack, NetPath};
-    use uc_persist::{Decoder, Encoder, Persist};
+    use uc_persist::Persist;
     use uc_sim::{LatencyDist, SimDuration, SimRng, SimTime};
 
-    fn round_trip<T: Persist + PartialEq + std::fmt::Debug>(value: T) {
-        let mut w = Encoder::new();
-        value.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Decoder::new(&bytes);
-        let back = T::decode(&mut r).expect("decodes");
-        r.finish().expect("fully consumed");
-        assert_eq!(back, value);
+    /// Asserts `value` decodes back from its bytes to the same bytes.
+    fn round_trip<T: Persist>(value: T) {
+        let bytes = value.to_bytes();
+        assert_eq!(T::from_bytes(&bytes).expect("decodes").to_bytes(), bytes);
     }
 
     #[test]
@@ -39,22 +34,19 @@ mod tests {
         for _ in 0..8 {
             path.send(SimTime::ZERO, 500_000, &mut rng);
         }
-        round_trip(path.snapshot());
+        round_trip(path);
 
         let mut stack = HostStack::new(2, LatencyDist::constant(SimDuration::from_micros(10)));
         stack.process(SimTime::ZERO, &mut rng);
-        round_trip(stack.snapshot());
+        round_trip(stack);
     }
 
     #[test]
     fn invalid_config_values_are_typed() {
-        let mut snapshot = NetPath::new(NetConfig::intra_dc()).snapshot();
-        snapshot.config.stream_bytes_per_sec = -1.0;
-        let mut w = Encoder::new();
-        snapshot.encode(&mut w);
-        let bytes = w.into_bytes();
+        let mut path = NetPath::new(NetConfig::intra_dc());
+        path.config.stream_bytes_per_sec = -1.0;
         assert_eq!(
-            NetPathSnapshot::decode(&mut Decoder::new(&bytes)),
+            NetPath::from_bytes(&path.to_bytes()).map(drop),
             Err(DecodeError::InvalidValue {
                 what: "NetConfig.stream_bytes_per_sec"
             })

@@ -57,16 +57,17 @@ impl ObsReport {
 
     /// Serializes into a framed `uc.obs.v1` record.
     pub fn to_record_bytes(&self) -> Vec<u8> {
-        let mut w = Encoder::new();
-        self.encode(&mut w);
-        uc_persist::encode_record(OBS_RECORD_KIND, w.as_bytes())
+        let mut record = Vec::new();
+        uc_persist::encode_record_into(&mut record, OBS_RECORD_KIND, |w| self.encode(w));
+        record
     }
 
     /// Writes the report to `path` atomically (tmp + rename).
     pub fn save_to(&self, path: &Path) -> io::Result<()> {
-        let mut w = Encoder::new();
-        self.encode(&mut w);
-        uc_persist::write_record_file(path, OBS_RECORD_KIND, w.as_bytes())
+        uc_persist::write_record_file(path, OBS_RECORD_KIND, |w| {
+            self.encode(w);
+            Ok(())
+        })
     }
 
     /// Reads a report back from `path`, verifying envelope and kind.
@@ -160,7 +161,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("uc-obs-kind-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("other.rec");
-        uc_persist::write_record_file(&path, "uc.other.v1", b"payload").unwrap();
+        uc_persist::write_record_file(&path, "uc.other.v1", |w| {
+            w.put_raw(b"payload");
+            io::Result::Ok(())
+        })
+        .unwrap();
         assert!(matches!(
             ObsReport::load_from(&path),
             Err(DecodeError::UnknownKind { .. })

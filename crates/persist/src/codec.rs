@@ -127,7 +127,7 @@ impl Encoder {
     }
 
     /// Appends bytes as they are, with no length prefix.
-    pub(crate) fn put_raw(&mut self, v: &[u8]) {
+    pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 
@@ -177,6 +177,18 @@ impl Encoder {
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
         self.buf.extend_from_slice(v);
+    }
+
+    /// Appends a length-prefixed byte block that `block` writes in place:
+    /// the `u64` length is filled in once `block` returns, so the block
+    /// is never staged in a buffer of its own. The bytes are exactly
+    /// [`Encoder::put_bytes`] of what `block` wrote.
+    pub fn put_block(&mut self, block: impl FnOnce(&mut Encoder)) {
+        let at = self.buf.len();
+        self.put_u64(0);
+        block(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
 }
 
@@ -325,6 +337,26 @@ pub trait Persist: Sized {
     /// Returns a [`DecodeError`] if the bytes are truncated or hold a
     /// value outside this type's domain.
     fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError>;
+
+    /// This value's canonical byte form, in a buffer of its own.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut w = Encoder::new();
+        self.encode(&mut w);
+        w.into_bytes()
+    }
+
+    /// Parses a value that spans all of `bytes`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Persist::decode`]'s errors, or
+    /// [`DecodeError::TrailingBytes`] if bytes are left over.
+    fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Decoder::new(bytes);
+        let value = Self::decode(&mut r)?;
+        r.finish()?;
+        Ok(value)
+    }
 }
 
 /// Implements [`Persist`] for a plain struct from one field list.

@@ -1,11 +1,12 @@
 //! Versioned binary serialization for checkpoint state.
 //!
-//! Every layer of the workspace can freeze its hidden state into a plain
-//! data snapshot (`RngSnapshot`, `FtlCheckpoint`, `SsdCheckpoint`, …).
-//! This crate is the bottom of the *durability* story: it turns those
-//! snapshots into bytes that survive a process crash and come back as
-//! typed values — or as a **typed error**, never a panic, when the bytes
-//! are truncated, corrupted or from a future format version.
+//! Every stateful layer of the workspace is its own checkpoint: the live
+//! value (`SimRng`, `Ftl`, `Ssd`, …) is `Clone`, and its [`Persist`]
+//! codec writes exactly the state it holds. This crate is the bottom of
+//! the *durability* story: it turns that state into bytes that survive a
+//! process crash and come back as typed values — or as a **typed
+//! error**, never a panic, when the bytes are truncated, corrupted or
+//! from a future format version.
 //!
 //! Three layers, smallest first:
 //!
@@ -14,7 +15,7 @@
 //!   sequences). Decoding validates every read against the remaining
 //!   buffer and returns [`DecodeError::Truncated`] instead of slicing out
 //!   of bounds.
-//! * [`Persist`] — the codec trait each snapshot type implements:
+//! * [`Persist`] — the codec trait each stateful type implements:
 //!   `encode` appends the value's canonical byte form, `decode` parses it
 //!   back. The contract is lossless round-tripping:
 //!   `decode(encode(x)) == x`.

@@ -105,10 +105,10 @@ pub fn encode_record(kind: &str, payload: &[u8]) -> Vec<u8> {
 /// Appends one record to `out`: the envelope under `kind`, then whatever
 /// `payload` writes, in place.
 ///
-/// The payload length is filled in once `payload` returns and the CRC
-/// is computed over the bytes just written, so the payload is never
-/// staged in a buffer of its own. A caller that clears and reuses `out`
-/// encodes without allocating once `out` has grown to its largest
+/// The payload is a block written in place ([`Encoder::put_block`]) and
+/// the CRC is computed over the bytes just written, so the payload is
+/// never staged in a buffer of its own. A caller that clears and reuses
+/// `out` encodes without allocating once `out` has grown to its largest
 /// record. The bytes are exactly [`encode_record`]'s.
 ///
 /// ```
@@ -124,12 +124,8 @@ pub fn encode_record_into(out: &mut Vec<u8>, kind: &str, payload: impl FnOnce(&m
     w.put_raw(&MAGIC);
     w.put_u16(FORMAT_VERSION);
     w.put_str(kind);
-    w.put_u64(0); // the payload length, filled in below
-    let payload_at = w.as_bytes().len();
-    payload(&mut w);
+    w.put_block(payload);
     *out = w.into_bytes();
-    let len = (out.len() - payload_at) as u64;
-    out[payload_at - 8..payload_at].copy_from_slice(&len.to_le_bytes());
     let checksum = crc32(&out[start + MAGIC.len()..]);
     out.extend_from_slice(&checksum.to_le_bytes());
 }
@@ -355,18 +351,30 @@ pub fn peek_record_len(buf: &[u8]) -> Result<Option<usize>, DecodeError> {
 /// and are renamed into place, so a crash mid-write never leaves a torn
 /// record at `path`.
 ///
+/// `payload` writes the payload in place, as in [`encode_record_into`],
+/// so the whole record is encoded into one buffer. If it fails, nothing
+/// is written.
+///
 /// # Errors
 ///
-/// Propagates the underlying filesystem errors.
-pub fn write_record_file(path: &Path, kind: &str, payload: &[u8]) -> io::Result<()> {
-    let record = encode_record(kind, payload);
+/// Returns `payload`'s error, or the underlying filesystem errors.
+pub fn write_record_file<E: From<io::Error>>(
+    path: &Path,
+    kind: &str,
+    payload: impl FnOnce(&mut Encoder) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut encoded = Ok(());
+    let mut record = Vec::new();
+    encode_record_into(&mut record, kind, |w| encoded = payload(w));
+    encoded?;
     let tmp = path.with_extension("tmp");
     {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(&record)?;
         file.sync_all()?;
     }
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    Ok(())
 }
 
 /// Reads a record file of the given `kind` and returns its payload.
@@ -686,7 +694,11 @@ mod tests {
         let dir = std::env::temp_dir().join("uc-persist-test-record");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.ckpt");
-        write_record_file(&path, "file.v1", b"on disk").unwrap();
+        write_record_file(&path, "file.v1", |w| {
+            w.put_raw(b"on disk");
+            io::Result::Ok(())
+        })
+        .unwrap();
         assert_eq!(read_record_file(&path, "file.v1").unwrap(), b"on disk");
         // Another kind is typed, naming the kind the file has.
         assert_eq!(

@@ -6,7 +6,8 @@
 //! that die mid-exchange. This crate exposes both the
 //! [`SharedDevice`](uc_blockdev::SharedDevice) session seam and the
 //! fleet tenant seam as a storage target, std-only (`std::net` TCP and
-//! Unix-domain sockets, raw `epoll` behind a tiny wrapper):
+//! Unix-domain sockets, raw `epoll` behind a tiny wrapper) and unix only
+//! (its poller and its `uds:` endpoints need a Unix platform):
 //!
 //! * **wire** ([`Frame`]) — the `uc.wire.v2` framing on the `uc-persist`
 //!   record envelope (magic, version, kind tag, CRC-32). Every frame
@@ -17,7 +18,7 @@
 //!   after a reconnect. `uc.wire.v1` clients are recognized by their
 //!   kind tags and refused with a typed `UnsupportedVersion` error;
 //! * **poll** ([`Poller`]) — readiness without dependencies: Linux
-//!   `epoll` through a minimal FFI shim, `poll(2)` elsewhere;
+//!   `epoll` through a minimal FFI shim, `poll(2)` on other Unix systems;
 //! * **pool** ([`ServePool`]) — the served backend: per-lane device
 //!   sessions with a bounded submission ring, overload shedding above an
 //!   in-flight ceiling, optional rate budgets, and — in fleet mode — the

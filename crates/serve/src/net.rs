@@ -40,7 +40,6 @@ pub trait Stream: Read + Write + Send {
     fn set_nonblocking_stream(&self, nonblocking: bool) -> io::Result<()>;
 
     /// The raw fd, for poller registration.
-    #[cfg(unix)]
     fn raw_fd(&self) -> std::os::fd::RawFd;
 }
 
@@ -57,13 +56,11 @@ impl Stream for TcpStream {
         self.set_nonblocking(nonblocking)
     }
 
-    #[cfg(unix)]
     fn raw_fd(&self) -> std::os::fd::RawFd {
         std::os::fd::AsRawFd::as_raw_fd(self)
     }
 }
 
-#[cfg(unix)]
 impl Stream for std::os::unix::net::UnixStream {
     fn try_clone_stream(&self) -> io::Result<Box<dyn Stream>> {
         Ok(Box::new(self.try_clone()?))
@@ -77,7 +74,6 @@ impl Stream for std::os::unix::net::UnixStream {
         self.set_nonblocking(nonblocking)
     }
 
-    #[cfg(unix)]
     fn raw_fd(&self) -> std::os::fd::RawFd {
         std::os::fd::AsRawFd::as_raw_fd(self)
     }
@@ -125,13 +121,7 @@ impl Endpoint {
                 stream.set_nodelay(true)?;
                 Ok(Box::new(stream))
             }
-            #[cfg(unix)]
             Endpoint::Uds(path) => Ok(Box::new(std::os::unix::net::UnixStream::connect(path)?)),
-            #[cfg(not(unix))]
-            Endpoint::Uds(_) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "uds: endpoints require a Unix platform",
-            )),
         }
     }
 }
@@ -150,7 +140,6 @@ pub enum Listener {
     /// A TCP listener.
     Tcp(TcpListener),
     /// A Unix-domain listener.
-    #[cfg(unix)]
     Uds(std::os::unix::net::UnixListener),
 }
 
@@ -166,16 +155,10 @@ impl Listener {
     pub fn bind(endpoint: &Endpoint) -> io::Result<Listener> {
         match endpoint {
             Endpoint::Tcp(addr) => Ok(Listener::Tcp(TcpListener::bind(addr)?)),
-            #[cfg(unix)]
             Endpoint::Uds(path) => {
                 let _ = std::fs::remove_file(path);
                 Ok(Listener::Uds(std::os::unix::net::UnixListener::bind(path)?))
             }
-            #[cfg(not(unix))]
-            Endpoint::Uds(_) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "uds: endpoints require a Unix platform",
-            )),
         }
     }
 
@@ -188,7 +171,6 @@ impl Listener {
     pub fn local_endpoint(&self) -> io::Result<Endpoint> {
         match self {
             Listener::Tcp(l) => Ok(Endpoint::Tcp(l.local_addr()?.to_string())),
-            #[cfg(unix)]
             Listener::Uds(l) => {
                 let addr = l.local_addr()?;
                 Ok(Endpoint::Uds(
@@ -207,13 +189,11 @@ impl Listener {
     pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
             Listener::Tcp(l) => l.set_nonblocking(nonblocking),
-            #[cfg(unix)]
             Listener::Uds(l) => l.set_nonblocking(nonblocking),
         }
     }
 
     /// The raw fd, for poller registration.
-    #[cfg(unix)]
     pub fn raw_fd(&self) -> std::os::fd::RawFd {
         use std::os::fd::AsRawFd;
         match self {
@@ -234,7 +214,6 @@ impl Listener {
                 stream.set_nodelay(true)?;
                 Ok(Box::new(stream))
             }
-            #[cfg(unix)]
             Listener::Uds(l) => {
                 let (stream, _) = l.accept()?;
                 Ok(Box::new(stream))
@@ -279,7 +258,6 @@ mod tests {
         server.join().unwrap();
     }
 
-    #[cfg(unix)]
     #[test]
     fn uds_loopback_round_trips_bytes_and_rebinds_over_stale_sockets() {
         let path = std::env::temp_dir().join(format!("uc-serve-net-{}.sock", std::process::id()));

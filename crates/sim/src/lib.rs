@@ -5,7 +5,6 @@
 //! built on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a nanosecond-resolution virtual clock,
-//! * [`EventQueue`] — a time-ordered event calendar with FIFO tie-breaking,
 //! * [`SimRng`] — a seedable, forkable random-number generator so every
 //!   experiment is reproducible bit-for-bit,
 //! * [`LatencyDist`] — latency distributions (constant, uniform, normal,
@@ -21,11 +20,11 @@
 //!   multi-cell run (figure sweeps, segmented timelines, fleet epochs)
 //!   schedules on.
 //!
-//! Every stateful primitive can be frozen into plain data ([`RngSnapshot`],
-//! a [`Resource`]'s busy-until [`SimTime`], [`ParallelResourceSnapshot`],
-//! [`TokenBucketSnapshot`]) and restored exactly — the bottom layer of the
-//! device checkpoint/restore API (`uc-blockdev`'s `CheckpointDevice`) that
-//! lets long endurance runs be sliced into resumable segments.
+//! Every stateful primitive is its own checkpoint: it is `Clone`, and its
+//! [`Persist`](uc_persist::Persist) codec writes exactly the state it
+//! holds and decodes it back exactly — the bottom layer of the device
+//! checkpoint/restore API (`uc-blockdev`'s `CheckpointDevice`) that lets
+//! long endurance runs be sliced into resumable segments.
 //!
 //! # Example
 //!
@@ -53,7 +52,6 @@
 mod dist;
 mod executor;
 mod persist;
-mod queue;
 mod resource;
 mod rng;
 mod time;
@@ -61,8 +59,7 @@ mod token;
 
 pub use dist::LatencyDist;
 pub use executor::Executor;
-pub use queue::EventQueue;
-pub use resource::{ParallelResource, ParallelResourceSnapshot, Resource};
-pub use rng::{RngSnapshot, SimRng};
+pub use resource::{ParallelResource, Resource};
+pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use token::{BucketSet, TokenBucket, TokenBucketSnapshot};
+pub use token::{BucketSet, TokenBucket};

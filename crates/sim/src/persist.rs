@@ -1,15 +1,14 @@
-//! [`Persist`] codecs for the simulation kernel's snapshot types.
+//! [`Persist`] codecs for the simulation kernel's stateful types.
 //!
 //! These are the leaves of every device checkpoint: virtual-time values,
 //! RNG state, resource timelines, token buckets and latency
-//! distributions. Each codec round-trips losslessly
-//! (`decode(encode(x)) == x`) and rejects malformed bytes with a typed
-//! [`DecodeError`] — the foundation the on-disk checkpoint format
-//! (`uc-persist` records) is built on.
+//! distributions. Each live type is its own checkpoint: its codec writes
+//! exactly the fields it holds, round-trips losslessly, and rejects
+//! malformed bytes with a typed [`DecodeError`] — the foundation the
+//! on-disk checkpoint format (`uc-persist` records) is built on.
 
 use crate::{
-    LatencyDist, ParallelResourceSnapshot, RngSnapshot, SimDuration, SimRng, SimTime,
-    TokenBucketSnapshot,
+    BucketSet, LatencyDist, ParallelResource, Resource, SimDuration, SimRng, SimTime, TokenBucket,
 };
 use uc_persist::{ensure, persist_enum, persist_struct, DecodeError, Decoder, Encoder, Persist};
 
@@ -31,29 +30,68 @@ impl Persist for SimDuration {
     }
 }
 
-impl Persist for SimRng {
-    fn encode(&self, w: &mut Encoder) {
-        self.snapshot().encode(w);
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(SimRng::restore(RngSnapshot::decode(r)?))
-    }
-}
-
-persist_struct! { RngSnapshot { seed, state } }
-persist_struct! { ParallelResourceSnapshot { servers }, check = check_servers }
+persist_struct! { SimRng { seed, state } }
 persist_struct! {
-    TokenBucketSnapshot { burst, rate_per_sec, available, last, granted_total },
+    TokenBucket { burst, rate_per_sec, available, last, granted_total },
     check = check_bucket
 }
 
-/// `ParallelResource::restore` requires at least one server; reject here
-/// so decoding never yields a panic-on-use value.
-fn check_servers(s: &ParallelResourceSnapshot) -> Result<(), DecodeError> {
-    ensure(!s.servers.is_empty(), "ParallelResourceSnapshot.servers")
+/// A resource is the instant it becomes idle.
+impl Persist for Resource {
+    fn encode(&self, w: &mut Encoder) {
+        self.busy_until.encode(w);
+    }
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Resource {
+            busy_until: SimTime::decode(r)?,
+        })
+    }
 }
 
-fn check_bucket(s: &TokenBucketSnapshot) -> Result<(), DecodeError> {
+/// The servers' free-at instants in ascending order, as the station
+/// holds them; the capacity is their count.
+impl Persist for ParallelResource {
+    fn encode(&self, w: &mut Encoder) {
+        w.put_u64(self.servers.len() as u64);
+        for t in &self.servers {
+            t.encode(w);
+        }
+    }
+    /// Empty pools fail typed; well-formed bytes listing the servers out
+    /// of order are sorted, since equal stations only differ in order.
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let mut servers = Vec::<SimTime>::decode(r)?;
+        ensure(!servers.is_empty(), "ParallelResourceSnapshot.servers")?;
+        servers.sort_unstable();
+        Ok(ParallelResource {
+            capacity: servers.len(),
+            servers: servers.into(),
+        })
+    }
+}
+
+/// The buckets in index order; the set-level ledger is their sum, so a
+/// decoded set always satisfies its own conservation contract.
+impl Persist for BucketSet {
+    fn encode(&self, w: &mut Encoder) {
+        self.buckets.encode(w);
+    }
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let buckets = Vec::<TokenBucket>::decode(r)?;
+        let granted_total = buckets
+            .iter()
+            .try_fold(0u64, |sum, b| sum.checked_add(b.granted_total))
+            .ok_or(DecodeError::InvalidValue {
+                what: "BucketSet.granted_total",
+            })?;
+        Ok(BucketSet {
+            buckets,
+            granted_total,
+        })
+    }
+}
+
+fn check_bucket(s: &TokenBucket) -> Result<(), DecodeError> {
     ensure(
         s.burst > 0.0 && s.burst.is_finite(),
         "TokenBucketSnapshot.burst",
@@ -70,6 +108,12 @@ persist_enum! {
         3 = LogNormal { median, sigma }, 4 = BoundedPareto { scale, shape, cap },
         5 = Mixture { base, tail, tail_prob }
     }
+}
+
+/// `value` encoded and decoded back, as a resumed run gets it.
+#[cfg(test)]
+pub(crate) fn thaw<T: Persist>(value: &T) -> T {
+    T::from_bytes(&value.to_bytes()).expect("decodes")
 }
 
 #[cfg(test)]
@@ -100,23 +144,20 @@ mod tests {
         for _ in 0..13 {
             rng.next_u64();
         }
-        round_trip(rng.snapshot());
-        let mut w = Encoder::new();
-        rng.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut back = SimRng::decode(&mut Decoder::new(&bytes)).unwrap();
+        let mut back = round_trip(rng.clone());
         assert_eq!(back.next_u64(), rng.next_u64());
     }
 
     #[test]
     fn resource_snapshots_round_trip() {
-        let mut res = crate::Resource::new();
+        let mut res = Resource::new();
         res.acquire(SimTime::ZERO, SimDuration::from_micros(9));
-        round_trip(res.snapshot());
+        assert_eq!(thaw(&res).free_at(), res.free_at());
+        assert_eq!(thaw(&res).to_bytes(), res.to_bytes());
 
-        let mut pool = crate::ParallelResource::new(3);
+        let mut pool = ParallelResource::new(3);
         pool.acquire(SimTime::ZERO, SimDuration::from_micros(5));
-        round_trip(pool.snapshot());
+        assert_eq!(thaw(&pool).to_bytes(), pool.to_bytes());
     }
 
     #[test]
@@ -125,7 +166,7 @@ mod tests {
         Vec::<SimTime>::new().encode(&mut w);
         let bytes = w.into_bytes();
         assert_eq!(
-            ParallelResourceSnapshot::decode(&mut Decoder::new(&bytes)),
+            ParallelResource::decode(&mut Decoder::new(&bytes)).map(|p| p.capacity()),
             Err(DecodeError::InvalidValue {
                 what: "ParallelResourceSnapshot.servers"
             })
@@ -134,19 +175,30 @@ mod tests {
 
     #[test]
     fn token_bucket_round_trips_and_validates() {
-        let mut bucket = crate::TokenBucket::new(1000.0, 5e6);
+        let mut bucket = TokenBucket::new(1000.0, 5e6);
         bucket.reserve(SimTime::ZERO, 300);
-        round_trip(bucket.snapshot());
+        assert_eq!(thaw(&bucket).to_bytes(), bucket.to_bytes());
 
-        let mut bad = bucket.snapshot();
+        let mut bad = bucket.clone();
         bad.rate_per_sec = f64::NAN;
-        let mut w = Encoder::new();
-        bad.encode(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = bad.to_bytes();
         assert_eq!(
-            TokenBucketSnapshot::decode(&mut Decoder::new(&bytes)),
+            TokenBucket::decode(&mut Decoder::new(&bytes)).map(|b| b.rate()),
             Err(DecodeError::InvalidValue {
                 what: "TokenBucketSnapshot.rate_per_sec"
+            })
+        );
+    }
+
+    #[test]
+    fn bucket_set_ledger_overflow_is_typed() {
+        let mut bucket = TokenBucket::new(10.0, 10.0);
+        bucket.granted_total = u64::MAX;
+        let bytes = vec![bucket.clone(), bucket].to_bytes();
+        assert_eq!(
+            BucketSet::from_bytes(&bytes).map(|s| s.len()),
+            Err(DecodeError::InvalidValue {
+                what: "BucketSet.granted_total"
             })
         );
     }

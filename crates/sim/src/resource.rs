@@ -33,21 +33,7 @@ use uc_invariant::{ensure, Contract, Violation};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Resource {
-    busy_until: SimTime,
-}
-
-/// The complete serializable state of a [`ParallelResource`]: its
-/// servers' free-at instants, nothing else.
-///
-/// The instants are stored in ascending order — the canonical form, and
-/// the station's own layout — so two snapshots of behaviourally
-/// identical stations compare equal. Restoring from the sorted form is
-/// exact: the station only ever consults the *earliest-free* server, and
-/// servers with equal free-at instants are interchangeable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParallelResourceSnapshot {
-    /// Per-server free-at instants, sorted ascending.
-    pub servers: Vec<SimTime>,
+    pub(crate) busy_until: SimTime,
 }
 
 impl Resource {
@@ -75,18 +61,6 @@ impl Resource {
     /// Forgets all scheduled work; the resource is idle from `SimTime::ZERO`.
     pub fn reset(&mut self) {
         *self = Resource::default();
-    }
-
-    /// Captures the resource's complete state: the instant it becomes
-    /// idle.
-    pub fn snapshot(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// Rebuilds a resource that continues exactly where `snapshot` was
-    /// taken: idle from `busy_until`.
-    pub fn restore(busy_until: SimTime) -> Self {
-        Resource { busy_until }
     }
 }
 
@@ -121,8 +95,8 @@ impl Resource {
 #[derive(Debug, Clone)]
 pub struct ParallelResource {
     /// Per-server free-at instants, ascending.
-    servers: VecDeque<SimTime>,
-    capacity: usize,
+    pub(crate) servers: VecDeque<SimTime>,
+    pub(crate) capacity: usize,
 }
 
 impl ParallelResource {
@@ -215,33 +189,6 @@ impl ParallelResource {
     pub fn reset(&mut self) {
         *self = ParallelResource::new(self.capacity);
     }
-
-    /// Captures the station's complete state in canonical (sorted) form.
-    pub fn snapshot(&self) -> ParallelResourceSnapshot {
-        ParallelResourceSnapshot {
-            servers: self.servers.iter().copied().collect(),
-        }
-    }
-
-    /// Rebuilds a station that continues exactly where `snapshot` was
-    /// taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot holds no servers.
-    pub fn restore(snapshot: ParallelResourceSnapshot) -> Self {
-        assert!(
-            !snapshot.servers.is_empty(),
-            "ParallelResource snapshot requires at least one server"
-        );
-        let mut servers = snapshot.servers;
-        // Snapshots are sorted already; a hand-built one need not be.
-        servers.sort_unstable();
-        ParallelResource {
-            capacity: servers.len(),
-            servers: servers.into(),
-        }
-    }
 }
 
 /// Structural audit of a k-server station: the server pool never leaks or
@@ -279,6 +226,8 @@ impl Contract for ParallelResource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::thaw;
+    use uc_persist::Persist;
 
     #[test]
     fn serial_resource_queues_fifo() {
@@ -337,32 +286,25 @@ mod tests {
         let d = SimDuration::from_micros(10);
         let mut serial = Resource::new();
         serial.acquire(SimTime::ZERO, d);
-        let resumed = Resource::restore(serial.snapshot());
+        let resumed = thaw(&serial);
         assert_eq!(resumed.free_at(), serial.free_at());
 
         let mut pool = ParallelResource::new(3);
         pool.acquire(SimTime::ZERO, d);
         pool.acquire(SimTime::ZERO, d * 4);
-        let snap = pool.snapshot();
-        assert_eq!(snap.servers.len(), 3);
-        assert!(snap.servers.windows(2).all(|w| w[0] <= w[1]), "canonical");
-        let mut resumed = ParallelResource::restore(snap.clone());
+        let mut resumed = thaw(&pool);
         assert_eq!(resumed.capacity(), 3);
-        assert_eq!(resumed.snapshot(), snap, "round trip is lossless");
+        assert_eq!(
+            resumed.to_bytes(),
+            pool.to_bytes(),
+            "round trip is lossless"
+        );
         // The resumed pool schedules exactly as the original would.
         assert_eq!(
             resumed.acquire(SimTime::ZERO, d),
             pool.acquire(SimTime::ZERO, d)
         );
         assert_eq!(resumed.drained_at(), pool.drained_at());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one server")]
-    fn empty_parallel_snapshot_rejected() {
-        let _ = ParallelResource::restore(ParallelResourceSnapshot {
-            servers: Vec::new(),
-        });
     }
 
     #[test]
@@ -400,7 +342,7 @@ mod tests {
                     .max()
                     .unwrap_or(now);
                 assert_eq!(last, latest, "case {case}, n {n}");
-                assert_eq!(batched.snapshot(), stepped.snapshot(), "case {case}, n {n}");
+                assert_eq!(batched.servers, stepped.servers, "case {case}, n {n}");
                 assert!(batched.check().is_ok());
             }
         }
@@ -416,11 +358,11 @@ mod tests {
 
     #[test]
     fn restore_sorts_a_hand_built_snapshot() {
+        // Well-formed bytes need not list the servers in order.
         let t = SimTime::from_nanos;
-        let mut pool = ParallelResource::restore(ParallelResourceSnapshot {
-            servers: vec![t(30), t(10), t(20)],
-        });
-        assert_eq!(pool.snapshot().servers, vec![t(10), t(20), t(30)]);
+        let bytes = vec![t(30), t(10), t(20)].to_bytes();
+        let mut pool = ParallelResource::from_bytes(&bytes).unwrap();
+        assert_eq!(pool.servers, [t(10), t(20), t(30)]);
         assert_eq!(pool.acquire(SimTime::ZERO, SimDuration::ZERO).0, t(10));
     }
 

@@ -29,24 +29,8 @@
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
-    seed: u64,
-    state: [u64; 4],
-}
-
-/// The complete serializable state of a [`SimRng`].
-///
-/// Captured by [`SimRng::snapshot`] and turned back into a generator with
-/// [`SimRng::restore`]; the restored generator continues the output
-/// sequence exactly where the snapshot was taken. This is the bottom layer
-/// of the device checkpoint machinery (`uc-blockdev`'s
-/// `CheckpointDevice`): every source of randomness in a device model can
-/// be frozen mid-stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RngSnapshot {
-    /// The seed the generator was created with.
-    pub seed: u64,
-    /// The four xoshiro256++ state words at the capture instant.
-    pub state: [u64; 4],
+    pub(crate) seed: u64,
+    pub(crate) state: [u64; 4],
 }
 
 /// SplitMix64 finalizer; used for seeding and to decorrelate forked seeds.
@@ -79,23 +63,6 @@ impl SimRng {
     /// The seed this generator was created with.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Captures the generator's complete state.
-    pub fn snapshot(&self) -> RngSnapshot {
-        RngSnapshot {
-            seed: self.seed,
-            state: self.state,
-        }
-    }
-
-    /// Rebuilds a generator that continues exactly where `snapshot` was
-    /// taken.
-    pub fn restore(snapshot: RngSnapshot) -> Self {
-        SimRng {
-            seed: snapshot.seed,
-            state: snapshot.state,
-        }
     }
 
     /// Derives an independent child generator for stream `stream_id`.
@@ -357,10 +324,9 @@ mod tests {
         for _ in 0..17 {
             a.next_u64();
         }
-        let snap = a.snapshot();
-        let mut b = SimRng::restore(snap);
+        let mut b = crate::persist::thaw(&a);
         assert_eq!(b.seed(), 21);
-        assert_eq!(b.snapshot(), snap, "restore is lossless");
+        assert_eq!(b, a, "restore is lossless");
         for _ in 0..50 {
             assert_eq!(a.next_u64(), b.next_u64());
         }

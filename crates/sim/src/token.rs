@@ -27,31 +27,11 @@ use uc_invariant::{ensure, Contract, Violation};
 /// ```
 #[derive(Debug, Clone)]
 pub struct TokenBucket {
-    burst: f64,
-    rate_per_sec: f64,
-    available: f64,
-    last: SimTime,
-    granted_total: u64,
-}
-
-/// The complete serializable state of a [`TokenBucket`].
-///
-/// Captures both the configuration (burst, rate — the rate may have been
-/// changed mid-run by a throttle policy) and the accrual state, so a
-/// restored bucket grants exactly the same instants the original would
-/// have.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TokenBucketSnapshot {
-    /// Bucket capacity in tokens.
-    pub burst: f64,
-    /// Refill rate in tokens per second at the capture instant.
-    pub rate_per_sec: f64,
-    /// Tokens available at the capture instant.
-    pub available: f64,
-    /// The accrual clock (instant of the last settle or deferred grant).
-    pub last: SimTime,
-    /// Total tokens granted since construction or reset.
-    pub granted_total: u64,
+    pub(crate) burst: f64,
+    pub(crate) rate_per_sec: f64,
+    pub(crate) available: f64,
+    pub(crate) last: SimTime,
+    pub(crate) granted_total: u64,
 }
 
 impl TokenBucket {
@@ -161,41 +141,6 @@ impl TokenBucket {
         self.granted_total = 0;
     }
 
-    /// Captures the bucket's complete state.
-    pub fn snapshot(&self) -> TokenBucketSnapshot {
-        TokenBucketSnapshot {
-            burst: self.burst,
-            rate_per_sec: self.rate_per_sec,
-            available: self.available,
-            last: self.last,
-            granted_total: self.granted_total,
-        }
-    }
-
-    /// Rebuilds a bucket that continues exactly where `snapshot` was
-    /// taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's burst or rate is not positive and finite.
-    pub fn restore(snapshot: TokenBucketSnapshot) -> Self {
-        assert!(
-            snapshot.burst > 0.0 && snapshot.burst.is_finite(),
-            "token bucket burst must be positive and finite"
-        );
-        assert!(
-            snapshot.rate_per_sec > 0.0 && snapshot.rate_per_sec.is_finite(),
-            "token bucket rate must be positive and finite"
-        );
-        TokenBucket {
-            burst: snapshot.burst,
-            rate_per_sec: snapshot.rate_per_sec,
-            available: snapshot.available,
-            last: snapshot.last,
-            granted_total: snapshot.granted_total,
-        }
-    }
-
     /// Advances the accrual clock to `max(now, last)`.
     fn settle(&mut self, now: SimTime) {
         if now > self.last {
@@ -267,8 +212,8 @@ impl Contract for TokenBucket {
 /// structural violation, not a silent drift).
 #[derive(Debug, Clone, Default)]
 pub struct BucketSet {
-    buckets: Vec<TokenBucket>,
-    granted_total: u64,
+    pub(crate) buckets: Vec<TokenBucket>,
+    pub(crate) granted_total: u64,
 }
 
 impl BucketSet {
@@ -332,27 +277,9 @@ impl BucketSet {
     }
 
     /// Total tokens granted across every bucket since construction or
-    /// the last restore.
+    /// the last decode.
     pub fn granted_total(&self) -> u64 {
         self.granted_total
-    }
-
-    /// Captures every bucket's complete state, in index order.
-    pub fn snapshot(&self) -> Vec<TokenBucketSnapshot> {
-        self.buckets.iter().map(TokenBucket::snapshot).collect()
-    }
-
-    /// Rebuilds a set that continues exactly where `snapshots` were
-    /// taken (the ledger is recomputed from the buckets, so a restored
-    /// set always satisfies its own conservation contract).
-    pub fn restore(snapshots: &[TokenBucketSnapshot]) -> Self {
-        let buckets: Vec<TokenBucket> =
-            snapshots.iter().map(|s| TokenBucket::restore(*s)).collect();
-        let granted_total = buckets.iter().map(TokenBucket::granted_total).sum();
-        BucketSet {
-            buckets,
-            granted_total,
-        }
     }
 }
 
@@ -383,6 +310,8 @@ impl Contract for BucketSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::thaw;
+    use uc_persist::Persist;
 
     #[test]
     fn burst_is_granted_instantly() {
@@ -460,23 +389,14 @@ mod tests {
         let mut a = TokenBucket::new(100.0, 1000.0);
         a.reserve(SimTime::ZERO, 80);
         a.set_rate(SimTime::ZERO + SimDuration::from_millis(1), 500.0);
-        let snap = a.snapshot();
-        let mut b = TokenBucket::restore(snap);
-        assert_eq!(b.snapshot(), snap, "round trip is lossless");
+        let mut b = thaw(&a);
+        assert_eq!(b.to_bytes(), a.to_bytes(), "round trip is lossless");
         assert_eq!(b.rate(), a.rate());
         let now = SimTime::ZERO + SimDuration::from_millis(2);
         for tokens in [10, 200, 45] {
             assert_eq!(a.reserve(now, tokens), b.reserve(now, tokens));
         }
         assert_eq!(a.granted_total(), b.granted_total());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn restore_rejects_bad_rate() {
-        let mut snap = TokenBucket::new(1.0, 1.0).snapshot();
-        snap.rate_per_sec = f64::NAN;
-        let _ = TokenBucket::restore(snap);
     }
 
     #[test]
@@ -503,8 +423,7 @@ mod tests {
         set.push(TokenBucket::new(200.0, 500.0));
         set.reserve(0, SimTime::ZERO, 80);
         set.reserve(1, SimTime::ZERO, 150);
-        let snaps = set.snapshot();
-        let mut thawed = BucketSet::restore(&snaps);
+        let mut thawed = thaw(&set);
         assert_eq!(thawed.granted_total(), set.granted_total());
         assert_eq!(thawed.check(), Ok(()));
         let now = SimTime::ZERO + SimDuration::from_millis(3);

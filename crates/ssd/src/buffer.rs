@@ -38,42 +38,21 @@ use uc_sim::SimTime;
 /// ```
 #[derive(Debug, Clone)]
 pub struct WriteBuffer {
-    capacity: usize,
+    pub(crate) capacity: usize,
     /// `ring[k % capacity]` = drain-finish time of admitted page `k`.
-    ring: Vec<SimTime>,
+    pub(crate) ring: Vec<SimTime>,
     /// Pages admitted so far.
-    admitted: u64,
+    pub(crate) admitted: u64,
     /// Every tracked record in admission order: (drain finish, lpn,
     /// sequence).
-    pending: VecDeque<(SimTime, u64, u64)>,
+    pub(crate) pending: VecDeque<(SimTime, u64, u64)>,
     /// Index over the `pending` records with a sequence below `indexed`:
     /// logical page -> (admission sequence, drain finish) of its newest
-    /// such record.
-    resident: HashMap<u64, (u64, SimTime)>,
+    /// such record. Derived from `pending`, so a decoded buffer starts
+    /// with an empty index.
+    pub(crate) resident: HashMap<u64, (u64, SimTime)>,
     /// `pending` records with a sequence below this have been indexed.
-    indexed: u64,
-}
-
-/// The complete serializable state of a [`WriteBuffer`].
-///
-/// The resident set is derived from the pending records (the newest one
-/// per logical page) and stored sorted by logical page — the canonical
-/// form — so two snapshots of behaviourally identical buffers compare
-/// equal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteBufferSnapshot {
-    /// Buffer capacity in page slots.
-    pub capacity: usize,
-    /// Drain-finish time of each ring slot (`ring[k % capacity]` for
-    /// admitted page `k`).
-    pub ring: Vec<SimTime>,
-    /// Pages admitted so far.
-    pub admitted: u64,
-    /// Resident set as `(lpn, admission sequence, drain finish)`: the
-    /// newest pending record of each logical page, sorted by logical page.
-    pub resident: Vec<(u64, u64, SimTime)>,
-    /// Prune queue in admission order: `(drain finish, lpn, sequence)`.
-    pub pending: Vec<(SimTime, u64, u64)>,
+    pub(crate) indexed: u64,
 }
 
 impl WriteBuffer {
@@ -154,47 +133,6 @@ impl WriteBuffer {
         self.pending.len()
     }
 
-    /// Captures the buffer's complete state.
-    pub fn snapshot(&self) -> WriteBufferSnapshot {
-        let pending: Vec<_> = self.pending.iter().copied().collect();
-        WriteBufferSnapshot {
-            capacity: self.capacity,
-            ring: self.ring.clone(),
-            admitted: self.admitted,
-            resident: resident_view(&pending),
-            pending,
-        }
-    }
-
-    /// Rebuilds a buffer that continues exactly where `snapshot` was
-    /// taken. The residency index is rebuilt from the pending records;
-    /// the snapshot's `resident` view is derived from them, so it is not
-    /// read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's capacity is zero or disagrees with its
-    /// ring length.
-    pub fn restore(snapshot: WriteBufferSnapshot) -> Self {
-        assert!(
-            snapshot.capacity > 0,
-            "write buffer needs at least one page"
-        );
-        assert_eq!(
-            snapshot.ring.len(),
-            snapshot.capacity,
-            "snapshot ring length disagrees with capacity"
-        );
-        WriteBuffer {
-            capacity: snapshot.capacity,
-            ring: snapshot.ring,
-            admitted: snapshot.admitted,
-            pending: snapshot.pending.into_iter().collect(),
-            resident: HashMap::new(),
-            indexed: 0,
-        }
-    }
-
     /// Removes bookkeeping for pages that finished draining by `now`.
     ///
     /// Pruning never changes what [`WriteBuffer::contains`] answers for a
@@ -219,10 +157,12 @@ impl WriteBuffer {
 
 /// The resident set of `pending` (admission order): the newest record of
 /// each logical page as `(lpn, sequence, drain finish)`, sorted by
-/// logical page.
-pub(crate) fn resident_view(pending: &[(SimTime, u64, u64)]) -> Vec<(u64, u64, SimTime)> {
+/// logical page — the canonical form the durable buffer stores.
+pub(crate) fn resident_view<'a>(
+    pending: impl IntoIterator<Item = &'a (SimTime, u64, u64)>,
+) -> Vec<(u64, u64, SimTime)> {
     let mut resident: Vec<_> = pending
-        .iter()
+        .into_iter()
         .map(|&(drain, lpn, seq)| (lpn, Reverse(seq), drain))
         .collect();
     resident.sort_unstable();
@@ -236,6 +176,7 @@ pub(crate) fn resident_view(pending: &[(SimTime, u64, u64)]) -> Vec<(u64, u64, S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uc_persist::{Decoder, Encoder, Persist};
     use uc_sim::SimDuration;
 
     fn t(us: u64) -> SimTime {
@@ -383,33 +324,35 @@ mod tests {
             }
         }
 
-        fn snapshot(&self) -> WriteBufferSnapshot {
+        /// The durable form of this buffer, field for field as
+        /// `WriteBuffer` writes it, with the resident set read off the
+        /// eager index instead of derived from `pending`.
+        fn to_bytes(&self) -> Vec<u8> {
             let mut resident: Vec<_> = self
                 .resident
                 .iter()
                 .map(|(&lpn, &(seq, drain))| (lpn, seq, drain))
                 .collect();
             resident.sort_unstable();
-            WriteBufferSnapshot {
-                capacity: self.capacity,
-                ring: self.ring.clone(),
-                admitted: self.admitted,
-                resident,
-                pending: self.pending.iter().copied().collect(),
-            }
+            let pending: Vec<_> = self.pending.iter().copied().collect();
+            let mut w = Encoder::new();
+            (self.capacity, self.ring.clone(), self.admitted).encode(&mut w);
+            (resident, pending).encode(&mut w);
+            w.into_bytes()
         }
 
-        fn restore(s: WriteBufferSnapshot) -> Self {
+        fn from_bytes(bytes: &[u8]) -> Self {
+            let mut r = Decoder::new(bytes);
+            let (capacity, ring, admitted) = Persist::decode(&mut r).unwrap();
+            let (resident, pending): (Vec<(u64, u64, SimTime)>, Vec<_>) =
+                Persist::decode(&mut r).unwrap();
+            r.finish().unwrap();
             EagerBuffer {
-                capacity: s.capacity,
-                ring: s.ring,
-                admitted: s.admitted,
-                resident: s
-                    .resident
-                    .into_iter()
-                    .map(|(l, q, d)| (l, (q, d)))
-                    .collect(),
-                pending: s.pending.into_iter().collect(),
+                capacity,
+                ring,
+                admitted,
+                resident: resident.into_iter().map(|(l, q, d)| (l, (q, d))).collect(),
+                pending: pending.into_iter().collect(),
             }
         }
     }
@@ -417,8 +360,8 @@ mod tests {
     #[test]
     fn write_buffer_matches_eager_reference() {
         // Seeded random admit/record_drain/prune/contains sequences, cut
-        // by snapshot→restore round trips: every answer and every
-        // snapshot must equal the eager reference model's.
+        // by encode→decode round trips: every answer and every encoded
+        // state must equal the eager reference model's.
         let mut rng = uc_sim::SimRng::new(0x1A2E);
         let mut hits = 0;
         for case in 0..64u64 {
@@ -449,14 +392,14 @@ mod tests {
                         hits += u64::from(hit);
                     }
                     _ => {
-                        let snap = lazy.snapshot();
-                        assert_eq!(snap, eager.snapshot(), "case {case} step {step}");
-                        lazy = WriteBuffer::restore(snap.clone());
-                        eager = EagerBuffer::restore(snap);
+                        let snap = lazy.to_bytes();
+                        assert_eq!(snap, eager.to_bytes(), "case {case} step {step}");
+                        lazy = WriteBuffer::from_bytes(&snap).unwrap();
+                        eager = EagerBuffer::from_bytes(&snap);
                     }
                 }
             }
-            assert_eq!(lazy.snapshot(), eager.snapshot(), "case {case}");
+            assert_eq!(lazy.to_bytes(), eager.to_bytes(), "case {case}");
         }
         assert!(hits > 1000, "the sequences must exercise hits");
     }
@@ -474,9 +417,9 @@ mod tests {
             let (s, _) = a.admit(t(i));
             a.record_drain(s, i, t(100 * (i + 1)));
         }
-        let snap = a.snapshot();
-        let mut b = WriteBuffer::restore(snap.clone());
-        assert_eq!(b.snapshot(), snap, "round trip is lossless");
+        let snap = a.to_bytes();
+        let mut b = WriteBuffer::from_bytes(&snap).unwrap();
+        assert_eq!(b.to_bytes(), snap, "round trip is lossless");
         // Admission back-pressure continues identically…
         assert_eq!(a.admit(t(5)), b.admit(t(5)));
         // …and so do residency answers and occupancy.

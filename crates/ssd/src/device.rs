@@ -1,12 +1,12 @@
 //! The assembled SSD device.
 
-use crate::{Prefetcher, PrefetcherSnapshot, SsdConfig, WriteBuffer, WriteBufferSnapshot};
+use crate::{Prefetcher, SsdConfig, WriteBuffer};
 use uc_blockdev::{
     BlockDevice, CheckpointDevice, CheckpointError, Completion, DeviceCheckpoint, DeviceInfo,
     IoBatch, IoError, IoKind, IoRequest, IoResult,
 };
-use uc_ftl::{Ftl, FtlCheckpoint, FtlStats};
-use uc_sim::{Resource, RngSnapshot, SimRng, SimTime};
+use uc_ftl::{Ftl, FtlStats};
+use uc_sim::{Resource, SimRng, SimTime};
 
 /// Activity counters of an [`Ssd`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,46 +50,17 @@ pub struct SsdStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ssd {
-    config: SsdConfig,
-    info: DeviceInfo,
-    ftl: Ftl,
-    firmware: Resource,
-    read_lane: Resource,
-    write_lane: Resource,
-    buffer: WriteBuffer,
-    prefetcher: Prefetcher,
-    rng: SimRng,
-    stats: SsdStats,
-}
-
-/// The complete serializable state of an [`Ssd`]: the configuration plus
-/// one snapshot per stateful layer (FTL and flash timelines, firmware and
-/// DMA-lane resources, write buffer, prefetcher, jitter RNG, counters).
-///
-/// Captured by [`Ssd::snapshot`] (or type-erased through
-/// [`CheckpointDevice::checkpoint`]); [`Ssd::restore`] rebuilds a device
-/// that serves any subsequent request sequence with completion instants
-/// identical to the original's.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SsdCheckpoint {
-    /// The configuration the device was built with.
-    pub config: SsdConfig,
-    /// FTL state (mapping, free blocks, GC cursor, wear, flash timelines).
-    pub ftl: FtlCheckpoint,
-    /// Instant the firmware pipeline becomes idle.
-    pub firmware: SimTime,
-    /// Instant the host-DMA read lane becomes idle.
-    pub read_lane: SimTime,
-    /// Instant the host-DMA write lane becomes idle.
-    pub write_lane: SimTime,
-    /// DRAM write-buffer state.
-    pub buffer: WriteBufferSnapshot,
-    /// Readahead prefetcher state.
-    pub prefetcher: PrefetcherSnapshot,
-    /// Firmware jitter RNG state.
-    pub rng: RngSnapshot,
-    /// Device activity counters.
-    pub stats: SsdStats,
+    pub(crate) config: SsdConfig,
+    /// Derived from the configuration's name and the FTL's capacity.
+    pub(crate) info: DeviceInfo,
+    pub(crate) ftl: Ftl,
+    pub(crate) firmware: Resource,
+    pub(crate) read_lane: Resource,
+    pub(crate) write_lane: Resource,
+    pub(crate) buffer: WriteBuffer,
+    pub(crate) prefetcher: Prefetcher,
+    pub(crate) rng: SimRng,
+    pub(crate) stats: SsdStats,
 }
 
 impl Ssd {
@@ -138,42 +109,6 @@ impl Ssd {
     /// Immutable access to the FTL (wear, mapping state) for analysis.
     pub fn ftl(&self) -> &Ftl {
         &self.ftl
-    }
-
-    /// Captures the device's complete state as a typed checkpoint.
-    pub fn snapshot(&self) -> SsdCheckpoint {
-        SsdCheckpoint {
-            config: self.config.clone(),
-            ftl: self.ftl.checkpoint(),
-            firmware: self.firmware.snapshot(),
-            read_lane: self.read_lane.snapshot(),
-            write_lane: self.write_lane.snapshot(),
-            buffer: self.buffer.snapshot(),
-            prefetcher: self.prefetcher.snapshot(),
-            rng: self.rng.snapshot(),
-            stats: self.stats,
-        }
-    }
-
-    /// Rebuilds a device that continues exactly where `checkpoint` was
-    /// taken.
-    pub fn restore(checkpoint: SsdCheckpoint) -> Self {
-        let ftl = Ftl::restore(checkpoint.ftl);
-        let page = ftl.page_size() as u64;
-        let capacity = ftl.logical_pages() * page;
-        let info = DeviceInfo::new(checkpoint.config.name.clone(), capacity, ftl.page_size());
-        Ssd {
-            buffer: WriteBuffer::restore(checkpoint.buffer),
-            prefetcher: Prefetcher::restore(checkpoint.prefetcher),
-            ftl,
-            info,
-            firmware: Resource::restore(checkpoint.firmware),
-            read_lane: Resource::restore(checkpoint.read_lane),
-            write_lane: Resource::restore(checkpoint.write_lane),
-            rng: SimRng::restore(checkpoint.rng),
-            stats: checkpoint.stats,
-            config: checkpoint.config,
-        }
     }
 
     fn fw_acquire(&mut self, now: SimTime) -> SimTime {
@@ -323,17 +258,14 @@ impl BlockDevice for Ssd {
 
 impl CheckpointDevice for Ssd {
     fn checkpoint(&self) -> DeviceCheckpoint {
-        // `SsdCheckpoint` is a `PersistPayload`, so every checkpoint taken
-        // through this seam has a durable on-disk form (`save_to`).
-        DeviceCheckpoint::persistent(self.info.name(), self.snapshot())
+        // `Ssd` is a `PersistPayload`, so every checkpoint taken through
+        // this seam has a durable on-disk form (`save_to`).
+        DeviceCheckpoint::persistent(self.info.name(), self.clone())
     }
 
     fn restore_from(&mut self, checkpoint: DeviceCheckpoint) -> Result<(), CheckpointError> {
         checkpoint.expect_device(self.info.name())?;
-        let state = checkpoint.into_state::<SsdCheckpoint>()?;
-        #[cfg(feature = "strict-invariants")]
-        let expected = state.clone();
-        let restored = Ssd::restore(state);
+        let restored = checkpoint.into_state::<Ssd>()?;
         // Same name is not enough: a checkpoint from a differently-scaled
         // device must not silently shrink or grow this one.
         if restored.info != self.info {
@@ -342,19 +274,6 @@ impl CheckpointDevice for Ssd {
                 found: format!("{} ({} B)", restored.info.name(), restored.info.capacity()),
             });
         }
-        // Contract hook (deep): thaw(freeze(d)) is observationally exact —
-        // re-freezing the thawed device reproduces the checkpoint verbatim.
-        #[cfg(feature = "strict-invariants")]
-        uc_invariant::deep_enforce(|| {
-            if restored.snapshot() != expected {
-                return Err(uc_invariant::Violation::new(
-                    "uc-ssd/Ssd",
-                    "thaw-freeze-exact",
-                    "re-freezing the restored device does not reproduce its checkpoint",
-                ));
-            }
-            Ok(())
-        });
         *self = restored;
         Ok(())
     }
@@ -369,7 +288,9 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::resident_view;
     use uc_blockdev::IoBatch;
+    use uc_persist::{Encoder, Persist};
     use uc_sim::SimDuration;
 
     fn ssd() -> Ssd {
@@ -533,7 +454,7 @@ mod tests {
         let cp = CheckpointDevice::checkpoint(&a);
         let mut b = ssd();
         b.restore_from(cp).unwrap();
-        assert_eq!(b.snapshot(), a.snapshot(), "restore is lossless");
+        assert_eq!(b.to_bytes(), a.to_bytes(), "restore is lossless");
         let mut now_b = now;
         let mut state_b = state;
         for _ in 0..64 {
@@ -575,13 +496,13 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let off = (state >> 33) % 4096 * 65536;
             now = dev.submit(&IoRequest::write(off, 65536, now)).unwrap();
-            let snap = dev.buffer.snapshot();
+            let pending = &dev.buffer.pending;
             assert!(
-                snap.pending.len() <= capacity + pages,
+                pending.len() <= capacity + pages,
                 "{} pages tracked, capacity {capacity} + {pages} in flight",
-                snap.pending.len()
+                pending.len()
             );
-            assert!(snap.resident.len() <= snap.pending.len());
+            assert!(dev.buffer.resident.len() <= pending.len());
         }
     }
 
@@ -598,20 +519,19 @@ mod tests {
             req.kind = IoKind::Write;
             now = a.submit(&req).unwrap();
             let seen = records.last().map_or(0, |&(_, _, seq)| seq + 1);
-            records.extend(a.buffer.snapshot().pending.iter().filter(|r| r.2 >= seen));
+            records.extend(a.buffer.pending.iter().filter(|r| r.2 >= seen));
         }
-        let pruned = a.snapshot();
-        let mut unpruned = pruned.clone();
-        let mut newest = std::collections::BTreeMap::new();
-        for &(drain, lpn, seq) in &records {
-            newest.insert(lpn, (seq, drain));
-        }
-        unpruned.buffer.resident = newest.into_iter().map(|(l, (s, d))| (l, s, d)).collect();
-        unpruned.buffer.pending = records;
-        assert!(unpruned.buffer.pending.len() > pruned.buffer.pending.len());
+        // The same buffer holding every record, encoded field by field.
+        let buffer = &a.buffer;
+        assert!(records.len() > buffer.pending.len());
+        let mut w = Encoder::new();
+        (buffer.capacity, buffer.ring.clone(), buffer.admitted).encode(&mut w);
+        (resident_view(&records), records).encode(&mut w);
+        let unpruned = WriteBuffer::from_bytes(w.as_bytes()).expect("a well-formed buffer");
 
-        let mut b = Ssd::restore(pruned);
-        let mut c = Ssd::restore(unpruned);
+        let mut b = Ssd::from_bytes(&a.to_bytes()).unwrap();
+        let mut c = b.clone();
+        c.buffer = unpruned;
         let mut now_c = now;
         let mut state_c = state;
         for _ in 0..400 {

@@ -37,7 +37,7 @@ mod device;
 mod persist;
 mod prefetch;
 
-pub use buffer::{WriteBuffer, WriteBufferSnapshot};
+pub use buffer::WriteBuffer;
 pub use config::SsdConfig;
-pub use device::{Ssd, SsdCheckpoint, SsdStats};
-pub use prefetch::{Prefetcher, PrefetcherSnapshot};
+pub use device::{Ssd, SsdStats};
+pub use prefetch::Prefetcher;

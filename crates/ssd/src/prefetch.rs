@@ -33,33 +33,18 @@ use uc_sim::SimTime;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Prefetcher {
-    trigger: u32,
-    window: u32,
-    last_end: u64,
-    streak: u32,
-    issued_up_to: u64,
-    ready: HashMap<u64, SimTime>,
-}
-
-/// The complete serializable state of a [`Prefetcher`].
-///
-/// The readiness map (a hash map inside the live prefetcher) is stored
-/// sorted by logical page — the canonical form — so two snapshots of
-/// behaviourally identical prefetchers compare equal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PrefetcherSnapshot {
     /// Sequential streak length that arms the prefetcher.
-    pub trigger: u32,
+    pub(crate) trigger: u32,
     /// Pages read ahead once armed (0 disables prefetching).
-    pub window: u32,
+    pub(crate) window: u32,
     /// End of the last observed host read (`u64::MAX` before the first).
-    pub last_end: u64,
+    pub(crate) last_end: u64,
     /// Current sequential streak length.
-    pub streak: u32,
+    pub(crate) streak: u32,
     /// Highest page readahead has been issued up to.
-    pub issued_up_to: u64,
-    /// Outstanding readahead as `(lpn, ready instant)`, sorted by page.
-    pub ready: Vec<(u64, SimTime)>,
+    pub(crate) issued_up_to: u64,
+    /// Outstanding readahead: logical page -> ready instant.
+    pub(crate) ready: HashMap<u64, SimTime>,
 }
 
 impl Prefetcher {
@@ -112,39 +97,12 @@ impl Prefetcher {
     pub fn take(&mut self, lpn: u64) -> Option<SimTime> {
         self.ready.remove(&lpn)
     }
-
-    /// Captures the prefetcher's complete state.
-    pub fn snapshot(&self) -> PrefetcherSnapshot {
-        let mut ready: Vec<(u64, SimTime)> =
-            self.ready.iter().map(|(&lpn, &at)| (lpn, at)).collect();
-        ready.sort_unstable_by_key(|&(lpn, _)| lpn);
-        PrefetcherSnapshot {
-            trigger: self.trigger,
-            window: self.window,
-            last_end: self.last_end,
-            streak: self.streak,
-            issued_up_to: self.issued_up_to,
-            ready,
-        }
-    }
-
-    /// Rebuilds a prefetcher that continues exactly where `snapshot` was
-    /// taken.
-    pub fn restore(snapshot: PrefetcherSnapshot) -> Self {
-        Prefetcher {
-            trigger: snapshot.trigger.max(1),
-            window: snapshot.window,
-            last_end: snapshot.last_end,
-            streak: snapshot.streak,
-            issued_up_to: snapshot.issued_up_to,
-            ready: snapshot.ready.into_iter().collect(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uc_persist::Persist;
 
     #[test]
     fn random_reads_never_arm() {
@@ -205,13 +163,13 @@ mod tests {
         a.insert(8, SimTime::ZERO);
         a.insert(9, SimTime::ZERO);
         a.take(8);
-        let snap = a.snapshot();
-        let mut b = Prefetcher::restore(snap.clone());
-        assert_eq!(b.snapshot(), snap, "round trip is lossless");
+        let snap = a.to_bytes();
+        let mut b = Prefetcher::from_bytes(&snap).unwrap();
+        assert_eq!(b.to_bytes(), snap, "round trip is lossless");
         // The armed stream keeps extending identically…
         assert_eq!(a.observe(8, 4), b.observe(8, 4));
         // …and pending readahead survives.
         assert_eq!(a.take(9), b.take(9));
-        assert_eq!(a.snapshot(), b.snapshot());
+        assert_eq!(a.to_bytes(), b.to_bytes());
     }
 }

@@ -74,14 +74,13 @@ fn payload_len(count: u64) -> Option<u64> {
         .and_then(|n| n.checked_add(8))
 }
 
-/// A trace's `uc.trace.v1` payload: the entry count, then each entry.
-fn encode_payload(trace: &Trace) -> Encoder {
-    let mut payload = Encoder::new();
-    payload.put_u64(trace.len() as u64);
+/// Writes a trace's `uc.trace.v1` payload: the entry count, then each
+/// entry.
+fn encode_payload(trace: &Trace, w: &mut Encoder) {
+    w.put_u64(trace.len() as u64);
     for entry in trace.entries() {
-        entry.encode(&mut payload);
+        entry.encode(w);
     }
-    payload
 }
 
 /// Decodes a `uc.trace.v1` payload, validating every entry.
@@ -119,7 +118,9 @@ fn decode_payload(payload: &[u8]) -> Result<Trace, TraceFileError> {
 ///
 /// Byte-identical to what [`save_trace`] writes to disk.
 pub fn encode_trace(trace: &Trace) -> Vec<u8> {
-    uc_persist::encode_record(TRACE_RECORD_KIND, encode_payload(trace).as_bytes())
+    let mut record = Vec::new();
+    uc_persist::encode_record_into(&mut record, TRACE_RECORD_KIND, |w| encode_payload(trace, w));
+    record
 }
 
 /// Decodes a complete `uc.trace.v1` record from memory, validating every
@@ -149,7 +150,10 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Trace, TraceFileError> {
 ///
 /// Propagates the underlying filesystem errors.
 pub fn save_trace(path: &Path, trace: &Trace) -> io::Result<()> {
-    uc_persist::write_record_file(path, TRACE_RECORD_KIND, encode_payload(trace).as_bytes())
+    uc_persist::write_record_file(path, TRACE_RECORD_KIND, |w| {
+        encode_payload(trace, w);
+        Ok(())
+    })
 }
 
 /// Reads a `uc.trace.v1` record file back into a [`Trace`].

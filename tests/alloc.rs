@@ -16,8 +16,8 @@
 //! which bounds what a hostile wire frame can make the decoder reserve,
 //! and shows that the checkpoint seam copies the FTL page maps once per
 //! cut at their in-memory width. It counts each thread's allocations
-//! above a size too, which shows that a record file is read into one
-//! buffer.
+//! above a size too, which shows that a record file is written from, and
+//! read into, one buffer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -279,11 +279,6 @@ fn hostile_frame_counts_do_not_reserve_memory() {
 /// The checkpoint seam copies each FTL page map once per cut, at its
 /// in-memory 4 bytes per entry, and a restore moves the maps into the
 /// device without allocating anything map-sized.
-///
-/// Builds with the deep invariant hooks (`strict-invariants`) re-freeze
-/// the restored device to prove `thaw(freeze(d))` exact, and that check
-/// copies each map once more: there the restore is held to the
-/// checkpoint's own bound instead.
 #[test]
 fn checkpoint_seam_copies_page_maps_once() {
     let config = SsdConfig::samsung_970_pro(1 << 30);
@@ -302,17 +297,36 @@ fn checkpoint_seam_copies_page_maps_once() {
     // As at a segment cut: restore into a freshly built device.
     let mut fresh = Ssd::new(config);
     let largest = largest_alloc_in(|| fresh.restore_from(checkpoint).expect("same device"));
-    if unwritten_contract::invariant::deep_enabled() {
-        assert!(
-            largest <= 4 * physical_pages,
-            "restore_from allocated {largest} bytes at once for {physical_pages} physical pages"
-        );
-    } else {
-        assert!(
-            largest < 4096,
-            "restore_from allocated {largest} bytes at once"
-        );
-    }
+    assert!(
+        largest < 4096,
+        "restore_from allocated {largest} bytes at once"
+    );
+}
+
+/// A record file is written from one buffer: the device checkpoint's
+/// payload is encoded in place behind the envelope head, never staged in
+/// a buffer of its own and copied.
+#[test]
+fn record_files_are_written_from_one_buffer() {
+    let mut dev = Ssd::new(SsdConfig::samsung_970_pro(1 << 30));
+    let spec = JobSpec::new(AccessPattern::RandWrite, 4096, 16).with_io_limit(2_000);
+    run_job(&mut dev, &spec).expect("in-range job");
+    let dir = std::env::temp_dir().join(format!("uc-alloc-write-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("ssd.ckpt");
+    let checkpoint = CheckpointDevice::checkpoint(&dev);
+    checkpoint.save_to(&path).expect("save");
+    let file_len = std::fs::metadata(&path).expect("saved").len() as usize;
+    assert!(file_len >= 1 << 20, "a {file_len}-byte record is too small");
+
+    // The growing buffer passes half the file's size at most twice.
+    let big = allocs_of_at_least(file_len / 2, || checkpoint.save_to(&path).expect("save"));
+    assert!(
+        big <= 2,
+        "writing a {file_len}-byte record file made {big} allocations of {} bytes or more",
+        file_len / 2
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A record file is read into one buffer: the envelope is checked and

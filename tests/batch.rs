@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use unwritten_contract::blockdev::IoResult;
 use unwritten_contract::core::experiments::{fig2, fig5, Executor, Fig2Config, Fig5Config};
 use unwritten_contract::core::report::{render_fig2_grid, render_fig5};
+use unwritten_contract::persist::Persist;
 use unwritten_contract::prelude::*;
 
 /// Builds the request sequence an op list encodes: 4 KiB-aligned,
@@ -113,7 +114,7 @@ fn failed_doorbell_restores_the_queue_on_ssd_and_essd() {
     assert_failed_doorbell_keeps_queue(
         Ssd::new(SsdConfig::samsung_970_pro(capacity)),
         Ssd::new(SsdConfig::samsung_970_pro(capacity)),
-        Ssd::snapshot,
+        Ssd::to_bytes,
     );
     for config in [
         EssdConfig::aws_io2(capacity),
@@ -122,7 +123,7 @@ fn failed_doorbell_restores_the_queue_on_ssd_and_essd() {
         assert_failed_doorbell_keeps_queue(
             Essd::new(config.clone()),
             Essd::new(config),
-            Essd::snapshot,
+            Essd::to_bytes,
         );
     }
 }

@@ -1,28 +1,19 @@
 //! Time-ordered event calendar.
+//!
+//! The timeline models in `uc-sim` answer "when does this request
+//! finish?" without scheduling events. An event-driven reference
+//! simulator, which checks that claim against an explicit schedule, pops
+//! its events off this calendar; until it exists, only the tests here
+//! and the property test in `tests/proptests.rs` use it.
 
-use crate::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use unwritten_contract::sim::SimTime;
 
 /// A min-heap of `(SimTime, T)` events with FIFO tie-breaking.
 ///
 /// Events scheduled for the same instant pop in insertion order, which keeps
 /// simulations deterministic regardless of heap internals.
-///
-/// # Example
-///
-/// ```
-/// use uc_sim::{EventQueue, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.push(SimTime::from_nanos(20), "late");
-/// q.push(SimTime::from_nanos(10), "early");
-/// q.push(SimTime::from_nanos(10), "early-second");
-/// assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "early")));
-/// assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "early-second")));
-/// assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "late")));
-/// assert_eq!(q.pop(), None);
-/// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
     heap: BinaryHeap<Entry<T>>,
@@ -126,6 +117,18 @@ impl<T> FromIterator<(SimTime, T)> for EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pops_in_time_order_with_fifo_ties() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(20), "late");
+        q.push(SimTime::from_nanos(10), "early");
+        q.push(SimTime::from_nanos(10), "early-second");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "early")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "early-second")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "late")));
+        assert_eq!(q.pop(), None);
+    }
 
     #[test]
     fn pops_in_time_order() {

@@ -20,6 +20,7 @@ use proptest::test_runner::Config as RunnerConfig;
 use unwritten_contract::essd::{Essd, EssdConfig};
 use unwritten_contract::flash::{FlashGeometry, FlashTiming};
 use unwritten_contract::ftl::{Ftl, FtlConfig, GcPolicy, MapFault};
+use unwritten_contract::persist::Persist;
 use unwritten_contract::prelude::*;
 use unwritten_contract::sim::{ParallelResource, TokenBucket};
 use unwritten_contract::ssd::{Ssd, SsdConfig};
@@ -81,7 +82,7 @@ proptest! {
         for &(sel, slot) in &ops[..cut] {
             now = apply_ftl_op(&mut ftl, now, sel, slot);
         }
-        let mut resumed = Ftl::restore(ftl.checkpoint());
+        let mut resumed = Ftl::from_bytes(&ftl.to_bytes()).expect("decodes");
         for &(sel, slot) in &ops[cut..] {
             now = apply_ftl_op(&mut resumed, now, sel, slot);
             if let Err(v) = resumed.check() {
@@ -114,8 +115,9 @@ proptest! {
                 5 => bucket.set_rate(now, (amount + 1) as f64),
                 6 => bucket.reset(now),
                 _ => {
-                    let thawed = TokenBucket::restore(bucket.snapshot());
-                    prop_assert_eq!(thawed.snapshot(), bucket.snapshot());
+                    let frozen = bucket.to_bytes();
+                    let thawed = TokenBucket::from_bytes(&frozen).expect("decodes");
+                    prop_assert_eq!(thawed.to_bytes(), frozen);
                     bucket = thawed;
                 }
             }
@@ -138,8 +140,9 @@ proptest! {
         let mut now = SimTime::ZERO;
         for (i, &(advance_ns, service_ns)) in ops.iter().enumerate() {
             if i == cut {
-                let thawed = ParallelResource::restore(station.snapshot());
-                prop_assert_eq!(thawed.snapshot(), station.snapshot());
+                let frozen = station.to_bytes();
+                let thawed = ParallelResource::from_bytes(&frozen).expect("decodes");
+                prop_assert_eq!(thawed.to_bytes(), frozen);
                 station = thawed;
             }
             now += SimDuration::from_nanos(advance_ns);
@@ -180,12 +183,11 @@ fn drive<D: BlockDevice>(dev: &mut D, ops: &[(u8, u64)], start: SimTime) -> Vec<
 
 /// The shared freeze/thaw property: the frozen checkpoint passes its
 /// durability audit, and thawing it onto a fresh device is observationally
-/// exact (same snapshot, same future completions).
-fn freeze_thaw_is_exact<D, F, S>(build: F, snapshot: S, ops: &[(u8, u64)], cut: usize)
+/// exact (same encoded state, same future completions).
+fn freeze_thaw_is_exact<D, F>(build: F, ops: &[(u8, u64)], cut: usize)
 where
-    D: BlockDevice + CheckpointDevice,
+    D: BlockDevice + CheckpointDevice + Persist,
     F: Fn() -> D,
-    S: Fn(&D) -> String,
 {
     let cut = cut.min(ops.len());
     let mut original = build();
@@ -198,9 +200,8 @@ where
     thawed
         .restore_from(frozen)
         .expect("same-device restore succeeds");
-    assert_eq!(
-        snapshot(&original),
-        snapshot(&thawed),
+    assert!(
+        original.to_bytes() == thawed.to_bytes(),
         "thaw(freeze(d)) must be observationally exact"
     );
     // The suffix behaves identically on both, resuming at the cut clock.
@@ -220,7 +221,6 @@ proptest! {
     ) {
         freeze_thaw_is_exact(
             || Ssd::new(SsdConfig::samsung_970_pro(128 << 20)),
-            |d: &Ssd| format!("{:?}", d.snapshot()),
             &ops,
             cut,
         );
@@ -233,7 +233,6 @@ proptest! {
     ) {
         freeze_thaw_is_exact(
             || Essd::new(EssdConfig::alibaba_pl3(128 << 20)),
-            |d: &Essd| format!("{:?}", d.snapshot()),
             &ops,
             cut,
         );

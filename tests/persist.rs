@@ -18,10 +18,9 @@ use unwritten_contract::core::experiments::{
     Chain, DurableRecord, Fig3Checkpoint, SlicedChain, SlicedCheckpoint, Slicing,
     TraceRunCheckpoint,
 };
-use unwritten_contract::essd::{Essd, EssdCheckpoint, EssdConfig};
+use unwritten_contract::essd::{Essd, EssdConfig};
 use unwritten_contract::persist::{DecodeError, Decoder, Encoder, Persist};
 use unwritten_contract::prelude::*;
-use unwritten_contract::ssd::SsdCheckpoint;
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -864,7 +863,11 @@ fn corruption_table_over_every_wire_frame_kind() {
 fn unknown_record_kinds_are_typed() {
     let dir = temp_dir("unknown-kind");
     let path = dir.join("mystery.ckpt");
-    unwritten_contract::persist::write_record_file(&path, "uc.mystery.v9", b"???").unwrap();
+    unwritten_contract::persist::write_record_file(&path, "uc.mystery.v9", |w| {
+        w.put_raw(b"???");
+        std::io::Result::Ok(())
+    })
+    .unwrap();
     assert!(matches!(
         DeviceCheckpoint::load_from(&path, &payload_codecs()),
         Err(DecodeError::UnknownKind { .. })
@@ -915,7 +918,11 @@ fn retag_payload(path: &std::path::Path, from: &str, to: &str) {
         .collect();
     assert_eq!(at.len(), 1, "{from} occurs once in {kind}");
     payload[at[0]..at[0] + to.len()].copy_from_slice(to.as_bytes());
-    write_record_file(path, kind, &payload).unwrap();
+    write_record_file(path, kind, |w| {
+        w.put_raw(&payload);
+        std::io::Result::Ok(())
+    })
+    .unwrap();
 }
 
 /// A file from before the v2 device checkpoint format fails typed at its
@@ -975,9 +982,9 @@ fn loaded_device_checkpoint_restores_exactly() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // `decode(encode(x)) == x` on raw SSD checkpoints, across random
-    // traffic mixes (exercises buffer occupancy, prefetch state, FTL
-    // mappings and RNG positions).
+    // `encode(decode(encode(x))) == encode(x)` on raw SSD checkpoints,
+    // across random traffic mixes (exercises buffer occupancy, prefetch
+    // state, FTL mappings and RNG positions).
     #[test]
     fn ssd_checkpoint_encode_decode_round_trips(
         seed in 0u64..1_000_000,
@@ -996,19 +1003,14 @@ proptest! {
             };
             now = ssd.submit(&req).unwrap();
         }
-        let checkpoint = ssd.snapshot();
-        let mut w = Encoder::new();
-        checkpoint.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Decoder::new(&bytes);
-        let back = SsdCheckpoint::decode(&mut r).unwrap();
-        r.finish().unwrap();
-        prop_assert_eq!(back, checkpoint);
+        let bytes = ssd.to_bytes();
+        let back = Ssd::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(back.to_bytes(), bytes);
     }
 
-    // `decode(encode(x)) == x` on raw ESSD checkpoints, across random
-    // traffic (exercises cluster lanes, token-bucket levels and the
-    // jitter RNG mid-stream).
+    // `encode(decode(encode(x))) == encode(x)` on raw ESSD checkpoints,
+    // across random traffic (exercises cluster lanes, token-bucket levels
+    // and the jitter RNG mid-stream).
     #[test]
     fn essd_checkpoint_encode_decode_round_trips(
         seed in 0u64..1_000_000,
@@ -1027,14 +1029,9 @@ proptest! {
             };
             now = essd.submit(&req).unwrap();
         }
-        let checkpoint = essd.snapshot();
-        let mut w = Encoder::new();
-        checkpoint.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Decoder::new(&bytes);
-        let back = EssdCheckpoint::decode(&mut r).unwrap();
-        r.finish().unwrap();
-        prop_assert_eq!(back, checkpoint);
+        let bytes = essd.to_bytes();
+        let back = Essd::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(back.to_bytes(), bytes);
     }
 
     // Byte-level fuzz of the record envelope: random garbage never

@@ -1,12 +1,15 @@
 //! Property-based tests over the core data structures and invariants.
 
+mod calendar;
+
+use calendar::EventQueue;
 use proptest::prelude::*;
 use unwritten_contract::cluster::ChunkMap;
 use unwritten_contract::flash::{FlashGeometry, FlashTiming};
 use unwritten_contract::ftl::{Ftl, FtlConfig, GcPolicy};
 use unwritten_contract::metrics::LatencyHistogram;
 use unwritten_contract::prelude::*;
-use unwritten_contract::sim::{EventQueue, TokenBucket};
+use unwritten_contract::sim::TokenBucket;
 
 /// Drives one op sequence against a fresh FTL and checks the mapping
 /// invariants after every operation. Shared by the fast default proptest
