@@ -49,6 +49,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cos;
 mod dist;
 mod executor;
 mod persist;

@@ -107,7 +107,16 @@ persist_enum! {
         0 = Constant(v), 1 = Uniform { low, high }, 2 = Normal { mean, std_dev },
         3 = LogNormal { median, sigma }, 4 = BoundedPareto { scale, shape, cap },
         5 = Mixture { base, tail, tail_prob }
-    }
+    },
+    check = check_dist
+}
+
+/// A uniform range must not be empty: `sample` draws from `[low, high]`.
+fn check_dist(d: &LatencyDist) -> Result<(), DecodeError> {
+    ensure(
+        !matches!(d, LatencyDist::Uniform { low, high } if low > high),
+        "LatencyDist.Uniform",
+    )
 }
 
 /// `value` encoded and decoded back, as a resumed run gets it.
@@ -236,6 +245,41 @@ mod tests {
             LatencyDist::decode(&mut Decoder::new(&[5; 1 << 20])),
             Err(DecodeError::InvalidValue {
                 what: "nesting depth"
+            })
+        );
+    }
+
+    #[test]
+    fn crafted_uniform_ranges_fail_typed_or_sample() {
+        let uniform = |low: u64, high: u64| {
+            let mut w = Encoder::new();
+            w.put_u8(1);
+            w.put_u64(low);
+            w.put_u64(high);
+            w.into_bytes()
+        };
+        // An inverted range would panic in the first `sample`.
+        assert_eq!(
+            LatencyDist::from_bytes(&uniform(9, 3)),
+            Err(DecodeError::InvalidValue {
+                what: "LatencyDist.Uniform"
+            })
+        );
+        // A range ending at the last nanosecond decodes: `sample`
+        // saturates its exclusive end instead of overflowing.
+        let open_ended = LatencyDist::from_bytes(&uniform(3, u64::MAX)).expect("decodes");
+        let mut rng = SimRng::new(1);
+        assert!(open_ended.sample(&mut rng) >= SimDuration::from_nanos(3));
+        // An inverted range nested in a mixture fails the same way.
+        let mut w = Encoder::new();
+        w.put_u8(5);
+        w.put_raw(&uniform(9, 3));
+        w.put_raw(&uniform(3, u64::MAX));
+        w.put_f64(0.5);
+        assert_eq!(
+            LatencyDist::from_bytes(&w.into_bytes()),
+            Err(DecodeError::InvalidValue {
+                what: "LatencyDist.Uniform"
             })
         );
     }

@@ -142,25 +142,17 @@ impl SimRng {
         }
     }
 
-    /// A standard-normal sample (Box–Muller transform).
-    pub fn standard_normal(&mut self) -> f64 {
-        // Box–Muller: u1 in (0,1], u2 in [0,1).
+    /// One Box–Muller draw as its radius and angle, `(s, x)`.
+    ///
+    /// `s = sqrt(-2 ln u1)` with `u1 ∈ (0, 1]` and `x = TAU·u2` with
+    /// `u2 ∈ [0, 1)`, so `s·cos x` is a standard-normal sample. Both
+    /// uniforms have 53 bits, so `u1 ≥ 2⁻⁵³` and `s ≤ 8.5723`.
+    /// [`LatencyDist`](crate::LatencyDist) takes the cosine itself (see
+    /// its `sample`).
+    pub fn box_muller(&mut self) -> (f64, f64) {
         let u1: f64 = 1.0 - self.next_f64();
         let u2: f64 = self.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    /// A normal sample with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.standard_normal()
-    }
-
-    /// A log-normal sample with the given median and shape `sigma`.
-    ///
-    /// The underlying normal has mean `ln(median)` and standard deviation
-    /// `sigma`, so half the samples fall below `median`.
-    pub fn lognormal(&mut self, median: f64, sigma: f64) -> f64 {
-        (median.ln() + sigma * self.standard_normal()).exp()
+        ((-2.0 * u1.ln()).sqrt(), std::f64::consts::TAU * u2)
     }
 
     /// A bounded Pareto sample in `[scale, cap]` with tail index `shape`.
@@ -265,26 +257,6 @@ mod tests {
                 "bucket {i}: {c}"
             );
         }
-    }
-
-    #[test]
-    fn normal_moments_are_plausible() {
-        let mut rng = SimRng::new(2);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.normal(100.0, 15.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 100.0).abs() < 1.0, "mean {mean}");
-        assert!((var.sqrt() - 15.0).abs() < 1.0, "std {}", var.sqrt());
-    }
-
-    #[test]
-    fn lognormal_median_is_plausible() {
-        let mut rng = SimRng::new(3);
-        let mut samples: Vec<f64> = (0..10_001).map(|_| rng.lognormal(50.0, 0.8)).collect();
-        samples.sort_by(f64::total_cmp);
-        let median = samples[5000];
-        assert!((median - 50.0).abs() < 5.0, "median {median}");
     }
 
     #[test]
