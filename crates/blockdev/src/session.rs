@@ -143,11 +143,6 @@ impl<D: BlockDevice> SharedDevice<D> {
         &self.inner
     }
 
-    /// The wrapped device, mutably (e.g. to take a checkpoint).
-    pub fn inner_mut(&mut self) -> &mut D {
-        &mut self.inner
-    }
-
     /// Unwraps the inner device, discarding the session table.
     pub fn into_inner(self) -> D {
         self.inner

@@ -6,9 +6,10 @@
 //! continuous history (FTL wear, buffer occupancy, token-bucket levels all
 //! carry forward). This module therefore slices the run into **resumable
 //! segments** at capacity-fraction milestones: [`Endurance`] is its
-//! [`Slicing`] of the shared [`sliced`](super::sliced) run, which freezes
-//! device and closed-loop driver ([`ClosedLoopJob`]) into a
-//! [`Fig3Checkpoint`] at each milestone. [`chains`] hands the segment
+//! [`Slicing`] of the shared [`sliced`](super::sliced) run, which pairs
+//! the device's checkpoint with the paused closed-loop driver
+//! ([`ClosedLoopJob`], its own checkpoint) in a [`Fig3Checkpoint`] at
+//! each milestone. [`chains`] hands the segment
 //! chains to the shared durable-run engine ([`durable`]), so segment `k`
 //! of one device runs concurrently with segment `k-1` of another.
 //!
@@ -25,7 +26,7 @@ use crate::experiments::Executor;
 use uc_blockdev::IoError;
 use uc_metrics::Series;
 use uc_sim::SimDuration;
-use uc_workload::{AccessPattern, ClosedLoopJob, DriverCheckpoint, JobSpec};
+use uc_workload::{AccessPattern, ClosedLoopJob, JobSpec};
 
 /// Workload parameters for the Figure 3 endurance run.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,7 +148,7 @@ fn effective_window(cfg: &Fig3Config, volume: u64) -> SimDuration {
 #[derive(Debug, Clone)]
 pub struct Endurance;
 
-/// A frozen endurance run between segments, persisted as
+/// A paused endurance run between segments, persisted as
 /// `fig3-<slug>.seg<k>.ckpt`.
 pub type Fig3Checkpoint = SlicedCheckpoint<Endurance>;
 
@@ -159,7 +160,6 @@ impl Slicing for Endurance {
     type Head = (u64, SimDuration);
     type Tail = ();
     type Job = ClosedLoopJob;
-    type Driver = DriverCheckpoint;
     type Error = IoError;
     type Output = Fig3Result;
 
@@ -182,18 +182,6 @@ impl Slicing for Endurance {
         _tail: &mut (),
     ) -> Result<(), IoError> {
         job.run_until(device, target).map(drop)
-    }
-
-    fn freeze(job: &ClosedLoopJob) -> DriverCheckpoint {
-        job.checkpoint()
-    }
-
-    fn thaw(
-        _chain: &SlicedChain<'_, Self>,
-        _head: &Self::Head,
-        driver: DriverCheckpoint,
-    ) -> ClosedLoopJob {
-        ClosedLoopJob::resume(driver)
     }
 
     fn finish(chain: &SlicedChain<'_, Self>, _tail: (), job: ClosedLoopJob) -> Fig3Result {
@@ -380,6 +368,22 @@ mod tests {
         assert!(chain(&other, DeviceKind::LocalSsd, &cfg, 2)
             .resume(frozen)
             .is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not belong to this fig3 plan")]
+    fn resume_under_another_plan_head_panics() {
+        let roster = roster();
+        let cfg = Fig3Config::quick();
+        let ssd = chain(&roster, DeviceKind::LocalSsd, &cfg, 2);
+        let frozen = ssd.checkpoint(&ssd.start().unwrap());
+        // The same device restores, but a smaller volume narrows the
+        // throughput window, so the plan head differs.
+        let other = Fig3Config {
+            capacity_multiple: 1.0,
+            ..cfg.clone()
+        };
+        let _ = chain(&roster, DeviceKind::LocalSsd, &other, 2).resume(frozen);
     }
 
     #[test]

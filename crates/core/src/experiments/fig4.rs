@@ -89,11 +89,6 @@ impl Fig4Result {
         }
         best
     }
-
-    /// The highest random-write throughput in the grid, in GB/s.
-    pub fn peak_rand_gbps(&self) -> f64 {
-        self.rand_gbps.iter().flatten().copied().fold(0.0, f64::max)
-    }
 }
 
 /// Runs the Figure 4 sweep on `kind` on the default (per-core) executor.

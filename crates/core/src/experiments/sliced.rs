@@ -2,13 +2,14 @@
 //! milestones into resumable steps, shared by fig3's endurance writes and
 //! the trace experiment's replays.
 //!
-//! A [`SlicedChain`] builds a fresh roster device, primes a driver on it,
-//! and advances the driver to one milestone per step (the last step runs
-//! it to the end). Between steps device, driver and a per-experiment
-//! tail freeze into a [`SlicedCheckpoint`], the chain's
-//! [`DurableRecord`]. What differs between experiments is a [`Slicing`]
-//! impl: the plan head, the driver, the tail, the record kind, the key
-//! prefix and how a finished run becomes the result.
+//! A [`SlicedChain`] builds a fresh roster device, primes a driver job on
+//! it, and advances the job to one milestone per step (the last step runs
+//! it to the end). Between steps device, job and a per-experiment tail
+//! form a [`SlicedCheckpoint`], the chain's [`DurableRecord`]: the job is
+//! its own checkpoint, cloned at a cut and persisted through its own
+//! codec. What differs between experiments is a [`Slicing`] impl: the
+//! plan head, the job, the tail, the record kind, the key prefix and how
+//! a finished run becomes the result.
 //!
 //! A run is done after exactly `milestones.len()` advances, however early
 //! its driver finishes (a milestone can already cover the whole run), so
@@ -38,10 +39,8 @@ pub trait Slicing: Debug + Clone + 'static {
     type Head: Persist + Clone + PartialEq + Debug + Send + Sync;
     /// What the run records step by step, persisted after `completed`.
     type Tail: Persist + Clone + Default + PartialEq + Debug + Send;
-    /// The live driver.
-    type Job: Send;
-    /// The paused driver, as persisted.
-    type Driver: Persist + Clone + Debug;
+    /// The driver job; a clone at a pause point is its checkpoint.
+    type Job: Persist + Clone + Debug + Send;
     /// What a step fails with.
     type Error: Send + Debug;
     /// The finished run's result.
@@ -68,14 +67,9 @@ pub trait Slicing: Debug + Clone + 'static {
         tail: &mut Self::Tail,
     ) -> Result<(), Self::Error>;
 
-    /// Freezes the driver at a pause point.
-    fn freeze(job: &Self::Job) -> Self::Driver;
-
-    /// Thaws a driver frozen under plan head `head`.
-    fn thaw(chain: &SlicedChain<'_, Self>, head: &Self::Head, driver: Self::Driver) -> Self::Job;
-
-    /// `true` if `driver` runs the configuration `chain` would start.
-    fn resumes(_chain: &SlicedChain<'_, Self>, _driver: &Self::Driver) -> bool {
+    /// `true` if the paused `job` runs the configuration `chain` would
+    /// start.
+    fn resumes(_chain: &SlicedChain<'_, Self>, _job: &Self::Job) -> bool {
         true
     }
 
@@ -143,7 +137,7 @@ impl<S: Slicing> SlicedRun<S> {
     }
 }
 
-/// A frozen sliced run: everything needed to continue it on any worker
+/// A paused sliced run: everything needed to continue it on any worker
 /// or, persisted as `<key>.seg<k>.ckpt`, in any process. The fields are
 /// the byte format, in order.
 #[derive(Debug, Clone)]
@@ -160,8 +154,8 @@ pub struct SlicedCheckpoint<S: Slicing> {
     pub tail: S::Tail,
     /// The device's complete hidden state.
     pub device: DeviceCheckpoint,
-    /// The paused driver.
-    pub driver: S::Driver,
+    /// The paused driver job.
+    pub driver: S::Job,
 }
 
 fn key<S: Slicing>(kind: DeviceKind) -> String {
@@ -192,7 +186,7 @@ impl<S: Slicing> DurableRecord for SlicedCheckpoint<S> {
             completed: usize::decode(r)?,
             tail: S::Tail::decode(r)?,
             device: DeviceCheckpoint::decode_from(r, &payload_codecs())?,
-            driver: S::Driver::decode(r)?,
+            driver: S::Job::decode(r)?,
         };
         ensure(
             !record.milestones.is_empty() && record.milestones.is_sorted(),
@@ -262,21 +256,33 @@ impl<S: Slicing> Chain for SlicedChain<'_, S> {
             completed: run.completed,
             tail: run.tail.clone(),
             device: run.device.checkpoint(),
-            driver: S::freeze(&run.job),
+            driver: run.job.clone(),
         }
     }
 
-    /// Restores the record onto a fresh roster device, then thaws the
-    /// driver. The plan is this chain's: the durable driver only resumes
+    /// Restores the record onto a fresh roster device and moves its job
+    /// in. The plan is this chain's: the durable driver only resumes
     /// records that [match](Chain::matches) it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record was taken under another plan head (another
+    /// trace, capacity or window) — continuing it here is never
+    /// meaningful.
     fn resume(&self, record: SlicedCheckpoint<S>) -> Result<SlicedRun<S>, CheckpointError> {
         let mut device = self.device();
         device.restore_from(record.device)?;
+        assert_eq!(
+            record.head,
+            self.head,
+            "checkpoint does not belong to this {} plan",
+            S::KEY_PREFIX
+        );
         Ok(SlicedRun {
             completed: record.completed,
             tail: record.tail,
             device,
-            job: S::thaw(self, &record.head, record.driver),
+            job: record.driver,
         })
     }
 
@@ -337,7 +343,7 @@ pub(crate) mod tests {
         run
     }
 
-    /// Thaws `record` and runs its remaining steps.
+    /// Resumes `record` and runs its remaining steps.
     fn complete<S: Slicing>(chain: &SlicedChain<'_, S>, record: SlicedCheckpoint<S>) -> S::Output {
         let mut run = chain.resume(record).unwrap();
         while run.completed() < chain.steps() {

@@ -36,7 +36,7 @@ use crate::experiments::sliced::{Device, SlicedChain, SlicedCheckpoint, Slicing}
 use crate::experiments::Executor;
 use uc_persist::{DecodeError, Decoder, Encoder, Persist};
 use uc_sim::{SimDuration, SimTime};
-use uc_workload::{JobReport, ReplayCheckpoint, ReplayConfig, ReplayError, Trace, TraceReplayJob};
+use uc_workload::{JobReport, ReplayConfig, ReplayError, Trace, TraceReplayJob};
 
 /// Parameters of a trace experiment run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -289,7 +289,7 @@ fn phase_nanos(trace: &Trace, cfg: &TraceRunConfig) -> u64 {
 #[derive(Debug, Clone)]
 pub struct Replay;
 
-/// A frozen trace replay between phases, persisted as
+/// A paused trace replay between phases, persisted as
 /// `trace-<slug>.seg<k>.ckpt`. The trace itself is not embedded; its
 /// identity is pinned by the fingerprint.
 pub type TraceRunCheckpoint = SlicedCheckpoint<Replay>;
@@ -302,7 +302,6 @@ impl Slicing for Replay {
     type Head = u32;
     type Tail = Vec<PhaseCut>;
     type Job = TraceReplayJob;
-    type Driver = ReplayCheckpoint;
     type Error = ReplayError;
     type Output = TraceRunResult;
 
@@ -328,29 +327,8 @@ impl Slicing for Replay {
         Ok(())
     }
 
-    fn freeze(job: &TraceReplayJob) -> ReplayCheckpoint {
-        job.checkpoint()
-    }
-
-    /// # Panics
-    ///
-    /// Panics if the chain's trace does not match the checkpoint's
-    /// fingerprint — continuing a replay against different entries is
-    /// never meaningful.
-    fn thaw(
-        chain: &SlicedChain<'_, Self>,
-        fingerprint: &u32,
-        driver: ReplayCheckpoint,
-    ) -> TraceReplayJob {
-        assert_eq!(
-            chain.head, *fingerprint,
-            "checkpoint does not belong to this trace"
-        );
-        TraceReplayJob::resume(driver)
-    }
-
-    fn resumes(chain: &SlicedChain<'_, Self>, driver: &ReplayCheckpoint) -> bool {
-        driver.config == chain.cx.1.replay
+    fn resumes(chain: &SlicedChain<'_, Self>, job: &TraceReplayJob) -> bool {
+        *job.config() == chain.cx.1.replay
     }
 
     fn tail_fits(cuts: &Vec<PhaseCut>, completed: usize) -> bool {
@@ -666,6 +644,30 @@ mod tests {
             &render(&plain),
             render,
         );
+    }
+
+    #[test]
+    fn open_loop_checkpoints_do_not_resume_a_closed_loop_run() {
+        // The same trace and phase count give both plans the same
+        // fingerprint and milestones: only the paused job's replay config
+        // (`Slicing::resumes`) tells the open-loop checkpoint apart.
+        let roster = roster();
+        let trace = bursty_trace();
+        let open = TraceRunConfig::open_loop(4);
+        let closed = open.with_replay(ReplayConfig::closed_loop(4));
+        let (stale, current) = (
+            chain(&roster, DeviceKind::LocalSsd, &trace, &open),
+            chain(&roster, DeviceKind::LocalSsd, &trace, &closed),
+        );
+        assert_eq!(stale.head, current.head);
+        assert_eq!(stale.milestones, current.milestones);
+        let plain = round_trip(&roster, DeviceKind::LocalSsd, &trace, &closed);
+        assert_ne!(
+            render(&plain),
+            render(&round_trip(&roster, DeviceKind::LocalSsd, &trace, &open)),
+            "the two modes must replay differently for the guard to show"
+        );
+        shared::stale_plan_is_skipped(&stale, &current, &render(&plain), render);
     }
 
     #[test]

@@ -436,7 +436,7 @@ impl FleetSim {
     }
 
     fn with_mode(config: FleetConfig, pool: Vec<FleetDevice>, fed: bool) -> Self {
-        let (placement, tenants, buckets) = Self::build(&config, &pool, None, fed);
+        let (placement, tenants, buckets) = Self::build(&config, &pool, fed);
         let mut obs = MetricsRegistry::new();
         let ids = FleetObsIds::register(&mut obs);
         FleetSim {
@@ -472,52 +472,41 @@ impl FleetSim {
     /// fleet definition is a caller bug; the durable store fingerprints
     /// configs to prevent it.
     pub fn resume(config: FleetConfig, pool: Vec<FleetDevice>, snapshot: &FleetSnapshot) -> Self {
-        let (_, mut tenants, _) = Self::build(&config, &pool, Some(&snapshot.placement), false);
-        assert_eq!(snapshot.cursors.len(), tenants.len(), "tenant count drift");
-        assert_eq!(snapshot.queue_heads.len(), pool.len(), "device count drift");
-        for (t, run) in tenants.iter_mut().enumerate() {
+        let mut sim = Self::with_mode(config, pool, false);
+        let placement = &snapshot.placement;
+        let (span, devices, tenants) = (sim.region_span(), sim.devices.len(), sim.tenants.len());
+        assert_eq!(placement.region_span(), span, "region span drift on resume");
+        assert_eq!(placement.device_count(), devices, "device count drift");
+        assert_eq!(placement.tenant_count(), tenants, "tenant count drift");
+        assert_eq!(snapshot.cursors.len(), tenants, "tenant count drift");
+        assert_eq!(snapshot.queue_heads.len(), devices, "device count drift");
+        for (t, run) in sim.tenants.iter_mut().enumerate() {
             run.cursor = snapshot.cursors[t] as usize;
             assert!(run.cursor <= run.entries.len(), "cursor past trace end");
             run.floor = snapshot.floors[t];
             run.written_high = snapshot.written_highs[t];
             run.metrics = snapshot.metrics[t].clone();
         }
-        let buckets = snapshot.buckets.clone();
-        let devices = pool
+        sim.devices = std::mem::take(&mut sim.devices)
             .into_iter()
             .zip(&snapshot.queue_heads)
-            .map(|(d, &head)| SharedDevice::with_queue_head(d, head))
+            .map(|(d, &head)| SharedDevice::with_queue_head(d.into_inner(), head))
             .collect();
-        let mut obs = MetricsRegistry::new();
-        let ids = FleetObsIds::register(&mut obs);
-        FleetSim {
-            devices,
-            config,
-            placement: snapshot.placement.clone(),
-            tenants,
-            buckets,
-            epoch: snapshot.epoch as usize,
-            epoch_stats: snapshot.epoch_stats.clone(),
-            migrations: snapshot.migrations.clone(),
-            violations: snapshot.violations.clone(),
-            finished_at: snapshot.finished_at,
-            fed: false,
-            obs,
-            flight: FlightRecorder::default(),
-            ids,
-            executor: Executor::from_env(),
-            #[cfg(feature = "fault-injection")]
-            drop_next_migrant: false,
-        }
+        sim.placement = placement.clone();
+        sim.buckets = snapshot.buckets.clone();
+        sim.epoch = snapshot.epoch as usize;
+        sim.epoch_stats = snapshot.epoch_stats.clone();
+        sim.migrations = snapshot.migrations.clone();
+        sim.violations = snapshot.violations.clone();
+        sim.finished_at = snapshot.finished_at;
+        sim
     }
 
-    /// Shared construction: geometry, tenant synthesis, placement,
-    /// budgets. When `resumed` placement is given, validates the
-    /// regenerated geometry against it instead of placing fresh.
+    /// Shared construction: geometry, tenant synthesis, contiguous
+    /// placement, budgets.
     fn build(
         config: &FleetConfig,
         pool: &[FleetDevice],
-        resumed: Option<&Placement>,
         fed: bool,
     ) -> (Placement, Vec<TenantRun>, BucketSet) {
         assert!(config.tenants > 0, "fleet needs tenants");
@@ -541,15 +530,7 @@ impl FleetSim {
             "devices too small: {region_span}-byte regions cannot hold one {}-byte i/o",
             config.io_size
         );
-        let placement = match resumed {
-            Some(p) => {
-                assert_eq!(p.region_span(), region_span, "region span drift on resume");
-                assert_eq!(p.device_count(), config.devices, "device count drift");
-                assert_eq!(p.tenant_count(), config.tenants, "tenant count drift");
-                p.clone()
-            }
-            None => Placement::contiguous(config.tenants, config.devices, slots, region_span),
-        };
+        let placement = Placement::contiguous(config.tenants, config.devices, slots, region_span);
         let mut tenants = Vec::with_capacity(config.tenants);
         let mut buckets = BucketSet::new();
         for id in 0..config.tenants {

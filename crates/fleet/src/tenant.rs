@@ -122,12 +122,6 @@ impl TenantSpec {
             rate_bytes_per_sec: 1.25 * mean_bytes_per_sec,
         }
     }
-
-    /// Whether this tenant drew the hot-rate multiplier (mean rate above
-    /// the cold band's ceiling).
-    pub fn is_hot(&self) -> bool {
-        self.trace.mean_iops() >= 1600.0
-    }
 }
 
 #[cfg(test)]

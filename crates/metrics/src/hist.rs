@@ -201,34 +201,16 @@ impl Default for LatencyHistogram {
     }
 }
 
-impl uc_persist::Persist for LatencyHistogram {
-    fn encode(&self, w: &mut uc_persist::Encoder) {
-        self.buckets.encode(w);
-        w.put_u64(self.count);
-        // `sum_ns` is a u128; split into high/low words for the wire.
-        w.put_u64((self.sum_ns >> 64) as u64);
-        w.put_u64(self.sum_ns as u64);
-        w.put_u64(self.min_ns);
-        w.put_u64(self.max_ns);
-    }
+uc_persist::persist_struct! {
+    LatencyHistogram { buckets, count, sum_ns, min_ns, max_ns },
+    check = check_histogram
+}
 
-    fn decode(r: &mut uc_persist::Decoder<'_>) -> Result<Self, uc_persist::DecodeError> {
-        let buckets = Vec::<u64>::decode(r)?;
-        uc_persist::ensure(
-            buckets.len() == SUB as usize * GROUPS,
-            "LatencyHistogram.buckets",
-        )?;
-        let count = r.get_u64()?;
-        let sum_hi = r.get_u64()?;
-        let sum_lo = r.get_u64()?;
-        Ok(LatencyHistogram {
-            buckets,
-            count,
-            sum_ns: ((sum_hi as u128) << 64) | sum_lo as u128,
-            min_ns: r.get_u64()?,
-            max_ns: r.get_u64()?,
-        })
-    }
+fn check_histogram(h: &LatencyHistogram) -> Result<(), uc_persist::DecodeError> {
+    uc_persist::ensure(
+        h.buckets.len() == SUB as usize * GROUPS,
+        "LatencyHistogram.buckets",
+    )
 }
 
 impl fmt::Debug for LatencyHistogram {

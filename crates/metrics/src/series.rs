@@ -67,11 +67,6 @@ impl Series {
         self.points.is_empty()
     }
 
-    /// The y values alone.
-    pub fn ys(&self) -> Vec<f64> {
-        self.points.iter().map(|p| p.1).collect()
-    }
-
     /// Mean of the y values, or zero if empty.
     pub fn mean_y(&self) -> f64 {
         if self.points.is_empty() {

@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 
 use uc_metrics::LatencyHistogram;
-use uc_persist::{persist_enum, DecodeError, Decoder, Encoder, Persist};
+use uc_persist::{persist_enum, persist_struct, DecodeError, Decoder, Encoder, Persist};
 
 /// Integer summary of a [`LatencyHistogram`].
 ///
@@ -52,32 +52,8 @@ impl HistSummary {
     }
 }
 
-impl Persist for HistSummary {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_u64(self.count);
-        w.put_u64((self.sum_ns >> 64) as u64);
-        w.put_u64(self.sum_ns as u64);
-        w.put_u64(self.min_ns);
-        w.put_u64(self.max_ns);
-        w.put_u64(self.p50_ns);
-        w.put_u64(self.p99_ns);
-        w.put_u64(self.p999_ns);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let count = r.get_u64()?;
-        let sum_hi = r.get_u64()?;
-        let sum_lo = r.get_u64()?;
-        Ok(HistSummary {
-            count,
-            sum_ns: ((sum_hi as u128) << 64) | sum_lo as u128,
-            min_ns: r.get_u64()?,
-            max_ns: r.get_u64()?,
-            p50_ns: r.get_u64()?,
-            p99_ns: r.get_u64()?,
-            p999_ns: r.get_u64()?,
-        })
-    }
+persist_struct! {
+    HistSummary { count, sum_ns, min_ns, max_ns, p50_ns, p99_ns, p999_ns }
 }
 
 /// One metric's value inside a snapshot.

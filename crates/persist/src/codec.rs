@@ -537,6 +537,17 @@ impl Persist for () {
     }
 }
 
+/// Two `u64` words, high word first.
+impl Persist for u128 {
+    fn encode(&self, w: &mut Encoder) {
+        w.put_u64((*self >> 64) as u64);
+        w.put_u64(*self as u64);
+    }
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok((u128::from(r.get_u64()?) << 64) | u128::from(r.get_u64()?))
+    }
+}
+
 impl Persist for usize {
     fn encode(&self, w: &mut Encoder) {
         w.put_u64(*self as u64);
@@ -678,6 +689,17 @@ mod tests {
         round_trip((1u64, String::from("x")));
         round_trip((1u64, 2u32, 3u8));
         round_trip([1u64, 2, 3, 4]);
+        round_trip(u128::MAX);
+        round_trip((7u128 << 64) | 9);
+    }
+
+    #[test]
+    fn u128_writes_its_high_word_first() {
+        let mut w = Encoder::new();
+        ((2u128 << 64) | 1).encode(&mut w);
+        let mut expected = 2u64.to_le_bytes().to_vec();
+        expected.extend(1u64.to_le_bytes());
+        assert_eq!(w.as_bytes(), expected.as_slice());
     }
 
     #[test]

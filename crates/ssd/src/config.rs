@@ -155,12 +155,6 @@ impl SsdConfig {
         self
     }
 
-    /// Replaces the firmware per-command cost.
-    pub fn with_firmware(mut self, dist: LatencyDist) -> Self {
-        self.firmware_per_cmd = dist;
-        self
-    }
-
     /// Replaces the host bus bandwidth (bytes/second, per direction).
     ///
     /// # Panics

@@ -76,6 +76,6 @@ pub use recorder::TraceRecorder;
 // The trace type and its replay drivers, re-exported so consumers of the
 // capture/replay subsystem need only this crate.
 pub use uc_workload::{
-    replay_with, JobProgress, ReplayCheckpoint, ReplayConfig, ReplayError, ReplayMode, Trace,
-    TraceEntry, TraceError, TraceReplayJob,
+    replay_with, JobProgress, ReplayConfig, ReplayError, ReplayMode, Trace, TraceEntry, TraceError,
+    TraceReplayJob,
 };

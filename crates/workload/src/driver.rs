@@ -21,8 +21,8 @@ use uc_blockdev::{BlockDevice, Completion, IoBatch, IoError, IoKind, IoRequest};
 use uc_sim::SimTime;
 
 /// One outstanding request, as the driver's completion heap holds it and
-/// as checkpoints ([`DriverCheckpoint`],
-/// [`ReplayCheckpoint`](crate::ReplayCheckpoint)) serialize it.
+/// as the persisted jobs ([`DriverCheckpoint`],
+/// [`TraceReplayJob`](crate::TraceReplayJob)) serialize it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InflightIo {
     /// The instant the request completes.
@@ -334,9 +334,10 @@ impl RequestSource for Synthetic {
 ///
 /// Captured by [`ClosedLoopJob::checkpoint`]; [`ClosedLoopJob::resume`]
 /// rebuilds a job that continues with a schedule identical to a job that
-/// was never paused. Pair it with the device's own checkpoint
-/// (`uc_blockdev::CheckpointDevice`) to move a half-finished run across
-/// threads (or, in principle, processes).
+/// was never paused. Its field list is the job's persisted form: a
+/// `ClosedLoopJob` persists as this record, so with the device's own
+/// checkpoint (`uc_blockdev::CheckpointDevice`) a half-finished run moves
+/// across threads and processes.
 #[derive(Debug, Clone)]
 pub struct DriverCheckpoint {
     /// The job specification being executed.

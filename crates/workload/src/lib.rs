@@ -10,12 +10,15 @@
 //!   - [`run_job`] keeps `queue_depth` synthetic requests outstanding
 //!     against any [`BlockDevice`](uc_blockdev::BlockDevice);
 //!   - [`ClosedLoopJob`] is the same job as an object: pause at byte
-//!     milestones, capture a [`DriverCheckpoint`], continue on another
-//!     worker with a byte-identical schedule (the mechanism behind the
-//!     segmented Figure 3 endurance run in `uc-core`);
+//!     milestones, continue on another worker with a byte-identical
+//!     schedule (the mechanism behind the segmented Figure 3 endurance
+//!     run in `uc-core`);
 //!   - [`TraceReplayJob`] / [`replay_with`] replay a [`Trace`] closed
 //!     loop, or open loop (arrival-driven) for the burst/smoothing
-//!     studies of Implication 4, pausing at entry milestones,
+//!     studies of Implication 4, pausing at entry milestones;
+//!   - both jobs are their own checkpoints: a clone continues on another
+//!     worker, and their [`Persist`](uc_persist::Persist) form (a
+//!     closed-loop job's is its [`DriverCheckpoint`]) in another process,
 //! * [`JobReport`] — latency histograms (overall and split by direction)
 //!   plus throughput timelines.
 //!
@@ -49,9 +52,7 @@ mod testdev;
 mod trace;
 
 pub use driver::{precondition, run_job, ClosedLoopJob, DriverCheckpoint, InflightIo, JobProgress};
-pub use replay::{
-    replay_with, ReplayCheckpoint, ReplayConfig, ReplayError, ReplayMode, TraceReplayJob,
-};
+pub use replay::{replay_with, ReplayConfig, ReplayError, ReplayMode, TraceReplayJob};
 pub use report::JobReport;
 pub use shaper::Shaper;
 pub use spec::{AccessPattern, JobLimit, JobSpec};

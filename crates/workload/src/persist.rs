@@ -1,17 +1,18 @@
 //! [`Persist`] codecs for the workload layer: job specifications,
-//! reports, and the paused-driver checkpoint.
+//! reports, and the paused jobs themselves.
 //!
-//! [`DriverCheckpoint`] is the piece that makes an *interrupted run*
-//! durable: together with the device's own persisted checkpoint it is
-//! everything a crashed fig3 endurance process needs to continue exactly
-//! where it was killed.
+//! The two resumable jobs are their own durable checkpoints: with the
+//! device's own persisted checkpoint, a paused [`ClosedLoopJob`] (written
+//! as its [`DriverCheckpoint`]) or [`TraceReplayJob`] is everything a
+//! crashed fig3 or trace process needs to continue exactly where it was
+//! killed.
 
-use crate::driver::InflightIo;
+use crate::driver::{DriverCore, InflightIo};
 use crate::{
-    AccessPattern, DriverCheckpoint, JobLimit, JobReport, JobSpec, ReplayCheckpoint, ReplayConfig,
-    ReplayMode, TraceEntry,
+    AccessPattern, ClosedLoopJob, DriverCheckpoint, JobLimit, JobReport, JobSpec, ReplayConfig,
+    ReplayMode, TraceEntry, TraceReplayJob,
 };
-use uc_persist::{ensure, persist_enum, persist_struct, DecodeError};
+use uc_persist::{ensure, persist_enum, persist_struct, DecodeError, Decoder, Encoder, Persist};
 
 persist_enum! {
     AccessPattern {
@@ -45,8 +46,40 @@ fn check_spec(spec: &JobSpec) -> Result<(), DecodeError> {
 persist_enum! { ReplayMode { 0 = OpenLoop, 1 = ClosedLoop { queue_depth } }, check = check_mode }
 
 persist_struct! { ReplayConfig { mode, window, speed, ring }, check = check_replay }
-persist_struct! { ReplayCheckpoint { config, position, report, inflight, finished } }
 persist_struct! { DriverCheckpoint { spec, span, stream, report, inflight, finished } }
+
+/// A closed-loop job persists as its [`DriverCheckpoint`].
+impl Persist for ClosedLoopJob {
+    fn encode(&self, w: &mut Encoder) {
+        self.checkpoint().encode(w);
+    }
+
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        DriverCheckpoint::decode(r).map(ClosedLoopJob::resume)
+    }
+}
+
+/// A replay persists its config, position, report, in-flight requests in
+/// canonical schedule order, and finished flag.
+impl Persist for TraceReplayJob {
+    fn encode(&self, w: &mut Encoder) {
+        self.config.encode(w);
+        self.position.encode(w);
+        self.report.encode(w);
+        self.core.inflight().encode(w);
+        self.core.finished.encode(w);
+    }
+
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let config = ReplayConfig::decode(r)?;
+        Ok(TraceReplayJob {
+            position: usize::decode(r)?,
+            report: JobReport::decode(r)?,
+            core: DriverCore::resume(config.mode, config.ring, Vec::decode(r)?, bool::decode(r)?),
+            config,
+        })
+    }
+}
 
 fn check_mode(mode: &ReplayMode) -> Result<(), DecodeError> {
     ensure(
@@ -69,9 +102,7 @@ fn check_replay(config: &ReplayConfig) -> Result<(), DecodeError> {
 mod tests {
     use super::*;
     use crate::testdev::TestDevice;
-    use crate::ClosedLoopJob;
     use uc_blockdev::IoKind;
-    use uc_persist::{Decoder, Encoder, Persist};
     use uc_sim::{SimDuration, SimTime};
 
     fn round_trip_driver(checkpoint: &DriverCheckpoint) -> DriverCheckpoint {
@@ -167,30 +198,29 @@ mod tests {
 
     #[test]
     fn replay_checkpoint_round_trips_and_continues() {
-        use crate::{ReplayConfig, Trace, TraceReplayJob};
+        use crate::Trace;
         let trace = Trace::bursty_writes(4, 9, SimDuration::from_millis(1), 4096, 4 << 20, 11);
         let config = ReplayConfig::closed_loop(5).with_speed(2.0);
         let mut dev = TestDevice::new(9, 2);
         let mut job = TraceReplayJob::start(&dev, &trace, &config).unwrap();
         job.run_until(&mut dev, &trace, 15).unwrap();
-        let checkpoint = job.checkpoint();
 
         let mut w = Encoder::new();
-        checkpoint.encode(&mut w);
+        job.encode(&mut w);
         let bytes = w.into_bytes();
         let mut r = Decoder::new(&bytes);
-        let back = ReplayCheckpoint::decode(&mut r).unwrap();
+        let back = TraceReplayJob::decode(&mut r).unwrap();
         r.finish().unwrap();
-        assert_eq!(back.config, checkpoint.config);
-        assert_eq!(back.position, checkpoint.position);
-        assert_eq!(back.inflight, checkpoint.inflight);
-        assert_eq!(back.finished, checkpoint.finished);
+        assert_eq!(back.config(), job.config());
+        assert_eq!(back.position(), job.position());
+        assert_eq!(back.core.inflight(), job.core.inflight());
+        assert_eq!(back.is_finished(), job.is_finished());
 
         // The decoded continuation finishes byte-identically.
         let mut dev_a = TestDevice::new(9, 2);
         let mut dev_b = TestDevice::new(9, 2);
-        let mut straight = TraceReplayJob::resume(checkpoint);
-        let mut decoded = TraceReplayJob::resume(back);
+        let mut straight = job;
+        let mut decoded = back;
         straight.run_until(&mut dev_a, &trace, usize::MAX).unwrap();
         decoded.run_until(&mut dev_b, &trace, usize::MAX).unwrap();
         assert_eq!(straight.report().ios, decoded.report().ios);

@@ -21,12 +21,13 @@
 //!
 //! The job keeps the same checkpoint contract as
 //! [`ClosedLoopJob`](crate::ClosedLoopJob): it pauses at entry-index
-//! milestones, freezes into a plain-data [`ReplayCheckpoint`], and
-//! resumes with a byte-identical continuation — which is how `uc-core`
-//! slices a long replay into pipelined segments and how a killed replay
-//! process resumes from disk.
+//! milestones and is its own checkpoint — a clone continues on another
+//! worker, and its [`Persist`](uc_persist::Persist) form continues in
+//! another process — with a byte-identical continuation. That is how
+//! `uc-core` slices a long replay into pipelined segments and how a
+//! killed replay process resumes from disk.
 
-use crate::driver::{DriverCore, InflightIo, JobProgress, RequestSource};
+use crate::driver::{DriverCore, JobProgress, RequestSource};
 use crate::trace::{Trace, TraceEntry, TraceError};
 use crate::JobReport;
 use std::fmt;
@@ -185,30 +186,13 @@ impl From<IoError> for ReplayError {
     }
 }
 
-/// The complete serializable state of a paused [`TraceReplayJob`].
-///
-/// Captured by [`TraceReplayJob::checkpoint`];
-/// [`TraceReplayJob::resume`] rebuilds a job whose continuation is
-/// byte-identical to one that was never paused. The trace itself is
-/// *not* embedded — a resume pairs the checkpoint with the same trace
-/// (and the device's own checkpoint), exactly as fig3 pairs a
-/// [`DriverCheckpoint`](crate::DriverCheckpoint) with its device state.
-#[derive(Debug, Clone)]
-pub struct ReplayCheckpoint {
-    /// The replay configuration being executed.
-    pub config: ReplayConfig,
-    /// Trace entries already submitted.
-    pub position: u64,
-    /// Everything measured so far.
-    pub report: JobReport,
-    /// Outstanding requests (closed loop only), in canonical schedule
-    /// order (`(completes, submitted, kind, len)` ascending).
-    pub inflight: Vec<InflightIo>,
-    /// `true` once every entry has been submitted and completed.
-    pub finished: bool,
-}
-
 /// A resumable trace replay, open or closed loop (see [`ReplayMode`]).
+///
+/// The job is its own checkpoint at a pause point: clone it to continue
+/// on another worker, or persist it (config, position, report, in-flight
+/// requests in schedule order, finished flag) to continue in another
+/// process. The trace itself is *not* embedded — a resume pairs the job
+/// with the same trace and the device's own checkpoint.
 ///
 /// # Example
 ///
@@ -225,10 +209,10 @@ pub struct ReplayCheckpoint {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceReplayJob {
-    config: ReplayConfig,
-    position: usize,
-    report: JobReport,
-    core: DriverCore,
+    pub(crate) config: ReplayConfig,
+    pub(crate) position: usize,
+    pub(crate) report: JobReport,
+    pub(crate) core: DriverCore,
 }
 
 /// A trace as a request source: entry `position` onwards, each arriving
@@ -277,13 +261,12 @@ impl TraceReplayJob {
         config: &ReplayConfig,
     ) -> Result<Self, ReplayError> {
         trace.validate(dev.info().capacity())?;
-        Ok(TraceReplayJob::resume(ReplayCheckpoint {
+        Ok(TraceReplayJob {
             config: *config,
             position: 0,
             report: JobReport::new(config.window, SimTime::ZERO),
-            inflight: Vec::new(),
-            finished: false,
-        }))
+            core: DriverCore::resume(config.mode, config.ring, Vec::new(), false),
+        })
     }
 
     /// Drives the replay until at least `entries` trace entries have been
@@ -324,6 +307,11 @@ impl TraceReplayJob {
         Ok(self.core.run(dev, &mut cursor, &mut self.report)?)
     }
 
+    /// The replay configuration being executed.
+    pub fn config(&self) -> &ReplayConfig {
+        &self.config
+    }
+
     /// Trace entries already submitted.
     pub fn position(&self) -> usize {
         self.position
@@ -343,36 +331,6 @@ impl TraceReplayJob {
     /// Consumes the job, yielding its report.
     pub fn into_report(self) -> JobReport {
         self.report
-    }
-
-    /// Captures the job's complete state at a pause point (canonical
-    /// form: in-flight entries in schedule order).
-    pub fn checkpoint(&self) -> ReplayCheckpoint {
-        let inflight = self.core.inflight();
-        ReplayCheckpoint {
-            config: self.config,
-            position: self.position as u64,
-            report: self.report.clone(),
-            inflight,
-            finished: self.core.finished,
-        }
-    }
-
-    /// Rebuilds a job that continues exactly where `checkpoint` was
-    /// taken (pair it with the trace the checkpoint came from).
-    pub fn resume(checkpoint: ReplayCheckpoint) -> Self {
-        let config = checkpoint.config;
-        TraceReplayJob {
-            config,
-            position: checkpoint.position as usize,
-            report: checkpoint.report,
-            core: DriverCore::resume(
-                config.mode,
-                config.ring,
-                checkpoint.inflight,
-                checkpoint.finished,
-            ),
-        }
     }
 }
 
@@ -400,6 +358,7 @@ pub fn replay_with<D: BlockDevice + ?Sized>(
 mod tests {
     use super::*;
     use crate::testdev::{Counting, TestDevice};
+    use crate::InflightIo;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -648,8 +607,8 @@ mod tests {
                 match job.run_until(&mut dev, &trace, milestone).unwrap() {
                     JobProgress::Finished => break,
                     JobProgress::Paused => {
-                        // Freeze and thaw: the continuation must not care.
-                        job = TraceReplayJob::resume(job.checkpoint());
+                        // Persist and decode: the continuation must not care.
+                        job = persisted(&job).0;
                         milestone += 7;
                     }
                 }
@@ -686,6 +645,18 @@ mod tests {
         assert!(!err.to_string().is_empty());
     }
 
+    /// `job` decoded from its persisted bytes, and those bytes.
+    fn persisted(job: &TraceReplayJob) -> (TraceReplayJob, Vec<u8>) {
+        use uc_persist::{Decoder, Encoder, Persist};
+        let mut w = Encoder::new();
+        job.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = Decoder::new(&bytes);
+        let back = TraceReplayJob::decode(&mut r).unwrap();
+        r.finish().unwrap();
+        (back, bytes)
+    }
+
     #[test]
     fn checkpoint_is_canonical_and_resume_lossless() {
         let trace = bursty();
@@ -693,22 +664,23 @@ mod tests {
         let mut dev = TestDevice::new(5, 2);
         let mut job = TraceReplayJob::start(&dev, &trace, &config).unwrap();
         job.run_until(&mut dev, &trace, 20).unwrap();
-        let cp = job.checkpoint();
-        assert!(!cp.finished);
-        assert!(cp.position >= 20);
+        assert!(!job.is_finished());
+        assert!(job.position() >= 20);
         assert!(
-            cp.inflight.windows(2).all(|w| w[0] <= w[1]),
-            "inflight entries are in canonical schedule order"
+            job.core.inflight().len() > 1,
+            "the closed loop pauses with requests in flight"
         );
-        // A resumed job's own checkpoint is identical (canonical form).
-        let resumed = TraceReplayJob::resume(cp.clone());
-        let cp2 = resumed.checkpoint();
-        assert_eq!(cp2.config, cp.config);
-        assert_eq!(cp2.position, cp.position);
-        assert_eq!(cp2.inflight, cp.inflight);
-        assert_eq!(cp2.finished, cp.finished);
-        assert_eq!(cp2.report.ios, cp.report.ios);
-        assert_eq!(cp2.report.bytes, cp.report.bytes);
+        // A decoded job persists to the same bytes (in-flight requests in
+        // canonical schedule order, whatever the heap's layout) and holds
+        // the same state.
+        let (resumed, bytes) = persisted(&job);
+        assert_eq!(persisted(&resumed).1, bytes);
+        assert_eq!(resumed.config(), job.config());
+        assert_eq!(resumed.position(), job.position());
+        assert_eq!(resumed.core.inflight(), job.core.inflight());
+        assert_eq!(resumed.is_finished(), job.is_finished());
+        assert_eq!(resumed.report().ios, job.report().ios);
+        assert_eq!(resumed.report().bytes, job.report().bytes);
     }
 
     #[test]

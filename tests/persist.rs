@@ -174,9 +174,10 @@ fn checkpoint_payload_bytes_are_pinned() {
     }
     let mut w = Encoder::new();
     obs_report().encode(&mut w);
-    // Closed loop, the paused driver holds requests in flight.
+    // Closed loop, the paused driver holds requests in flight: it has
+    // submitted more entries than have completed.
     let closed = trace_run_checkpoint(ReplayConfig::closed_loop(4).with_ring(3));
-    assert!(!closed.driver.inflight.is_empty());
+    assert!(closed.driver.position() as u64 > closed.driver.report().ios);
     let actual = [
         ("ssd", device(CheckpointDevice::checkpoint(&busy_ssd()))),
         ("essd", device(CheckpointDevice::checkpoint(&busy_essd()))),
@@ -1179,7 +1180,7 @@ fn fig3_resumed_through_disk_matches_memory() {
         trace_exp::run_pipelined(&roster, &[kind], &trace, &cfg, &Executor::sequential()).unwrap();
     let mut in_flight = 0;
     let replayed = through_disk(&trace_exp::chain(&roster, kind, &trace, &cfg), &dir, |r| {
-        in_flight += r.driver.inflight.len();
+        in_flight += r.driver.position() as u64 - r.driver.report().ios;
     });
     assert!(
         in_flight > 0,
