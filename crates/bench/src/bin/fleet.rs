@@ -131,10 +131,11 @@ fn run_remote(args: &[String], endpoint: &str, config: &FleetRunConfig) {
             config.fleet.duration,
             io_size,
         );
-        let entries = spec.trace.generate().entries().to_vec();
-        for chunk in entries.chunks(PUSH_CHUNK) {
-            let reqs: Vec<IoRequest> = chunk
-                .iter()
+        let mut entries = spec.trace.cursor();
+        loop {
+            let reqs: Vec<IoRequest> = entries
+                .by_ref()
+                .take(PUSH_CHUNK)
                 .map(|e| IoRequest {
                     kind: e.kind,
                     offset: e.offset,
@@ -142,6 +143,9 @@ fn run_remote(args: &[String], endpoint: &str, config: &FleetRunConfig) {
                     submit_time: e.at,
                 })
                 .collect();
+            if reqs.is_empty() {
+                break;
+            }
             match client
                 .call(lane, Body::Submit { reqs })
                 .unwrap_or_else(|e| panic!("push tenant {t}: {e}"))

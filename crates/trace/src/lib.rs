@@ -15,7 +15,8 @@
 //!   with typed decode errors and the same entry validation as the text
 //!   [`Trace`] format;
 //! * **generators** ([`TraceSpec`]) — synthetic arrival shapes (steady,
-//!   diurnal, bursty ON/OFF) parameterized like `uc-workload` job specs;
+//!   diurnal, bursty ON/OFF) parameterized like `uc-workload` job specs,
+//!   materialized whole or streamed lazily through a [`TraceCursor`];
 //! * **interleaving** ([`merge_streams`] / [`validate_merged`]) — the
 //!   deterministic multi-tenant merge the fleet simulation (`uc-fleet`)
 //!   uses to put many tenants on one shared device: identical timestamps
@@ -69,7 +70,7 @@ mod recorder;
 pub use format::{
     decode_trace, encode_trace, load_trace, save_trace, TraceFileError, TRACE_RECORD_KIND,
 };
-pub use generate::{ArrivalShape, TraceSpec};
+pub use generate::{ArrivalShape, TraceCursor, TraceSpec};
 pub use merge::{merge_streams, validate_merged, MergedEntry};
 pub use recorder::TraceRecorder;
 

@@ -18,6 +18,9 @@
 //! cut at their in-memory width. It counts each thread's allocations
 //! above a size too, which shows that a record file is written from, and
 //! read into, one buffer.
+//!
+//! Building a fleet allocates nothing per arrival: tenant traces stream
+//! from lazy cursors, so a longer horizon costs no more set-up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -360,4 +363,32 @@ fn record_files_are_read_into_one_buffer() {
         file_len / 2
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Allocations `FleetSim::new` makes for 16 tenants on two eSSDs over a
+/// `horizon_ms` arrival horizon (the pool is built outside the count).
+fn fleet_build_allocs(horizon_ms: u64) -> u64 {
+    use unwritten_contract::fleet::FleetDevice;
+    let pool: Vec<FleetDevice> = (0..2)
+        .map(|i| {
+            let config = EssdConfig::alibaba_pl3(64 << 20).with_name(format!("fleet-essd-{i}"));
+            Box::new(Essd::new(config)) as FleetDevice
+        })
+        .collect();
+    let config = FleetConfig::new(16, 2).with_duration(SimDuration::from_millis(horizon_ms));
+    let before = allocs();
+    let _sim = FleetSim::new(config, pool);
+    allocs() - before
+}
+
+/// A fleet's set-up holds no tenant's arrivals: ten times the horizon
+/// (ten times the entries) builds with exactly as many allocations.
+#[test]
+fn fleet_setup_allocations_do_not_grow_with_the_horizon() {
+    let short = fleet_build_allocs(100);
+    let long = fleet_build_allocs(1000);
+    assert_eq!(
+        short, long,
+        "a 100 ms fleet took {short} allocations to build, a 1000 ms one {long}"
+    );
 }
