@@ -143,11 +143,6 @@ impl<D: BlockDevice> SharedDevice<D> {
         &self.inner
     }
 
-    /// Unwraps the inner device, discarding the session table.
-    pub fn into_inner(self) -> D {
-        self.inner
-    }
-
     /// Applies the queue discipline to one request: clamp its submit
     /// instant to the queue head and advance the head. Returns the
     /// doorbelled request, charged once served ([`SharedDevice::charge`]).

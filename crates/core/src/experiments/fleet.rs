@@ -18,20 +18,22 @@
 //!
 //! Like fig3 and the trace experiment, the run is **durable** through the
 //! shared engine ([`durable`], via [`FleetChain`]): at every epoch
-//! boundary the whole fleet — placement, cursors, budgets, metrics, and
-//! each device's complete hidden state — freezes into one on-disk
-//! [`FleetCheckpoint`], and a killed run resumes byte-identical to an
-//! uninterrupted one (the fleet CI smoke pins this end to end).
+//! boundary the whole fleet — its [`FleetState`] (config, placement,
+//! each tenant's trace-cursor position, budgets, metrics) and each
+//! device's queue head and complete hidden state — persists as one
+//! on-disk [`FleetCheckpoint`], and a killed run resumes byte-identical
+//! to an uninterrupted one (the fleet CI smoke pins this end to end).
 
 use crate::contract::thresholds::{FLEET_MIN_FAIRNESS, FLEET_TENANT_LATENCY_BLOWUP};
 use crate::devices::payload_codecs;
 use crate::experiments::durable::{self, Chain, DurableRecord, RunError, Store};
 use crate::experiments::Executor;
-use uc_blockdev::{CheckpointError, DeviceCheckpoint, IoError, PersistError};
+use uc_blockdev::{CheckpointError, DeviceCheckpoint, IoError, PersistError, SharedDevice};
 use uc_essd::{Essd, EssdConfig};
-use uc_fleet::{FleetConfig, FleetDevice, FleetReport, FleetSim, FleetSnapshot};
+use uc_fleet::{FleetConfig, FleetDevice, FleetReport, FleetSim, FleetState};
 use uc_obs::ObsReport;
 use uc_persist::{ensure, DecodeError, Decoder, Encoder, Persist};
+use uc_sim::SimTime;
 
 /// Parameters of a fleet experiment run.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,28 +89,13 @@ pub fn build_pool(config: &FleetRunConfig) -> Vec<FleetDevice> {
 }
 
 /// A stable identity for a fleet run's exact definition: the CRC-32 of
-/// the config's canonical wire form. Resuming a checkpoint under a
-/// different fleet definition would silently corrupt the continuation;
-/// the fingerprint makes it a detectable mismatch instead.
+/// the config's canonical wire form (the [`FleetConfig`] bytes a
+/// [`FleetState`] leads with, then the capacity). Resuming a checkpoint
+/// under a different fleet definition would silently corrupt the
+/// continuation; the fingerprint makes it a detectable mismatch instead.
 pub fn fleet_fingerprint(config: &FleetRunConfig) -> u32 {
     let mut w = Encoder::new();
-    w.put_u64(config.fleet.tenants as u64);
-    w.put_u64(config.fleet.devices as u64);
-    w.put_u64(config.fleet.mix.steady as u64);
-    w.put_u64(config.fleet.mix.diurnal as u64);
-    w.put_u64(config.fleet.mix.bursty as u64);
-    config.fleet.duration.encode(&mut w);
-    w.put_u64(config.fleet.epochs as u64);
-    w.put_u32(config.fleet.io_size);
-    w.put_u64(config.fleet.seed);
-    match config.fleet.rebalance {
-        Some(policy) => {
-            w.put_bool(true);
-            w.put_f64(policy.hot_ratio);
-            w.put_u64(policy.max_moves as u64);
-        }
-        None => w.put_bool(false),
-    }
+    config.fleet.encode(&mut w);
     w.put_u64(config.capacity);
     uc_persist::crc32(w.as_bytes())
 }
@@ -200,28 +187,30 @@ pub fn run(config: &FleetRunConfig) -> Result<FleetContractReport, IoError> {
         .map_err(RunError::into_step)
 }
 
-/// A frozen fleet between epochs: the simulation snapshot plus every
-/// device's complete hidden state, pinned to one fleet definition by the
-/// fingerprint.
+/// A frozen fleet between epochs: the fleet's state plus every device's
+/// queue head and complete hidden state, pinned to one fleet definition
+/// by the fingerprint.
 #[derive(Debug, Clone)]
 pub struct FleetCheckpoint {
     /// Fingerprint of the config this run executes
     /// ([`fleet_fingerprint`]).
     pub fingerprint: u32,
-    /// The fleet's resumable state.
-    pub snapshot: FleetSnapshot,
-    /// One checkpoint per pool device, in pool order.
-    pub devices: Vec<DeviceCheckpoint>,
+    /// The fleet's state between epochs.
+    pub state: FleetState,
+    /// One `(queue head, checkpoint)` per pool device, in pool order
+    /// ([`FleetSim::checkpoint_devices`]).
+    pub devices: Vec<(SimTime, DeviceCheckpoint)>,
 }
 
 impl DurableRecord for FleetCheckpoint {
-    const RECORD_KIND: &'static str = "uc.fleet.v1";
+    const RECORD_KIND: &'static str = "uc.fleet.v2";
 
     fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
         w.put_u32(self.fingerprint);
-        self.snapshot.encode(w);
+        self.state.encode(w);
         w.put_u64(self.devices.len() as u64);
-        for device in &self.devices {
+        for (head, device) in &self.devices {
+            head.encode(w);
             device.encode_into(w)?;
         }
         Ok(())
@@ -230,20 +219,18 @@ impl DurableRecord for FleetCheckpoint {
     /// Thaws the device payloads through the roster's codec registry.
     fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let fingerprint = r.get_u32()?;
-        let snapshot = FleetSnapshot::decode(r)?;
-        let count = r.get_u64()? as usize;
+        let state = FleetState::decode(r)?;
+        let count = state.placement.device_count();
+        ensure(r.get_len()? == count, "FleetCheckpoint device count")?;
         let codecs = payload_codecs();
-        let mut devices = Vec::with_capacity(count.min(1024));
+        let mut devices = Vec::with_capacity(count.min(r.remaining()));
         for _ in 0..count {
-            devices.push(DeviceCheckpoint::decode_from(r, &codecs)?);
+            let head = SimTime::decode(r)?;
+            devices.push((head, DeviceCheckpoint::decode_from(r, &codecs)?));
         }
-        ensure(
-            devices.len() == snapshot.queue_heads.len(),
-            "FleetCheckpoint device count",
-        )?;
         Ok(FleetCheckpoint {
             fingerprint,
-            snapshot,
+            state,
             devices,
         })
     }
@@ -253,7 +240,7 @@ impl DurableRecord for FleetCheckpoint {
     }
 
     fn step(&self) -> usize {
-        self.snapshot.epoch as usize
+        self.state.epoch
     }
 }
 
@@ -263,7 +250,11 @@ impl DurableRecord for FleetCheckpoint {
 /// The live driver carries the [`FleetSim`] itself from epoch to epoch,
 /// so an uninterrupted durable run keeps its telemetry history and dumps
 /// the same `uc.obs.v1` bytes as [`run`]; only a resumed run starts its
-/// metrics registry and flight recorder afresh.
+/// metrics registry and flight recorder afresh. A checkpoint is a clone
+/// of the sim's [`FleetState`] plus its devices' checkpoints; a resume
+/// thaws the devices onto a fresh pool and continues every tenant's
+/// trace cursor from its persisted position, generating no entry it
+/// will not serve.
 pub struct FleetChain<'a> {
     config: &'a FleetRunConfig,
     fingerprint: u32,
@@ -307,27 +298,25 @@ impl Chain for FleetChain<'_> {
     fn checkpoint(&self, sim: &FleetSim) -> FleetCheckpoint {
         FleetCheckpoint {
             fingerprint: self.fingerprint,
-            snapshot: sim.snapshot(),
+            state: sim.state().clone(),
             devices: sim.checkpoint_devices(),
         }
     }
 
     fn resume(&self, record: FleetCheckpoint) -> Result<FleetSim, CheckpointError> {
-        let mut pool = build_pool(self.config);
-        for (device, frozen) in pool.iter_mut().zip(record.devices) {
+        let mut devices = Vec::with_capacity(record.devices.len());
+        for (mut device, (head, frozen)) in build_pool(self.config).into_iter().zip(record.devices)
+        {
             device.restore_from(frozen)?;
+            devices.push(SharedDevice::with_queue_head(device, head));
         }
-        Ok(FleetSim::resume(
-            self.config.fleet.clone(),
-            pool,
-            &record.snapshot,
-        ))
+        Ok(FleetSim::from_state(record.state, devices))
     }
 
-    /// Only a checkpoint of the same fleet definition (fingerprint) may
-    /// continue this run.
+    /// Only a checkpoint of the same fleet definition (fingerprint, and
+    /// the config its state carries) may continue this run.
     fn matches(&self, record: &FleetCheckpoint) -> bool {
-        record.fingerprint == self.fingerprint
+        record.fingerprint == self.fingerprint && record.state.config == self.config.fleet
     }
 
     fn finish(&self, sim: FleetSim) -> FleetContractReport {
@@ -452,7 +441,7 @@ mod tests {
 
         let loaded = FleetCheckpoint::load_from(&path).unwrap();
         assert_eq!(loaded.fingerprint, checkpoint.fingerprint);
-        assert_eq!(loaded.snapshot.epoch, 1);
+        assert_eq!(loaded.state.epoch, 1);
         assert_eq!(loaded.devices.len(), 2);
 
         let good = std::fs::read(&path).unwrap();

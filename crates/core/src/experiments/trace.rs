@@ -34,7 +34,7 @@ use crate::devices::{DeviceKind, DeviceRoster};
 use crate::experiments::durable::{self, RunError};
 use crate::experiments::sliced::{Device, SlicedChain, SlicedCheckpoint, Slicing};
 use crate::experiments::Executor;
-use uc_persist::{DecodeError, Decoder, Encoder, Persist};
+use uc_persist::{persist_struct, Encoder, Persist};
 use uc_sim::{SimDuration, SimTime};
 use uc_workload::{JobReport, ReplayConfig, ReplayError, Trace, TraceReplayJob};
 
@@ -108,31 +108,7 @@ impl PhaseCut {
     }
 }
 
-impl Persist for PhaseCut {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_u64(self.ios);
-        w.put_u64(self.bytes);
-        w.put_u64(self.lat_count);
-        // u128 as little-endian halves (the wire format has no u128).
-        w.put_u64(self.lat_sum_nanos as u64);
-        w.put_u64((self.lat_sum_nanos >> 64) as u64);
-        self.finished_at.encode(w);
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(PhaseCut {
-            ios: r.get_u64()?,
-            bytes: r.get_u64()?,
-            lat_count: r.get_u64()?,
-            lat_sum_nanos: {
-                let lo = r.get_u64()? as u128;
-                let hi = r.get_u64()? as u128;
-                (hi << 64) | lo
-            },
-            finished_at: SimTime::decode(r)?,
-        })
-    }
-}
+persist_struct! { PhaseCut { ios, bytes, lat_count, lat_sum_nanos, finished_at } }
 
 /// Per-phase statistics of one device's replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -295,7 +271,7 @@ pub struct Replay;
 pub type TraceRunCheckpoint = SlicedCheckpoint<Replay>;
 
 impl Slicing for Replay {
-    const RECORD_KIND: &'static str = "uc.trace-run.v1";
+    const RECORD_KIND: &'static str = "uc.trace-run.v2";
     const KEY_PREFIX: &'static str = "trace";
     const DEVICE_SEED: u64 = 0x7_2ACE_0000;
     type Context<'a> = (&'a Trace, &'a TraceRunConfig);

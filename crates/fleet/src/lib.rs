@@ -25,10 +25,11 @@
 //!   rolling epoch stats and tenant migration through the checkpoint
 //!   seam: freeze the source state ([`CheckpointDevice`]), move the
 //!   tenant's extent, and replay its deferred tail on the target;
-//! * **resumability** ([`FleetSnapshot`]) — the whole fleet freezes at
-//!   epoch boundaries into a persistable snapshot (paired with the
-//!   devices' own checkpoints by `uc-core`'s durable fleet experiment),
-//!   so a killed run resumes byte-identically.
+//! * **resumability** ([`FleetState`]) — between epochs the live fleet
+//!   holds its state as one persistable value: config, placement, each
+//!   tenant's trace-cursor position, budgets, metrics and logs. Paired
+//!   with the devices' own checkpoints by `uc-core`'s durable fleet
+//!   experiment, a killed run resumes byte-identically.
 //!
 //! Everything is a pure function of ([`FleetConfig`], device pool): two
 //! runs of the same fleet are byte-identical, which is what makes the
@@ -49,5 +50,5 @@ mod tenant;
 pub use metrics::{jain_index, EpochStat, FleetReport, TenantMetrics, TenantSummary};
 pub use placement::{MigrationAudit, MigrationRecord, Placement};
 pub use rebalance::{PlannedMove, RebalancePolicy};
-pub use sim::{FeedError, FleetConfig, FleetDevice, FleetSim, FleetSnapshot};
+pub use sim::{FeedError, FleetConfig, FleetDevice, FleetSim, FleetState};
 pub use tenant::{ShapeMix, TenantSpec};

@@ -1,19 +1,42 @@
 //! [`Persist`] codecs for the fleet's resumable state.
 //!
-//! A [`FleetSnapshot`] is everything the simulation needs back besides
-//! the devices themselves (whose [`DeviceCheckpoint`]s the durable layer
-//! stores alongside) and the tenant traces (each a fresh cursor from the
-//! config's seed, skipped forward past the snapshot's count of consumed
-//! entries). The codecs follow the workspace's canonical little-endian
-//! plain-data forms, so a snapshot written by one build decodes bit-for-
-//! bit in another.
+//! A [`FleetState`] is everything the simulation needs back besides the
+//! devices, whose [`DeviceCheckpoint`]s the durable layer stores
+//! alongside. Decode checks every config field, count and cursor instant
+//! against the config and the placement, so crafted bytes fail typed
+//! instead of reaching a panic.
 //!
 //! [`DeviceCheckpoint`]: uc_blockdev::DeviceCheckpoint
 
 use crate::metrics::{EpochStat, TenantMetrics};
 use crate::placement::{MigrationRecord, Placement};
-use crate::sim::FleetSnapshot;
+use crate::rebalance::RebalancePolicy;
+use crate::sim::{FleetConfig, FleetState, TenantRun};
+use crate::tenant::ShapeMix;
 use uc_persist::{ensure, persist_struct, DecodeError, Decoder, Encoder, Persist};
+
+persist_struct! { ShapeMix { steady, diurnal, bursty }, check = check_mix }
+persist_struct! { RebalancePolicy { hot_ratio, max_moves } }
+persist_struct! {
+    FleetConfig { tenants, devices, mix, duration, epochs, io_size, seed, rebalance },
+    check = check_config
+}
+
+/// [`ShapeMix::total`] panics unless the weights sum, without overflow,
+/// to a non-zero total.
+fn check_mix(mix: &ShapeMix) -> Result<(), DecodeError> {
+    let total = mix.steady.checked_add(mix.diurnal);
+    let total = total.and_then(|t| t.checked_add(mix.bursty));
+    ensure(total.is_some_and(|t| t > 0), "ShapeMix weights")
+}
+
+/// The counts and sizes tenant synthesis and the epoch clock divide by.
+fn check_config(c: &FleetConfig) -> Result<(), DecodeError> {
+    ensure(
+        c.tenants > 0 && c.devices > 0 && c.epochs > 0 && c.io_size > 0 && !c.duration.is_zero(),
+        "FleetConfig counts",
+    )
+}
 
 persist_struct! { TenantMetrics { latency, ios, bytes, throttle_events, throttled } }
 persist_struct! { EpochStat { tenant_bytes, device_bytes, fairness } }
@@ -56,23 +79,33 @@ impl Persist for Placement {
     }
 }
 
+persist_struct! { TenantRun { rng, t, floor, written_high, metrics }, check = check_run }
 persist_struct! {
-    FleetSnapshot {
-        epoch, placement, cursors, floors, written_highs, metrics, buckets, epoch_stats, migrations,
-        violations, queue_heads, finished_at
+    FleetState {
+        config, epoch, placement, tenants, buckets, epoch_stats, migrations, violations, finished_at
     },
-    check = check_snapshot
+    check = check_state
 }
 
-fn check_snapshot(s: &FleetSnapshot) -> Result<(), DecodeError> {
-    let tenants = s.placement.tenant_count();
+/// [`TraceSpec::cursor_at`](uc_trace::TraceSpec::cursor_at) takes only a
+/// finite, non-negative instant.
+fn check_run(run: &TenantRun) -> Result<(), DecodeError> {
     ensure(
-        s.cursors.len() == tenants
-            && s.floors.len() == tenants
-            && s.written_highs.len() == tenants
-            && s.metrics.len() == tenants
-            && s.buckets.len() == tenants,
-        "FleetSnapshot per-tenant vector lengths",
+        run.t.is_finite() && run.t >= 0.0,
+        "TenantRun cursor instant",
+    )
+}
+
+fn check_state(s: &FleetState) -> Result<(), DecodeError> {
+    let c = &s.config;
+    ensure(s.epoch <= c.epochs, "FleetState epoch")?;
+    ensure(
+        s.placement.tenant_count() == c.tenants && s.placement.device_count() == c.devices,
+        "FleetState placement shape",
+    )?;
+    ensure(
+        s.tenants.len() == c.tenants && s.buckets.len() == c.tenants,
+        "FleetState per-tenant counts",
     )
 }
 

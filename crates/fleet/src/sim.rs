@@ -12,11 +12,11 @@
 //! small summary that the calling thread folds in device order. Epoch
 //! boundaries are the fleet's only synchronization points — where
 //! contracts are audited, interference is cut into [`EpochStat`]s, the
-//! rebalancer plans, and (in the durable runner) the whole fleet freezes
-//! into a resumable checkpoint.
+//! rebalancer plans, and (in the durable runner) the fleet's
+//! [`FleetState`] and its devices' checkpoints persist as one record.
 //!
 //! Everything here is a pure function of [`FleetConfig`] and the device
-//! pool: two runs of the same fleet produce byte-identical snapshots,
+//! pool: two runs of the same fleet produce byte-identical states,
 //! reports and telemetry, at any executor width.
 
 use crate::metrics::{jain_index, EpochStat, FleetReport, TenantMetrics, TenantSummary};
@@ -24,7 +24,6 @@ use crate::placement::{MigrationAudit, MigrationRecord, Placement};
 use crate::rebalance::RebalancePolicy;
 use crate::tenant::{ShapeMix, TenantSpec};
 use std::collections::VecDeque;
-use std::iter::Peekable;
 use std::ops::Range;
 use uc_blockdev::{
     CheckpointDevice, DeviceCheckpoint, IoBatch, IoError, IoRequest, SessionId, SharedDevice,
@@ -33,8 +32,8 @@ use uc_invariant::Contract;
 use uc_metrics::LatencyHistogram;
 use uc_obs::{CounterId, FlightRecorder, GaugeId, HistId, MetricsRegistry, ObsReport, ObsSnapshot};
 use uc_persist::Encoder;
-use uc_sim::{BucketSet, Executor, SimDuration, SimTime, TokenBucket};
-use uc_trace::{merge_streams, TraceCursor};
+use uc_sim::{BucketSet, Executor, SimDuration, SimRng, SimTime, TokenBucket};
+use uc_trace::{merge_streams, TraceSpec};
 use uc_workload::TraceEntry;
 
 /// A device that can serve a fleet: block I/O plus the checkpoint seam,
@@ -185,41 +184,14 @@ impl FleetConfig {
         self.rebalance = Some(policy);
         self
     }
-}
 
-/// The complete resumable state of a [`FleetSim`], minus the devices
-/// (whose own checkpoints the durable layer stores alongside).
-///
-/// Tenant *traces* are deliberately absent: on resume each tenant's
-/// trace cursor starts afresh from the config (same seed, same trace) and
-/// skips forward past its `cursors` entry, so checkpoints stay small.
-#[derive(Debug, Clone)]
-pub struct FleetSnapshot {
-    /// Completed epochs.
-    pub epoch: u64,
-    /// The tenant-to-slot assignment.
-    pub placement: Placement,
-    /// Per-tenant replay cursor (trace entries consumed so far).
-    pub cursors: Vec<u64>,
-    /// Per-tenant arrival floor (migration-tail deferral).
-    pub floors: Vec<SimTime>,
-    /// Per-tenant high-water mark of written bytes within the region.
-    pub written_highs: Vec<u64>,
-    /// Per-tenant measurements.
-    pub metrics: Vec<TenantMetrics>,
-    /// Per-tenant budget state.
-    pub buckets: BucketSet,
-    /// Per-epoch cuts so far.
-    pub epoch_stats: Vec<EpochStat>,
-    /// Completed migrations so far.
-    pub migrations: Vec<MigrationRecord>,
-    /// Rendered contract violations found so far.
-    pub violations: Vec<String>,
-    /// Per-device shared-queue heads (the doorbell clamp floor a thawed
-    /// device must resume with).
-    pub queue_heads: Vec<SimTime>,
-    /// Last completion instant observed so far.
-    pub finished_at: SimTime,
+    /// Synthesizes every tenant of this fleet in regions of `span` bytes.
+    pub(crate) fn tenant_specs(&self, span: u64) -> Vec<TenantSpec> {
+        let (mix, seed, duration, io_size) = (&self.mix, self.seed, self.duration, self.io_size);
+        (0..self.tenants as u32)
+            .map(|id| TenantSpec::synthesize(id, mix, seed, span, duration, io_size))
+            .collect()
+    }
 }
 
 /// Extent-copy chunk size during migration.
@@ -262,45 +234,57 @@ impl FleetObsIds {
     }
 }
 
-/// Where a tenant's arrival entries come from. Neither form keeps an
-/// entry once the grant loop has taken it.
-enum Arrivals {
-    /// Generated lazily from the tenant's trace spec.
-    Generated(Peekable<TraceCursor>),
-    /// Pushed by an external driver ([`FleetSim::push_entries`]) and
-    /// drained as they are served.
-    Fed {
-        queue: VecDeque<TraceEntry>,
-        /// The last pushed arrival instant: later pushes may not regress
-        /// below it.
-        last: SimTime,
-    },
+/// A fed tenant's pushed entries ([`FleetSim::push_entries`]), drained
+/// as they are served.
+#[derive(Clone, Default)]
+struct Feed {
+    queue: VecDeque<TraceEntry>,
+    /// The last pushed arrival instant: later pushes may not regress
+    /// below it.
+    last: SimTime,
 }
 
-impl Arrivals {
-    /// Takes the next entry if it arrives before `cut`.
-    fn next_before(&mut self, cut: SimTime) -> Option<TraceEntry> {
-        match self {
-            Arrivals::Generated(cursor) => cursor.next_if(|e| e.at < cut),
-            Arrivals::Fed { queue, .. } => {
-                if queue.front()?.at < cut {
-                    queue.pop_front()
-                } else {
-                    None
-                }
-            }
-        }
-    }
+/// One tenant's run between epochs.
+#[derive(Debug, Clone)]
+pub(crate) struct TenantRun {
+    /// The tenant's trace cursor position
+    /// ([`TraceCursor::into_position`](uc_trace::TraceCursor::into_position)):
+    /// its RNG and next arrival instant. A fed fleet never moves it.
+    pub(crate) rng: SimRng,
+    pub(crate) t: f64,
+    pub(crate) floor: SimTime,
+    pub(crate) written_high: u64,
+    pub(crate) metrics: TenantMetrics,
 }
 
-struct TenantRun {
-    spec: TenantSpec,
-    arrivals: Arrivals,
-    /// Entries taken from `arrivals` so far.
-    cursor: usize,
-    floor: SimTime,
-    written_high: u64,
-    metrics: TenantMetrics,
+/// Everything a [`FleetSim`] carries from one epoch boundary to the next
+/// except its devices: the fleet's checkpoint is a clone of it, and its
+/// [`Persist`](uc_persist::Persist) codec is the durable form.
+///
+/// Each tenant's arrivals are held as their trace cursor's position; the
+/// tenant specs, and with them the rest of each cursor, are derived from
+/// the config again when a sim is built on the state
+/// ([`FleetSim::from_state`]). A fed fleet's pushed entries are not part
+/// of it, so a fed fleet does not resume.
+#[derive(Debug, Clone)]
+pub struct FleetState {
+    /// The fleet's configuration.
+    pub config: FleetConfig,
+    /// Completed epochs.
+    pub epoch: usize,
+    /// The tenant-to-slot assignment.
+    pub placement: Placement,
+    pub(crate) tenants: Vec<TenantRun>,
+    /// Per-tenant budget state.
+    pub buckets: BucketSet,
+    /// Per-epoch cuts so far.
+    pub epoch_stats: Vec<EpochStat>,
+    /// Completed migrations so far.
+    pub migrations: Vec<MigrationRecord>,
+    /// Rendered contract violations found so far.
+    pub violations: Vec<String>,
+    /// Last completion instant observed so far.
+    pub finished_at: SimTime,
 }
 
 /// A resident tenant lent to its home device's epoch cell: the cell
@@ -310,8 +294,11 @@ struct Resident<'a> {
     id: u32,
     /// Region base: added to region-relative trace offsets.
     base: u64,
+    trace: &'a TraceSpec,
     run: &'a mut TenantRun,
     bucket: &'a mut TokenBucket,
+    /// The tenant's pushed entries, in a fed fleet.
+    feed: Option<&'a mut Feed>,
 }
 
 /// One resident's completed work in one epoch.
@@ -366,9 +353,13 @@ fn run_device_epoch(
     let mut granted: Vec<TraceEntry> = Vec::new();
     let mut ranges: Vec<Range<usize>> = Vec::with_capacity(residents.len());
     for r in residents.iter_mut() {
-        let run = &mut *r.run;
+        let (run, feed) = (&mut *r.run, &mut r.feed);
+        let mut arrivals = r.trace.cursor_at(run.rng.clone(), run.t);
         let start = granted.len();
-        while let Some(entry) = run.arrivals.next_before(cut) {
+        while let Some(entry) = match feed {
+            Some(feed) => feed.queue.pop_front_if(|e| e.at < cut),
+            None => arrivals.next_before(cut),
+        } {
             let arrival = entry.at.max(run.floor);
             let grant = r.bucket.reserve(arrival, entry.len as u64);
             out.granted += entry.len as u64;
@@ -391,8 +382,8 @@ fn run_device_epoch(
                 offset: r.base + entry.offset,
                 len: entry.len,
             });
-            run.cursor += 1;
         }
+        (run.rng, run.t) = arrivals.into_position();
         ranges.push(start..granted.len());
     }
     let merged = {
@@ -449,26 +440,55 @@ fn run_device_epoch(
     Ok(out)
 }
 
+/// A fleet's geometry on `pool` (see [`FleetSim::new`]): slots per
+/// device, the per-tenant region span, and the alignment every device
+/// accepts (its largest logical block).
+fn geometry<'a>(
+    config: &FleetConfig,
+    pool: impl ExactSizeIterator<Item = &'a FleetDevice>,
+) -> (usize, u64, u64) {
+    assert!(config.tenants > 0, "fleet needs tenants");
+    assert!(config.epochs > 0, "fleet needs at least one epoch");
+    assert_eq!(pool.len(), config.devices, "pool size != config.devices");
+    assert!(config.devices > 0, "fleet needs devices");
+    let (mut min_cap, mut align) = (u64::MAX, 0);
+    for d in pool {
+        let info = d.info();
+        assert!(
+            (config.io_size as u64).is_multiple_of(info.logical_block() as u64),
+            "io_size {} misaligned for {}",
+            config.io_size,
+            info.name()
+        );
+        min_cap = min_cap.min(info.capacity());
+        align = align.max(info.logical_block() as u64);
+    }
+    let slots = config.tenants.div_ceil(config.devices) + 1;
+    let region_span = (min_cap / slots as u64) / align * align;
+    assert!(
+        region_span >= config.io_size as u64,
+        "devices too small: {region_span}-byte regions cannot hold one {}-byte i/o",
+        config.io_size
+    );
+    (slots, region_span, align)
+}
+
 /// A live fleet: devices, tenants, budgets, placement, and the epoch
 /// clock. Drive it with [`run`](FleetSim::run) or epoch by epoch with
 /// [`run_epoch`](FleetSim::run_epoch) (the durable runner checkpoints
 /// between epochs).
 pub struct FleetSim {
-    config: FleetConfig,
+    state: FleetState,
+    /// Per-tenant specs, derived from the config.
+    specs: Vec<TenantSpec>,
     devices: Vec<SharedDevice<FleetDevice>>,
-    placement: Placement,
-    tenants: Vec<TenantRun>,
-    buckets: BucketSet,
-    epoch: usize,
-    epoch_stats: Vec<EpochStat>,
-    migrations: Vec<MigrationRecord>,
-    violations: Vec<String>,
-    finished_at: SimTime,
+    /// One per tenant in a fed fleet, none in a generated one.
+    feeds: Vec<Feed>,
     /// The pool's largest logical block: every pushed entry's offset and
     /// length must be a multiple of it.
     align: u64,
-    // Telemetry is observational state: it is excluded from
-    // `snapshot()`/`report()` identity and starts fresh on resume (the
+    // Telemetry is observational state: it is excluded from the state's
+    // and the report's identity and starts fresh on resume (the
     // determinism bar compares uninterrupted same-seed runs).
     obs: MetricsRegistry,
     flight: FlightRecorder,
@@ -506,20 +526,76 @@ impl FleetSim {
     }
 
     fn with_mode(config: FleetConfig, pool: Vec<FleetDevice>, fed: bool) -> Self {
-        let (placement, tenants, buckets, align) = Self::build(&config, &pool, fed);
-        let mut obs = MetricsRegistry::new();
-        let ids = FleetObsIds::register(&mut obs);
-        FleetSim {
-            devices: pool.into_iter().map(SharedDevice::new).collect(),
+        let (slots, span, align) = geometry(&config, pool.iter());
+        let specs = config.tenant_specs(span);
+        let (mut tenants, mut buckets) = (Vec::with_capacity(specs.len()), BucketSet::new());
+        for spec in &specs {
+            buckets.push(TokenBucket::new(spec.burst_bytes, spec.rate_bytes_per_sec));
+            let (rng, t) = spec.trace.cursor().into_position();
+            tenants.push(TenantRun {
+                rng,
+                t,
+                floor: SimTime::ZERO,
+                written_high: 0,
+                metrics: TenantMetrics::new(),
+            });
+        }
+        let state = FleetState {
+            placement: Placement::contiguous(config.tenants, config.devices, slots, span),
             config,
-            placement,
+            epoch: 0,
             tenants,
             buckets,
-            epoch: 0,
             epoch_stats: Vec::new(),
             migrations: Vec::new(),
             violations: Vec::new(),
             finished_at: SimTime::ZERO,
+        };
+        let devices = pool.into_iter().map(SharedDevice::new).collect();
+        let feeds = vec![Feed::default(); if fed { specs.len() } else { 0 }];
+        Self::assemble(state, specs, devices, feeds, align)
+    }
+
+    /// Builds a fleet on `state` and `devices`, in pool order. To resume
+    /// one, pass its [`state`](FleetSim::state) and the devices
+    /// checkpointed with it ([`checkpoint_devices`](FleetSim::checkpoint_devices)),
+    /// each thawed and wrapped with its queue head
+    /// ([`SharedDevice::with_queue_head`]). The tenant specs are
+    /// synthesized again from the state's config.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state's shape (tenant/device counts, region span)
+    /// disagrees with the pool — resuming under a different fleet
+    /// definition is a caller bug; the durable store fingerprints configs
+    /// to prevent it.
+    pub fn from_state(state: FleetState, devices: Vec<SharedDevice<FleetDevice>>) -> Self {
+        let (_, span, align) = geometry(&state.config, devices.iter().map(SharedDevice::inner));
+        let (placement, tenants, pool) = (&state.placement, state.config.tenants, devices.len());
+        assert_eq!(placement.region_span(), span, "region span drift on resume");
+        assert_eq!(placement.device_count(), pool, "device count drift");
+        assert_eq!(placement.tenant_count(), tenants, "tenant count drift");
+        assert_eq!(state.tenants.len(), tenants, "tenant count drift");
+        assert_eq!(state.buckets.len(), tenants, "tenant count drift");
+        let specs = state.config.tenant_specs(span);
+        Self::assemble(state, specs, devices, Vec::new(), align)
+    }
+
+    /// A fleet whose `specs`, `feeds` and `align` are already derived.
+    fn assemble(
+        state: FleetState,
+        specs: Vec<TenantSpec>,
+        devices: Vec<SharedDevice<FleetDevice>>,
+        feeds: Vec<Feed>,
+        align: u64,
+    ) -> Self {
+        let mut obs = MetricsRegistry::new();
+        let ids = FleetObsIds::register(&mut obs);
+        FleetSim {
+            state,
+            specs,
+            devices,
+            feeds,
             align,
             obs,
             flight: FlightRecorder::default(),
@@ -530,113 +606,6 @@ impl FleetSim {
         }
     }
 
-    /// Rebuilds a fleet mid-run: `pool` must hold devices already thawed
-    /// from the checkpoints taken alongside `snapshot`. Each tenant's
-    /// trace cursor starts afresh from the config and skips forward past
-    /// the entries the snapshot says were consumed; floors, budgets,
-    /// metrics, and the placement come from the snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's shape (tenant/device counts, region span)
-    /// disagrees with the config and pool — resuming under a different
-    /// fleet definition is a caller bug; the durable store fingerprints
-    /// configs to prevent it.
-    pub fn resume(config: FleetConfig, pool: Vec<FleetDevice>, snapshot: &FleetSnapshot) -> Self {
-        let mut sim = Self::with_mode(config, pool, false);
-        let placement = &snapshot.placement;
-        let (span, devices, tenants) = (sim.region_span(), sim.devices.len(), sim.tenants.len());
-        assert_eq!(placement.region_span(), span, "region span drift on resume");
-        assert_eq!(placement.device_count(), devices, "device count drift");
-        assert_eq!(placement.tenant_count(), tenants, "tenant count drift");
-        assert_eq!(snapshot.cursors.len(), tenants, "tenant count drift");
-        assert_eq!(snapshot.queue_heads.len(), devices, "device count drift");
-        for (t, run) in sim.tenants.iter_mut().enumerate() {
-            run.cursor = snapshot.cursors[t] as usize;
-            let Arrivals::Generated(cursor) = &mut run.arrivals else {
-                unreachable!("a resumed fleet generates its traces");
-            };
-            let skipped = cursor.by_ref().take(run.cursor).count();
-            assert!(skipped == run.cursor, "cursor past trace end");
-            run.floor = snapshot.floors[t];
-            run.written_high = snapshot.written_highs[t];
-            run.metrics = snapshot.metrics[t].clone();
-        }
-        sim.devices = std::mem::take(&mut sim.devices)
-            .into_iter()
-            .zip(&snapshot.queue_heads)
-            .map(|(d, &head)| SharedDevice::with_queue_head(d.into_inner(), head))
-            .collect();
-        sim.placement = placement.clone();
-        sim.buckets = snapshot.buckets.clone();
-        sim.epoch = snapshot.epoch as usize;
-        sim.epoch_stats = snapshot.epoch_stats.clone();
-        sim.migrations = snapshot.migrations.clone();
-        sim.violations = snapshot.violations.clone();
-        sim.finished_at = snapshot.finished_at;
-        sim
-    }
-
-    /// Shared construction: geometry, tenant synthesis, contiguous
-    /// placement, budgets, and the alignment every device accepts.
-    fn build(
-        config: &FleetConfig,
-        pool: &[FleetDevice],
-        fed: bool,
-    ) -> (Placement, Vec<TenantRun>, BucketSet, u64) {
-        assert!(config.tenants > 0, "fleet needs tenants");
-        assert!(config.epochs > 0, "fleet needs at least one epoch");
-        assert_eq!(pool.len(), config.devices, "pool size != config.devices");
-        assert!(!pool.is_empty(), "fleet needs devices");
-        let min_cap = pool.iter().map(|d| d.info().capacity()).min().unwrap();
-        let align = pool.iter().map(|d| d.info().logical_block()).max().unwrap() as u64;
-        for d in pool {
-            assert!(
-                (config.io_size as u64).is_multiple_of(d.info().logical_block() as u64),
-                "io_size {} misaligned for {}",
-                config.io_size,
-                d.info().name()
-            );
-        }
-        let slots = config.tenants.div_ceil(config.devices) + 1;
-        let region_span = (min_cap / slots as u64) / align * align;
-        assert!(
-            region_span >= config.io_size as u64,
-            "devices too small: {region_span}-byte regions cannot hold one {}-byte i/o",
-            config.io_size
-        );
-        let placement = Placement::contiguous(config.tenants, config.devices, slots, region_span);
-        let mut tenants = Vec::with_capacity(config.tenants);
-        let mut buckets = BucketSet::new();
-        for id in 0..config.tenants {
-            let spec = TenantSpec::synthesize(
-                id as u32,
-                &config.mix,
-                config.seed,
-                region_span,
-                config.duration,
-                config.io_size,
-            );
-            buckets.push(TokenBucket::new(spec.burst_bytes, spec.rate_bytes_per_sec));
-            tenants.push(TenantRun {
-                arrivals: if fed {
-                    Arrivals::Fed {
-                        queue: VecDeque::new(),
-                        last: SimTime::ZERO,
-                    }
-                } else {
-                    Arrivals::Generated(spec.trace.cursor().peekable())
-                },
-                spec,
-                cursor: 0,
-                floor: SimTime::ZERO,
-                written_high: 0,
-                metrics: TenantMetrics::new(),
-            });
-        }
-        (placement, tenants, buckets, align)
-    }
-
     /// Replaces the executor the epoch's device cells run on (tests pin
     /// the width here rather than through the process-wide environment).
     #[cfg(test)]
@@ -645,34 +614,14 @@ impl FleetSim {
         self
     }
 
-    /// Completed epochs.
-    pub fn epoch(&self) -> usize {
-        self.epoch
-    }
-
     /// `true` once every epoch has run.
     pub fn is_finished(&self) -> bool {
-        self.epoch >= self.config.epochs
+        self.state.epoch >= self.state.config.epochs
     }
 
     /// The per-tenant region span, in bytes.
     pub fn region_span(&self) -> u64 {
-        self.placement.region_span()
-    }
-
-    /// The current placement.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
-    /// The fleet's configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
-    }
-
-    /// Completed migrations so far, in completion order.
-    pub fn migrations(&self) -> &[MigrationRecord] {
-        &self.migrations
+        self.state.placement.region_span()
     }
 
     /// Appends externally supplied arrival entries to a fed tenant's
@@ -691,12 +640,11 @@ impl FleetSim {
         if self.is_finished() {
             return Err(FeedError::Finished);
         }
-        let (span, align) = (self.placement.region_span(), self.align);
-        let run = self
-            .tenants
-            .get_mut(tenant as usize)
-            .ok_or(FeedError::UnknownTenant { tenant })?;
-        let Arrivals::Fed { queue, last } = &mut run.arrivals else {
+        let (span, align) = (self.state.placement.region_span(), self.align);
+        if tenant as usize >= self.state.tenants.len() {
+            return Err(FeedError::UnknownTenant { tenant });
+        }
+        let Some(Feed { queue, last }) = self.feeds.get_mut(tenant as usize) else {
             return Err(FeedError::NotFed);
         };
         let mut floor = *last;
@@ -737,8 +685,8 @@ impl FleetSim {
     /// Nominal end of epoch `e` on the arrival axis.
     fn window_end(&self, e: usize) -> SimTime {
         SimTime::from_nanos(
-            (self.config.duration.as_nanos() as u128 * (e as u128 + 1) / self.config.epochs as u128)
-                as u64,
+            (self.state.config.duration.as_nanos() as u128 * (e as u128 + 1)
+                / self.state.config.epochs as u128) as u64,
         )
     }
 
@@ -755,34 +703,38 @@ impl FleetSim {
     /// placement/geometry bug; healthy fleets never hit one). The other
     /// devices' cells have run by then, so the sim is left part-way
     /// through the epoch and cannot be resumed: drop it, or restart from
-    /// the last boundary's snapshot and device checkpoints.
+    /// the last boundary's state and device checkpoints.
     ///
     /// # Panics
     ///
     /// Panics if the fleet already finished.
     pub fn run_epoch(&mut self) -> Result<(), IoError> {
         assert!(!self.is_finished(), "fleet already finished");
-        let e = self.epoch;
-        let cut = if e + 1 == self.config.epochs {
+        let e = self.state.epoch;
+        let cut = if e + 1 == self.state.config.epochs {
             SimTime::MAX // final epoch drains everything
         } else {
             self.window_end(e)
         };
-        let n = self.tenants.len();
+        let n = self.state.tenants.len();
         // Lend each resident's run and budget to its home device's cell,
         // in ascending tenant id (the order `Placement::residents` gives).
         let mut groups: Vec<Vec<Resident<'_>>> = (0..self.devices.len())
-            .map(|_| Vec::with_capacity(self.placement.slots_per_device()))
+            .map(|_| Vec::with_capacity(self.state.placement.slots_per_device()))
             .collect();
-        let placement = &self.placement;
-        let lent = self.tenants.iter_mut().zip(self.buckets.buckets_mut());
-        for (t, (run, bucket)) in lent.enumerate() {
+        let (placement, tenants) = (&self.state.placement, &mut self.state.tenants);
+        let lent = tenants.iter_mut().zip(self.state.buckets.buckets_mut());
+        let mut feeds = self.feeds.iter_mut();
+        for (t, ((run, bucket), spec)) in lent.zip(&self.specs).enumerate() {
+            let feed = feeds.next();
             if let Some((dev, slot)) = placement.home(t as u32) {
                 groups[dev].push(Resident {
                     id: t as u32,
                     base: placement.base(slot),
+                    trace: &spec.trace,
                     run,
                     bucket,
+                    feed,
                 });
             }
         }
@@ -812,7 +764,7 @@ impl FleetSim {
                 ep_lat_ns[t] = tally.latency_ns;
             }
             dev_bytes.push(dev.bytes);
-            self.buckets.credit(dev.granted);
+            self.state.buckets.credit(dev.granted);
             self.obs.add(self.ids.throttle_events, dev.throttle_events);
             self.obs.add(self.ids.throttled_ns, dev.throttled_ns);
             self.obs.add(self.ids.ios, dev.ios);
@@ -821,7 +773,7 @@ impl FleetSim {
                 .hist_mut(self.ids.grant_wait)
                 .merge(&dev.grant_wait);
             self.obs.hist_mut(self.ids.latency).merge(&dev.latency);
-            self.finished_at = self.finished_at.max(dev.finished_at);
+            self.state.finished_at = self.state.finished_at.max(dev.finished_at);
         }
         // Epoch cut: fairness over inverse mean latencies (equal service
         // quality -> 1.0; a tenant queueing behind a noisy neighbor drags
@@ -833,7 +785,7 @@ impl FleetSim {
             .collect();
         let fairness = jain_index(&shares);
         let epoch_ios: u64 = ep_ios.iter().sum();
-        self.epoch_stats.push(EpochStat {
+        self.state.epoch_stats.push(EpochStat {
             tenant_bytes: ep_bytes,
             device_bytes: dev_bytes,
             fairness,
@@ -844,17 +796,17 @@ impl FleetSim {
         self.obs
             .set(self.ids.fairness_milli, (fairness * 1000.0) as i64);
         self.flight
-            .record(self.finished_at, "epoch-end", e as u64, epoch_ios);
+            .record(self.state.finished_at, "epoch-end", e as u64, epoch_ios);
         self.audit_boundary();
-        if let Some(policy) = self.config.rebalance {
-            if e + 1 < self.config.epochs {
-                let stat = self.epoch_stats.last().expect("just pushed").clone();
-                for mv in policy.plan(&stat, &self.placement) {
+        if let Some(policy) = self.state.config.rebalance {
+            if e + 1 < self.state.config.epochs {
+                let stat = self.state.epoch_stats.last().expect("just pushed").clone();
+                for mv in policy.plan(&stat, &self.state.placement) {
                     self.migrate(mv.tenant, mv.to)?;
                 }
             }
         }
-        self.epoch += 1;
+        self.state.epoch += 1;
         Ok(())
     }
 
@@ -862,10 +814,10 @@ impl FleetSim {
     /// panics — violations are findings, reported at the end).
     fn audit_boundary(&mut self) {
         let mut found = Vec::new();
-        if let Err(v) = self.placement.check() {
+        if let Err(v) = self.state.placement.check() {
             found.push(v.to_string());
         }
-        if let Err(v) = self.buckets.check() {
+        if let Err(v) = self.state.buckets.check() {
             found.push(v.to_string());
         }
         for d in &self.devices {
@@ -876,7 +828,7 @@ impl FleetSim {
         for v in &found {
             self.record_violation(v);
         }
-        self.violations.extend(found);
+        self.state.violations.extend(found);
     }
 
     /// Puts a contract violation on the flight recorder so a postmortem
@@ -884,9 +836,9 @@ impl FleetSim {
     fn record_violation(&mut self, rendered: &str) {
         self.obs.inc(self.ids.violations);
         self.flight.record(
-            self.finished_at,
+            self.state.finished_at,
             format!("contract-violation: {rendered}"),
-            self.epoch as u64,
+            self.state.epoch as u64,
             0,
         );
     }
@@ -896,12 +848,13 @@ impl FleetSim {
     /// tenant's written extent to its new region, and defer the tenant's
     /// tail to the copy's completion instant.
     fn migrate(&mut self, tenant: u32, to_device: usize) -> Result<(), IoError> {
-        let (from_device, from_slot) = self.placement.home(tenant).expect("migrant has a home");
-        let to_slot = match self.placement.free_slot(to_device) {
+        let placement = &self.state.placement;
+        let (from_device, from_slot) = placement.home(tenant).expect("migrant has a home");
+        let to_slot = match placement.free_slot(to_device) {
             Some(s) => s,
             None => return Ok(()), // plan raced headroom; skip, stay consistent
         };
-        let boundary = self.window_end(self.epoch);
+        let boundary = self.window_end(self.state.epoch);
         // Freeze: checkpoint the source device's complete state. The
         // fingerprint lands in the migration record, so two runs of the
         // same fleet prove they froze identical state.
@@ -926,12 +879,12 @@ impl FleetSim {
             // The injected bug: the migrant is dropped instead of
             // re-homed. The conservation contract must catch this at the
             // next boundary audit.
-            self.placement.drop_tenant(tenant);
+            self.state.placement.drop_tenant(tenant);
             return Ok(());
         }
-        let src_base = self.placement.base(from_slot);
-        let dst_base = self.placement.base(to_slot);
-        let extent = self.tenants[tenant as usize].written_high;
+        let src_base = self.state.placement.base(from_slot);
+        let dst_base = self.state.placement.base(to_slot);
+        let extent = self.state.tenants[tenant as usize].written_high;
         let mut completed_at = frozen_at;
         let mut copied = 0u64;
         if extent > 0 {
@@ -972,32 +925,32 @@ impl FleetSim {
                 .iter()
                 .fold(start, |acc, c| acc.max(c.completes));
         }
-        let before = self.placement.homes().to_vec();
-        self.placement.migrate(tenant, to_device, to_slot);
+        let before = self.state.placement.homes().to_vec();
+        self.state.placement.migrate(tenant, to_device, to_slot);
         let audit_result = {
             let audit = MigrationAudit {
                 tenant,
                 before: &before,
-                after: self.placement.homes(),
+                after: self.state.placement.homes(),
             };
-            audit.check().and_then(|()| self.placement.check())
+            audit.check().and_then(|()| self.state.placement.check())
         };
         if let Err(v) = audit_result {
             let rendered = v.to_string();
             self.record_violation(&rendered);
-            self.violations.push(rendered);
+            self.state.violations.push(rendered);
         }
         // Replay the tail: entries that arrived during the copy defer to
         // its completion.
-        let run = &mut self.tenants[tenant as usize];
+        let run = &mut self.state.tenants[tenant as usize];
         run.floor = run.floor.max(completed_at);
-        self.finished_at = self.finished_at.max(completed_at);
+        self.state.finished_at = self.state.finished_at.max(completed_at);
         self.obs.inc(self.ids.migrations);
         self.obs.add(self.ids.migration_bytes, copied);
         self.flight
             .record(completed_at, "migration-complete", tenant as u64, copied);
-        self.migrations.push(MigrationRecord {
-            epoch: self.epoch as u64,
+        self.state.migrations.push(MigrationRecord {
+            epoch: self.state.epoch as u64,
             tenant,
             from: (from_device, from_slot),
             to: (to_device, to_slot),
@@ -1023,13 +976,14 @@ impl FleetSim {
 
     /// The report of everything run so far.
     pub fn report(&self) -> FleetReport {
-        let per_tenant = self
+        let state = &self.state;
+        let per_tenant = state
             .tenants
             .iter()
             .enumerate()
             .map(|(t, run)| TenantSummary {
                 id: t as u32,
-                device: self.placement.home(t as u32).map_or(usize::MAX, |h| h.0),
+                device: state.placement.home(t as u32).map_or(usize::MAX, |h| h.0),
                 ios: run.metrics.ios,
                 bytes: run.metrics.bytes,
                 mean_latency: run.metrics.latency.mean(),
@@ -1040,51 +994,39 @@ impl FleetSim {
             })
             .collect::<Vec<_>>();
         FleetReport {
-            tenants: self.config.tenants,
-            devices: self.config.devices,
-            epochs: self.epoch,
-            fairness_per_epoch: self.epoch_stats.iter().map(|s| s.fairness).collect(),
-            migrations: self.migrations.clone(),
-            violations: self.violations.clone(),
+            tenants: state.config.tenants,
+            devices: state.config.devices,
+            epochs: state.epoch,
+            fairness_per_epoch: state.epoch_stats.iter().map(|s| s.fairness).collect(),
+            migrations: state.migrations.clone(),
+            violations: state.violations.clone(),
             total_ios: per_tenant.iter().map(|t| t.ios).sum(),
             total_bytes: per_tenant.iter().map(|t| t.bytes).sum(),
-            finished_at: self.finished_at,
+            finished_at: state.finished_at,
             per_tenant,
         }
     }
 
-    /// Captures the fleet's resumable state (pair with
-    /// [`checkpoint_devices`](Self::checkpoint_devices) for a durable
-    /// cut).
-    pub fn snapshot(&self) -> FleetSnapshot {
-        FleetSnapshot {
-            epoch: self.epoch as u64,
-            placement: self.placement.clone(),
-            cursors: self.tenants.iter().map(|r| r.cursor as u64).collect(),
-            floors: self.tenants.iter().map(|r| r.floor).collect(),
-            written_highs: self.tenants.iter().map(|r| r.written_high).collect(),
-            metrics: self.tenants.iter().map(|r| r.metrics.clone()).collect(),
-            buckets: self.buckets.clone(),
-            epoch_stats: self.epoch_stats.clone(),
-            migrations: self.migrations.clone(),
-            violations: self.violations.clone(),
-            queue_heads: self.devices.iter().map(|d| d.queue_head()).collect(),
-            finished_at: self.finished_at,
-        }
+    /// The fleet's state between epochs: clone it for an in-memory
+    /// checkpoint, encode it for a durable one (pair either with
+    /// [`checkpoint_devices`](Self::checkpoint_devices)).
+    pub fn state(&self) -> &FleetState {
+        &self.state
     }
 
-    /// Freezes every device in the pool (the durable layer stores these
-    /// alongside the [`FleetSnapshot`]).
-    pub fn checkpoint_devices(&self) -> Vec<DeviceCheckpoint> {
+    /// Freezes every device in the pool, in pool order, each with its
+    /// shared-queue head (the doorbell clamp floor a thawed device must
+    /// resume with, see [`from_state`](Self::from_state)).
+    pub fn checkpoint_devices(&self) -> Vec<(SimTime, DeviceCheckpoint)> {
         self.devices
             .iter()
-            .map(|d| d.inner().checkpoint())
+            .map(|d| (d.queue_head(), d.inner().checkpoint()))
             .collect()
     }
 
     /// The per-tenant specs (for rendering: shape, budget).
     pub fn tenant_spec(&self, tenant: u32) -> &TenantSpec {
-        &self.tenants[tenant as usize].spec
+        &self.specs[tenant as usize]
     }
 
     /// Telemetry snapshot: fleet-level rows, the merged per-tenant latency
@@ -1095,7 +1037,7 @@ impl FleetSim {
         // Pool-level tenant latency: per-tenant histograms merged into one
         // (the aggregation seam `LatencyHistogram::merge` exists for).
         let mut merged = LatencyHistogram::new();
-        for run in &self.tenants {
+        for run in &self.state.tenants {
             merged.merge(&run.metrics.latency);
         }
         let id = reg.hist("fleet.tenant_latency_ns");
@@ -1140,10 +1082,17 @@ mod tests {
         FleetConfig::new(12, 2).with_duration(SimDuration::from_millis(20))
     }
 
-    fn encoded(snapshot: &FleetSnapshot) -> Vec<u8> {
-        let mut w = Encoder::new();
-        snapshot.encode(&mut w);
-        w.into_bytes()
+    /// Rebuilds `frozen`'s devices on a fresh pool and the fleet on them.
+    fn thaw(state: FleetState, frozen: Vec<(SimTime, DeviceCheckpoint)>) -> FleetSim {
+        let devices = pool(state.config.devices, 64 << 20, 7)
+            .into_iter()
+            .zip(frozen)
+            .map(|(mut device, (head, checkpoint))| {
+                device.restore_from(checkpoint).expect("thaws");
+                SharedDevice::with_queue_head(device, head)
+            })
+            .collect();
+        FleetSim::from_state(state, devices)
     }
 
     #[test]
@@ -1153,7 +1102,7 @@ mod tests {
         let ra = a.run().expect("fleet a runs");
         let rb = b.run().expect("fleet b runs");
         assert_eq!(ra, rb);
-        assert_eq!(encoded(&a.snapshot()), encoded(&b.snapshot()));
+        assert_eq!(a.state().to_bytes(), b.state().to_bytes());
         assert!(ra.violations.is_empty(), "{:?}", ra.violations);
         assert!(ra.total_ios > 0);
         assert!(ra.min_fairness() > 0.0 && ra.min_fairness() <= 1.0);
@@ -1174,7 +1123,12 @@ mod tests {
         let ra = generated.run().expect("generated runs");
         let rb = fed.run().expect("fed runs");
         assert_eq!(ra, rb);
-        assert_eq!(encoded(&generated.snapshot()), encoded(&fed.snapshot()));
+        // A fed fleet's cursors never move: take the generated ones, then
+        // compare everything.
+        for (fed, generated) in fed.state.tenants.iter_mut().zip(&generated.state.tenants) {
+            (fed.rng, fed.t) = (generated.rng.clone(), generated.t);
+        }
+        assert_eq!(state_bytes(&generated), state_bytes(&fed));
     }
 
     #[test]
@@ -1294,27 +1248,15 @@ mod tests {
         }
         fed.run_epoch().expect("epoch 0");
         let cut = fed.window_end(0);
-        let (mut served, mut queued) = (0, 0);
-        for run in &fed.tenants {
-            let Arrivals::Fed { queue, .. } = &run.arrivals else {
-                panic!("a fed fleet's tenants are fed");
-            };
-            assert!(queue.iter().all(|e| e.at >= cut), "served entry kept");
-            served += run.cursor;
-            queued += queue.len();
+        // Every entry granted in an epoch completes in it.
+        let served = fed.report().total_ios as usize;
+        let mut queued = 0;
+        for feed in &fed.feeds {
+            assert!(feed.queue.iter().all(|e| e.at >= cut), "served entry kept");
+            queued += feed.queue.len();
         }
         assert!(served > 0 && queued > 0, "{served} served, {queued} queued");
         assert_eq!(served + queued, pushed);
-    }
-
-    #[test]
-    #[should_panic(expected = "cursor past trace end")]
-    fn resume_past_the_trace_end_panics() {
-        let mut sim = FleetSim::new(small_config(), pool(2, 64 << 20, 7));
-        sim.run_epoch().expect("epoch 0");
-        let mut snapshot = sim.snapshot();
-        snapshot.cursors[0] = sim.tenant_spec(0).trace.generate().len() as u64 + 1;
-        let _ = FleetSim::resume(small_config(), pool(2, 64 << 20, 7), &snapshot);
     }
 
     #[test]
@@ -1347,36 +1289,34 @@ mod tests {
         let mut first = FleetSim::new(config.clone(), pool(2, 64 << 20, 7));
         first.run_epoch().expect("epoch 0");
         first.run_epoch().expect("epoch 1");
-        let snapshot = first.snapshot();
+        let state = FleetState::from_bytes(&first.state().to_bytes()).expect("decodes");
         let frozen = first.checkpoint_devices();
         drop(first); // the "kill"
 
-        let mut thawed = pool(2, 64 << 20, 7);
-        for (device, checkpoint) in thawed.iter_mut().zip(frozen) {
-            device.restore_from(checkpoint).expect("thaws");
-        }
-        let mut resumed = FleetSim::resume(config, thawed, &snapshot);
-        assert_eq!(resumed.epoch(), 2);
+        let mut resumed = thaw(state, frozen);
+        assert_eq!(resumed.state().epoch, 2);
         let resumed_report = resumed.run().expect("resumed runs");
 
         assert_eq!(whole_report, resumed_report);
-        assert_eq!(encoded(&whole.snapshot()), encoded(&resumed.snapshot()));
+        assert_eq!(whole.state().to_bytes(), resumed.state().to_bytes());
     }
 
-    /// Everything a fleet run exposes, as bytes: the encoded snapshot,
-    /// every device's encoded checkpoint, and the telemetry record.
+    /// Everything a fleet run exposes, as bytes: the encoded state,
+    /// every device's queue head and encoded checkpoint, and the
+    /// telemetry record.
     fn state_bytes(sim: &FleetSim) -> (Vec<u8>, Vec<Vec<u8>>, Vec<u8>) {
         let devices = sim
             .checkpoint_devices()
             .iter()
-            .map(|cp| {
+            .map(|(head, cp)| {
                 let mut w = Encoder::new();
+                head.encode(&mut w);
                 cp.encode_into(&mut w).expect("eSSD checkpoints persist");
                 w.into_bytes()
             })
             .collect();
         (
-            encoded(&sim.snapshot()),
+            sim.state().to_bytes(),
             devices,
             sim.obs_report().to_record_bytes(),
         )
@@ -1401,15 +1341,10 @@ mod tests {
             first.run_epoch().expect("epoch 0");
             first.run_epoch().expect("epoch 1");
             let at_cut = state_bytes(&first);
-            let snapshot = first.snapshot();
+            let state = first.state().clone();
             let frozen = first.checkpoint_devices();
             drop(first);
-            let mut thawed = pool(4, 64 << 20, 7);
-            for (device, checkpoint) in thawed.iter_mut().zip(frozen) {
-                device.restore_from(checkpoint).expect("thaws");
-            }
-            let mut resumed =
-                FleetSim::resume(config.clone(), thawed, &snapshot).with_executor(suffix);
+            let mut resumed = thaw(state, frozen).with_executor(suffix);
             let report = resumed.run().expect("resumed runs");
             assert!(!report.migrations.is_empty(), "the fleet must migrate");
             assert!(report.violations.is_empty(), "{:?}", report.violations);
@@ -1424,12 +1359,9 @@ mod tests {
     fn snapshot_roundtrips_through_persist() {
         let mut sim = FleetSim::new(small_config(), pool(2, 64 << 20, 7));
         sim.run_epoch().expect("epoch 0");
-        let snapshot = sim.snapshot();
-        let bytes = encoded(&snapshot);
-        let mut r = uc_persist::Decoder::new(&bytes);
-        let back = FleetSnapshot::decode(&mut r).expect("decodes");
-        r.finish().expect("no trailing bytes");
-        assert_eq!(encoded(&back), bytes);
+        let bytes = sim.state().to_bytes();
+        let back = FleetState::from_bytes(&bytes).expect("decodes");
+        assert_eq!(back.to_bytes(), bytes);
     }
 
     #[test]

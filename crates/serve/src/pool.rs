@@ -403,7 +403,7 @@ impl ServePool {
     /// Panics on the same invalid `config` values as
     /// [`new`](ServePool::new).
     pub fn new_fleet(sim: FleetSim, config: PoolConfig) -> Self {
-        let tenants = sim.config().tenants;
+        let tenants = sim.state().config.tenants;
         let pool = ServePool::new(Vec::new(), config);
         pool.state().fleet = Some(FleetFrontend {
             sim,
@@ -439,7 +439,7 @@ impl ServePool {
         }
         *slot = true;
         let span = f.sim.region_span();
-        let io_size = f.sim.config().io_size;
+        let io_size = f.sim.state().config.io_size;
         Ok((format!("tenant{tenant}@fleet"), span, io_size))
     }
 
@@ -474,7 +474,7 @@ impl ServePool {
         if tenant as usize >= f.attached.len() {
             return Err(FleetError::UnknownTenant);
         }
-        let expected = f.sim.epoch() as u64;
+        let expected = f.sim.state().epoch as u64;
         if epoch != expected {
             return Err(FleetError::EpochMismatch { expected });
         }
@@ -490,7 +490,8 @@ impl ServePool {
         f.flushed_count = 0;
         let moves = f
             .sim
-            .migrations()
+            .state()
+            .migrations
             .iter()
             .filter(|m| m.epoch == epoch)
             .map(|m| TenantMove {

@@ -230,13 +230,26 @@ impl TraceSpec {
     /// lazily in arrival order: a consumer that reads them once holds one
     /// entry at a time instead of the whole trace.
     pub fn cursor(&self) -> TraceCursor {
+        self.cursor_at(SimRng::new(self.seed), 0.0)
+    }
+
+    /// A cursor at a [`position`](TraceCursor::into_position) an earlier
+    /// cursor of this spec reported: it yields exactly the entries that
+    /// cursor had not yet yielded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span cannot hold one I/O or `t` is not finite and
+    /// non-negative.
+    pub fn cursor_at(&self, rng: SimRng, t: f64) -> TraceCursor {
         assert!(self.span >= self.io_size as u64, "span cannot hold one i/o");
+        assert!(t.is_finite() && t >= 0.0, "cursor instant {t} out of range");
         TraceCursor {
             spec: *self,
-            rng: SimRng::new(self.seed),
+            rng,
             slots: self.span / self.io_size as u64,
             horizon: self.duration.as_nanos() as f64,
-            t: 0.0,
+            t,
         }
     }
 }
@@ -245,6 +258,11 @@ impl TraceSpec {
 /// entries. Every gap is positive and a silent window only jumps
 /// forward, so the entries come out in non-decreasing arrival order —
 /// exactly the order [`TraceSpec::generate`] stores them in.
+///
+/// An entry's kind and offset are drawn only when it is yielded, so the
+/// cursor's whole position is its RNG and its next arrival instant
+/// ([`into_position`](TraceCursor::into_position)); [`TraceSpec::cursor_at`]
+/// rebuilds it there.
 #[derive(Debug, Clone)]
 pub struct TraceCursor {
     spec: TraceSpec,
@@ -257,13 +275,20 @@ pub struct TraceCursor {
     t: f64,
 }
 
-impl Iterator for TraceCursor {
-    type Item = TraceEntry;
+impl TraceCursor {
+    /// The cursor's position: its RNG and the next arrival instant, in
+    /// nanoseconds.
+    pub fn into_position(self) -> (SimRng, f64) {
+        (self.rng, self.t)
+    }
 
+    /// Takes the next entry if it arrives before `cut`. Its arrival
+    /// instant is compared before its kind and offset are drawn, so a
+    /// refused entry leaves the cursor where it was.
     // Inlined into the consuming loop, the cursor's state stays in
     // registers; `generate` and the fleet's grant loop rely on it.
     #[inline]
-    fn next(&mut self) -> Option<TraceEntry> {
+    pub fn next_before(&mut self, cut: SimTime) -> Option<TraceEntry> {
         let spec = &self.spec;
         while self.t < self.horizon {
             let t = self.t;
@@ -295,9 +320,13 @@ impl Iterator for TraceCursor {
                     1e9 / burst_iops
                 }
             };
+            let at = SimTime::from_nanos(t.round() as u64);
+            if at >= cut {
+                return None;
+            }
             self.t = t + gap;
             return Some(TraceEntry {
-                at: SimTime::from_nanos(t.round() as u64),
+                at,
                 kind: if self.rng.chance(spec.write_ratio) {
                     IoKind::Write
                 } else {
@@ -308,6 +337,17 @@ impl Iterator for TraceCursor {
             });
         }
         None
+    }
+}
+
+impl Iterator for TraceCursor {
+    type Item = TraceEntry;
+
+    /// Every entry arrives before [`SimTime::MAX`]: `t` stays below the
+    /// horizon, at most 2⁶⁴ ns, and so does its rounded instant.
+    #[inline]
+    fn next(&mut self) -> Option<TraceEntry> {
+        self.next_before(SimTime::MAX)
     }
 }
 
@@ -461,6 +501,34 @@ mod tests {
             for n in [0, 1, whole.len() / 2, whole.len() - 1, whole.len()] {
                 let tail: Vec<TraceEntry> = spec.cursor().skip(n).collect();
                 assert_eq!(tail, whole.entries()[n..], "{spec:?} from {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn cursor_rebuilt_at_its_position_continues_the_trace() {
+        for spec in shapes() {
+            let whole = spec.generate();
+            let horizon = spec.duration.as_nanos();
+            let mut cuts = SimRng::new(spec.seed ^ 0xC07);
+            for _ in 0..8 {
+                // Drain up to ascending random cuts, rebuilding the cursor
+                // from its position after each; the last cut lies past
+                // the horizon.
+                let mut lazy = Vec::new();
+                let mut cursor = spec.cursor();
+                let mut cut = 0;
+                while cut <= horizon {
+                    cut += cuts.range_u64(1, horizon / 3);
+                    while let Some(e) = cursor.next_before(SimTime::from_nanos(cut)) {
+                        assert!(e.at < SimTime::from_nanos(cut), "{spec:?}");
+                        lazy.push(e);
+                    }
+                    let (rng, t) = cursor.into_position();
+                    cursor = spec.cursor_at(rng, t);
+                }
+                assert_eq!(cursor.next(), None, "{spec:?}");
+                assert_eq!(lazy, whole.entries(), "{spec:?}");
             }
         }
     }

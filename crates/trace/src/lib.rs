@@ -16,7 +16,7 @@
 //!   [`Trace`] format;
 //! * **generators** ([`TraceSpec`]) — synthetic arrival shapes (steady,
 //!   diurnal, bursty ON/OFF) parameterized like `uc-workload` job specs,
-//!   materialized whole or streamed lazily through a [`TraceCursor`];
+//!   materialized whole or streamed lazily through a resumable [`TraceCursor`];
 //! * **interleaving** ([`merge_streams`] / [`validate_merged`]) — the
 //!   deterministic multi-tenant merge the fleet simulation (`uc-fleet`)
 //!   uses to put many tenants on one shared device: identical timestamps

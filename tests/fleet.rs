@@ -4,7 +4,7 @@
 //! Two observational equivalences are pinned:
 //!
 //! * **suffix equivalence** — freezing the whole fleet at *any* epoch
-//!   boundary (simulation snapshot + every device's checkpoint), thawing
+//!   boundary (fleet state + every device's checkpoint), thawing
 //!   onto a fresh pool, and replaying the tail produces a final state
 //!   byte-identical to an uninterrupted run — with and without
 //!   checkpoint-seam migrations in the suffix;
@@ -18,13 +18,12 @@
 //! `every-tenant-placed` invariant at the next boundary audit.
 
 use proptest::prelude::*;
+use unwritten_contract::blockdev::SharedDevice;
 use unwritten_contract::core::experiments::fleet as fleet_exp;
 use unwritten_contract::core::report::render_fleet_report;
 use unwritten_contract::essd::{Essd, EssdConfig};
-use unwritten_contract::fleet::{
-    FleetConfig, FleetDevice, FleetSim, FleetSnapshot, RebalancePolicy,
-};
-use unwritten_contract::persist::{crc32, Encoder, Persist};
+use unwritten_contract::fleet::{FleetConfig, FleetDevice, FleetSim, FleetState, RebalancePolicy};
+use unwritten_contract::persist::{crc32, Persist};
 use unwritten_contract::sim::SimDuration;
 
 /// A pool of small eSSDs, uniquely named (the checkpoint seam validates
@@ -51,15 +50,6 @@ fn config(tenants: usize, devices: usize, seed: u64, rebalance: bool) -> FleetCo
     config
 }
 
-/// The snapshot's canonical wire form — byte equality here is the
-/// strongest state-equality check the fleet offers (placement, cursors,
-/// floors, budgets, full latency histograms, migration log, queue heads).
-fn encoded(snapshot: &FleetSnapshot) -> Vec<u8> {
-    let mut w = Encoder::new();
-    snapshot.encode(&mut w);
-    w.into_bytes()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -84,19 +74,25 @@ proptest! {
         for _ in 0..cut {
             prefix.run_epoch().expect("prefix epoch");
         }
-        let snapshot = prefix.snapshot();
+        let state = FleetState::from_bytes(&prefix.state().to_bytes()).expect("decodes");
         let frozen = prefix.checkpoint_devices();
-        drop(prefix); // the "kill": nothing survives but snapshot + checkpoints
+        drop(prefix); // the "kill": nothing survives but state + checkpoints
 
-        let mut thawed = pool(devices, seed);
-        for (device, checkpoint) in thawed.iter_mut().zip(frozen) {
-            device.restore_from(checkpoint).expect("thaw");
-        }
-        let mut resumed = FleetSim::resume(cfg, thawed, &snapshot);
+        let thawed = pool(devices, seed)
+            .into_iter()
+            .zip(frozen)
+            .map(|(mut device, (head, checkpoint))| {
+                device.restore_from(checkpoint).expect("thaw");
+                SharedDevice::with_queue_head(device, head)
+            })
+            .collect();
+        let mut resumed = FleetSim::from_state(state, thawed);
         let resumed_report = resumed.run().expect("suffix run");
 
         prop_assert_eq!(&whole_report, &resumed_report);
-        prop_assert_eq!(encoded(&whole.snapshot()), encoded(&resumed.snapshot()));
+        // The state's bytes are the strongest equality the fleet offers:
+        // placement, cursor positions, budgets, full histograms, migrations.
+        prop_assert_eq!(whole.state().to_bytes(), resumed.state().to_bytes());
         prop_assert!(whole_report.violations.is_empty(), "{:?}", whole_report.violations);
     }
 
@@ -166,7 +162,7 @@ fn rebalancing_fleet() -> FleetSim {
 }
 
 /// Golden bytes for a whole rebalancing fleet: the encoded final
-/// snapshot, the rendered report and the `uc.obs.v1` telemetry record
+/// state, the rendered report and the `uc.obs.v1` telemetry record
 /// are pinned as `(len, crc32)`. How the epoch loop schedules its devices
 /// (one after another or in parallel) must not move any of them.
 #[test]
@@ -183,14 +179,14 @@ fn rebalancing_fleet_outputs_are_pinned() {
     // A migration's `crc` fingerprints the frozen device checkpoint, so
     // it moves with the device checkpoint format; nothing else may. The
     // masked rows pin every other byte across such a format change.
-    let mut snapshot = sim.snapshot();
-    let unmasked = encoded(&snapshot);
-    for m in &mut snapshot.migrations {
+    let mut state = sim.state().clone();
+    let unmasked = state.to_bytes();
+    for m in &mut state.migrations {
         m.freeze_crc = 0;
     }
     let actual = [
         ("snapshot", fingerprint(&unmasked)),
-        ("snapshot-masked", fingerprint(&encoded(&snapshot))),
+        ("snapshot-masked", fingerprint(&state.to_bytes())),
         ("report", fingerprint(rendered.as_bytes())),
         (
             "report-masked",
@@ -198,9 +194,14 @@ fn rebalancing_fleet_outputs_are_pinned() {
         ),
         ("obs", fingerprint(&sim.obs_report().to_record_bytes())),
     ];
+    // `uc.fleet.v2`: the state leads with its config and holds each
+    // tenant's cursor position instead of a consumed-entry count; the
+    // queue heads moved beside the device checkpoints. The state rows
+    // moved once; `uc.fleet.v1` read 989_808 bytes (0xa8b56495, masked
+    // 0xb384ede5).
     let golden = [
-        ("snapshot", (989_808, 0xa8b56495)),
-        ("snapshot-masked", (989_808, 0xb384ede5)),
+        ("snapshot", (991_097, 0x26021f3b)),
+        ("snapshot-masked", (991_097, 0x8395cf44)),
         ("report", (1_001, 0x69bda510)),
         ("report-masked", (1_001, 0x65c547d3)),
         ("obs", (15_023, 0xb11504b9)),

@@ -199,13 +199,21 @@ fn checkpoint_payload_bytes_are_pinned() {
         // 1_254_633, 23_576, 112_391, 112_483, 107_434 and 437_076 bytes.
         // The trace and fleet rows grew: the dense table persists lanes no
         // fragment has touched yet.
+        //
+        // `uc.trace-run.v2`: a phase cut's `u128` latency sum is written
+        // high word first, like every other `u128`; the trace rows kept
+        // their lengths (v1 CRCs 0x2c96_30ec and 0x9c23_0bb8).
+        // `uc.fleet.v2`: the fleet state leads with its config, each
+        // tenant persists its trace cursor's position instead of a
+        // consumed-entry count, and each device's queue head sits beside
+        // its checkpoint (v1: 438_092 bytes, 0x792f_64ce).
         ("ssd", (648_053, 0x7f66_29a2)),
         ("essd", (21_792, 0x1f41_c91a)),
-        ("trace-run", (114_351, 0x2c96_30ec)),
-        ("trace-run-closed", (114_443, 0x9c23_0bb8)),
+        ("trace-run", (114_351, 0xddb2_75a3)),
+        ("trace-run-closed", (114_443, 0x3e4d_2c92)),
         ("obs", (426, 0x785f_7f81)),
         ("fig3", (105_010, 0x0169_0311)),
-        ("fleet", (438_092, 0x792f_64ce)),
+        ("fleet", (438_613, 0x7bfb_ce38)),
     ];
     assert_eq!(actual, golden);
 }
@@ -953,6 +961,129 @@ fn v1_device_payloads_are_rejected_typed() {
     retag_payload(&fig3_path, "uc.ssd-checkpoint.v2", "uc.ssd-checkpoint.v1");
     assert_eq!(Fig3Checkpoint::load_from(&fig3_path).err(), Some(v1()));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrites the record file at `path` under the kind tag `kind`, its
+/// payload unchanged.
+fn retag_record(path: &std::path::Path, kind: &str) {
+    use unwritten_contract::persist::{decode_record, write_record_file};
+    let bytes = std::fs::read(path).unwrap();
+    let payload = decode_record(&bytes).unwrap().1.to_vec();
+    write_record_file(path, kind, |w| {
+        w.put_raw(&payload);
+        std::io::Result::Ok(())
+    })
+    .unwrap();
+}
+
+/// Files from before the `uc.fleet.v2` and `uc.trace-run.v2` formats fail
+/// typed at their record kind.
+#[test]
+fn v1_fleet_and_trace_run_records_are_rejected_typed() {
+    use unwritten_contract::core::experiments::FleetCheckpoint;
+    let dir = temp_dir("v1-records");
+    let v1 = |kind: &str| Some(DecodeError::UnknownKind { found: kind.into() });
+
+    let fleet_path = dir.join("fleet.ckpt");
+    fleet_checkpoint().save_to(&fleet_path).unwrap();
+    retag_record(&fleet_path, "uc.fleet.v1");
+    assert_eq!(
+        FleetCheckpoint::load_from(&fleet_path).err(),
+        v1("uc.fleet.v1")
+    );
+
+    let trace_path = dir.join("trace-run.ckpt");
+    trace_run_checkpoint(ReplayConfig::open_loop())
+        .save_to(&trace_path)
+        .unwrap();
+    retag_record(&trace_path, "uc.trace-run.v1");
+    assert_eq!(
+        TraceRunCheckpoint::load_from(&trace_path).err(),
+        v1("uc.trace-run.v1")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Crafted fleet-state bytes fail typed, never panicking: a cursor
+/// instant that is not a finite non-negative number, a tenant or device
+/// count that disagrees with the placement, and configs that tenant
+/// synthesis or the epoch clock would panic on.
+#[test]
+fn crafted_fleet_state_bytes_are_typed() {
+    use unwritten_contract::fleet::{FleetConfig, FleetState, ShapeMix};
+    use unwritten_contract::sim::{SimRng, TokenBucket};
+    let state = fleet_checkpoint().state;
+    let good = state.to_bytes();
+    let config = state.config.clone();
+    // The state leads with its config, its epoch and its placement; the
+    // tenant count follows, then tenant 0's cursor RNG and instant.
+    let tenants_at = config.to_bytes().len() + 8 + state.placement.to_bytes().len();
+    let t_at = tenants_at + 8 + SimRng::new(0).to_bytes().len();
+    assert_eq!(FleetState::from_bytes(&good).unwrap().to_bytes(), good);
+    let patched = |at: usize, with: &[u8]| {
+        let mut bytes = good.clone();
+        bytes[at..at + with.len()].copy_from_slice(with);
+        bytes
+    };
+    let mut crafted = Vec::new();
+    for t in [f64::NAN, -1.0, f64::INFINITY] {
+        crafted.push(patched(t_at, &t.to_le_bytes()));
+    }
+    let mut extra = state.clone();
+    extra.buckets.push(TokenBucket::new(4096.0, 1e6));
+    crafted.push(extra.to_bytes());
+    for broken in [
+        FleetConfig {
+            devices: config.devices + 1,
+            ..config.clone()
+        },
+        FleetConfig {
+            tenants: 0,
+            ..config.clone()
+        },
+        FleetConfig {
+            epochs: 0,
+            ..config.clone()
+        },
+        FleetConfig {
+            mix: ShapeMix {
+                steady: 0,
+                diurnal: 0,
+                bursty: 0,
+            },
+            ..config.clone()
+        },
+    ] {
+        crafted.push(patched(0, &broken.to_bytes()));
+    }
+    for bytes in &crafted {
+        rejects::<FleetState>(bytes);
+    }
+}
+
+/// A fleet record whose config and placement agree on a huge device
+/// count, with the matching device count after them, fails typed at the
+/// first missing device rather than sizing a vector by the claim.
+#[test]
+fn huge_fleet_device_count_is_typed() {
+    use unwritten_contract::core::experiments::FleetCheckpoint;
+    let checkpoint = fleet_checkpoint();
+    let huge = (1u64 << 40).to_le_bytes();
+    let mut state = checkpoint.state.to_bytes();
+    // The config's device count follows its tenant count; the
+    // placement's follows the epoch, its region span and its slots.
+    let config_len = checkpoint.state.config.to_bytes().len();
+    state[8..16].copy_from_slice(&huge);
+    state[config_len + 24..config_len + 32].copy_from_slice(&huge);
+    let mut w = Encoder::new();
+    w.put_u32(checkpoint.fingerprint);
+    w.put_raw(&state);
+    w.put_raw(&huge);
+    let result = FleetCheckpoint::decode_from(&mut Decoder::new(w.as_bytes()));
+    assert!(
+        matches!(result, Err(DecodeError::Truncated { .. })),
+        "{result:?}"
+    );
 }
 
 /// A loaded device checkpoint restores onto a roster-built device and
