@@ -11,7 +11,7 @@
 //!   resumable checkpoint segments pipelined across cores (default 8;
 //!   results are byte-identical at any value).
 //! * `--verify-segmented` — also run each device through the
-//!   freeze/thaw round trip at the same segment count and exit nonzero
+//!   encode/decode round trip at the same segment count and exit nonzero
 //!   unless the rendered figures are byte-identical (the checkpoint
 //!   seam's end-to-end check; used by CI).
 //! * `--checkpoint-dir <dir>` — persist the primed state and every
@@ -87,7 +87,7 @@ fn main() {
         print!("{}", render_fig3(&results[i]));
         println!();
         if verify {
-            eprintln!("verifying {kind} against the freeze/thaw round trip…");
+            eprintln!("verifying {kind} against the encode/decode round trip…");
             let reference = durable::round_trip(&fig3::chain(&roster, kind, &cfg, segments))
                 .expect("fig3 round-trip run");
             if render_fig3(&reference) != render_fig3(&results[i]) {

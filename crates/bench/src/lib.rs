@@ -25,7 +25,7 @@ pub use uc_core::devices::{DeviceKind, DeviceRoster};
 
 use std::path::PathBuf;
 use uc_core::experiments::fleet::FleetRunConfig;
-use uc_core::experiments::{DurableRecord, Store};
+use uc_core::experiments::Store;
 use uc_fleet::{RebalancePolicy, ShapeMix};
 use uc_sim::SimDuration;
 
@@ -97,7 +97,7 @@ impl DurableArgs {
     /// # Panics
     ///
     /// Panics if the checkpoint directory cannot be created.
-    pub fn store<R: DurableRecord>(&self) -> Option<Store<R>> {
+    pub fn store(&self) -> Option<Store> {
         let dir = self.checkpoint_dir.as_ref()?;
         let mut store = Store::create(dir)
             .unwrap_or_else(|e| panic!("cannot create checkpoint dir {}: {e}", dir.display()))
@@ -437,9 +437,7 @@ mod tests {
                 kill_after: Some(5),
             }
         );
-        assert!(DurableArgs::default()
-            .store::<uc_core::experiments::FleetCheckpoint>()
-            .is_none());
+        assert!(DurableArgs::default().store().is_none());
     }
 
     #[test]

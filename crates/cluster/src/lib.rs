@@ -205,9 +205,9 @@ impl Cluster {
     /// has staged it. Returns the final acknowledgement instant.
     pub fn write(&mut self, now: SimTime, offset: u64, len: u32, rng: &mut SimRng) -> SimTime {
         let mut done = now;
-        self.stats.bytes_written += len as u64;
+        self.stats.bytes_written = self.stats.bytes_written.saturating_add(len as u64);
         for (chunk, frag_len) in self.map.fragments(offset, len) {
-            self.stats.write_fragments += 1;
+            self.stats.write_fragments = self.stats.write_fragments.saturating_add(1);
             let lanes = chunk_lanes(&mut self.lanes, &self.config, chunk);
             for ((i, node), lane) in self.map.replicas(chunk).enumerate().zip(lanes) {
                 // Non-primary replicas see one extra backend hop.
@@ -230,9 +230,9 @@ impl Cluster {
     /// fragment's data is ready to return to the VM.
     pub fn read(&mut self, now: SimTime, offset: u64, len: u32, rng: &mut SimRng) -> SimTime {
         let mut done = now;
-        self.stats.bytes_read += len as u64;
+        self.stats.bytes_read = self.stats.bytes_read.saturating_add(len as u64);
         for (chunk, frag_len) in self.map.fragments(offset, len) {
-            self.stats.read_fragments += 1;
+            self.stats.read_fragments = self.stats.read_fragments.saturating_add(1);
             let mut replicas = self.map.replicas(chunk);
             let i = rng.index(replicas.len());
             let node = replicas.nth(i).expect("index is below the replica count");
@@ -272,6 +272,41 @@ mod tests {
         assert_eq!(s.read_fragments, 1);
         assert_eq!(s.bytes_written, 4096);
         assert_eq!(s.bytes_read, 4096);
+    }
+
+    #[test]
+    fn counters_saturate_instead_of_overflowing() {
+        let near = u64::MAX - 1;
+        let full = NodeStats {
+            writes: near,
+            reads: near,
+            bytes_written: near,
+            bytes_read: near,
+        };
+        let mut rng = SimRng::new(5);
+        let mut node = StorageNode::new(ClusterConfig::small(1 << 30).node);
+        node.stats = full;
+        node.write(SimTime::ZERO, &mut 0, 4096, &mut rng);
+        node.read(SimTime::ZERO, &mut 0, 4096, &mut rng);
+        let s = node.stats();
+        assert_eq!((s.writes, s.reads), (u64::MAX, u64::MAX));
+        assert_eq!((s.bytes_written, s.bytes_read), (u64::MAX, u64::MAX));
+
+        let mut c = cluster();
+        c.stats = ClusterStats {
+            write_fragments: near,
+            read_fragments: near,
+            bytes_written: near,
+            bytes_read: near,
+        };
+        for node in &mut c.nodes {
+            node.stats = full;
+        }
+        let ack = c.write(SimTime::ZERO, 0, 4096, &mut rng);
+        c.read(ack, 0, 4096, &mut rng);
+        let s = c.stats();
+        assert_eq!((s.write_fragments, s.read_fragments), (u64::MAX, u64::MAX));
+        assert_eq!((s.bytes_written, s.bytes_read), (u64::MAX, u64::MAX));
     }
 
     #[test]

@@ -173,8 +173,8 @@ impl StorageNode {
         // Flash program happens asynchronously after staging; it only
         // contends with reads on the die pool, never delays the ack.
         self.flash.program(staged, len);
-        self.stats.writes += 1;
-        self.stats.bytes_written += len as u64;
+        self.stats.writes = self.stats.writes.saturating_add(1);
+        self.stats.bytes_written = self.stats.bytes_written.saturating_add(len as u64);
         staged + self.config.staged_ack.sample(rng)
     }
 
@@ -187,8 +187,8 @@ impl StorageNode {
         let start = occupy(lane, now, header + self.transfer_time(len));
         let parsed = start + header + self.config.per_io.sample(rng);
         let fetched = self.flash.read(parsed, len);
-        self.stats.reads += 1;
-        self.stats.bytes_read += len as u64;
+        self.stats.reads = self.stats.reads.saturating_add(1);
+        self.stats.bytes_read = self.stats.bytes_read.saturating_add(len as u64);
         fetched
     }
 

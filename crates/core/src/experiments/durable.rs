@@ -6,16 +6,20 @@
 //! phases, epochs). An experiment describes one timeline as a [`Chain`];
 //! [`run`] drives any number of chains pipelined across an [`Executor`],
 //! carrying each chain's **live** state from step to step and — only when
-//! given a [`Store`] — freezing a [`DurableRecord`] to disk at every step
-//! boundary. [`round_trip`] instead freezes and thaws one chain at every
-//! step: it keeps the checkpoint seam exercised and is the reference the
-//! live driver is tested against. Both produce byte-identical output.
+//! given a [`Store`] — writing that live state to disk at every step
+//! boundary ([`Chain::encode`], straight into the record buffer). A
+//! resume reads a state back ([`Chain::decode`]); no second, owned copy
+//! of a run exists on either side. [`round_trip`] instead encodes and
+//! decodes one chain through the same bytes before every step: it keeps
+//! the checkpoint seam exercised and is the reference the live driver is
+//! tested against. Both produce byte-identical output.
 //!
 //! # On-disk layout
 //!
 //! A store is one directory. Each chain owns a file-stem *key*
 //! (`fig3-<device>`, `trace-<device>`, `fleet`) and writes
-//! `<key>.seg<step>.ckpt` record files (atomically: temp file + rename):
+//! `<key>.seg<step>.ckpt` record files (atomically: temp file + rename)
+//! under its [`Chain::RECORD_KIND`]:
 //!
 //! * a fresh run first deletes every file of its keys, then saves its
 //!   primed step-0 state, so a crash before the first boundary resumes
@@ -31,75 +35,20 @@
 //!   [`Store::obs_dump_path`] there).
 
 use crate::experiments::Executor;
-use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use uc_blockdev::{CheckpointError, PersistError};
 use uc_persist::{DecodeError, Decoder, Encoder};
 
-/// A checkpoint that can be persisted as a self-describing record file.
-pub trait DurableRecord: Sized {
-    /// The on-disk record kind tag. Bump the suffix when the layout
-    /// changes.
-    const RECORD_KIND: &'static str;
-
-    /// Appends this record's wire form to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::NotPersistent`] if an embedded device
-    /// checkpoint carries no persistence codec (roster- and pool-built
-    /// devices always do).
-    fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError>;
-
-    /// Parses a record back out of its wire form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`DecodeError`] on any malformed input.
-    fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError>;
-
-    /// The file-stem key of the chain this record belongs to.
-    fn key(&self) -> String;
-
-    /// Steps the chain had completed when this record was taken.
-    fn step(&self) -> usize;
-
-    /// Writes this record to `path` (atomically: temp file + rename).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] on codec-less payloads or filesystem
-    /// failures.
-    fn save_to(&self, path: &Path) -> Result<(), PersistError> {
-        uc_persist::write_record_file(path, Self::RECORD_KIND, |w| self.encode_into(w))
-    }
-
-    /// Reads a record back from a file written by
-    /// [`DurableRecord::save_to`].
-    ///
-    /// # Errors
-    ///
-    /// Every failure — unreadable file, foreign bytes, truncation,
-    /// flipped bits, future format version, another record kind — is a
-    /// typed [`DecodeError`], never a panic.
-    fn load_from(path: &Path) -> Result<Self, DecodeError> {
-        let payload = uc_persist::read_record_file(path, Self::RECORD_KIND)?;
-        let mut r = Decoder::new(&payload);
-        let record = Self::decode_from(&mut r)?;
-        r.finish()?;
-        Ok(record)
-    }
-}
-
-/// One resumable timeline: how to prime, step, freeze, thaw and finish
+/// One resumable timeline: how to prime, step, save, load and finish
 /// it. Implementations borrow their context (roster, config, trace), so
 /// every stage shares it and nothing is copied per step.
 pub trait Chain: Sync {
+    /// The on-disk record kind tag of this chain's saves. Bump the suffix
+    /// when the layout changes.
+    const RECORD_KIND: &'static str;
     /// The live run between steps.
     type State: Send;
-    /// The frozen run, as persisted.
-    type Record: DurableRecord;
     /// What a step can fail with.
     type Error: Send;
     /// The finished run's result.
@@ -121,38 +70,83 @@ pub trait Chain: Sync {
     ///
     /// Returns the experiment's error (typically device I/O).
     fn advance(&self, state: &mut Self::State) -> Result<(), Self::Error>;
-    /// Freezes the run between steps.
-    fn checkpoint(&self, state: &Self::State) -> Self::Record;
-    /// Thaws a frozen run.
+    /// Steps `state` has already run.
+    fn completed(&self, state: &Self::State) -> usize;
+    /// Writes the live `state` into `w`.
     ///
     /// # Errors
     ///
-    /// Returns a [`CheckpointError`] if the record does not restore onto
-    /// the devices this chain builds.
-    fn resume(&self, record: Self::Record) -> Result<Self::State, CheckpointError>;
-    /// `true` if `record` was taken under this chain's exact plan and can
-    /// continue it.
-    fn matches(&self, record: &Self::Record) -> bool;
+    /// Returns [`PersistError::NotPersistent`] if a device carries no
+    /// persistence codec (roster- and pool-built devices always do).
+    fn encode(&self, state: &Self::State, w: &mut Encoder) -> Result<(), PersistError>;
+    /// Rebuilds a state from bytes [`Chain::encode`] wrote, restoring its
+    /// devices onto freshly built ones. Consumes all of `r`
+    /// ([`Decoder::finish`]) before it restores any device.
+    ///
+    /// # Errors
+    ///
+    /// [`LoadError::Decode`] on malformed bytes, [`LoadError::OtherPlan`]
+    /// for a record this chain's key and plan did not write, and
+    /// [`LoadError::Restore`] if a device does not restore onto the one
+    /// this chain builds.
+    fn decode(&self, r: Decoder<'_>) -> Result<Self::State, LoadError>;
     /// Consumes the finished run.
     fn finish(&self, state: Self::State) -> Self::Output;
     /// Called right before the save that trips the store's crash hook.
-    fn before_kill(&self, _state: &Self::State, _store: &Store<Self::Record>) {}
+    fn before_kill(&self, _state: &Self::State, _store: &Store) {}
 }
+
+/// Why saved bytes do not continue a chain.
+#[derive(Debug)]
+pub enum LoadError {
+    /// The bytes are not an intact record of the chain's kind.
+    Decode(DecodeError),
+    /// An intact record taken under another key or plan.
+    OtherPlan,
+    /// The record's devices do not restore onto the ones the chain
+    /// builds (e.g. one taken at another `--scale`).
+    Restore(CheckpointError),
+}
+
+impl From<DecodeError> for LoadError {
+    fn from(e: DecodeError) -> Self {
+        LoadError::Decode(e)
+    }
+}
+
+impl From<CheckpointError> for LoadError {
+    fn from(e: CheckpointError) -> Self {
+        LoadError::Restore(e)
+    }
+}
+
+impl std::fmt::Display for LoadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LoadError::Decode(e) => write!(f, "{e}"),
+            LoadError::OtherPlan => write!(f, "taken under a different plan"),
+            LoadError::Restore(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for LoadError {}
 
 /// Errors of a durable run.
 #[derive(Debug)]
 pub enum RunError<E> {
     /// A step failed (device I/O, trace validation).
     Step(E),
-    /// Writing a checkpoint to disk failed.
+    /// Writing a checkpoint failed.
     Save(PersistError),
-    /// A checkpoint does not restore onto the devices this run builds
-    /// (e.g. one taken at another `--scale`).
-    Restore(CheckpointError),
+    /// A checkpoint does not load back: its devices do not restore onto
+    /// the ones this run builds, or (in [`round_trip`], a seam bug) the
+    /// chain does not read its own bytes.
+    Restore(LoadError),
 }
 
 impl<E> RunError<E> {
-    /// The step error of a run that neither saves nor thaws ([`run`]
+    /// The step error of a run that neither saves nor loads ([`run`]
     /// without a store).
     ///
     /// # Panics
@@ -183,15 +177,14 @@ impl<E: std::fmt::Debug + std::fmt::Display> std::error::Error for RunError<E> {
 /// file naming, pruning and the resume scan). `Sync`: the driver's worker
 /// threads share it.
 #[derive(Debug)]
-pub struct Store<R> {
+pub struct Store {
     dir: PathBuf,
     resume: bool,
     kill_after: Option<u64>,
     saves: AtomicU64,
-    record: PhantomData<fn() -> R>,
 }
 
-impl<R: DurableRecord> Store<R> {
+impl Store {
     /// Opens (creating if needed) a checkpoint directory for a fresh run.
     ///
     /// # Errors
@@ -206,7 +199,6 @@ impl<R: DurableRecord> Store<R> {
             resume: false,
             kill_after: None,
             saves: AtomicU64::new(0),
-            record: PhantomData,
         })
     }
 
@@ -254,17 +246,18 @@ impl<R: DurableRecord> Store<R> {
         self.dir.join(format!("{key}.seg{step:04}.ckpt"))
     }
 
-    /// Persists `record`, prunes every other step of its key, and returns
-    /// the new file's path.
+    /// Writes `state` as `chain`'s record at the step it has completed,
+    /// prunes every other step of its key, and returns the new file's
+    /// path.
     ///
     /// # Errors
     ///
-    /// Propagates [`PersistError`] from the underlying save.
-    pub fn save(&self, record: &R) -> Result<PathBuf, PersistError> {
-        let key = record.key();
-        let path = self.step_path(&key, record.step());
-        record.save_to(&path)?;
-        self.prune(&key, Some(record.step()));
+    /// Propagates [`PersistError`] from the encode or the filesystem.
+    pub fn save<C: Chain>(&self, chain: &C, state: &C::State) -> Result<PathBuf, PersistError> {
+        let (key, step) = (chain.key(), chain.completed(state));
+        let path = self.step_path(&key, step);
+        write(chain, state, &path)?;
+        self.prune(&key, Some(step));
         let saved = self.saves.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(limit) = self.kill_after.filter(|&limit| saved >= limit) {
             eprintln!(
@@ -304,63 +297,73 @@ impl<R: DurableRecord> Store<R> {
         }
     }
 
-    /// Loads `key`'s newest checkpoint that decodes cleanly and satisfies
-    /// `accept`, scanning newest → oldest. Torn, foreign and stale-plan
-    /// files are reported on stderr and scanned *past*, so a stale higher
-    /// step never shadows an older one that matches.
-    pub fn latest_matching(&self, key: &str, accept: impl Fn(&R) -> bool) -> Option<R> {
-        for step in self.steps(key).into_iter().rev() {
-            let path = self.step_path(key, step);
-            match R::load_from(&path) {
-                Ok(record) if record.key() != key => eprintln!(
-                    "{key}: ignoring {} (belongs to {})",
-                    path.display(),
-                    record.key()
-                ),
-                Ok(record) if accept(&record) => return Some(record),
-                Ok(_) => eprintln!(
-                    "{key}: ignoring {} (taken under a different plan); trying older steps",
-                    path.display()
-                ),
+    /// Loads `chain`'s newest saved state that decodes cleanly and was
+    /// taken under its key and plan, scanning newest → oldest. Torn,
+    /// foreign and stale-plan files are reported on stderr and scanned
+    /// *past*, so a stale higher step never shadows an older one that
+    /// matches.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LoadError::Restore`] for a record of this plan whose
+    /// devices do not restore: the run asked to continue cannot.
+    pub fn latest<C: Chain>(&self, chain: &C) -> Result<Option<C::State>, LoadError> {
+        let key = chain.key();
+        for step in self.steps(&key).into_iter().rev() {
+            let path = self.step_path(&key, step);
+            match load(chain, &path) {
+                Ok(state) => return Ok(Some(state)),
+                Err(e @ LoadError::Restore(_)) => return Err(e),
                 Err(e) => eprintln!("{key}: ignoring {}: {e}", path.display()),
             }
         }
-        None
+        Ok(None)
     }
 }
 
-/// Saves `state`'s checkpoint, giving the chain its last word first if
-/// this save trips the crash hook.
-fn save<C: Chain>(
-    chain: &C,
-    state: &C::State,
-    store: &Store<C::Record>,
-) -> Result<(), RunError<C::Error>> {
+/// Writes `state` to `path` as `chain`'s record (atomically: temp file +
+/// rename), encoded straight into the one record buffer.
+fn write<C: Chain>(chain: &C, state: &C::State, path: &Path) -> Result<(), PersistError> {
+    uc_persist::write_record_file(path, C::RECORD_KIND, |w| chain.encode(state, w))
+}
+
+/// Reads `chain`'s state back from a record file its saves wrote.
+///
+/// # Errors
+///
+/// Every failure — unreadable file, foreign bytes, truncation, flipped
+/// bits, future format version, another record kind — is a typed
+/// [`LoadError::Decode`]; see [`Chain::decode`] for the rest.
+pub fn load<C: Chain>(chain: &C, path: &Path) -> Result<C::State, LoadError> {
+    let payload = uc_persist::read_record_file(path, C::RECORD_KIND)?;
+    chain.decode(Decoder::new(&payload))
+}
+
+/// Saves `state`, giving the chain its last word first if this save
+/// trips the crash hook.
+fn save<C: Chain>(chain: &C, state: &C::State, store: &Store) -> Result<(), RunError<C::Error>> {
     if store.kill_imminent() {
         chain.before_kill(state, store);
     }
-    store
-        .save(&chain.checkpoint(state))
-        .map(drop)
-        .map_err(RunError::Save)
+    store.save(chain, state).map(drop).map_err(RunError::Save)
 }
 
 /// The state a chain starts from and the steps it has already done:
-/// thawed from `store` when resuming onto a matching checkpoint, else
+/// loaded from `store` when resuming onto a matching checkpoint, else
 /// primed fresh (and, durably, saved as step 0 after clearing the key).
 fn prime<C: Chain>(
     chain: &C,
-    store: Option<&Store<C::Record>>,
+    store: Option<&Store>,
 ) -> Result<(C::State, usize), RunError<C::Error>> {
     let Some(store) = store else {
         return Ok((chain.start().map_err(RunError::Step)?, 0));
     };
     let key = chain.key();
     if store.resume {
-        if let Some(record) = store.latest_matching(&key, |r| chain.matches(r)) {
-            let done = record.step();
+        if let Some(state) = store.latest(chain).map_err(RunError::Restore)? {
+            let done = chain.completed(&state);
             eprintln!("{key}: resuming from step {done}/{}", chain.steps());
-            return Ok((chain.resume(record).map_err(RunError::Restore)?, done));
+            return Ok((state, done));
         }
     }
     store.prune(&key, None);
@@ -372,8 +375,8 @@ fn prime<C: Chain>(
 /// Runs every chain to completion, pipelined across `exec`'s workers
 /// ([`Executor::run_chains`]): step `k` of one chain runs concurrently
 /// with step `k-1` of another. Each chain's live state is handed from
-/// step to step; with a `store`, every boundary is also checkpointed to
-/// disk (and with [`Store::with_resume`], chains continue from disk).
+/// step to step; with a `store`, every boundary is also saved to disk
+/// (and with [`Store::with_resume`], chains continue from disk).
 ///
 /// Results are returned in `chains` order and are byte-identical to
 /// [`round_trip`]'s at any thread count, with or without a store, and
@@ -386,7 +389,7 @@ fn prime<C: Chain>(
 pub fn run<C: Chain>(
     chains: &[C],
     exec: &Executor,
-    store: Option<&Store<C::Record>>,
+    store: Option<&Store>,
 ) -> Result<Vec<C::Output>, RunError<C::Error>> {
     let mut work = Vec::with_capacity(chains.len());
     for chain in chains {
@@ -415,19 +418,23 @@ pub fn run<C: Chain>(
         .collect()
 }
 
-/// Runs one chain on the calling thread, freezing and thawing it before
-/// every step — the checkpoint seam's end-to-end check and the reference
-/// [`run`] is compared against.
+/// Runs one chain on the calling thread, encoding its state and decoding
+/// it back through the same bytes a save writes before every step — the
+/// checkpoint seam's end-to-end check and the reference [`run`] is
+/// compared against.
 ///
 /// # Errors
 ///
-/// Returns the first step error, or [`RunError::Restore`] if the chain's
-/// own checkpoint fails to thaw (a seam bug).
+/// Returns the first step error, or [`RunError::Save`] /
+/// [`RunError::Restore`] if the chain's own state fails to encode or to
+/// load back (a seam bug).
 pub fn round_trip<C: Chain>(chain: &C) -> Result<C::Output, RunError<C::Error>> {
     let mut state = chain.start().map_err(RunError::Step)?;
     for _ in 0..chain.steps() {
+        let mut w = Encoder::new();
+        chain.encode(&state, &mut w).map_err(RunError::Save)?;
         state = chain
-            .resume(chain.checkpoint(&state))
+            .decode(Decoder::new(w.as_bytes()))
             .map_err(RunError::Restore)?;
         chain.advance(&mut state).map_err(RunError::Step)?;
     }
@@ -439,42 +446,13 @@ mod tests {
     use super::*;
     use uc_persist::Persist;
 
-    /// A frozen [`Count`] run: the whole state fits in the record.
+    /// A [`Count`] run: the whole state is four fields.
     #[derive(Debug, Clone, PartialEq)]
     struct Tally {
         key: String,
         plan: u32,
         step: usize,
         sum: u64,
-    }
-
-    impl DurableRecord for Tally {
-        const RECORD_KIND: &'static str = "uc.test-tally.v1";
-
-        fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
-            w.put_str(&self.key);
-            w.put_u32(self.plan);
-            self.step.encode(w);
-            w.put_u64(self.sum);
-            Ok(())
-        }
-
-        fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-            Ok(Tally {
-                key: r.get_string()?,
-                plan: r.get_u32()?,
-                step: usize::decode(r)?,
-                sum: r.get_u64()?,
-            })
-        }
-
-        fn key(&self) -> String {
-            self.key.clone()
-        }
-
-        fn step(&self) -> usize {
-            self.step
-        }
     }
 
     /// An order-sensitive toy timeline: each step folds its index into a
@@ -486,8 +464,8 @@ mod tests {
     }
 
     impl Chain for Count {
+        const RECORD_KIND: &'static str = "uc.test-tally.v1";
         type State = Tally;
-        type Record = Tally;
         type Error = String;
         type Output = u64;
 
@@ -513,20 +491,35 @@ mod tests {
             state.sum = state.sum.wrapping_mul(6364136223846793005) ^ state.step as u64;
             Ok(())
         }
-        fn checkpoint(&self, state: &Tally) -> Tally {
-            state.clone()
+        fn completed(&self, state: &Tally) -> usize {
+            state.step
         }
-        fn resume(&self, record: Tally) -> Result<Tally, CheckpointError> {
+        fn encode(&self, state: &Tally, w: &mut Encoder) -> Result<(), PersistError> {
+            w.put_str(&state.key);
+            w.put_u32(state.plan);
+            state.step.encode(w);
+            w.put_u64(state.sum);
+            Ok(())
+        }
+        fn decode(&self, mut r: Decoder<'_>) -> Result<Tally, LoadError> {
+            let tally = Tally {
+                key: r.get_string()?,
+                plan: r.get_u32()?,
+                step: usize::decode(&mut r)?,
+                sum: r.get_u64()?,
+            };
+            r.finish()?;
+            if tally.key != self.key || tally.plan != self.plan {
+                return Err(LoadError::OtherPlan);
+            }
             if self.plan == 0xDEAD {
                 return Err(CheckpointError::DeviceMismatch {
                     expected: self.key(),
-                    found: record.key,
-                });
+                    found: tally.key,
+                }
+                .into());
             }
-            Ok(record)
-        }
-        fn matches(&self, record: &Tally) -> bool {
-            record.plan == self.plan
+            Ok(tally)
         }
         fn finish(&self, state: Tally) -> u64 {
             assert_eq!(state.step, self.steps, "every step ran exactly once");
@@ -541,7 +534,7 @@ mod tests {
             .collect()
     }
 
-    fn store(name: &str) -> Store<Tally> {
+    fn store(name: &str) -> Store {
         let dir = std::env::temp_dir()
             .join("uc-durable-tests")
             .join(format!("{name}-{}", std::process::id()));
@@ -575,18 +568,17 @@ mod tests {
     #[test]
     fn save_prunes_every_other_step_and_counts_saves() {
         let store = store("prune");
-        let chain = &chains(1, 4)[0];
-        let other = chain.checkpoint(&partial(&chains(1, 4)[1], 3));
-        store.save(&other).unwrap();
+        let chains = chains(1, 4);
+        store.save(&chains[1], &partial(&chains[1], 3)).unwrap();
         for step in 0..3 {
-            store.save(&partial(chain, step)).unwrap();
+            store.save(&chains[0], &partial(&chains[0], step)).unwrap();
         }
         assert_eq!(store.steps("a"), vec![2]);
         assert_eq!(store.steps("b"), vec![3], "other keys are untouched");
         assert_eq!(store.saves(), 4);
         // A durable run saves step 0 plus every boundary of every chain.
         let store = self::store("prune-run");
-        run(&chains(1, 4), &Executor::with_threads(2), Some(&store)).unwrap();
+        run(&chains, &Executor::with_threads(2), Some(&store)).unwrap();
         assert_eq!(store.saves(), 3 * 5);
         for key in ["a", "b", "c"] {
             assert_eq!(store.steps(key), vec![4], "{key}: one file per key");
@@ -615,7 +607,7 @@ mod tests {
         let store = store("kill-resume").with_resume(true);
         // Chains die at different steps; only the files survive.
         for (chain, done) in chains.iter().zip([1, 4, 6]) {
-            store.save(&partial(chain, done)).unwrap();
+            store.save(chain, &partial(chain, done)).unwrap();
         }
         let resumed = run(&chains, &Executor::with_threads(2), Some(&store)).unwrap();
         assert_eq!(resumed, reference);
@@ -629,15 +621,13 @@ mod tests {
         let store = store("torn");
         let chain = &chains(2, 4)[0];
         // A crash between rename and prune leaves two boundaries.
-        partial(chain, 1).save_to(&store.step_path("a", 1)).unwrap();
+        write(chain, &partial(chain, 1), &store.step_path("a", 1)).unwrap();
         let newest = store.step_path("a", 2);
-        partial(chain, 2).save_to(&newest).unwrap();
+        write(chain, &partial(chain, 2), &newest).unwrap();
         let bytes = std::fs::read(&newest).unwrap();
         std::fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
-        let latest = store
-            .latest_matching("a", |_| true)
-            .expect("older step survives");
-        assert_eq!(latest.step, 1, "falls back past the torn file");
+        let latest = store.latest(chain).unwrap().expect("older step survives");
+        assert_eq!(latest, partial(chain, 1), "falls back past the torn file");
         let _ = std::fs::remove_dir_all(store.path());
     }
 
@@ -654,14 +644,11 @@ mod tests {
             plan: 8,
             steps: 8,
         };
-        partial(&stale, 3)
-            .save_to(&store.step_path("a", 3))
-            .unwrap();
-        partial(&current, 1)
-            .save_to(&store.step_path("a", 1))
-            .unwrap();
+        write(&stale, &partial(&stale, 3), &store.step_path("a", 3)).unwrap();
+        write(&current, &partial(&current, 1), &store.step_path("a", 1)).unwrap();
         let found = store
-            .latest_matching("a", |r| current.matches(r))
+            .latest(&current)
+            .unwrap()
             .expect("the matching older step is found");
         assert_eq!(found.step, 1);
         let resumed = run(
@@ -684,15 +671,23 @@ mod tests {
             plan: 5,
             steps: 3,
         };
-        partial(&Count { plan: 6, ..chain }, 2)
-            .save_to(&store.step_path("a", 2))
-            .unwrap();
+        let other_plan = Count { plan: 6, ..chain };
+        write(
+            &other_plan,
+            &partial(&other_plan, 2),
+            &store.step_path("a", 2),
+        )
+        .unwrap();
         // A file named for `a` whose record belongs to `b`.
-        partial(&Count { key: "b", ..chain }, 1)
-            .save_to(&store.step_path("a", 1))
-            .unwrap();
+        let other_key = Count { key: "b", ..chain };
+        write(
+            &other_key,
+            &partial(&other_key, 1),
+            &store.step_path("a", 1),
+        )
+        .unwrap();
         // Neither the plan-6 file nor `b`'s (plan-5) record continues `a`.
-        assert!(store.latest_matching("a", |r| chain.matches(r)).is_none());
+        assert!(store.latest(&chain).unwrap().is_none());
         let resumed = run(
             std::slice::from_ref(&chain),
             &Executor::sequential(),
@@ -706,12 +701,13 @@ mod tests {
     #[test]
     fn kill_imminent_fires_exactly_before_the_fatal_save() {
         let store = store("imminent").with_kill_after(2);
+        let chain = &chains(1, 2)[0];
         // saves == 0: the next save is #1, the crash fires after #2.
         assert!(!store.kill_imminent());
-        store.save(&partial(&chains(1, 2)[0], 0)).unwrap();
+        store.save(chain, &partial(chain, 0)).unwrap();
         assert!(store.kill_imminent());
         let unarmed = self::store("imminent-unarmed");
-        unarmed.save(&partial(&chains(1, 2)[0], 0)).unwrap();
+        unarmed.save(chain, &partial(chain, 0)).unwrap();
         assert!(!unarmed.kill_imminent());
         let _ = std::fs::remove_dir_all(store.path());
         let _ = std::fs::remove_dir_all(unarmed.path());
@@ -727,16 +723,19 @@ mod tests {
             ));
         }
         assert!(matches!(round_trip(&failing[0]), Err(RunError::Step(_))));
-        // A checkpoint that does not thaw is a typed restore error, both
+        // A state that does not restore is a typed restore error, both
         // in the round trip and when resuming from disk.
         let broken = Count {
             key: "a",
             plan: 0xDEAD,
             steps: 3,
         };
-        assert!(matches!(round_trip(&broken), Err(RunError::Restore(_))));
+        assert!(matches!(
+            round_trip(&broken),
+            Err(RunError::Restore(LoadError::Restore(_)))
+        ));
         let store = store("restore").with_resume(true);
-        store.save(&partial(&broken, 1)).unwrap();
+        store.save(&broken, &partial(&broken, 1)).unwrap();
         let err = run(
             std::slice::from_ref(&broken),
             &Executor::sequential(),

@@ -6,22 +6,23 @@
 //! continuous history (FTL wear, buffer occupancy, token-bucket levels all
 //! carry forward). This module therefore slices the run into **resumable
 //! segments** at capacity-fraction milestones: [`Endurance`] is its
-//! [`Slicing`] of the shared [`sliced`](super::sliced) run, which pairs
-//! the device's checkpoint with the paused closed-loop driver
-//! ([`ClosedLoopJob`], its own checkpoint) in a [`Fig3Checkpoint`] at
-//! each milestone. [`chains`] hands the segment
-//! chains to the shared durable-run engine ([`durable`]), so segment `k`
-//! of one device runs concurrently with segment `k-1` of another.
+//! [`Slicing`] of the shared [`sliced`](super::sliced) run, which saves
+//! the device's checkpoint beside the paused closed-loop driver
+//! ([`ClosedLoopJob`], written through its own codec) as one
+//! `uc.fig3-checkpoint.v1` record at each milestone. [`chains`] hands
+//! the segment chains to the shared durable-run engine ([`durable`]), so
+//! segment `k` of one device runs concurrently with segment `k-1` of
+//! another.
 //!
 //! Determinism is the contract: [`run`], [`run_pipelined`] at any
-//! segment and thread count, [`durable::round_trip`] (freeze/thaw at
+//! segment and thread count, [`durable::round_trip`] (encode/decode at
 //! every boundary) and a killed-and-resumed durable run all produce
 //! byte-identical [`Fig3Result`]s (pinned by this module's tests and the
 //! facade-level property tests).
 
 use crate::devices::{DeviceKind, DeviceRoster};
 use crate::experiments::durable::{self, RunError};
-use crate::experiments::sliced::{Device, SlicedChain, SlicedCheckpoint, Slicing};
+use crate::experiments::sliced::{Device, SlicedChain, Slicing};
 use crate::experiments::Executor;
 use uc_blockdev::IoError;
 use uc_metrics::Series;
@@ -144,13 +145,10 @@ fn effective_window(cfg: &Fig3Config, volume: u64) -> SimDuration {
 
 /// Figure 3's [`Slicing`]: one closed-loop random-write job paused at
 /// byte milestones. The plan head is the normalization capacity and the
-/// throughput window; there is no tail.
+/// throughput window; there is no tail. A paused run is saved as
+/// `fig3-<slug>.seg<k>.ckpt`.
 #[derive(Debug, Clone)]
 pub struct Endurance;
-
-/// A paused endurance run between segments, persisted as
-/// `fig3-<slug>.seg<k>.ckpt`.
-pub type Fig3Checkpoint = SlicedCheckpoint<Endurance>;
 
 impl Slicing for Endurance {
     const RECORD_KIND: &'static str = "uc.fig3-checkpoint.v1";
@@ -277,9 +275,10 @@ pub fn run_pipelined(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::durable::Chain;
+    use crate::experiments::durable::{Chain, LoadError};
     use crate::experiments::sliced::tests as shared;
     use crate::report::render_fig3;
+    use uc_persist::Decoder;
 
     fn roster() -> DeviceRoster {
         DeviceRoster::with_capacities(128 << 20, 128 << 20)
@@ -296,7 +295,7 @@ mod tests {
     #[test]
     fn segmented_and_pipelined_match_unsliced_for_every_kind() {
         // The determinism contract of the checkpoint redesign: slicing the
-        // endurance run into segments — with freeze/thaw round trips, or
+        // endurance run into segments — with encode/decode round trips, or
         // pipelined live across workers — must leave the rendered figure
         // byte-identical for every device class.
         let roster = roster();
@@ -341,18 +340,16 @@ mod tests {
         assert_eq!(run.completed(), 0);
         essd2.advance(&mut run).unwrap();
         assert_eq!(run.completed(), 1);
-        let frozen = essd2.checkpoint(&run);
-        assert_eq!(frozen.completed, 1);
-        assert_eq!(frozen.milestones.len(), 3);
-        assert!(!frozen.device.device().is_empty());
-        // A frozen run thaws on a roster clone (another worker's view).
+        let bytes = shared::encoded(&essd2, &run);
+        // A saved run loads on a roster clone (another worker's view).
         let other = roster.clone();
-        let thawed_chain = chain(&other, DeviceKind::Essd2, &cfg, 3);
-        let mut thawed = thawed_chain.resume(frozen).unwrap();
-        while thawed.completed() < thawed_chain.steps() {
-            thawed_chain.advance(&mut thawed).unwrap();
+        let loaded_chain = chain(&other, DeviceKind::Essd2, &cfg, 3);
+        let mut loaded = loaded_chain.decode(Decoder::new(&bytes)).unwrap();
+        assert_eq!(loaded.completed(), 1);
+        while loaded.completed() < loaded_chain.steps() {
+            loaded_chain.advance(&mut loaded).unwrap();
         }
-        let result = thawed_chain.finish(thawed);
+        let result = loaded_chain.finish(loaded);
         assert!(result.peak_gbps() > 0.0);
     }
 
@@ -361,29 +358,48 @@ mod tests {
         let roster = roster();
         let cfg = Fig3Config::quick();
         let ssd = chain(&roster, DeviceKind::LocalSsd, &cfg, 2);
-        let frozen = ssd.checkpoint(&ssd.start().unwrap());
-        // A roster at another scale builds a different device; the name
-        // check (or payload check) must reject the stale checkpoint.
+        let bytes = shared::encoded(&ssd, &ssd.start().unwrap());
+        // A roster at another scale plans another capacity: the record is
+        // refused as another plan.
         let other = roster.with_scale(2);
-        assert!(chain(&other, DeviceKind::LocalSsd, &cfg, 2)
-            .resume(frozen)
-            .is_err());
+        let scaled = chain(&other, DeviceKind::LocalSsd, &cfg, 2);
+        assert!(matches!(
+            scaled.decode(Decoder::new(&bytes)),
+            Err(LoadError::OtherPlan)
+        ));
+        // Under the same plan it builds a different device, and the name
+        // check (or payload check) rejects the restore.
+        let same_plan = SlicedChain::<Endurance>::new(
+            &other,
+            DeviceKind::LocalSsd,
+            &cfg,
+            ssd.head,
+            ssd.milestones.clone(),
+        );
+        assert!(matches!(
+            same_plan.decode(Decoder::new(&bytes)),
+            Err(LoadError::Restore(_))
+        ));
     }
 
     #[test]
-    #[should_panic(expected = "does not belong to this fig3 plan")]
-    fn resume_under_another_plan_head_panics() {
+    fn another_plan_head_is_refused_and_the_run_starts_fresh() {
+        // The same device and milestones, but another throughput window:
+        // only the plan head differs, and the record is refused as
+        // another plan instead of continuing under the wrong window.
         let roster = roster();
         let cfg = Fig3Config::quick();
-        let ssd = chain(&roster, DeviceKind::LocalSsd, &cfg, 2);
-        let frozen = ssd.checkpoint(&ssd.start().unwrap());
-        // The same device restores, but a smaller volume narrows the
-        // throughput window, so the plan head differs.
-        let other = Fig3Config {
-            capacity_multiple: 1.0,
-            ..cfg.clone()
-        };
-        let _ = chain(&roster, DeviceKind::LocalSsd, &other, 2).resume(frozen);
+        let current = chain(&roster, DeviceKind::LocalSsd, &cfg, 2);
+        let (capacity, window) = current.head;
+        let stale = SlicedChain::<Endurance>::new(
+            &roster,
+            DeviceKind::LocalSsd,
+            &cfg,
+            (capacity, window * 2),
+            current.milestones.clone(),
+        );
+        let plain = run(&roster, DeviceKind::LocalSsd, &cfg).unwrap();
+        shared::stale_plan_is_skipped(&stale, &current, &render_fig3(&plain), render_fig3);
     }
 
     #[test]

@@ -18,21 +18,21 @@
 //!
 //! Like fig3 and the trace experiment, the run is **durable** through the
 //! shared engine ([`durable`], via [`FleetChain`]): at every epoch
-//! boundary the whole fleet — its [`FleetState`] (config, placement,
+//! boundary the live fleet — its [`FleetState`] (config, placement,
 //! each tenant's trace-cursor position, budgets, metrics) and each
-//! device's queue head and complete hidden state — persists as one
-//! on-disk [`FleetCheckpoint`], and a killed run resumes byte-identical
+//! device's queue head and complete hidden state — is written in place
+//! as one `uc.fleet.v2` record, and a killed run resumes byte-identical
 //! to an uninterrupted one (the fleet CI smoke pins this end to end).
 
 use crate::contract::thresholds::{FLEET_MIN_FAIRNESS, FLEET_TENANT_LATENCY_BLOWUP};
 use crate::devices::payload_codecs;
-use crate::experiments::durable::{self, Chain, DurableRecord, RunError, Store};
+use crate::experiments::durable::{self, Chain, LoadError, RunError, Store};
 use crate::experiments::Executor;
-use uc_blockdev::{CheckpointError, DeviceCheckpoint, IoError, PersistError, SharedDevice};
+use uc_blockdev::{DeviceCheckpoint, IoError, PersistError, SharedDevice};
 use uc_essd::{Essd, EssdConfig};
 use uc_fleet::{FleetConfig, FleetDevice, FleetReport, FleetSim, FleetState};
 use uc_obs::ObsReport;
-use uc_persist::{ensure, DecodeError, Decoder, Encoder, Persist};
+use uc_persist::{ensure, Decoder, Encoder, Persist};
 use uc_sim::SimTime;
 
 /// Parameters of a fleet experiment run.
@@ -187,74 +187,17 @@ pub fn run(config: &FleetRunConfig) -> Result<FleetContractReport, IoError> {
         .map_err(RunError::into_step)
 }
 
-/// A frozen fleet between epochs: the fleet's state plus every device's
-/// queue head and complete hidden state, pinned to one fleet definition
-/// by the fingerprint.
-#[derive(Debug, Clone)]
-pub struct FleetCheckpoint {
-    /// Fingerprint of the config this run executes
-    /// ([`fleet_fingerprint`]).
-    pub fingerprint: u32,
-    /// The fleet's state between epochs.
-    pub state: FleetState,
-    /// One `(queue head, checkpoint)` per pool device, in pool order
-    /// ([`FleetSim::checkpoint_devices`]).
-    pub devices: Vec<(SimTime, DeviceCheckpoint)>,
-}
-
-impl DurableRecord for FleetCheckpoint {
-    const RECORD_KIND: &'static str = "uc.fleet.v2";
-
-    fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
-        w.put_u32(self.fingerprint);
-        self.state.encode(w);
-        w.put_u64(self.devices.len() as u64);
-        for (head, device) in &self.devices {
-            head.encode(w);
-            device.encode_into(w)?;
-        }
-        Ok(())
-    }
-
-    /// Thaws the device payloads through the roster's codec registry.
-    fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let fingerprint = r.get_u32()?;
-        let state = FleetState::decode(r)?;
-        let count = state.placement.device_count();
-        ensure(r.get_len()? == count, "FleetCheckpoint device count")?;
-        let codecs = payload_codecs();
-        let mut devices = Vec::with_capacity(count.min(r.remaining()));
-        for _ in 0..count {
-            let head = SimTime::decode(r)?;
-            devices.push((head, DeviceCheckpoint::decode_from(r, &codecs)?));
-        }
-        Ok(FleetCheckpoint {
-            fingerprint,
-            state,
-            devices,
-        })
-    }
-
-    fn key(&self) -> String {
-        "fleet".to_string()
-    }
-
-    fn step(&self) -> usize {
-        self.state.epoch
-    }
-}
-
 /// The whole fleet as one resumable [`Chain`] of epochs, for
 /// [`durable::run`].
 ///
 /// The live driver carries the [`FleetSim`] itself from epoch to epoch,
 /// so an uninterrupted durable run keeps its telemetry history and dumps
 /// the same `uc.obs.v1` bytes as [`run`]; only a resumed run starts its
-/// metrics registry and flight recorder afresh. A checkpoint is a clone
-/// of the sim's [`FleetState`] plus its devices' checkpoints; a resume
-/// thaws the devices onto a fresh pool and continues every tenant's
-/// trace cursor from its persisted position, generating no entry it
-/// will not serve.
+/// metrics registry and flight recorder afresh. A save writes the live
+/// sim's [`FleetState`] in place, then its devices' queue heads and
+/// checkpoints; a load restores the devices onto a fresh pool and
+/// continues every tenant's trace cursor from its persisted position,
+/// generating no entry it will not serve.
 pub struct FleetChain<'a> {
     config: &'a FleetRunConfig,
     fingerprint: u32,
@@ -271,8 +214,8 @@ impl<'a> FleetChain<'a> {
 }
 
 impl Chain for FleetChain<'_> {
+    const RECORD_KIND: &'static str = "uc.fleet.v2";
     type State = FleetSim;
-    type Record = FleetCheckpoint;
     type Error = IoError;
     type Output = FleetContractReport;
 
@@ -295,28 +238,51 @@ impl Chain for FleetChain<'_> {
         sim.run_epoch()
     }
 
-    fn checkpoint(&self, sim: &FleetSim) -> FleetCheckpoint {
-        FleetCheckpoint {
-            fingerprint: self.fingerprint,
-            state: sim.state().clone(),
-            devices: sim.checkpoint_devices(),
-        }
+    fn completed(&self, sim: &FleetSim) -> usize {
+        sim.state().epoch
     }
 
-    fn resume(&self, record: FleetCheckpoint) -> Result<FleetSim, CheckpointError> {
-        let mut devices = Vec::with_capacity(record.devices.len());
-        for (mut device, (head, frozen)) in build_pool(self.config).into_iter().zip(record.devices)
-        {
-            device.restore_from(frozen)?;
+    /// Writes the fingerprint, the state, then each device's queue head
+    /// and checkpoint.
+    fn encode(&self, sim: &FleetSim, w: &mut Encoder) -> Result<(), PersistError> {
+        w.put_u32(self.fingerprint);
+        sim.state().encode(w);
+        let devices = sim.checkpoint_devices();
+        w.put_u64(devices.len() as u64);
+        for (head, device) in &devices {
+            head.encode(w);
+            device.encode_into(w)?;
+        }
+        Ok(())
+    }
+
+    /// Only a record of the same fleet definition (fingerprint, and the
+    /// config its state carries) continues this run. The device payloads
+    /// thaw through the roster's codec registry; the device list is sized
+    /// by the bytes left, never by a decoded count alone.
+    fn decode(&self, mut r: Decoder<'_>) -> Result<FleetSim, LoadError> {
+        if r.get_u32()? != self.fingerprint {
+            return Err(LoadError::OtherPlan);
+        }
+        let state = FleetState::decode(&mut r)?;
+        if state.config != self.config.fleet {
+            return Err(LoadError::OtherPlan);
+        }
+        let count = state.placement.device_count();
+        ensure(r.get_len()? == count, "fleet record device count")?;
+        let codecs = payload_codecs();
+        let mut frozen = Vec::with_capacity(count.min(r.remaining()));
+        for _ in 0..count {
+            let head = SimTime::decode(&mut r)?;
+            frozen.push((head, DeviceCheckpoint::decode_from(&mut r, &codecs)?));
+        }
+        r.finish()?;
+        let mut devices = Vec::with_capacity(count);
+        for (mut device, (head, checkpoint)) in build_pool(self.config).into_iter().zip(frozen) {
+            device.restore_from(checkpoint)?;
             devices.push(SharedDevice::with_queue_head(device, head));
         }
-        Ok(FleetSim::from_state(record.state, devices))
-    }
-
-    /// Only a checkpoint of the same fleet definition (fingerprint, and
-    /// the config its state carries) may continue this run.
-    fn matches(&self, record: &FleetCheckpoint) -> bool {
-        record.fingerprint == self.fingerprint && record.state.config == self.config.fleet
+        Ok(FleetSim::from_state(state, devices))
     }
 
     fn finish(&self, sim: FleetSim) -> FleetContractReport {
@@ -328,7 +294,7 @@ impl Chain for FleetChain<'_> {
 
     /// Flushes the flight recorder to `crash.obs`, so the dump names what
     /// the fleet was doing at the boundary that "crashed".
-    fn before_kill(&self, sim: &FleetSim, store: &Store<FleetCheckpoint>) {
+    fn before_kill(&self, sim: &FleetSim, store: &Store) {
         let _ = sim.obs_report().save_to(&store.obs_dump_path());
     }
 }
@@ -350,7 +316,7 @@ mod tests {
         config
     }
 
-    fn temp_store(tag: &str) -> Store<FleetCheckpoint> {
+    fn temp_store(tag: &str) -> Store {
         let dir = std::env::temp_dir()
             .join("uc-fleet-exp-tests")
             .join(format!("{tag}-{}", std::process::id()));
@@ -359,7 +325,7 @@ mod tests {
     }
 
     /// Runs `config`'s fleet through the durable driver into `store`.
-    fn run_durable(config: &FleetRunConfig, store: &Store<FleetCheckpoint>) -> FleetContractReport {
+    fn run_durable(config: &FleetRunConfig, store: &Store) -> FleetContractReport {
         durable::run(
             &[FleetChain::new(config)],
             &Executor::sequential(),
@@ -369,14 +335,13 @@ mod tests {
         .remove(0)
     }
 
-    /// A checkpoint of `config`'s fleet after `epochs` live epochs.
-    fn partial(config: &FleetRunConfig, epochs: usize) -> FleetCheckpoint {
-        let chain = FleetChain::new(config);
+    /// `chain`'s fleet after `epochs` live epochs.
+    fn partial(chain: &FleetChain<'_>, epochs: usize) -> FleetSim {
         let mut sim = chain.start().unwrap();
         for _ in 0..epochs {
             sim.run_epoch().unwrap();
         }
-        chain.checkpoint(&sim)
+        sim
     }
 
     #[test]
@@ -402,7 +367,7 @@ mod tests {
         // carries the live fleet, so it sees the same history as a plain
         // run, byte for byte.
         assert_eq!(plain.obs.render_text(), durable.obs.render_text());
-        // The freeze/thaw reference renders the same report.
+        // The encode/decode reference renders the same report.
         let round_trip = durable::round_trip(&FleetChain::new(&config)).unwrap();
         assert_eq!(
             render_fleet_report(&plain),
@@ -412,7 +377,8 @@ mod tests {
         // "Kill" after two epochs: persist a partial run, then resume
         // from disk and finish.
         let store = Store::create(store.path()).unwrap().with_resume(true);
-        store.save(&partial(&config, 2)).unwrap();
+        let chain = FleetChain::new(&config);
+        store.save(&chain, &partial(&chain, 2)).unwrap();
         let resumed = run_durable(&config, &store);
         assert_eq!(render_fleet_report(&plain), render_fleet_report(&resumed));
         let _ = std::fs::remove_dir_all(store.path());
@@ -421,36 +387,55 @@ mod tests {
     #[test]
     fn stale_fingerprint_starts_fresh() {
         let config = small();
+        let chain = FleetChain::new(&config);
         let store = temp_store("stale").with_resume(true);
-        let mut stale = partial(&config, 1);
-        stale.fingerprint ^= 1; // wrong identity
-        store.save(&stale).unwrap();
+        // Another seed: a record under another fingerprint.
+        let mut other = config.clone();
+        other.fleet = other.fleet.with_seed(config.fleet.seed ^ 1);
+        let stale = FleetChain::new(&other);
+        let path = store.save(&stale, &partial(&stale, 1)).unwrap();
+        assert!(matches!(
+            durable::load(&chain, &path),
+            Err(LoadError::OtherPlan)
+        ));
         let resumed = run_durable(&config, &store);
         let plain = run(&config).unwrap();
         assert_eq!(render_fleet_report(&plain), render_fleet_report(&resumed));
+        assert_eq!(
+            store.saves(),
+            config.fleet.epochs as u64 + 2,
+            "a fresh start"
+        );
         let _ = std::fs::remove_dir_all(store.path());
     }
 
     #[test]
     fn checkpoint_file_roundtrips_and_rejects_corruption() {
         let config = small();
+        let chain = FleetChain::new(&config);
         let store = temp_store("roundtrip");
-        let checkpoint = partial(&config, 1);
-        let path = store.save(&checkpoint).unwrap();
+        let sim = partial(&chain, 1);
+        let path = store.save(&chain, &sim).unwrap();
         assert!(path.ends_with("fleet.seg0001.ckpt"));
 
-        let loaded = FleetCheckpoint::load_from(&path).unwrap();
-        assert_eq!(loaded.fingerprint, checkpoint.fingerprint);
-        assert_eq!(loaded.state.epoch, 1);
-        assert_eq!(loaded.devices.len(), 2);
+        // The loaded fleet writes back exactly the file's payload.
+        let loaded = durable::load(&chain, &path).unwrap();
+        assert_eq!(loaded.state().epoch, 1);
+        let payload = uc_persist::read_record_file(&path, FleetChain::RECORD_KIND).unwrap();
+        let mut w = Encoder::new();
+        chain.encode(&loaded, &mut w).unwrap();
+        assert_eq!(w.as_bytes(), payload);
 
         let good = std::fs::read(&path).unwrap();
         let mut flipped = good.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x08;
         std::fs::write(&path, &flipped).unwrap();
-        assert!(FleetCheckpoint::load_from(&path).is_err());
-        assert!(store.latest_matching("fleet", |_| true).is_none());
+        assert!(matches!(
+            durable::load(&chain, &path),
+            Err(LoadError::Decode(_))
+        ));
+        assert!(store.latest(&chain).unwrap().is_none());
         let _ = std::fs::remove_dir_all(store.path());
     }
 

@@ -37,7 +37,7 @@
 //! against every device and evaluates the contract phase by phase.
 //!
 //! Both timelines are one [`sliced`] run: a [`SlicedChain`] per device
-//! whose frozen form is a [`SlicedCheckpoint`], with a small [`Slicing`]
+//! that saves its live [`SlicedRun`] in place, with a small [`Slicing`]
 //! impl per experiment ([`fig3::Endurance`], [`trace::Replay`]) supplying
 //! the plan head, driver, tail and record kind.
 //!
@@ -58,16 +58,16 @@ pub mod sliced;
 pub mod table1;
 pub mod trace;
 
-pub use durable::{Chain, DurableRecord, RunError, Store};
+pub use durable::{Chain, LoadError, RunError, Store};
 pub use executor::Executor;
 pub use fig2::{Fig2Config, Fig2Result, LatencyCell, PatternGrid};
-pub use fig3::{Fig3Checkpoint, Fig3Config, Fig3Result};
+pub use fig3::{Fig3Config, Fig3Result};
 pub use fig4::{Fig4Config, Fig4Result};
 pub use fig5::{Fig5Config, Fig5Result};
-pub use fleet::{FleetChain, FleetCheckpoint, FleetContractReport, FleetFinding, FleetRunConfig};
-pub use sliced::{SlicedChain, SlicedCheckpoint, Slicing};
+pub use fleet::{FleetChain, FleetContractReport, FleetFinding, FleetRunConfig};
+pub use sliced::{SlicedChain, SlicedRun, Slicing};
 pub use table1::{run as run_table1, Table1Row};
 pub use trace::{
-    PhaseStat, TraceContractReport, TraceRunCheckpoint, TraceRunConfig, TraceRunResult,
-    TraceViolation, TraceViolationKind,
+    PhaseStat, TraceContractReport, TraceRunConfig, TraceRunResult, TraceViolation,
+    TraceViolationKind,
 };

@@ -4,12 +4,15 @@
 //!
 //! A [`SlicedChain`] builds a fresh roster device, primes a driver job on
 //! it, and advances the job to one milestone per step (the last step runs
-//! it to the end). Between steps device, job and a per-experiment tail
-//! form a [`SlicedCheckpoint`], the chain's [`DurableRecord`]: the job is
-//! its own checkpoint, cloned at a cut and persisted through its own
-//! codec. What differs between experiments is a [`Slicing`] impl: the
-//! plan head, the job, the tail, the record kind, the key prefix and how
-//! a finished run becomes the result.
+//! it to the end). Between steps the live [`SlicedRun`] — device, job and
+//! a per-experiment tail — is what a save writes, in place: the chain's
+//! plan (device kind, plan head, milestones), the steps done, the tail,
+//! the device checkpoint and the job through its own codec. A load reads
+//! the plan first and refuses a record of another device or plan before
+//! it reads the rest, then restores the device onto a fresh roster device
+//! and moves the job in. What differs between experiments is a
+//! [`Slicing`] impl: the plan head, the job, the tail, the record kind,
+//! the key prefix and how a finished run becomes the result.
 //!
 //! A run is done after exactly `milestones.len()` advances, however early
 //! its driver finishes (a milestone can already cover the whole run), so
@@ -17,16 +20,15 @@
 //! output.
 
 use crate::devices::{payload_codecs, DeviceKind, DeviceRoster};
-use crate::experiments::durable::{Chain, DurableRecord};
-use std::fmt::Debug;
-use uc_blockdev::{CheckpointDevice, CheckpointError, DeviceCheckpoint, PersistError};
-use uc_persist::{ensure, DecodeError, Decoder, Encoder, Persist};
+use crate::experiments::durable::{Chain, LoadError};
+use uc_blockdev::{CheckpointDevice, DeviceCheckpoint, PersistError};
+use uc_persist::{ensure, Decoder, Encoder, Persist};
 
 /// The roster-built device a sliced run drives.
 pub type Device = Box<dyn CheckpointDevice + Send>;
 
 /// What one sliced experiment supplies to the shared run.
-pub trait Slicing: Debug + Clone + 'static {
+pub trait Slicing: Sized + 'static {
     /// The on-disk record kind tag of this experiment's checkpoints.
     const RECORD_KIND: &'static str;
     /// Checkpoint keys are `<KEY_PREFIX>-<device slug>`.
@@ -36,13 +38,13 @@ pub trait Slicing: Debug + Clone + 'static {
     /// What a run borrows throughout (configuration, trace).
     type Context<'a>: Copy + Sync;
     /// The plan fields a checkpoint carries ahead of its milestones.
-    type Head: Persist + Clone + PartialEq + Debug + Send + Sync;
+    type Head: Persist + PartialEq + Sync;
     /// What the run records step by step, persisted after `completed`.
-    type Tail: Persist + Clone + Default + PartialEq + Debug + Send;
-    /// The driver job; a clone at a pause point is its checkpoint.
-    type Job: Persist + Clone + Debug + Send;
+    type Tail: Persist + Default + Send;
+    /// The driver job; persisted through its own codec at a cut.
+    type Job: Persist + Send;
     /// What a step fails with.
-    type Error: Send + Debug;
+    type Error: Send + std::fmt::Debug;
     /// The finished run's result.
     type Output;
 
@@ -135,91 +137,21 @@ impl<S: Slicing> SlicedRun<S> {
     pub fn completed(&self) -> usize {
         self.completed
     }
-}
 
-/// A paused sliced run: everything needed to continue it on any worker
-/// or, persisted as `<key>.seg<k>.ckpt`, in any process. The fields are
-/// the byte format, in order.
-#[derive(Debug, Clone)]
-pub struct SlicedCheckpoint<S: Slicing> {
-    /// Which device is measured.
-    pub kind: DeviceKind,
-    /// The plan head.
-    pub head: S::Head,
-    /// Ascending milestones; the last covers the whole run.
-    pub milestones: Vec<u64>,
-    /// Steps already run.
-    pub completed: usize,
-    /// What the steps so far recorded.
-    pub tail: S::Tail,
-    /// The device's complete hidden state.
-    pub device: DeviceCheckpoint,
     /// The paused driver job.
-    pub driver: S::Job,
-}
-
-fn key<S: Slicing>(kind: DeviceKind) -> String {
-    format!("{}-{}", S::KEY_PREFIX, kind.slug())
-}
-
-impl<S: Slicing> DurableRecord for SlicedCheckpoint<S> {
-    const RECORD_KIND: &'static str = S::RECORD_KIND;
-
-    fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
-        self.kind.encode(w);
-        self.head.encode(w);
-        self.milestones.encode(w);
-        self.completed.encode(w);
-        self.tail.encode(w);
-        self.device.encode_into(w)?;
-        self.driver.encode(w);
-        Ok(())
-    }
-
-    /// Thaws the device payload through the roster's codec registry
-    /// ([`payload_codecs`]) and rejects a plan no run could have taken.
-    fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let record = SlicedCheckpoint {
-            kind: DeviceKind::decode(r)?,
-            head: S::Head::decode(r)?,
-            milestones: Vec::decode(r)?,
-            completed: usize::decode(r)?,
-            tail: S::Tail::decode(r)?,
-            device: DeviceCheckpoint::decode_from(r, &payload_codecs())?,
-            driver: S::Job::decode(r)?,
-        };
-        ensure(
-            !record.milestones.is_empty() && record.milestones.is_sorted(),
-            "SlicedCheckpoint.milestones",
-        )?;
-        ensure(
-            record.completed <= record.milestones.len(),
-            "SlicedCheckpoint.completed",
-        )?;
-        ensure(
-            S::tail_fits(&record.tail, record.completed),
-            "SlicedCheckpoint.tail",
-        )?;
-        Ok(record)
-    }
-
-    fn key(&self) -> String {
-        key::<S>(self.kind)
-    }
-
-    fn step(&self) -> usize {
-        self.completed
+    pub fn job(&self) -> &S::Job {
+        &self.job
     }
 }
 
 impl<S: Slicing> Chain for SlicedChain<'_, S> {
+    const RECORD_KIND: &'static str = S::RECORD_KIND;
     type State = SlicedRun<S>;
-    type Record = SlicedCheckpoint<S>;
     type Error = S::Error;
     type Output = S::Output;
 
     fn key(&self) -> String {
-        key::<S>(self.kind)
+        format!("{}-{}", S::KEY_PREFIX, self.kind.slug())
     }
 
     fn steps(&self) -> usize {
@@ -248,50 +180,52 @@ impl<S: Slicing> Chain for SlicedChain<'_, S> {
         Ok(())
     }
 
-    fn checkpoint(&self, run: &SlicedRun<S>) -> SlicedCheckpoint<S> {
-        SlicedCheckpoint {
-            kind: self.kind,
-            head: self.head.clone(),
-            milestones: self.milestones.clone(),
-            completed: run.completed,
-            tail: run.tail.clone(),
-            device: run.device.checkpoint(),
-            driver: run.job.clone(),
+    fn completed(&self, run: &SlicedRun<S>) -> usize {
+        run.completed
+    }
+
+    /// Writes kind, head, milestones, completed, tail, device, job: the
+    /// byte format, in order.
+    fn encode(&self, run: &SlicedRun<S>, w: &mut Encoder) -> Result<(), PersistError> {
+        self.kind.encode(w);
+        self.head.encode(w);
+        self.milestones.encode(w);
+        run.completed.encode(w);
+        run.tail.encode(w);
+        run.device.checkpoint().encode_into(w)?;
+        run.job.encode(w);
+        Ok(())
+    }
+
+    /// Only a record of this device under this exact plan (head,
+    /// milestones, and a job [`Slicing::resumes`] accepts) continues the
+    /// run; the device payload thaws through the roster's codec registry
+    /// ([`payload_codecs`]) onto a fresh roster device.
+    fn decode(&self, mut r: Decoder<'_>) -> Result<SlicedRun<S>, LoadError> {
+        if DeviceKind::decode(&mut r)? != self.kind
+            || S::Head::decode(&mut r)? != self.head
+            || Vec::<u64>::decode(&mut r)? != self.milestones
+        {
+            return Err(LoadError::OtherPlan);
         }
-    }
-
-    /// Restores the record onto a fresh roster device and moves its job
-    /// in. The plan is this chain's: the durable driver only resumes
-    /// records that [match](Chain::matches) it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the record was taken under another plan head (another
-    /// trace, capacity or window) — continuing it here is never
-    /// meaningful.
-    fn resume(&self, record: SlicedCheckpoint<S>) -> Result<SlicedRun<S>, CheckpointError> {
+        let completed = usize::decode(&mut r)?;
+        let tail = S::Tail::decode(&mut r)?;
+        ensure(completed <= self.milestones.len(), "SlicedRun.completed")?;
+        ensure(S::tail_fits(&tail, completed), "SlicedRun.tail")?;
+        let checkpoint = DeviceCheckpoint::decode_from(&mut r, &payload_codecs())?;
+        let job = S::Job::decode(&mut r)?;
+        if !S::resumes(self, &job) {
+            return Err(LoadError::OtherPlan);
+        }
+        r.finish()?;
         let mut device = self.device();
-        device.restore_from(record.device)?;
-        assert_eq!(
-            record.head,
-            self.head,
-            "checkpoint does not belong to this {} plan",
-            S::KEY_PREFIX
-        );
+        device.restore_from(checkpoint)?;
         Ok(SlicedRun {
-            completed: record.completed,
-            tail: record.tail,
+            completed,
+            tail,
             device,
-            job: record.driver,
+            job,
         })
-    }
-
-    /// Only a checkpoint taken under the exact plan a fresh run executes
-    /// may continue it.
-    fn matches(&self, record: &SlicedCheckpoint<S>) -> bool {
-        record.head == self.head
-            && record.milestones == self.milestones
-            && S::resumes(self, &record.driver)
     }
 
     fn finish(&self, run: SlicedRun<S>) -> S::Output {
@@ -311,13 +245,18 @@ pub(crate) mod tests {
     use super::*;
     use crate::experiments::durable::{self, Store};
     use crate::experiments::Executor;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use uc_persist::DecodeError;
 
-    /// An empty checkpoint store in a per-test temp directory.
-    pub(crate) fn temp_store<S: Slicing>(name: &str) -> Store<SlicedCheckpoint<S>> {
+    /// An empty checkpoint store in a temp directory of its own: tests
+    /// that share a helper run in parallel, so every call gets a new one.
+    pub(crate) fn temp_store<S: Slicing>(name: &str) -> Store {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join("uc-sliced-tests").join(format!(
-            "{}-{name}-{}",
+            "{}-{name}-{}-{}",
             S::KEY_PREFIX,
-            std::process::id()
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         // Stale files from a previous failed run would perturb resume.
         let _ = std::fs::remove_dir_all(&dir);
@@ -325,7 +264,7 @@ pub(crate) mod tests {
     }
 
     /// The checkpoint files in `store`'s directory, sorted.
-    pub(crate) fn files<R: DurableRecord>(store: &Store<R>) -> Vec<String> {
+    pub(crate) fn files(store: &Store) -> Vec<String> {
         let mut names: Vec<String> = std::fs::read_dir(store.path())
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
@@ -335,7 +274,7 @@ pub(crate) mod tests {
     }
 
     /// `chain`'s run after `steps` live steps.
-    fn partial<S: Slicing>(chain: &SlicedChain<'_, S>, steps: usize) -> SlicedRun<S> {
+    pub(crate) fn partial<S: Slicing>(chain: &SlicedChain<'_, S>, steps: usize) -> SlicedRun<S> {
         let mut run = chain.start().unwrap();
         for _ in 0..steps {
             chain.advance(&mut run).unwrap();
@@ -343,38 +282,42 @@ pub(crate) mod tests {
         run
     }
 
-    /// Resumes `record` and runs its remaining steps.
-    fn complete<S: Slicing>(chain: &SlicedChain<'_, S>, record: SlicedCheckpoint<S>) -> S::Output {
-        let mut run = chain.resume(record).unwrap();
+    /// The bytes a save of `run` writes as its record payload.
+    pub(crate) fn encoded<S: Slicing>(chain: &SlicedChain<'_, S>, run: &SlicedRun<S>) -> Vec<u8> {
+        let mut w = Encoder::new();
+        chain.encode(run, &mut w).unwrap();
+        w.into_bytes()
+    }
+
+    /// Runs `run`'s remaining steps.
+    fn complete<S: Slicing>(chain: &SlicedChain<'_, S>, mut run: SlicedRun<S>) -> S::Output {
         while run.completed() < chain.steps() {
             chain.advance(&mut run).unwrap();
         }
         chain.finish(run)
     }
 
-    /// A checkpoint taken after `steps` steps reads back from its file
-    /// field for field and continues to the same result; corrupted files
-    /// fail typed and are skipped on resume.
+    /// A run saved after `steps` steps loads back from its file, writes
+    /// the same payload again and continues to the same result; corrupted
+    /// files fail typed and are skipped on resume.
     pub(crate) fn file_round_trips_and_rejects_corruption<S: Slicing>(
         chain: &SlicedChain<'_, S>,
         steps: usize,
         render: impl Fn(&S::Output) -> String,
     ) {
-        let checkpoint = chain.checkpoint(&partial(chain, steps));
+        let run = partial(chain, steps);
         let store = temp_store::<S>("file-roundtrip");
-        let path = store.save(&checkpoint).unwrap();
+        let path = store.save(chain, &run).unwrap();
         assert!(path.ends_with(format!("{}.seg{steps:04}.ckpt", chain.key())));
         assert_eq!(store.saves(), 1);
 
-        let loaded = SlicedCheckpoint::<S>::load_from(&path).unwrap();
-        assert_eq!(loaded.kind, checkpoint.kind);
-        assert_eq!(loaded.head, checkpoint.head);
-        assert_eq!(loaded.milestones, checkpoint.milestones);
-        assert_eq!(loaded.completed, checkpoint.completed);
-        assert_eq!(loaded.tail, checkpoint.tail);
+        let loaded = durable::load(chain, &path).unwrap();
+        assert_eq!(loaded.completed(), steps);
+        let payload = uc_persist::read_record_file(&path, S::RECORD_KIND).unwrap();
+        assert_eq!(encoded(chain, &loaded), payload);
         assert_eq!(
             render(&complete(chain, loaded)),
-            render(&complete(chain, checkpoint))
+            render(&complete(chain, run))
         );
 
         // Corruptions decode to typed errors, never panics.
@@ -383,25 +326,25 @@ pub(crate) mod tests {
             let mut bytes = good.clone();
             mutate(&mut bytes);
             std::fs::write(&path, &bytes).unwrap();
-            SlicedCheckpoint::<S>::load_from(&path)
+            durable::load(chain, &path).map(drop)
         };
         assert!(matches!(
             corrupt(|b| b[0] ^= 0xFF),
-            Err(DecodeError::BadMagic)
+            Err(LoadError::Decode(DecodeError::BadMagic))
         ));
         assert!(matches!(
             corrupt(|b| b[8] = 0xFF), // bump the format version
-            Err(DecodeError::UnsupportedVersion { .. })
+            Err(LoadError::Decode(DecodeError::UnsupportedVersion { .. }))
         ));
         assert!(matches!(
             corrupt(|b| {
                 let mid = b.len() / 2;
                 b[mid] ^= 0x40;
             }),
-            Err(DecodeError::ChecksumMismatch { .. })
+            Err(LoadError::Decode(DecodeError::ChecksumMismatch { .. }))
         ));
         // A corrupt file is skipped (fresh start), not an error.
-        assert!(store.latest_matching(&chain.key(), |_| true).is_none());
+        assert!(store.latest(chain).unwrap().is_none());
         let _ = std::fs::remove_dir_all(store.path());
     }
 
@@ -417,9 +360,7 @@ pub(crate) mod tests {
             // The interrupted process's state is dropped here: only the
             // on-disk checkpoint survives the "crash".
             let died = (i + 1).min(chain.steps());
-            store
-                .save(&chain.checkpoint(&partial(chain, died)))
-                .unwrap();
+            store.save(chain, &partial(chain, died)).unwrap();
         }
         let resumed = durable::run(chains, &Executor::with_threads(2), Some(&store)).unwrap();
         assert_eq!(resumed.len(), expected.len());
@@ -434,17 +375,23 @@ pub(crate) mod tests {
         let _ = std::fs::remove_dir_all(store.path());
     }
 
-    /// A checkpoint of `stale`'s plan under the same key must not hijack
-    /// `current`'s resume: it starts fresh, finishes as `expected`, and
-    /// leaves only its own final file.
+    /// A checkpoint of `stale`'s plan under the same key is refused as
+    /// another plan and must not hijack `current`'s resume: the run
+    /// starts fresh, finishes as `expected`, and leaves only its own
+    /// final file.
     pub(crate) fn stale_plan_is_skipped<S: Slicing>(
         stale: &SlicedChain<'_, S>,
         current: &SlicedChain<'_, S>,
         expected: &str,
         render: impl Fn(&S::Output) -> String,
     ) {
+        assert_eq!(stale.key(), current.key());
         let store = temp_store::<S>("stale-plan").with_resume(true);
-        store.save(&stale.checkpoint(&partial(stale, 1))).unwrap();
+        let path = store.save(stale, &partial(stale, 1)).unwrap();
+        assert!(matches!(
+            durable::load(current, &path),
+            Err(LoadError::OtherPlan)
+        ));
         let resumed = durable::run(
             std::slice::from_ref(current),
             &Executor::sequential(),
@@ -452,6 +399,8 @@ pub(crate) mod tests {
         )
         .unwrap();
         assert_eq!(render(&resumed[0]), expected);
+        // The stale save, then a fresh start: step 0 and every boundary.
+        assert_eq!(store.saves(), 1 + current.steps() as u64 + 1);
         assert_eq!(
             files(&store),
             [format!("{}.seg{:04}.ckpt", current.key(), current.steps())]

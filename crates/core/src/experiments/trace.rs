@@ -32,7 +32,7 @@
 use crate::contract::thresholds::{TRACE_MAX_PHASE_LAG, TRACE_PHASE_LATENCY_BLOWUP};
 use crate::devices::{DeviceKind, DeviceRoster};
 use crate::experiments::durable::{self, RunError};
-use crate::experiments::sliced::{Device, SlicedChain, SlicedCheckpoint, Slicing};
+use crate::experiments::sliced::{Device, SlicedChain, Slicing};
 use crate::experiments::Executor;
 use uc_persist::{persist_struct, Encoder, Persist};
 use uc_sim::{SimDuration, SimTime};
@@ -261,14 +261,11 @@ fn phase_nanos(trace: &Trace, cfg: &TraceRunConfig) -> u64 {
 
 /// The trace experiment's [`Slicing`]: one replay paused at entry-index
 /// milestones, equal spans of scaled arrival time. The plan head is the
-/// [`trace_fingerprint`]; the tail is one [`PhaseCut`] per phase.
+/// [`trace_fingerprint`]; the tail is one [`PhaseCut`] per phase. A
+/// paused replay is saved as `trace-<slug>.seg<k>.ckpt`; the trace itself
+/// is not embedded, its identity is pinned by the fingerprint.
 #[derive(Debug, Clone)]
 pub struct Replay;
-
-/// A paused trace replay between phases, persisted as
-/// `trace-<slug>.seg<k>.ckpt`. The trace itself is not embedded; its
-/// identity is pinned by the fingerprint.
-pub type TraceRunCheckpoint = SlicedCheckpoint<Replay>;
 
 impl Slicing for Replay {
     const RECORD_KIND: &'static str = "uc.trace-run.v2";
@@ -416,7 +413,6 @@ pub fn run_pipelined(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::durable::Chain;
     use crate::experiments::sliced::tests as shared;
     use crate::report::render_trace_report;
 
@@ -424,7 +420,7 @@ mod tests {
         DeviceRoster::with_capacities(128 << 20, 128 << 20)
     }
 
-    /// The reference replay: a freeze/thaw round trip at every phase.
+    /// The reference replay: an encode/decode round trip at every phase.
     fn round_trip(
         roster: &DeviceRoster,
         kind: DeviceKind,
@@ -565,17 +561,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not belong to this trace")]
-    fn resume_against_a_different_trace_panics() {
+    fn a_checkpoint_of_another_trace_is_refused_and_the_run_starts_fresh() {
+        // Another trace under the same device, phases and milestones:
+        // only the fingerprint in the plan head differs, and the record
+        // is refused as another plan instead of replaying the wrong
+        // entries.
         let roster = roster();
         let trace = bursty_trace();
         let cfg = TraceRunConfig::open_loop(3);
-        let ssd = chain(&roster, DeviceKind::LocalSsd, &trace, &cfg);
-        let mut state = ssd.start().unwrap();
-        ssd.advance(&mut state).unwrap();
-        let frozen = ssd.checkpoint(&state);
-        let other = Trace::from_entries(trace.entries()[..10].to_vec());
-        let _ = chain(&roster, DeviceKind::LocalSsd, &other, &cfg).resume(frozen);
+        let current = chain(&roster, DeviceKind::LocalSsd, &trace, &cfg);
+        let mut entries = trace.entries().to_vec();
+        entries[0].offset += 65536;
+        let other = Trace::from_entries(entries);
+        let mut stale = chain(&roster, DeviceKind::LocalSsd, &other, &cfg);
+        assert_ne!(stale.head, current.head);
+        stale.milestones = current.milestones.clone();
+        let plain = round_trip(&roster, DeviceKind::LocalSsd, &trace, &cfg);
+        shared::stale_plan_is_skipped(&stale, &current, &render(&plain), render);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use crate::{
     BucketSet, LatencyDist, ParallelResource, Resource, SimDuration, SimRng, SimTime, TokenBucket,
 };
+use uc_invariant::Contract;
 use uc_persist::{ensure, persist_enum, persist_struct, DecodeError, Decoder, Encoder, Persist};
 
 impl Persist for SimTime {
@@ -91,15 +92,12 @@ impl Persist for BucketSet {
     }
 }
 
+/// A decoded bucket passes its own [`Contract`]: sane configuration and
+/// a finite balance within `[0, burst]`. The failed invariant names the
+/// rejected value.
 fn check_bucket(s: &TokenBucket) -> Result<(), DecodeError> {
-    ensure(
-        s.burst > 0.0 && s.burst.is_finite(),
-        "TokenBucketSnapshot.burst",
-    )?;
-    ensure(
-        s.rate_per_sec > 0.0 && s.rate_per_sec.is_finite(),
-        "TokenBucketSnapshot.rate_per_sec",
-    )
+    s.check()
+        .map_err(|v| DecodeError::InvalidValue { what: v.invariant })
 }
 
 persist_enum! {
@@ -194,9 +192,30 @@ mod tests {
         assert_eq!(
             TokenBucket::decode(&mut Decoder::new(&bytes)).map(|b| b.rate()),
             Err(DecodeError::InvalidValue {
-                what: "TokenBucketSnapshot.rate_per_sec"
+                what: "rate-positive-finite"
             })
         );
+    }
+
+    #[test]
+    fn crafted_bucket_balances_fail_typed() {
+        let bucket = TokenBucket::new(1000.0, 5e6);
+        for (available, what) in [
+            (f64::NAN, "no-negative-balance"),
+            (-1.0, "no-negative-balance"),
+            (1001.0, "balance-within-burst"),
+        ] {
+            let bytes = TokenBucket {
+                available,
+                ..bucket.clone()
+            }
+            .to_bytes();
+            assert_eq!(
+                TokenBucket::from_bytes(&bytes).map(|b| b.burst()),
+                Err(DecodeError::InvalidValue { what }),
+                "available = {available}"
+            );
+        }
     }
 
     #[test]

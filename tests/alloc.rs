@@ -20,7 +20,8 @@
 //! read into, one buffer.
 //!
 //! Building a fleet allocates nothing per arrival: tenant traces stream
-//! from lazy cursors, so a longer horizon costs no more set-up.
+//! from lazy cursors, so a longer horizon costs no more set-up. Saving
+//! one allocates nothing per tenant: the live state is encoded in place.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -361,6 +362,37 @@ fn record_files_are_read_into_one_buffer() {
         big <= 1,
         "reading a {file_len}-byte record file made {big} allocations of {} bytes or more",
         file_len / 2
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable fleet save writes the live fleet into the record buffer in
+/// place. Each of 256 tenants holds a 30 KiB latency histogram; a save
+/// that copied the fleet's state first would make one allocation that
+/// large per tenant. This one makes only the buffer's growth steps (ten
+/// doublings from 16 KiB to the ≈7.6 MiB record).
+#[test]
+fn fleet_saves_encode_the_live_state_in_place() {
+    use unwritten_contract::core::experiments::{Chain, FleetChain, FleetRunConfig, Store};
+    let config = FleetRunConfig::new(256, 2);
+    let chain = FleetChain::new(&config);
+    let sim = chain.start().expect("primed fleet");
+    let dir = std::env::temp_dir().join(format!("uc-alloc-fleet-{}", std::process::id()));
+    let store = Store::create(&dir).expect("temp dir");
+    let mut path = None;
+    let big = allocs_of_at_least(16 << 10, || {
+        path = Some(store.save(&chain, &sim).expect("save"));
+    });
+    let file_len = std::fs::metadata(path.expect("saved"))
+        .expect("saved")
+        .len();
+    assert!(
+        file_len >= 256 * (30 << 10),
+        "a {file_len}-byte record is too small"
+    );
+    assert!(
+        big <= 16,
+        "saving 256 tenants ({file_len} bytes) made {big} allocations of 16 KiB or more"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,18 +9,20 @@
 //! round-trips losslessly.
 
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::LazyLock;
 use unwritten_contract::blockdev::{CheckpointDevice, DeviceCheckpoint};
 use unwritten_contract::core::devices::{payload_codecs, DeviceKind, DeviceRoster};
-use unwritten_contract::core::experiments::fig3::{self, Fig3Config};
-use unwritten_contract::core::experiments::trace::{self as trace_exp, TraceRunConfig};
+use unwritten_contract::core::experiments::durable::{self, LoadError, Store};
+use unwritten_contract::core::experiments::fig3::{self, Endurance, Fig3Config};
+use unwritten_contract::core::experiments::trace::{self as trace_exp, Replay, TraceRunConfig};
 use unwritten_contract::core::experiments::{
-    Chain, DurableRecord, Fig3Checkpoint, SlicedChain, SlicedCheckpoint, Slicing,
-    TraceRunCheckpoint,
+    Chain, FleetChain, FleetRunConfig, SlicedChain, SlicedRun, Slicing,
 };
 use unwritten_contract::essd::{Essd, EssdConfig};
-use unwritten_contract::persist::{DecodeError, Decoder, Encoder, Persist};
+use unwritten_contract::persist::{read_record_file, DecodeError, Decoder, Encoder, Persist};
 use unwritten_contract::prelude::*;
+use unwritten_contract::workload::Trace;
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -67,42 +69,38 @@ fn busy_essd() -> Essd {
     essd
 }
 
-/// `chain`'s checkpoint after its first step.
-fn after_one_step<S: Slicing>(chain: &SlicedChain<'_, S>) -> SlicedCheckpoint<S> {
+/// `chain`'s run after its first step.
+fn after_one_step<S: Slicing>(chain: &SlicedChain<'_, S>) -> SlicedRun<S> {
     let mut run = chain.start().unwrap();
     chain.advance(&mut run).unwrap();
-    chain.checkpoint(&run)
+    run
 }
 
-/// A mid-run fig3 segment checkpoint.
-fn fig3_checkpoint() -> Fig3Checkpoint {
-    let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
-    after_one_step(&fig3::chain(
-        &roster,
-        DeviceKind::Essd2,
-        &Fig3Config::quick(),
-        4,
-    ))
+/// The roster every checkpointed chain of this file runs on.
+static ROSTER: LazyLock<DeviceRoster> =
+    LazyLock::new(|| DeviceRoster::with_capacities(128 << 20, 128 << 20));
+static FIG3: LazyLock<Fig3Config> = LazyLock::new(Fig3Config::quick);
+
+/// The fig3 chain whose mid-run segment the golden and corruption
+/// tests save.
+fn fig3_chain() -> SlicedChain<'static, Endurance> {
+    fig3::chain(&ROSTER, DeviceKind::Essd2, &FIG3, 4)
 }
 
 /// A non-trivial `uc.trace.v1` trace.
-fn sample_trace() -> unwritten_contract::workload::Trace {
-    unwritten_contract::workload::Trace::bursty_writes(
-        4,
-        9,
-        SimDuration::from_millis(1),
-        8192,
-        8 << 20,
-        0x7ACE,
-    )
+fn sample_trace() -> Trace {
+    Trace::bursty_writes(4, 9, SimDuration::from_millis(1), 8192, 8 << 20, 0x7ACE)
 }
 
-/// A mid-run trace-phase checkpoint (device + paused replay driver).
-fn trace_run_checkpoint(replay: ReplayConfig) -> TraceRunCheckpoint {
-    let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
-    let trace = sample_trace();
-    let cfg = TraceRunConfig::open_loop(3).with_replay(replay);
-    after_one_step(&trace_exp::chain(&roster, DeviceKind::Essd1, &trace, &cfg))
+static TRACE: LazyLock<Trace> = LazyLock::new(sample_trace);
+static OPEN: LazyLock<TraceRunConfig> = LazyLock::new(|| TraceRunConfig::open_loop(3));
+static CLOSED: LazyLock<TraceRunConfig> = LazyLock::new(|| {
+    TraceRunConfig::open_loop(3).with_replay(ReplayConfig::closed_loop(4).with_ring(3))
+});
+
+/// A trace-phase chain on ESSD-1 (device + paused replay driver).
+fn trace_chain(cfg: &'static TraceRunConfig) -> SlicedChain<'static, Replay> {
+    trace_exp::chain(&ROSTER, DeviceKind::Essd1, &TRACE, cfg)
 }
 
 /// A populated `uc.obs.v1` telemetry record: counters, gauges and
@@ -130,10 +128,7 @@ fn obs_report() -> unwritten_contract::obs::ObsReport {
     ObsReport::capture(&reg, &flight)
 }
 
-/// A mid-run fleet epoch checkpoint (placement after a rebalance,
-/// per-tenant state and every pool device's checkpoint).
-fn fleet_checkpoint() -> unwritten_contract::core::experiments::FleetCheckpoint {
-    use unwritten_contract::core::experiments::{Chain, FleetChain, FleetRunConfig};
+static FLEET: LazyLock<FleetRunConfig> = LazyLock::new(|| {
     let mut config = FleetRunConfig::new(12, 3);
     config.fleet = config
         .fleet
@@ -141,12 +136,45 @@ fn fleet_checkpoint() -> unwritten_contract::core::experiments::FleetCheckpoint 
         .with_epochs(4)
         .with_seed(0xF1EE7)
         .with_rebalance(RebalancePolicy::default());
-    let chain = FleetChain::new(&config);
+    config
+});
+
+/// A mid-run fleet (placement after a rebalance, per-tenant state and
+/// every pool device) of [`FLEET`]'s chain.
+fn fleet_sim() -> FleetSim {
+    let chain = FleetChain::new(&FLEET);
     let mut sim = chain.start().unwrap();
     for _ in 0..2 {
         chain.advance(&mut sim).unwrap();
     }
-    chain.checkpoint(&sim)
+    sim
+}
+
+/// Saves `state` through a [`Store`] in `dir` and returns the file.
+fn save<C: Chain>(chain: &C, state: &C::State, dir: &Path) -> PathBuf {
+    Store::create(dir).unwrap().save(chain, state).unwrap()
+}
+
+/// The record payload a save of `state` writes.
+fn saved_payload<C: Chain>(chain: &C, state: &C::State, tag: &str) -> Vec<u8> {
+    let dir = temp_dir(tag);
+    let payload = read_record_file(&save(chain, state, &dir), C::RECORD_KIND).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    payload
+}
+
+/// A load's typed decode error (`Ok(())` if it loaded).
+///
+/// # Panics
+///
+/// Panics if the record was refused as another plan or did not
+/// restore: every record here is built under the loading chain's plan.
+fn decoded<T>(loaded: Result<T, LoadError>) -> Result<(), DecodeError> {
+    match loaded {
+        Ok(_) => Ok(()),
+        Err(LoadError::Decode(e)) => Err(e),
+        Err(e) => panic!("expected a typed decode error, got: {e}"),
+    }
 }
 
 /// `(len, crc32)` of a payload's bytes.
@@ -167,28 +195,35 @@ fn checkpoint_payload_bytes_are_pinned() {
         checkpoint.encode_into(&mut w).unwrap();
         fingerprint(w.as_bytes())
     };
-    fn record<R: DurableRecord>(record: &R) -> (usize, u32) {
-        let mut w = Encoder::new();
-        record.encode_into(&mut w).unwrap();
-        fingerprint(w.as_bytes())
-    }
     let mut w = Encoder::new();
     obs_report().encode(&mut w);
     // Closed loop, the paused driver holds requests in flight: it has
     // submitted more entries than have completed.
-    let closed = trace_run_checkpoint(ReplayConfig::closed_loop(4).with_ring(3));
-    assert!(closed.driver.position() as u64 > closed.driver.report().ios);
+    let (open, closed) = (trace_chain(&OPEN), trace_chain(&CLOSED));
+    let closed_run = after_one_step(&closed);
+    assert!(closed_run.job().position() as u64 > closed_run.job().report().ios);
+    let fig3 = fig3_chain();
+    let fleet = FleetChain::new(&FLEET);
     let actual = [
         ("ssd", device(CheckpointDevice::checkpoint(&busy_ssd()))),
         ("essd", device(CheckpointDevice::checkpoint(&busy_essd()))),
         (
             "trace-run",
-            record(&trace_run_checkpoint(ReplayConfig::open_loop())),
+            fingerprint(&saved_payload(&open, &after_one_step(&open), "pin-open")),
         ),
-        ("trace-run-closed", record(&closed)),
+        (
+            "trace-run-closed",
+            fingerprint(&saved_payload(&closed, &closed_run, "pin-closed")),
+        ),
         ("obs", fingerprint(w.as_bytes())),
-        ("fig3", record(&fig3_checkpoint())),
-        ("fleet", record(&fleet_checkpoint())),
+        (
+            "fig3",
+            fingerprint(&saved_payload(&fig3, &after_one_step(&fig3), "pin-fig3")),
+        ),
+        (
+            "fleet",
+            fingerprint(&saved_payload(&fleet, &fleet_sim(), "pin-fleet")),
+        ),
     ];
     let golden = [
         // Format v2 (`uc.ssd-checkpoint.v2`, `uc.essd-checkpoint.v2`):
@@ -437,23 +472,25 @@ fn every_enum_variant_bytes_are_pinned() {
 }
 
 /// How a checkpoint file decodes: through the device-checkpoint reader,
-/// the fig3 reader, the trace-run reader, the binary-trace loader, or
-/// the `uc.obs.v1` telemetry reader.
+/// the fig3, trace-run or fleet chain's load, the binary-trace loader,
+/// or the `uc.obs.v1` telemetry reader.
 enum Reader {
     Device,
     Fig3,
     TraceRun,
+    Fleet,
     Trace,
     Obs,
 }
 
 impl Reader {
-    fn load(&self, path: &std::path::Path) -> Result<(), DecodeError> {
+    fn load(&self, path: &Path) -> Result<(), DecodeError> {
         match self {
             Reader::Device => DeviceCheckpoint::load_from(path, &payload_codecs()).map(|_| ()),
-            Reader::Fig3 => Fig3Checkpoint::load_from(path).map(|_| ()),
+            Reader::Fig3 => decoded(durable::load(&fig3_chain(), path)),
             Reader::Obs => unwritten_contract::obs::ObsReport::load_from(path).map(|_| ()),
-            Reader::TraceRun => TraceRunCheckpoint::load_from(path).map(|_| ()),
+            Reader::TraceRun => decoded(durable::load(&trace_chain(&OPEN), path)),
+            Reader::Fleet => decoded(durable::load(&FleetChain::new(&FLEET), path)),
             // The envelope CRC is checked before any entry, so every
             // byte-level mutation lands on the same typed error the
             // other record codecs report.
@@ -486,22 +523,22 @@ fn corruption_table_over_every_record_codec() {
     CheckpointDevice::checkpoint(&busy_essd())
         .save_to(&essd_path)
         .unwrap();
-    let fig3_path = dir.join("fig3.ckpt");
-    fig3_checkpoint().save_to(&fig3_path).unwrap();
-    let trace_run_path = dir.join("trace-run.ckpt");
-    trace_run_checkpoint(ReplayConfig::open_loop())
-        .save_to(&trace_run_path)
-        .unwrap();
+    let fig3 = fig3_chain();
+    let fig3_path = save(&fig3, &after_one_step(&fig3), &dir);
+    let trace_run = trace_chain(&OPEN);
+    let trace_run_path = save(&trace_run, &after_one_step(&trace_run), &dir);
+    let fleet_path = save(&FleetChain::new(&FLEET), &fleet_sim(), &dir);
     let trace_path = dir.join("t.trace");
     unwritten_contract::trace::save_trace(&trace_path, &sample_trace()).unwrap();
     let obs_path = dir.join("telemetry.obs");
     obs_report().save_to(&obs_path).unwrap();
 
-    let files: [(&str, PathBuf, Reader); 6] = [
+    let files: [(&str, PathBuf, Reader); 7] = [
         ("ssd", ssd_path, Reader::Device),
         ("essd", essd_path, Reader::Device),
         ("fig3", fig3_path, Reader::Fig3),
         ("trace-run", trace_run_path, Reader::TraceRun),
+        ("fleet", fleet_path, Reader::Fleet),
         ("trace", trace_path, Reader::Trace),
         ("obs", obs_path, Reader::Obs),
     ];
@@ -867,7 +904,7 @@ fn corruption_table_over_every_wire_frame_kind() {
 }
 
 /// A record whose kind tag no reader knows dispatches to
-/// `UnknownKind` — for both the device reader and the fig3 reader.
+/// `UnknownKind` — for the device reader and every chain's load.
 #[test]
 fn unknown_record_kinds_are_typed() {
     let dir = temp_dir("unknown-kind");
@@ -881,14 +918,13 @@ fn unknown_record_kinds_are_typed() {
         DeviceCheckpoint::load_from(&path, &payload_codecs()),
         Err(DecodeError::UnknownKind { .. })
     ));
-    assert!(matches!(
-        Fig3Checkpoint::load_from(&path),
-        Err(DecodeError::UnknownKind { .. })
-    ));
-    assert!(matches!(
-        TraceRunCheckpoint::load_from(&path),
-        Err(DecodeError::UnknownKind { .. })
-    ));
+    for loaded in [
+        decoded(durable::load(&fig3_chain(), &path)),
+        decoded(durable::load(&trace_chain(&OPEN), &path)),
+        decoded(durable::load(&FleetChain::new(&FLEET), &path)),
+    ] {
+        assert!(matches!(loaded, Err(DecodeError::UnknownKind { .. })));
+    }
     assert!(matches!(
         unwritten_contract::trace::load_trace(&path),
         Err(unwritten_contract::trace::TraceFileError::Decode(
@@ -902,8 +938,8 @@ fn unknown_record_kinds_are_typed() {
 
     // A device record whose *payload* tag is foreign also fails typed:
     // write a fig3 record and read it as a device checkpoint.
-    let fig3_path = dir.join("fig3.ckpt");
-    fig3_checkpoint().save_to(&fig3_path).unwrap();
+    let fig3 = fig3_chain();
+    let fig3_path = save(&fig3, &after_one_step(&fig3), &dir);
     assert!(matches!(
         DeviceCheckpoint::load_from(&fig3_path, &payload_codecs()),
         Err(DecodeError::UnknownKind { .. })
@@ -953,13 +989,10 @@ fn v1_device_payloads_are_rejected_typed() {
         Some(v1())
     );
 
-    let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
-    let config = Fig3Config::quick();
-    let chain = fig3::chain(&roster, DeviceKind::LocalSsd, &config, 4);
-    let fig3_path = dir.join("fig3.ckpt");
-    after_one_step(&chain).save_to(&fig3_path).unwrap();
+    let chain = fig3::chain(&ROSTER, DeviceKind::LocalSsd, &FIG3, 4);
+    let fig3_path = save(&chain, &after_one_step(&chain), &dir);
     retag_payload(&fig3_path, "uc.ssd-checkpoint.v2", "uc.ssd-checkpoint.v1");
-    assert_eq!(Fig3Checkpoint::load_from(&fig3_path).err(), Some(v1()));
+    assert_eq!(decoded(durable::load(&chain, &fig3_path)).err(), Some(v1()));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -980,25 +1013,22 @@ fn retag_record(path: &std::path::Path, kind: &str) {
 /// typed at their record kind.
 #[test]
 fn v1_fleet_and_trace_run_records_are_rejected_typed() {
-    use unwritten_contract::core::experiments::FleetCheckpoint;
     let dir = temp_dir("v1-records");
     let v1 = |kind: &str| Some(DecodeError::UnknownKind { found: kind.into() });
 
-    let fleet_path = dir.join("fleet.ckpt");
-    fleet_checkpoint().save_to(&fleet_path).unwrap();
+    let fleet = FleetChain::new(&FLEET);
+    let fleet_path = save(&fleet, &fleet_sim(), &dir);
     retag_record(&fleet_path, "uc.fleet.v1");
     assert_eq!(
-        FleetCheckpoint::load_from(&fleet_path).err(),
+        decoded(durable::load(&fleet, &fleet_path)).err(),
         v1("uc.fleet.v1")
     );
 
-    let trace_path = dir.join("trace-run.ckpt");
-    trace_run_checkpoint(ReplayConfig::open_loop())
-        .save_to(&trace_path)
-        .unwrap();
+    let trace_run = trace_chain(&OPEN);
+    let trace_path = save(&trace_run, &after_one_step(&trace_run), &dir);
     retag_record(&trace_path, "uc.trace-run.v1");
     assert_eq!(
-        TraceRunCheckpoint::load_from(&trace_path).err(),
+        decoded(durable::load(&trace_run, &trace_path)).err(),
         v1("uc.trace-run.v1")
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -1012,7 +1042,7 @@ fn v1_fleet_and_trace_run_records_are_rejected_typed() {
 fn crafted_fleet_state_bytes_are_typed() {
     use unwritten_contract::fleet::{FleetConfig, FleetState, ShapeMix};
     use unwritten_contract::sim::{SimRng, TokenBucket};
-    let state = fleet_checkpoint().state;
+    let state = fleet_sim().state().clone();
     let good = state.to_bytes();
     let config = state.config.clone();
     // The state leads with its config, its epoch and its placement; the
@@ -1063,23 +1093,34 @@ fn crafted_fleet_state_bytes_are_typed() {
 
 /// A fleet record whose config and placement agree on a huge device
 /// count, with the matching device count after them, fails typed at the
-/// first missing device rather than sizing a vector by the claim.
+/// first missing device rather than sizing a vector by the claim. The
+/// record is built under the loading chain's own plan (a fleet of that
+/// many devices), so no plan refusal masks the decode check.
 #[test]
 fn huge_fleet_device_count_is_typed() {
-    use unwritten_contract::core::experiments::FleetCheckpoint;
-    let checkpoint = fleet_checkpoint();
-    let huge = (1u64 << 40).to_le_bytes();
-    let mut state = checkpoint.state.to_bytes();
+    use unwritten_contract::core::experiments::fleet::fleet_fingerprint;
+    use unwritten_contract::fleet::FleetConfig;
+    let sim = fleet_sim();
+    let huge = 1u64 << 40;
+    let config = FleetRunConfig {
+        fleet: FleetConfig {
+            devices: huge as usize,
+            ..sim.state().config.clone()
+        },
+        ..FLEET.clone()
+    };
+    let mut state = sim.state().to_bytes();
     // The config's device count follows its tenant count; the
     // placement's follows the epoch, its region span and its slots.
-    let config_len = checkpoint.state.config.to_bytes().len();
-    state[8..16].copy_from_slice(&huge);
-    state[config_len + 24..config_len + 32].copy_from_slice(&huge);
+    let config_len = config.fleet.to_bytes().len();
+    state[8..16].copy_from_slice(&huge.to_le_bytes());
+    state[config_len + 24..config_len + 32].copy_from_slice(&huge.to_le_bytes());
+    assert_eq!(state[..config_len], config.fleet.to_bytes());
     let mut w = Encoder::new();
-    w.put_u32(checkpoint.fingerprint);
+    w.put_u32(fleet_fingerprint(&config));
     w.put_raw(&state);
-    w.put_raw(&huge);
-    let result = FleetCheckpoint::decode_from(&mut Decoder::new(w.as_bytes()));
+    w.put_u64(huge);
+    let result = decoded(FleetChain::new(&config).decode(Decoder::new(w.as_bytes())));
     assert!(
         matches!(result, Err(DecodeError::Truncated { .. })),
         "{result:?}"
@@ -1209,80 +1250,100 @@ proptest! {
     }
 }
 
-/// A record whose envelope is intact but whose plan no run could have
-/// taken — empty or decreasing milestones, more steps done than planned,
-/// a trace cut count that disagrees with its steps — fails typed on
-/// decode instead of panicking mid-resume.
+/// A record under the chain's own plan whose progress no run could
+/// have made — more steps done than planned, a trace cut count that
+/// disagrees with its steps — fails typed on load instead of panicking
+/// mid-resume. Empty or decreasing milestones are another plan: refused
+/// before the rest of the record is read.
 #[test]
 fn impossible_plans_fail_typed_on_decode() {
-    fn rejects<S: Slicing>(
-        dir: &std::path::Path,
-        mut record: SlicedCheckpoint<S>,
-        mutate: impl Fn(&mut SlicedCheckpoint<S>),
-    ) {
-        mutate(&mut record);
-        let path = dir.join(format!("{}.ckpt", record.key()));
-        record.save_to(&path).unwrap();
-        assert!(
-            matches!(
-                SlicedCheckpoint::<S>::load_from(&path),
-                Err(DecodeError::InvalidValue { .. })
-            ),
-            "{}: {:?} / {} steps done must fail typed",
-            S::RECORD_KIND,
-            record.milestones,
-            record.completed
+    use unwritten_contract::persist::write_record_file;
+    /// Loads `payload` with the `u64` at `at` replaced by `with` (or
+    /// the `cut` bytes there replaced by `with`'s eight).
+    fn patched<S: Slicing>(
+        chain: &SlicedChain<'_, S>,
+        dir: &Path,
+        payload: &[u8],
+        at: usize,
+        cut: usize,
+        with: u64,
+    ) -> Result<SlicedRun<S>, LoadError> {
+        let mut bytes = payload[..at].to_vec();
+        bytes.extend_from_slice(&with.to_le_bytes());
+        bytes.extend_from_slice(&payload[at + cut..]);
+        let path = dir.join(format!("{}.ckpt", chain.key()));
+        write_record_file(&path, S::RECORD_KIND, |w| {
+            w.put_raw(&bytes);
+            std::io::Result::Ok(())
+        })
+        .unwrap();
+        durable::load(chain, &path)
+    }
+    fn rejects<S: Slicing>(chain: &SlicedChain<'_, S>, dir: &Path, head_len: usize) {
+        let payload = saved_payload(chain, &after_one_step(chain), "impossible-plan");
+        let steps = chain.steps();
+        // Kind, head, then the milestone count and values.
+        let milestones_at = 1 + head_len;
+        let completed_at = milestones_at + 8 + 8 * steps;
+        assert!(patched(chain, dir, &payload, completed_at, 8, 1).is_ok());
+        // More steps done than the plan has.
+        assert_eq!(
+            decoded(patched(
+                chain,
+                dir,
+                &payload,
+                completed_at,
+                8,
+                steps as u64 + 1
+            )),
+            Err(DecodeError::InvalidValue {
+                what: "SlicedRun.completed"
+            }),
+            "{}",
+            S::RECORD_KIND
         );
+        // Empty milestones: the count drops to 0 and the values go.
+        let empty = patched(chain, dir, &payload, milestones_at, 8 + 8 * steps, 0);
+        assert!(matches!(empty, Err(LoadError::OtherPlan)));
+        // Decreasing milestones: the last one first.
+        let last = u64::from_le_bytes(payload[completed_at - 8..completed_at].try_into().unwrap());
+        let decreasing = patched(chain, dir, &payload, milestones_at + 8, 8, last + 1);
+        assert!(matches!(decreasing, Err(LoadError::OtherPlan)));
     }
     let dir = temp_dir("impossible-plans");
-    let (fig3, trace) = (
-        fig3_checkpoint(),
-        trace_run_checkpoint(ReplayConfig::open_loop()),
+    let (fig3, trace) = (fig3_chain(), trace_chain(&OPEN));
+    // fig3's head is (capacity, window); trace's the fingerprint.
+    rejects(&fig3, &dir, 16);
+    rejects(&trace, &dir, 4);
+    // A cut count that differs from the steps done: two steps claimed,
+    // one cut recorded.
+    let payload = saved_payload(&trace, &after_one_step(&trace), "impossible-cuts");
+    let completed_at = 1 + 4 + 8 + 8 * trace.steps();
+    assert_eq!(
+        decoded(patched(&trace, &dir, &payload, completed_at, 8, 2)),
+        Err(DecodeError::InvalidValue {
+            what: "SlicedRun.tail"
+        })
     );
-    // Empty milestones, with no step done and (trace) no cut.
-    rejects(&dir, fig3.clone(), |r| {
-        r.milestones.clear();
-        r.completed = 0;
-    });
-    rejects(&dir, trace.clone(), |r| {
-        r.milestones.clear();
-        r.completed = 0;
-        r.tail.clear();
-    });
-    // Decreasing milestones.
-    rejects(&dir, fig3.clone(), |r| r.milestones.reverse());
-    rejects(&dir, trace.clone(), |r| {
-        r.milestones = vec![9, 3, 27];
-    });
-    // More steps done than the plan has.
-    rejects(&dir, fig3, |r| r.completed = r.milestones.len() + 1);
-    rejects(&dir, trace.clone(), |r| {
-        r.completed = r.milestones.len() + 1;
-        let cut = r.tail[0];
-        r.tail.resize(r.completed, cut);
-    });
-    // A cut count that differs from the steps done.
-    rejects(&dir, trace, |r| r.tail.clear());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Drives `chain` freeze → disk → thaw at every boundary and returns its
-/// result, calling `on_hop` with every record read back.
+/// Drives `chain` save → disk → load at every boundary and returns its
+/// result, calling `on_hop` with every run read back.
 fn through_disk<S: Slicing>(
     chain: &SlicedChain<'_, S>,
-    dir: &std::path::Path,
-    mut on_hop: impl FnMut(&SlicedCheckpoint<S>),
+    dir: &Path,
+    mut on_hop: impl FnMut(&SlicedRun<S>),
 ) -> S::Output {
     assert!(chain.steps() > 1, "the run must actually hop through disk");
+    let store = Store::create(dir).unwrap();
     let mut state = chain.start().unwrap();
     for step in 1..=chain.steps() {
         chain.advance(&mut state).unwrap();
         if step < chain.steps() {
-            let path = dir.join(format!("{}.hop{step}.ckpt", chain.key()));
-            chain.checkpoint(&state).save_to(&path).unwrap();
-            let thawed = SlicedCheckpoint::<S>::load_from(&path).unwrap();
-            on_hop(&thawed);
-            state = chain.resume(thawed).unwrap();
+            let path = store.save(chain, &state).unwrap();
+            state = durable::load(chain, &path).unwrap();
+            on_hop(&state);
         }
     }
     chain.finish(state)
@@ -1311,7 +1372,7 @@ fn fig3_resumed_through_disk_matches_memory() {
         trace_exp::run_pipelined(&roster, &[kind], &trace, &cfg, &Executor::sequential()).unwrap();
     let mut in_flight = 0;
     let replayed = through_disk(&trace_exp::chain(&roster, kind, &trace, &cfg), &dir, |r| {
-        in_flight += r.driver.position() as u64 - r.driver.report().ios;
+        in_flight += r.job().position() as u64 - r.job().report().ios;
     });
     assert!(
         in_flight > 0,

@@ -137,7 +137,7 @@ fn trace_experiment_report_survives_threads_and_kill_resume() {
         let chain = trace_exp::chain(&roster, kind, &trace, &cfg);
         let mut partial = chain.start().unwrap();
         chain.advance(&mut partial).unwrap();
-        store.save(&chain.checkpoint(&partial)).unwrap();
+        store.save(&chain, &partial).unwrap();
         // The interrupted process's state is dropped here: only the
         // on-disk checkpoint survives the "crash".
     }
