@@ -15,30 +15,40 @@
 //! be sliced into resumable segments whose concatenation is byte-identical
 //! to one continuous run.
 //!
-//! Each device is its own checkpoint payload: an `Ssd` or `Essd` checkpoint
-//! is a clone of the device, and its durable form is the device's own
-//! [`Persist`] codec. [`DeviceCheckpoint`] type-erases the payload so
-//! checkpoints of heterogeneous devices can travel through one channel
-//! (an experiment pipeline, a queue between workers).
+//! Each device is its own checkpoint payload ([`PersistPayload`]): an
+//! `Ssd` or `Essd` checkpoint is a clone of the device, and its wire form
+//! is the device's own [`Persist`] codec behind the device name and the
+//! payload's kind tag ([`DeviceCheckpoint::encode_payload`]). A durable
+//! save needs no clone: [`CheckpointDevice::encode_checkpoint`] writes
+//! the same bytes straight from the live device. [`DeviceCheckpoint`]
+//! type-erases the payload so checkpoints of heterogeneous devices can
+//! travel through one channel (an experiment pipeline, a queue between
+//! workers).
 
 use std::any::Any;
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
+use std::io;
 use std::path::Path;
 
-use crate::BlockDevice;
+use crate::{BlockDevice, DeviceInfo};
 use uc_invariant::{ensure, Contract, Violation};
 use uc_persist::{DecodeError, Decoder, Encoder, Persist};
 
-/// Object-safe clonable `Any` — the erased payload of a checkpoint.
+/// Object-safe clonable payload — the erased state of a checkpoint.
 trait ErasedState: Any + Send {
     fn clone_box(&self) -> Box<dyn ErasedState>;
     fn as_any(&self) -> &dyn Any;
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
     fn state_type(&self) -> &'static str;
+    /// Writes this payload's wire form as `device`'s checkpoint.
+    fn encode_as(&self, device: &str, w: &mut Encoder);
+    /// The decoder of this payload's type.
+    fn codec(&self) -> PayloadCodec;
 }
 
-impl<S: Any + Send + Clone> ErasedState for S {
+impl<S: PersistPayload> ErasedState for S {
     fn clone_box(&self) -> Box<dyn ErasedState> {
         Box::new(self.clone())
     }
@@ -50,6 +60,12 @@ impl<S: Any + Send + Clone> ErasedState for S {
     }
     fn state_type(&self) -> &'static str {
         std::any::type_name::<S>()
+    }
+    fn encode_as(&self, device: &str, w: &mut Encoder) {
+        DeviceCheckpoint::encode_payload(device, self, w)
+    }
+    fn codec(&self) -> PayloadCodec {
+        PayloadCodec::of::<S>()
     }
 }
 
@@ -65,17 +81,17 @@ pub trait PersistPayload: Any + Send + Clone + Persist {
     const KIND: &'static str;
 }
 
-/// The erased encode/decode hooks of one [`PersistPayload`] type.
+/// The erased decoder of one [`PersistPayload`] type.
 ///
 /// A codec is how [`DeviceCheckpoint::load_from`] turns a record tag back
 /// into a concrete payload: callers pass the codecs of every device class
 /// they can restore (e.g. `uc-core`'s roster passes the SSD and ESSD
 /// codecs), and the tag stored in the file selects one — or fails with
-/// [`DecodeError::UnknownKind`].
+/// [`DecodeError::UnknownKind`]. Encoding needs no codec: a payload
+/// writes itself ([`DeviceCheckpoint::encode_payload`]).
 #[derive(Clone, Copy)]
 pub struct PayloadCodec {
     kind: &'static str,
-    encode: fn(&dyn Any, &mut Encoder),
     decode: fn(&mut Decoder<'_>) -> Result<Box<dyn ErasedState>, DecodeError>,
 }
 
@@ -84,17 +100,11 @@ impl PayloadCodec {
     pub fn of<S: PersistPayload>() -> Self {
         PayloadCodec {
             kind: S::KIND,
-            encode: |state, w| {
-                state
-                    .downcast_ref::<S>()
-                    .expect("codec invoked on its own payload type")
-                    .encode(w)
-            },
             decode: |r| Ok(Box::new(S::decode(r)?)),
         }
     }
 
-    /// The stable record tag this codec reads and writes.
+    /// The stable record tag this codec reads.
     pub fn kind(&self) -> &'static str {
         self.kind
     }
@@ -105,49 +115,6 @@ impl fmt::Debug for PayloadCodec {
         f.debug_struct("PayloadCodec")
             .field("kind", &self.kind)
             .finish()
-    }
-}
-
-/// Errors saving a [`DeviceCheckpoint`] to disk.
-#[derive(Debug)]
-pub enum PersistError {
-    /// The checkpoint's payload was constructed without a persistence
-    /// codec ([`DeviceCheckpoint::new`] instead of
-    /// [`DeviceCheckpoint::persistent`]), so it has no on-disk form.
-    NotPersistent {
-        /// The payload type's name (diagnostics only).
-        state_type: &'static str,
-    },
-    /// Writing the record file failed.
-    Io(std::io::Error),
-}
-
-impl fmt::Display for PersistError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PersistError::NotPersistent { state_type } => {
-                write!(
-                    f,
-                    "checkpoint payload `{state_type}` has no persistence codec"
-                )
-            }
-            PersistError::Io(e) => write!(f, "writing checkpoint: {e}"),
-        }
-    }
-}
-
-impl Error for PersistError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            PersistError::NotPersistent { .. } => None,
-            PersistError::Io(e) => Some(e),
-        }
-    }
-}
-
-impl From<std::io::Error> for PersistError {
-    fn from(e: std::io::Error) -> Self {
-        PersistError::Io(e)
     }
 }
 
@@ -163,62 +130,42 @@ pub const DEVICE_RECORD_KIND: &str = "uc.device-checkpoint.v1";
 /// device fails loudly instead of silently producing a chimera.
 ///
 /// Checkpoints are `Clone + Send`: they can be kept for re-runs and handed
-/// across worker threads. A checkpoint built with
-/// [`DeviceCheckpoint::persistent`] additionally carries its payload's
-/// [`PayloadCodec`], giving it a durable on-disk form via
-/// [`DeviceCheckpoint::save_to`] / [`DeviceCheckpoint::load_from`].
+/// across worker threads. Every payload is a [`PersistPayload`], so every
+/// checkpoint has a durable on-disk form via [`DeviceCheckpoint::save_to`]
+/// / [`DeviceCheckpoint::load_from`].
 pub struct DeviceCheckpoint {
     device: String,
     state: Box<dyn ErasedState>,
-    codec: Option<PayloadCodec>,
 }
 
 impl DeviceCheckpoint {
-    /// Wraps a concrete checkpoint payload for the named device.
-    ///
-    /// The resulting checkpoint has no on-disk form (use
-    /// [`DeviceCheckpoint::persistent`] for payloads implementing
-    /// [`PersistPayload`]); it still travels freely between threads.
-    pub fn new<S: Any + Send + Clone>(device: impl Into<String>, state: S) -> Self {
-        DeviceCheckpoint {
-            device: device.into(),
-            state: Box::new(state),
-            codec: None,
-        }
-    }
-
-    /// Wraps a persistable checkpoint payload for the named device,
-    /// capturing its [`PayloadCodec`] so the checkpoint can be saved to
-    /// and loaded from disk.
+    /// Wraps a checkpoint payload for the named device.
     pub fn persistent<S: PersistPayload>(device: impl Into<String>, state: S) -> Self {
         DeviceCheckpoint {
             device: device.into(),
             state: Box::new(state),
-            codec: Some(PayloadCodec::of::<S>()),
         }
     }
 
-    /// `true` if this checkpoint carries a persistence codec (was built
-    /// with [`DeviceCheckpoint::persistent`] or loaded from disk).
-    pub fn is_persistent(&self) -> bool {
-        self.codec.is_some()
+    /// Writes `state`'s wire form as `device`'s checkpoint: the device
+    /// name, the payload kind tag, then the length-prefixed payload
+    /// bytes. This is the one definition of the layout: a checkpoint's
+    /// [`encode_into`](Self::encode_into) and a live device's
+    /// [`CheckpointDevice::encode_checkpoint`] both write through it.
+    pub fn encode_payload<S: PersistPayload>(device: &str, state: &S, w: &mut Encoder) {
+        w.put_str(device);
+        w.put_str(S::KIND);
+        w.put_block(|w| state.encode(w));
     }
 
-    /// Appends this checkpoint's wire form (device name, payload kind
-    /// tag, length-prefixed payload bytes) to `w` — the embedded form
-    /// larger records (a fig3 segment checkpoint) compose.
+    /// Appends this checkpoint's wire form
+    /// ([`encode_payload`](Self::encode_payload)) to `w` — the embedded
+    /// form larger records compose.
     ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::NotPersistent`] if the payload was
-    /// constructed without a codec.
-    pub fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
-        let codec = self.codec.ok_or(PersistError::NotPersistent {
-            state_type: self.state.state_type(),
-        })?;
-        w.put_str(&self.device);
-        w.put_str(codec.kind);
-        w.put_block(|w| (codec.encode)(self.state.as_any(), w));
+    /// Never fails: every payload writes itself. The `Result` stays only
+    /// because the perfbench micro-suite still `expect`s one.
+    pub fn encode_into(&self, w: &mut Encoder) -> Result<(), Infallible> {
+        self.state.encode_as(&self.device, w);
         Ok(())
     }
 
@@ -241,11 +188,7 @@ impl DeviceCheckpoint {
         let mut pr = Decoder::new(payload);
         let state = (codec.decode)(&mut pr)?;
         pr.finish()?;
-        Ok(DeviceCheckpoint {
-            device,
-            state,
-            codec: Some(*codec),
-        })
+        Ok(DeviceCheckpoint { device, state })
     }
 
     /// Writes this checkpoint to `path` as a stand-alone record file
@@ -253,10 +196,11 @@ impl DeviceCheckpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError::NotPersistent`] for codec-less payloads
-    /// and [`PersistError::Io`] for filesystem failures.
-    pub fn save_to(&self, path: &Path) -> Result<(), PersistError> {
-        uc_persist::write_record_file(path, DEVICE_RECORD_KIND, |w| self.encode_into(w))
+    /// Propagates the filesystem errors.
+    pub fn save_to(&self, path: &Path) -> io::Result<()> {
+        uc_persist::write_record_file(path, DEVICE_RECORD_KIND, |w| {
+            self.state.encode_as(&self.device, w)
+        })
     }
 
     /// Reads a checkpoint back from a stand-alone record file written by
@@ -322,6 +266,39 @@ impl DeviceCheckpoint {
             })
     }
 
+    /// Restores a device that is its own payload: checks the name, moves
+    /// the payload out and, if its [`DeviceInfo`] (read through `info`)
+    /// equals `device`'s, moves it into `device`. Copies and allocates
+    /// nothing on success — the body of `restore_from` for `Ssd` and
+    /// `Essd`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CheckpointError::DeviceMismatch`] for another device name
+    /// or geometry (same name, other capacity) and
+    /// [`CheckpointError::StateMismatch`] for another device class; on
+    /// error `device` is unchanged.
+    pub fn restore_onto<S: PersistPayload>(
+        self,
+        device: &mut S,
+        info: fn(&S) -> &DeviceInfo,
+    ) -> Result<(), CheckpointError> {
+        let expected = info(device);
+        self.expect_device(expected.name())?;
+        let restored = self.into_state::<S>()?;
+        // Same name is not enough: a checkpoint from a differently-scaled
+        // device must not silently shrink or grow this one.
+        let found = info(&restored);
+        if found != expected {
+            return Err(CheckpointError::DeviceMismatch {
+                expected: format!("{} ({} B)", expected.name(), expected.capacity()),
+                found: format!("{} ({} B)", found.name(), found.capacity()),
+            });
+        }
+        *device = restored;
+        Ok(())
+    }
+
     /// Verifies this checkpoint was taken from a device named `device`.
     ///
     /// # Errors
@@ -339,10 +316,10 @@ impl DeviceCheckpoint {
     }
 }
 
-/// Durability audit of a frozen device: a persistent checkpoint's wire
-/// form must decode back with its own codec and re-encode to the identical
-/// bytes — the on-disk half of the freeze/thaw exactness contract.
-/// O(payload size); called by the invariant property suites, not per op.
+/// Durability audit of a frozen device: a checkpoint's wire form must
+/// decode back with its own codec and re-encode to the identical bytes —
+/// the on-disk half of the freeze/thaw exactness contract. O(payload
+/// size); called by the invariant property suites, not per op.
 impl Contract for DeviceCheckpoint {
     fn contract_name(&self) -> &'static str {
         "uc-blockdev/DeviceCheckpoint"
@@ -355,20 +332,10 @@ impl Contract for DeviceCheckpoint {
             !self.device.is_empty(),
             "checkpoint has an empty device name"
         );
-        // Codec-less checkpoints have no wire form to audit.
-        let Some(codec) = self.codec else {
-            return Ok(());
-        };
         let mut w = Encoder::new();
-        ensure!(
-            self,
-            "persistent-encodes",
-            self.encode_into(&mut w).is_ok(),
-            "persistent checkpoint of {} failed to encode",
-            self.device
-        );
+        self.state.encode_as(&self.device, &mut w);
         let mut r = Decoder::new(w.as_bytes());
-        let decoded = match DeviceCheckpoint::decode_from(&mut r, &[codec]) {
+        let decoded = match DeviceCheckpoint::decode_from(&mut r, &[self.state.codec()]) {
             Ok(decoded) => decoded,
             Err(e) => {
                 return Err(Violation::new(
@@ -387,13 +354,7 @@ impl Contract for DeviceCheckpoint {
             self.device
         );
         let mut again = Encoder::new();
-        ensure!(
-            self,
-            "wire-roundtrip-reencodes",
-            decoded.encode_into(&mut again).is_ok(),
-            "decoded checkpoint of {} failed to re-encode",
-            self.device
-        );
+        decoded.state.encode_as(&decoded.device, &mut again);
         ensure!(
             self,
             "wire-roundtrip-stable",
@@ -412,7 +373,6 @@ impl Clone for DeviceCheckpoint {
         DeviceCheckpoint {
             device: self.device.clone(),
             state: self.state.clone_box(),
-            codec: self.codec,
         }
     }
 }
@@ -485,6 +445,19 @@ pub trait CheckpointDevice: BlockDevice {
     /// Captures the device's complete hidden state.
     fn checkpoint(&self) -> DeviceCheckpoint;
 
+    /// Writes the wire form of this device's checkpoint (device name,
+    /// payload kind tag, length-prefixed payload) into `w`: the bytes
+    /// `self.checkpoint().encode_into(w)` writes. Durable saves and
+    /// migration fingerprints encode through this.
+    ///
+    /// The default takes that checkpoint, a copy of the device. A device
+    /// that is its own payload writes itself instead
+    /// ([`DeviceCheckpoint::encode_payload`]), and a wrapper forwards to
+    /// its inner device, so neither copies anything.
+    fn encode_checkpoint(&self, w: &mut Encoder) {
+        let Ok(()) = self.checkpoint().encode_into(w);
+    }
+
     /// Replaces this device's state with the checkpoint's, consuming the
     /// checkpoint (its payload moves into the device — no copy; clone the
     /// checkpoint first to keep it).
@@ -502,6 +475,9 @@ impl<D: CheckpointDevice + ?Sized> CheckpointDevice for &mut D {
     fn checkpoint(&self) -> DeviceCheckpoint {
         (**self).checkpoint()
     }
+    fn encode_checkpoint(&self, w: &mut Encoder) {
+        (**self).encode_checkpoint(w)
+    }
     fn restore_from(&mut self, checkpoint: DeviceCheckpoint) -> Result<(), CheckpointError> {
         (**self).restore_from(checkpoint)
     }
@@ -511,6 +487,9 @@ impl<D: CheckpointDevice + ?Sized> CheckpointDevice for Box<D> {
     fn checkpoint(&self) -> DeviceCheckpoint {
         (**self).checkpoint()
     }
+    fn encode_checkpoint(&self, w: &mut Encoder) {
+        (**self).encode_checkpoint(w)
+    }
     fn restore_from(&mut self, checkpoint: DeviceCheckpoint) -> Result<(), CheckpointError> {
         (**self).restore_from(checkpoint)
     }
@@ -519,18 +498,20 @@ impl<D: CheckpointDevice + ?Sized> CheckpointDevice for Box<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeviceInfo, IoRequest, IoResult};
+    use crate::{IoRequest, IoResult};
     use uc_sim::{SimDuration, SimTime};
 
-    /// A minimal stateful device: a busy-until timeline.
-    #[derive(Clone)]
+    /// A minimal stateful device, its own checkpoint payload: a
+    /// busy-until timeline.
+    #[derive(Debug, Clone, PartialEq, Eq)]
     struct Toy {
         busy_until: SimTime,
     }
 
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    struct ToyCheckpoint {
-        busy_until: SimTime,
+    uc_persist::persist_struct! { Toy { busy_until } }
+
+    impl PersistPayload for Toy {
+        const KIND: &'static str = "uc.toy-checkpoint.v1";
     }
 
     impl BlockDevice for Toy {
@@ -547,35 +528,34 @@ mod tests {
 
     impl CheckpointDevice for Toy {
         fn checkpoint(&self) -> DeviceCheckpoint {
-            DeviceCheckpoint::new(
-                "toy",
-                ToyCheckpoint {
-                    busy_until: self.busy_until,
-                },
-            )
+            DeviceCheckpoint::persistent("toy", self.clone())
+        }
+        fn encode_checkpoint(&self, w: &mut Encoder) {
+            DeviceCheckpoint::encode_payload("toy", self, w)
         }
         fn restore_from(&mut self, checkpoint: DeviceCheckpoint) -> Result<(), CheckpointError> {
             checkpoint.expect_device("toy")?;
-            let state = checkpoint.into_state::<ToyCheckpoint>()?;
-            self.busy_until = state.busy_until;
+            *self = checkpoint.into_state::<Toy>()?;
             Ok(())
+        }
+    }
+
+    fn toy(micros: u64) -> Toy {
+        Toy {
+            busy_until: SimTime::ZERO + SimDuration::from_micros(micros),
         }
     }
 
     #[test]
     fn checkpoint_restore_round_trip() {
-        let mut a = Toy {
-            busy_until: SimTime::ZERO,
-        };
+        let mut a = toy(0);
         for _ in 0..3 {
             a.submit(&IoRequest::read(0, 4096, SimTime::ZERO)).unwrap();
         }
         let cp = a.checkpoint();
         assert_eq!(cp.device(), "toy");
-        assert!(cp.state_type().contains("ToyCheckpoint"));
-        let mut b = Toy {
-            busy_until: SimTime::ZERO,
-        };
+        assert!(cp.state_type().contains("Toy"));
+        let mut b = toy(0);
         b.restore_from(cp.clone()).unwrap();
         let req = IoRequest::write(4096, 4096, SimTime::ZERO);
         assert_eq!(a.submit(&req), b.submit(&req));
@@ -583,32 +563,22 @@ mod tests {
 
     #[test]
     fn checkpoints_clone_and_cross_threads() {
-        let a = Toy {
-            busy_until: SimTime::ZERO + SimDuration::from_micros(42),
-        };
+        let a = toy(42);
         let cp = a.checkpoint();
         let copy = cp.clone();
         let handle = std::thread::spawn(move || {
-            let mut b = Toy {
-                busy_until: SimTime::ZERO,
-            };
+            let mut b = toy(0);
             b.restore_from(copy).unwrap();
             b.busy_until
         });
         assert_eq!(handle.join().unwrap(), a.busy_until);
         // The original is still usable after the clone moved away.
-        assert_eq!(
-            cp.state::<ToyCheckpoint>().unwrap().busy_until,
-            a.busy_until
-        );
+        assert_eq!(cp.state::<Toy>().unwrap(), &a);
     }
 
     #[test]
     fn mismatches_are_loud() {
-        let cp = Toy {
-            busy_until: SimTime::ZERO,
-        }
-        .checkpoint();
+        let cp = toy(0).checkpoint();
         assert!(matches!(
             cp.expect_device("other"),
             Err(CheckpointError::DeviceMismatch { .. })
@@ -622,9 +592,7 @@ mod tests {
 
     #[test]
     fn trait_is_object_safe_and_boxes_forward() {
-        let mut dev: Box<dyn CheckpointDevice + Send> = Box::new(Toy {
-            busy_until: SimTime::ZERO,
-        });
+        let mut dev: Box<dyn CheckpointDevice + Send> = Box::new(toy(0));
         // The supertrait's methods flow through the trait object…
         dev.submit(&IoRequest::read(0, 4096, SimTime::ZERO))
             .unwrap();
@@ -633,27 +601,40 @@ mod tests {
         let dev_ref: &mut (dyn CheckpointDevice + Send) = &mut *dev;
         dev_ref.restore_from(cp.clone()).unwrap();
         assert_eq!(
-            dev.checkpoint().state::<ToyCheckpoint>().unwrap(),
-            cp.state::<ToyCheckpoint>().unwrap()
+            dev.checkpoint().state::<Toy>().unwrap(),
+            cp.state::<Toy>().unwrap()
         );
+    }
+
+    /// The live encode and its boxed and borrowed forwards write the
+    /// checkpoint's own wire form (`tests/persist.rs` checks the trait
+    /// default).
+    #[test]
+    fn live_encodes_write_the_checkpoint_bytes() {
+        let dev = toy(17);
+        let mut expected = Encoder::new();
+        let Ok(()) = dev.checkpoint().encode_into(&mut expected);
+        let boxed: Box<dyn CheckpointDevice + Send> = Box::new(dev.clone());
+        let mut other = dev.clone();
+        let borrowed = &mut other;
+        let devices: [&dyn CheckpointDevice; 3] = [&dev, &boxed, &borrowed];
+        for device in devices {
+            let mut w = Encoder::new();
+            device.encode_checkpoint(&mut w);
+            assert_eq!(w.as_bytes(), expected.as_bytes());
+        }
     }
 
     #[test]
     fn debug_shows_device_and_payload_type() {
-        let cp = DeviceCheckpoint::new("dbg", 7u32);
+        let cp = DeviceCheckpoint::persistent("dbg", toy(7));
         let text = format!("{cp:?}");
         assert!(text.contains("dbg"));
-        assert!(text.contains("u32"));
-    }
-
-    uc_persist::persist_struct! { ToyCheckpoint { busy_until } }
-
-    impl PersistPayload for ToyCheckpoint {
-        const KIND: &'static str = "uc.toy-checkpoint.v1";
+        assert!(text.contains("Toy"));
     }
 
     fn toy_codecs() -> Vec<PayloadCodec> {
-        vec![PayloadCodec::of::<ToyCheckpoint>()]
+        vec![PayloadCodec::of::<Toy>()]
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -664,28 +645,16 @@ mod tests {
 
     #[test]
     fn save_and_load_round_trip_restores_the_device() {
-        let mut a = Toy {
-            busy_until: SimTime::ZERO,
-        };
+        let mut a = toy(0);
         for _ in 0..5 {
             a.submit(&IoRequest::write(0, 4096, SimTime::ZERO)).unwrap();
         }
-        let cp = DeviceCheckpoint::persistent(
-            "toy",
-            ToyCheckpoint {
-                busy_until: a.busy_until,
-            },
-        );
-        assert!(cp.is_persistent());
         let path = temp_path("toy-roundtrip.ckpt");
-        cp.save_to(&path).unwrap();
+        a.checkpoint().save_to(&path).unwrap();
 
         let loaded = DeviceCheckpoint::load_from(&path, &toy_codecs()).unwrap();
         assert_eq!(loaded.device(), "toy");
-        assert!(loaded.is_persistent());
-        let mut b = Toy {
-            busy_until: SimTime::ZERO,
-        };
+        let mut b = toy(0);
         b.restore_from(loaded).unwrap();
         let req = IoRequest::read(0, 4096, SimTime::ZERO);
         assert_eq!(a.submit(&req), b.submit(&req));
@@ -694,45 +663,22 @@ mod tests {
 
     #[test]
     fn loaded_checkpoint_can_be_saved_again() {
-        let cp = DeviceCheckpoint::persistent(
-            "toy",
-            ToyCheckpoint {
-                busy_until: SimTime::from_nanos(7),
-            },
-        );
+        let cp = DeviceCheckpoint::persistent("toy", toy(7));
         let path = temp_path("toy-resave.ckpt");
         cp.save_to(&path).unwrap();
         let loaded = DeviceCheckpoint::load_from(&path, &toy_codecs()).unwrap();
         let path2 = temp_path("toy-resave-2.ckpt");
         loaded.save_to(&path2).unwrap();
         let again = DeviceCheckpoint::load_from(&path2, &toy_codecs()).unwrap();
-        assert_eq!(
-            again.state::<ToyCheckpoint>().unwrap().busy_until,
-            SimTime::from_nanos(7)
-        );
+        assert_eq!(again.state::<Toy>().unwrap(), &toy(7));
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&path2).ok();
     }
 
     #[test]
-    fn codec_less_checkpoints_refuse_to_save() {
-        let cp = DeviceCheckpoint::new("toy", 9u32);
-        assert!(!cp.is_persistent());
-        let err = cp.save_to(&temp_path("never-written.ckpt")).unwrap_err();
-        assert!(matches!(err, PersistError::NotPersistent { .. }));
-        assert!(err.to_string().contains("u32"));
-    }
-
-    #[test]
     fn unknown_payload_kind_is_typed() {
-        let cp = DeviceCheckpoint::persistent(
-            "toy",
-            ToyCheckpoint {
-                busy_until: SimTime::ZERO,
-            },
-        );
         let path = temp_path("toy-unknown-kind.ckpt");
-        cp.save_to(&path).unwrap();
+        toy(0).checkpoint().save_to(&path).unwrap();
         // A reader with no codecs cannot dispatch the payload.
         assert!(matches!(
             DeviceCheckpoint::load_from(&path, &[]),
@@ -743,14 +689,10 @@ mod tests {
 
     #[test]
     fn corrupted_file_decodes_to_typed_errors() {
-        let cp = DeviceCheckpoint::persistent(
-            "toy",
-            ToyCheckpoint {
-                busy_until: SimTime::from_nanos(11),
-            },
-        );
         let path = temp_path("toy-corrupt.ckpt");
-        cp.save_to(&path).unwrap();
+        DeviceCheckpoint::persistent("toy", toy(11))
+            .save_to(&path)
+            .unwrap();
         let good = std::fs::read(&path).unwrap();
 
         // Flipped payload byte → checksum mismatch.

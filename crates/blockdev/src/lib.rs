@@ -62,8 +62,8 @@ mod session;
 
 pub use batch::{submit_each, Completion, IoBatch};
 pub use checkpoint::{
-    CheckpointDevice, CheckpointError, DeviceCheckpoint, PayloadCodec, PersistError,
-    PersistPayload, DEVICE_RECORD_KIND,
+    CheckpointDevice, CheckpointError, DeviceCheckpoint, PayloadCodec, PersistPayload,
+    DEVICE_RECORD_KIND,
 };
 pub use session::{SessionId, SessionStats, SharedDevice};
 

@@ -37,7 +37,7 @@
 use crate::experiments::Executor;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use uc_blockdev::{CheckpointError, PersistError};
+use uc_blockdev::CheckpointError;
 use uc_persist::{DecodeError, Decoder, Encoder};
 
 /// One resumable timeline: how to prime, step, save, load and finish
@@ -72,13 +72,10 @@ pub trait Chain: Sync {
     fn advance(&self, state: &mut Self::State) -> Result<(), Self::Error>;
     /// Steps `state` has already run.
     fn completed(&self, state: &Self::State) -> usize;
-    /// Writes the live `state` into `w`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::NotPersistent`] if a device carries no
-    /// persistence codec (roster- and pool-built devices always do).
-    fn encode(&self, state: &Self::State, w: &mut Encoder) -> Result<(), PersistError>;
+    /// Writes the live `state` into `w`, devices included
+    /// ([`CheckpointDevice::encode_checkpoint`](uc_blockdev::CheckpointDevice::encode_checkpoint)):
+    /// nothing of the run is copied first.
+    fn encode(&self, state: &Self::State, w: &mut Encoder);
     /// Rebuilds a state from bytes [`Chain::encode`] wrote, restoring its
     /// devices onto freshly built ones. Consumes all of `r`
     /// ([`Decoder::finish`]) before it restores any device.
@@ -137,8 +134,8 @@ impl std::error::Error for LoadError {}
 pub enum RunError<E> {
     /// A step failed (device I/O, trace validation).
     Step(E),
-    /// Writing a checkpoint failed.
-    Save(PersistError),
+    /// Writing a checkpoint file failed.
+    Save(std::io::Error),
     /// A checkpoint does not load back: its devices do not restore onto
     /// the ones this run builds, or (in [`round_trip`], a seam bug) the
     /// chain does not read its own bytes.
@@ -252,8 +249,8 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Propagates [`PersistError`] from the encode or the filesystem.
-    pub fn save<C: Chain>(&self, chain: &C, state: &C::State) -> Result<PathBuf, PersistError> {
+    /// Propagates the filesystem errors.
+    pub fn save<C: Chain>(&self, chain: &C, state: &C::State) -> std::io::Result<PathBuf> {
         let (key, step) = (chain.key(), chain.completed(state));
         let path = self.step_path(&key, step);
         write(chain, state, &path)?;
@@ -323,7 +320,7 @@ impl Store {
 
 /// Writes `state` to `path` as `chain`'s record (atomically: temp file +
 /// rename), encoded straight into the one record buffer.
-fn write<C: Chain>(chain: &C, state: &C::State, path: &Path) -> Result<(), PersistError> {
+fn write<C: Chain>(chain: &C, state: &C::State, path: &Path) -> std::io::Result<()> {
     uc_persist::write_record_file(path, C::RECORD_KIND, |w| chain.encode(state, w))
 }
 
@@ -425,14 +422,13 @@ pub fn run<C: Chain>(
 ///
 /// # Errors
 ///
-/// Returns the first step error, or [`RunError::Save`] /
-/// [`RunError::Restore`] if the chain's own state fails to encode or to
-/// load back (a seam bug).
+/// Returns the first step error, or [`RunError::Restore`] if the
+/// chain's own state fails to load back (a seam bug).
 pub fn round_trip<C: Chain>(chain: &C) -> Result<C::Output, RunError<C::Error>> {
     let mut state = chain.start().map_err(RunError::Step)?;
     for _ in 0..chain.steps() {
         let mut w = Encoder::new();
-        chain.encode(&state, &mut w).map_err(RunError::Save)?;
+        chain.encode(&state, &mut w);
         state = chain
             .decode(Decoder::new(w.as_bytes()))
             .map_err(RunError::Restore)?;
@@ -494,12 +490,11 @@ mod tests {
         fn completed(&self, state: &Tally) -> usize {
             state.step
         }
-        fn encode(&self, state: &Tally, w: &mut Encoder) -> Result<(), PersistError> {
+        fn encode(&self, state: &Tally, w: &mut Encoder) {
             w.put_str(&state.key);
             w.put_u32(state.plan);
             state.step.encode(w);
             w.put_u64(state.sum);
-            Ok(())
         }
         fn decode(&self, mut r: Decoder<'_>) -> Result<Tally, LoadError> {
             let tally = Tally {

@@ -28,7 +28,7 @@ use crate::contract::thresholds::{FLEET_MIN_FAIRNESS, FLEET_TENANT_LATENCY_BLOWU
 use crate::devices::payload_codecs;
 use crate::experiments::durable::{self, Chain, LoadError, RunError, Store};
 use crate::experiments::Executor;
-use uc_blockdev::{DeviceCheckpoint, IoError, PersistError, SharedDevice};
+use uc_blockdev::{CheckpointDevice, DeviceCheckpoint, IoError, SharedDevice};
 use uc_essd::{Essd, EssdConfig};
 use uc_fleet::{FleetConfig, FleetDevice, FleetReport, FleetSim, FleetState};
 use uc_obs::ObsReport;
@@ -244,16 +244,15 @@ impl Chain for FleetChain<'_> {
 
     /// Writes the fingerprint, the state, then each device's queue head
     /// and checkpoint.
-    fn encode(&self, sim: &FleetSim, w: &mut Encoder) -> Result<(), PersistError> {
+    fn encode(&self, sim: &FleetSim, w: &mut Encoder) {
         w.put_u32(self.fingerprint);
         sim.state().encode(w);
-        let devices = sim.checkpoint_devices();
+        let devices = sim.devices();
         w.put_u64(devices.len() as u64);
-        for (head, device) in &devices {
-            head.encode(w);
-            device.encode_into(w)?;
+        for device in devices {
+            device.queue_head().encode(w);
+            device.inner().encode_checkpoint(w);
         }
-        Ok(())
     }
 
     /// Only a record of the same fleet definition (fingerprint, and the
@@ -423,7 +422,7 @@ mod tests {
         assert_eq!(loaded.state().epoch, 1);
         let payload = uc_persist::read_record_file(&path, FleetChain::RECORD_KIND).unwrap();
         let mut w = Encoder::new();
-        chain.encode(&loaded, &mut w).unwrap();
+        chain.encode(&loaded, &mut w);
         assert_eq!(w.as_bytes(), payload);
 
         let good = std::fs::read(&path).unwrap();

@@ -21,7 +21,7 @@
 
 use crate::devices::{payload_codecs, DeviceKind, DeviceRoster};
 use crate::experiments::durable::{Chain, LoadError};
-use uc_blockdev::{CheckpointDevice, DeviceCheckpoint, PersistError};
+use uc_blockdev::{CheckpointDevice, DeviceCheckpoint};
 use uc_persist::{ensure, Decoder, Encoder, Persist};
 
 /// The roster-built device a sliced run drives.
@@ -186,15 +186,14 @@ impl<S: Slicing> Chain for SlicedChain<'_, S> {
 
     /// Writes kind, head, milestones, completed, tail, device, job: the
     /// byte format, in order.
-    fn encode(&self, run: &SlicedRun<S>, w: &mut Encoder) -> Result<(), PersistError> {
+    fn encode(&self, run: &SlicedRun<S>, w: &mut Encoder) {
         self.kind.encode(w);
         self.head.encode(w);
         self.milestones.encode(w);
         run.completed.encode(w);
         run.tail.encode(w);
-        run.device.checkpoint().encode_into(w)?;
+        run.device.encode_checkpoint(w);
         run.job.encode(w);
-        Ok(())
     }
 
     /// Only a record of this device under this exact plan (head,
@@ -285,7 +284,7 @@ pub(crate) mod tests {
     /// The bytes a save of `run` writes as its record payload.
     pub(crate) fn encoded<S: Slicing>(chain: &SlicedChain<'_, S>, run: &SlicedRun<S>) -> Vec<u8> {
         let mut w = Encoder::new();
-        chain.encode(run, &mut w).unwrap();
+        chain.encode(run, &mut w);
         w.into_bytes()
     }
 

@@ -208,9 +208,9 @@ pub struct MigrationRecord {
     pub completed_at: SimTime,
     /// Bytes copied (the tenant's written extent).
     pub bytes_copied: u64,
-    /// CRC-32 of the source device's frozen checkpoint (0 if the device
-    /// has no persist codec). Two byte-identical runs freeze identical
-    /// state; the CI identity gate compares these fingerprints.
+    /// CRC-32 of the source device's frozen checkpoint bytes, encoded in
+    /// place from the live device. Two byte-identical runs freeze
+    /// identical state; the CI identity gate compares these fingerprints.
     pub freeze_crc: u32,
 }
 

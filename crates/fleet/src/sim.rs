@@ -855,17 +855,16 @@ impl FleetSim {
             None => return Ok(()), // plan raced headroom; skip, stay consistent
         };
         let boundary = self.window_end(self.state.epoch);
-        // Freeze: checkpoint the source device's complete state. The
+        // Freeze: encode the source device's complete state in place. The
         // fingerprint lands in the migration record, so two runs of the
         // same fleet prove they froze identical state.
         let frozen_at = self.devices[from_device].queue_head().max(boundary);
         let freeze_crc = {
-            let cp: DeviceCheckpoint = self.devices[from_device].inner().checkpoint();
-            let mut enc = Encoder::new();
-            match cp.encode_into(&mut enc) {
-                Ok(()) => uc_persist::crc32(enc.as_bytes()),
-                Err(_) => 0, // device without a persist codec
-            }
+            let mut frozen = Encoder::new();
+            self.devices[from_device]
+                .inner()
+                .encode_checkpoint(&mut frozen);
+            uc_persist::crc32(frozen.as_bytes())
         };
         self.flight.record(
             frozen_at,
@@ -1008,10 +1007,17 @@ impl FleetSim {
     }
 
     /// The fleet's state between epochs: clone it for an in-memory
-    /// checkpoint, encode it for a durable one (pair either with
-    /// [`checkpoint_devices`](Self::checkpoint_devices)).
+    /// checkpoint (with [`checkpoint_devices`](Self::checkpoint_devices)),
+    /// encode it for a durable one (with [`devices`](Self::devices)).
     pub fn state(&self) -> &FleetState {
         &self.state
+    }
+
+    /// The device pool, in pool order: a durable save encodes each
+    /// device's queue head and checkpoint from here in place
+    /// ([`CheckpointDevice::encode_checkpoint`]).
+    pub fn devices(&self) -> &[SharedDevice<FleetDevice>] {
+        &self.devices
     }
 
     /// Freezes every device in the pool, in pool order, each with its
@@ -1311,7 +1317,7 @@ mod tests {
             .map(|(head, cp)| {
                 let mut w = Encoder::new();
                 head.encode(&mut w);
-                cp.encode_into(&mut w).expect("eSSD checkpoints persist");
+                let Ok(()) = cp.encode_into(&mut w);
                 w.into_bytes()
             })
             .collect();

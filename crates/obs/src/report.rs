@@ -64,10 +64,7 @@ impl ObsReport {
 
     /// Writes the report to `path` atomically (tmp + rename).
     pub fn save_to(&self, path: &Path) -> io::Result<()> {
-        uc_persist::write_record_file(path, OBS_RECORD_KIND, |w| {
-            self.encode(w);
-            Ok(())
-        })
+        uc_persist::write_record_file(path, OBS_RECORD_KIND, |w| self.encode(w))
     }
 
     /// Reads a report back from `path`, verifying envelope and kind.
@@ -161,11 +158,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("uc-obs-kind-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("other.rec");
-        uc_persist::write_record_file(&path, "uc.other.v1", |w| {
-            w.put_raw(b"payload");
-            io::Result::Ok(())
-        })
-        .unwrap();
+        uc_persist::write_record_file(&path, "uc.other.v1", |w| w.put_raw(b"payload")).unwrap();
         assert!(matches!(
             ObsReport::load_from(&path),
             Err(DecodeError::UnknownKind { .. })

@@ -352,29 +352,25 @@ pub fn peek_record_len(buf: &[u8]) -> Result<Option<usize>, DecodeError> {
 /// record at `path`.
 ///
 /// `payload` writes the payload in place, as in [`encode_record_into`],
-/// so the whole record is encoded into one buffer. If it fails, nothing
-/// is written.
+/// so the whole record is encoded into one buffer.
 ///
 /// # Errors
 ///
-/// Returns `payload`'s error, or the underlying filesystem errors.
-pub fn write_record_file<E: From<io::Error>>(
+/// Returns the underlying filesystem errors.
+pub fn write_record_file(
     path: &Path,
     kind: &str,
-    payload: impl FnOnce(&mut Encoder) -> Result<(), E>,
-) -> Result<(), E> {
-    let mut encoded = Ok(());
+    payload: impl FnOnce(&mut Encoder),
+) -> io::Result<()> {
     let mut record = Vec::new();
-    encode_record_into(&mut record, kind, |w| encoded = payload(w));
-    encoded?;
+    encode_record_into(&mut record, kind, payload);
     let tmp = path.with_extension("tmp");
     {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(&record)?;
         file.sync_all()?;
     }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    std::fs::rename(&tmp, path)
 }
 
 /// Reads a record file of the given `kind` and returns its payload.
@@ -694,11 +690,7 @@ mod tests {
         let dir = std::env::temp_dir().join("uc-persist-test-record");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.ckpt");
-        write_record_file(&path, "file.v1", |w| {
-            w.put_raw(b"on disk");
-            io::Result::Ok(())
-        })
-        .unwrap();
+        write_record_file(&path, "file.v1", |w| w.put_raw(b"on disk")).unwrap();
         assert_eq!(read_record_file(&path, "file.v1").unwrap(), b"on disk");
         // Another kind is typed, naming the kind the file has.
         assert_eq!(

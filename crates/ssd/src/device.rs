@@ -6,6 +6,7 @@ use uc_blockdev::{
     IoBatch, IoError, IoKind, IoRequest, IoResult,
 };
 use uc_ftl::{Ftl, FtlStats};
+use uc_persist::Encoder;
 use uc_sim::{Resource, SimRng, SimTime};
 
 /// Activity counters of an [`Ssd`].
@@ -258,24 +259,15 @@ impl BlockDevice for Ssd {
 
 impl CheckpointDevice for Ssd {
     fn checkpoint(&self) -> DeviceCheckpoint {
-        // `Ssd` is a `PersistPayload`, so every checkpoint taken through
-        // this seam has a durable on-disk form (`save_to`).
         DeviceCheckpoint::persistent(self.info.name(), self.clone())
     }
 
+    fn encode_checkpoint(&self, w: &mut Encoder) {
+        DeviceCheckpoint::encode_payload(self.info.name(), self, w)
+    }
+
     fn restore_from(&mut self, checkpoint: DeviceCheckpoint) -> Result<(), CheckpointError> {
-        checkpoint.expect_device(self.info.name())?;
-        let restored = checkpoint.into_state::<Ssd>()?;
-        // Same name is not enough: a checkpoint from a differently-scaled
-        // device must not silently shrink or grow this one.
-        if restored.info != self.info {
-            return Err(CheckpointError::DeviceMismatch {
-                expected: format!("{} ({} B)", self.info.name(), self.info.capacity()),
-                found: format!("{} ({} B)", restored.info.name(), restored.info.capacity()),
-            });
-        }
-        *self = restored;
-        Ok(())
+        checkpoint.restore_onto(self, |device| &device.info)
     }
 }
 

@@ -150,10 +150,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Trace, TraceFileError> {
 ///
 /// Propagates the underlying filesystem errors.
 pub fn save_trace(path: &Path, trace: &Trace) -> io::Result<()> {
-    uc_persist::write_record_file(path, TRACE_RECORD_KIND, |w| {
-        encode_payload(trace, w);
-        Ok(())
-    })
+    uc_persist::write_record_file(path, TRACE_RECORD_KIND, |w| encode_payload(trace, w))
 }
 
 /// Reads a `uc.trace.v1` record file back into a [`Trace`].

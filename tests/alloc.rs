@@ -21,7 +21,8 @@
 //!
 //! Building a fleet allocates nothing per arrival: tenant traces stream
 //! from lazy cursors, so a longer horizon costs no more set-up. Saving
-//! one allocates nothing per tenant: the live state is encoded in place.
+//! one allocates nothing per tenant, and saving a fig3 run copies no
+//! device: the live state is encoded in place.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -393,6 +394,36 @@ fn fleet_saves_encode_the_live_state_in_place() {
     assert!(
         big <= 16,
         "saving 256 tenants ({file_len} bytes) made {big} allocations of 16 KiB or more"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable fig3 save writes the live SSD into the record buffer in
+/// place. The SSD's two FTL page maps are each close to half the record;
+/// a save that checkpointed (cloned) the device first would allocate
+/// both once more. This one makes only the buffer's growth steps past a
+/// quarter of the record: at most three doublings.
+#[test]
+fn fig3_saves_encode_the_live_device_in_place() {
+    use unwritten_contract::core::experiments::fig3::{self, Fig3Config};
+    use unwritten_contract::core::experiments::{Chain, Store};
+    let roster = DeviceRoster::with_capacities(2 << 30, 128 << 20);
+    let config = Fig3Config::quick();
+    let chain = fig3::chain(&roster, DeviceKind::LocalSsd, &config, 64);
+    let mut run = chain.start().expect("primed run");
+    chain.advance(&mut run).expect("one step");
+    let dir = std::env::temp_dir().join(format!("uc-alloc-fig3-{}", std::process::id()));
+    let store = Store::create(&dir).expect("temp dir");
+    let path = store.save(&chain, &run).expect("save");
+    let file_len = std::fs::metadata(&path).expect("saved").len() as usize;
+    assert!(file_len >= 4 << 20, "a {file_len}-byte record is too small");
+    let big = allocs_of_at_least(file_len / 4, || {
+        store.save(&chain, &run).expect("save");
+    });
+    assert!(
+        big <= 3,
+        "saving a {file_len}-byte SSD record made {big} allocations of {} bytes or more",
+        file_len / 4
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

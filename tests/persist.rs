@@ -190,10 +190,19 @@ fn fingerprint(bytes: &[u8]) -> (usize, u32) {
 /// bumped.
 #[test]
 fn checkpoint_payload_bytes_are_pinned() {
-    let device = |checkpoint: DeviceCheckpoint| {
-        let mut w = Encoder::new();
-        checkpoint.encode_into(&mut w).unwrap();
-        fingerprint(w.as_bytes())
+    // A device row is what a durable save writes, the live device's own
+    // encode, and a checkpoint it takes encodes to the same bytes.
+    let device = |device: &dyn CheckpointDevice| {
+        let mut live = Encoder::new();
+        device.encode_checkpoint(&mut live);
+        let mut taken = Encoder::new();
+        let Ok(()) = device.checkpoint().encode_into(&mut taken);
+        assert!(
+            live.as_bytes() == taken.as_bytes(),
+            "{}",
+            device.info().name()
+        );
+        fingerprint(live.as_bytes())
     };
     let mut w = Encoder::new();
     obs_report().encode(&mut w);
@@ -205,8 +214,8 @@ fn checkpoint_payload_bytes_are_pinned() {
     let fig3 = fig3_chain();
     let fleet = FleetChain::new(&FLEET);
     let actual = [
-        ("ssd", device(CheckpointDevice::checkpoint(&busy_ssd()))),
-        ("essd", device(CheckpointDevice::checkpoint(&busy_essd()))),
+        ("ssd", device(&busy_ssd())),
+        ("essd", device(&busy_essd())),
         (
             "trace-run",
             fingerprint(&saved_payload(&open, &after_one_step(&open), "pin-open")),
@@ -251,6 +260,45 @@ fn checkpoint_payload_bytes_are_pinned() {
         ("fleet", (438_613, 0x7bfb_ce38)),
     ];
     assert_eq!(actual, golden);
+}
+
+/// An `Ssd` behind a wrapper that implements only `checkpoint` and
+/// `restore_from`, like perfbench's `Timed`: its `encode_checkpoint` is
+/// the trait default.
+struct CheckpointOnly(Ssd);
+
+impl BlockDevice for CheckpointOnly {
+    fn info(&self) -> DeviceInfo {
+        self.0.info()
+    }
+    fn submit(&mut self, req: &IoRequest) -> unwritten_contract::blockdev::IoResult {
+        self.0.submit(req)
+    }
+}
+
+impl CheckpointDevice for CheckpointOnly {
+    fn checkpoint(&self) -> DeviceCheckpoint {
+        self.0.checkpoint()
+    }
+    fn restore_from(&mut self, checkpoint: DeviceCheckpoint) -> Result<(), CheckpointError> {
+        self.0.restore_from(checkpoint)
+    }
+}
+
+/// The default `encode_checkpoint` (checkpoint, then encode) writes the
+/// same bytes as the `Ssd`'s in-place override, bare and boxed.
+#[test]
+fn default_encode_checkpoint_matches_the_in_place_override() {
+    let ssd = busy_ssd();
+    let mut own = Encoder::new();
+    ssd.encode_checkpoint(&mut own);
+    let mut bare = Encoder::new();
+    CheckpointOnly(ssd.clone()).encode_checkpoint(&mut bare);
+    let boxed: Box<dyn CheckpointDevice> = Box::new(CheckpointOnly(ssd));
+    let mut through_box = Encoder::new();
+    boxed.encode_checkpoint(&mut through_box);
+    assert!(bare.as_bytes() == own.as_bytes());
+    assert!(through_box.as_bytes() == own.as_bytes());
 }
 
 /// Golden bytes of a `uc.trace.v1` file: `save_trace` writes exactly
@@ -909,11 +957,8 @@ fn corruption_table_over_every_wire_frame_kind() {
 fn unknown_record_kinds_are_typed() {
     let dir = temp_dir("unknown-kind");
     let path = dir.join("mystery.ckpt");
-    unwritten_contract::persist::write_record_file(&path, "uc.mystery.v9", |w| {
-        w.put_raw(b"???");
-        std::io::Result::Ok(())
-    })
-    .unwrap();
+    unwritten_contract::persist::write_record_file(&path, "uc.mystery.v9", |w| w.put_raw(b"???"))
+        .unwrap();
     assert!(matches!(
         DeviceCheckpoint::load_from(&path, &payload_codecs()),
         Err(DecodeError::UnknownKind { .. })
@@ -963,11 +1008,7 @@ fn retag_payload(path: &std::path::Path, from: &str, to: &str) {
         .collect();
     assert_eq!(at.len(), 1, "{from} occurs once in {kind}");
     payload[at[0]..at[0] + to.len()].copy_from_slice(to.as_bytes());
-    write_record_file(path, kind, |w| {
-        w.put_raw(&payload);
-        std::io::Result::Ok(())
-    })
-    .unwrap();
+    write_record_file(path, kind, |w| w.put_raw(&payload)).unwrap();
 }
 
 /// A file from before the v2 device checkpoint format fails typed at its
@@ -1002,11 +1043,7 @@ fn retag_record(path: &std::path::Path, kind: &str) {
     use unwritten_contract::persist::{decode_record, write_record_file};
     let bytes = std::fs::read(path).unwrap();
     let payload = decode_record(&bytes).unwrap().1.to_vec();
-    write_record_file(path, kind, |w| {
-        w.put_raw(&payload);
-        std::io::Result::Ok(())
-    })
-    .unwrap();
+    write_record_file(path, kind, |w| w.put_raw(&payload)).unwrap();
 }
 
 /// Files from before the `uc.fleet.v2` and `uc.trace-run.v2` formats fail
@@ -1272,11 +1309,7 @@ fn impossible_plans_fail_typed_on_decode() {
         bytes.extend_from_slice(&with.to_le_bytes());
         bytes.extend_from_slice(&payload[at + cut..]);
         let path = dir.join(format!("{}.ckpt", chain.key()));
-        write_record_file(&path, S::RECORD_KIND, |w| {
-            w.put_raw(&bytes);
-            std::io::Result::Ok(())
-        })
-        .unwrap();
+        write_record_file(&path, S::RECORD_KIND, |w| w.put_raw(&bytes)).unwrap();
         durable::load(chain, &path)
     }
     fn rejects<S: Slicing>(chain: &SlicedChain<'_, S>, dir: &Path, head_len: usize) {
